@@ -20,7 +20,7 @@ from .errors import (
     SupportOutOfRange,
     UnknownKind,
 )
-from .linalg import hermitian_eigendecompose, spectral_norm
+from .linalg import hermitian_eigendecompose, norm_exceeds, spectral_norm
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -130,20 +130,21 @@ def interaction_degree(ham: LocalHamiltonian) -> int:
 
 
 def noncommutation_degree(mats: list[np.ndarray], tol: float = 1e-10) -> int:
-    """Max over entries of the number of other matrices it fails to commute with."""
+    """Max over entries of the number of other matrices it fails to commute with.
+
+    Each unordered pair is tested once: fl(BA - AB) = -fl(AB - BA) exactly,
+    so both orders of a pair decide the same way.
+    """
     k = len(mats)
     scale = max([1.0] + [spectral_norm(m) for m in mats])
-    deg = 0
+    bound = tol * scale * scale
+    counts = [0] * k
     for a in range(k):
-        cnt = 0
-        for b in range(k):
-            if b == a:
-                continue
-            comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-            if spectral_norm(comm) > tol * scale * scale:
-                cnt += 1
-        deg = max(deg, cnt)
-    return deg
+        for b in range(a + 1, k):
+            if norm_exceeds(mats[a] @ mats[b] - mats[b] @ mats[a], bound):
+                counts[a] += 1
+                counts[b] += 1
+    return max(counts, default=0)
 
 
 def commutation_degree(ham: LocalHamiltonian, tol: float = 1e-10) -> int:
@@ -157,11 +158,12 @@ def ground_space(
     """Project onto the lowest eigenvalue cluster of h.
 
     The ground cluster collects eigenvalues within tol * max(1, ||h||) of
-    the minimum; a gap below ten times that width triggers a
-    DegenerateGapWarning because the cluster boundary is then ambiguous.
-    For a LocalHamiltonian input the frustration residual
-    max_a ||P H_a|| is reported as well; it vanishes exactly when the
-    ground space sits inside the kernel of every (positive) term.
+    the minimum, with ||h|| read off the eigenvalues; a gap below ten times
+    that width triggers a DegenerateGapWarning because the cluster boundary
+    is then ambiguous.  For a LocalHamiltonian input the frustration
+    residual max_a ||P H_a|| = max_a ||V_r^dag H_a|| over the r ground
+    vectors is reported as well; it vanishes exactly when the ground space
+    sits inside the kernel of every (positive) term.
     """
     embedded: list[np.ndarray] | None = None
     if isinstance(h, LocalHamiltonian):
@@ -170,10 +172,11 @@ def ground_space(
         embedded = [embed(t, ham.n) for t in ham.terms]
     eig = hermitian_eigendecompose(h)
     w, v = eig.eigenvalues, eig.eigenvectors
-    scale = max(1.0, spectral_norm(h))
+    scale = max(1.0, float(np.abs(w).max()))
     width = tol * scale
     dim = int(np.sum(w - w[0] <= width))
-    proj = v[:, :dim] @ v[:, :dim].conj().T
+    ground = v[:, :dim]
+    proj = ground @ ground.conj().T
     gap = float(w[dim] - w[0]) if dim < len(w) else float("inf")
     degenerate = gap < 10 * width
     if degenerate:
@@ -184,7 +187,8 @@ def ground_space(
         )
     residual = 0.0
     if embedded:
-        residual = max(spectral_norm(proj @ t) for t in embedded)
+        ground_h = ground.conj().T
+        residual = max(spectral_norm(ground_h @ t) for t in embedded)
     return GroundSpace(
         projector=proj,
         dimension=dim,
@@ -195,6 +199,20 @@ def ground_space(
     )
 
 
+def frustration_check(
+    ham: LocalHamiltonian, tol: float = 1e-8
+) -> tuple[bool, GroundSpace]:
+    """Ground space of ham and whether it annihilates every term.
+
+    The residual is compared with tol * max(1, ||H||); since that scale is
+    at least 1, a residual within tol passes without assembling ||H||.
+    """
+    gs = ground_space(ham, tol)
+    res = abs(gs.frustration_residual)
+    ff = res <= tol or res <= tol * spectral_norm(assemble(ham))
+    return ff, gs
+
+
 def is_frustration_free(ham: LocalHamiltonian, tol: float = 1e-8) -> tuple[bool, float]:
     """Whether the ground space annihilates every term.
 
@@ -202,9 +220,8 @@ def is_frustration_free(ham: LocalHamiltonian, tol: float = 1e-8) -> tuple[bool,
     kernel); a term with negative eigenvalues reads as frustrated even when
     it shares its minimizer with the total.
     """
-    gs = ground_space(ham, tol)
-    scale = max(1.0, spectral_norm(assemble(ham)))
-    return abs(gs.frustration_residual) <= tol * scale, gs.frustration_residual
+    ff, gs = frustration_check(ham, tol)
+    return ff, gs.frustration_residual
 
 
 def _projector_from_state(v: np.ndarray) -> np.ndarray:

@@ -402,7 +402,11 @@ def _run_anneal(cfg: ExperimentConfig):
             f"anneal: success probability {run.success_probability:.6f} is "
             f"below (1 - delta/2)^2 = {floor:.6f}"
         )
-    fidelity_floor = 1.0 - delta - (0.01 if mode == "dl_qsvt" else 0.0)
+    # With eps = delta/2 >= ||psi~ - psi|| (checked above) and ||psi|| = 1:
+    # Re<psi~, psi> >= 1 - eps and ||psi~|| <= 1 + eps, so the fidelity
+    # |<psi~, psi>| / ||psi~|| is at least (1 - eps) / (1 + eps) >= 1 - delta.
+    eps = delta / 2
+    fidelity_floor = (1.0 - eps) / (1.0 + eps) - 1e-9
     if run.final_fidelity < fidelity_floor:
         violations.append(
             f"anneal: fidelity {run.final_fidelity:.6f} is below {fidelity_floor:.6f}"

@@ -388,10 +388,12 @@ def cptp_check(channel: Superoperator, tol: float = 1e-9) -> CptpReport:
     tp_res = float(
         np.linalg.norm((heis_mat @ ident.reshape(-1)).reshape(d, d) - ident)
     )
-    scale = max(1.0, spectral_norm(s_mat))
-    return CptpReport(
-        choi_min_eig=wmin,
-        tp_residual=tp_res,
-        cp=wmin >= -tol * scale,
-        tp=tp_res <= tol * scale,
-    )
+    # Both tolerances scale with max(1, ||S||) >= 1; the norm is only
+    # needed when a residual exceeds the bare tolerance.
+    cp = wmin >= -tol
+    tp = tp_res <= tol
+    if not (cp and tp):
+        scale = max(1.0, spectral_norm(s_mat))
+        cp = wmin >= -tol * scale
+        tp = tp_res <= tol * scale
+    return CptpReport(choi_min_eig=wmin, tp_residual=tp_res, cp=cp, tp=tp)

@@ -9,6 +9,7 @@ trace that validates its factorization.  All checks raise typed errors from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,10 @@ from .errors import (
 )
 
 _RECON_TOL = 1e-8
+# Relative slack on the Frobenius shortcuts of norm_exceeds.  It dwarfs the
+# rounding of either norm (a few hundred ulps at these sizes), so a shortcut
+# only decides where the SVD could not decide otherwise.
+_NORM_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -125,7 +130,25 @@ def spectral_norm(a: np.ndarray) -> float:
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False).max())
+
+
+def norm_exceeds(a: np.ndarray, bound: float) -> bool:
+    """Whether spectral_norm(a) > bound, with an SVD only when needed.
+
+    ||a||_2 <= ||a||_F <= sqrt(min(shape)) ||a||_2, so the Frobenius norm
+    decides the comparison unless bound lies between ||a||_F / sqrt(min(shape))
+    and ||a||_F; only then is the largest singular value computed.
+    """
+    a = np.asarray(a)
+    if a.size == 0:
+        return 0.0 > bound
+    fro = float(np.linalg.norm(a))
+    if fro < bound * (1.0 - _NORM_SLACK):
+        return False
+    if fro > bound * math.sqrt(min(a.shape)) * (1.0 + _NORM_SLACK):
+        return True
+    return spectral_norm(a) > bound
 
 
 def schatten1_distance(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> float:

@@ -52,6 +52,7 @@ from .kms import (
 from .linalg import (
     devectorize,
     hermitian_eigendecompose,
+    norm_exceeds,
     partial_trace,
     spectral_norm,
     vectorize,
@@ -162,13 +163,17 @@ def build_parent(
             mid -= 1j * np.kron(eye, g_mat.T)
         h_a = q_mat @ mid @ q_inv
         cross = coherent_form(term_superoperator(t, n), kms)
-        scale = max(1.0, spectral_norm(h_a))
         if float(cross.hermiticity_residual or 0.0) > tol:
             raise NotDetailedBalanced(
                 f"term {idx} has detailed-balance defect "
                 f"{cross.hermiticity_residual:.3e}"
             )
-        if spectral_norm(h_a - cross.mat) > 1e-9 * scale:
+        # The tolerance scales with max(1, ||H^a||) >= 1, so a mismatch
+        # within the bare tolerance passes without computing ||H^a||.
+        mismatch = h_a - cross.mat
+        if norm_exceeds(mismatch, 1e-9) and norm_exceeds(
+            mismatch, 1e-9 * max(1.0, spectral_norm(h_a))
+        ):
             raise BadParams(
                 f"term {idx}: kron assembly disagrees with the vectorized "
                 "coherent form"
@@ -186,7 +191,7 @@ def build_parent(
     ground = vectorize(kms.sqrt)
     ground = ground / np.linalg.norm(ground)
     top = float(np.linalg.eigvalsh(full).max())
-    if top > 1e-8 * max(1.0, spectral_norm(full)):
+    if top > 1e-8 and top > 1e-8 * max(1.0, spectral_norm(full)):
         raise PositiveEigenvalue(f"parent has positive eigenvalue {top:.3e}")
     return ParentHamiltonian(
         full=full, terms=tuple(parent_terms), beta=beta, ground=ground, n=n
@@ -276,7 +281,7 @@ def parent_projector_input(ph: ParentHamiltonian, tol: float = 1e-9) -> Projecto
         neg = -block / scale
         neg = 0.5 * (neg + neg.conj().T)
         min_eig = float(np.linalg.eigvalsh(neg).min())
-        if min_eig < -1e-10 * max(1.0, spectral_norm(neg)):
+        if min_eig < -1e-10 and min_eig < -1e-10 * max(1.0, spectral_norm(neg)):
             raise PositivityFailure(
                 f"negated parent term {idx} has eigenvalue {min_eig:.3e} < 0"
             )

@@ -41,15 +41,14 @@ from .errors import (
 )
 from .hamiltonians import (
     LocalHamiltonian,
-    assemble,
     embed,
-    ground_space,
+    frustration_check,
     interaction_degree,
-    is_frustration_free,
 )
 from .linalg import (
     Svd,
     hermitian_eigendecompose,
+    norm_exceeds,
     singular_value_decompose,
     spectral_norm,
 )
@@ -57,11 +56,17 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class DlOperator:
-    """Ordered product of per-term ground projectors with cached SVD."""
+    """Ordered product of per-term ground projectors with cached SVD.
+
+    ground_dimension and ground_gap describe the ground space of the
+    Hamiltonian the factors came from, as found by its frustration check.
+    """
 
     factors: tuple[np.ndarray, ...]
     composite: np.ndarray
     n: int
+    ground_dimension: int
+    ground_gap: float
 
     @property
     def m(self) -> int:
@@ -148,10 +153,11 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
     """
     if ham.m == 0:
         raise BadParams("need at least one term")
-    ff, res = is_frustration_free(ham)
+    ff, gs = frustration_check(ham)
     if not ff:
         raise FrustrationDetected(
-            f"ground space is not annihilated by every term (residual {res:.3e})"
+            "ground space is not annihilated by every term "
+            f"(residual {gs.frustration_residual:.3e})"
         )
     factors = []
     for t in ham.terms:
@@ -161,34 +167,42 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
         dim = int(np.sum(w - w[0] <= tol * scale))
         local = eig.eigenvectors[:, :dim] @ eig.eigenvectors[:, :dim].conj().T
         p = embed(type(t)(local, t.support), ham.n)
-        if spectral_norm(p @ p - p) > 1e-10 or spectral_norm(p - p.conj().T) > 1e-10:
+        if norm_exceeds(p @ p - p, 1e-10) or norm_exceeds(p - p.conj().T, 1e-10):
             raise BadParams("term ground projector failed the idempotence check")
         factors.append(p)
     comp = factors[0].copy()
     for p in factors[1:]:
         comp = comp @ p
-    return DlOperator(factors=tuple(factors), composite=comp, n=ham.n)
+    return DlOperator(
+        factors=tuple(factors),
+        composite=comp,
+        n=ham.n,
+        ground_dimension=gs.dimension,
+        ground_gap=gs.gap,
+    )
 
 
 def singular_gap(dl: DlOperator, ham: LocalHamiltonian, tol: float = 1e-8) -> SingularGap:
     """Certified gamma* from (gap, degree) plus the empirical 1 - s_{r+1}.
 
-    Asserts the singular bound s_{r+1} <= 1 / sqrt(gap / g^2 + 1) + 1e-9.
+    The gap and the ground-space dimension r come from dl, which must have
+    been built from ham; ham supplies the interaction degree g.  Asserts
+    the singular bound s_{r+1} <= 1 / sqrt(gap / g^2 + 1) + 1e-9.
     A degree-0 (mutually disjoint) term set drives the bound to 0 and the
     certified gamma* to 1; it is capped just below 1 so a polynomial can
     still be requested.
     """
-    gs = ground_space(ham)
-    if not np.isfinite(gs.gap) or gs.gap <= tol:
-        raise DegenerateGap(f"Hamiltonian gap {gs.gap:.3e} too small to certify")
+    gap = dl.ground_gap
+    if not np.isfinite(gap) or gap <= tol:
+        raise DegenerateGap(f"Hamiltonian gap {gap:.3e} too small to certify")
     g = interaction_degree(ham)
     if g == 0:
         bound = 0.0
         gamma_star = 1.0 - 1e-12
     else:
-        bound = 1.0 / math.sqrt(gs.gap / g**2 + 1.0)
+        bound = 1.0 / math.sqrt(gap / g**2 + 1.0)
         gamma_star = 1.0 - bound
-    r = gs.dimension
+    r = dl.ground_dimension
     s = dl.svd.s
     s_next = float(s[r]) if r < s.size else 0.0
     if s_next > bound + 1e-9:
@@ -199,7 +213,7 @@ def singular_gap(dl: DlOperator, ham: LocalHamiltonian, tol: float = 1e-8) -> Si
     return SingularGap(
         gamma_star=gamma_star,
         r=r,
-        gamma=gs.gap,
+        gamma=gap,
         g=g,
         s_next=s_next,
         empirical_gap=1.0 - s_next,

@@ -41,12 +41,18 @@ from .kms import (
     stationary_channel,
     term_superoperator,
 )
-from .linalg import schatten1_distance, spectral_norm
+from .linalg import norm_exceeds, schatten1_distance, spectral_norm
 
 
 @dataclass(frozen=True)
 class DlChannel:
-    """Ordered product of per-term stationary channels."""
+    """Ordered product of per-term stationary channels.
+
+    gap and kernel_dim describe the coherent form of the full generator,
+    g is the non-commutation degree of the KMS projectors and q the
+    one-round contraction factor they certify; all four are computed once,
+    at composition.
+    """
 
     factors: tuple[Superoperator, ...]
     order: tuple[int, ...]
@@ -55,6 +61,10 @@ class DlChannel:
     kms_projectors: tuple[np.ndarray, ...]
     terms: tuple[LindbladTerm, ...]
     n: int
+    gap: float
+    kernel_dim: int
+    g: int
+    q: float
 
     @property
     def m(self) -> int:
@@ -91,6 +101,8 @@ class ContractionReport:
     trials: int
     vacuous_trials: int
     passed: bool
+    g: int
+    q: float
 
 
 def compose_dl_channel(
@@ -103,7 +115,9 @@ def compose_dl_channel(
     With order_seed None the factors compose in term order; otherwise the
     order is a seeded permutation.  The composite's Heisenberg matrix is
     the product in listed order, so its Schrodinger adjoint applies the
-    first listed factor to the state first.
+    first listed factor to the state first.  The channel invariants (gap,
+    kernel_dim, g, q) are computed here, once, for iterate and
+    contraction_check to share.
     """
     if not terms:
         raise BadParams("need at least one term to compose a channel")
@@ -118,8 +132,9 @@ def compose_dl_channel(
     factors = []
     projectors = []
     for idx, t in enumerate(terms):
-        sup = term_superoperator(t, n)
-        p = stationary_channel(sup, kms)
+        # The term superoperator stays unnamed so that it is freed before
+        # the spectral report below, which is the peak of this function.
+        p = stationary_channel(term_superoperator(t, n), kms)
         rep = cptp_check(p)
         if not (rep.cp and rep.tp):
             raise DlGibbsError(
@@ -132,6 +147,9 @@ def compose_dl_channel(
     for i in order:
         mat = mat @ factors[i].mat
     composite = Superoperator(mat=mat, picture="heisenberg", dim=kms.dim)
+    spec = spectral_report(lindblad_superoperator(list(terms), n), kms)
+    gap = max(spec.gap, 0.0)
+    g = noncommutation_degree(projectors)
     return DlChannel(
         factors=tuple(factors),
         order=order,
@@ -140,6 +158,10 @@ def compose_dl_channel(
         kms_projectors=tuple(projectors),
         terms=tuple(terms),
         n=n,
+        gap=gap,
+        kernel_dim=spec.kernel_dim,
+        g=g,
+        q=_contraction_factor(gap, g),
     )
 
 
@@ -167,7 +189,7 @@ def iterate(
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (kms.dim, kms.dim):
         raise DimensionMismatch(f"state shape {rho0.shape} vs dim {kms.dim}")
-    if spectral_norm(rho0 - rho0.conj().T) > 1e-10:
+    if norm_exceeds(rho0 - rho0.conj().T, 1e-10):
         raise BadParams("initial state is not Hermitian")
     if abs(np.trace(rho0) - 1.0) > 1e-10:
         raise BadParams(f"initial state trace {np.trace(rho0):.6f} is not 1")
@@ -175,14 +197,11 @@ def iterate(
         raise BadParams("initial state has a negative eigenvalue")
     if k_max < 0:
         raise BadParams(f"k_max must be >= 0, got {k_max}")
-    rep = spectral_report(lindblad_superoperator(list(channel.terms), channel.n), kms)
-    gap = max(rep.gap, 0.0)
-    g = noncommutation_degree(list(channel.kms_projectors))
-    q = _contraction_factor(gap, g)
+    q = channel.q
     warns: list[str] = []
-    if rep.kernel_dim > 1:
+    if channel.kernel_dim > 1:
         msg = (
-            f"stationary space has dimension {rep.kernel_dim}; the distance "
+            f"stationary space has dimension {channel.kernel_dim}; the distance "
             "bound is constant and convergence to sigma is not guaranteed"
         )
         warnings.warn(msg, IrreducibilityWarning)
@@ -203,10 +222,10 @@ def iterate(
         bounds=bounds,
         channel_applications=ks * channel.m,
         sigma_min=kms.sigma_min,
-        gap=gap,
-        g=g,
+        gap=channel.gap,
+        g=channel.g,
         q=q,
-        kernel_dim=rep.kernel_dim,
+        kernel_dim=channel.kernel_dim,
         warnings=tuple(warns),
     )
 
@@ -230,11 +249,7 @@ def contraction_check(
     if trials < 1:
         raise BadParams(f"trials must be >= 1, got {trials}")
     d = kms.dim
-    rep = spectral_report(
-        lindblad_superoperator(list(channel.terms), channel.n), kms
-    )
-    g = noncommutation_degree(list(channel.kms_projectors))
-    q = _contraction_factor(max(rep.gap, 0.0), g)
+    q = channel.q
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_stat = 0.0
@@ -262,6 +277,8 @@ def contraction_check(
         trials=trials,
         vacuous_trials=vacuous,
         passed=worst <= 1.0 + 1e-8 and worst_stat <= 1e-10,
+        g=channel.g,
+        q=q,
     )
 
 

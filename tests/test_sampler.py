@@ -192,3 +192,27 @@ def test_fixed_point_of_round_channel():
     ch = compose_dl_channel(terms, kms)
     schro = ch.composite.adjoint()
     assert np.abs(schro.apply(kms.sigma) - kms.sigma).max() < 1e-10
+
+
+def test_iterate_and_contraction_check_share_channel_invariants(monkeypatch):
+    import dlgibbs.sampler as sampler
+
+    counts = {"spectral_report": 0, "noncommutation_degree": 0}
+    for name in counts:
+        real = getattr(sampler, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, name, counted)
+    _, terms, kms = _zz3_setup(kinds="xz")
+    ch = compose_dl_channel(terms, kms)
+    rho0 = np.zeros((8, 8), dtype=complex)
+    rho0[0, 0] = 1.0
+    trace = iterate(ch, rho0, kms, k_max=5)
+    rep = contraction_check(ch, kms, trials=5, seed=1)
+    assert (trace.g, trace.q) == (rep.g, rep.q) == (ch.g, ch.q)
+    assert (trace.gap, trace.kernel_dim) == (ch.gap, ch.kernel_dim)
+    assert ch.g > 0 and 0.0 < ch.q < 1.0
+    assert counts == {"spectral_report": 1, "noncommutation_degree": 1}
