@@ -76,7 +76,6 @@ from .kms import (
 )
 from .linalg import (
     hermitian_eigendecompose,
-    matrix_exponential,
     partial_trace,
     schatten1_distance,
     singular_value_decompose,

@@ -263,10 +263,17 @@ def parse_config(text: str) -> ExperimentConfig:
             **_apply_schema("model", sections["model"], _MODEL_SCHEMA)
         )
 
-    weights_raw = _apply_schema(
-        "weights", sections.get("weights", {}), _WEIGHTS_SCHEMA
+    weights_table = sections.get("weights", {})
+    weights = WeightsConfig(
+        **_apply_schema("weights", weights_table, _WEIGHTS_SCHEMA)
     )
-    weights = WeightsConfig(**weights_raw)
+    # davies_kms is the only preset a config can use: 'custom' needs a q
+    # callable, which a config cannot supply.
+    if weights.kind != "davies_kms":
+        raise ParseError(
+            f"line {weights_table['kind'][1]}: weights.kind must be "
+            f"davies_kms, got {weights.kind!r}"
+        )
 
     run = _apply_schema("run", sections.get("run", {}), _RUN_SCHEMAS[experiment])
 

@@ -9,7 +9,8 @@ embedding permutes axes rather than assuming contiguity.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -53,15 +54,12 @@ class LocalOperator:
             )
 
 
-LocalTerm = LocalOperator
-
-
 @dataclass(frozen=True)
 class LocalHamiltonian:
     """Sum of local terms on an n-qubit register."""
 
     n: int
-    terms: tuple[LocalTerm, ...]
+    terms: tuple[LocalOperator, ...]
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -117,16 +115,19 @@ def assemble(ham: LocalHamiltonian) -> np.ndarray:
     return h
 
 
-def interaction_degree(ham: LocalHamiltonian) -> int:
-    """Max over terms of the number of other terms sharing a qubit."""
+def support_overlap_degree(supports: Sequence[tuple[int, ...]]) -> int:
+    """Max over supports of the number of other supports sharing a site."""
     deg = 0
-    for a, ta in enumerate(ham.terms):
-        sa = set(ta.support)
-        cnt = sum(
-            1 for b, tb in enumerate(ham.terms) if b != a and sa & set(tb.support)
-        )
+    for a, sa in enumerate(supports):
+        sites = set(sa)
+        cnt = sum(1 for b, sb in enumerate(supports) if b != a and sites & set(sb))
         deg = max(deg, cnt)
     return deg
+
+
+def interaction_degree(ham: LocalHamiltonian) -> int:
+    """Max over terms of the number of other terms sharing a qubit."""
+    return support_overlap_degree([t.support for t in ham.terms])
 
 
 def noncommutation_degree(mats: list[np.ndarray], tol: float = 1e-10) -> int:
@@ -244,22 +245,22 @@ def make_instance(kind: str, n: int, seed: int = 0) -> LocalHamiltonian:
         raise BadParams(f"instances need n >= 2, got {n}")
     rng = np.random.default_rng(seed)
     zz = 0.5 * (np.eye(4, dtype=complex) - np.kron(PAULI_Z, PAULI_Z))
-    terms: list[LocalTerm] = []
+    terms: list[LocalOperator] = []
     if kind == "zz_chain":
-        terms = [LocalTerm(zz, (i, i + 1)) for i in range(n - 1)]
+        terms = [LocalOperator(zz, (i, i + 1)) for i in range(n - 1)]
     elif kind == "field_chain":
         fld = 0.5 * (np.eye(2, dtype=complex) - PAULI_Z)
-        terms = [LocalTerm(fld, (i,)) for i in range(n)]
+        terms = [LocalOperator(fld, (i,)) for i in range(n)]
     elif kind == "random_ff_projectors":
         for i in range(n - 1):
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             v[0] = 0.0
-            terms.append(LocalTerm(_projector_from_state(v), (i, i + 1)))
+            terms.append(LocalOperator(_projector_from_state(v), (i, i + 1)))
     elif kind == "commuting_projectors":
         for i in range(n - 1):
             diag = rng.integers(0, 2, size=4).astype(float)
             diag[0] = 0.0
-            terms.append(LocalTerm(np.diag(diag).astype(complex), (i, i + 1)))
+            terms.append(LocalOperator(np.diag(diag).astype(complex), (i, i + 1)))
     else:
         raise UnknownKind(f"unknown instance kind {kind!r}")
     return LocalHamiltonian(n=n, terms=tuple(terms))

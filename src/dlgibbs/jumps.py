@@ -7,15 +7,14 @@ A coupling operator A splits in the eigenbasis of H into Bohr components
 so A_w lowers energy by w, i.e. carries energy gain nu = -w.  Weights are
 always applied as functions of the gain: the jump operator is
 
-    L = sum_nu w_hat(nu) A_{-nu},      w_hat(nu) = q(nu) exp(-beta nu e)
+    L = sum_nu w_hat(nu) A_{-nu},      w_hat(nu) = q(nu) exp(-beta nu / 4)
 
-with e the weight exponent (1/4 for the davies_kms preset, which makes the
-generator exactly KMS-detailed-balanced with fixed point exp(-beta H)/Z),
-and the coherent part is
+(the exponent 1/4 makes the generator exactly KMS-detailed-balanced with
+fixed point exp(-beta H)/Z), and the coherent part is
 
     G = sum_nu g_hat(nu) (L'L)_{-nu},  g_hat(nu) = -(i/2) tanh(-s nu) k(nu),
 
-with s = beta/4 for the preset and k a hard frequency cutoff.  When L'L
+with s = beta/4 by default and k a hard frequency cutoff.  When L'L
 commutes with H only the nu = 0 component survives and G = 0.
 """
 
@@ -32,18 +31,17 @@ from .hamiltonians import LocalHamiltonian, LocalOperator, assemble, embed
 from .kms import KmsForm, LindbladTerm, coherent_form, gibbs_state, term_superoperator
 from .linalg import HermitianEig, hermitian_eigendecompose, spectral_norm
 
-_PRESET_EXPONENT = {"davies_kms": 0.25, "paper_f": 1.0}
-_PRESET_BETA_TANH = {"davies_kms": True, "paper_f": False}
-
 
 @dataclass(frozen=True)
 class WeightProfile:
     """Weight functions attached to an inverse temperature.
 
-    kind selects a preset ('davies_kms' or 'paper_f') or 'custom'; q is an
+    kind is the 'davies_kms' preset or 'custom', which requires q; q is an
     optional extra factor on the gain frequency, validated to satisfy
     q(nu) = conj(q(-nu)); kappa_cutoff bounds the coherent-term frequencies
-    (None means twice the Hamiltonian norm, set at build time).
+    (None means twice the Hamiltonian norm, set at build time).  The
+    coherent weight's tanh argument is scaled by beta * tanh_scale, or by
+    tanh_scale alone when beta_scaled_tanh is False.
     """
 
     kind: str = "davies_kms"
@@ -51,11 +49,10 @@ class WeightProfile:
     q: Callable[[float], complex] | None = None
     kappa_cutoff: float | None = None
     tanh_scale: float = 0.25
-    beta_scaled_tanh: bool | None = None
-    weight_exponent: float | None = None
+    beta_scaled_tanh: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in ("davies_kms", "paper_f", "custom"):
+        if self.kind not in ("davies_kms", "custom"):
             raise UnknownKind(f"unknown weight kind {self.kind!r}")
         if self.kind == "custom" and self.q is None:
             raise BadParams("custom weight profiles need a q callable")
@@ -65,34 +62,19 @@ class WeightProfile:
             raise BadParams(f"tanh_scale must be positive, got {self.tanh_scale}")
         if self.kappa_cutoff is not None and self.kappa_cutoff <= 0:
             raise BadParams(f"kappa_cutoff must be positive, got {self.kappa_cutoff}")
-        we = self.weight_exponent
-        if we is not None and we < 0:
-            raise BadParams(f"weight_exponent must be >= 0, got {we}")
-
-    @property
-    def exponent(self) -> float:
-        if self.weight_exponent is not None:
-            return self.weight_exponent
-        return _PRESET_EXPONENT.get(self.kind, 0.25)
-
-    @property
-    def tanh_uses_beta(self) -> bool:
-        if self.beta_scaled_tanh is not None:
-            return self.beta_scaled_tanh
-        return _PRESET_BETA_TANH.get(self.kind, True)
 
     def _q(self, nu: float) -> complex:
         return complex(1.0) if self.q is None else complex(self.q(nu))
 
     def jump_weight(self, nu: float) -> complex:
-        """w_hat(nu) on the energy-gain frequency nu."""
-        return self._q(nu) * np.exp(-self.beta * nu * self.exponent)
+        """w_hat(nu) = q(nu) exp(-beta nu / 4) on the energy-gain frequency nu."""
+        return self._q(nu) * np.exp(-self.beta * nu * 0.25)
 
     def coherent_weight(self, nu: float, cutoff: float) -> complex:
         """g_hat(nu) = -(i/2) tanh(-s nu) inside the cutoff, 0 outside."""
         if abs(nu) > cutoff:
             return 0.0j
-        s = self.beta * self.tanh_scale if self.tanh_uses_beta else self.tanh_scale
+        s = self.beta * self.tanh_scale if self.beta_scaled_tanh else self.tanh_scale
         return -0.5j * np.tanh(-s * nu)
 
     def check_q_symmetry(self, freqs: Sequence[float], tol: float = 1e-10) -> None:

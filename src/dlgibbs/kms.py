@@ -55,7 +55,6 @@ class Superoperator:
     mat: np.ndarray
     picture: str
     dim: int
-    hermiticity_residual: float | None = None
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.mat, dtype=complex)
@@ -83,17 +82,10 @@ class Superoperator:
             mat=self.mat.conj().T, picture=flip[self.picture], dim=self.dim
         )
 
-    def __matmul__(self, other: "Superoperator") -> "Superoperator":
-        if not isinstance(other, Superoperator):
-            return NotImplemented
-        if self.picture != other.picture or self.dim != other.dim:
-            raise DimensionMismatch(
-                f"cannot compose {self.picture}/{self.dim} with "
-                f"{other.picture}/{other.dim}"
-            )
-        return Superoperator(
-            mat=self.mat @ other.mat, picture=self.picture, dim=self.dim
-        )
+    @cached_property
+    def hermiticity_residual(self) -> float:
+        """||M - M dagger||_2; for a coherent form, the detailed-balance defect."""
+        return spectral_norm(self.mat - self.mat.conj().T)
 
 
 @dataclass(frozen=True)
@@ -238,15 +230,12 @@ def coherent_form(lind: Superoperator, kms: KmsForm) -> Superoperator:
     if lind.dim != kms.dim:
         raise DimensionMismatch(f"generator dim {lind.dim} vs state dim {kms.dim}")
     mat = kms.gamma_half @ lind.mat @ kms.gamma_inv_half
-    res = spectral_norm(mat - mat.conj().T)
-    return Superoperator(
-        mat=mat, picture="kms", dim=lind.dim, hermiticity_residual=float(res)
-    )
+    return Superoperator(mat=mat, picture="kms", dim=lind.dim)
 
 
 def db_residual(lind: Superoperator, kms: KmsForm) -> float:
     """Operator-norm defect of detailed balance, ||h - h dagger||."""
-    return float(coherent_form(lind, kms).hermiticity_residual)
+    return coherent_form(lind, kms).hermiticity_residual
 
 
 @dataclass(frozen=True)
@@ -257,13 +246,16 @@ class SpectralReport:
     gap: float
     kernel_dim: int
     db_residual: float
-    hermiticity_residual: float
     dl_residual_energy: float
 
 
-def _ones_probe(h_sym: np.ndarray, kernel_vecs: np.ndarray) -> float:
-    """Energy <psi|(-h)|psi> of a deterministic unit vector off the kernel."""
-    d2 = h_sym.shape[0]
+def probe_vector(kernel_vecs: np.ndarray) -> np.ndarray:
+    """Deterministic unit vector orthogonal to the orthonormal columns given.
+
+    The normalized all-ones vector with its kernel component removed; a
+    seeded random vector stands in when that component is everything.
+    """
+    d2 = kernel_vecs.shape[0]
     psi = np.ones(d2, dtype=complex) / np.sqrt(d2)
     if kernel_vecs.size:
         psi = psi - kernel_vecs @ (kernel_vecs.conj().T @ psi)
@@ -274,8 +266,7 @@ def _ones_probe(h_sym: np.ndarray, kernel_vecs: np.ndarray) -> float:
         if kernel_vecs.size:
             psi = psi - kernel_vecs @ (kernel_vecs.conj().T @ psi)
         nrm = np.linalg.norm(psi)
-    psi = psi / nrm
-    return float(np.real(psi.conj() @ (-h_sym) @ psi))
+    return psi / nrm
 
 
 def spectral_report(
@@ -285,15 +276,12 @@ def spectral_report(
 
     gap is literally lambda_1 - lambda_2 of the descending spectrum, so a
     generator with a kernel of dimension >= 2 reports gap ~ 0.  kernel_dim
-    counts eigenvalues within tol * max(1, ||h||) of zero.  Both residual
-    fields measure the same defect ||h - h dagger|| (detailed balance is
-    exactly hermiticity of the coherent form); dl_residual_energy probes the
-    energy of a deterministic unit vector orthogonal to the kernel.
+    counts eigenvalues within tol * max(1, ||h||) of zero.  db_residual is
+    the defect ||h - h dagger|| (detailed balance is exactly hermiticity of
+    the coherent form); dl_residual_energy probes the energy of
+    probe_vector off the kernel.
     """
     h = lind if lind.picture == "kms" else coherent_form(lind, kms)
-    res = h.hermiticity_residual
-    if res is None:
-        res = float(spectral_norm(h.mat - h.mat.conj().T))
     h_sym = 0.5 * (h.mat + h.mat.conj().T)
     eig = hermitian_eigendecompose(h_sym)
     w = eig.eigenvalues[::-1].copy()
@@ -302,13 +290,13 @@ def spectral_report(
     kernel = np.abs(w) <= tol * scale
     kernel_dim = int(kernel.sum())
     gap = float(w[0] - w[1]) if len(w) > 1 else 0.0
-    energy = _ones_probe(h_sym, v[:, : max(kernel_dim, 0)])
+    psi = probe_vector(v[:, :kernel_dim])
+    energy = float(np.real(psi.conj() @ (-h_sym) @ psi))
     return SpectralReport(
         eigenvalues=w,
         gap=gap,
         kernel_dim=kernel_dim,
-        db_residual=float(res),
-        hermiticity_residual=float(res),
+        db_residual=h.hermiticity_residual,
         dl_residual_energy=energy,
     )
 
@@ -319,7 +307,8 @@ def stationary_channel(
     """Kernel projector of one term, pulled back to the Heisenberg picture.
 
     P = Gamma^{-1/2} Pi_0 Gamma^{1/2}, with Pi_0 the orthogonal projector
-    onto the kernel of the term's coherent form h.  Requires h Hermitian
+    onto the kernel of the term's coherent form h; term is the Heisenberg
+    generator or, when the caller already holds it, h.  Requires h Hermitian
     within tol (NotDetailedBalanced otherwise) and nonpositive within tol
     (PositiveEigenvalue otherwise).  Kernel membership uses the relative
     cutoff 1e-9 * max(1, ||h||).
@@ -327,8 +316,6 @@ def stationary_channel(
     h = coherent_form(term, kms) if term.picture == "heisenberg" else term
     scale = max(1.0, spectral_norm(h.mat))
     res = h.hermiticity_residual
-    if res is None:
-        res = float(spectral_norm(h.mat - h.mat.conj().T))
     if res > tol * scale:
         raise NotDetailedBalanced(
             f"coherent form deviates from Hermitian by {res:.3e} "

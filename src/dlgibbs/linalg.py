@@ -1,6 +1,6 @@
 """Dense linear algebra kernels with pinned conventions.
 
-Thin wrappers over numpy/scipy that fix the conventions the rest of the
+Thin wrappers over numpy that fix the conventions the rest of the
 package relies on: eigenvalues ascending, singular values descending with a
 deterministic sign gauge, trace distance with diameter 2, and a partial
 trace that validates its factorization.  All checks raise typed errors from
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadDimensionFactorization,
@@ -117,12 +116,6 @@ def singular_value_decompose(a: np.ndarray) -> Svd:
     if recon > _RECON_TOL * max(1.0, float(np.linalg.norm(a))):
         raise NoConvergence(f"svd reconstruction residual {recon:.3e}")
     return Svd(u=u, s=s, vh=vh)
-
-
-def matrix_exponential(a: np.ndarray) -> np.ndarray:
-    """exp(a) for a square matrix."""
-    a = _as_square(a, "matrix_exponential input")
-    return scipy.linalg.expm(a)
 
 
 def spectral_norm(a: np.ndarray) -> float:

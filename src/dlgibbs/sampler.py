@@ -37,6 +37,7 @@ from .kms import (
     cptp_check,
     kms_inner_product,
     lindblad_superoperator,
+    probe_vector,
     spectral_report,
     stationary_channel,
     term_superoperator,
@@ -293,7 +294,8 @@ def superop_hamiltonian(
     (the quantity that upper-bounds the generator gap); db_residual is the
     worst per-term detailed-balance defect; dl_residual_energy is the
     Rayleigh quotient of the normalized product-projected probe vector,
-    whose norm obeys ||prod Pi_m psi||^2 <= 1 / (e_phi / g^2 + 1).
+    whose norm obeys ||prod Pi_m psi||^2 <= 1 / (e_phi / g^2 + 1), with
+    psi the probe_vector off the common kernel.
 
     Asserts gap(H_L) >= gap(L) - 1e-8 whenever every coherent-form factor
     has spectral norm at most 1 (which is the hypothesis that makes the
@@ -310,11 +312,10 @@ def superop_hamiltonian(
     worst_db = 0.0
     max_factor_norm = 0.0
     for t in terms:
-        sup = term_superoperator(t, n)
-        h = coherent_form(sup, kms)
-        worst_db = max(worst_db, float(h.hermiticity_residual or 0.0))
+        h = coherent_form(term_superoperator(t, n), kms)
+        worst_db = max(worst_db, h.hermiticity_residual)
         max_factor_norm = max(max_factor_norm, spectral_norm(h.mat))
-        p = stationary_channel(sup, kms)
+        p = stationary_channel(h, kms)
         projectors.append(kms.gamma_half @ p.mat @ kms.gamma_inv_half)
     h_l = np.zeros((d2, d2), dtype=complex)
     for p in projectors:
@@ -326,17 +327,7 @@ def superop_hamiltonian(
     if kernel_dim == 0:
         raise BadParams("term projectors share no common kernel vector")
     gap = float(w[kernel_dim]) if kernel_dim < len(w) else 0.0
-    kernel = v[:, :kernel_dim]
-    psi = np.ones(d2, dtype=complex) / np.sqrt(d2)
-    psi = psi - kernel @ (kernel.conj().T @ psi)
-    nrm = np.linalg.norm(psi)
-    if nrm < 1e-12:
-        rng = np.random.default_rng(7)
-        psi = rng.normal(size=d2) + 1j * rng.normal(size=d2)
-        psi = psi - kernel @ (kernel.conj().T @ psi)
-        nrm = np.linalg.norm(psi)
-    psi = psi / nrm
-    phi = psi
+    phi = probe_vector(v[:, :kernel_dim])
     for p in projectors:
         phi = p @ phi
     phi_norm = np.linalg.norm(phi)
@@ -364,6 +355,5 @@ def superop_hamiltonian(
         gap=gap,
         kernel_dim=kernel_dim,
         db_residual=worst_db,
-        hermiticity_residual=float(spectral_norm(h_l - h_l.conj().T)),
         dl_residual_energy=energy,
     )

@@ -178,3 +178,33 @@ def test_config_hash_tracks_content():
     assert config_hash(a) != config_hash(b)
     assert config_hash(a) == config_hash(parse_config(serialize_config(a)))
     assert len(config_hash(a)) == 12
+
+
+def test_weights_kind_davies_kms_parses():
+    text = MINIMAL_MIX + "\n[weights]\nkind = davies_kms\n"
+    cfg = parse_config(text)
+    assert cfg.weights.kind == "davies_kms"
+    # Spelling out the default does not change the canonical form.
+    assert config_hash(cfg) == config_hash(parse_config(MINIMAL_MIX))
+
+
+@pytest.mark.parametrize("kind", ["paper_f", "custom"])
+def test_unusable_weights_kind_exits_2_before_any_model(
+    kind, tmp_path, capsys, monkeypatch
+):
+    import dlgibbs.harness
+    from dlgibbs.cli import main
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built for an invalid config")
+
+    monkeypatch.setattr(dlgibbs.harness, "build_model", no_model)
+    text = MINIMAL_MIX + f"\n[weights]\nkind = {kind}\n"
+    with pytest.raises(ParseError, match=r"^line 13: weights\.kind"):
+        parse_config(text)
+    cfg_path = tmp_path / "mix.cfg"
+    cfg_path.write_text(text)
+    assert main(["mix", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "ParseError: line 13" in err
+    assert kind in err

@@ -9,8 +9,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dlgibbs.hamiltonians import make_instance, noncommutation_degree
+import dlgibbs.kms
+import dlgibbs.parent
+import dlgibbs.sampler
+from dlgibbs.hamiltonians import (
+    assemble,
+    make_instance,
+    noncommutation_degree,
+    standard_couplings,
+)
+from dlgibbs.jumps import WeightProfile, build_model
+from dlgibbs.kms import KmsForm, gibbs_state
+from dlgibbs.parent import build_parent
 from dlgibbs.projector import dl_operator, singular_gap
+from dlgibbs.sampler import superop_hamiltonian
 
 
 @pytest.fixture
@@ -55,3 +67,48 @@ def test_commuting_family_runs_only_the_scale_svds(decomps):
     mats = [np.diag(rng.normal(size=8)).astype(complex) for _ in range(k)]
     assert noncommutation_degree(mats) == 0
     assert decomps["svd"] == [(8, 8)] * k
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls to a dlgibbs.kms function under every name it is imported as."""
+    calls = []
+    real = getattr(dlgibbs.kms, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (dlgibbs.kms, dlgibbs.parent, dlgibbs.sampler):
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _noncommuting_model():
+    ham = make_instance("random_ff_projectors", 3, seed=2)
+    beta = 0.5
+    terms = build_model(
+        ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=beta)
+    )
+    return terms, KmsForm(gibbs_state(assemble(ham), beta))
+
+
+def test_build_parent_derives_each_term_once(monkeypatch):
+    terms, kms = _noncommuting_model()
+    sups = _count_calls(monkeypatch, "term_superoperator")
+    forms = _count_calls(monkeypatch, "coherent_form")
+    ph = build_parent(terms, kms, beta=0.5)
+    assert ph.m == len(terms)
+    assert len(sups) == len(terms)
+    assert len(forms) == len(terms)
+
+
+def test_superop_hamiltonian_builds_one_coherent_form_per_term(monkeypatch):
+    ham = make_instance("zz_chain", 2)
+    beta = 0.5
+    terms = build_model(ham, standard_couplings(ham.n, "x"), WeightProfile(beta=beta))
+    kms = KmsForm(gibbs_state(assemble(ham), beta))
+    forms = _count_calls(monkeypatch, "coherent_form")
+    superop_hamiltonian(terms, kms)
+    # One per term for its projector, plus one for the full generator's
+    # spectral report.
+    assert len(forms) == len(terms) + 1

@@ -129,7 +129,6 @@ def test_davies_qubit_spectrum_closed_form():
     assert abs(rep.gap - (k / 2 - 1.0)) < 1e-12
     assert rep.kernel_dim == 1
     assert rep.db_residual < 1e-12
-    assert rep.hermiticity_residual < 1e-12
     assert rep.dl_residual_energy >= rep.gap - 1e-9
 
 

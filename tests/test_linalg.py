@@ -1,4 +1,4 @@
-"""Kernels: eigendecomposition, svd gauge, expm, trace distance, partial trace."""
+"""Kernels: eigendecomposition, svd gauge, trace distance, partial trace."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from dlgibbs.errors import (
 from dlgibbs.linalg import (
     devectorize,
     hermitian_eigendecompose,
-    matrix_exponential,
     partial_trace,
     schatten1_distance,
     singular_value_decompose,
@@ -74,15 +73,6 @@ def test_svd_gauge_deterministic_on_complex_input():
         pivots.append(col[nz[0]])
     assert max(abs(p.imag) for p in pivots) < 1e-12
     assert min(p.real for p in pivots) > 0
-
-
-def test_matrix_exponential_known_cases():
-    n = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.abs(matrix_exponential(n) - np.array([[1, 1], [0, 1]])).max() < 1e-14
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    theta = 0.7
-    expected = np.cos(theta) * np.eye(2) + 1j * np.sin(theta) * x
-    assert np.abs(matrix_exponential(1j * theta * x) - expected).max() < 1e-12
 
 
 def test_schatten1_distance_orthogonal_states():

@@ -11,6 +11,7 @@ from dlgibbs.hamiltonians import (
     LocalHamiltonian,
     LocalOperator,
     assemble,
+    embed,
     make_instance,
     standard_couplings,
 )
@@ -22,7 +23,7 @@ from dlgibbs.kms import (
     lindblad_superoperator,
     spectral_report,
 )
-from dlgibbs.linalg import partial_trace
+from dlgibbs.linalg import partial_trace, vectorize
 from dlgibbs.parent import (
     ParentHamiltonian,
     ParentTerm,
@@ -30,7 +31,6 @@ from dlgibbs.parent import (
     parent_projector_input,
     purified_gibbs,
     verify_parent,
-    vectorize,
 )
 
 
@@ -101,6 +101,46 @@ def test_build_parent_beta_zero_is_maximally_entangled():
     ident = vectorize(np.eye(4, dtype=complex)) / 2.0
     assert np.abs(ph.ground - ident).max() < 1e-12
     assert np.linalg.norm(ph.full @ ph.ground) <= 1e-10
+
+
+def _heisenberg_action(term, n, y):
+    """L_a(Y) = i[G, Y] + sum_j (L_j' Y L_j - {L_j' L_j, Y} / 2), no kron."""
+    out = np.zeros_like(y)
+    for j in term.jumps:
+        lj = embed(j, n)
+        ldl = lj.conj().T @ lj
+        out += lj.conj().T @ y @ lj - 0.5 * (ldl @ y + y @ ldl)
+    if term.coherent is not None:
+        g = embed(term.coherent, n)
+        out += 1j * (g @ y - y @ g)
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind, seed", [("zz_chain", 0), ("random_ff_projectors", 2)]
+)
+@pytest.mark.parametrize("kinds", ["x", "xz", "xyz"])
+def test_parent_terms_match_operator_level_conjugation(kind, seed, kinds):
+    # H^a v(X) = v(sigma^{1/4} L_a(sigma^{-1/4} X sigma^{-1/4}) sigma^{1/4}),
+    # with the quarter powers taken from a fresh eigendecomposition of sigma
+    # and L_a applied as operator products.  The non-commuting instance has
+    # a complex sigma and coherent parts; there a transposed quarter power
+    # on the right of the vectorized conjugation shows as an O(1) error.
+    ham = make_instance(kind, 3, seed=seed)
+    rng = np.random.default_rng(5)
+    for beta in (0.0, 0.5, 1.0):
+        terms, kms = _model(ham, beta, kinds=kinds)
+        ph = build_parent(terms, kms, beta=beta)
+        w, v = np.linalg.eigh(gibbs_state(assemble(ham), beta))
+        quarter = (v * w**0.25) @ v.conj().T
+        inv_quarter = (v * w**-0.25) @ v.conj().T
+        for term, pt in zip(terms, ph.terms):
+            x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+            x /= np.linalg.norm(x)
+            y = _heisenberg_action(term, 3, inv_quarter @ x @ inv_quarter)
+            expect = vectorize(quarter @ y @ quarter)
+            err = np.linalg.norm(pt.mat @ vectorize(x) - expect)
+            assert err <= 1e-12 * max(1.0, pt.norm)
 
 
 def test_parent_spectrum_matches_coherent_form():
