@@ -52,9 +52,7 @@ from .harness import (
     run_experiment,
 )
 from .jumps import (
-    BohrDecomposition,
     WeightProfile,
-    bohr_decompose,
     build_coherent,
     build_jump,
     build_model,

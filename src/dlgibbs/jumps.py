@@ -16,6 +16,16 @@ fixed point exp(-beta H)/Z), and the coherent part is
 
 with s = beta/4 by default and k a hard frequency cutoff.  When L'L
 commutes with H only the nu = 0 component survives and G = 0.
+
+Both sums are taken in one elementwise pass in the eigenbasis H = V E V'.
+Entry (i, j) of V'AV carries the Bohr frequency w_ij = E_j - E_i; the
+frequencies are clustered once (sorted, split at gaps above a tolerance),
+each cluster's weight is evaluated once at its centre, and
+
+    L = V (w_hat(-Omega) * V'AV) V',   G = V (g_hat(-Omega) * V'L'LV) V',
+
+where Omega holds every entry's cluster centre and * is the elementwise
+product: O(d^3) whatever the number of clusters.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import numpy as np
 from .errors import BadParams, UnknownKind
 from .hamiltonians import LocalHamiltonian, LocalOperator, assemble, embed
 from .kms import KmsForm, LindbladTerm, coherent_form, gibbs_state, term_superoperator
-from .linalg import HermitianEig, hermitian_eigendecompose, spectral_norm
+from .linalg import HermitianEig, hermitian_eigendecompose, norm_exceeds, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -91,66 +101,42 @@ class WeightProfile:
                 )
 
 
-@dataclass(frozen=True)
-class BohrDecomposition:
-    """Frequency components of an operator in a Hamiltonian's eigenbasis."""
+def _bohr_clusters(
+    op: np.ndarray, eig: HermitianEig, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """op in the eigenbasis, the Bohr cluster of each entry, the cluster gains.
 
-    frequencies: np.ndarray
-    components: tuple[np.ndarray, ...]
-
-    def component(self, w: float, tol: float = 1e-8) -> np.ndarray:
-        hits = np.flatnonzero(np.abs(self.frequencies - w) <= tol)
-        if hits.size != 1:
-            raise BadParams(f"frequency {w} matches {hits.size} clusters")
-        return self.components[int(hits[0])]
-
-
-def _cluster_edges(values: np.ndarray, tol: float) -> list[tuple[float, float]]:
-    vals = np.sort(values.ravel())
-    groups: list[tuple[float, float]] = []
-    start = vals[0]
-    prev = vals[0]
-    for v in vals[1:]:
-        if v - prev > tol:
-            groups.append((start, prev))
-            start = v
-        prev = v
-    groups.append((start, prev))
-    return groups
-
-
-def bohr_decompose(
-    a: np.ndarray,
-    h: np.ndarray,
-    tol: float | None = None,
-    eig: HermitianEig | None = None,
-) -> BohrDecomposition:
-    """Split a into components of definite Bohr frequency w = E - E'.
-
-    Frequencies are clustered by sorting all pairwise eigenvalue
-    differences and splitting at gaps above tol (default 1e-9 times
-    max(1, ||h||)); the sum of components reproduces a exactly.
+    The frequencies w_ij = E_j - E_i are sorted and split wherever
+    consecutive values lie more than tol apart; a cluster's frequency is
+    the midpoint of its extremes.  Only clusters on which op has a nonzero
+    entry are kept, with gains nu = -w in descending order; labels index
+    them, and entries of dropped clusters (all zero) get the label
+    len(gains).
     """
-    a = np.asarray(a, dtype=complex)
-    if eig is None:
-        eig = hermitian_eigendecompose(h)
-    if tol is None:
-        tol = 1e-9 * max(1.0, spectral_norm(h))
     evals, v = eig.eigenvalues, eig.eigenvectors
-    a_tilde = v.conj().T @ a @ v
-    w_mat = evals[None, :] - evals[:, None]
-    freqs: list[float] = []
-    comps: list[np.ndarray] = []
-    for lo, hi in _cluster_edges(w_mat, tol):
-        mask = (w_mat >= lo - 0.5 * tol) & (w_mat <= hi + 0.5 * tol)
-        block = np.where(mask, a_tilde, 0.0)
-        if not np.any(np.abs(block) > 0):
-            continue
-        freqs.append(float(0.5 * (lo + hi)))
-        comps.append(v @ block @ v.conj().T)
-    return BohrDecomposition(
-        frequencies=np.array(freqs), components=tuple(comps)
-    )
+    rotated = v.conj().T @ np.asarray(op, dtype=complex) @ v
+    omega = (evals[None, :] - evals[:, None]).ravel()
+    order = np.argsort(omega, kind="stable")
+    sorted_w = omega[order]
+    split = np.diff(sorted_w) > tol
+    cluster = np.empty(omega.size, dtype=np.intp)
+    cluster[order] = np.concatenate(([0], np.cumsum(split)))
+    first = np.flatnonzero(np.concatenate(([True], split)))
+    last = np.append(first[1:] - 1, omega.size - 1)
+    centres = 0.5 * (sorted_w[first] + sorted_w[last])
+    occupied = np.zeros(centres.size, dtype=bool)
+    occupied[cluster[rotated.ravel() != 0]] = True
+    index = np.where(occupied, np.cumsum(occupied) - 1, np.count_nonzero(occupied))
+    return rotated, index[cluster].reshape(rotated.shape), -centres[occupied]
+
+
+def _weigh(
+    rotated: np.ndarray, labels: np.ndarray, coeff: list[complex], eig: HermitianEig
+) -> np.ndarray:
+    """V (c[labels] * rotated) V', with weight 0 on dropped clusters."""
+    scale = np.append(np.asarray(coeff, dtype=complex), 0.0)
+    v = eig.eigenvectors
+    return v @ (scale[labels] * rotated) @ v.conj().T
 
 
 def build_jump(
@@ -160,12 +146,12 @@ def build_jump(
     eig: HermitianEig | None = None,
 ) -> np.ndarray:
     """Weighted jump operator L = sum_nu w_hat(nu) A_{-nu}."""
-    dec = bohr_decompose(a, h, eig=eig)
-    w.check_q_symmetry([-f for f in dec.frequencies])
-    out = np.zeros_like(np.asarray(a, dtype=complex))
-    for freq, comp in zip(dec.frequencies, dec.components):
-        out += w.jump_weight(-freq) * comp
-    return out
+    if eig is None:
+        eig = hermitian_eigendecompose(h)
+    tol = 1e-9 * max(1.0, spectral_norm(h))
+    rotated, labels, gains = _bohr_clusters(a, eig, tol)
+    w.check_q_symmetry(gains)
+    return _weigh(rotated, labels, [w.jump_weight(nu) for nu in gains.tolist()], eig)
 
 
 def build_coherent(
@@ -174,26 +160,28 @@ def build_coherent(
     w: WeightProfile,
     eig: HermitianEig | None = None,
 ) -> np.ndarray:
-    """Coherent operator G = sum_nu g_hat(nu) (L'L)_{-nu}; Hermitian."""
+    """Coherent operator G = sum_nu g_hat(nu) (L'L)_{-nu}; Hermitian.
+
+    Warns when L'L has off-shell frequencies and the cutoff excludes all
+    of them.
+    """
     jump = np.asarray(jump, dtype=complex)
+    if eig is None:
+        eig = hermitian_eigendecompose(h)
+    h_norm = spectral_norm(h)
     cutoff = w.kappa_cutoff
     if cutoff is None:
-        cutoff = 2.0 * spectral_norm(h) + 1e-9
-    dec = bohr_decompose(jump.conj().T @ jump, h, eig=eig)
-    out = np.zeros_like(jump)
-    offshell = [f for f in dec.frequencies if abs(f) > 1e-12]
-    kept = 0
-    for freq, comp in zip(dec.frequencies, dec.components):
-        coeff = w.coherent_weight(-freq, cutoff)
-        if coeff != 0:
-            kept += 1
-        out += coeff * comp
-    if offshell and kept == 0:
+        cutoff = 2.0 * h_norm + 1e-9
+    tol = 1e-9 * max(1.0, h_norm)
+    rotated, labels, gains = _bohr_clusters(jump.conj().T @ jump, eig, tol)
+    offshell = np.abs(gains[np.abs(gains) > 1e-12])
+    if offshell.size and np.all(offshell > cutoff):
         warnings.warn(
             f"cutoff {cutoff:.3g} excludes every off-shell frequency of L'L",
             UserWarning,
         )
-    return out
+    coeff = [w.coherent_weight(nu, cutoff) for nu in gains.tolist()]
+    return _weigh(rotated, labels, coeff, eig)
 
 
 def dressed_support(a: LocalOperator, ham: LocalHamiltonian) -> tuple[int, ...]:
@@ -232,7 +220,9 @@ def build_model(
         a_full = embed(a, ham.n)
         jump = build_jump(a_full, h, w, eig=eig)
         coh = build_coherent(jump, h, w, eig=eig)
-        has_coh = spectral_norm(coh) > 1e-12 * max(1.0, spectral_norm(jump)) ** 2
+        has_coh = norm_exceeds(coh, 1e-12) and norm_exceeds(
+            coh, 1e-12 * max(1.0, spectral_norm(jump)) ** 2
+        )
         term = LindbladTerm(
             jumps=(LocalOperator(jump, full),),
             coherent=LocalOperator(coh, full) if has_coh else None,

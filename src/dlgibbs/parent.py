@@ -52,6 +52,7 @@ from .kms import (
 )
 from .linalg import (
     hermitian_eigendecompose,
+    hermiticity_residual,
     partial_trace,
     spectral_norm,
     vectorize,
@@ -95,7 +96,11 @@ class ParentHamiltonian:
 
 @dataclass(frozen=True)
 class ParentReport:
-    """Frustration, hermiticity, locality and degree diagnostics."""
+    """Frustration, hermiticity, locality and degree diagnostics.
+
+    hermiticity_residuals are ||H^a - H^a†||_F, an upper bound on the
+    spectral norm of each term's anti-Hermitian part.
+    """
 
     frustration_residuals: tuple[float, ...]
     max_frustration: float
@@ -198,7 +203,7 @@ def verify_parent(ph: ParentHamiltonian, ham: LocalHamiltonian) -> ParentReport:
     frus = tuple(
         float(np.linalg.norm(t.mat @ ph.ground)) for t in ph.terms
     )
-    herm = tuple(float(spectral_norm(t.mat - t.mat.conj().T)) for t in ph.terms)
+    herm = tuple(hermiticity_residual(t.mat) for t in ph.terms)
     warns: list[str] = []
     commuting = commutation_degree(ham) == 0
     locality: tuple[float, ...] | None = None

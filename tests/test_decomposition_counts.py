@@ -20,7 +20,7 @@ from dlgibbs.hamiltonians import (
 )
 from dlgibbs.jumps import WeightProfile, build_model
 from dlgibbs.kms import KmsForm, gibbs_state
-from dlgibbs.parent import build_parent
+from dlgibbs.parent import build_parent, verify_parent
 from dlgibbs.projector import dl_operator, singular_gap
 from dlgibbs.sampler import superop_hamiltonian
 
@@ -112,3 +112,25 @@ def test_superop_hamiltonian_builds_one_coherent_form_per_term(monkeypatch):
     # One per term for its projector, plus one for the full generator's
     # spectral report.
     assert len(forms) == len(terms) + 1
+
+
+def test_commuting_model_runs_no_svd_for_its_zero_coherent_parts(decomps):
+    ham = make_instance("zz_chain", 3)
+    d = 2**ham.n
+    terms = build_model(ham, standard_couplings(ham.n, "x"), WeightProfile(beta=0.5))
+    assert all(t.coherent is None for t in terms)
+    # One eigh of H, and per coupling one scale SVD of H for each of the
+    # two weighted operators; G = 0 exactly is decided without an SVD.
+    assert decomps["eigh"] == [(d, d)]
+    assert decomps["svd"] == [(d, d)] * (2 * len(terms))
+
+
+def test_verify_parent_runs_no_svd_for_hermiticity(decomps):
+    terms, kms = _noncommuting_model()
+    ph = build_parent(terms, kms, beta=0.5)
+    decomps["svd"].clear()
+    with pytest.warns(UserWarning, match="locality checks skipped"):
+        rep = verify_parent(ph, make_instance("random_ff_projectors", 3, seed=2))
+    d2 = 4**ph.n
+    assert (d2, d2) not in decomps["svd"]
+    assert rep.hermiticity_residuals == (0.0,) * ph.m

@@ -1,6 +1,8 @@
-"""Bohr decomposition, weighted jumps, coherent parts, model assembly."""
+"""Weighted jumps and coherent parts against a per-cluster reference; model assembly."""
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from dlgibbs.hamiltonians import (
 )
 from dlgibbs.jumps import (
     WeightProfile,
-    bohr_decompose,
     build_coherent,
     build_jump,
     build_model,
@@ -33,11 +34,76 @@ from dlgibbs.kms import (
 from dlgibbs.linalg import spectral_norm
 
 
-def test_bohr_decompose_qubit():
-    dec = bohr_decompose(PAULI_X, PAULI_Z)
-    assert np.abs(np.sort(dec.frequencies) - np.array([-2.0, 2.0])).max() < 1e-12
-    lower = dec.component(2.0)
-    raise_ = dec.component(-2.0)
+def bohr_reference(
+    a: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Independent per-cluster Bohr split: one dense component per frequency.
+
+    Frequencies w = E - E' are clustered by walking the sorted values and
+    cutting at gaps above 1e-9 max(1, ||h||); each cluster is selected with
+    a mask widened by half the tolerance and rotated back on its own.
+    Clusters on which a has no nonzero entry are dropped.
+    """
+    a = np.asarray(a, dtype=complex)
+    evals, v = np.linalg.eigh(h)
+    tol = 1e-9 * max(1.0, spectral_norm(h))
+    a_tilde = v.conj().T @ a @ v
+    w_mat = evals[None, :] - evals[:, None]
+    vals = np.sort(w_mat.ravel())
+    edges = []
+    start = prev = vals[0]
+    for x in vals[1:]:
+        if x - prev > tol:
+            edges.append((start, prev))
+            start = x
+        prev = x
+    edges.append((start, prev))
+    freqs, comps = [], []
+    for lo, hi in edges:
+        mask = (w_mat >= lo - 0.5 * tol) & (w_mat <= hi + 0.5 * tol)
+        block = np.where(mask, a_tilde, 0.0)
+        if not np.any(np.abs(block) > 0):
+            continue
+        freqs.append(float(0.5 * (lo + hi)))
+        comps.append(v @ block @ v.conj().T)
+    return np.array(freqs), comps
+
+
+def reference_jump(a: np.ndarray, h: np.ndarray, w: WeightProfile) -> np.ndarray:
+    freqs, comps = bohr_reference(a, h)
+    return sum(w.jump_weight(-f) * c for f, c in zip(freqs, comps))
+
+
+def reference_coherent(jump: np.ndarray, h: np.ndarray, w: WeightProfile) -> np.ndarray:
+    cutoff = w.kappa_cutoff
+    if cutoff is None:
+        cutoff = 2.0 * spectral_norm(h) + 1e-9
+    freqs, comps = bohr_reference(jump.conj().T @ jump, h)
+    return sum(w.coherent_weight(-f, cutoff) * c for f, c in zip(freqs, comps))
+
+
+def _component(freqs: np.ndarray, comps: list[np.ndarray], w: float) -> np.ndarray:
+    hits = np.flatnonzero(np.abs(freqs - w) <= 1e-8)
+    assert hits.size == 1
+    return comps[int(hits[0])]
+
+
+def _random_pair(seed: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return h + h.conj().T, a
+
+
+def _assert_close(got: np.ndarray, ref: np.ndarray) -> None:
+    assert np.linalg.norm(got - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+
+
+def test_bohr_reference_qubit():
+    freqs, comps = bohr_reference(PAULI_X, PAULI_Z)
+    assert np.abs(np.sort(freqs) - np.array([-2.0, 2.0])).max() < 1e-12
+    lower = _component(freqs, comps, 2.0)
+    raise_ = _component(freqs, comps, -2.0)
     e01 = np.zeros((2, 2), dtype=complex)
     e01[0, 1] = 1.0
     assert np.abs(lower - e01.T).max() < 1e-12
@@ -45,13 +111,10 @@ def test_bohr_decompose_qubit():
 
 
 def test_bohr_components_are_eigenoperators():
-    rng = np.random.default_rng(4)
-    h = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    h = h + h.conj().T
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    dec = bohr_decompose(a, h)
+    h, a = _random_pair(4, 8)
+    freqs, comps = bohr_reference(a, h)
     total = np.zeros_like(a)
-    for w, comp in zip(dec.frequencies, dec.components):
+    for w, comp in zip(freqs, comps):
         total += comp
         resid = h @ comp - comp @ h + w * comp
         assert np.abs(resid).max() < 1e-8
@@ -61,8 +124,68 @@ def test_bohr_components_are_eigenoperators():
 def test_bohr_clusters_near_degenerate_levels():
     h = np.diag([0.0, 1.0, 1.0 + 1e-13])
     a = np.ones((3, 3), dtype=complex)
-    dec = bohr_decompose(a, h)
-    assert np.abs(np.sort(dec.frequencies) - np.array([-1.0, 0.0, 1.0])).max() < 1e-9
+    freqs, _ = bohr_reference(a, h)
+    assert np.abs(np.sort(freqs) - np.array([-1.0, 0.0, 1.0])).max() < 1e-9
+
+
+def test_weights_are_evaluated_once_per_reference_cluster():
+    # Levels 1e-13 apart share clusters: q must see each cluster centre
+    # (and its mirror, for the symmetry check) and nothing else.
+    h = np.diag([0.0, 1.0, 1.0 + 1e-13, 2.5])
+    a = np.ones((4, 4), dtype=complex)
+    seen: list[float] = []
+    w = WeightProfile(kind="custom", beta=1.0, q=lambda nu: seen.append(nu) or 1.0)
+    build_jump(a, h, w)
+    freqs, _ = bohr_reference(a, h)
+    assert len(seen) == 3 * freqs.size
+    assert sorted(set(seen)) == sorted(set(freqs) | set(-freqs))
+
+
+def _agreement_cases():
+    h, a = _random_pair(4, 8)
+    yield "random8", h, a, WeightProfile(beta=0.7)
+    near = np.diag([0.0, 1.0, 1.0 + 1e-13, 2.5])
+    ones = np.ones((4, 4), dtype=complex)
+    yield "near-degenerate", near, ones, WeightProfile(beta=1.3)
+    ham = make_instance("random_ff_projectors", 3, 2)
+    h_ff = assemble(ham)
+    x0 = np.kron(PAULI_X, np.eye(4, dtype=complex))
+    for beta in (0.0, 0.5, 1.0):
+        yield f"ff3-beta{beta}", h_ff, x0, WeightProfile(beta=beta)
+    even_q = WeightProfile(kind="custom", beta=0.8, q=lambda nu: 1.0 + 0.3 * nu * nu)
+    yield "custom-even-q", h, a, even_q
+
+
+@pytest.mark.parametrize(
+    "case", list(_agreement_cases()), ids=lambda c: c[0]
+)
+def test_weighting_matches_per_cluster_reference(case):
+    _, h, a, w = case
+    jump = build_jump(a, h, w)
+    _assert_close(jump, reference_jump(a, h, w))
+    _assert_close(build_coherent(jump, h, w), reference_coherent(jump, h, w))
+
+
+def test_infinite_temperature_model_raises_no_cutoff_warning():
+    # At beta = 0 every coherent weight tanh(0) vanishes; the cutoff
+    # excludes nothing, so there is nothing to warn about.
+    ham = make_instance("random_ff_projectors", 3, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        terms = build_model(ham, standard_couplings(3, "x"), WeightProfile(beta=0.0))
+    assert all(t.coherent is None for t in terms)
+
+
+def test_cutoff_below_every_offshell_frequency_warns():
+    h = assemble(make_instance("random_ff_projectors", 3, 2))
+    x0 = np.kron(PAULI_X, np.eye(4, dtype=complex))
+    jump = build_jump(x0, h, WeightProfile(beta=0.5))
+    freqs, _ = bohr_reference(jump.conj().T @ jump, h)
+    smallest = np.abs(freqs[np.abs(freqs) > 1e-12]).min()
+    w = WeightProfile(beta=0.5, kappa_cutoff=0.5 * smallest)
+    with pytest.warns(UserWarning, match="excludes every off-shell frequency"):
+        coh = build_coherent(jump, h, w)
+    assert np.abs(coh).max() == 0.0
 
 
 def test_build_jump_qubit_amplitudes():

@@ -1,4 +1,5 @@
-"""Randomized property tests of the norm shortcuts and the fidelity floor.
+"""Randomized property tests of the norm shortcuts, the Bohr weighting and
+the fidelity floor.
 
 Hypothesis runs derandomized with a fixed example budget, so every run of
 the suite draws the same examples.
@@ -13,7 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dlgibbs.hamiltonians import noncommutation_degree
+from dlgibbs.jumps import WeightProfile, build_coherent, build_jump
 from dlgibbs.linalg import norm_exceeds, spectral_norm
+from test_jumps import reference_coherent, reference_jump
 
 PROPERTY = settings(
     derandomize=True,
@@ -163,6 +166,27 @@ def matrix_families(draw) -> list[np.ndarray]:
 @given(matrix_families(), st.sampled_from([1e-10, 1e-6]))
 def test_noncommutation_degree_matches_ordered_pair_reference(mats, tol):
     assert noncommutation_degree(mats, tol) == _ordered_pair_degree(mats, tol)
+
+
+@PROPERTY
+@given(seeds, st.integers(2, 8), st.floats(0.0, 2.0), st.booleans())
+def test_bohr_weighting_matches_per_cluster_reference(seed, d, beta, degenerate):
+    # Degenerate draws round the levels to integers, so many Bohr
+    # frequencies coincide up to rounding and must share one cluster.
+    rng = np.random.default_rng(seed)
+    h = _hermitian(rng, d)
+    if degenerate:
+        evals, v = np.linalg.eigh(h)
+        h = (v * np.round(evals)) @ v.conj().T
+        h = 0.5 * (h + h.conj().T)
+    a = _complex_normal(rng, d, d)
+    w = WeightProfile(beta=beta)
+    jump = build_jump(a, h, w)
+    ref = reference_jump(a, h, w)
+    assert np.linalg.norm(jump - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+    coh = build_coherent(jump, h, w)
+    ref = reference_coherent(jump, h, w)
+    assert np.linalg.norm(coh - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
 
 @PROPERTY
