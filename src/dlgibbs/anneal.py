@@ -319,7 +319,6 @@ class StepRecord:
     index: int
     beta: float
     overlap: float
-    s1: float
     transition_error: float
     error_bound: float
     projector_error: float
@@ -491,7 +490,6 @@ def run_annealing(
         o_tilde = transition(projectors[j - 1], projectors[j], backend)
         exact_op = np.outer(targets[j], targets[j - 1].conj())
         err = spectral_norm(o_tilde - exact_op)
-        s1 = float(singular_value_decompose(projectors[j] @ projectors[j - 1]).s[0])
         state = o_tilde @ state
         step_queries = 0
         if projector_mode == "dl_qsvt":
@@ -503,7 +501,6 @@ def run_annealing(
                 index=j,
                 beta=float(betas[j]),
                 overlap=overlaps[j - 1],
-                s1=s1,
                 transition_error=err,
                 error_bound=step_bound,
                 projector_error=projector_errors[j],

@@ -148,7 +148,7 @@ def build_jump(
     """Weighted jump operator L = sum_nu w_hat(nu) A_{-nu}."""
     if eig is None:
         eig = hermitian_eigendecompose(h)
-    tol = 1e-9 * max(1.0, spectral_norm(h))
+    tol = 1e-9 * max(1.0, float(np.abs(eig.eigenvalues).max()))
     rotated, labels, gains = _bohr_clusters(a, eig, tol)
     w.check_q_symmetry(gains)
     return _weigh(rotated, labels, [w.jump_weight(nu) for nu in gains.tolist()], eig)
@@ -168,7 +168,7 @@ def build_coherent(
     jump = np.asarray(jump, dtype=complex)
     if eig is None:
         eig = hermitian_eigendecompose(h)
-    h_norm = spectral_norm(h)
+    h_norm = float(np.abs(eig.eigenvalues).max())
     cutoff = w.kappa_cutoff
     if cutoff is None:
         cutoff = 2.0 * h_norm + 1e-9

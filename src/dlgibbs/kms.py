@@ -274,9 +274,10 @@ def spectral_report(
 ) -> SpectralReport:
     """Eigenvalues (descending) of the coherent form, with gap and kernel size.
 
-    gap is literally lambda_1 - lambda_2 of the descending spectrum, so a
-    generator with a kernel of dimension >= 2 reports gap ~ 0.  kernel_dim
-    counts eigenvalues within tol * max(1, ||h||) of zero.  db_residual is
+    gap is lambda_1 - lambda_2 of the descending spectrum, and exactly 0.0
+    when the kernel has dimension >= 2, where that difference is rounding
+    noise.  kernel_dim counts eigenvalues within tol * max(1, ||h||) of
+    zero.  db_residual is
     the defect ||h - h dagger|| (detailed balance is exactly hermiticity of
     the coherent form); dl_residual_energy probes the energy of
     probe_vector off the kernel.
@@ -289,7 +290,7 @@ def spectral_report(
     scale = max(1.0, float(np.abs(w).max()))
     kernel = np.abs(w) <= tol * scale
     kernel_dim = int(kernel.sum())
-    gap = float(w[0] - w[1]) if len(w) > 1 else 0.0
+    gap = float(w[0] - w[1]) if len(w) > 1 and kernel_dim < 2 else 0.0
     psi = probe_vector(v[:, :kernel_dim])
     energy = float(np.real(psi.conj() @ (-h_sym) @ psi))
     return SpectralReport(
@@ -301,29 +302,40 @@ def spectral_report(
     )
 
 
+@dataclass(frozen=True)
+class TermKernel:
+    """Kernel projector Pi_0 of a coherent form h, its pullback P, and ||h||."""
+
+    projector: np.ndarray
+    channel: Superoperator
+    h_norm: float
+
+
 def stationary_channel(
     term: Superoperator, kms: KmsForm, tol: float = 1e-8
-) -> Superoperator:
-    """Kernel projector of one term, pulled back to the Heisenberg picture.
+) -> TermKernel:
+    """Kernel projector of one term, also pulled back to the Heisenberg picture.
 
     P = Gamma^{-1/2} Pi_0 Gamma^{1/2}, with Pi_0 the orthogonal projector
     onto the kernel of the term's coherent form h; term is the Heisenberg
-    generator or, when the caller already holds it, h.  Requires h Hermitian
-    within tol (NotDetailedBalanced otherwise) and nonpositive within tol
-    (PositiveEigenvalue otherwise).  Kernel membership uses the relative
-    cutoff 1e-9 * max(1, ||h||).
+    generator or, when the caller already holds it, h.  ||h|| is read off
+    the eigenvalues of the symmetrized h.  Requires h Hermitian within tol
+    (NotDetailedBalanced otherwise) and nonpositive within tol
+    (PositiveEigenvalue otherwise), both relative to max(1, ||h||); kernel
+    membership uses the relative cutoff 1e-9 * max(1, ||h||).
     """
     h = coherent_form(term, kms) if term.picture == "heisenberg" else term
-    scale = max(1.0, spectral_norm(h.mat))
+    h_sym = 0.5 * (h.mat + h.mat.conj().T)
+    eig = hermitian_eigendecompose(h_sym)
+    w = eig.eigenvalues
+    h_norm = float(np.abs(w).max())
+    scale = max(1.0, h_norm)
     res = h.hermiticity_residual
     if res > tol * scale:
         raise NotDetailedBalanced(
             f"coherent form deviates from Hermitian by {res:.3e} "
             f"(tolerance {tol:.1e} * {scale:.3e})"
         )
-    h_sym = 0.5 * (h.mat + h.mat.conj().T)
-    eig = hermitian_eigendecompose(h_sym)
-    w = eig.eigenvalues
     if w[-1] > tol * scale:
         raise PositiveEigenvalue(
             f"coherent form has eigenvalue {w[-1]:.3e} above zero"
@@ -337,7 +349,7 @@ def stationary_channel(
     vk = eig.eigenvectors[:, sel]
     pi0 = vk @ vk.conj().T
     mat = kms.gamma_inv_half @ pi0 @ kms.gamma_half
-    return Superoperator(mat=mat, picture="heisenberg", dim=term.dim)
+    return TermKernel(pi0, Superoperator(mat, "heisenberg", term.dim), h_norm)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ non-commutation degree of the Pi_m.  Iterating from rho_0 then obeys
 
 The comparison Hamiltonian H_L = sum_m (I - Pi_m) is positive
 semidefinite; its gap above the common kernel upper-bounds the generator
-gap and drives the projector bounds downstream.
+gap and drives the projector bounds downstream.  One pass over the terms
+derives all of these: each coherent form h_m once, Pi_m from h_m, P_m from
+Pi_m, and the generator's coherent form as the sum of the h_m.
 """
 
 from __future__ import annotations
@@ -36,13 +38,12 @@ from .kms import (
     coherent_form,
     cptp_check,
     kms_inner_product,
-    lindblad_superoperator,
     probe_vector,
     spectral_report,
     stationary_channel,
     term_superoperator,
 )
-from .linalg import norm_exceeds, schatten1_distance, spectral_norm
+from .linalg import norm_exceeds, schatten1_distance
 
 
 @dataclass(frozen=True)
@@ -51,21 +52,20 @@ class DlChannel:
 
     gap and kernel_dim describe the coherent form of the full generator,
     g is the non-commutation degree of the KMS projectors and q the
-    one-round contraction factor they certify; all four are computed once,
-    at composition.
+    one-round contraction factor they certify; max_factor_norm and
+    db_residual are the largest ||h_m|| and the worst ||h_m - h_m dagger||
+    over the terms' coherent forms.  All are computed once, at composition.
     """
 
     factors: tuple[Superoperator, ...]
-    order: tuple[int, ...]
-    order_seed: int | None
     composite: Superoperator
     kms_projectors: tuple[np.ndarray, ...]
-    terms: tuple[LindbladTerm, ...]
-    n: int
     gap: float
     kernel_dim: int
     g: int
     q: float
+    max_factor_norm: float
+    db_residual: float
 
     @property
     def m(self) -> int:
@@ -109,60 +109,56 @@ class ContractionReport:
 def compose_dl_channel(
     terms: list[LindbladTerm] | tuple[LindbladTerm, ...],
     kms: KmsForm,
-    order_seed: int | None = None,
 ) -> DlChannel:
     """Build the round channel from per-term stationary channels.
 
-    With order_seed None the factors compose in term order; otherwise the
-    order is a seeded permutation.  The composite's Heisenberg matrix is
-    the product in listed order, so its Schrodinger adjoint applies the
-    first listed factor to the state first.  The channel invariants (gap,
-    kernel_dim, g, q) are computed here, once, for iterate and
-    contraction_check to share.
+    The composite's Heisenberg matrix is the product in term order, so its
+    Schrodinger adjoint applies the first term's factor to the state first.
+    The generator spectrum is that of the sum of the terms' coherent forms
+    (the coherent form is linear).  The channel invariants are computed
+    here, once, for iterate, contraction_check and superop_hamiltonian.
     """
     if not terms:
         raise BadParams("need at least one term to compose a channel")
     n = int(round(np.log2(kms.dim)))
     if 2**n != kms.dim:
         raise DimensionMismatch(f"state dimension {kms.dim} is not a power of 2")
-    m = len(terms)
-    if order_seed is None:
-        order = tuple(range(m))
-    else:
-        order = tuple(int(i) for i in np.random.default_rng(order_seed).permutation(m))
     factors = []
     projectors = []
+    generator = np.zeros((kms.dim**2, kms.dim**2), dtype=complex)
+    max_factor_norm = 0.0
+    worst_db = 0.0
     for idx, t in enumerate(terms):
-        # The term superoperator stays unnamed so that it is freed before
-        # the spectral report below, which is the peak of this function.
-        p = stationary_channel(term_superoperator(t, n), kms)
-        rep = cptp_check(p)
+        h = coherent_form(term_superoperator(t, n), kms)
+        kernel = stationary_channel(h, kms)
+        rep = cptp_check(kernel.channel)
         if not (rep.cp and rep.tp):
             raise DlGibbsError(
                 f"stationary channel for term {idx} is not CPTP: "
                 f"choi_min_eig={rep.choi_min_eig:.3e} tp_residual={rep.tp_residual:.3e}"
             )
-        factors.append(p)
-        projectors.append(kms.gamma_half @ p.mat @ kms.gamma_inv_half)
+        factors.append(kernel.channel)
+        projectors.append(kernel.projector)
+        generator += h.mat
+        max_factor_norm = max(max_factor_norm, kernel.h_norm)
+        worst_db = max(worst_db, h.hermiticity_residual)
     mat = np.eye(kms.dim**2, dtype=complex)
-    for i in order:
-        mat = mat @ factors[i].mat
+    for p in factors:
+        mat = mat @ p.mat
     composite = Superoperator(mat=mat, picture="heisenberg", dim=kms.dim)
-    spec = spectral_report(lindblad_superoperator(list(terms), n), kms)
-    gap = max(spec.gap, 0.0)
+    generator_form = Superoperator(mat=generator, picture="kms", dim=kms.dim)
+    spec = spectral_report(generator_form, kms)
     g = noncommutation_degree(projectors)
     return DlChannel(
         factors=tuple(factors),
-        order=order,
-        order_seed=order_seed,
         composite=composite,
         kms_projectors=tuple(projectors),
-        terms=tuple(terms),
-        n=n,
-        gap=gap,
+        gap=spec.gap,
         kernel_dim=spec.kernel_dim,
         g=g,
-        q=_contraction_factor(gap, g),
+        q=_contraction_factor(spec.gap, g),
+        max_factor_norm=max_factor_norm,
+        db_residual=worst_db,
     )
 
 
@@ -290,6 +286,8 @@ def superop_hamiltonian(
 ) -> SpectralReport:
     """Spectral report of H_L = sum_m (I - Pi_m) over the term projectors.
 
+    The Pi_m, the generator gap and kernel dimension, the factor norms and
+    the detailed-balance defects all come from one compose_dl_channel pass.
     The gap field holds the smallest eigenvalue above the kernel cluster
     (the quantity that upper-bounds the generator gap); db_residual is the
     worst per-term detailed-balance defect; dl_residual_energy is the
@@ -304,21 +302,10 @@ def superop_hamiltonian(
     Also asserts a one-dimensional common kernel when the generator is
     irreducible.
     """
-    if not terms:
-        raise BadParams("need at least one term")
-    n = int(round(np.log2(kms.dim)))
+    channel = compose_dl_channel(terms, kms)
     d2 = kms.dim**2
-    projectors = []
-    worst_db = 0.0
-    max_factor_norm = 0.0
-    for t in terms:
-        h = coherent_form(term_superoperator(t, n), kms)
-        worst_db = max(worst_db, h.hermiticity_residual)
-        max_factor_norm = max(max_factor_norm, spectral_norm(h.mat))
-        p = stationary_channel(h, kms)
-        projectors.append(kms.gamma_half @ p.mat @ kms.gamma_inv_half)
     h_l = np.zeros((d2, d2), dtype=complex)
-    for p in projectors:
+    for p in channel.kms_projectors:
         h_l += np.eye(d2) - p
     h_l = 0.5 * (h_l + h_l.conj().T)
     w, v = np.linalg.eigh(h_l)
@@ -328,7 +315,7 @@ def superop_hamiltonian(
         raise BadParams("term projectors share no common kernel vector")
     gap = float(w[kernel_dim]) if kernel_dim < len(w) else 0.0
     phi = probe_vector(v[:, :kernel_dim])
-    for p in projectors:
+    for p in channel.kms_projectors:
         phi = p @ phi
     phi_norm = np.linalg.norm(phi)
     if phi_norm < 1e-14:
@@ -336,24 +323,23 @@ def superop_hamiltonian(
     else:
         phi_hat = phi / phi_norm
         energy = float(np.real(phi_hat.conj() @ h_l @ phi_hat))
-    gen_rep = spectral_report(lindblad_superoperator(list(terms), n), kms)
-    if gen_rep.kernel_dim == 1 and kernel_dim != 1:
+    if channel.kernel_dim == 1 and kernel_dim != 1:
         raise DlGibbsError(
             f"generator is irreducible but the term projectors share a "
             f"{kernel_dim}-dimensional kernel"
         )
-    if gap < gen_rep.gap - 1e-8:
+    if gap < channel.gap - 1e-8:
         msg = (
-            f"gap(H_L)={gap:.6e} below generator gap {gen_rep.gap:.6e}; "
-            f"max coherent-form factor norm {max_factor_norm:.3f}"
+            f"gap(H_L)={gap:.6e} below generator gap {channel.gap:.6e}; "
+            f"max coherent-form factor norm {channel.max_factor_norm:.3f}"
         )
-        if max_factor_norm <= 1.0 + 1e-9:
+        if channel.max_factor_norm <= 1.0 + 1e-9:
             raise DlGibbsError(msg)
         warnings.warn(msg + " (ordering only guaranteed for unit-norm factors)")
     return SpectralReport(
         eigenvalues=w[::-1].copy(),
         gap=gap,
         kernel_dim=kernel_dim,
-        db_residual=worst_db,
+        db_residual=channel.db_residual,
         dl_residual_energy=energy,
     )

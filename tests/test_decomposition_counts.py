@@ -22,7 +22,7 @@ from dlgibbs.jumps import WeightProfile, build_model
 from dlgibbs.kms import KmsForm, gibbs_state
 from dlgibbs.parent import build_parent, verify_parent
 from dlgibbs.projector import dl_operator, singular_gap
-from dlgibbs.sampler import superop_hamiltonian
+from dlgibbs.sampler import compose_dl_channel, superop_hamiltonian
 
 
 @pytest.fixture
@@ -102,16 +102,31 @@ def test_build_parent_derives_each_term_once(monkeypatch):
     assert len(forms) == len(terms)
 
 
-def test_superop_hamiltonian_builds_one_coherent_form_per_term(monkeypatch):
+def _zz2_model():
     ham = make_instance("zz_chain", 2)
     beta = 0.5
     terms = build_model(ham, standard_couplings(ham.n, "x"), WeightProfile(beta=beta))
-    kms = KmsForm(gibbs_state(assemble(ham), beta))
+    return terms, KmsForm(gibbs_state(assemble(ham), beta))
+
+
+def test_compose_dl_channel_builds_one_coherent_form_per_term(monkeypatch):
+    terms, kms = _zz2_model()
+    sups = _count_calls(monkeypatch, "term_superoperator")
+    forms = _count_calls(monkeypatch, "coherent_form")
+    compose_dl_channel(terms, kms)
+    # The generator's coherent form is the sum of the terms' forms, so no
+    # further superoperator or conjugation is built for its spectrum.
+    assert len(sups) == len(terms)
+    assert len(forms) == len(terms)
+
+
+def test_superop_hamiltonian_builds_one_coherent_form_per_term(monkeypatch):
+    terms, kms = _zz2_model()
+    sups = _count_calls(monkeypatch, "term_superoperator")
     forms = _count_calls(monkeypatch, "coherent_form")
     superop_hamiltonian(terms, kms)
-    # One per term for its projector, plus one for the full generator's
-    # spectral report.
-    assert len(forms) == len(terms) + 1
+    assert len(sups) == len(terms)
+    assert len(forms) == len(terms)
 
 
 def test_commuting_model_runs_no_svd_for_its_zero_coherent_parts(decomps):
@@ -119,10 +134,10 @@ def test_commuting_model_runs_no_svd_for_its_zero_coherent_parts(decomps):
     d = 2**ham.n
     terms = build_model(ham, standard_couplings(ham.n, "x"), WeightProfile(beta=0.5))
     assert all(t.coherent is None for t in terms)
-    # One eigh of H, and per coupling one scale SVD of H for each of the
-    # two weighted operators; G = 0 exactly is decided without an SVD.
+    # One eigh of H; both weighted operators take ||H|| from its
+    # eigenvalues, and G = 0 exactly is decided without an SVD.
     assert decomps["eigh"] == [(d, d)]
-    assert decomps["svd"] == [(d, d)] * (2 * len(terms))
+    assert decomps["svd"] == []
 
 
 def test_verify_parent_runs_no_svd_for_hermiticity(decomps):

@@ -143,11 +143,15 @@ def test_coherent_form_conjugation_identity():
 def test_stationary_channel_structure():
     term, kms = _davies_qubit()
     sup = term_superoperator(term, 1)
-    p = stationary_channel(sup, kms)
+    kernel = stationary_channel(sup, kms)
+    p = kernel.channel
     assert np.abs(p.mat @ p.mat - p.mat).max() < 1e-10
     assert np.abs(p.apply(np.eye(2)) - np.eye(2)).max() < 1e-10
     hk = kms.gamma_half @ p.mat @ kms.gamma_inv_half
     assert np.abs(hk - hk.conj().T).max() < 1e-10
+    assert np.abs(kernel.projector - hk).max() < 1e-10
+    h = coherent_form(sup, kms).mat
+    assert kernel.h_norm == pytest.approx(np.linalg.norm(h, 2), rel=1e-12)
     schro = p.adjoint()
     assert np.abs(schro.apply(kms.sigma) - kms.sigma).max() < 1e-10
     rep = cptp_check(p)
@@ -202,4 +206,4 @@ def test_reducible_generator_reports_zero_gap():
     kms = KmsForm(gibbs_state(h, 0.6))
     rep = spectral_report(lindblad_superoperator([term], 2), kms)
     assert rep.kernel_dim >= 2
-    assert abs(rep.gap) < 1e-9
+    assert rep.gap == 0.0

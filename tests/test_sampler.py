@@ -28,13 +28,55 @@ def _zz3_setup(beta: float = 0.5, kinds: str = "x"):
 def test_compose_orders_and_factors():
     _, terms, kms = _zz3_setup()
     ch = compose_dl_channel(terms, kms)
-    assert ch.m == 3 and ch.order == (0, 1, 2)
+    assert ch.m == 3
     manual = ch.factors[0].mat @ ch.factors[1].mat @ ch.factors[2].mat
     assert np.abs(ch.composite.mat - manual).max() < 1e-12
-    seeded = compose_dl_channel(terms, kms, order_seed=5)
-    assert sorted(seeded.order) == [0, 1, 2]
-    again = compose_dl_channel(terms, kms, order_seed=5)
-    assert seeded.order == again.order
+
+
+_REFERENCE_MODELS = [
+    ("zz_chain", 0, "x"),
+    ("zz_chain", 0, "xz"),
+    ("random_ff_projectors", 2, "x"),
+]
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("kind,seed,kinds", _REFERENCE_MODELS)
+def test_channel_matches_independent_references(kind, seed, kinds, beta):
+    # Each object compose_dl_channel derives in its single pass is checked
+    # against a derivation of its own: the generator spectrum from the
+    # summed Lindbladian, each Pi_m from a fresh eigh of its coherent form,
+    # and each P_m from the quarter powers of a fresh eigh of sigma.
+    from dlgibbs.kms import (
+        coherent_form,
+        lindblad_superoperator,
+        spectral_report,
+        term_superoperator,
+    )
+
+    ham = make_instance(kind, 3, seed=seed)
+    w = WeightProfile(kind="davies_kms", beta=beta)
+    terms = build_model(ham, standard_couplings(3, kinds), w)
+    sigma = gibbs_state(assemble(ham), beta)
+    kms = KmsForm(sigma)
+    ch = compose_dl_channel(terms, kms)
+    ref = spectral_report(lindblad_superoperator(terms, 3), kms)
+    assert ch.kernel_dim == ref.kernel_dim
+    assert abs(ch.gap - ref.gap) <= 1e-12 * max(1.0, ref.gap)
+    ev, vecs = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
+    quarter = (vecs * ev**0.25) @ vecs.conj().T
+    inv_quarter = (vecs * ev**-0.25) @ vecs.conj().T
+    gamma = np.kron(quarter, quarter.conj())
+    gamma_inv = np.kron(inv_quarter, inv_quarter.conj())
+    assert ch.m == len(terms)
+    for t, pi, factor in zip(terms, ch.kms_projectors, ch.factors):
+        h = coherent_form(term_superoperator(t, 3), kms).mat
+        hw, hv = np.linalg.eigh(0.5 * (h + h.conj().T))
+        vk = hv[:, np.abs(hw) <= 1e-9 * max(1.0, np.abs(hw).max())]
+        assert np.abs(pi - pi.conj().T).max() < 1e-12
+        assert np.abs(pi @ pi - pi).max() < 1e-10
+        assert np.abs(pi - vk @ vk.conj().T).max() < 1e-10
+        assert np.abs(factor.mat - gamma_inv @ pi @ gamma).max() < 1e-10
 
 
 def test_kms_projectors_are_orthogonal_projectors():
