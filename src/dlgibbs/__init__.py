@@ -64,11 +64,8 @@ from .kms import (
     choi_matrix,
     coherent_form,
     cptp_check,
-    db_residual,
     gibbs_state,
     kms_inner_product,
-    lindblad_superoperator,
-    spectral_report,
     stationary_channel,
     term_superoperator,
 )

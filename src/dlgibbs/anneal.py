@@ -52,7 +52,6 @@ from .errors import (
     BadInputs,
     BadParams,
     IrreducibilityWarning,
-    NotDetailedBalanced,
     OverflowDetected,
     OverlapTooSmall,
     RankAmbiguous,
@@ -65,7 +64,7 @@ from .hamiltonians import (
     commutation_degree,
 )
 from .jumps import WeightProfile, build_model
-from .kms import KmsForm, gibbs_state, lindblad_superoperator, spectral_report
+from .kms import KmsForm, gibbs_state
 from .linalg import singular_value_decompose, spectral_norm
 from .parent import build_parent, parent_projector_input, purified_gibbs
 from .projector import (
@@ -214,13 +213,6 @@ class TransitionBackend:
         ):
             raise BadInputs("polynomial backend needs a degree and coefficients")
 
-    @property
-    def error_bound(self) -> float:
-        """Certified transition error 4 l sqrt(3 mu) + eps."""
-        if self.kind == "oracle":
-            return 4.0 * math.sqrt(3.0 * self.mu)
-        return 4.0 * self.degree * math.sqrt(3.0 * self.mu) + self.epsilon
-
 
 def transition_backend(
     kind: str,
@@ -356,44 +348,6 @@ class AnnealingRun:
     tally: QueryTally
     warnings: tuple[str, ...]
 
-    @property
-    def max_transition_error(self) -> float:
-        return max((r.transition_error for r in self.records), default=0.0)
-
-
-def _step_models(
-    ham: LocalHamiltonian,
-    couplings: list[LocalOperator] | tuple[LocalOperator, ...],
-    w: WeightProfile,
-    betas: np.ndarray,
-    db_tol: float,
-) -> tuple[list[list], list[KmsForm], list[str]]:
-    """Dissipative model and KMS data at every scheduled temperature."""
-    h_mat = assemble(ham)
-    models: list[list] = []
-    kms_forms: list[KmsForm] = []
-    notes: list[str] = []
-    for j, beta_j in enumerate(betas):
-        w_j = replace(w, beta=float(beta_j))
-        terms = build_model(ham, couplings, w_j)
-        kms_j = KmsForm(gibbs_state(h_mat, float(beta_j)))
-        rep = spectral_report(lindblad_superoperator(terms, ham.n), kms_j)
-        if rep.db_residual > db_tol:
-            raise NotDetailedBalanced(
-                f"detailed-balance residual {rep.db_residual:.3e} at "
-                f"beta = {beta_j:.6g} exceeds {db_tol:.1e}"
-            )
-        if rep.kernel_dim > 1:
-            msg = (
-                f"generator at beta = {beta_j:.6g} has fixed-point dimension "
-                f"{rep.kernel_dim}; the purified path is not unique"
-            )
-            warnings.warn(msg, IrreducibilityWarning)
-            notes.append(msg)
-        models.append(terms)
-        kms_forms.append(kms_j)
-    return models, kms_forms, notes
-
 
 def run_annealing(
     ham: LocalHamiltonian,
@@ -402,13 +356,12 @@ def run_annealing(
     sched: Schedule,
     delta: float,
     projector_mode: str = "exact",
-    db_tol: float = 1e-8,
 ) -> AnnealingRun:
     """Prepare the purified Gibbs state along a uniform temperature path.
 
     At every scheduled beta_j the dissipative model is rebuilt with the
-    weight profile's beta replaced by beta_j, checked for detailed
-    balance, and its purified fixed point is targeted by a rank-one
+    weight profile's beta replaced by beta_j, and one build_parent checks
+    it for detailed balance; its purified fixed point is targeted by a rank-one
     projector: exactly (mode "exact", oracle transitions, no query
     cost) or through the parent-Hamiltonian detectability-lemma
     pipeline at uniform polynomial degree (mode "dl_qsvt", boosted
@@ -436,8 +389,25 @@ def run_annealing(
     k_steps = sched.steps
     betas = sched.betas
 
-    models, kms_forms, notes = _step_models(ham, couplings, w, betas, db_tol)
-    m_terms = len(models[0])
+    notes: list[str] = []
+    dl_steps = []
+    for beta_j in betas.tolist():
+        terms = build_model(ham, couplings, replace(w, beta=beta_j))
+        ph = build_parent(terms, KmsForm(gibbs_state(h_mat, beta_j)), beta=beta_j)
+        if ph.kernel_dim > 1:
+            msg = (
+                f"generator at beta = {beta_j:.6g} has fixed-point dimension "
+                f"{ph.kernel_dim}; the purified path is not unique"
+            )
+            warnings.warn(msg, IrreducibilityWarning)
+            notes.append(msg)
+        if projector_mode == "dl_qsvt":
+            pin = parent_projector_input(ph)
+            dl = dl_operator(pin.ham)
+            dl_steps.append((dl, singular_gap(dl, pin.ham)))
+        # Drop this step's 4^n x 4^n parent before the next one is built.
+        del ph
+    m_terms = len(terms)
 
     targets = [purified_gibbs(h_mat, float(b)) for b in betas]
     overlaps = [
@@ -455,22 +425,10 @@ def run_annealing(
         backend = transition_backend("oracle", b_floor, epsilon=budgets.epsilon)
     else:
         target_err = budgets.projector_error
-        gaps = []
-        operators = []
-        for j in range(k_steps + 1):
-            ph = build_parent(models[j], kms_forms[j], beta=float(betas[j]))
-            pin = parent_projector_input(ph)
-            dl = dl_operator(pin.ham)
-            gaps.append(singular_gap(dl, pin.ham))
-            operators.append(dl)
-        ell = max(
-            degree_for_error(sg.gamma_star, target_err) for sg in gaps
-        )
+        ell = max(degree_for_error(sg.gamma_star, target_err) for _, sg in dl_steps)
         projectors = []
-        for j in range(k_steps + 1):
-            res = approximate_projector(
-                operators[j], chebyshev_poly(gaps[j].gamma_star, ell)
-            )
+        for j, (dl, sg) in enumerate(dl_steps):
+            res = approximate_projector(dl, chebyshev_poly(sg.gamma_star, ell))
             projectors.append(res.approx)
             projector_errors[j] = res.error
         backend = transition_backend(

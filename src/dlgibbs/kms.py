@@ -47,6 +47,9 @@ from .linalg import hermitian_eigendecompose, spectral_norm
 
 _PICTURES = ("heisenberg", "schrodinger", "kms")
 
+# Largest ||h - h dagger|| of a coherent form h that counts as detailed balance.
+DETAILED_BALANCE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Superoperator:
@@ -213,7 +216,10 @@ def term_superoperator(term: LindbladTerm, n: int) -> Superoperator:
 
 
 def lindblad_superoperator(terms: Sequence[LindbladTerm], n: int) -> Superoperator:
-    """Heisenberg-picture matrix of a sum of local Lindblad terms."""
+    """Heisenberg-picture matrix of a sum of local Lindblad terms.
+
+    A test reference; no pipeline path calls it.
+    """
     if not terms:
         raise BadParams("need at least one Lindblad term")
     d = 2**n
@@ -234,7 +240,10 @@ def coherent_form(lind: Superoperator, kms: KmsForm) -> Superoperator:
 
 
 def db_residual(lind: Superoperator, kms: KmsForm) -> float:
-    """Operator-norm defect of detailed balance, ||h - h dagger||."""
+    """Operator-norm defect of detailed balance, ||h - h dagger||.
+
+    A test reference; no pipeline path calls it.
+    """
     return coherent_form(lind, kms).hermiticity_residual
 
 
@@ -281,6 +290,8 @@ def spectral_report(
     the defect ||h - h dagger|| (detailed balance is exactly hermiticity of
     the coherent form); dl_residual_energy probes the energy of
     probe_vector off the kernel.
+
+    A test reference; no pipeline path calls it (see coherent_spectrum).
     """
     h = lind if lind.picture == "kms" else coherent_form(lind, kms)
     h_sym = 0.5 * (h.mat + h.mat.conj().T)
@@ -300,6 +311,20 @@ def spectral_report(
         db_residual=h.hermiticity_residual,
         dl_residual_energy=energy,
     )
+
+
+def coherent_spectrum(h: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Descending eigenvalues of (h + h dagger)/2, gap and kernel_dim.
+
+    spectral_report's rules: the kernel cut is 1e-9 * max(1, ||h||), and
+    gap is lambda_1 - lambda_2, or exactly 0.0 when kernel_dim >= 2.
+    """
+    h_sym = h + h.conj().T
+    h_sym *= 0.5
+    w = np.linalg.eigvalsh(h_sym)[::-1]
+    kernel_dim = int((np.abs(w) <= 1e-9 * max(1.0, float(np.abs(w).max()))).sum())
+    gap = float(w[0] - w[1]) if len(w) > 1 and kernel_dim < 2 else 0.0
+    return w, gap, kernel_dim
 
 
 @dataclass(frozen=True)

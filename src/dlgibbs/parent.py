@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,19 +41,23 @@ from .hamiltonians import (
     LocalHamiltonian,
     LocalOperator,
     assemble,
+    commutation_degree,
     embed,
     support_overlap_degree,
 )
 from .kms import (
+    DETAILED_BALANCE_TOL,
     KmsForm,
     LindbladTerm,
     coherent_form,
+    coherent_spectrum,
     gibbs_state,
     term_superoperator,
 )
 from .linalg import (
     hermitian_eigendecompose,
     hermiticity_residual,
+    norm_exceeds,
     partial_trace,
     spectral_norm,
     vectorize,
@@ -76,18 +81,27 @@ class ParentTerm:
 
     mat: np.ndarray
     support: tuple[int, ...]
-    norm: float
+
+    @cached_property
+    def norm(self) -> float:
+        """||H^a||_2, computed on first read."""
+        return spectral_norm(self.mat)
 
 
 @dataclass(frozen=True)
 class ParentHamiltonian:
-    """Doubled-register Hamiltonian with the purified Gibbs ground state."""
+    """Doubled-register Hamiltonian with the purified Gibbs ground state.
+
+    gap and kernel_dim are full's (kms.coherent_spectrum), so the generator's.
+    """
 
     full: np.ndarray
     terms: tuple[ParentTerm, ...]
     beta: float | None
     ground: np.ndarray
     n: int
+    gap: float
+    kernel_dim: int
 
     @property
     def m(self) -> int:
@@ -129,15 +143,15 @@ def build_parent(
     terms: list[LindbladTerm] | tuple[LindbladTerm, ...],
     kms: KmsForm,
     beta: float | None = None,
-    tol: float = 1e-8,
 ) -> ParentHamiltonian:
     """Assemble H = sum_a H^a, with H^a the KMS coherent form of term a.
 
     coherent_form(term_superoperator(t, n), kms) is the module display:
     term_superoperator builds the bracket and the conjugation by
-    Gamma^{1/2} is the Q sandwich.  Terms whose coherent form deviates
-    from Hermitian by more than tol raise NotDetailedBalanced; a positive
-    eigenvalue of the assembled parent raises PositiveEigenvalue.
+    Gamma^{1/2} is the Q sandwich.  Each term is built once.  A term's
+    coherent form, or their sum, that deviates from Hermitian by more than
+    DETAILED_BALANCE_TOL raises NotDetailedBalanced; a positive eigenvalue
+    of the assembled parent raises PositiveEigenvalue.
     """
     if not terms:
         raise BadParams("need at least one term")
@@ -146,32 +160,36 @@ def build_parent(
     if 2**n != d:
         raise BadParams(f"state dimension {d} is not a power of 2")
     parent_terms: list[ParentTerm] = []
-    full = np.zeros((d * d, d * d), dtype=complex)
+    raw = np.zeros((d * d, d * d), dtype=complex)
     for idx, t in enumerate(terms):
-        form = coherent_form(term_superoperator(t, n), kms)
-        if form.hermiticity_residual > tol:
-            raise NotDetailedBalanced(
-                f"term {idx} has detailed-balance defect "
-                f"{form.hermiticity_residual:.3e}"
-            )
-        h_a = 0.5 * (form.mat + form.mat.conj().T)
-        parent_terms.append(
-            ParentTerm(
-                mat=h_a,
-                support=_doubled_support(t.support, n),
-                norm=spectral_norm(h_a),
-            )
-        )
-        full += h_a
-    full = 0.5 * (full + full.conj().T)
+        form = coherent_form(term_superoperator(t, n), kms).mat
+        _check_detailed_balance(form - form.conj().T, f"term {idx}", beta)
+        raw += form
+        h_a = 0.5 * (form + form.conj().T)
+        parent_terms.append(ParentTerm(mat=h_a, support=_doubled_support(t.support, n)))
+    _check_detailed_balance(raw - raw.conj().T, "the sum of the terms", beta)
+    # The coherent form is linear, so full = sum_a H^a; raw is dropped
+    # before the spectrum, which needs three more 4^n x 4^n arrays.
+    full = 0.5 * (raw + raw.conj().T)
+    del raw
+    w, gap, kernel_dim = coherent_spectrum(full)
+    top = float(w[0])
+    if top > 1e-8 and top > 1e-8 * max(1.0, float(np.abs(w).max())):
+        raise PositiveEigenvalue(f"parent has positive eigenvalue {top:.3e}")
     ground = vectorize(kms.sqrt)
     ground = ground / np.linalg.norm(ground)
-    top = float(np.linalg.eigvalsh(full).max())
-    if top > 1e-8 and top > 1e-8 * max(1.0, spectral_norm(full)):
-        raise PositiveEigenvalue(f"parent has positive eigenvalue {top:.3e}")
     return ParentHamiltonian(
-        full=full, terms=tuple(parent_terms), beta=beta, ground=ground, n=n
+        full, tuple(parent_terms), beta, ground, n, gap=gap, kernel_dim=kernel_dim
     )
+
+
+def _check_detailed_balance(anti: np.ndarray, what: str, beta: float | None) -> None:
+    """Raise NotDetailedBalanced when ||h - h dagger|| = ||anti|| is too large."""
+    if norm_exceeds(anti, DETAILED_BALANCE_TOL):
+        raise NotDetailedBalanced(
+            f"{what} has detailed-balance defect {spectral_norm(anti):.3e} "
+            f"at beta = {beta} (tolerance {DETAILED_BALANCE_TOL:.1e})"
+        )
 
 
 def purified_gibbs(ham: LocalHamiltonian | np.ndarray, beta: float) -> np.ndarray:
@@ -198,8 +216,6 @@ def _local_block(
 
 def verify_parent(ph: ParentHamiltonian, ham: LocalHamiltonian) -> ParentReport:
     """Report-only diagnostics: frustration, hermiticity, locality, degree."""
-    from .hamiltonians import commutation_degree
-
     frus = tuple(
         float(np.linalg.norm(t.mat @ ph.ground)) for t in ph.terms
     )

@@ -36,10 +36,10 @@ from .kms import (
     SpectralReport,
     Superoperator,
     coherent_form,
+    coherent_spectrum,
     cptp_check,
     kms_inner_product,
     probe_vector,
-    spectral_report,
     stationary_channel,
     term_superoperator,
 )
@@ -146,17 +146,16 @@ def compose_dl_channel(
     for p in factors:
         mat = mat @ p.mat
     composite = Superoperator(mat=mat, picture="heisenberg", dim=kms.dim)
-    generator_form = Superoperator(mat=generator, picture="kms", dim=kms.dim)
-    spec = spectral_report(generator_form, kms)
+    _, gap, kernel_dim = coherent_spectrum(generator)
     g = noncommutation_degree(projectors)
     return DlChannel(
         factors=tuple(factors),
         composite=composite,
         kms_projectors=tuple(projectors),
-        gap=spec.gap,
-        kernel_dim=spec.kernel_dim,
+        gap=gap,
+        kernel_dim=kernel_dim,
         g=g,
-        q=_contraction_factor(spec.gap, g),
+        q=_contraction_factor(gap, g),
         max_factor_norm=max_factor_norm,
         db_residual=worst_db,
     )

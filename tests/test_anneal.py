@@ -22,6 +22,7 @@ from dlgibbs.errors import (
     BadInputs,
     BadParams,
     IrreducibilityWarning,
+    NotDetailedBalanced,
     OverflowDetected,
     OverlapTooSmall,
     RankAmbiguous,
@@ -37,6 +38,7 @@ from dlgibbs.hamiltonians import (
     standard_couplings,
 )
 from dlgibbs.jumps import WeightProfile
+from dlgibbs.kms import LindbladTerm
 from dlgibbs.linalg import spectral_norm
 
 
@@ -290,6 +292,32 @@ def test_run_annealing_warns_on_reducible_generator():
         run = run_annealing(ham, couplings, w, sched, 0.1, "exact")
     assert run.warnings
     assert run.final_fidelity >= 0.9
+
+
+def test_run_annealing_rejects_generator_without_detailed_balance(monkeypatch):
+    import dlgibbs.anneal as anneal
+
+    ham, couplings, w, nh = _zz2_setup()
+    sched = make_schedule(0.5, nh, alpha=2.0)
+    for mode in ("exact", "dl_qsvt"):
+        run = run_annealing(ham, couplings, w, sched, 0.1, mode)
+        assert run.final_fidelity >= 0.9
+    real_build_model = anneal.build_model
+
+    def with_random_coherent_part(*args, **kwargs):
+        # A Hamiltonian part i[G, X] with G not commuting with sigma breaks
+        # detailed balance; at beta = 0 its coherent form is anti-Hermitian.
+        terms = real_build_model(*args, **kwargs)
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        t0 = terms[0]
+        g = LocalOperator(0.5 * (a + a.conj().T), t0.jumps[0].support)
+        return [LindbladTerm(t0.jumps, g, t0.support), *terms[1:]]
+
+    monkeypatch.setattr(anneal, "build_model", with_random_coherent_part)
+    for mode in ("exact", "dl_qsvt"):
+        with pytest.raises(NotDetailedBalanced, match=r"term 0 .* beta = 0\.0"):
+            run_annealing(ham, couplings, w, sched, 0.1, mode)
 
 
 def test_run_annealing_validates_inputs():

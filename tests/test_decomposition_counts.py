@@ -6,12 +6,13 @@ brings back a redundant eigendecomposition or SVD.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
 import dlgibbs.kms
-import dlgibbs.parent
-import dlgibbs.sampler
+from dlgibbs.anneal import make_schedule, run_annealing
 from dlgibbs.hamiltonians import (
     assemble,
     make_instance,
@@ -20,6 +21,7 @@ from dlgibbs.hamiltonians import (
 )
 from dlgibbs.jumps import WeightProfile, build_model
 from dlgibbs.kms import KmsForm, gibbs_state
+from dlgibbs.linalg import spectral_norm
 from dlgibbs.parent import build_parent, verify_parent
 from dlgibbs.projector import dl_operator, singular_gap
 from dlgibbs.sampler import compose_dl_channel, superop_hamiltonian
@@ -70,7 +72,11 @@ def test_commuting_family_runs_only_the_scale_svds(decomps):
 
 
 def _count_calls(monkeypatch, name):
-    """Count calls to a dlgibbs.kms function under every name it is imported as."""
+    """Count calls to a dlgibbs.kms function under every name it is bound to.
+
+    Every loaded dlgibbs module that binds the function gets the counting
+    wrapper, so no call path through some other module is missed.
+    """
     calls = []
     real = getattr(dlgibbs.kms, name)
 
@@ -78,8 +84,10 @@ def _count_calls(monkeypatch, name):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (dlgibbs.kms, dlgibbs.parent, dlgibbs.sampler):
-        monkeypatch.setattr(module, name, counted)
+    for mod_name, module in list(sys.modules.items()):
+        in_package = mod_name == "dlgibbs" or mod_name.startswith("dlgibbs.")
+        if in_package and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -149,3 +157,42 @@ def test_verify_parent_runs_no_svd_for_hermiticity(decomps):
     d2 = 4**ph.n
     assert (d2, d2) not in decomps["svd"]
     assert rep.hermiticity_residuals == (0.0,) * ph.m
+
+
+def _anneal_setup():
+    ham = make_instance("zz_chain", 2)
+    couplings = standard_couplings(ham.n, "xz")
+    sched = make_schedule(1.0, spectral_norm(assemble(ham)))
+    return ham, couplings, WeightProfile(beta=1.0), sched
+
+
+@pytest.mark.parametrize("mode", ["exact", "dl_qsvt"])
+def test_anneal_derives_each_step_parent_once(monkeypatch, mode):
+    ham, couplings, w, sched = _anneal_setup()
+    sups = _count_calls(monkeypatch, "term_superoperator")
+    forms = _count_calls(monkeypatch, "coherent_form")
+    run = run_annealing(ham, couplings, w, sched, 0.1, mode)
+    # One parent per scheduled temperature, beta_0 = 0 included, and one
+    # superoperator and coherent form per term of it.
+    assert len(sups) == len(sched.betas) * run.m_terms
+    assert len(forms) == len(sched.betas) * run.m_terms
+
+
+def test_exact_anneal_runs_no_superoperator_svd_per_step(decomps):
+    ham, couplings, w, sched = _anneal_setup()
+    d2 = 4**ham.n
+    run_annealing(ham, couplings, w, sched, 0.1, "exact")
+    # The only (4^n, 4^n) SVDs are each transition's SVD of P_j P_{j-1} and
+    # the 2-norm of its error; the K + 1 parents and their checks run none.
+    assert decomps["svd"].count((d2, d2)) == 2 * sched.steps
+
+
+def test_pipeline_calls_no_reference_generator(monkeypatch):
+    ham, couplings, w, sched = _anneal_setup()
+    reports = _count_calls(monkeypatch, "spectral_report")
+    sums = _count_calls(monkeypatch, "lindblad_superoperator")
+    compose_dl_channel(*_zz2_model())
+    for mode in ("exact", "dl_qsvt"):
+        run_annealing(ham, couplings, w, sched, 0.1, mode)
+    assert reports == []
+    assert sums == []

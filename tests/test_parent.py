@@ -18,6 +18,7 @@ from dlgibbs.hamiltonians import (
 from dlgibbs.jumps import WeightProfile, build_model
 from dlgibbs.kms import (
     KmsForm,
+    LindbladTerm,
     coherent_form,
     gibbs_state,
     lindblad_superoperator,
@@ -163,6 +164,36 @@ def test_parent_gap_equals_generator_gap():
     assert abs((w[0] - w[1]) - rep.gap) < 1e-9
 
 
+def test_parent_reports_generator_gap_and_kernel_dim():
+    ham = make_instance("zz_chain", 2)
+    reducible = 0
+    for kinds in ("x", "xz"):
+        for beta in (0.0, 0.7):
+            terms, kms = _model(ham, beta, kinds=kinds)
+            ph = build_parent(terms, kms, beta=beta)
+            rep = spectral_report(lindblad_superoperator(terms, 2), kms)
+            assert ph.kernel_dim == rep.kernel_dim
+            assert abs(ph.gap - rep.gap) <= 1e-12 * max(1.0, rep.gap)
+            if ph.kernel_dim >= 2:
+                assert ph.gap == 0.0
+                reducible += 1
+    # couplings x leave the zz chain reducible
+    assert reducible == 2
+
+
+def test_build_parent_checks_the_sum_of_the_terms():
+    # At beta = 0 a coherent part eps * Z_0 gives a term the defect
+    # 2 ||eps Z_0 (x) I - I (x) eps Z_0^T|| = 4 eps: 0.8e-8 per term passes,
+    # and two aligned terms sum to 1.6e-8, which does not.
+    ham = make_instance("zz_chain", 2)
+    terms, kms = _model(ham, 0.0)
+    g = LocalOperator(0.2e-8 * np.kron(PAULI_Z, np.eye(2)), (0, 1))
+    tilted = [LindbladTerm(t.jumps, g, t.support) for t in terms[:2]]
+    build_parent(tilted[:1], kms, beta=0.0)
+    with pytest.raises(NotDetailedBalanced, match="the sum of the terms"):
+        build_parent(tilted, kms, beta=0.0)
+
+
 def test_parent_frustration_free_on_zoo_models():
     hams = [
         _single_z(),
@@ -225,13 +256,13 @@ def test_projector_input_refuses_positive_term():
     bad = ParentHamiltonian(
         full=ph.full,
         terms=(
-            ParentTerm(
-                mat=np.eye(16, dtype=complex), support=(0, 1, 2, 3), norm=1.0
-            ),
+            ParentTerm(mat=np.eye(16, dtype=complex), support=(0, 1, 2, 3)),
         ),
         beta=0.5,
         ground=ph.ground,
         n=2,
+        gap=ph.gap,
+        kernel_dim=ph.kernel_dim,
     )
     with pytest.raises(PositivityFailure):
         parent_projector_input(bad)
@@ -243,10 +274,12 @@ def test_projector_input_refuses_nonlocal_term():
     ph = build_parent(terms, kms, beta=0.5)
     shrunk = ParentHamiltonian(
         full=ph.full,
-        terms=(ParentTerm(mat=ph.terms[0].mat, support=(0, 2), norm=ph.terms[0].norm),),
+        terms=(ParentTerm(mat=ph.terms[0].mat, support=(0, 2)),),
         beta=0.5,
         ground=ph.ground,
         n=2,
+        gap=ph.gap,
+        kernel_dim=ph.kernel_dim,
     )
     with pytest.raises(BadParams):
         parent_projector_input(shrunk)

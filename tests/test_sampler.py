@@ -238,7 +238,7 @@ def test_fixed_point_of_round_channel():
 def test_iterate_and_contraction_check_share_channel_invariants(monkeypatch):
     import dlgibbs.sampler as sampler
 
-    counts = {"spectral_report": 0, "noncommutation_degree": 0}
+    counts = {"coherent_spectrum": 0, "noncommutation_degree": 0}
     for name in counts:
         real = getattr(sampler, name)
 
@@ -256,4 +256,4 @@ def test_iterate_and_contraction_check_share_channel_invariants(monkeypatch):
     assert (trace.g, trace.q) == (rep.g, rep.q) == (ch.g, ch.q)
     assert (trace.gap, trace.kernel_dim) == (ch.gap, ch.kernel_dim)
     assert ch.g > 0 and 0.0 < ch.q < 1.0
-    assert counts == {"spectral_report": 1, "noncommutation_degree": 1}
+    assert counts == {"coherent_spectrum": 1, "noncommutation_degree": 1}
