@@ -168,9 +168,9 @@ def ground_space(
     """
     embedded: list[np.ndarray] | None = None
     if isinstance(h, LocalHamiltonian):
-        ham = h
-        h = assemble(ham)
-        embedded = [embed(t, ham.n) for t in ham.terms]
+        # Summed in assemble's order, so h is bitwise assemble(ham).
+        embedded = [embed(t, h.n) for t in h.terms]
+        h = sum(embedded, np.zeros((2**h.n, 2**h.n), dtype=complex))
     eig = hermitian_eigendecompose(h)
     w, v = eig.eigenvalues, eig.eigenvectors
     scale = max(1.0, float(np.abs(w).max()))

@@ -82,7 +82,7 @@ def hermitian_eigendecompose(a: np.ndarray, tol: float = 1e-10) -> HermitianEig:
         w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh failed to converge: {exc}") from exc
-    recon = float(np.linalg.norm(v @ np.diag(w) @ v.conj().T - a))
+    recon = float(np.linalg.norm((v * w) @ v.conj().T - a))
     if recon > max(_RECON_TOL * scale, res):
         raise NoConvergence(f"eigh reconstruction residual {recon:.3e}")
     return HermitianEig(eigenvalues=w, eigenvectors=v)

@@ -97,7 +97,6 @@ class ParentHamiltonian:
 
     full: np.ndarray
     terms: tuple[ParentTerm, ...]
-    beta: float | None
     ground: np.ndarray
     n: int
     gap: float
@@ -131,7 +130,6 @@ class ProjectorInput:
 
     ham: LocalHamiltonian
     scales: tuple[float, ...]
-    locality_residuals: tuple[float, ...]
 
 
 def _doubled_support(support: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -179,7 +177,7 @@ def build_parent(
     ground = vectorize(kms.sqrt)
     ground = ground / np.linalg.norm(ground)
     return ParentHamiltonian(
-        full, tuple(parent_terms), beta, ground, n, gap=gap, kernel_dim=kernel_dim
+        full, tuple(parent_terms), ground, n, gap=gap, kernel_dim=kernel_dim
     )
 
 
@@ -206,12 +204,11 @@ def purified_gibbs(ham: LocalHamiltonian | np.ndarray, beta: float) -> np.ndarra
 
 def _local_block(
     mat: np.ndarray, support: tuple[int, ...], nq: int
-) -> tuple[np.ndarray, float]:
-    """Best local representative on support and the off-support residual."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best local representative on support and the off-support remainder."""
     comp = 2 ** (nq - len(support))
     block = partial_trace(mat, keep=list(support), dims=[2] * nq) / comp
-    cand = embed(LocalOperator(block, support), nq)
-    return block, spectral_norm(mat - cand)
+    return block, mat - embed(LocalOperator(block, support), nq)
 
 
 def verify_parent(ph: ParentHamiltonian, ham: LocalHamiltonian) -> ParentReport:
@@ -225,7 +222,8 @@ def verify_parent(ph: ParentHamiltonian, ham: LocalHamiltonian) -> ParentReport:
     locality: tuple[float, ...] | None = None
     if commuting:
         locality = tuple(
-            _local_block(t.mat, t.support, 2 * ph.n)[1] for t in ph.terms
+            spectral_norm(_local_block(t.mat, t.support, 2 * ph.n)[1])
+            for t in ph.terms
         )
     else:
         msg = "Hamiltonian terms do not commute; locality checks skipped"
@@ -245,35 +243,35 @@ def verify_parent(ph: ParentHamiltonian, ham: LocalHamiltonian) -> ParentReport:
 def parent_projector_input(ph: ParentHamiltonian, tol: float = 1e-9) -> ProjectorInput:
     """Negate, normalize and localize parent terms for the DL projector.
 
-    Each -H^a must be positive semidefinite (PositivityFailure otherwise)
-    and exactly local on its doubled dressed support (BadParams
-    otherwise); terms are divided by max(1, ||H^a||) with the scales
-    recorded.
+    Each term is read through its block, the normalized partial trace onto
+    its doubled dressed support: -block must be positive semidefinite
+    (PositivityFailure otherwise) and H^a exactly local (BadParams
+    otherwise).  Terms are divided by max(1, ||block||), recorded in scales;
+    the partial trace is unital and completely positive, so ||block|| <=
+    ||H^a||.
     """
     nq = 2 * ph.n
     locals_: list[LocalOperator] = []
     scales: list[float] = []
-    residuals: list[float] = []
     for idx, t in enumerate(ph.terms):
-        scale = max(1.0, t.norm)
-        block, res = _local_block(t.mat, t.support, nq)
-        if res > tol * max(1.0, t.norm):
+        block, off = _local_block(t.mat, t.support, nq)
+        w = np.linalg.eigvalsh(block)
+        scale = max(1.0, float(np.abs(w).max()))
+        if norm_exceeds(off, tol * scale):
             raise BadParams(
                 f"parent term {idx} is not local on its dressed support "
-                f"(residual {res:.3e}); projection input undefined"
+                f"(residual {spectral_norm(off):.3e}); projection input undefined"
             )
-        neg = -block / scale
-        neg = 0.5 * (neg + neg.conj().T)
-        min_eig = float(np.linalg.eigvalsh(neg).min())
-        if min_eig < -1e-10 and min_eig < -1e-10 * max(1.0, spectral_norm(neg)):
+        del off
+        # -block / scale has eigenvalues -w / scale and norm at most 1.
+        min_eig = -float(w[-1]) / scale
+        if min_eig < -1e-10:
             raise PositivityFailure(
                 f"negated parent term {idx} has eigenvalue {min_eig:.3e} < 0"
             )
-        locals_.append(LocalOperator(neg, t.support))
+        neg = -block / scale
+        locals_.append(LocalOperator(0.5 * (neg + neg.conj().T), t.support))
         scales.append(scale)
-        residuals.append(res)
     return ProjectorInput(
-        ham=LocalHamiltonian(n=nq, terms=tuple(locals_)),
-        scales=tuple(scales),
-        locality_residuals=tuple(residuals),
+        ham=LocalHamiltonian(n=nq, terms=tuple(locals_)), scales=tuple(scales)
     )

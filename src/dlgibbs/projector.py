@@ -165,11 +165,11 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
         w = eig.eigenvalues
         scale = max(1.0, float(np.abs(w).max()))
         dim = int(np.sum(w - w[0] <= tol * scale))
-        local = eig.eigenvectors[:, :dim] @ eig.eigenvectors[:, :dim].conj().T
-        p = embed(type(t)(local, t.support), ham.n)
+        p = eig.eigenvectors[:, :dim] @ eig.eigenvectors[:, :dim].conj().T
+        # ||(p (x) I)^2 - p (x) I|| = ||p^2 - p||, so p is checked before embed.
         if norm_exceeds(p @ p - p, 1e-10) or norm_exceeds(p - p.conj().T, 1e-10):
             raise BadParams("term ground projector failed the idempotence check")
-        factors.append(p)
+        factors.append(embed(type(t)(p, t.support), ham.n))
     comp = factors[0].copy()
     for p in factors[1:]:
         comp = comp @ p

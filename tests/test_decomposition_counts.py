@@ -196,3 +196,16 @@ def test_pipeline_calls_no_reference_generator(monkeypatch):
         run_annealing(ham, couplings, w, sched, 0.1, mode)
     assert reports == []
     assert sums == []
+
+
+def test_dl_qsvt_anneal_reads_parent_terms_through_local_blocks(decomps):
+    ham = make_instance("zz_chain", 3)
+    couplings = standard_couplings(ham.n, "xz")
+    sched = make_schedule(0.5, spectral_norm(assemble(ham)))
+    d2 = 4**ham.n
+    run_annealing(ham, couplings, WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt")
+    # Per parent: the DL composite's SVD and the projector error norm; per
+    # transition: its SVD and its error norm.  Parent terms are read through
+    # their local blocks, with no (4^n, 4^n) SVD for norm or locality.
+    k = sched.steps
+    assert decomps["svd"].count((d2, d2)) == 2 * (k + 1) + 2 * k

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -239,7 +241,12 @@ def test_projector_input_negates_and_normalizes():
     assert pin.ham.n == 6
     assert pin.ham.m == ph.m
     for t, scale, pt in zip(pin.ham.terms, pin.scales, ph.terms):
-        assert scale == max(1.0, pt.norm)
+        # The scale is read from the local block; locality makes it agree
+        # with the norm of the full term.
+        block = partial_trace(pt.mat, keep=list(pt.support), dims=[2] * 6)
+        block = block / 2 ** (6 - len(pt.support))
+        assert scale == max(1.0, float(np.abs(np.linalg.eigvalsh(block)).max()))
+        assert abs(scale - max(1.0, pt.norm)) <= 1e-9 * scale
         w = np.linalg.eigvalsh(t.op)
         assert w.min() >= -1e-10
         assert w.max() <= 1.0 + 1e-9
@@ -258,7 +265,6 @@ def test_projector_input_refuses_positive_term():
         terms=(
             ParentTerm(mat=np.eye(16, dtype=complex), support=(0, 1, 2, 3)),
         ),
-        beta=0.5,
         ground=ph.ground,
         n=2,
         gap=ph.gap,
@@ -275,7 +281,6 @@ def test_projector_input_refuses_nonlocal_term():
     shrunk = ParentHamiltonian(
         full=ph.full,
         terms=(ParentTerm(mat=ph.terms[0].mat, support=(0, 2)),),
-        beta=0.5,
         ground=ph.ground,
         n=2,
         gap=ph.gap,
@@ -283,3 +288,28 @@ def test_projector_input_refuses_nonlocal_term():
     )
     with pytest.raises(BadParams):
         parent_projector_input(shrunk)
+
+
+@pytest.mark.parametrize("factor, local", [(0.5, True), (2.0, False)])
+def test_projector_input_locality_boundary(factor, local):
+    # A traceless Z on a qubit outside the term's support leaves the local
+    # block and so the scale unchanged, and adds exactly its own norm to
+    # the off-support remainder.
+    ham = make_instance("zz_chain", 3)
+    terms, kms = _model(ham, 0.5)
+    ph = build_parent(terms, kms, beta=0.5)
+    tol = 1e-9
+    scales = parent_projector_input(ph, tol).scales
+    idx = next(a for a, t in enumerate(ph.terms) if len(t.support) < 6)
+    pt = ph.terms[idx]
+    q = next(q for q in range(6) if q not in pt.support)
+    kick = factor * tol * scales[idx]
+    off = embed(LocalOperator(kick * PAULI_Z, (q,)), 6)
+    terms_ = list(ph.terms)
+    terms_[idx] = ParentTerm(mat=pt.mat + off, support=pt.support)
+    bumped = replace(ph, terms=tuple(terms_))
+    if local:
+        assert parent_projector_input(bumped, tol).scales == scales
+    else:
+        with pytest.raises(BadParams, match=f"parent term {idx} is not local"):
+            parent_projector_input(bumped, tol)
