@@ -45,7 +45,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.special import erfcinv, ive
 
 from .errors import (
     BadAlpha,
@@ -155,6 +154,10 @@ def boost_coefficients(b: float, epsilon: float, degree: int) -> np.ndarray:
         raise BadInputs(f"boost accuracy must lie in (0, 1), got {epsilon}")
     if degree < 1:
         raise BadInputs(f"boost degree must be >= 1, got {degree}")
+    # Imported here: scipy.special costs more than half of `import dlgibbs`,
+    # and only this function needs it.
+    from scipy.special import erfcinv, ive
+
     k = float(erfcinv(epsilon / 2.0)) / b
     z = 0.5 * k * k
     pref = 2.0 * k / math.sqrt(math.pi)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -130,22 +130,50 @@ def interaction_degree(ham: LocalHamiltonian) -> int:
     return support_overlap_degree([t.support for t in ham.terms])
 
 
+def _pair_degree(k: int, exceeds: Callable[[int, int], bool]) -> int:
+    """Max over k entries of the number of others b with exceeds(a, b), a < b."""
+    counts = [0] * k
+    for a in range(k):
+        for b in range(a + 1, k):
+            if exceeds(a, b):
+                counts[a] += 1
+                counts[b] += 1
+    return max(counts, default=0)
+
+
 def noncommutation_degree(mats: list[np.ndarray], tol: float = 1e-10) -> int:
     """Max over entries of the number of other matrices it fails to commute with.
 
     Each unordered pair is tested once: fl(BA - AB) = -fl(AB - BA) exactly,
     so both orders of a pair decide the same way.
     """
-    k = len(mats)
     scale = max([1.0] + [spectral_norm(m) for m in mats])
     bound = tol * scale * scale
-    counts = [0] * k
-    for a in range(k):
-        for b in range(a + 1, k):
-            if norm_exceeds(mats[a] @ mats[b] - mats[b] @ mats[a], bound):
-                counts[a] += 1
-                counts[b] += 1
-    return max(counts, default=0)
+    return _pair_degree(
+        len(mats),
+        lambda a, b: norm_exceeds(mats[a] @ mats[b] - mats[b] @ mats[a], bound),
+    )
+
+
+def projector_noncommutation_degree(
+    bases: Sequence[np.ndarray], tol: float = 1e-10
+) -> int:
+    """noncommutation_degree of the projectors V V dagger onto orthonormal bases.
+
+    For orthogonal projectors P, Q the commutator PQ - QP is PQ(I - P) minus
+    its adjoint, which maps range(P) to its complement, so
+    ||[P, Q]|| = ||PQ(I - P)||.  With P = V_a V_a dagger, Q = V_b V_b dagger
+    and X = V_a dagger V_b this is ||X (V_b dagger - X dagger V_a dagger)||,
+    an r_a x D matrix, decided by norm_exceeds against tol: a projector has
+    norm 1, so the scale of noncommutation_degree is 1.
+    """
+    adj = [v.conj().T for v in bases]
+
+    def exceeds(a: int, b: int) -> bool:
+        x = adj[a] @ bases[b]
+        return norm_exceeds(x @ (adj[b] - x.conj().T @ adj[a]), tol)
+
+    return _pair_degree(len(bases), exceeds)
 
 
 def commutation_degree(ham: LocalHamiltonian, tol: float = 1e-10) -> int:

@@ -16,25 +16,33 @@ non-commutation degree of the Pi_m.  Iterating from rho_0 then obeys
 
 The comparison Hamiltonian H_L = sum_m (I - Pi_m) is positive
 semidefinite; its gap above the common kernel upper-bounds the generator
-gap and drives the projector bounds downstream.  One pass over the terms
-derives all of these: each coherent form h_m once, Pi_m from h_m, P_m from
-Pi_m, and the generator's coherent form as the sum of the h_m.
+gap and drives the projector bounds downstream.  One kernel pass over the
+terms derives each coherent form h_m once, the orthonormal kernel basis V_m
+of h_m (Pi_m = V_m V_m dagger), P_m from V_m, and the generator's coherent
+form as the sum of the h_m; the channel step then checks and composes the
+P_m and reads g off the V_m.  No dense Pi_m is formed outside H_L.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import BadParams, DimensionMismatch, DlGibbsError, IrreducibilityWarning
-from .hamiltonians import noncommutation_degree
+# perfbench/selftest.py reads noncommutation_degree from this module.
+from .hamiltonians import (  # noqa: F401
+    noncommutation_degree,
+    projector_noncommutation_degree,
+)
 from .kms import (
     KmsForm,
     LindbladTerm,
     SpectralReport,
     Superoperator,
+    TermKernel,
     coherent_form,
     coherent_spectrum,
     cptp_check,
@@ -50,16 +58,18 @@ from .linalg import norm_exceeds, schatten1_distance
 class DlChannel:
     """Ordered product of per-term stationary channels.
 
-    gap and kernel_dim describe the coherent form of the full generator,
-    g is the non-commutation degree of the KMS projectors and q the
-    one-round contraction factor they certify; max_factor_norm and
-    db_residual are the largest ||h_m|| and the worst ||h_m - h_m dagger||
-    over the terms' coherent forms.  All are computed once, at composition.
+    kernel_bases holds each term's orthonormal kernel basis V_m, so the KMS
+    projector is Pi_m = V_m V_m dagger.  gap and kernel_dim describe the
+    coherent form of the full generator, g is the non-commutation degree of
+    the Pi_m and q the one-round contraction factor they certify;
+    max_factor_norm is the largest ||h_m|| and db_residual the largest
+    Frobenius bound ||h_m - h_m dagger||_F over the terms' coherent forms.
+    All are computed once, at composition.
     """
 
     factors: tuple[Superoperator, ...]
     composite: Superoperator
-    kms_projectors: tuple[np.ndarray, ...]
+    kernel_bases: tuple[np.ndarray, ...]
     gap: float
     kernel_dim: int
     g: int
@@ -106,6 +116,29 @@ class ContractionReport:
     q: float
 
 
+def _kernel_pass(
+    terms: list[LindbladTerm] | tuple[LindbladTerm, ...], kms: KmsForm
+) -> tuple[list[TermKernel], float, int]:
+    """Each term's kernel and pullback, and the generator's gap and kernel_dim.
+
+    The generator spectrum is that of the sum of the terms' coherent forms
+    (the coherent form is linear).
+    """
+    if not terms:
+        raise BadParams("need at least one term to compose a channel")
+    n = int(round(np.log2(kms.dim)))
+    if 2**n != kms.dim:
+        raise DimensionMismatch(f"state dimension {kms.dim} is not a power of 2")
+    kernels = []
+    generator = np.zeros((kms.dim**2, kms.dim**2), dtype=complex)
+    for t in terms:
+        h = coherent_form(term_superoperator(t, n), kms)
+        kernels.append(stationary_channel(h, kms))
+        generator += h.mat
+    _, gap, kernel_dim = coherent_spectrum(generator)
+    return kernels, gap, kernel_dim
+
+
 def compose_dl_channel(
     terms: list[LindbladTerm] | tuple[LindbladTerm, ...],
     kms: KmsForm,
@@ -114,50 +147,33 @@ def compose_dl_channel(
 
     The composite's Heisenberg matrix is the product in term order, so its
     Schrodinger adjoint applies the first term's factor to the state first.
-    The generator spectrum is that of the sum of the terms' coherent forms
-    (the coherent form is linear).  The channel invariants are computed
-    here, once, for iterate, contraction_check and superop_hamiltonian.
+    After the kernel pass, each factor is checked CPTP, the factors are
+    multiplied and g is read off the kernel bases.  The channel invariants
+    are computed here, once, for iterate and contraction_check.
     """
-    if not terms:
-        raise BadParams("need at least one term to compose a channel")
-    n = int(round(np.log2(kms.dim)))
-    if 2**n != kms.dim:
-        raise DimensionMismatch(f"state dimension {kms.dim} is not a power of 2")
-    factors = []
-    projectors = []
-    generator = np.zeros((kms.dim**2, kms.dim**2), dtype=complex)
-    max_factor_norm = 0.0
-    worst_db = 0.0
-    for idx, t in enumerate(terms):
-        h = coherent_form(term_superoperator(t, n), kms)
-        kernel = stationary_channel(h, kms)
-        rep = cptp_check(kernel.channel)
+    kernels, gap, kernel_dim = _kernel_pass(terms, kms)
+    for idx, k in enumerate(kernels):
+        rep = cptp_check(k.channel)
         if not (rep.cp and rep.tp):
             raise DlGibbsError(
                 f"stationary channel for term {idx} is not CPTP: "
                 f"choi_min_eig={rep.choi_min_eig:.3e} tp_residual={rep.tp_residual:.3e}"
             )
-        factors.append(kernel.channel)
-        projectors.append(kernel.projector)
-        generator += h.mat
-        max_factor_norm = max(max_factor_norm, kernel.h_norm)
-        worst_db = max(worst_db, h.hermiticity_residual)
-    mat = np.eye(kms.dim**2, dtype=complex)
-    for p in factors:
-        mat = mat @ p.mat
+    factors = tuple(k.channel for k in kernels)
+    bases = tuple(k.basis for k in kernels)
+    mat = reduce(np.matmul, (p.mat for p in factors))
     composite = Superoperator(mat=mat, picture="heisenberg", dim=kms.dim)
-    _, gap, kernel_dim = coherent_spectrum(generator)
-    g = noncommutation_degree(projectors)
+    g = projector_noncommutation_degree(bases)
     return DlChannel(
-        factors=tuple(factors),
+        factors=factors,
         composite=composite,
-        kms_projectors=tuple(projectors),
+        kernel_bases=bases,
         gap=gap,
         kernel_dim=kernel_dim,
         g=g,
         q=_contraction_factor(gap, g),
-        max_factor_norm=max_factor_norm,
-        db_residual=worst_db,
+        max_factor_norm=max(k.h_norm for k in kernels),
+        db_residual=max(k.db_residual for k in kernels),
     )
 
 
@@ -285,14 +301,17 @@ def superop_hamiltonian(
 ) -> SpectralReport:
     """Spectral report of H_L = sum_m (I - Pi_m) over the term projectors.
 
-    The Pi_m, the generator gap and kernel dimension, the factor norms and
-    the detailed-balance defects all come from one compose_dl_channel pass.
-    The gap field holds the smallest eigenvalue above the kernel cluster
-    (the quantity that upper-bounds the generator gap); db_residual is the
-    worst per-term detailed-balance defect; dl_residual_energy is the
-    Rayleigh quotient of the normalized product-projected probe vector,
-    whose norm obeys ||prod Pi_m psi||^2 <= 1 / (e_phi / g^2 + 1), with
-    psi the probe_vector off the common kernel.
+    The kernel bases of the Pi_m, the generator gap and kernel dimension,
+    the factor norms and the detailed-balance bounds all come from the
+    kernel pass that compose_dl_channel also runs; no channel is checked
+    or composed and g is not computed.  The gap field holds the smallest eigenvalue
+    above the kernel cluster (the quantity that upper-bounds the generator
+    gap); db_residual is the worst per-term Frobenius bound
+    ||h_m - h_m dagger||_F on the detailed-balance defect;
+    dl_residual_energy is the Rayleigh quotient of the normalized
+    product-projected probe vector, whose norm obeys
+    ||prod Pi_m psi||^2 <= 1 / (e_phi / g^2 + 1), with psi the
+    probe_vector off the common kernel.
 
     Asserts gap(H_L) >= gap(L) - 1e-8 whenever every coherent-form factor
     has spectral norm at most 1 (which is the hypothesis that makes the
@@ -301,11 +320,12 @@ def superop_hamiltonian(
     Also asserts a one-dimensional common kernel when the generator is
     irreducible.
     """
-    channel = compose_dl_channel(terms, kms)
+    kernels, l_gap, l_kernel_dim = _kernel_pass(terms, kms)
+    max_factor_norm = max(k.h_norm for k in kernels)
     d2 = kms.dim**2
     h_l = np.zeros((d2, d2), dtype=complex)
-    for p in channel.kms_projectors:
-        h_l += np.eye(d2) - p
+    for k in kernels:
+        h_l += np.eye(d2) - k.basis @ k.basis.conj().T
     h_l = 0.5 * (h_l + h_l.conj().T)
     w, v = np.linalg.eigh(h_l)
     scale = max(1.0, float(np.abs(w).max()))
@@ -314,31 +334,31 @@ def superop_hamiltonian(
         raise BadParams("term projectors share no common kernel vector")
     gap = float(w[kernel_dim]) if kernel_dim < len(w) else 0.0
     phi = probe_vector(v[:, :kernel_dim])
-    for p in channel.kms_projectors:
-        phi = p @ phi
+    for k in kernels:
+        phi = k.basis @ (k.basis.conj().T @ phi)
     phi_norm = np.linalg.norm(phi)
     if phi_norm < 1e-14:
         energy = gap
     else:
         phi_hat = phi / phi_norm
         energy = float(np.real(phi_hat.conj() @ h_l @ phi_hat))
-    if channel.kernel_dim == 1 and kernel_dim != 1:
+    if l_kernel_dim == 1 and kernel_dim != 1:
         raise DlGibbsError(
             f"generator is irreducible but the term projectors share a "
             f"{kernel_dim}-dimensional kernel"
         )
-    if gap < channel.gap - 1e-8:
+    if gap < l_gap - 1e-8:
         msg = (
-            f"gap(H_L)={gap:.6e} below generator gap {channel.gap:.6e}; "
-            f"max coherent-form factor norm {channel.max_factor_norm:.3f}"
+            f"gap(H_L)={gap:.6e} below generator gap {l_gap:.6e}; "
+            f"max coherent-form factor norm {max_factor_norm:.3f}"
         )
-        if channel.max_factor_norm <= 1.0 + 1e-9:
+        if max_factor_norm <= 1.0 + 1e-9:
             raise DlGibbsError(msg)
         warnings.warn(msg + " (ordering only guaranteed for unit-norm factors)")
     return SpectralReport(
         eigenvalues=w[::-1].copy(),
         gap=gap,
         kernel_dim=kernel_dim,
-        db_residual=channel.db_residual,
+        db_residual=max(k.db_residual for k in kernels),
         dl_residual_energy=energy,
     )

@@ -132,9 +132,26 @@ def test_superop_hamiltonian_builds_one_coherent_form_per_term(monkeypatch):
     terms, kms = _zz2_model()
     sups = _count_calls(monkeypatch, "term_superoperator")
     forms = _count_calls(monkeypatch, "coherent_form")
+    checks = _count_calls(monkeypatch, "cptp_check")
     superop_hamiltonian(terms, kms)
     assert len(sups) == len(terms)
     assert len(forms) == len(terms)
+    # H_L reads only the kernel pass: no factor is checked CPTP.
+    assert checks == []
+
+
+def test_compose_dl_channel_runs_no_superoperator_svd(decomps):
+    ham = make_instance("zz_chain", 3)
+    beta = 0.5
+    terms = build_model(ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=beta))
+    kms = KmsForm(gibbs_state(assemble(ham), beta))
+    d2 = 4**ham.n
+    decomps["svd"].clear()
+    ch = compose_dl_channel(terms, kms)
+    # Detailed balance is decided Frobenius-first, and g is read off the
+    # kernel bases, whose projectors have norm 1 by construction.
+    assert ch.g > 0
+    assert decomps["svd"].count((d2, d2)) == 0
 
 
 def test_commuting_model_runs_no_svd_for_its_zero_coherent_parts(decomps):

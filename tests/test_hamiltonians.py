@@ -20,6 +20,7 @@ from dlgibbs.hamiltonians import (
     is_frustration_free,
     make_instance,
     noncommutation_degree,
+    projector_noncommutation_degree,
     standard_couplings,
 )
 
@@ -139,6 +140,21 @@ def test_noncommutation_degree():
     z = PAULI_Z
     assert noncommutation_degree([x, z]) == 1
     assert noncommutation_degree([x, x]) == 0
+
+
+@pytest.mark.parametrize("factor,expected", [(0.5, 0), (2.0, 1)])
+def test_projector_degree_at_the_tolerance(factor, expected):
+    # Rank-one projectors onto e_0 and cos(t) e_0 + sin(t) e_1 have
+    # ||[P, Q]|| = sin(t) cos(t); both sit in a randomly rotated frame.
+    tol = 1e-10
+    theta = 0.5 * np.arcsin(2.0 * factor * tol)
+    rng = np.random.default_rng(4)
+    frame, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    va = frame[:, :1]
+    vb = np.cos(theta) * frame[:, :1] + np.sin(theta) * frame[:, 1:2]
+    assert projector_noncommutation_degree([va, vb], tol) == expected
+    dense = [va @ va.conj().T, vb @ vb.conj().T]
+    assert noncommutation_degree(dense, tol) == expected
 
 
 def test_standard_couplings():

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,3 +360,24 @@ ell_max = 3
     ) == 0
     rows = (out / "project.csv").read_text().splitlines()[2:]
     assert rows[0].startswith("random_ff_projectors-n4-s9,")
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.special is imported where the anneal boost polynomial needs it;
+    # `import dlgibbs.cli` alone pays for numpy only.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, dlgibbs.cli; "
+        "print(sorted(k for k in sys.modules if k.startswith('scipy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -18,6 +18,7 @@ from dlgibbs.kms import (
     KmsForm,
     LindbladTerm,
     Superoperator,
+    _kron_conj_apply,
     choi_matrix,
     coherent_form,
     cptp_check,
@@ -132,12 +133,44 @@ def test_davies_qubit_spectrum_closed_form():
     assert rep.dl_residual_energy >= rep.gap - 1e-9
 
 
+def _gammas(kms):
+    """Dense Gamma^{1/2} = kron(q, q.conj()) and its inverse, q = sigma^{1/4}."""
+    q, qi = kms.quarter, kms.inv_quarter
+    return np.kron(q, q.conj()), np.kron(qi, qi.conj())
+
+
 def test_coherent_form_conjugation_identity():
     term, kms = _davies_qubit()
     sup = lindblad_superoperator([term], 1)
     h = coherent_form(sup, kms)
-    recon = kms.gamma_inv_half @ h.mat @ kms.gamma_half
+    gamma, gamma_inv = _gammas(kms)
+    recon = gamma_inv @ h.mat @ gamma
     assert np.abs(recon - sup.mat).max() < 1e-12
+
+
+def _complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_tensor_leg_conjugation_matches_dense_kron(d):
+    # A complex, non-diagonal, full-rank sigma: on zz_chain's real diagonal
+    # sigma q.conj() = q, so a slip in conjugation or leg order would not show.
+    rng = np.random.default_rng(d)
+    b = _complex_normal(rng, d, d)
+    kms = KmsForm(b @ b.conj().T + 0.1 * np.eye(d))
+    gamma, gamma_inv = _gammas(kms)
+    lind = _complex_normal(rng, d * d, d * d)
+    tol = 1e-13 * max(1.0, np.linalg.norm(lind, 2))
+    h = coherent_form(Superoperator(lind, "heisenberg", d), kms)
+    assert np.abs(h.mat - gamma @ lind @ gamma_inv).max() <= tol
+    # The leg helper itself is stated for any square a, Hermitian or not.
+    a = _complex_normal(rng, d, d)
+    cols = _complex_normal(rng, d * d, 3)
+    got = _kron_conj_apply(a, cols)
+    assert np.abs(got - np.kron(a, a.conj()) @ cols).max() <= 1e-13 * max(
+        1.0, np.linalg.norm(a, 2) ** 2 * np.linalg.norm(cols, 2)
+    )
 
 
 def test_stationary_channel_structure():
@@ -147,11 +180,15 @@ def test_stationary_channel_structure():
     p = kernel.channel
     assert np.abs(p.mat @ p.mat - p.mat).max() < 1e-10
     assert np.abs(p.apply(np.eye(2)) - np.eye(2)).max() < 1e-10
-    hk = kms.gamma_half @ p.mat @ kms.gamma_inv_half
+    gamma, gamma_inv = _gammas(kms)
+    hk = gamma @ p.mat @ gamma_inv
     assert np.abs(hk - hk.conj().T).max() < 1e-10
-    assert np.abs(kernel.projector - hk).max() < 1e-10
+    v = kernel.basis
+    assert np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() < 1e-12
+    assert np.abs(v @ v.conj().T - hk).max() < 1e-10
     h = coherent_form(sup, kms).mat
     assert kernel.h_norm == pytest.approx(np.linalg.norm(h, 2), rel=1e-12)
+    assert kernel.db_residual == np.linalg.norm(h - h.conj().T)
     schro = p.adjoint()
     assert np.abs(schro.apply(kms.sigma) - kms.sigma).max() < 1e-10
     rep = cptp_check(p)
@@ -164,6 +201,27 @@ def test_stationary_channel_rejects_wrong_state():
     wrong = KmsForm(gibbs_state(PAULI_Z, 0.3))
     with pytest.raises(NotDetailedBalanced):
         stationary_channel(sup, wrong)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_stationary_channel_detailed_balance_boundary(factor):
+    # h + e with e anti-Hermitian keeps the symmetrized h, hence the scale,
+    # and has ||(h + e) - (h + e) dagger|| = ||h - h dagger + 2e||, with h
+    # Hermitian to rounding; e is sized so that this defect is factor times
+    # the bound tol * max(1, ||h||).
+    term, kms = _davies_qubit()
+    h = coherent_form(term_superoperator(term, 1), kms)
+    bound = 1e-8 * max(1.0, np.linalg.norm(h.mat, 2))
+    b = _complex_normal(np.random.default_rng(5), 4, 4)
+    e = b - b.conj().T
+    e *= 0.5 * factor * bound / np.linalg.norm(e, 2)
+    tilted = Superoperator(h.mat + e, "kms", 2)
+    if factor < 1:
+        kernel = stationary_channel(tilted, kms)
+        assert kernel.db_residual >= factor * bound
+    else:
+        with pytest.raises(NotDetailedBalanced):
+            stationary_channel(tilted, kms)
 
 
 def test_stationary_channel_rejects_positive_spectrum():

@@ -1,5 +1,5 @@
-"""Randomized property tests of the norm shortcuts, the Bohr weighting and
-the fidelity floor.
+"""Randomized property tests of the norm shortcuts, the commutation degrees,
+the Bohr weighting and the fidelity floor.
 
 Hypothesis runs derandomized with a fixed example budget, so every run of
 the suite draws the same examples.
@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dlgibbs.hamiltonians import noncommutation_degree
+from dlgibbs.hamiltonians import noncommutation_degree, projector_noncommutation_degree
 from dlgibbs.jumps import WeightProfile, build_coherent, build_jump
 from dlgibbs.linalg import norm_exceeds, spectral_norm
 from test_jumps import reference_coherent, reference_jump
@@ -166,6 +166,61 @@ def matrix_families(draw) -> list[np.ndarray]:
 @given(matrix_families(), st.sampled_from([1e-10, 1e-6]))
 def test_noncommutation_degree_matches_ordered_pair_reference(mats, tol):
     assert noncommutation_degree(mats, tol) == _ordered_pair_degree(mats, tol)
+
+
+def _orthonormal(a: np.ndarray) -> np.ndarray:
+    q, _ = np.linalg.qr(a)
+    return q
+
+
+@st.composite
+def projector_families(draw) -> list[np.ndarray]:
+    """Orthonormal bases of up to six subspaces, some exactly commuting.
+
+    "frame" bases take columns of one shared unitary, so any two commute
+    exactly; "shared" and "nested" bases span the same space as, or a
+    subspace of, an earlier basis, so they commute with it exactly; "tilted"
+    bases turn an earlier one by a small random amount, so their
+    commutators land near the threshold.
+    """
+    d = draw(st.integers(2, 6))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["random", "frame", "shared", "nested", "tilted"]),
+            max_size=6,
+        )
+    )
+    rng = np.random.default_rng(draw(seeds))
+    frame = _orthonormal(_complex_normal(rng, d, d))
+    bases: list[np.ndarray] = []
+    for kind in kinds:
+        if kind == "random":
+            rank = int(rng.integers(1, d + 1))
+            bases.append(_orthonormal(_complex_normal(rng, d, rank)))
+        elif kind == "frame" or not bases:
+            cols = np.sort(rng.permutation(d)[: int(rng.integers(1, d + 1))])
+            bases.append(frame[:, cols])
+        else:
+            prev = bases[int(rng.integers(len(bases)))]
+            r = prev.shape[1]
+            turn = _orthonormal(_complex_normal(rng, r, r))
+            if kind == "shared":
+                bases.append(prev @ turn)
+            elif kind == "nested":
+                bases.append(prev @ turn[:, : int(rng.integers(1, r + 1))])
+            else:
+                eta = 10.0 ** float(rng.uniform(-13.0, -5.0))
+                bases.append(_orthonormal(prev + eta * _complex_normal(rng, d, r)))
+    return bases
+
+
+@PROPERTY
+@given(projector_families(), st.sampled_from([1e-10, 1e-6]))
+def test_projector_degree_matches_dense_noncommutation_degree(bases, tol):
+    dense = [v @ v.conj().T for v in bases]
+    assert projector_noncommutation_degree(bases, tol) == noncommutation_degree(
+        dense, tol
+    )
 
 
 @PROPERTY

@@ -69,7 +69,8 @@ def test_channel_matches_independent_references(kind, seed, kinds, beta):
     gamma = np.kron(quarter, quarter.conj())
     gamma_inv = np.kron(inv_quarter, inv_quarter.conj())
     assert ch.m == len(terms)
-    for t, pi, factor in zip(terms, ch.kms_projectors, ch.factors):
+    for t, basis, factor in zip(terms, ch.kernel_bases, ch.factors):
+        pi = basis @ basis.conj().T
         h = coherent_form(term_superoperator(t, 3), kms).mat
         hw, hv = np.linalg.eigh(0.5 * (h + h.conj().T))
         vk = hv[:, np.abs(hw) <= 1e-9 * max(1.0, np.abs(hw).max())]
@@ -79,10 +80,14 @@ def test_channel_matches_independent_references(kind, seed, kinds, beta):
         assert np.abs(factor.mat - gamma_inv @ pi @ gamma).max() < 1e-10
 
 
+def _kms_projectors(ch):
+    return [v @ v.conj().T for v in ch.kernel_bases]
+
+
 def test_kms_projectors_are_orthogonal_projectors():
     _, terms, kms = _zz3_setup()
     ch = compose_dl_channel(terms, kms)
-    for p in ch.kms_projectors:
+    for p in _kms_projectors(ch):
         assert np.abs(p @ p - p).max() < 1e-9
         assert np.abs(p - p.conj().T).max() < 1e-9
 
@@ -204,10 +209,12 @@ def test_detectability_inequality_on_probe():
     _, terms, kms = _zz3_setup(kinds="xz")
     ch = compose_dl_channel(terms, kms)
     rep = superop_hamiltonian(terms, kms)
-    g = noncommutation_degree(list(ch.kms_projectors))
+    projectors = _kms_projectors(ch)
+    g = noncommutation_degree(projectors)
+    assert g == ch.g
     d2 = kms.dim**2
     h_l = np.zeros((d2, d2), dtype=complex)
-    for p in ch.kms_projectors:
+    for p in projectors:
         h_l += np.eye(d2) - p
     w, v = np.linalg.eigh(0.5 * (h_l + h_l.conj().T))
     kernel = v[:, np.abs(w) <= 1e-9 * max(1.0, np.abs(w).max())]
@@ -217,7 +224,7 @@ def test_detectability_inequality_on_probe():
         psi = psi - kernel @ (kernel.conj().T @ psi)
         psi = psi / np.linalg.norm(psi)
         phi = psi
-        for p in ch.kms_projectors:
+        for p in projectors:
             phi = p @ phi
         nrm2 = float(np.linalg.norm(phi) ** 2)
         if nrm2 < 1e-14:
@@ -238,7 +245,7 @@ def test_fixed_point_of_round_channel():
 def test_iterate_and_contraction_check_share_channel_invariants(monkeypatch):
     import dlgibbs.sampler as sampler
 
-    counts = {"coherent_spectrum": 0, "noncommutation_degree": 0}
+    counts = {"coherent_spectrum": 0, "projector_noncommutation_degree": 0}
     for name in counts:
         real = getattr(sampler, name)
 
@@ -256,4 +263,4 @@ def test_iterate_and_contraction_check_share_channel_invariants(monkeypatch):
     assert (trace.g, trace.q) == (rep.g, rep.q) == (ch.g, ch.q)
     assert (trace.gap, trace.kernel_dim) == (ch.gap, ch.kernel_dim)
     assert ch.g > 0 and 0.0 < ch.q < 1.0
-    assert counts == {"coherent_spectrum": 1, "noncommutation_degree": 1}
+    assert counts == {"coherent_spectrum": 1, "projector_noncommutation_degree": 1}
