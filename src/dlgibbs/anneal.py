@@ -253,8 +253,8 @@ def transition(
     singular vectors is gauge independent when the top singular value is
     simple, which the RankAmbiguous check enforces.
     """
-    pa = np.asarray(pa, dtype=complex)
-    pb = np.asarray(pb, dtype=complex)
+    pa = np.asarray(pa)
+    pb = np.asarray(pb)
     if pa.shape != pb.shape or pa.ndim != 2 or pa.shape[0] != pa.shape[1]:
         raise BadParams(f"projector shapes {pa.shape} and {pb.shape} do not match")
     svd = singular_value_decompose(pb @ pa)

@@ -3,7 +3,10 @@
 Qubit 0 is the most significant tensor factor: a register basis state
 |b_0 b_1 ... b_{n-1}> has index sum_i b_i 2^{n-1-i}.  A LocalOperator's
 support lists the qubits its matrix acts on, in tensor-factor order, so
-embedding permutes axes rather than assuming contiguity.
+embedding permutes axes rather than assuming contiguity.  Operator
+matrices are float64 when their entries are exactly real and complex128
+otherwise (linalg.real_if_exact), and embedding and assembly keep that
+dtype.
 """
 
 from __future__ import annotations
@@ -21,7 +24,12 @@ from .errors import (
     SupportOutOfRange,
     UnknownKind,
 )
-from .linalg import hermitian_eigendecompose, norm_exceeds, spectral_norm
+from .linalg import (
+    hermitian_eigendecompose,
+    norm_exceeds,
+    real_if_exact,
+    spectral_norm,
+)
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -32,13 +40,16 @@ PAULI = {"i": PAULI_I, "x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
 @dataclass(frozen=True)
 class LocalOperator:
-    """Dense matrix acting on the qubits listed in support."""
+    """Dense matrix acting on the qubits listed in support.
+
+    op is float64 when its entries are exactly real, complex128 otherwise.
+    """
 
     op: np.ndarray
     support: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        op = np.asarray(self.op, dtype=complex)
+        op = real_if_exact(self.op)
         object.__setattr__(self, "op", op)
         support = tuple(int(q) for q in self.support)
         object.__setattr__(self, "support", support)
@@ -98,7 +109,7 @@ def embed(op: LocalOperator, n: int) -> np.ndarray:
         raise SupportOutOfRange(f"support {op.support} exceeds register size {n}")
     p = len(op.support)
     rest = [q for q in range(n) if q not in op.support]
-    full = np.kron(op.op, np.eye(2 ** (n - p), dtype=complex))
+    full = np.kron(op.op, np.eye(2 ** (n - p), dtype=op.op.dtype))
     order = list(op.support) + rest
     perm = [order.index(q) for q in range(n)]
     t = full.reshape([2] * (2 * n))
@@ -109,7 +120,7 @@ def embed(op: LocalOperator, n: int) -> np.ndarray:
 def assemble(ham: LocalHamiltonian) -> np.ndarray:
     """Dense matrix of the full Hamiltonian."""
     d = 2**ham.n
-    h = np.zeros((d, d), dtype=complex)
+    h = np.zeros((d, d), dtype=np.result_type(float, *(t.op for t in ham.terms)))
     for t in ham.terms:
         h += embed(t, ham.n)
     return h
@@ -198,7 +209,8 @@ def ground_space(
     if isinstance(h, LocalHamiltonian):
         # Summed in assemble's order, so h is bitwise assemble(ham).
         embedded = [embed(t, h.n) for t in h.terms]
-        h = sum(embedded, np.zeros((2**h.n, 2**h.n), dtype=complex))
+        zero = np.zeros((2**h.n, 2**h.n), dtype=np.result_type(float, *embedded))
+        h = sum(embedded, zero)
     eig = hermitian_eigendecompose(h)
     w, v = eig.eigenvalues, eig.eigenvectors
     scale = max(1.0, float(np.abs(w).max()))
@@ -288,7 +300,7 @@ def make_instance(kind: str, n: int, seed: int = 0) -> LocalHamiltonian:
         for i in range(n - 1):
             diag = rng.integers(0, 2, size=4).astype(float)
             diag[0] = 0.0
-            terms.append(LocalOperator(np.diag(diag).astype(complex), (i, i + 1)))
+            terms.append(LocalOperator(np.diag(diag), (i, i + 1)))
     else:
         raise UnknownKind(f"unknown instance kind {kind!r}")
     return LocalHamiltonian(n=n, terms=tuple(terms))

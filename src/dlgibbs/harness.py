@@ -227,7 +227,7 @@ def _run_mix(cfg: ExperimentConfig):
     kms = KmsForm(gibbs_state(assemble(ham), beta))
     channel = compose_dl_channel(terms, kms)
     dim = 2**ham.n
-    rho0 = np.zeros((dim, dim), dtype=complex)
+    rho0 = np.zeros((dim, dim))
     rho0[0, 0] = 1.0
     trace = iterate(channel, rho0, kms, k_max)
     columns = ["k", "trace_distance", "bound", "channel_applications"]

@@ -23,6 +23,16 @@ X -> A X B has matrix kron(A, B^T) and the Heisenberg Lindbladian
 
 has matrix sum_j [ kron(L_j', L_j^T) - (1/2) kron(L_j' L_j, I)
 - (1/2) kron(I, (L_j' L_j)^T) ] + i kron(G_c, I) - i kron(I, G_c^T).
+
+Dtype rule: an array is float64 when its data are exactly real and
+complex128 otherwise.  LocalOperator, KmsForm and Superoperator demote
+their input with linalg.real_if_exact, and nothing downstream casts to
+complex, so a model whose generator and state are exactly real runs every
+eigendecomposition, SVD and product in real arithmetic, while complex
+models (random_ff_projectors) take the same code in complex arithmetic.
+zz_chain, field_chain and commuting_projectors are real with any of the
+x, y, z couplings: a y jump L = iR is complex, but kron(L', L^T) =
+kron(R^T, R^T) and L'L = R^T R are exactly real.
 """
 
 from __future__ import annotations
@@ -43,7 +53,13 @@ from .errors import (
     SingularSigma,
 )
 from .hamiltonians import LocalOperator, embed
-from .linalg import hermitian_eigendecompose, norm_exceeds, spectral_norm
+from .linalg import (
+    accumulate,
+    hermitian_eigendecompose,
+    norm_exceeds,
+    real_if_exact,
+    spectral_norm,
+)
 
 _PICTURES = ("heisenberg", "schrodinger", "kms")
 
@@ -53,14 +69,18 @@ DETAILED_BALANCE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Matrix acting on vectorized operators, tagged with its picture."""
+    """Matrix acting on vectorized operators, tagged with its picture.
+
+    mat is float64 when its entries are exactly real, complex128 otherwise;
+    apply demotes its operand by the same rule.
+    """
 
     mat: np.ndarray
     picture: str
     dim: int
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.mat, dtype=complex)
+        mat = real_if_exact(self.mat)
         object.__setattr__(self, "mat", mat)
         if self.picture not in _PICTURES:
             raise BadParams(f"unknown picture {self.picture!r}")
@@ -71,7 +91,7 @@ class Superoperator:
             )
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
+        x = real_if_exact(x)
         if x.shape != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"operand shape {x.shape} does not match dim {self.dim}"
@@ -111,13 +131,15 @@ class KmsForm:
 
     The input is Hermitian-validated and trace-normalized; the smallest
     eigenvalue after normalization must exceed min_eig (default 1e-14).
+    An exactly real sigma is demoted to float64, so its eigenvectors and
+    powers are real as well.
     Note the tension with large beta * ||H||: at beta * spread = 80 the
     smallest Gibbs weight is ~1e-35, far below the default threshold, so
     high-beta studies must loosen min_eig deliberately.
     """
 
     def __init__(self, sigma: np.ndarray, min_eig: float = 1e-14):
-        sigma = np.asarray(sigma, dtype=complex)
+        sigma = real_if_exact(sigma)
         eig = hermitian_eigendecompose(sigma)
         tr = float(np.real(eig.eigenvalues.sum()))
         if tr <= 0:
@@ -188,8 +210,8 @@ def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
 
 def kms_inner_product(x: np.ndarray, y: np.ndarray, kms: KmsForm) -> complex:
     """<X, Y>_sigma = Tr[X dagger sqrt(sigma) Y sqrt(sigma)]."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
+    x = np.asarray(x)
+    y = np.asarray(y)
     if x.shape != (kms.dim, kms.dim) or y.shape != x.shape:
         raise DimensionMismatch(
             f"operands {x.shape}, {y.shape} do not match dim {kms.dim}"
@@ -199,10 +221,17 @@ def kms_inner_product(x: np.ndarray, y: np.ndarray, kms: KmsForm) -> complex:
 
 
 def term_superoperator(term: LindbladTerm, n: int) -> Superoperator:
-    """Heisenberg-picture matrix of one embedded Lindblad term."""
+    """Heisenberg-picture matrix of one embedded Lindblad term.
+
+    Real unless a jump is complex or a coherent part (the i terms) is
+    present.
+    """
     d = 2**n
-    ident = np.eye(d, dtype=complex)
-    mat = np.zeros((d * d, d * d), dtype=complex)
+    dtype = np.result_type(float, *(j.op for j in term.jumps))
+    if term.coherent is not None:
+        dtype = np.dtype(complex)
+    ident = np.eye(d, dtype=dtype)
+    mat = np.zeros((d * d, d * d), dtype=dtype)
     for j in term.jumps:
         lj = embed(j, n)
         ljd = lj.conj().T
@@ -224,11 +253,10 @@ def lindblad_superoperator(terms: Sequence[LindbladTerm], n: int) -> Superoperat
     """
     if not terms:
         raise BadParams("need at least one Lindblad term")
-    d = 2**n
-    mat = np.zeros((d * d, d * d), dtype=complex)
+    mat = None
     for t in terms:
-        mat += term_superoperator(t, n).mat
-    return Superoperator(mat=mat, picture="heisenberg", dim=d)
+        mat = accumulate(mat, term_superoperator(t, n).mat)
+    return Superoperator(mat=mat, picture="heisenberg", dim=2**n)
 
 
 def coherent_form(lind: Superoperator, kms: KmsForm) -> Superoperator:
@@ -269,7 +297,7 @@ def probe_vector(kernel_vecs: np.ndarray) -> np.ndarray:
     seeded random vector stands in when that component is everything.
     """
     d2 = kernel_vecs.shape[0]
-    psi = np.ones(d2, dtype=complex) / np.sqrt(d2)
+    psi = np.ones(d2) / np.sqrt(d2)
     if kernel_vecs.size:
         psi = psi - kernel_vecs @ (kernel_vecs.conj().T @ psi)
     nrm = np.linalg.norm(psi)
@@ -407,7 +435,7 @@ class CptpReport:
 
 def choi_matrix(schrodinger_mat: np.ndarray, d: int) -> np.ndarray:
     """Choi matrix C[(k,i),(l,j)] = S[(k,l),(i,j)] of a Schrodinger map."""
-    s = np.asarray(schrodinger_mat, dtype=complex)
+    s = np.asarray(schrodinger_mat)
     if s.shape != (d * d, d * d):
         raise DimensionMismatch(f"superoperator shape {s.shape} for dim {d}")
     return s.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
@@ -426,7 +454,7 @@ def cptp_check(channel: Superoperator, tol: float = 1e-9) -> CptpReport:
     d = channel.dim
     choi = choi_matrix(s_mat, d)
     wmin = float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min())
-    ident = np.eye(d, dtype=complex)
+    ident = np.eye(d, dtype=heis_mat.dtype)
     tp_res = float(
         np.linalg.norm((heis_mat @ ident.reshape(-1)).reshape(d, d) - ident)
     )

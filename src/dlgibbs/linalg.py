@@ -3,8 +3,11 @@
 Thin wrappers over numpy that fix the conventions the rest of the
 package relies on: eigenvalues ascending, singular values descending with a
 deterministic sign gauge, trace distance with diameter 2, and a partial
-trace that validates its factorization.  All checks raise typed errors from
-:mod:`dlgibbs.errors` instead of letting numpy failures propagate raw.
+trace that validates its factorization.  All checks raise typed errors
+from :mod:`dlgibbs.errors` instead of letting numpy failures propagate
+raw.  The wrappers keep the dtype of their input, so exactly-real data
+run the real LAPACK and BLAS routines; real_if_exact is the one place
+where complex data become real.
 """
 
 from __future__ import annotations
@@ -41,15 +44,46 @@ class HermitianEig:
 class Svd:
     """Decomposition a = U diag(s) Vh with s descending.
 
-    Gauge: the first entry of each column of U whose magnitude exceeds
-    1e-12 times the column norm is made real and nonnegative (the
-    compensating phase is absorbed into the matching row of Vh), so
-    repeated runs on identical input are bit-identical.
+    U and Vh have the input's dtype.  Gauge: the first entry of each
+    column of U whose magnitude exceeds 1e-12 times the column norm is made
+    real and nonnegative, by a unit phase for complex input and by a sign
+    flip for real input (the compensating factor is absorbed into the
+    matching row of Vh), so repeated runs on identical input are
+    bit-identical.
     """
 
     u: np.ndarray
     s: np.ndarray
     vh: np.ndarray
+
+
+def real_if_exact(a: np.ndarray) -> np.ndarray:
+    """a as a float64 array when it is exactly real, else unchanged.
+
+    Complex input is demoted only when every imaginary part is exactly
+    zero; there is no tolerance, so an imaginary part of 1e-300 keeps the
+    array complex.  A demoted array is a C-contiguous copy of a.real (not
+    the strided view); integer and boolean input becomes float64, and
+    float64 input is returned as it is.
+    """
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        return a if a.imag.any() else np.ascontiguousarray(a.real, dtype=float)
+    return np.asarray(a, dtype=float)
+
+
+def accumulate(total: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """total + x, written into total unless the sum needs a wider dtype.
+
+    A total of None starts the sum with a copy of x, so a sum of real
+    arrays stays real and turns complex at the first complex term.
+    """
+    if total is None:
+        return np.array(x)
+    if np.result_type(total, x) != total.dtype:
+        return total + x
+    total += x
+    return total
 
 
 def _as_square(a: np.ndarray, what: str) -> np.ndarray:
@@ -97,8 +131,6 @@ def singular_value_decompose(a: np.ndarray) -> Svd:
         u, s, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"svd failed to converge: {exc}") from exc
-    u = u.astype(complex, copy=True)
-    vh = vh.astype(complex, copy=True)
     k = min(u.shape[1], vh.shape[0])
     for j in range(k):
         col = u[:, j]

@@ -55,6 +55,7 @@ from .kms import (
     term_superoperator,
 )
 from .linalg import (
+    accumulate,
     hermitian_eigendecompose,
     hermiticity_residual,
     norm_exceeds,
@@ -158,11 +159,11 @@ def build_parent(
     if 2**n != d:
         raise BadParams(f"state dimension {d} is not a power of 2")
     parent_terms: list[ParentTerm] = []
-    raw = np.zeros((d * d, d * d), dtype=complex)
+    raw = None
     for idx, t in enumerate(terms):
         form = coherent_form(term_superoperator(t, n), kms).mat
         _check_detailed_balance(form - form.conj().T, f"term {idx}", beta)
-        raw += form
+        raw = accumulate(raw, form)
         h_a = 0.5 * (form + form.conj().T)
         parent_terms.append(ParentTerm(mat=h_a, support=_doubled_support(t.support, n)))
     _check_detailed_balance(raw - raw.conj().T, "the sum of the terms", beta)

@@ -51,7 +51,7 @@ from .kms import (
     stationary_channel,
     term_superoperator,
 )
-from .linalg import norm_exceeds, schatten1_distance
+from .linalg import accumulate, norm_exceeds, real_if_exact, schatten1_distance
 
 
 @dataclass(frozen=True)
@@ -130,11 +130,11 @@ def _kernel_pass(
     if 2**n != kms.dim:
         raise DimensionMismatch(f"state dimension {kms.dim} is not a power of 2")
     kernels = []
-    generator = np.zeros((kms.dim**2, kms.dim**2), dtype=complex)
+    generator = None
     for t in terms:
         h = coherent_form(term_superoperator(t, n), kms)
         kernels.append(stationary_channel(h, kms))
-        generator += h.mat
+        generator = accumulate(generator, h.mat)
     _, gap, kernel_dim = coherent_spectrum(generator)
     return kernels, gap, kernel_dim
 
@@ -198,7 +198,7 @@ def iterate(
     1 / sqrt(sigma_min) and observed distances may exceed it, which the
     violations property reports rather than hides.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0 = real_if_exact(rho0)
     if rho0.shape != (kms.dim, kms.dim):
         raise DimensionMismatch(f"state shape {rho0.shape} vs dim {kms.dim}")
     if norm_exceeds(rho0 - rho0.conj().T, 1e-10):
@@ -323,7 +323,8 @@ def superop_hamiltonian(
     kernels, l_gap, l_kernel_dim = _kernel_pass(terms, kms)
     max_factor_norm = max(k.h_norm for k in kernels)
     d2 = kms.dim**2
-    h_l = np.zeros((d2, d2), dtype=complex)
+    dtype = np.result_type(float, *(k.basis for k in kernels))
+    h_l = np.zeros((d2, d2), dtype=dtype)
     for k in kernels:
         h_l += np.eye(d2) - k.basis @ k.basis.conj().T
     h_l = 0.5 * (h_l + h_l.conj().T)

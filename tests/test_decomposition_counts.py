@@ -22,36 +22,51 @@ from dlgibbs.hamiltonians import (
 from dlgibbs.jumps import WeightProfile, build_model
 from dlgibbs.kms import KmsForm, gibbs_state
 from dlgibbs.linalg import spectral_norm
-from dlgibbs.parent import build_parent, verify_parent
+from dlgibbs.parent import build_parent, parent_projector_input, verify_parent
 from dlgibbs.projector import dl_operator, singular_gap
 from dlgibbs.sampler import compose_dl_channel, superop_hamiltonian
 
 
 @pytest.fixture
 def decomps(monkeypatch):
-    """Record the input shape of every numpy eigh and SVD (incl. 2-norms)."""
-    calls: dict[str, list[tuple[int, ...]]] = {"eigh": [], "svd": []}
-    real_eigh = np.linalg.eigh
-    real_svd = np.linalg.svd
+    """Record every numpy eigh, eigvalsh and SVD (incl. 2-norms).
+
+    calls[kind] lists the input shapes of that kind, and calls["dtypes"]
+    lists (kind, shape, dtype name) for every call in order.
+    """
+    calls: dict[str, list] = {"eigh": [], "eigvalsh": [], "svd": [], "dtypes": []}
+
+    def record(kind, a):
+        calls[kind].append(np.shape(a))
+        calls["dtypes"].append((kind, np.shape(a), np.asarray(a).dtype.name))
+
+    def recording(kind, real):
+        def wrapper(a, *args, **kwargs):
+            record(kind, a)
+            return real(a, *args, **kwargs)
+
+        return wrapper
+
     real_norm = np.linalg.norm
-
-    def eigh(a, *args, **kwargs):
-        calls["eigh"].append(np.shape(a))
-        return real_eigh(a, *args, **kwargs)
-
-    def svd(a, *args, **kwargs):
-        calls["svd"].append(np.shape(a))
-        return real_svd(a, *args, **kwargs)
 
     def norm(x, ord=None, *args, **kwargs):
         if ord == 2 and np.ndim(x) == 2:
-            calls["svd"].append(np.shape(x))
+            record("svd", x)
         return real_norm(x, ord, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    monkeypatch.setattr(np.linalg, "svd", svd)
+    for kind in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, kind, recording(kind, getattr(np.linalg, kind)))
     monkeypatch.setattr(np.linalg, "norm", norm)
     return calls
+
+
+def _complex_calls(calls, shape):
+    """The recorded decompositions of the given shape that ran in complex."""
+    return [
+        (kind, dtype)
+        for kind, sh, dtype in calls["dtypes"]
+        if sh == shape and dtype.startswith("complex")
+    ]
 
 
 def test_dl_operator_and_singular_gap_share_one_ground_space(decomps):
@@ -226,3 +241,49 @@ def test_dl_qsvt_anneal_reads_parent_terms_through_local_blocks(decomps):
     # their local blocks, with no (4^n, 4^n) SVD for norm or locality.
     k = sched.steps
     assert decomps["svd"].count((d2, d2)) == 2 * (k + 1) + 2 * k
+
+
+def _real_model(couplings):
+    ham = make_instance("zz_chain", 3)
+    w = WeightProfile(beta=0.5)
+    terms = build_model(ham, standard_couplings(ham.n, couplings), w)
+    return ham, terms, w, KmsForm(gibbs_state(assemble(ham), 0.5))
+
+
+def test_real_model_runs_no_complex_superoperator_decomposition(decomps):
+    ham, terms, w, kms = _real_model("xz")
+    d2 = (4**ham.n, 4**ham.n)
+    compose_dl_channel(terms, kms)
+    pin = parent_projector_input(build_parent(terms, kms, beta=0.5))
+    singular_gap(dl_operator(pin.ham), pin.ham)
+    sched = make_schedule(0.5, spectral_norm(assemble(ham)))
+    run_annealing(ham, standard_couplings(ham.n, "xz"), w, sched, 0.1, "dl_qsvt")
+    # Every jump, sigma, coherent form, Choi matrix, parent term and DL
+    # factor of zz_chain is exactly real, so each 4^n decomposition runs the
+    # real LAPACK routine.
+    assert {kind for kind, sh, _ in decomps["dtypes"] if sh == d2} == {
+        "eigh",
+        "eigvalsh",
+        "svd",
+    }
+    assert _complex_calls(decomps, d2) == []
+
+
+def test_complex_model_keeps_complex_superoperator_decompositions(decomps):
+    terms, kms = _noncommuting_model()
+    d2 = (kms.dim**2, kms.dim**2)
+    compose_dl_channel(terms, kms)
+    build_parent(terms, kms, beta=0.5)
+    kinds = {kind for kind, _ in _complex_calls(decomps, d2)}
+    assert kinds == {"eigh", "eigvalsh"}
+
+
+def test_imaginary_jumps_with_a_real_lindbladian_run_real(decomps):
+    # A y coupling on a real H gives a purely imaginary jump L = iR: its
+    # data stay complex, but kron(L dagger, L^T) = kron(R^T, R^T) and
+    # L dagger L = R^T R are exactly real, so the superoperator is real.
+    ham, terms, _, kms = _real_model("xyz")
+    assert {t.jumps[0].op.dtype.name for t in terms} == {"float64", "complex128"}
+    ch = compose_dl_channel(terms, kms)
+    assert ch.composite.mat.dtype == np.float64
+    assert _complex_calls(decomps, (4**ham.n, 4**ham.n)) == []

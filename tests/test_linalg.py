@@ -12,9 +12,12 @@ from dlgibbs.errors import (
     SupportOutOfRange,
 )
 from dlgibbs.linalg import (
+    _RECON_TOL,
+    accumulate,
     devectorize,
     hermitian_eigendecompose,
     partial_trace,
+    real_if_exact,
     schatten1_distance,
     singular_value_decompose,
     spectral_norm,
@@ -73,6 +76,55 @@ def test_svd_gauge_deterministic_on_complex_input():
         pivots.append(col[nz[0]])
     assert max(abs(p.imag) for p in pivots) < 1e-12
     assert min(p.real for p in pivots) > 0
+
+
+def test_svd_keeps_real_input_real_with_a_sign_gauge():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(6, 4))
+    s1 = singular_value_decompose(a)
+    s2 = singular_value_decompose(a.copy())
+    assert s1.u.dtype == np.float64 and s1.vh.dtype == np.float64
+    assert np.array_equal(s1.u, s2.u) and np.array_equal(s1.vh, s2.vh)
+    for j in range(4):
+        col = s1.u[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.linalg.norm(col))
+        assert col[nz[0]] > 0
+    # -a has the same singular vectors up to sign, and the gauge picks the
+    # same U, so the sign lands on Vh.
+    flipped = singular_value_decompose(-a)
+    assert np.abs(flipped.u[:, :4] - s1.u[:, :4]).max() < 1e-12
+    assert np.abs(flipped.vh + s1.vh).max() < 1e-12
+    recon = (s1.u[:, :4] * s1.s) @ s1.vh
+    assert np.linalg.norm(recon - a) <= _RECON_TOL * np.linalg.norm(a)
+
+
+def test_real_if_exact_demotes_only_exactly_real_data():
+    tiny = np.array([[1.0, 1e-300j], [-1e-300j, 1.0]])
+    assert real_if_exact(tiny) is tiny
+    cplx = np.array([[0, -1j], [1j, 0]])
+    assert real_if_exact(cplx) is cplx
+    for dtype in (int, bool, np.float32):
+        out = real_if_exact(np.eye(3, dtype=dtype))
+        assert out.dtype == np.float64
+        assert np.array_equal(out, np.eye(3))
+    # The real part of a complex array is a strided view; the result is not.
+    zero_imag = np.arange(12.0).reshape(3, 4) + 0j
+    out = real_if_exact(zero_imag)
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    assert np.array_equal(out, zero_imag.real)
+    real = np.arange(6.0).reshape(2, 3)
+    assert real_if_exact(real) is real
+
+
+def test_accumulate_promotes_only_when_needed():
+    a = np.ones((2, 2))
+    total = accumulate(None, a)
+    assert total is not a and total.dtype == np.float64
+    same = accumulate(total, a)
+    assert same is total and np.array_equal(total, 2 * a)
+    wider = accumulate(total, 1j * a)
+    assert wider.dtype == np.complex128
+    assert np.array_equal(wider, (2 + 1j) * a)
 
 
 def test_schatten1_distance_orthogonal_states():
