@@ -104,6 +104,8 @@ def hermitian_eigendecompose(a: np.ndarray, tol: float = 1e-10) -> HermitianEig:
 
     Rejects inputs whose anti-Hermitian part exceeds tol relative to
     max(1, ||a||_F); verifies the reconstruction V diag(w) V† afterwards.
+    An input whose residual is exactly 0.0 already equals its
+    symmetrization, so eigh gets it as it is, without a symmetrized copy.
     """
     a = _as_square(a, "hermitian_eigendecompose input")
     scale = max(1.0, float(np.linalg.norm(a)))
@@ -113,7 +115,7 @@ def hermitian_eigendecompose(a: np.ndarray, tol: float = 1e-10) -> HermitianEig:
             f"hermiticity residual {res:.3e} exceeds {tol:.1e} * {scale:.3e}"
         )
     try:
-        w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+        w, v = np.linalg.eigh(a if res == 0.0 else 0.5 * (a + a.conj().T))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh failed to converge: {exc}") from exc
     recon = float(np.linalg.norm((v * w) @ v.conj().T - a))

@@ -56,21 +56,17 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class DlOperator:
-    """Ordered product of per-term ground projectors with cached SVD.
+    """Ordered product of m per-term ground projectors with cached SVD.
 
-    ground_dimension and ground_gap describe the ground space of the
-    Hamiltonian the factors came from, as found by its frustration check.
+    Only the composite and m are kept of the product.  ground_dimension and
+    ground_gap describe the ground space of the Hamiltonian the factors came
+    from, as found by its frustration check.
     """
 
-    factors: tuple[np.ndarray, ...]
+    m: int
     composite: np.ndarray
-    n: int
     ground_dimension: int
     ground_gap: float
-
-    @property
-    def m(self) -> int:
-        return len(self.factors)
 
     @cached_property
     def svd(self) -> Svd:
@@ -150,6 +146,8 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
 
     Refuses Hamiltonians that are not frustration-free: without a shared
     per-term kernel the product no longer relates to the ground space.
+    Each embedded factor is multiplied into the composite as soon as it is
+    made; none is kept.
     """
     if ham.m == 0:
         raise BadParams("need at least one term")
@@ -159,7 +157,7 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
             "ground space is not annihilated by every term "
             f"(residual {gs.frustration_residual:.3e})"
         )
-    factors = []
+    comp = None
     for t in ham.terms:
         eig = hermitian_eigendecompose(t.op)
         w = eig.eigenvalues
@@ -169,14 +167,11 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
         # ||(p (x) I)^2 - p (x) I|| = ||p^2 - p||, so p is checked before embed.
         if norm_exceeds(p @ p - p, 1e-10) or norm_exceeds(p - p.conj().T, 1e-10):
             raise BadParams("term ground projector failed the idempotence check")
-        factors.append(embed(type(t)(p, t.support), ham.n))
-    comp = factors[0].copy()
-    for p in factors[1:]:
-        comp = comp @ p
+        factor = embed(type(t)(p, t.support), ham.n)
+        comp = factor if comp is None else comp @ factor
     return DlOperator(
-        factors=tuple(factors),
+        m=ham.m,
         composite=comp,
-        n=ham.n,
         ground_dimension=gs.dimension,
         ground_gap=gs.gap,
     )

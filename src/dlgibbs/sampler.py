@@ -16,18 +16,19 @@ non-commutation degree of the Pi_m.  Iterating from rho_0 then obeys
 
 The comparison Hamiltonian H_L = sum_m (I - Pi_m) is positive
 semidefinite; its gap above the common kernel upper-bounds the generator
-gap and drives the projector bounds downstream.  One kernel pass over the
-terms derives each coherent form h_m once, the orthonormal kernel basis V_m
-of h_m (Pi_m = V_m V_m dagger), P_m from V_m, and the generator's coherent
-form as the sum of the h_m; the channel step then checks and composes the
-P_m and reads g off the V_m.  No dense Pi_m is formed outside H_L.
+gap and drives the projector bounds downstream; it is read off the same
+channel.  compose_dl_channel is the one pass over the terms: it derives
+each coherent form h_m once, the orthonormal kernel basis V_m of h_m
+(Pi_m = V_m V_m dagger) and P_m from V_m, checks P_m CPTP and multiplies
+it into the composite, so at most one factor is held at a time.  The
+generator's coherent form is the sum of the h_m, and g is read off the
+V_m.  No dense Pi_m is formed outside H_L.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .kms import (
     LindbladTerm,
     SpectralReport,
     Superoperator,
-    TermKernel,
     coherent_form,
     coherent_spectrum,
     cptp_check,
@@ -56,18 +56,19 @@ from .linalg import accumulate, norm_exceeds, real_if_exact, schatten1_distance
 
 @dataclass(frozen=True)
 class DlChannel:
-    """Ordered product of per-term stationary channels.
+    """Ordered product of the m per-term stationary channels.
 
-    kernel_bases holds each term's orthonormal kernel basis V_m, so the KMS
-    projector is Pi_m = V_m V_m dagger.  gap and kernel_dim describe the
-    coherent form of the full generator, g is the non-commutation degree of
-    the Pi_m and q the one-round contraction factor they certify;
-    max_factor_norm is the largest ||h_m|| and db_residual the largest
-    Frobenius bound ||h_m - h_m dagger||_F over the terms' coherent forms.
-    All are computed once, at composition.
+    Only the composite and m are kept of the product; the factors P_m are
+    dropped once multiplied in.  kernel_bases holds each term's orthonormal
+    kernel basis V_m, so the KMS projector is Pi_m = V_m V_m dagger.  gap
+    and kernel_dim describe the coherent form of the full generator, g is
+    the non-commutation degree of the Pi_m and q the one-round contraction
+    factor they certify; max_factor_norm is the largest ||h_m|| and
+    db_residual the largest Frobenius bound ||h_m - h_m dagger||_F over the
+    terms' coherent forms.  All are computed once, at composition.
     """
 
-    factors: tuple[Superoperator, ...]
+    m: int
     composite: Superoperator
     kernel_bases: tuple[np.ndarray, ...]
     gap: float
@@ -76,10 +77,6 @@ class DlChannel:
     q: float
     max_factor_norm: float
     db_residual: float
-
-    @property
-    def m(self) -> int:
-        return len(self.factors)
 
 
 @dataclass(frozen=True)
@@ -116,64 +113,57 @@ class ContractionReport:
     q: float
 
 
-def _kernel_pass(
-    terms: list[LindbladTerm] | tuple[LindbladTerm, ...], kms: KmsForm
-) -> tuple[list[TermKernel], float, int]:
-    """Each term's kernel and pullback, and the generator's gap and kernel_dim.
+def compose_dl_channel(
+    terms: list[LindbladTerm] | tuple[LindbladTerm, ...],
+    kms: KmsForm,
+) -> DlChannel:
+    """Build the round channel in one pass over the terms.
 
-    The generator spectrum is that of the sum of the terms' coherent forms
-    (the coherent form is linear).
+    The composite's Heisenberg matrix is the product in term order, so its
+    Schrodinger adjoint applies the first term's factor to the state first.
+    Each term's coherent form h_m gives its stationary channel P_m, which
+    is checked CPTP and multiplied into the composite at once; only V_m,
+    ||h_m|| and the detailed-balance bound are kept.  The generator
+    spectrum comes from the sum of the h_m (the coherent form is linear)
+    and g from the kernel bases.  The channel invariants are computed here,
+    once, for iterate, contraction_check and superop_hamiltonian.
     """
     if not terms:
         raise BadParams("need at least one term to compose a channel")
     n = int(round(np.log2(kms.dim)))
     if 2**n != kms.dim:
         raise DimensionMismatch(f"state dimension {kms.dim} is not a power of 2")
-    kernels = []
-    generator = None
-    for t in terms:
+    composite = generator = None
+    bases = []
+    h_norms = []
+    db_residuals = []
+    for idx, t in enumerate(terms):
         h = coherent_form(term_superoperator(t, n), kms)
-        kernels.append(stationary_channel(h, kms))
-        generator = accumulate(generator, h.mat)
-    _, gap, kernel_dim = coherent_spectrum(generator)
-    return kernels, gap, kernel_dim
-
-
-def compose_dl_channel(
-    terms: list[LindbladTerm] | tuple[LindbladTerm, ...],
-    kms: KmsForm,
-) -> DlChannel:
-    """Build the round channel from per-term stationary channels.
-
-    The composite's Heisenberg matrix is the product in term order, so its
-    Schrodinger adjoint applies the first term's factor to the state first.
-    After the kernel pass, each factor is checked CPTP, the factors are
-    multiplied and g is read off the kernel bases.  The channel invariants
-    are computed here, once, for iterate and contraction_check.
-    """
-    kernels, gap, kernel_dim = _kernel_pass(terms, kms)
-    for idx, k in enumerate(kernels):
+        k = stationary_channel(h, kms)
         rep = cptp_check(k.channel)
         if not (rep.cp and rep.tp):
             raise DlGibbsError(
                 f"stationary channel for term {idx} is not CPTP: "
                 f"choi_min_eig={rep.choi_min_eig:.3e} tp_residual={rep.tp_residual:.3e}"
             )
-    factors = tuple(k.channel for k in kernels)
-    bases = tuple(k.basis for k in kernels)
-    mat = reduce(np.matmul, (p.mat for p in factors))
-    composite = Superoperator(mat=mat, picture="heisenberg", dim=kms.dim)
+        composite = k.channel.mat if composite is None else composite @ k.channel.mat
+        generator = accumulate(generator, h.mat)
+        bases.append(k.basis)
+        h_norms.append(k.h_norm)
+        db_residuals.append(k.db_residual)
+        del h, k  # free h_m and P_m before the next term's are built
+    _, gap, kernel_dim = coherent_spectrum(generator)
     g = projector_noncommutation_degree(bases)
     return DlChannel(
-        factors=factors,
-        composite=composite,
-        kernel_bases=bases,
+        m=len(terms),
+        composite=Superoperator(mat=composite, picture="heisenberg", dim=kms.dim),
+        kernel_bases=tuple(bases),
         gap=gap,
         kernel_dim=kernel_dim,
         g=g,
         q=_contraction_factor(gap, g),
-        max_factor_norm=max(k.h_norm for k in kernels),
-        db_residual=max(k.db_residual for k in kernels),
+        max_factor_norm=max(h_norms),
+        db_residual=max(db_residuals),
     )
 
 
@@ -302,9 +292,9 @@ def superop_hamiltonian(
     """Spectral report of H_L = sum_m (I - Pi_m) over the term projectors.
 
     The kernel bases of the Pi_m, the generator gap and kernel dimension,
-    the factor norms and the detailed-balance bounds all come from the
-    kernel pass that compose_dl_channel also runs; no channel is checked
-    or composed and g is not computed.  The gap field holds the smallest eigenvalue
+    the largest factor norm and the detailed-balance bound are read off
+    the channel compose_dl_channel builds, so a factor that is not CPTP
+    raises its error here too.  The gap field holds the smallest eigenvalue
     above the kernel cluster (the quantity that upper-bounds the generator
     gap); db_residual is the worst per-term Frobenius bound
     ||h_m - h_m dagger||_F on the detailed-balance defect;
@@ -320,13 +310,11 @@ def superop_hamiltonian(
     Also asserts a one-dimensional common kernel when the generator is
     irreducible.
     """
-    kernels, l_gap, l_kernel_dim = _kernel_pass(terms, kms)
-    max_factor_norm = max(k.h_norm for k in kernels)
+    ch = compose_dl_channel(terms, kms)
     d2 = kms.dim**2
-    dtype = np.result_type(float, *(k.basis for k in kernels))
-    h_l = np.zeros((d2, d2), dtype=dtype)
-    for k in kernels:
-        h_l += np.eye(d2) - k.basis @ k.basis.conj().T
+    h_l = np.zeros((d2, d2), dtype=np.result_type(float, *ch.kernel_bases))
+    for basis in ch.kernel_bases:
+        h_l += np.eye(d2) - basis @ basis.conj().T
     h_l = 0.5 * (h_l + h_l.conj().T)
     w, v = np.linalg.eigh(h_l)
     scale = max(1.0, float(np.abs(w).max()))
@@ -335,31 +323,31 @@ def superop_hamiltonian(
         raise BadParams("term projectors share no common kernel vector")
     gap = float(w[kernel_dim]) if kernel_dim < len(w) else 0.0
     phi = probe_vector(v[:, :kernel_dim])
-    for k in kernels:
-        phi = k.basis @ (k.basis.conj().T @ phi)
+    for basis in ch.kernel_bases:
+        phi = basis @ (basis.conj().T @ phi)
     phi_norm = np.linalg.norm(phi)
     if phi_norm < 1e-14:
         energy = gap
     else:
         phi_hat = phi / phi_norm
         energy = float(np.real(phi_hat.conj() @ h_l @ phi_hat))
-    if l_kernel_dim == 1 and kernel_dim != 1:
+    if ch.kernel_dim == 1 and kernel_dim != 1:
         raise DlGibbsError(
             f"generator is irreducible but the term projectors share a "
             f"{kernel_dim}-dimensional kernel"
         )
-    if gap < l_gap - 1e-8:
+    if gap < ch.gap - 1e-8:
         msg = (
-            f"gap(H_L)={gap:.6e} below generator gap {l_gap:.6e}; "
-            f"max coherent-form factor norm {max_factor_norm:.3f}"
+            f"gap(H_L)={gap:.6e} below generator gap {ch.gap:.6e}; "
+            f"max coherent-form factor norm {ch.max_factor_norm:.3f}"
         )
-        if max_factor_norm <= 1.0 + 1e-9:
+        if ch.max_factor_norm <= 1.0 + 1e-9:
             raise DlGibbsError(msg)
         warnings.warn(msg + " (ordering only guaranteed for unit-norm factors)")
     return SpectralReport(
         eigenvalues=w[::-1].copy(),
         gap=gap,
         kernel_dim=kernel_dim,
-        db_residual=max(k.db_residual for k in kernels),
+        db_residual=ch.db_residual,
         dl_residual_energy=energy,
     )

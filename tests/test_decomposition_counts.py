@@ -151,8 +151,9 @@ def test_superop_hamiltonian_builds_one_coherent_form_per_term(monkeypatch):
     superop_hamiltonian(terms, kms)
     assert len(sups) == len(terms)
     assert len(forms) == len(terms)
-    # H_L reads only the kernel pass: no factor is checked CPTP.
-    assert checks == []
+    # H_L reads the channel compose_dl_channel builds, which checks each
+    # factor CPTP once.
+    assert len(checks) == len(terms)
 
 
 def test_compose_dl_channel_runs_no_superoperator_svd(decomps):

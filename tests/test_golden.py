@@ -1,6 +1,9 @@
 """The shipped configs reproduce their recorded artifacts.
 
-tests/golden holds the CSV and JSON summary of every configs/*.cfg.  Each
+tests/golden holds the CSV and JSON summary of every configs/*.cfg, and
+tests/golden/n4 the configs and artifacts of two n = 4 runs (a zz_chain
+mix and a dl_qsvt anneal) that reach the dense 4^n paths at a size the
+shipped configs do not.  Each
 config is rerun and compared cell by cell: the header line, column names,
 keys, integers, strings and lists must match exactly, and floats must agree
 within 1e-12 + 1e-9 |ref|.  The float tolerance absorbs BLAS builds that
@@ -20,7 +23,12 @@ from dlgibbs.harness import run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
+CONFIGS = [
+    pytest.param(p, GOLDEN, id=p.stem) for p in sorted((ROOT / "configs").glob("*.cfg"))
+] + [
+    pytest.param(p, GOLDEN / "n4", id=f"n4-{p.stem}")
+    for p in sorted((GOLDEN / "n4").glob("*.cfg"))
+]
 
 
 def _close(got: float, ref: float) -> bool:
@@ -69,13 +77,13 @@ def _compare_json(got, ref, path: str = "$") -> None:
         assert type(got) is type(ref) and got == ref, f"{path}: {got!r} vs {ref!r}"
 
 
-@pytest.mark.parametrize("cfg_path", CONFIGS, ids=lambda p: p.stem)
-def test_shipped_config_reproduces_golden_artifacts(cfg_path, tmp_path):
+@pytest.mark.parametrize("cfg_path,golden", CONFIGS)
+def test_shipped_config_reproduces_golden_artifacts(cfg_path, golden, tmp_path):
     cfg = parse_config(cfg_path.read_text())
     res = run_experiment(cfg, out_dir=tmp_path)
-    _compare_csv(res.csv_path.read_text(), (GOLDEN / cfg.output.csv).read_text())
+    _compare_csv(res.csv_path.read_text(), (golden / cfg.output.csv).read_text())
     _compare_json(
         json.loads(res.summary_path.read_text()),
-        json.loads((GOLDEN / cfg.output.summary).read_text()),
+        json.loads((golden / cfg.output.summary).read_text()),
     )
 

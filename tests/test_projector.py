@@ -17,6 +17,7 @@ from dlgibbs.hamiltonians import (
     PAULI,
     LocalHamiltonian,
     LocalOperator,
+    embed,
     ground_space,
     make_instance,
 )
@@ -105,7 +106,9 @@ def test_dl_operator_single_term_equals_factor():
     ham = LocalHamiltonian(n=2, terms=(LocalOperator(term, (0, 1)),))
     dl = dl_operator(ham)
     assert dl.m == 1
-    assert np.abs(dl.composite - dl.factors[0]).max() < 1e-12
+    ground = 0.5 * (np.eye(4) + np.kron(PAULI["z"], PAULI["z"]))
+    factor = embed(LocalOperator(ground, (0, 1)), ham.n)
+    assert np.abs(dl.composite - factor).max() < 1e-12
 
 
 def test_dl_operator_refuses_frustrated_input():

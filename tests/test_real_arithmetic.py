@@ -49,7 +49,7 @@ def _pipeline(couplings: str, beta: float) -> dict:
     ph = build_parent(terms, kms, beta=beta)
     dl = dl_operator(parent_projector_input(ph).ham)
     return {
-        "factors": [f.mat for f in ch.factors],
+        "kernel_projectors": [v @ v.conj().T for v in ch.kernel_bases],
         "composite": ch.composite.mat,
         "gap": ch.gap,
         "kernel_dim": ch.kernel_dim,
@@ -79,7 +79,7 @@ def test_real_and_complex_arithmetic_agree(monkeypatch, couplings, beta):
         assert abs(real[key] - cplx[key]) <= _TOL, key
     for key in ("composite", "trace_distances", "bounds", "dl_singular_values"):
         assert np.abs(real[key] - cplx[key]).max() <= _TOL, key
-    for key in ("factors", "parent_terms"):
+    for key in ("kernel_projectors", "parent_terms"):
         assert len(real[key]) == len(cplx[key])
         for a, b in zip(real[key], cplx[key]):
             assert np.abs(a - b).max() <= _TOL, key

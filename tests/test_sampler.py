@@ -25,12 +25,31 @@ def _zz3_setup(beta: float = 0.5, kinds: str = "x"):
     return ham, terms, kms
 
 
+def _reference_composite(bases, sigma):
+    """Ordered product of Gamma^{-1/2} V_m V_m dagger Gamma^{1/2}.
+
+    The quarter powers come from a fresh eigh of sigma, not from KmsForm.
+    """
+    ev, vecs = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
+    quarter = (vecs * ev**0.25) @ vecs.conj().T
+    inv_quarter = (vecs * ev**-0.25) @ vecs.conj().T
+    gamma = np.kron(quarter, quarter.conj())
+    gamma_inv = np.kron(inv_quarter, inv_quarter.conj())
+    out = np.eye(gamma.shape[0])
+    for v in bases:
+        out = out @ (gamma_inv @ (v @ v.conj().T) @ gamma)
+    return out
+
+
 def test_compose_orders_and_factors():
     _, terms, kms = _zz3_setup()
     ch = compose_dl_channel(terms, kms)
     assert ch.m == 3
-    manual = ch.factors[0].mat @ ch.factors[1].mat @ ch.factors[2].mat
+    manual = _reference_composite(ch.kernel_bases, kms.sigma)
     assert np.abs(ch.composite.mat - manual).max() < 1e-12
+    # The reversed order is a different map, so the check above fixes it.
+    reverse = _reference_composite(ch.kernel_bases[::-1], kms.sigma)
+    assert np.abs(ch.composite.mat - reverse).max() > 1e-6
 
 
 _REFERENCE_MODELS = [
@@ -46,7 +65,7 @@ def test_channel_matches_independent_references(kind, seed, kinds, beta):
     # Each object compose_dl_channel derives in its single pass is checked
     # against a derivation of its own: the generator spectrum from the
     # summed Lindbladian, each Pi_m from a fresh eigh of its coherent form,
-    # and each P_m from the quarter powers of a fresh eigh of sigma.
+    # and the composite from the quarter powers of a fresh eigh of sigma.
     from dlgibbs.kms import (
         coherent_form,
         lindblad_superoperator,
@@ -63,13 +82,8 @@ def test_channel_matches_independent_references(kind, seed, kinds, beta):
     ref = spectral_report(lindblad_superoperator(terms, 3), kms)
     assert ch.kernel_dim == ref.kernel_dim
     assert abs(ch.gap - ref.gap) <= 1e-12 * max(1.0, ref.gap)
-    ev, vecs = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
-    quarter = (vecs * ev**0.25) @ vecs.conj().T
-    inv_quarter = (vecs * ev**-0.25) @ vecs.conj().T
-    gamma = np.kron(quarter, quarter.conj())
-    gamma_inv = np.kron(inv_quarter, inv_quarter.conj())
-    assert ch.m == len(terms)
-    for t, basis, factor in zip(terms, ch.kernel_bases, ch.factors):
+    assert ch.m == len(terms) == len(ch.kernel_bases)
+    for t, basis in zip(terms, ch.kernel_bases):
         pi = basis @ basis.conj().T
         h = coherent_form(term_superoperator(t, 3), kms).mat
         hw, hv = np.linalg.eigh(0.5 * (h + h.conj().T))
@@ -77,7 +91,8 @@ def test_channel_matches_independent_references(kind, seed, kinds, beta):
         assert np.abs(pi - pi.conj().T).max() < 1e-12
         assert np.abs(pi @ pi - pi).max() < 1e-10
         assert np.abs(pi - vk @ vk.conj().T).max() < 1e-10
-        assert np.abs(factor.mat - gamma_inv @ pi @ gamma).max() < 1e-10
+    reference = _reference_composite(ch.kernel_bases, sigma)
+    assert np.abs(ch.composite.mat - reference).max() < 1e-10
 
 
 def _kms_projectors(ch):
