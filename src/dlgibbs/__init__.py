@@ -40,7 +40,6 @@ from .hamiltonians import (
     embed,
     ground_space,
     interaction_degree,
-    is_frustration_free,
     make_instance,
     noncommutation_degree,
     standard_couplings,

@@ -245,24 +245,16 @@ def frustration_check(
 ) -> tuple[bool, GroundSpace]:
     """Ground space of ham and whether it annihilates every term.
 
-    The residual is compared with tol * max(1, ||H||); since that scale is
-    at least 1, a residual within tol passes without assembling ||H||.
+    Terms are expected in the zoo normalization (positive semidefinite with
+    kernel); a term with negative eigenvalues reads as frustrated even when
+    it shares its minimizer with the total.  The residual is compared with
+    tol * max(1, ||H||); since that scale is at least 1, a residual within
+    tol passes without assembling ||H||.
     """
     gs = ground_space(ham, tol)
     res = abs(gs.frustration_residual)
     ff = res <= tol or res <= tol * spectral_norm(assemble(ham))
     return ff, gs
-
-
-def is_frustration_free(ham: LocalHamiltonian, tol: float = 1e-8) -> tuple[bool, float]:
-    """Whether the ground space annihilates every term.
-
-    Terms are expected in the zoo normalization (positive semidefinite with
-    kernel); a term with negative eigenvalues reads as frustrated even when
-    it shares its minimizer with the total.
-    """
-    ff, gs = frustration_check(ham, tol)
-    return ff, gs.frustration_residual
 
 
 def _projector_from_state(v: np.ndarray) -> np.ndarray:

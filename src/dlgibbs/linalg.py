@@ -201,15 +201,6 @@ def vectorize(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1)
 
 
-def devectorize(v: np.ndarray) -> np.ndarray:
-    """Inverse of vectorize; the length must be a perfect square."""
-    v = np.asarray(v).reshape(-1)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise DimensionMismatch(f"vector length {v.size} is not a perfect square")
-    return v.reshape(d, d)
-
-
 def partial_trace(
     rho: np.ndarray, keep: tuple[int, ...] | list[int], dims: tuple[int, ...] | list[int]
 ) -> np.ndarray:

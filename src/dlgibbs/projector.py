@@ -15,7 +15,8 @@ degree-l rescaled Chebyshev polynomial
 satisfies p(1) = 1 and |p(x)| <= 2 exp(-l sqrt(gamma*)) for
 |x| <= 1 - gamma*, so the singular-value transform U p(S) V^dag of
 DL(H) = U S V^dag approximates the true ground projector U_1 V_1^dag
-to error 2 exp(-l sqrt(gamma*)).  Inverting the bound gives the degree
+to within 2 exp(-l sqrt(gamma*)); the actual error, max_i |p(s_i) - [i < r]|,
+is read off the singular values.  Inverting the bound gives the degree
 schedule l = ceil(ln(2/eps) / sqrt(gamma*)), whose sqrt(gamma*)
 dependence is the quadratic speedup this module certifies empirically.
 
@@ -50,27 +51,23 @@ from .linalg import (
     hermitian_eigendecompose,
     norm_exceeds,
     singular_value_decompose,
-    spectral_norm,
 )
 
 
 @dataclass(frozen=True)
 class DlOperator:
-    """Ordered product of m per-term ground projectors with cached SVD.
+    """Ordered product of m per-term ground projectors, kept as its SVD.
 
-    Only the composite and m are kept of the product.  ground_dimension and
+    Only the SVD and m are kept of the product.  ground_dimension and
     ground_gap describe the ground space of the Hamiltonian the factors came
-    from, as found by its frustration check.
+    from, as found by its frustration check; the top ground_dimension
+    singular values are within 1e-8 of 1.
     """
 
     m: int
-    composite: np.ndarray
+    svd: Svd
     ground_dimension: int
     ground_gap: float
-
-    @cached_property
-    def svd(self) -> Svd:
-        return singular_value_decompose(self.composite)
 
 
 @dataclass(frozen=True)
@@ -115,16 +112,24 @@ class SingularGap:
 
 @dataclass(frozen=True)
 class ProjectorResult:
-    """Polynomial projector approximation with its certified error bound."""
+    """Polynomial projector approximation with its certified error bound.
 
-    approx: np.ndarray
-    exact: np.ndarray
+    error is ||U p(S) V^dag - U_1 V_1^dag||, read off the singular values;
+    the dense approximation is formed only when approx is read.
+    """
+
+    svd: Svd
+    p_s: np.ndarray
     error: float
     bound: float
     queries: int
     ancilla_estimate: int
     degree: int
     r: int
+
+    @cached_property
+    def approx(self) -> np.ndarray:
+        return (self.svd.u * self.p_s) @ self.svd.vh
 
 
 @dataclass(frozen=True)
@@ -147,7 +152,9 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
     Refuses Hamiltonians that are not frustration-free: without a shared
     per-term kernel the product no longer relates to the ground space.
     Each embedded factor is multiplied into the composite as soon as it is
-    made; none is kept.
+    made; none is kept, and of the composite only its SVD is.  Raises
+    DegenerateGap unless the top r = ground_dimension singular values lie
+    within 1e-8 of 1.
     """
     if ham.m == 0:
         raise BadParams("need at least one term")
@@ -157,6 +164,7 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
             "ground space is not annihilated by every term "
             f"(residual {gs.frustration_residual:.3e})"
         )
+    r, gap = gs.dimension, gs.gap
     comp = None
     for t in ham.terms:
         eig = hermitian_eigendecompose(t.op)
@@ -169,12 +177,16 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
             raise BadParams("term ground projector failed the idempotence check")
         factor = embed(type(t)(p, t.support), ham.n)
         comp = factor if comp is None else comp @ factor
-    return DlOperator(
-        m=ham.m,
-        composite=comp,
-        ground_dimension=gs.dimension,
-        ground_gap=gs.gap,
-    )
+    # The SVD's workspace sets the peak memory, so neither the dense ground
+    # projector nor the last factor is held through it.
+    del gs, factor
+    svd = singular_value_decompose(comp)
+    if svd.s[r - 1] < 1.0 - 1e-8:
+        raise DegenerateGap(
+            f"singular value s_r={svd.s[r - 1]:.6e} of the DL operator is below "
+            f"1 - 1e-8; its top block does not span the {r}-dimensional ground space"
+        )
+    return DlOperator(m=ham.m, svd=svd, ground_dimension=r, ground_gap=gap)
 
 
 def singular_gap(dl: DlOperator, ham: LocalHamiltonian, tol: float = 1e-8) -> SingularGap:
@@ -228,20 +240,20 @@ def chebyshev_poly(gamma_star: float, degree: int) -> ProjectorPoly:
 def approximate_projector(dl: DlOperator, poly: ProjectorPoly) -> ProjectorResult:
     """Singular-value transform U p(S) V^dag against the exact U_1 V_1^dag.
 
-    The top singular block (values within 1e-8 of 1) defines the exact
-    projector; queries counts factor applications l times M.
+    The top r = dl.ground_dimension singular vectors define the exact
+    projector.  U and V are square unitaries, so the error norm
+    ||U (p(S) - E_r) V^dag|| is max_i |p(s_i) - [i < r]|, with E_r the
+    diagonal projector on the first r indices.  queries counts factor
+    applications l times M.
     """
     svd = dl.svd
-    r = int(np.sum(svd.s >= 1.0 - 1e-8))
-    if r == 0:
-        raise DegenerateGap("no singular values at 1; DL operator has no top block")
-    approx = (svd.u * poly(svd.s)) @ svd.vh
-    exact = svd.u[:, :r] @ svd.vh[:r]
-    err = spectral_norm(approx - exact)
+    r = dl.ground_dimension
+    p_s = poly(svd.s)
+    err = float(np.abs(p_s - (np.arange(p_s.size) < r)).max())
     bound = 2.0 * math.exp(-poly.degree * math.sqrt(poly.gamma_star))
     return ProjectorResult(
-        approx=approx,
-        exact=exact,
+        svd=svd,
+        p_s=p_s,
         error=err,
         bound=bound,
         queries=poly.degree * dl.m,

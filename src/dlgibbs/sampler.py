@@ -178,7 +178,6 @@ def iterate(
     rho0: np.ndarray,
     kms: KmsForm,
     k_max: int,
-    tol: float = 1e-9,
 ) -> MixingTrace:
     """Apply the round channel k_max times, recording distance and bound.
 

@@ -13,12 +13,14 @@ import pytest
 
 import dlgibbs.kms
 from dlgibbs.anneal import make_schedule, run_annealing
+from dlgibbs.config import parse_config
 from dlgibbs.hamiltonians import (
     assemble,
     make_instance,
     noncommutation_degree,
     standard_couplings,
 )
+from dlgibbs.harness import run_experiment
 from dlgibbs.jumps import WeightProfile, build_model
 from dlgibbs.kms import KmsForm, gibbs_state
 from dlgibbs.linalg import spectral_norm
@@ -237,11 +239,25 @@ def test_dl_qsvt_anneal_reads_parent_terms_through_local_blocks(decomps):
     sched = make_schedule(0.5, spectral_norm(assemble(ham)))
     d2 = 4**ham.n
     run_annealing(ham, couplings, WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt")
-    # Per parent: the DL composite's SVD and the projector error norm; per
-    # transition: its SVD and its error norm.  Parent terms are read through
-    # their local blocks, with no (4^n, 4^n) SVD for norm or locality.
+    # Per parent: the DL composite's SVD, from which the projector error is
+    # read in closed form; per transition: its SVD and its error norm.
+    # Parent terms are read through their local blocks, with no (4^n, 4^n)
+    # SVD for norm or locality.
     k = sched.steps
-    assert decomps["svd"].count((d2, d2)) == 2 * (k + 1) + 2 * k
+    assert decomps["svd"].count((d2, d2)) == (k + 1) + 2 * k
+
+
+def test_project_run_takes_one_svd_of_the_dl_operator(decomps, tmp_path):
+    cfg = parse_config(
+        "experiment = project\n[model]\nkind = random_ff_projectors\nn = 5\n"
+        "seed = 0\n[run]\neps = 1e-06\nell_min = 1\nell_max = 40\n"
+    )
+    res = run_experiment(cfg, tmp_path)
+    assert res.exit_code == 0
+    # dl_operator's SVD of the composite; each of the 40 projector errors is
+    # read off its singular values.
+    d = 2**cfg.model.n
+    assert decomps["svd"].count((d, d)) == 1
 
 
 def _real_model(couplings):

@@ -15,9 +15,9 @@ from dlgibbs.hamiltonians import (
     assemble,
     commutation_degree,
     embed,
+    frustration_check,
     ground_space,
     interaction_degree,
-    is_frustration_free,
     make_instance,
     noncommutation_degree,
     projector_noncommutation_degree,
@@ -69,8 +69,8 @@ def test_zz_chain_ground_space():
     assert gs.dimension == 2
     assert abs(gs.energy) < 1e-12
     assert abs(gs.gap - 1.0) < 1e-12
-    ff, res = is_frustration_free(ham)
-    assert ff and abs(res) < 1e-12
+    ff, gs = frustration_check(ham)
+    assert ff and abs(gs.frustration_residual) < 1e-12
 
 
 def test_field_chain_unique_ground():
@@ -83,17 +83,17 @@ def test_field_chain_unique_ground():
     vac = np.zeros(8)
     vac[0] = 1.0
     assert np.abs(gs.projector - np.outer(vac, vac)).max() < 1e-12
-    ff, res = is_frustration_free(ham)
-    assert ff and abs(res) < 1e-12
+    ff, gs = frustration_check(ham)
+    assert ff and abs(gs.frustration_residual) < 1e-12
 
 
 def test_frustration_residual_detects_nonzero_ground_action():
     x = 0.5 * (np.eye(2, dtype=complex) - PAULI["x"])
     z = 0.5 * (np.eye(2, dtype=complex) - PAULI["z"])
     ham = LocalHamiltonian(n=1, terms=(LocalOperator(x, (0,)), LocalOperator(z, (0,))))
-    ff, res = is_frustration_free(ham)
+    ff, gs = frustration_check(ham)
     assert not ff
-    assert res > 0.1
+    assert gs.frustration_residual > 0.1
 
 
 def test_random_ff_projectors_frustration_free():
@@ -103,15 +103,15 @@ def test_random_ff_projectors_frustration_free():
             w = np.linalg.eigvalsh(t.op)
             assert np.abs(t.op @ t.op - t.op).max() < 1e-12
             assert abs(w.sum() - 1.0) < 1e-12
-        ff, res = is_frustration_free(ham)
-        assert ff and abs(res) < 1e-10
+        ff, gs = frustration_check(ham)
+        assert ff and abs(gs.frustration_residual) < 1e-10
         assert commutation_degree(ham) > 0
 
 
 def test_commuting_projectors_commute():
     ham = make_instance("commuting_projectors", 5, seed=3)
     assert commutation_degree(ham) == 0
-    ff, _ = is_frustration_free(ham)
+    ff, _ = frustration_check(ham)
     assert ff
 
 

@@ -14,7 +14,6 @@ from dlgibbs.errors import (
 from dlgibbs.linalg import (
     _RECON_TOL,
     accumulate,
-    devectorize,
     hermitian_eigendecompose,
     partial_trace,
     real_if_exact,
@@ -149,9 +148,6 @@ def test_vectorize_convention():
     e01[0, 1] = 1.0
     v = vectorize(e01)
     assert np.array_equal(v, np.array([0.0, 1.0, 0.0, 0.0]))
-    assert np.array_equal(devectorize(v), e01)
-    with pytest.raises(DimensionMismatch):
-        devectorize(np.zeros(3))
 
 
 def test_partial_trace_product_state():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import dlgibbs.projector
 from dlgibbs.errors import (
     BadEps,
     BadGamma,
@@ -21,6 +22,7 @@ from dlgibbs.hamiltonians import (
     ground_space,
     make_instance,
 )
+from dlgibbs.linalg import Svd, spectral_norm
 from dlgibbs.projector import (
     approximate_projector,
     chebyshev_poly,
@@ -96,7 +98,7 @@ def test_degree_for_error_examples():
 def test_dl_operator_commuting_is_exact_projector():
     ham = make_instance("commuting_projectors", 5, seed=0)
     dl = dl_operator(ham)
-    c = dl.composite
+    c = (dl.svd.u * dl.svd.s) @ dl.svd.vh
     assert np.abs(c @ c - c).max() < 1e-10
     assert np.abs(c - ground_space(ham).projector).max() < 1e-10
 
@@ -108,7 +110,7 @@ def test_dl_operator_single_term_equals_factor():
     assert dl.m == 1
     ground = 0.5 * (np.eye(4) + np.kron(PAULI["z"], PAULI["z"]))
     factor = embed(LocalOperator(ground, (0, 1)), ham.n)
-    assert np.abs(dl.composite - factor).max() < 1e-12
+    assert np.abs((dl.svd.u * dl.svd.s) @ dl.svd.vh - factor).max() < 1e-12
 
 
 def test_dl_operator_refuses_frustrated_input():
@@ -158,8 +160,49 @@ def test_exact_projector_matches_ground_space():
         dl = dl_operator(ham)
         sg = singular_gap(dl, ham)
         res = approximate_projector(dl, chebyshev_poly(sg.gamma_star, 5))
-        assert np.abs(res.exact - ground_space(ham).projector).max() < 1e-9
+        exact = dl.svd.u[:, : res.r] @ dl.svd.vh[: res.r]
+        assert np.abs(exact - ground_space(ham).projector).max() < 1e-9
         assert res.r == sg.r
+
+
+def test_closed_form_error_matches_dense_norm():
+    # The dense reference the closed form replaces: the spectral norm of
+    # U p(S) V^dag - U_1 V_1^dag.
+    for kind, n, seed in FF_INSTANCES:
+        ham = make_instance(kind, n, seed=seed)
+        dl = dl_operator(ham)
+        sg = singular_gap(dl, ham)
+        u, vh = dl.svd.u, dl.svd.vh
+        exact = u[:, : sg.r] @ vh[: sg.r]
+        for ell in range(1, 41):
+            poly = chebyshev_poly(sg.gamma_star, ell)
+            res = approximate_projector(dl, poly)
+            approx = (u * poly(dl.svd.s)) @ vh
+            assert np.array_equal(res.approx, approx)
+            dense = spectral_norm(approx - exact)
+            assert abs(res.error - dense) <= 1e-13 + 1e-12 * res.error, (kind, n, seed, ell)
+
+
+@pytest.mark.parametrize("top,raises", [(1.0 - 0.5e-8, False), (1.0 - 2e-8, True)])
+def test_dl_operator_rejects_a_top_block_below_one(monkeypatch, top, raises):
+    # The zoo instances pass the check (test_top_singular_block_is_exactly_one);
+    # here s_r is moved to either side of 1 - 1e-8.
+    ham = make_instance("random_ff_projectors", 4, seed=0)
+    r = ground_space(ham).dimension
+    real = dlgibbs.projector.singular_value_decompose
+
+    def lowered(a):
+        svd = real(a)
+        s = svd.s.copy()
+        s[r - 1] = top
+        return Svd(u=svd.u, s=s, vh=svd.vh)
+
+    monkeypatch.setattr(dlgibbs.projector, "singular_value_decompose", lowered)
+    if raises:
+        with pytest.raises(DegenerateGap, match="top block"):
+            dl_operator(ham)
+    else:
+        assert dl_operator(ham).svd.s[r - 1] == top
 
 
 def test_error_bound_dominance_over_degree_sweep():
