@@ -64,7 +64,6 @@ from .kms import (
     coherent_form,
     cptp_check,
     gibbs_state,
-    kms_inner_product,
     stationary_channel,
     term_superoperator,
 )

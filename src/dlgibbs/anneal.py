@@ -193,14 +193,12 @@ class TransitionBackend:
     kind "oracle" divides out the top singular value exactly; kind
     "polynomial" applies the odd erf-based boost of the given degree to
     all singular values.  b is the overlap floor the boost is built
-    for, epsilon the per-step accuracy, and mu the squared error budget
-    of the projectors the transition will be fed (0 for exact ones).
+    for and epsilon the per-step accuracy.
     """
 
     kind: str
     b: float
     epsilon: float
-    mu: float = 0.0
     degree: int = 0
     coefficients: np.ndarray | None = None
 
@@ -209,8 +207,6 @@ class TransitionBackend:
             raise UnknownKind(f"unknown transition backend {self.kind!r}")
         if not 0 < self.b <= 1:
             raise BadInputs(f"overlap floor must lie in (0, 1], got {self.b}")
-        if self.mu < 0:
-            raise BadInputs(f"projector budget must be >= 0, got {self.mu}")
         if self.kind == "polynomial" and (
             self.coefficients is None or self.degree < 1
         ):
@@ -221,12 +217,11 @@ def transition_backend(
     kind: str,
     b: float,
     epsilon: float = 0.0,
-    mu: float = 0.0,
     degree: int | None = None,
 ) -> TransitionBackend:
     """Build a transition backend, deriving the polynomial degree if absent."""
     if kind == "oracle":
-        return TransitionBackend(kind="oracle", b=b, epsilon=float(epsilon), mu=mu)
+        return TransitionBackend(kind="oracle", b=b, epsilon=float(epsilon))
     if kind != "polynomial":
         raise UnknownKind(f"unknown transition backend {kind!r}")
     l = boost_degree(b, epsilon) if degree is None else int(degree)
@@ -235,7 +230,6 @@ def transition_backend(
         kind="polynomial",
         b=b,
         epsilon=float(epsilon),
-        mu=mu,
         degree=l,
         coefficients=coeffs,
     )
@@ -434,11 +428,13 @@ def run_annealing(
             res = approximate_projector(dl, chebyshev_poly(sg.gamma_star, ell))
             projectors.append(res.approx)
             projector_errors[j] = res.error
+        # The transitions read only the dense projectors, so every step's
+        # DL SVD is released before they run.
+        del dl_steps, dl, sg, res
         backend = transition_backend(
             "polynomial",
             b_floor,
             epsilon=budgets.epsilon,
-            mu=budgets.mu,
             degree=budgets.degree,
         )
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,14 +94,18 @@ class LocalHamiltonian:
 
 @dataclass(frozen=True)
 class GroundSpace:
-    """Ground cluster of a Hermitian matrix."""
+    """Ground cluster of a Hermitian matrix, kept as its orthonormal vectors."""
 
-    projector: np.ndarray
+    vectors: np.ndarray
     dimension: int
     energy: float
     gap: float
     degenerate: bool
     frustration_residual: float = 0.0
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        return self.vectors @ self.vectors.conj().T
 
 
 def embed(op: LocalOperator, n: int) -> np.ndarray:
@@ -216,8 +221,7 @@ def ground_space(
     scale = max(1.0, float(np.abs(w).max()))
     width = tol * scale
     dim = int(np.sum(w - w[0] <= width))
-    ground = v[:, :dim]
-    proj = ground @ ground.conj().T
+    ground = v[:, :dim].copy()  # a view would keep all d x d of v alive
     gap = float(w[dim] - w[0]) if dim < len(w) else float("inf")
     degenerate = gap < 10 * width
     if degenerate:
@@ -231,7 +235,7 @@ def ground_space(
         ground_h = ground.conj().T
         residual = max(spectral_norm(ground_h @ t) for t in embedded)
     return GroundSpace(
-        projector=proj,
+        vectors=ground,
         dimension=dim,
         energy=float(w[0]),
         gap=gap,

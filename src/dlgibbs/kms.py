@@ -1,10 +1,11 @@
-"""KMS inner product, detailed balance, and Lindbladian superoperators.
+"""KMS form, detailed balance, and Lindbladian superoperators.
 
-For a full-rank state sigma define the KMS inner product
+For a full-rank state sigma the KMS inner product
 
     <X, Y>_sigma = Tr[X' s Y s],       s = sigma^{1/2}, X' = X dagger,
 
-and the quarter-power conjugation G(X) = sigma^{1/4} X sigma^{1/4}.  A
+is the Hilbert-Schmidt product of G(X) and G(Y), with the quarter-power
+conjugation G(X) = sigma^{1/4} X sigma^{1/4}.  A
 Heisenberg-picture generator L satisfies sigma-detailed balance exactly
 when its coherent form
 
@@ -206,18 +207,6 @@ def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
     ew /= ew.sum()
     v = eig.eigenvectors
     return v @ np.diag(ew) @ v.conj().T
-
-
-def kms_inner_product(x: np.ndarray, y: np.ndarray, kms: KmsForm) -> complex:
-    """<X, Y>_sigma = Tr[X dagger sqrt(sigma) Y sqrt(sigma)]."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != (kms.dim, kms.dim) or y.shape != x.shape:
-        raise DimensionMismatch(
-            f"operands {x.shape}, {y.shape} do not match dim {kms.dim}"
-        )
-    s = kms.sqrt
-    return complex(np.trace(x.conj().T @ s @ y @ s))
 
 
 def term_superoperator(term: LindbladTerm, n: int) -> Superoperator:

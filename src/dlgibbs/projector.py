@@ -177,8 +177,8 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
             raise BadParams("term ground projector failed the idempotence check")
         factor = embed(type(t)(p, t.support), ham.n)
         comp = factor if comp is None else comp @ factor
-    # The SVD's workspace sets the peak memory, so neither the dense ground
-    # projector nor the last factor is held through it.
+    # The SVD's workspace sets the peak memory, so neither the ground
+    # vectors nor the last factor is held through it.
     del gs, factor
     svd = singular_value_decompose(comp)
     if svd.s[r - 1] < 1.0 - 1e-8:

@@ -19,16 +19,17 @@ semidefinite; its gap above the common kernel upper-bounds the generator
 gap and drives the projector bounds downstream; it is read off the same
 channel.  compose_dl_channel is the one pass over the terms: it derives
 each coherent form h_m once, the orthonormal kernel basis V_m of h_m
-(Pi_m = V_m V_m dagger) and P_m from V_m, checks P_m CPTP and multiplies
-it into the composite, so at most one factor is held at a time.  The
-generator's coherent form is the sum of the h_m, and g is read off the
-V_m.  No dense Pi_m is formed outside H_L.
+(Pi_m = V_m V_m dagger) and P_m from V_m, and checks P_m CPTP.  The
+channel is kept as the V_m alone: one round is a KMS-picture sweep
+z -> V_m (V_m dagger z) over the terms, so no composite and no dense Pi_m
+outside H_L is formed.  The generator's coherent form is the sum of the h_m.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,11 +43,9 @@ from .kms import (
     KmsForm,
     LindbladTerm,
     SpectralReport,
-    Superoperator,
     coherent_form,
     coherent_spectrum,
     cptp_check,
-    kms_inner_product,
     probe_vector,
     stationary_channel,
     term_superoperator,
@@ -58,25 +57,31 @@ from .linalg import accumulate, norm_exceeds, real_if_exact, schatten1_distance
 class DlChannel:
     """Ordered product of the m per-term stationary channels.
 
-    Only the composite and m are kept of the product; the factors P_m are
-    dropped once multiplied in.  kernel_bases holds each term's orthonormal
-    kernel basis V_m, so the KMS projector is Pi_m = V_m V_m dagger.  gap
-    and kernel_dim describe the coherent form of the full generator, g is
-    the non-commutation degree of the Pi_m and q the one-round contraction
-    factor they certify; max_factor_norm is the largest ||h_m|| and
-    db_residual the largest Frobenius bound ||h_m - h_m dagger||_F over the
-    terms' coherent forms.  All are computed once, at composition.
+    The channel is its kernel bases: kernel_bases holds each term's
+    orthonormal kernel basis V_m, so the KMS projector is
+    Pi_m = V_m V_m dagger and one Schrodinger round is
+    Gamma^{1/2} Pi_m ... Pi_1 Gamma^{-1/2}.  gap and kernel_dim describe
+    the coherent form of the full generator; max_factor_norm is the
+    largest ||h_m|| and db_residual the largest Frobenius bound
+    ||h_m - h_m dagger||_F over the terms' coherent forms.  g, the
+    non-commutation degree of the Pi_m, and q, the one-round contraction
+    factor they certify, are computed on first read.
     """
 
     m: int
-    composite: Superoperator
     kernel_bases: tuple[np.ndarray, ...]
     gap: float
     kernel_dim: int
-    g: int
-    q: float
     max_factor_norm: float
     db_residual: float
+
+    @cached_property
+    def g(self) -> int:
+        return projector_noncommutation_degree(self.kernel_bases)
+
+    @cached_property
+    def q(self) -> float:
+        return _contraction_factor(self.gap, self.g)
 
 
 @dataclass(frozen=True)
@@ -93,10 +98,6 @@ class MixingTrace:
     q: float
     kernel_dim: int
     warnings: tuple[str, ...] = ()
-
-    @property
-    def violations(self) -> np.ndarray:
-        return np.flatnonzero(self.trace_distances > self.bounds + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -119,21 +120,19 @@ def compose_dl_channel(
 ) -> DlChannel:
     """Build the round channel in one pass over the terms.
 
-    The composite's Heisenberg matrix is the product in term order, so its
-    Schrodinger adjoint applies the first term's factor to the state first.
-    Each term's coherent form h_m gives its stationary channel P_m, which
-    is checked CPTP and multiplied into the composite at once; only V_m,
-    ||h_m|| and the detailed-balance bound are kept.  The generator
-    spectrum comes from the sum of the h_m (the coherent form is linear)
-    and g from the kernel bases.  The channel invariants are computed here,
-    once, for iterate, contraction_check and superop_hamiltonian.
+    The Heisenberg round is the product P_1 ... P_m in term order, so in
+    the Schrodinger picture the first term's factor acts on the state
+    first.  Each term's coherent form h_m gives its stationary channel
+    P_m, which is checked CPTP and dropped; only V_m, ||h_m|| and the
+    detailed-balance bound are kept.  The generator spectrum comes from
+    the sum of the h_m (the coherent form is linear).
     """
     if not terms:
         raise BadParams("need at least one term to compose a channel")
     n = int(round(np.log2(kms.dim)))
     if 2**n != kms.dim:
         raise DimensionMismatch(f"state dimension {kms.dim} is not a power of 2")
-    composite = generator = None
+    generator = None
     bases = []
     h_norms = []
     db_residuals = []
@@ -146,22 +145,17 @@ def compose_dl_channel(
                 f"stationary channel for term {idx} is not CPTP: "
                 f"choi_min_eig={rep.choi_min_eig:.3e} tp_residual={rep.tp_residual:.3e}"
             )
-        composite = k.channel.mat if composite is None else composite @ k.channel.mat
         generator = accumulate(generator, h.mat)
         bases.append(k.basis)
         h_norms.append(k.h_norm)
         db_residuals.append(k.db_residual)
         del h, k  # free h_m and P_m before the next term's are built
     _, gap, kernel_dim = coherent_spectrum(generator)
-    g = projector_noncommutation_degree(bases)
     return DlChannel(
         m=len(terms),
-        composite=Superoperator(mat=composite, picture="heisenberg", dim=kms.dim),
         kernel_bases=tuple(bases),
         gap=gap,
         kernel_dim=kernel_dim,
-        g=g,
-        q=_contraction_factor(gap, g),
         max_factor_norm=max(h_norms),
         db_residual=max(db_residuals),
     )
@@ -173,6 +167,13 @@ def _contraction_factor(gap: float, g: int, tol: float = 1e-9) -> float:
     return 1.0 / np.sqrt(gap / g**2 + 1.0)
 
 
+def _sweep(bases: tuple[np.ndarray, ...], z: np.ndarray) -> np.ndarray:
+    """Pi_m ... Pi_1 z with Pi = V V dagger; reversed bases give Pi_1 ... Pi_m z."""
+    for v in bases:
+        z = v @ (v.conj().T @ z)
+    return z
+
+
 def iterate(
     channel: DlChannel,
     rho0: np.ndarray,
@@ -181,11 +182,14 @@ def iterate(
 ) -> MixingTrace:
     """Apply the round channel k_max times, recording distance and bound.
 
+    rho_0 is mapped once to the KMS picture, x = sigma^{-1/4} rho_0
+    sigma^{-1/4}, swept k_max times through the Pi_m, and each iterate is
+    mapped back as rho_k = sigma^{1/4} x_k sigma^{1/4}.
     channel_applications counts factor applications cumulatively (k times
     the number of terms).  A stationary space of dimension above one emits
     IrreducibilityWarning; the bound then degrades to the constant
     1 / sqrt(sigma_min) and observed distances may exceed it, which the
-    violations property reports rather than hides.
+    mix experiment lists among its violations rather than hiding.
     """
     rho0 = real_if_exact(rho0)
     if rho0.shape != (kms.dim, kms.dim):
@@ -207,15 +211,15 @@ def iterate(
         )
         warnings.warn(msg, IrreducibilityWarning)
         warns.append(msg)
-    schro = channel.composite.adjoint()
+    d = kms.dim
     ks = np.arange(k_max + 1)
     dists = np.empty(k_max + 1)
-    rho = rho0.copy()
-    for k in range(k_max + 1):
-        if k > 0:
-            rho = schro.apply(rho)
-            rho = 0.5 * (rho + rho.conj().T)
-        dists[k] = schatten1_distance(rho, kms.sigma)
+    dists[0] = schatten1_distance(rho0, kms.sigma)
+    z = (kms.inv_quarter @ rho0 @ kms.inv_quarter).reshape(-1)
+    for k in range(1, k_max + 1):
+        z = _sweep(channel.kernel_bases, z)
+        rho = kms.quarter @ z.reshape(d, d) @ kms.quarter
+        dists[k] = schatten1_distance(0.5 * (rho + rho.conj().T), kms.sigma)
     bounds = q**ks.astype(float) / np.sqrt(kms.sigma_min)
     return MixingTrace(
         ks=ks,
@@ -245,12 +249,16 @@ def contraction_check(
     which is at most 1 when the certified contraction holds.  The report
     also carries the worst |Tr[sigma Phi(X)]| (stationarity of centered
     observables) and counts trials discarded because X was proportional to
-    the identity.
+    the identity.  With z = vec(sigma^{1/4} X sigma^{1/4}), ||X||_sigma =
+    ||z||, ||Phi(X)||_sigma = ||y|| and Tr[sigma Phi(X)] =
+    <vec(sigma^{1/2}), y> for y = Pi_1 ... Pi_m z.
     """
     if trials < 1:
         raise BadParams(f"trials must be >= 1, got {trials}")
     d = kms.dim
     q = channel.q
+    heisenberg = channel.kernel_bases[::-1]
+    sqrt_vec = kms.sqrt.reshape(-1)
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_stat = 0.0
@@ -259,13 +267,14 @@ def contraction_check(
         b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         x = 0.5 * (b + b.conj().T)
         x = x - np.real(np.trace(kms.sigma @ x)) * np.eye(d)
-        x_norm2 = float(np.real(kms_inner_product(x, x, kms)))
+        z = (kms.quarter @ x @ kms.quarter).reshape(-1)
+        x_norm2 = float(np.vdot(z, z).real)
         if x_norm2 < 1e-24:
             vacuous += 1
             continue
-        y = channel.composite.apply(x)
-        y_norm2 = float(np.real(kms_inner_product(y, y, kms)))
-        worst_stat = max(worst_stat, abs(complex(np.trace(kms.sigma @ y))))
+        y = _sweep(heisenberg, z)
+        y_norm2 = float(np.vdot(y, y).real)
+        worst_stat = max(worst_stat, float(abs(np.vdot(sqrt_vec, y))))
         if q == 0.0:
             ratio = 0.0 if y_norm2 <= 1e-24 * x_norm2 else float("inf")
         else:
@@ -321,9 +330,7 @@ def superop_hamiltonian(
     if kernel_dim == 0:
         raise BadParams("term projectors share no common kernel vector")
     gap = float(w[kernel_dim]) if kernel_dim < len(w) else 0.0
-    phi = probe_vector(v[:, :kernel_dim])
-    for basis in ch.kernel_bases:
-        phi = basis @ (basis.conj().T @ phi)
+    phi = _sweep(ch.kernel_bases, probe_vector(v[:, :kernel_dim]))
     phi_norm = np.linalg.norm(phi)
     if phi_norm < 1e-14:
         energy = gap

@@ -302,5 +302,5 @@ def test_imaginary_jumps_with_a_real_lindbladian_run_real(decomps):
     ham, terms, _, kms = _real_model("xyz")
     assert {t.jumps[0].op.dtype.name for t in terms} == {"float64", "complex128"}
     ch = compose_dl_channel(terms, kms)
-    assert ch.composite.mat.dtype == np.float64
+    assert [v.dtype for v in ch.kernel_bases] == [np.float64] * len(terms)
     assert _complex_calls(decomps, (4**ham.n, 4**ham.n)) == []

@@ -24,7 +24,6 @@ from dlgibbs.kms import (
     cptp_check,
     db_residual,
     gibbs_state,
-    kms_inner_product,
     lindblad_superoperator,
     spectral_report,
     stationary_channel,
@@ -71,21 +70,6 @@ def test_kms_form_normalizes_and_validates():
     assert np.abs(kms.inv_quarter @ kms.quarter - np.eye(2)).max() < 1e-12
     with pytest.raises(SingularSigma):
         KmsForm(np.diag([1.0, 0.0]))
-
-
-def test_kms_inner_product_example():
-    kms = KmsForm(np.diag([0.8, 0.2]))
-    val = kms_inner_product(PAULI_X, PAULI_X, kms)
-    assert abs(val - 2.0 * np.sqrt(0.16)) < 1e-12
-    assert abs(val - 0.8) < 1e-12
-
-
-def test_kms_inner_product_is_positive_definite():
-    rng = np.random.default_rng(2)
-    kms = KmsForm(gibbs_state(PAULI_Z + 0.3 * PAULI_X, 0.7))
-    for _ in range(5):
-        x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert kms_inner_product(x, x, kms).real > 0
 
 
 def test_term_superoperator_matches_dense_action():

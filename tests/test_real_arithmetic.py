@@ -50,7 +50,7 @@ def _pipeline(couplings: str, beta: float) -> dict:
     dl = dl_operator(parent_projector_input(ph).ham)
     return {
         "kernel_projectors": [v @ v.conj().T for v in ch.kernel_bases],
-        "composite": ch.composite.mat,
+        "kernel_bases": ch.kernel_bases,
         "gap": ch.gap,
         "kernel_dim": ch.kernel_dim,
         "g": ch.g,
@@ -71,13 +71,13 @@ def test_real_and_complex_arithmetic_agree(monkeypatch, couplings, beta):
     real = _pipeline(couplings, beta)
     _force_complex(monkeypatch)
     cplx = _pipeline(couplings, beta)
-    assert real["composite"].dtype == np.float64
-    assert cplx["composite"].dtype == np.complex128
+    assert {v.dtype for v in real["kernel_bases"]} == {np.dtype(np.float64)}
+    assert {v.dtype for v in cplx["kernel_bases"]} == {np.dtype(np.complex128)}
     assert real["kernel_dim"] == cplx["kernel_dim"]
     assert real["g"] == cplx["g"]
     for key in ("gap", "parent_gap"):
         assert abs(real[key] - cplx[key]) <= _TOL, key
-    for key in ("composite", "trace_distances", "bounds", "dl_singular_values"):
+    for key in ("trace_distances", "bounds", "dl_singular_values"):
         assert np.abs(real[key] - cplx[key]).max() <= _TOL, key
     for key in ("kernel_projectors", "parent_terms"):
         assert len(real[key]) == len(cplx[key])

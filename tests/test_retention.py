@@ -1,11 +1,13 @@
 """The DL products keep their count, not their factors.
 
-compose_dl_channel and dl_operator multiply each factor into the composite
-as soon as it is made.  Weak references on the factors show how many are
-still held: at most one earlier channel factor while the next one is made,
+compose_dl_channel checks each channel factor CPTP and drops it, keeping
+only the kernel bases; dl_operator multiplies each factor into its
+composite as soon as it is made.  Weak references on the factors show how
+many are still held: no earlier channel factor while the next one is made,
 and no embedded ground projector once dl_operator has returned.  Of its
 composite, dl_operator keeps only the SVD, so no dl_qsvt anneal step holds
-a 4^n x 4^n composite once its DL operator is built.
+a 4^n x 4^n composite once its DL operator is built, and run_annealing
+releases every step's SVD once the step's projector is built.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dlgibbs.projector import dl_operator
 from dlgibbs.sampler import compose_dl_channel
 
 
-def test_compose_dl_channel_holds_at_most_one_earlier_factor(monkeypatch):
+def test_compose_dl_channel_holds_no_earlier_factor(monkeypatch):
     ham = make_instance("zz_chain", 3)
     beta = 0.5
     terms = build_model(ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=beta))
@@ -44,7 +46,7 @@ def test_compose_dl_channel_holds_at_most_one_earlier_factor(monkeypatch):
     monkeypatch.setattr(dlgibbs.sampler, "stationary_channel", tracked)
     ch = compose_dl_channel(terms, kms)
     assert ch.m == len(terms) == len(refs) == 6
-    assert max(alive_at_each_call) <= 1, alive_at_each_call
+    assert alive_at_each_call == [0] * len(terms)
 
 
 @pytest.mark.parametrize(
@@ -105,3 +107,31 @@ def test_dl_qsvt_anneal_step_keeps_no_composite(monkeypatch):
     # when it returns; none is alive when the transitions run.
     assert after_dl == [(1, 0)] * len(sched.betas)
     assert alive_at_transition == [0] * sched.steps
+
+
+def test_dl_qsvt_anneal_releases_each_step_svd_before_the_transitions(monkeypatch):
+    ham = make_instance("zz_chain", 2)
+    sched = make_schedule(1.0, spectral_norm(assemble(ham)))
+    real_dl = dlgibbs.anneal.dl_operator
+    real_transition = dlgibbs.anneal.transition
+    refs: list[weakref.ref] = []
+    alive_at_transition: list[int] = []
+
+    def tracked_dl(*args, **kwargs):
+        dl = real_dl(*args, **kwargs)
+        refs.append(weakref.ref(dl.svd.u))
+        return dl
+
+    def tracked_transition(*args, **kwargs):
+        alive_at_transition.append(sum(r() is not None for r in refs))
+        return real_transition(*args, **kwargs)
+
+    monkeypatch.setattr(dlgibbs.anneal, "dl_operator", tracked_dl)
+    monkeypatch.setattr(dlgibbs.anneal, "transition", tracked_transition)
+    run_annealing(
+        ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=1.0), sched, 0.1, "dl_qsvt"
+    )
+    # Only the dense projectors are read once built; no step's U is alive
+    # when the first transition runs.
+    assert len(refs) == len(sched.betas)
+    assert alive_at_transition[0] == 0

@@ -8,7 +8,7 @@ import pytest
 from dlgibbs.errors import BadParams, IrreducibilityWarning
 from dlgibbs.hamiltonians import assemble, make_instance, standard_couplings
 from dlgibbs.jumps import WeightProfile, build_model
-from dlgibbs.kms import KmsForm, cptp_check, gibbs_state
+from dlgibbs.kms import KmsForm, Superoperator, cptp_check, gibbs_state
 from dlgibbs.sampler import (
     compose_dl_channel,
     contraction_check,
@@ -41,15 +41,66 @@ def _reference_composite(bases, sigma):
     return out
 
 
+def _reference_rows(composite, rho0, sigma, k_max):
+    """||rho_k - sigma||_1 with rho_k from the dense Schrodinger adjoint."""
+    d = sigma.shape[0]
+    schro = composite.conj().T
+    rho = rho0
+    rows = [np.abs(np.linalg.eigvalsh(rho0 - sigma)).sum()]
+    for _ in range(k_max):
+        rho = (schro @ rho.reshape(-1)).reshape(d, d)
+        rho = 0.5 * (rho + rho.conj().T)
+        rows.append(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
+    return np.array(rows)
+
+
+def _reference_max_ratio(composite, sigma, q, trials, seed):
+    """contraction_check's worst ratio with ||Y||_sigma^2 = Tr[Y' s Y s].
+
+    Draws the same centered Hermitian X as contraction_check; s = sigma^{1/2}
+    comes from a fresh eigh of sigma.
+    """
+    d = sigma.shape[0]
+    ev, vecs = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
+    s = (vecs * np.sqrt(ev)) @ vecs.conj().T
+
+    def kms_norm2(a):
+        return float(np.trace(a.conj().T @ s @ a @ s).real)
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        x = 0.5 * (b + b.conj().T)
+        x = x - np.real(np.trace(sigma @ x)) * np.eye(d)
+        y = (composite @ x.reshape(-1)).reshape(d, d)
+        if q == 0.0:  # commuting projectors: one round kills X outright
+            ratio = 0.0 if kms_norm2(y) <= 1e-24 * kms_norm2(x) else float("inf")
+        else:
+            ratio = kms_norm2(y) / (q * q * kms_norm2(x))
+        worst = max(worst, ratio)
+    return worst
+
+
+def _random_state(d, seed):
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = b @ b.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.filterwarnings("ignore::dlgibbs.errors.IrreducibilityWarning")
 def test_compose_orders_and_factors():
     _, terms, kms = _zz3_setup()
     ch = compose_dl_channel(terms, kms)
     assert ch.m == 3
+    rho0 = _random_state(kms.dim, seed=4)
+    row = iterate(ch, rho0, kms, k_max=1).trace_distances[1]
     manual = _reference_composite(ch.kernel_bases, kms.sigma)
-    assert np.abs(ch.composite.mat - manual).max() < 1e-12
+    assert abs(row - _reference_rows(manual, rho0, kms.sigma, 1)[1]) < 1e-12
     # The reversed order is a different map, so the check above fixes it.
     reverse = _reference_composite(ch.kernel_bases[::-1], kms.sigma)
-    assert np.abs(ch.composite.mat - reverse).max() > 1e-6
+    assert abs(row - _reference_rows(reverse, rho0, kms.sigma, 1)[1]) > 1e-6
 
 
 _REFERENCE_MODELS = [
@@ -59,13 +110,15 @@ _REFERENCE_MODELS = [
 ]
 
 
+@pytest.mark.filterwarnings("ignore::dlgibbs.errors.IrreducibilityWarning")
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("kind,seed,kinds", _REFERENCE_MODELS)
 def test_channel_matches_independent_references(kind, seed, kinds, beta):
     # Each object compose_dl_channel derives in its single pass is checked
     # against a derivation of its own: the generator spectrum from the
     # summed Lindbladian, each Pi_m from a fresh eigh of its coherent form,
-    # and the composite from the quarter powers of a fresh eigh of sigma.
+    # and the rounds iterate and contraction_check apply from a dense
+    # composite built with the quarter powers of a fresh eigh of sigma.
     from dlgibbs.kms import (
         coherent_form,
         lindblad_superoperator,
@@ -92,7 +145,48 @@ def test_channel_matches_independent_references(kind, seed, kinds, beta):
         assert np.abs(pi @ pi - pi).max() < 1e-10
         assert np.abs(pi - vk @ vk.conj().T).max() < 1e-10
     reference = _reference_composite(ch.kernel_bases, sigma)
-    assert np.abs(ch.composite.mat - reference).max() < 1e-10
+    rho0 = _random_state(kms.dim, seed=5)
+    rows = iterate(ch, rho0, kms, k_max=20).trace_distances
+    assert np.abs(rows - _reference_rows(reference, rho0, sigma, 20)).max() < 1e-12
+    rep = contraction_check(ch, kms, trials=20, seed=3)
+    want = _reference_max_ratio(reference, sigma, ch.q, trials=20, seed=3)
+    assert abs(rep.max_ratio - want) <= 1e-12 * want
+
+
+def test_iterate_matches_reference_composite_at_n4():
+    ham = make_instance("zz_chain", 4)
+    beta = 0.5
+    terms = build_model(ham, standard_couplings(4, "xz"), WeightProfile(beta=beta))
+    sigma = gibbs_state(assemble(ham), beta)
+    kms = KmsForm(sigma)
+    ch = compose_dl_channel(terms, kms)
+    rho0 = np.zeros((16, 16))
+    rho0[0, 0] = 1.0
+    rows = iterate(ch, rho0, kms, k_max=20).trace_distances
+    reference = _reference_composite(ch.kernel_bases, sigma)
+    assert np.abs(rows - _reference_rows(reference, rho0, sigma, 20)).max() < 1e-12
+
+
+def _arrays(obj):
+    """Every array reachable through obj's fields, tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+    elif hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            yield from _arrays(item)
+
+
+def test_channel_holds_no_superoperator_sized_array():
+    _, terms, kms = _zz3_setup(kinds="xz")
+    ch = compose_dl_channel(terms, kms)
+    assert ch.g > 0 and ch.q > 0  # computed on first read, then held
+    d2 = kms.dim**2
+    shapes = [a.shape for a in _arrays(ch)]
+    assert len(shapes) == ch.m
+    assert (d2, d2) not in shapes
 
 
 def _kms_projectors(ch):
@@ -110,7 +204,8 @@ def test_kms_projectors_are_orthogonal_projectors():
 def test_round_channel_is_cptp_in_schrodinger_picture():
     _, terms, kms = _zz3_setup()
     ch = compose_dl_channel(terms, kms)
-    rep = cptp_check(ch.composite, tol=1e-8)
+    reference = _reference_composite(ch.kernel_bases, kms.sigma)
+    rep = cptp_check(Superoperator(reference, "heisenberg", kms.dim), tol=1e-8)
     assert rep.cp and rep.tp
 
 
@@ -128,7 +223,7 @@ def test_iterate_reducible_x_couplings():
     assert trace.q == pytest.approx(1.0)
     assert np.all(trace.bounds == trace.bounds[0])
     assert trace.trace_distances[0] <= trace.bounds[0]
-    assert trace.violations.size == 0
+    assert np.all(trace.trace_distances <= trace.bounds + 1e-9)
     assert np.array_equal(trace.channel_applications, 3 * np.arange(31))
 
 
@@ -142,7 +237,7 @@ def test_iterate_converges_with_xz_couplings():
     assert trace.gap > 0
     assert 0 < trace.q < 1
     assert trace.trace_distances[-1] < 1e-6
-    assert trace.violations.size == 0
+    assert np.all(trace.trace_distances <= trace.bounds + 1e-9)
     assert np.all(np.diff(trace.bounds) <= 0)
 
 
@@ -253,8 +348,8 @@ def test_detectability_inequality_on_probe():
 def test_fixed_point_of_round_channel():
     _, terms, kms = _zz3_setup(kinds="xz")
     ch = compose_dl_channel(terms, kms)
-    schro = ch.composite.adjoint()
-    assert np.abs(schro.apply(kms.sigma) - kms.sigma).max() < 1e-10
+    trace = iterate(ch, kms.sigma, kms, k_max=1)
+    assert trace.trace_distances[1] < 1e-10
 
 
 def test_iterate_and_contraction_check_share_channel_invariants(monkeypatch):
@@ -279,3 +374,21 @@ def test_iterate_and_contraction_check_share_channel_invariants(monkeypatch):
     assert (trace.gap, trace.kernel_dim) == (ch.gap, ch.kernel_dim)
     assert ch.g > 0 and 0.0 < ch.q < 1.0
     assert counts == {"coherent_spectrum": 1, "projector_noncommutation_degree": 1}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_superop_hamiltonian_does_not_compute_g(monkeypatch):
+    import dlgibbs.sampler as sampler
+
+    calls = []
+    real = sampler.projector_noncommutation_degree
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "projector_noncommutation_degree", counted)
+    _, terms, kms = _zz3_setup(kinds="xz")
+    rep = superop_hamiltonian(terms, kms)
+    assert rep.kernel_dim == 1
+    assert calls == []
