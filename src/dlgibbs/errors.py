@@ -56,6 +56,10 @@ class NotDetailedBalanced(DlGibbsError):
     """A generator fails the detailed-balance self-adjointness test."""
 
 
+class NotLocal(DlGibbsError):
+    """An operator differs from the identity off the support it is built on."""
+
+
 class PositiveEigenvalue(DlGibbsError):
     """A generator expected nonpositive has an eigenvalue above tolerance."""
 

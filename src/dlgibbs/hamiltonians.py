@@ -108,18 +108,64 @@ class GroundSpace:
         return self.vectors @ self.vectors.conj().T
 
 
+def _diagonal_index(k: int) -> tuple[np.ndarray, ...]:
+    """One bit array per qubit over the 2^k basis states of k qubits.
+
+    Used to index k row axes and the k matching column axes of a tensor, it
+    walks the diagonal of the identity on those qubits.
+    """
+    states = np.arange(2**k)
+    return tuple((states >> (k - 1 - i)) & 1 for i in range(k))
+
+
+def _held(full: np.ndarray, support: Sequence[int], n: int) -> tuple[np.ndarray, tuple]:
+    """full (2^n x 2^n) with its qubit axes held in the order (support, rest).
+
+    Returns that view, rows then columns, and the index of the identity's
+    diagonal on the rest: view[index] is a stack of operators on support,
+    2 len(support) axes of size 2 after one stacking axis.
+    """
+    if any(q >= n for q in support):
+        raise SupportOutOfRange(f"support {tuple(support)} exceeds register size {n}")
+    order = list(support) + [q for q in range(n) if q not in support]
+    held = full.reshape([2] * (2 * n)).transpose(order + [n + q for q in order])
+    legs = (slice(None),) * len(support)
+    diagonal = _diagonal_index(n - len(support))
+    return held, legs + diagonal + legs + diagonal
+
+
 def embed(op: LocalOperator, n: int) -> np.ndarray:
-    """Lift a local operator to the full 2^n-dimensional register."""
-    if any(q >= n for q in op.support):
-        raise SupportOutOfRange(f"support {op.support} exceeds register size {n}")
+    """Lift a local operator to the full 2^n-dimensional register.
+
+    The operator is written onto the identity's diagonal through a view of
+    the output whose qubit axes are held in the order (support, rest), so
+    no kron product or transposed copy is formed.  Off the diagonal each
+    entry is op * 0 and on it op * 1, the products np.kron forms, so the
+    result is bitwise that of kron(op, I) transposed into place (signed
+    zeros included).
+    """
+    a = op.op
     p = len(op.support)
-    rest = [q for q in range(n) if q not in op.support]
-    full = np.kron(op.op, np.eye(2 ** (n - p), dtype=op.op.dtype))
-    order = list(op.support) + rest
-    perm = [order.index(q) for q in range(n)]
-    t = full.reshape([2] * (2 * n))
-    t = t.transpose(perm + [n + a for a in perm])
-    return np.ascontiguousarray(t.reshape(2**n, 2**n))
+    out = np.empty((2**n, 2**n), dtype=a.dtype)
+    held, diagonal = _held(out, op.support, n)
+    blocks = [2] * p + [1] * (n - p)
+    held[...] = (a * np.zeros((), a.dtype)).reshape(blocks + blocks)
+    held[diagonal] = (a * np.ones((), a.dtype)).reshape([2] * (2 * p))
+    return out
+
+
+def add_embedded(total: np.ndarray, op: LocalOperator, n: int) -> np.ndarray:
+    """total + embed(op, n), written into total unless the sum needs a wider dtype.
+
+    Only the identity's diagonal blocks are touched; elsewhere embed holds
+    op * 0, which changes no entry of total except, possibly, the sign of
+    a zero.  With the whole register as support this is total += op.
+    """
+    if np.result_type(total, op.op) != total.dtype:
+        total = total.astype(np.result_type(total, op.op))
+    held, diagonal = _held(total, op.support, n)
+    held[diagonal] += op.op.reshape([2] * (2 * len(op.support)))
+    return total
 
 
 def assemble(ham: LocalHamiltonian) -> np.ndarray:
@@ -171,8 +217,36 @@ def noncommutation_degree(mats: list[np.ndarray], tol: float = 1e-10) -> int:
     )
 
 
+def _lift_basis(
+    v: np.ndarray, legs: Sequence[int], union: Sequence[int]
+) -> np.ndarray:
+    """Orthonormal columns v on the qubits legs, tensored with I on the rest of union.
+
+    Rows follow union's order and columns the order (column of v, rest
+    of union), so the result spans the range of (V V dagger) tensor I on
+    the 2^len(union) register.  Placed on the identity's diagonal as in
+    embed.
+    """
+    if list(legs) == list(union):
+        return v
+    rest = [q for q in union if q not in legs]
+    k, cols = len(union), v.shape[1]
+    pos = {q: i for i, q in enumerate(union)}
+    out = np.zeros((2**k, cols * 2 ** len(rest)), dtype=v.dtype)
+    held = out.reshape([2] * k + [cols] + [2] * len(rest)).transpose(
+        [pos[q] for q in legs] + [pos[q] for q in rest] + list(range(k, k + 1 + len(rest)))
+    )
+    diagonal = _diagonal_index(len(rest))
+    held[(slice(None),) * len(legs) + diagonal + (slice(None),) + diagonal] = v.reshape(
+        [2] * len(legs) + [cols]
+    )
+    return out
+
+
 def projector_noncommutation_degree(
-    bases: Sequence[np.ndarray], tol: float = 1e-10
+    bases: Sequence[np.ndarray],
+    tol: float = 1e-10,
+    legs: Sequence[Sequence[int]] | None = None,
 ) -> int:
     """noncommutation_degree of the projectors V V dagger onto orthonormal bases.
 
@@ -182,12 +256,25 @@ def projector_noncommutation_degree(
     and X = V_a dagger V_b this is ||X (V_b dagger - X dagger V_a dagger)||,
     an r_a x D matrix, decided by norm_exceeds against tol: a projector has
     norm 1, so the scale of noncommutation_degree is 1.
-    """
-    adj = [v.conj().T for v in bases]
 
+    legs[a], when given, lists the qubits bases[a] acts on (the projector
+    is V V dagger tensor I elsewhere); this is the support graph of the
+    projectors.  Projectors on disjoint qubits commute exactly and are not
+    compared; an overlapping pair is compared on the union of its qubits,
+    each basis lifted there by the identity (_lift_basis), which leaves the
+    commutator norm unchanged.  Without legs every basis acts on the same
+    register.
+    """
     def exceeds(a: int, b: int) -> bool:
-        x = adj[a] @ bases[b]
-        return norm_exceeds(x @ (adj[b] - x.conj().T @ adj[a]), tol)
+        va, vb = bases[a], bases[b]
+        if legs is not None:
+            union = sorted(set(legs[a]) | set(legs[b]))
+            if len(union) == len(legs[a]) + len(legs[b]):
+                return False
+            va, vb = _lift_basis(va, legs[a], union), _lift_basis(vb, legs[b], union)
+        adj_a = va.conj().T
+        x = adj_a @ vb
+        return norm_exceeds(x @ (vb.conj().T - x.conj().T @ adj_a), tol)
 
     return _pair_degree(len(bases), exceeds)
 

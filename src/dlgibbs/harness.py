@@ -225,7 +225,7 @@ def _run_mix(cfg: ExperimentConfig):
     ham, couplings, w = _build_common(cfg, beta)
     terms = build_model(ham, couplings, w)
     kms = KmsForm(gibbs_state(assemble(ham), beta))
-    channel = compose_dl_channel(terms, kms)
+    channel = compose_dl_channel(terms, kms, ham)
     dim = 2**ham.n
     rho0 = np.zeros((dim, dim))
     rho0[0, 0] = 1.0

@@ -355,13 +355,16 @@ class TermKernel:
     basis holds orthonormal columns V spanning the kernel, so Pi_0 = V V
     dagger; channel is P = Gamma^{-1/2} Pi_0 Gamma^{1/2}; h_norm is ||h||
     and db_residual the Frobenius bound ||h - h dagger||_F on the
-    detailed-balance defect.
+    detailed-balance defect.  gap is the smallest |eigenvalue| of h above
+    the kernel cut (inf when the kernel is everything); rounding of order
+    eps * h_norm / gap tilts the kernel basis (Davis-Kahan).
     """
 
     basis: np.ndarray
     channel: Superoperator
     h_norm: float
     db_residual: float
+    gap: float
 
 
 def stationary_channel(
@@ -409,6 +412,7 @@ def stationary_channel(
         Superoperator(mat, "heisenberg", term.dim),
         h_norm,
         float(np.linalg.norm(anti)),
+        float(np.abs(w[~sel]).min()) if not sel.all() else float("inf"),
     )
 
 

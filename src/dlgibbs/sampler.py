@@ -19,10 +19,18 @@ semidefinite; its gap above the common kernel upper-bounds the generator
 gap and drives the projector bounds downstream; it is read off the same
 channel.  compose_dl_channel is the one pass over the terms: it derives
 each coherent form h_m once, the orthonormal kernel basis V_m of h_m
-(Pi_m = V_m V_m dagger) and P_m from V_m, and checks P_m CPTP.  The
-channel is kept as the V_m alone: one round is a KMS-picture sweep
-z -> V_m (V_m dagger z) over the terms, so no composite and no dense Pi_m
-outside H_L is formed.  The generator's coherent form is the sum of the h_m.
+(Pi_m = V_m V_m dagger) and P_m from V_m, and checks P_m CPTP.
+
+The channel is local when the Hamiltonian is.  For commuting H each term
+is built on its dressed support S (Kastoryano & Brandao): its jumps,
+coherent part and the marginal Tr_{S^c} sigma live on S, and h_m, V_m and
+P_m on the doubled support S u (S + n) of the vectorized register, with
+4^|S| rows, so h_m acts as h_m^loc tensor I.  For non-commuting H the
+support is the whole register.  The channel is kept as the V_m with their
+doubled supports: one round is a KMS-picture sweep that applies each
+Pi_m = V_m V_m dagger to its tensor legs of z, so no composite and no dense
+Pi_m outside H_L is formed, and g is read off the support graph.  The
+generator's coherent form is the sum of the h_m^loc tensor I.
 """
 
 from __future__ import annotations
@@ -33,9 +41,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadParams, DimensionMismatch, DlGibbsError, IrreducibilityWarning
+from .errors import (
+    BadParams,
+    DimensionMismatch,
+    DlGibbsError,
+    IrreducibilityWarning,
+    NotLocal,
+)
 # perfbench/selftest.py reads noncommutation_degree from this module.
 from .hamiltonians import (  # noqa: F401
+    LocalHamiltonian,
+    LocalOperator,
+    add_embedded,
+    commutation_degree,
+    embed,
     noncommutation_degree,
     projector_noncommutation_degree,
 )
@@ -50,7 +69,16 @@ from .kms import (
     stationary_channel,
     term_superoperator,
 )
-from .linalg import accumulate, norm_exceeds, real_if_exact, schatten1_distance
+from .linalg import (
+    norm_exceeds,
+    partial_trace,
+    real_if_exact,
+    schatten1_distance,
+)
+
+# Largest relative Frobenius residual with which an operator counts as the
+# identity off a term's support.  Rounding leaves about 1e-15.
+LOCALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -58,11 +86,12 @@ class DlChannel:
     """Ordered product of the m per-term stationary channels.
 
     The channel is its kernel bases: kernel_bases holds each term's
-    orthonormal kernel basis V_m, so the KMS projector is
-    Pi_m = V_m V_m dagger and one Schrodinger round is
-    Gamma^{1/2} Pi_m ... Pi_1 Gamma^{-1/2}.  gap and kernel_dim describe
-    the coherent form of the full generator; max_factor_norm is the
-    largest ||h_m|| and db_residual the largest Frobenius bound
+    orthonormal kernel basis V_m on the tensor legs listed in legs[m] (the
+    doubled support S u (S + n) of the 2n-leg vectorized register), so the
+    KMS projector is Pi_m = V_m V_m dagger tensor I and one Schrodinger
+    round is Gamma^{1/2} Pi_m ... Pi_1 Gamma^{-1/2}.  gap and kernel_dim
+    describe the coherent form of the full generator; max_factor_norm is
+    the largest ||h_m|| and db_residual the largest Frobenius bound
     ||h_m - h_m dagger||_F over the terms' coherent forms.  g, the
     non-commutation degree of the Pi_m, and q, the one-round contraction
     factor they certify, are computed on first read.
@@ -70,6 +99,7 @@ class DlChannel:
 
     m: int
     kernel_bases: tuple[np.ndarray, ...]
+    legs: tuple[tuple[int, ...], ...]
     gap: float
     kernel_dim: int
     max_factor_norm: float
@@ -77,7 +107,7 @@ class DlChannel:
 
     @cached_property
     def g(self) -> int:
-        return projector_noncommutation_degree(self.kernel_bases)
+        return projector_noncommutation_degree(self.kernel_bases, legs=self.legs)
 
     @cached_property
     def q(self) -> float:
@@ -114,9 +144,55 @@ class ContractionReport:
     q: float
 
 
+def _restrict(
+    term: LindbladTerm,
+    idx: int,
+    sites: tuple[int, ...],
+    n: int,
+    kms: KmsForm,
+    local_kms: KmsForm,
+) -> LindbladTerm:
+    """term on the register of its sites, which are not the whole register.
+
+    Each jump and the coherent part become their normalized partial traces
+    onto sites.  Each must equal its partial trace tensor I, and so must
+    its modular conjugates sigma^{+-1/4} K sigma^{-+1/4} against those of
+    local_kms, the marginal of sigma on sites: the term's coherent form
+    is built from exactly these products, so it then equals the local
+    coherent form tensor I.  NotLocal names the term otherwise.
+    """
+    k = len(sites)
+    q, iq = kms.quarter, kms.inv_quarter
+    lq, liq = local_kms.quarter, local_kms.inv_quarter
+
+    def local(op: LocalOperator, what: str) -> LocalOperator:
+        full = embed(op, n)
+        part = partial_trace(full, sites, (2,) * n) / 2 ** (n - k)
+        pairs = (
+            (what, full, part),
+            (f"{what} as sigma^{{1/4}} K sigma^{{-1/4}}", q @ full @ iq, lq @ part @ liq),
+            (f"{what} as sigma^{{-1/4}} K sigma^{{1/4}}", iq @ full @ q, liq @ part @ lq),
+        )
+        for label, got, want in pairs:
+            residual = float(np.linalg.norm(got - embed(LocalOperator(want, sites), n)))
+            if residual > LOCALITY_TOL * max(1.0, float(np.linalg.norm(got))):
+                raise NotLocal(
+                    f"term {idx}: {label} is not the identity off sites {sites} "
+                    f"(residual {residual:.3e})"
+                )
+        return LocalOperator(part, tuple(range(k)))
+
+    return LindbladTerm(
+        jumps=tuple(local(j, f"jump {i}") for i, j in enumerate(term.jumps)),
+        coherent=None if term.coherent is None else local(term.coherent, "coherent part"),
+        support=tuple(range(k)),
+    )
+
+
 def compose_dl_channel(
     terms: list[LindbladTerm] | tuple[LindbladTerm, ...],
     kms: KmsForm,
+    ham: LocalHamiltonian,
 ) -> DlChannel:
     """Build the round channel in one pass over the terms.
 
@@ -126,34 +202,61 @@ def compose_dl_channel(
     P_m, which is checked CPTP and dropped; only V_m, ||h_m|| and the
     detailed-balance bound are kept.  The generator spectrum comes from
     the sum of the h_m (the coherent form is linear).
+
+    ham is the Hamiltonian the terms and sigma come from.  When its terms
+    commute (commutation_degree 0) each term is built on its dressed
+    support (_restrict), with the marginal of sigma there as its KMS
+    state; otherwise, and for a term whose support is the whole register,
+    on the whole register with kms itself.
     """
     if not terms:
         raise BadParams("need at least one term to compose a channel")
     n = int(round(np.log2(kms.dim)))
     if 2**n != kms.dim:
         raise DimensionMismatch(f"state dimension {kms.dim} is not a power of 2")
+    if ham.n != n:
+        raise DimensionMismatch(f"Hamiltonian on {ham.n} qubits, state on {n}")
+    whole = tuple(range(n))
+    local = commutation_degree(ham) == 0
+    marginals = {whole: kms}
     generator = None
     bases = []
+    legs = []
     h_norms = []
     db_residuals = []
     for idx, t in enumerate(terms):
-        h = coherent_form(term_superoperator(t, n), kms)
-        k = stationary_channel(h, kms)
+        sites = tuple(sorted(t.support)) if local else whole
+        if sites not in marginals:
+            marginals[sites] = KmsForm(partial_trace(kms.sigma, sites, (2,) * n))
+        site_kms = marginals[sites]
+        if sites != whole:
+            t = _restrict(t, idx, sites, n, kms, site_kms)
+        h = coherent_form(term_superoperator(t, len(sites)), site_kms)
+        k = stationary_channel(h, site_kms)
         rep = cptp_check(k.channel)
         if not (rep.cp and rep.tp):
             raise DlGibbsError(
                 f"stationary channel for term {idx} is not CPTP: "
-                f"choi_min_eig={rep.choi_min_eig:.3e} tp_residual={rep.tp_residual:.3e}"
+                f"choi_min_eig={rep.choi_min_eig:.3e} tp_residual={rep.tp_residual:.3e}; "
+                f"kernel gap gap_m={k.gap:.3e}, so rounding tilts its kernel by "
+                f"about eps*||h_m||/gap_m={np.finfo(float).eps * k.h_norm / k.gap:.3e}"
             )
-        generator = accumulate(generator, h.mat)
+        doubled = sites + tuple(q + n for q in sites)
+        lifted = LocalOperator(h.mat, doubled)
+        if generator is None:
+            generator = embed(lifted, 2 * n)
+        else:
+            generator = add_embedded(generator, lifted, 2 * n)
         bases.append(k.basis)
+        legs.append(doubled)
         h_norms.append(k.h_norm)
         db_residuals.append(k.db_residual)
-        del h, k  # free h_m and P_m before the next term's are built
+        del h, k, lifted  # free h_m and P_m before the next term's are built
     _, gap, kernel_dim = coherent_spectrum(generator)
     return DlChannel(
         m=len(terms),
         kernel_bases=tuple(bases),
+        legs=tuple(legs),
         gap=gap,
         kernel_dim=kernel_dim,
         max_factor_norm=max(h_norms),
@@ -167,10 +270,26 @@ def _contraction_factor(gap: float, g: int, tol: float = 1e-9) -> float:
     return 1.0 / np.sqrt(gap / g**2 + 1.0)
 
 
-def _sweep(bases: tuple[np.ndarray, ...], z: np.ndarray) -> np.ndarray:
-    """Pi_m ... Pi_1 z with Pi = V V dagger; reversed bases give Pi_1 ... Pi_m z."""
-    for v in bases:
-        z = v @ (v.conj().T @ z)
+def _sweep(
+    bases: tuple[np.ndarray, ...], legs: tuple[tuple[int, ...], ...], z: np.ndarray
+) -> np.ndarray:
+    """Pi_m ... Pi_1 z with Pi = V V dagger on its legs of z, tensor I elsewhere.
+
+    z is the vectorized register, one axis of size 2 per leg; each Pi acts
+    on its legs moved to the front.  When the legs are the whole register
+    this is z -> V (V dagger z).  Reversed bases and legs give
+    Pi_1 ... Pi_m z.
+    """
+    n_legs = z.size.bit_length() - 1
+    shape = (2,) * n_legs
+    for v, lg in zip(bases, legs):
+        order = list(lg) + [a for a in range(n_legs) if a not in lg]
+        back = [0] * n_legs
+        for i, a in enumerate(order):
+            back[a] = i
+        t = z.reshape(shape).transpose(order).reshape(v.shape[0], -1)
+        t = v @ (v.conj().T @ t)
+        z = t.reshape(shape).transpose(back).reshape(-1)
     return z
 
 
@@ -217,7 +336,7 @@ def iterate(
     dists[0] = schatten1_distance(rho0, kms.sigma)
     z = (kms.inv_quarter @ rho0 @ kms.inv_quarter).reshape(-1)
     for k in range(1, k_max + 1):
-        z = _sweep(channel.kernel_bases, z)
+        z = _sweep(channel.kernel_bases, channel.legs, z)
         rho = kms.quarter @ z.reshape(d, d) @ kms.quarter
         dists[k] = schatten1_distance(0.5 * (rho + rho.conj().T), kms.sigma)
     bounds = q**ks.astype(float) / np.sqrt(kms.sigma_min)
@@ -257,7 +376,7 @@ def contraction_check(
         raise BadParams(f"trials must be >= 1, got {trials}")
     d = kms.dim
     q = channel.q
-    heisenberg = channel.kernel_bases[::-1]
+    heisenberg = (channel.kernel_bases[::-1], channel.legs[::-1])
     sqrt_vec = kms.sqrt.reshape(-1)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -272,7 +391,7 @@ def contraction_check(
         if x_norm2 < 1e-24:
             vacuous += 1
             continue
-        y = _sweep(heisenberg, z)
+        y = _sweep(*heisenberg, z)
         y_norm2 = float(np.vdot(y, y).real)
         worst_stat = max(worst_stat, float(abs(np.vdot(sqrt_vec, y))))
         if q == 0.0:
@@ -295,6 +414,7 @@ def contraction_check(
 def superop_hamiltonian(
     terms: list[LindbladTerm] | tuple[LindbladTerm, ...],
     kms: KmsForm,
+    ham: LocalHamiltonian,
     tol: float = 1e-9,
 ) -> SpectralReport:
     """Spectral report of H_L = sum_m (I - Pi_m) over the term projectors.
@@ -318,11 +438,11 @@ def superop_hamiltonian(
     Also asserts a one-dimensional common kernel when the generator is
     irreducible.
     """
-    ch = compose_dl_channel(terms, kms)
+    ch = compose_dl_channel(terms, kms, ham)
     d2 = kms.dim**2
-    h_l = np.zeros((d2, d2), dtype=np.result_type(float, *ch.kernel_bases))
-    for basis in ch.kernel_bases:
-        h_l += np.eye(d2) - basis @ basis.conj().T
+    h_l = ch.m * np.eye(d2, dtype=np.result_type(float, *ch.kernel_bases))
+    for basis, legs in zip(ch.kernel_bases, ch.legs):
+        h_l = add_embedded(h_l, LocalOperator(-(basis @ basis.conj().T), legs), 2 * ham.n)
     h_l = 0.5 * (h_l + h_l.conj().T)
     w, v = np.linalg.eigh(h_l)
     scale = max(1.0, float(np.abs(w).max()))
@@ -330,7 +450,7 @@ def superop_hamiltonian(
     if kernel_dim == 0:
         raise BadParams("term projectors share no common kernel vector")
     gap = float(w[kernel_dim]) if kernel_dim < len(w) else 0.0
-    phi = _sweep(ch.kernel_bases, probe_vector(v[:, :kernel_dim]))
+    phi = _sweep(ch.kernel_bases, ch.legs, probe_vector(v[:, :kernel_dim]))
     phi_norm = np.linalg.norm(phi)
     if phi_norm < 1e-14:
         energy = gap

@@ -104,7 +104,7 @@ def test_criterion_02_mixing_distance_stays_within_contraction_bound():
     terms, kms = _davies(ham, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IrreducibilityWarning)
-        channel = compose_dl_channel(terms, kms)
+        channel = compose_dl_channel(terms, kms, ham)
         states = [np.zeros((8, 8), dtype=complex)]
         states[0][0, 0] = 1.0
         for seed in range(5):
@@ -133,7 +133,7 @@ def test_criterion_03_one_round_contraction_on_centered_observables():
     ham = make_instance("zz_chain", 3)
     for kinds in ("x", "xz"):
         terms, kms = _davies(ham, 0.5, kinds)
-        channel = compose_dl_channel(terms, kms)
+        channel = compose_dl_channel(terms, kms, ham)
         report = contraction_check(channel, kms, trials=100, seed=0)
         assert report.max_ratio <= 1.0 + 1e-8, (
             f"couplings {kinds}: worst ratio {report.max_ratio:.12f}"
@@ -150,7 +150,7 @@ def test_criterion_04_superop_hamiltonian_gap_dominates_generator_gap():
     for name, ham in _zoo():
         for beta in BETAS:
             terms, kms = _davies(ham, beta)
-            hl_rep = superop_hamiltonian(terms, kms)
+            hl_rep = superop_hamiltonian(terms, kms, ham)
             l_rep = spectral_report(lindblad_superoperator(terms, ham.n), kms)
             assert hl_rep.gap >= l_rep.gap - 1e-8, (
                 f"{name} beta={beta}: gap(H_L)={hl_rep.gap:.6e} below "
@@ -290,7 +290,7 @@ def test_criterion_12_query_accounting_matches_closed_forms():
     # K-step anneal exactly K*(ell*M + l), as reported by the counters.
     ham = make_instance("zz_chain", 3)
     terms, kms = _davies(ham, 0.5, "xz")
-    channel = compose_dl_channel(terms, kms)
+    channel = compose_dl_channel(terms, kms, ham)
     rho0 = np.zeros((8, 8), dtype=complex)
     rho0[0, 0] = 1.0
     trace = iterate(channel, rho0, kms, k_max=25)

@@ -114,11 +114,11 @@ def _noncommuting_model():
     terms = build_model(
         ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=beta)
     )
-    return terms, KmsForm(gibbs_state(assemble(ham), beta))
+    return terms, KmsForm(gibbs_state(assemble(ham), beta)), ham
 
 
 def test_build_parent_derives_each_term_once(monkeypatch):
-    terms, kms = _noncommuting_model()
+    terms, kms, _ = _noncommuting_model()
     sups = _count_calls(monkeypatch, "term_superoperator")
     forms = _count_calls(monkeypatch, "coherent_form")
     ph = build_parent(terms, kms, beta=0.5)
@@ -131,14 +131,14 @@ def _zz2_model():
     ham = make_instance("zz_chain", 2)
     beta = 0.5
     terms = build_model(ham, standard_couplings(ham.n, "x"), WeightProfile(beta=beta))
-    return terms, KmsForm(gibbs_state(assemble(ham), beta))
+    return terms, KmsForm(gibbs_state(assemble(ham), beta)), ham
 
 
 def test_compose_dl_channel_builds_one_coherent_form_per_term(monkeypatch):
-    terms, kms = _zz2_model()
+    terms, kms, ham = _zz2_model()
     sups = _count_calls(monkeypatch, "term_superoperator")
     forms = _count_calls(monkeypatch, "coherent_form")
-    compose_dl_channel(terms, kms)
+    compose_dl_channel(terms, kms, ham)
     # The generator's coherent form is the sum of the terms' forms, so no
     # further superoperator or conjugation is built for its spectrum.
     assert len(sups) == len(terms)
@@ -146,11 +146,11 @@ def test_compose_dl_channel_builds_one_coherent_form_per_term(monkeypatch):
 
 
 def test_superop_hamiltonian_builds_one_coherent_form_per_term(monkeypatch):
-    terms, kms = _zz2_model()
+    terms, kms, ham = _zz2_model()
     sups = _count_calls(monkeypatch, "term_superoperator")
     forms = _count_calls(monkeypatch, "coherent_form")
     checks = _count_calls(monkeypatch, "cptp_check")
-    superop_hamiltonian(terms, kms)
+    superop_hamiltonian(terms, kms, ham)
     assert len(sups) == len(terms)
     assert len(forms) == len(terms)
     # H_L reads the channel compose_dl_channel builds, which checks each
@@ -165,11 +165,34 @@ def test_compose_dl_channel_runs_no_superoperator_svd(decomps):
     kms = KmsForm(gibbs_state(assemble(ham), beta))
     d2 = 4**ham.n
     decomps["svd"].clear()
-    ch = compose_dl_channel(terms, kms)
+    ch = compose_dl_channel(terms, kms, ham)
     # Detailed balance is decided Frobenius-first, and g is read off the
     # kernel bases, whose projectors have norm 1 by construction.
     assert ch.g > 0
     assert decomps["svd"].count((d2, d2)) == 0
+
+
+def test_commuting_compose_decomposes_each_term_on_its_support(decomps):
+    from collections import Counter
+
+    ham = make_instance("zz_chain", 4)
+    beta = 0.5
+    terms = build_model(ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=beta))
+    kms = KmsForm(gibbs_state(assemble(ham), beta))
+    for kind in ("eigh", "eigvalsh", "svd"):
+        decomps[kind].clear()
+    compose_dl_channel(terms, kms, ham)
+    d2 = (4**ham.n, 4**ham.n)
+    per_term = Counter((4 ** len(t.support),) * 2 for t in terms)
+    assert max(per_term)[0] < d2[0]
+    # No superoperator-sized eigh or SVD; the one 4^n eigvalsh is the
+    # generator's.  Each term's kernel eigh and Choi eigvalsh run at
+    # 4^|S_m|; the only other eigh are the marginals of sigma, at 2^|S_m|.
+    assert d2 not in decomps["eigh"] and d2 not in decomps["svd"]
+    assert Counter(decomps["eigvalsh"]) == per_term + Counter([d2])
+    kernels = Counter(s for s in decomps["eigh"] if s[0] >= 2**ham.n)
+    assert kernels == per_term
+    assert max(s[0] for s in decomps["eigh"]) <= max(per_term)[0]
 
 
 def test_commuting_model_runs_no_svd_for_its_zero_coherent_parts(decomps):
@@ -184,7 +207,7 @@ def test_commuting_model_runs_no_svd_for_its_zero_coherent_parts(decomps):
 
 
 def test_verify_parent_runs_no_svd_for_hermiticity(decomps):
-    terms, kms = _noncommuting_model()
+    terms, kms, _ = _noncommuting_model()
     ph = build_parent(terms, kms, beta=0.5)
     decomps["svd"].clear()
     with pytest.warns(UserWarning, match="locality checks skipped"):
@@ -270,7 +293,7 @@ def _real_model(couplings):
 def test_real_model_runs_no_complex_superoperator_decomposition(decomps):
     ham, terms, w, kms = _real_model("xz")
     d2 = (4**ham.n, 4**ham.n)
-    compose_dl_channel(terms, kms)
+    compose_dl_channel(terms, kms, ham)
     pin = parent_projector_input(build_parent(terms, kms, beta=0.5))
     singular_gap(dl_operator(pin.ham), pin.ham)
     sched = make_schedule(0.5, spectral_norm(assemble(ham)))
@@ -287,9 +310,9 @@ def test_real_model_runs_no_complex_superoperator_decomposition(decomps):
 
 
 def test_complex_model_keeps_complex_superoperator_decompositions(decomps):
-    terms, kms = _noncommuting_model()
+    terms, kms, ham = _noncommuting_model()
     d2 = (kms.dim**2, kms.dim**2)
-    compose_dl_channel(terms, kms)
+    compose_dl_channel(terms, kms, ham)
     build_parent(terms, kms, beta=0.5)
     kinds = {kind for kind, _ in _complex_calls(decomps, d2)}
     assert kinds == {"eigh", "eigvalsh"}
@@ -301,6 +324,6 @@ def test_imaginary_jumps_with_a_real_lindbladian_run_real(decomps):
     # L dagger L = R^T R are exactly real, so the superoperator is real.
     ham, terms, _, kms = _real_model("xyz")
     assert {t.jumps[0].op.dtype.name for t in terms} == {"float64", "complex128"}
-    ch = compose_dl_channel(terms, kms)
+    ch = compose_dl_channel(terms, kms, ham)
     assert [v.dtype for v in ch.kernel_bases] == [np.float64] * len(terms)
     assert _complex_calls(decomps, (4**ham.n, 4**ham.n)) == []

@@ -1,9 +1,10 @@
 """The shipped configs reproduce their recorded artifacts.
 
-tests/golden holds the CSV and JSON summary of every configs/*.cfg, and
+tests/golden holds the CSV and JSON summary of every configs/*.cfg,
 tests/golden/n4 the configs and artifacts of two n = 4 runs (a zz_chain
-mix and a dl_qsvt anneal) that reach the dense 4^n paths at a size the
-shipped configs do not.  Each
+mix and a dl_qsvt anneal) that reach the 4^n paths at a size the shipped
+configs do not, and tests/golden/n5 those of a zz_chain mix at n = 5,
+recorded on the whole-register channel and rerun on the local one.  Each
 config is rerun and compared cell by cell: the header line, column names,
 keys, integers, strings and lists must match exactly, and floats must agree
 within 1e-12 + 1e-9 |ref|.  The float tolerance absorbs BLAS builds that
@@ -26,8 +27,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = [
     pytest.param(p, GOLDEN, id=p.stem) for p in sorted((ROOT / "configs").glob("*.cfg"))
 ] + [
-    pytest.param(p, GOLDEN / "n4", id=f"n4-{p.stem}")
-    for p in sorted((GOLDEN / "n4").glob("*.cfg"))
+    pytest.param(p, GOLDEN / size, id=f"{size}-{p.stem}")
+    for size in ("n4", "n5")
+    for p in sorted((GOLDEN / size).glob("*.cfg"))
 ]
 
 

@@ -50,6 +50,58 @@ def test_embed_noncontiguous_support():
     assert np.abs(full - np.diag(diag)).max() < 1e-15
 
 
+def _kron_embed(op: LocalOperator, n: int) -> np.ndarray:
+    """Reference lift: kron(op, I), then the qubit axes transposed into place."""
+    rest = [q for q in range(n) if q not in op.support]
+    full = np.kron(op.op, np.eye(2 ** len(rest), dtype=op.op.dtype))
+    order = list(op.support) + rest
+    perm = [order.index(q) for q in range(n)]
+    t = full.reshape([2] * (2 * n)).transpose(perm + [n + a for a in perm])
+    return np.ascontiguousarray(t.reshape(2**n, 2**n))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize(
+    "support",
+    [(0,), (4,), (1, 2), (0, 1, 2, 3, 4), (0, 2), (1, 4, 2), (3, 1), (4, 3, 2, 1, 0)],
+    ids=lambda s: "-".join(map(str, s)),
+)
+def test_embed_is_bitwise_the_kron_lift(support, dtype):
+    # Contiguous, non-contiguous and reversed supports; negative entries
+    # and signed zeros make op * 0 carry a sign, which must survive too.
+    rng = np.random.default_rng(len(support))
+    d = 2 ** len(support)
+    op = rng.normal(size=(d, d))
+    if dtype is complex:
+        op = op + 1j * rng.normal(size=(d, d))
+        op[-1, 0] = complex(2.0, -0.0)
+    op[0, -1] = -0.0
+    local = LocalOperator(op, support)
+    got = embed(local, 5)
+    want = _kron_embed(local, 5)
+    assert got.dtype == want.dtype == local.op.dtype
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+def test_add_embedded_sums_like_embed():
+    from dlgibbs.hamiltonians import add_embedded
+
+    rng = np.random.default_rng(3)
+    real = LocalOperator(rng.normal(size=(4, 4)), (3, 1))
+    cplx = LocalOperator(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), (2,))
+    whole = LocalOperator(rng.normal(size=(16, 16)), (0, 1, 2, 3))
+    total = embed(real, 4)
+    total = add_embedded(total, whole, 4)
+    assert total.dtype == np.float64
+    total = add_embedded(total, cplx, 4)  # widens to complex
+    assert total.dtype == np.complex128
+    want = embed(real, 4) + embed(whole, 4) + embed(cplx, 4)
+    assert np.array_equal(total, want)
+    with pytest.raises(SupportOutOfRange):
+        add_embedded(total, LocalOperator(PAULI_X, (4,)), 4)
+
+
 def test_embed_rejects_out_of_range():
     with pytest.raises(SupportOutOfRange):
         embed(LocalOperator(PAULI_X, (3,)), 2)

@@ -338,6 +338,37 @@ dbetas = [16.0, 8.0]
     assert code == 2
 
 
+FF_MIX_CFG = """
+experiment = mix
+
+[model]
+kind = random_ff_projectors
+n = {n}
+seed = {seed}
+couplings = x
+
+[run]
+beta = 0.5
+k_max = 50
+"""
+
+
+def test_cli_mix_not_cptp_names_the_kernel_gap(tmp_path, capsys):
+    # On this non-commuting model the first term's coherent form has
+    # eigenvalues just above the kernel cut, so rounding tilts its kernel
+    # basis by about eps * ||h_m|| / gap_m and the Choi check fails.  The
+    # raise condition is unchanged; the message names gap_m and that ratio.
+    cfg_path = tmp_path / "ff4.cfg"
+    cfg_path.write_text(FF_MIX_CFG.format(n=4, seed=0))
+    assert main(["mix", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "stationary channel for term 0 is not CPTP" in err
+    assert "gap_m=" in err and "eps*||h_m||/gap_m=" in err
+    cfg_path = tmp_path / "ff3.cfg"
+    cfg_path.write_text(FF_MIX_CFG.format(n=3, seed=2))
+    assert main(["mix", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+
+
 def test_cli_seed_override(tmp_path):
     cfg_path = tmp_path / "project.cfg"
     cfg_path.write_text(

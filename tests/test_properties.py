@@ -1,5 +1,5 @@
 """Randomized property tests of the norm shortcuts, the commutation degrees,
-the Bohr weighting and the fidelity floor.
+the Bohr weighting, the local round channel and the fidelity floor.
 
 Hypothesis runs derandomized with a fixed example budget, so every run of
 the suite draws the same examples.
@@ -13,10 +13,20 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dlgibbs.hamiltonians import noncommutation_degree, projector_noncommutation_degree
-from dlgibbs.jumps import WeightProfile, build_coherent, build_jump
+from dlgibbs.hamiltonians import (
+    LocalOperator,
+    assemble,
+    embed,
+    make_instance,
+    noncommutation_degree,
+    projector_noncommutation_degree,
+    standard_couplings,
+)
+from dlgibbs.jumps import WeightProfile, build_coherent, build_jump, build_model
+from dlgibbs.kms import KmsForm, gibbs_state
 from dlgibbs.linalg import norm_exceeds, spectral_norm
 from test_jumps import reference_coherent, reference_jump
+from test_sampler import assert_local_matches_dense
 
 PROPERTY = settings(
     derandomize=True,
@@ -223,6 +233,50 @@ def test_projector_degree_matches_dense_noncommutation_degree(bases, tol):
     )
 
 
+@st.composite
+def local_projector_families(draw) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
+    """Bases on one to three of five qubits, with the qubits they act on.
+
+    "random" bases are generic; "diagonal" bases take computational basis
+    columns, so any two commute exactly whatever their qubits; "tilted"
+    bases turn an earlier basis on its own qubits by a small random amount,
+    so their commutators with it land near the threshold.
+    """
+    kinds = draw(
+        st.lists(st.sampled_from(["random", "diagonal", "tilted"]), max_size=6)
+    )
+    rng = np.random.default_rng(draw(seeds))
+    bases: list[np.ndarray] = []
+    legs: list[tuple[int, ...]] = []
+    for kind in kinds:
+        if kind == "tilted" and bases:
+            a = int(rng.integers(len(bases)))
+            prev = bases[a]
+            eta = 10.0 ** float(rng.uniform(-13.0, -5.0))
+            bases.append(_orthonormal(prev + eta * _complex_normal(rng, *prev.shape)))
+            legs.append(legs[a])
+            continue
+        k = int(rng.integers(1, 4))
+        legs.append(tuple(int(q) for q in rng.choice(5, size=k, replace=False)))
+        d = 2**k
+        rank = int(rng.integers(1, d + 1))
+        if kind == "diagonal":
+            bases.append(np.eye(d)[:, np.sort(rng.permutation(d)[:rank])])
+        else:
+            bases.append(_orthonormal(_complex_normal(rng, d, rank)))
+    return bases, legs
+
+
+@PROPERTY
+@given(local_projector_families(), st.sampled_from([1e-10, 1e-6]))
+def test_support_graph_degree_matches_dense_noncommutation_degree(family, tol):
+    bases, legs = family
+    dense = [embed(LocalOperator(v @ v.conj().T, lg), 5) for v, lg in zip(bases, legs)]
+    assert projector_noncommutation_degree(bases, tol, legs=legs) == (
+        noncommutation_degree(dense, tol)
+    )
+
+
 @PROPERTY
 @given(seeds, st.integers(2, 8), st.floats(0.0, 2.0), st.booleans())
 def test_bohr_weighting_matches_per_cluster_reference(seed, d, beta, degenerate):
@@ -242,6 +296,30 @@ def test_bohr_weighting_matches_per_cluster_reference(seed, d, beta, degenerate)
     coh = build_coherent(jump, h, w)
     ref = reference_coherent(jump, h, w)
     assert np.linalg.norm(coh - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+
+
+@settings(PROPERTY, max_examples=15)
+@given(
+    seeds,
+    st.integers(3, 4),
+    st.sampled_from(["x", "xz", "xyz"]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_local_channel_matches_dense_on_commuting_projectors(seed, n, couplings, beta):
+    # Random diagonal projectors commute, so every term is built on its
+    # dressed support; the whole-register channel is the reference.  beta
+    # stays on the parity grid: below about 1e-2 some kernel gaps fall to
+    # ~1e-7, and rounding in the whole-register eigh then puts commutator
+    # noise near g's 1e-10 cut (CHANGES.md).
+    import warnings
+
+    ham = make_instance("commuting_projectors", n, seed=seed)
+    w = WeightProfile(beta=beta)
+    terms = build_model(ham, standard_couplings(n, couplings), w)
+    kms = KmsForm(gibbs_state(assemble(ham), beta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert_local_matches_dense(ham, terms, kms)
 
 
 @PROPERTY

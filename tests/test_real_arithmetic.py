@@ -42,7 +42,7 @@ def _pipeline(couplings: str, beta: float) -> dict:
     w = WeightProfile(beta=beta)
     terms = build_model(ham, standard_couplings(ham.n, couplings), w)
     kms = KmsForm(gibbs_state(assemble(ham), beta))
-    ch = compose_dl_channel(terms, kms)
+    ch = compose_dl_channel(terms, kms, ham)
     rho0 = np.zeros((kms.dim, kms.dim))
     rho0[0, 0] = 1.0
     trace = iterate(ch, rho0, kms, k_max=20)

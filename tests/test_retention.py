@@ -44,7 +44,7 @@ def test_compose_dl_channel_holds_no_earlier_factor(monkeypatch):
         return kernel
 
     monkeypatch.setattr(dlgibbs.sampler, "stationary_channel", tracked)
-    ch = compose_dl_channel(terms, kms)
+    ch = compose_dl_channel(terms, kms, ham)
     assert ch.m == len(terms) == len(refs) == 6
     assert alive_at_each_call == [0] * len(terms)
 

@@ -6,10 +6,26 @@ import numpy as np
 import pytest
 
 from dlgibbs.errors import BadParams, IrreducibilityWarning
-from dlgibbs.hamiltonians import assemble, make_instance, standard_couplings
+from dlgibbs.hamiltonians import (
+    LocalOperator,
+    assemble,
+    embed,
+    make_instance,
+    standard_couplings,
+)
 from dlgibbs.jumps import WeightProfile, build_model
-from dlgibbs.kms import KmsForm, Superoperator, cptp_check, gibbs_state
+from dlgibbs.kms import (
+    KmsForm,
+    Superoperator,
+    coherent_form,
+    coherent_spectrum,
+    cptp_check,
+    gibbs_state,
+    stationary_channel,
+    term_superoperator,
+)
 from dlgibbs.sampler import (
+    DlChannel,
     compose_dl_channel,
     contraction_check,
     iterate,
@@ -25,8 +41,19 @@ def _zz3_setup(beta: float = 0.5, kinds: str = "x"):
     return ham, terms, kms
 
 
-def _reference_composite(bases, sigma):
-    """Ordered product of Gamma^{-1/2} V_m V_m dagger Gamma^{1/2}.
+def _full_projectors(ch, n):
+    """Each KMS projector Pi_m = V_m V_m dagger tensor I on the 4^n register.
+
+    The one place where tests expand the channel's local kernel bases.
+    """
+    return [
+        embed(LocalOperator(v @ v.conj().T, lg), 2 * n)
+        for v, lg in zip(ch.kernel_bases, ch.legs)
+    ]
+
+
+def _reference_composite(projectors, sigma):
+    """Ordered product of Gamma^{-1/2} Pi_m Gamma^{1/2}.
 
     The quarter powers come from a fresh eigh of sigma, not from KmsForm.
     """
@@ -36,8 +63,8 @@ def _reference_composite(bases, sigma):
     gamma = np.kron(quarter, quarter.conj())
     gamma_inv = np.kron(inv_quarter, inv_quarter.conj())
     out = np.eye(gamma.shape[0])
-    for v in bases:
-        out = out @ (gamma_inv @ (v @ v.conj().T) @ gamma)
+    for p in projectors:
+        out = out @ (gamma_inv @ p @ gamma)
     return out
 
 
@@ -91,15 +118,15 @@ def _random_state(d, seed):
 
 @pytest.mark.filterwarnings("ignore::dlgibbs.errors.IrreducibilityWarning")
 def test_compose_orders_and_factors():
-    _, terms, kms = _zz3_setup()
-    ch = compose_dl_channel(terms, kms)
+    ham, terms, kms = _zz3_setup()
+    ch = compose_dl_channel(terms, kms, ham)
     assert ch.m == 3
     rho0 = _random_state(kms.dim, seed=4)
     row = iterate(ch, rho0, kms, k_max=1).trace_distances[1]
-    manual = _reference_composite(ch.kernel_bases, kms.sigma)
+    manual = _reference_composite(_full_projectors(ch, ham.n), kms.sigma)
     assert abs(row - _reference_rows(manual, rho0, kms.sigma, 1)[1]) < 1e-12
     # The reversed order is a different map, so the check above fixes it.
-    reverse = _reference_composite(ch.kernel_bases[::-1], kms.sigma)
+    reverse = _reference_composite(_full_projectors(ch, ham.n)[::-1], kms.sigma)
     assert abs(row - _reference_rows(reverse, rho0, kms.sigma, 1)[1]) > 1e-6
 
 
@@ -131,20 +158,19 @@ def test_channel_matches_independent_references(kind, seed, kinds, beta):
     terms = build_model(ham, standard_couplings(3, kinds), w)
     sigma = gibbs_state(assemble(ham), beta)
     kms = KmsForm(sigma)
-    ch = compose_dl_channel(terms, kms)
+    ch = compose_dl_channel(terms, kms, ham)
     ref = spectral_report(lindblad_superoperator(terms, 3), kms)
     assert ch.kernel_dim == ref.kernel_dim
     assert abs(ch.gap - ref.gap) <= 1e-12 * max(1.0, ref.gap)
     assert ch.m == len(terms) == len(ch.kernel_bases)
-    for t, basis in zip(terms, ch.kernel_bases):
-        pi = basis @ basis.conj().T
+    for t, pi in zip(terms, _full_projectors(ch, ham.n)):
         h = coherent_form(term_superoperator(t, 3), kms).mat
         hw, hv = np.linalg.eigh(0.5 * (h + h.conj().T))
         vk = hv[:, np.abs(hw) <= 1e-9 * max(1.0, np.abs(hw).max())]
         assert np.abs(pi - pi.conj().T).max() < 1e-12
         assert np.abs(pi @ pi - pi).max() < 1e-10
         assert np.abs(pi - vk @ vk.conj().T).max() < 1e-10
-    reference = _reference_composite(ch.kernel_bases, sigma)
+    reference = _reference_composite(_full_projectors(ch, ham.n), sigma)
     rho0 = _random_state(kms.dim, seed=5)
     rows = iterate(ch, rho0, kms, k_max=20).trace_distances
     assert np.abs(rows - _reference_rows(reference, rho0, sigma, 20)).max() < 1e-12
@@ -159,12 +185,130 @@ def test_iterate_matches_reference_composite_at_n4():
     terms = build_model(ham, standard_couplings(4, "xz"), WeightProfile(beta=beta))
     sigma = gibbs_state(assemble(ham), beta)
     kms = KmsForm(sigma)
-    ch = compose_dl_channel(terms, kms)
+    ch = compose_dl_channel(terms, kms, ham)
     rho0 = np.zeros((16, 16))
     rho0[0, 0] = 1.0
     rows = iterate(ch, rho0, kms, k_max=20).trace_distances
-    reference = _reference_composite(ch.kernel_bases, sigma)
+    reference = _reference_composite(_full_projectors(ch, ham.n), sigma)
     assert np.abs(rows - _reference_rows(reference, rho0, sigma, 20)).max() < 1e-12
+
+
+def dense_channel(terms, kms, n):
+    """The round channel built on the whole register, and its coherent forms.
+
+    Each h_m comes from the 4^n superoperator of its term and sigma itself,
+    with no restriction to a support: the reference the local path of
+    compose_dl_channel must reproduce.
+    """
+    bases, forms, norms, residuals = [], [], [], []
+    for t in terms:
+        h = coherent_form(term_superoperator(t, n), kms)
+        k = stationary_channel(h, kms)
+        bases.append(k.basis)
+        forms.append(h.mat)
+        norms.append(k.h_norm)
+        residuals.append(k.db_residual)
+    _, gap, kernel_dim = coherent_spectrum(sum(forms))
+    channel = DlChannel(
+        m=len(terms),
+        kernel_bases=tuple(bases),
+        legs=(tuple(range(2 * n)),) * len(terms),
+        gap=gap,
+        kernel_dim=kernel_dim,
+        max_factor_norm=max(norms),
+        db_residual=max(residuals),
+    )
+    return channel, forms, norms
+
+
+def assert_local_matches_dense(ham, terms, kms, k_max=50):
+    """compose_dl_channel's local path against dense_channel, row by row.
+
+    Every h_m^loc tensor I matches the dense h_m within 1e-12 max(1, ||h_m||)
+    (Frobenius, which bounds the spectral norm); gap, kernel_dim, g and q
+    agree (integers exactly); iterate's trace-distance and bound rows and
+    contraction_check's max_ratio agree within 1e-12 absolute.
+    """
+    import dlgibbs.sampler as sampler
+
+    n = ham.n
+    local_forms = []
+    real = sampler.stationary_channel
+
+    def spy(h, site_kms):
+        local_forms.append(h.mat)
+        return real(h, site_kms)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampler, "stationary_channel", spy)
+        ch = compose_dl_channel(terms, kms, ham)
+    dense, forms, norms = dense_channel(terms, kms, n)
+    assert len(local_forms) == len(forms) == ch.m
+    for h_loc, legs, h, h_norm in zip(local_forms, ch.legs, forms, norms):
+        lifted = embed(LocalOperator(h_loc, legs), 2 * n)
+        assert np.linalg.norm(lifted - h) <= 1e-12 * max(1.0, h_norm)
+    assert ch.kernel_dim == dense.kernel_dim
+    assert abs(ch.gap - dense.gap) <= 1e-12
+    assert ch.g == dense.g
+    assert abs(ch.q - dense.q) <= 1e-12
+    rho0 = np.zeros((kms.dim, kms.dim))
+    rho0[0, 0] = 1.0
+    got = iterate(ch, rho0, kms, k_max)
+    want = iterate(dense, rho0, kms, k_max)
+    assert np.abs(got.trace_distances - want.trace_distances).max() <= 1e-12
+    assert np.abs(got.bounds - want.bounds).max() <= 1e-12
+    got_ratio = contraction_check(ch, kms, trials=10, seed=2).max_ratio
+    want_ratio = contraction_check(dense, kms, trials=10, seed=2).max_ratio
+    if ch.q == 0.0:
+        assert got_ratio == want_ratio
+    else:
+        assert abs(got_ratio - want_ratio) <= 1e-12 * max(1.0, want_ratio)
+    return ch
+
+
+@pytest.mark.filterwarnings("ignore::dlgibbs.errors.IrreducibilityWarning")
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("couplings", ["x", "xz", "xyz"])
+@pytest.mark.parametrize("kind", ["zz_chain", "field_chain", "commuting_projectors"])
+def test_local_channel_matches_dense_path(kind, couplings, beta, n):
+    ham = make_instance(kind, n)
+    terms = build_model(ham, standard_couplings(n, couplings), WeightProfile(beta=beta))
+    kms = KmsForm(gibbs_state(assemble(ham), beta))
+    ch = assert_local_matches_dense(ham, terms, kms)
+    # At n = 4 no dressed support is the whole chain, so every term is local.
+    if n == 4:
+        assert all(len(legs) < 2 * n for legs in ch.legs)
+
+
+def test_noncommuting_model_builds_on_the_whole_register():
+    ham = make_instance("random_ff_projectors", 3, seed=2)
+    terms = build_model(ham, standard_couplings(3, "x"), WeightProfile(beta=0.5))
+    kms = KmsForm(gibbs_state(assemble(ham), 0.5))
+    ch = compose_dl_channel(terms, kms, ham)
+    dense, _, _ = dense_channel(terms, kms, 3)
+    assert ch.legs == dense.legs
+    for got, want in zip(ch.kernel_bases, dense.kernel_bases):
+        assert got.tobytes() == want.tobytes()
+    assert (ch.gap, ch.kernel_dim, ch.g) == (dense.gap, dense.kernel_dim, dense.g)
+
+
+def test_term_that_is_not_local_on_its_support_is_refused():
+    from dataclasses import replace
+
+    from dlgibbs.errors import NotLocal
+
+    ham = make_instance("zz_chain", 4)
+    terms = build_model(ham, standard_couplings(4, "x"), WeightProfile(beta=0.5))
+    kms = KmsForm(gibbs_state(assemble(ham), 0.5))
+    # A state that is not the Gibbs state of ham: the jumps are local, but
+    # their sigma^{1/4} conjugates are not, so no local KMS form is exact.
+    with pytest.raises(NotLocal, match=r"term 0: jump 0 as sigma\^\{1/4\}"):
+        compose_dl_channel(terms, KmsForm(_random_state(kms.dim, seed=1)), ham)
+    # Term 0 (x on site 0) claims the support of the term on site 3.
+    terms[0] = replace(terms[0], support=terms[3].support)
+    with pytest.raises(NotLocal, match="term 0: jump 0 is not the identity"):
+        compose_dl_channel(terms, kms, ham)
 
 
 def _arrays(obj):
@@ -180,31 +324,35 @@ def _arrays(obj):
 
 
 def test_channel_holds_no_superoperator_sized_array():
-    _, terms, kms = _zz3_setup(kinds="xz")
-    ch = compose_dl_channel(terms, kms)
-    assert ch.g > 0 and ch.q > 0  # computed on first read, then held
-    d2 = kms.dim**2
-    shapes = [a.shape for a in _arrays(ch)]
-    assert len(shapes) == ch.m
-    assert (d2, d2) not in shapes
-
-
-def _kms_projectors(ch):
-    return [v @ v.conj().T for v in ch.kernel_bases]
+    for n in (3, 4):
+        ham = make_instance("zz_chain", n)
+        beta = 0.5
+        terms = build_model(ham, standard_couplings(n, "xz"), WeightProfile(beta=beta))
+        kms = KmsForm(gibbs_state(assemble(ham), beta))
+        ch = compose_dl_channel(terms, kms, ham)
+        assert ch.g > 0 and ch.q > 0  # computed on first read, then held
+        shapes = [a.shape for a in _arrays(ch)]
+        assert len(shapes) == ch.m
+        # A commuting model keeps each kernel basis on its doubled dressed
+        # support: 4^|S_m| rows, fewer than 4^n unless S_m is the whole chain.
+        for t, basis, legs in zip(terms, ch.kernel_bases, ch.legs):
+            s = t.support
+            assert legs == s + tuple(q + n for q in s)
+            assert basis.shape[0] == 4 ** len(s)
 
 
 def test_kms_projectors_are_orthogonal_projectors():
-    _, terms, kms = _zz3_setup()
-    ch = compose_dl_channel(terms, kms)
-    for p in _kms_projectors(ch):
+    ham, terms, kms = _zz3_setup()
+    ch = compose_dl_channel(terms, kms, ham)
+    for p in _full_projectors(ch, ham.n):
         assert np.abs(p @ p - p).max() < 1e-9
         assert np.abs(p - p.conj().T).max() < 1e-9
 
 
 def test_round_channel_is_cptp_in_schrodinger_picture():
-    _, terms, kms = _zz3_setup()
-    ch = compose_dl_channel(terms, kms)
-    reference = _reference_composite(ch.kernel_bases, kms.sigma)
+    ham, terms, kms = _zz3_setup()
+    ch = compose_dl_channel(terms, kms, ham)
+    reference = _reference_composite(_full_projectors(ch, ham.n), kms.sigma)
     rep = cptp_check(Superoperator(reference, "heisenberg", kms.dim), tol=1e-8)
     assert rep.cp and rep.tp
 
@@ -212,11 +360,11 @@ def test_round_channel_is_cptp_in_schrodinger_picture():
 def test_iterate_reducible_x_couplings():
     # X-only couplings on a ZZ chain conserve the global spin flip, so the
     # stationary space is two-dimensional and the bound is constant.
-    _, terms, kms = _zz3_setup()
+    ham, terms, kms = _zz3_setup()
     rho0 = np.zeros((8, 8), dtype=complex)
     rho0[0, 0] = 1.0
     with pytest.warns(IrreducibilityWarning):
-        ch = compose_dl_channel(terms, kms)
+        ch = compose_dl_channel(terms, kms, ham)
         trace = iterate(ch, rho0, kms, k_max=30)
     assert trace.kernel_dim == 2
     assert trace.gap < 1e-8
@@ -228,8 +376,8 @@ def test_iterate_reducible_x_couplings():
 
 
 def test_iterate_converges_with_xz_couplings():
-    _, terms, kms = _zz3_setup(kinds="xz")
-    ch = compose_dl_channel(terms, kms)
+    ham, terms, kms = _zz3_setup(kinds="xz")
+    ch = compose_dl_channel(terms, kms, ham)
     rho0 = np.zeros((8, 8), dtype=complex)
     rho0[0, 0] = 1.0
     trace = iterate(ch, rho0, kms, k_max=40)
@@ -242,8 +390,8 @@ def test_iterate_converges_with_xz_couplings():
 
 
 def test_iterate_validates_initial_state():
-    _, terms, kms = _zz3_setup(kinds="xz")
-    ch = compose_dl_channel(terms, kms)
+    ham, terms, kms = _zz3_setup(kinds="xz")
+    ch = compose_dl_channel(terms, kms, ham)
     with pytest.raises(BadParams):
         iterate(ch, np.eye(8, dtype=complex), kms, 1)
     bad = np.zeros((8, 8), dtype=complex)
@@ -253,8 +401,8 @@ def test_iterate_validates_initial_state():
 
 
 def test_contraction_check_centered_observables():
-    _, terms, kms = _zz3_setup(kinds="xz")
-    ch = compose_dl_channel(terms, kms)
+    ham, terms, kms = _zz3_setup(kinds="xz")
+    ch = compose_dl_channel(terms, kms, ham)
     rep = contraction_check(ch, kms, trials=20, seed=1)
     assert rep.passed
     assert rep.max_ratio <= 1.0 + 1e-8
@@ -281,7 +429,7 @@ def test_superop_hamiltonian_gap_ordering_on_zoo_models():
             w = WeightProfile(kind="davies_kms", beta=beta)
             terms = build_model(ham, standard_couplings(ham.n, "x"), w)
             kms = KmsForm(gibbs_state(assemble(ham), beta))
-            hl_rep = superop_hamiltonian(terms, kms)
+            hl_rep = superop_hamiltonian(terms, kms, ham)
             l_rep = spectral_report(lindblad_superoperator(terms, ham.n), kms)
             assert hl_rep.gap >= l_rep.gap - 1e-8
             assert hl_rep.kernel_dim == l_rep.kernel_dim
@@ -296,7 +444,7 @@ def test_gap_ordering_holds_for_normalized_xz_model():
     w = WeightProfile(kind="davies_kms", beta=0.5)
     terms = build_model(ham, standard_couplings(3, "xz"), w, normalize=True)
     kms = KmsForm(gibbs_state(assemble(ham), 0.5))
-    hl_rep = superop_hamiltonian(terms, kms)
+    hl_rep = superop_hamiltonian(terms, kms, ham)
     l_rep = spectral_report(lindblad_superoperator(terms, 3), kms)
     assert hl_rep.kernel_dim == 1 and l_rep.kernel_dim == 1
     assert hl_rep.gap >= l_rep.gap - 1e-8
@@ -305,9 +453,9 @@ def test_gap_ordering_holds_for_normalized_xz_model():
 def test_gap_ordering_warns_for_oversized_factors():
     # Unnormalized XZ couplings push the coherent-form factor norms above 1,
     # where the ordering is no longer a theorem and indeed reverses here.
-    _, terms, kms = _zz3_setup(kinds="xz")
+    ham, terms, kms = _zz3_setup(kinds="xz")
     with pytest.warns(UserWarning, match="unit-norm"):
-        rep = superop_hamiltonian(terms, kms)
+        rep = superop_hamiltonian(terms, kms, ham)
     assert rep.kernel_dim == 1
     assert rep.gap > 0
 
@@ -316,10 +464,10 @@ def test_gap_ordering_warns_for_oversized_factors():
 def test_detectability_inequality_on_probe():
     from dlgibbs.hamiltonians import noncommutation_degree
 
-    _, terms, kms = _zz3_setup(kinds="xz")
-    ch = compose_dl_channel(terms, kms)
-    rep = superop_hamiltonian(terms, kms)
-    projectors = _kms_projectors(ch)
+    ham, terms, kms = _zz3_setup(kinds="xz")
+    ch = compose_dl_channel(terms, kms, ham)
+    rep = superop_hamiltonian(terms, kms, ham)
+    projectors = _full_projectors(ch, ham.n)
     g = noncommutation_degree(projectors)
     assert g == ch.g
     d2 = kms.dim**2
@@ -346,8 +494,8 @@ def test_detectability_inequality_on_probe():
 
 
 def test_fixed_point_of_round_channel():
-    _, terms, kms = _zz3_setup(kinds="xz")
-    ch = compose_dl_channel(terms, kms)
+    ham, terms, kms = _zz3_setup(kinds="xz")
+    ch = compose_dl_channel(terms, kms, ham)
     trace = iterate(ch, kms.sigma, kms, k_max=1)
     assert trace.trace_distances[1] < 1e-10
 
@@ -364,8 +512,8 @@ def test_iterate_and_contraction_check_share_channel_invariants(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(sampler, name, counted)
-    _, terms, kms = _zz3_setup(kinds="xz")
-    ch = compose_dl_channel(terms, kms)
+    ham, terms, kms = _zz3_setup(kinds="xz")
+    ch = compose_dl_channel(terms, kms, ham)
     rho0 = np.zeros((8, 8), dtype=complex)
     rho0[0, 0] = 1.0
     trace = iterate(ch, rho0, kms, k_max=5)
@@ -388,7 +536,7 @@ def test_superop_hamiltonian_does_not_compute_g(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sampler, "projector_noncommutation_degree", counted)
-    _, terms, kms = _zz3_setup(kinds="xz")
-    rep = superop_hamiltonian(terms, kms)
+    ham, terms, kms = _zz3_setup(kinds="xz")
+    rep = superop_hamiltonian(terms, kms, ham)
     assert rep.kernel_dim == 1
     assert calls == []
