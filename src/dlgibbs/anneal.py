@@ -390,7 +390,9 @@ def run_annealing(
     dl_steps = []
     for beta_j in betas.tolist():
         terms = build_model(ham, couplings, replace(w, beta=beta_j))
-        ph = build_parent(terms, KmsForm(gibbs_state(h_mat, beta_j)), beta=beta_j)
+        ph = build_parent(
+            terms, KmsForm(gibbs_state(h_mat, beta_j)), ham, beta=beta_j
+        )
         if ph.kernel_dim > 1:
             msg = (
                 f"generator at beta = {beta_j:.6g} has fixed-point dimension "

@@ -154,13 +154,16 @@ def embed(op: LocalOperator, n: int) -> np.ndarray:
     return out
 
 
-def add_embedded(total: np.ndarray, op: LocalOperator, n: int) -> np.ndarray:
+def add_embedded(total: np.ndarray | None, op: LocalOperator, n: int) -> np.ndarray:
     """total + embed(op, n), written into total unless the sum needs a wider dtype.
 
     Only the identity's diagonal blocks are touched; elsewhere embed holds
     op * 0, which changes no entry of total except, possibly, the sign of
-    a zero.  With the whole register as support this is total += op.
+    a zero.  With the whole register as support this is total += op.  A
+    total of None starts the sum with embed(op, n).
     """
+    if total is None:
+        return embed(op, n)
     if np.result_type(total, op.op) != total.dtype:
         total = total.astype(np.result_type(total, op.op))
     held, diagonal = _held(total, op.support, n)

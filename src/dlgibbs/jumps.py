@@ -38,8 +38,9 @@ import numpy as np
 
 from .errors import BadParams, UnknownKind
 from .hamiltonians import LocalHamiltonian, LocalOperator, assemble, embed
-from .kms import KmsForm, LindbladTerm, coherent_form, gibbs_state, term_superoperator
+from .kms import KmsForm, LindbladTerm, gibbs_state
 from .linalg import HermitianEig, hermitian_eigendecompose, norm_exceeds, spectral_norm
+from .sampler import coherent_terms
 
 
 @dataclass(frozen=True)
@@ -204,17 +205,15 @@ def build_model(
 
     Operators are materialized on the full register (their support field
     records the dressed locality).  With normalize=True each term is
-    rescaled by the spectral norm of its coherent form, an inexpensive
-    stand-in for diamond-norm normalization.
+    rescaled by the spectral norm of its coherent form (from
+    sampler.coherent_terms), an inexpensive stand-in for diamond-norm
+    normalization.
     """
     if not couplings:
         raise BadParams("need at least one coupling operator")
     h = assemble(ham)
     eig = hermitian_eigendecompose(h)
     full = tuple(range(ham.n))
-    kms = None
-    if normalize:
-        kms = KmsForm(gibbs_state(h, w.beta))
     terms: list[LindbladTerm] = []
     for a in couplings:
         a_full = embed(a, ham.n)
@@ -228,15 +227,20 @@ def build_model(
             coherent=LocalOperator(coh, full) if has_coh else None,
             support=dressed_support(a, ham),
         )
-        if normalize:
-            scale = spectral_norm(coherent_form(term_superoperator(term, ham.n), kms).mat)
-            if scale > 1e-14:
-                term = LindbladTerm(
-                    jumps=(LocalOperator(jump / np.sqrt(scale), full),),
-                    coherent=(
-                        LocalOperator(coh / scale, full) if has_coh else None
-                    ),
-                    support=term.support,
-                )
         terms.append(term)
+    if normalize:
+        forms = coherent_terms(terms, KmsForm(gibbs_state(h, w.beta)), ham)
+        terms = [_rescaled(t, spectral_norm(f[0].mat)) for t, f in zip(terms, forms)]
     return terms
+
+
+def _rescaled(term: LindbladTerm, scale: float) -> LindbladTerm:
+    """term with its coherent form divided by scale (jumps by sqrt(scale))."""
+    if scale <= 1e-14:
+        return term
+    coh = term.coherent
+    return LindbladTerm(
+        jumps=tuple(LocalOperator(j.op / np.sqrt(scale), j.support) for j in term.jumps),
+        coherent=None if coh is None else LocalOperator(coh.op / scale, coh.support),
+        support=term.support,
+    )

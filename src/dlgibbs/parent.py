@@ -19,8 +19,11 @@ coherent form, so gap(H) = gap(L).
 For commuting H the Bohr components of each coupling are exact
 eigenoperators, the quarter-power dressing acts by scalars, and H^a is
 supported on the dressed coupling support copied to both halves of the
-register; verify_parent checks this locality explicitly and skips it
-(with a warning) for non-commuting input.
+register.  build_parent takes each H^a from sampler.coherent_terms, the
+h_m the round channel is built from, held on that doubled support; a term
+that is not local there raises NotLocal when it is built, and the worst
+relative residual of that check is its locality residual.  For
+non-commuting H every term is on the whole doubled register and has none.
 """
 
 from __future__ import annotations
@@ -40,29 +43,24 @@ from .errors import (
 from .hamiltonians import (
     LocalHamiltonian,
     LocalOperator,
+    add_embedded,
     assemble,
-    commutation_degree,
-    embed,
     support_overlap_degree,
 )
 from .kms import (
     DETAILED_BALANCE_TOL,
     KmsForm,
     LindbladTerm,
-    coherent_form,
     coherent_spectrum,
     gibbs_state,
-    term_superoperator,
 )
 from .linalg import (
-    accumulate,
     hermitian_eigendecompose,
-    hermiticity_residual,
     norm_exceeds,
-    partial_trace,
     spectral_norm,
     vectorize,
 )
+from .sampler import coherent_terms
 
 __all__ = [
     "ParentHamiltonian",
@@ -78,10 +76,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ParentTerm:
-    """One per-coupling block of the parent Hamiltonian."""
+    """One per-coupling block H^a = mat tensor I, mat on the legs in support.
+
+    db_residual is ||h_a - h_a dagger||_F of the coherent form mat
+    symmetrizes; locality_residual is sampler.coherent_terms' locality.
+    """
 
     mat: np.ndarray
     support: tuple[int, ...]
+    db_residual: float
+    locality_residual: float | None
 
     @cached_property
     def norm(self) -> float:
@@ -112,8 +116,8 @@ class ParentHamiltonian:
 class ParentReport:
     """Frustration, hermiticity, locality and degree diagnostics.
 
-    hermiticity_residuals are ||H^a - H^a†||_F, an upper bound on the
-    spectral norm of each term's anti-Hermitian part.
+    hermiticity_residuals are the terms' db_residual, an upper bound on
+    the spectral norm of each coherent form's anti-Hermitian part.
     """
 
     frustration_residuals: tuple[float, ...]
@@ -127,45 +131,36 @@ class ParentReport:
 
 @dataclass(frozen=True)
 class ProjectorInput:
-    """Negated, normalized, locally extracted parent ready for projection."""
+    """Negated, normalized local parent terms ready for projection."""
 
     ham: LocalHamiltonian
     scales: tuple[float, ...]
 
 
-def _doubled_support(support: tuple[int, ...], n: int) -> tuple[int, ...]:
-    base = sorted(support)
-    return tuple(base + [q + n for q in base])
-
-
 def build_parent(
     terms: list[LindbladTerm] | tuple[LindbladTerm, ...],
     kms: KmsForm,
+    ham: LocalHamiltonian,
     beta: float | None = None,
 ) -> ParentHamiltonian:
     """Assemble H = sum_a H^a, with H^a the KMS coherent form of term a.
 
-    coherent_form(term_superoperator(t, n), kms) is the module display:
-    term_superoperator builds the bracket and the conjugation by
-    Gamma^{1/2} is the Q sandwich.  Each term is built once.  A term's
-    coherent form, or their sum, that deviates from Hermitian by more than
+    Each coherent form comes from sampler.coherent_terms, on its doubled
+    support; H^a is its symmetrization there.  A term's coherent form, or
+    their sum, that deviates from Hermitian by more than
     DETAILED_BALANCE_TOL raises NotDetailedBalanced; a positive eigenvalue
     of the assembled parent raises PositiveEigenvalue.
     """
-    if not terms:
-        raise BadParams("need at least one term")
-    d = kms.dim
-    n = int(round(np.log2(d)))
-    if 2**n != d:
-        raise BadParams(f"state dimension {d} is not a power of 2")
+    nq = 2 * ham.n
     parent_terms: list[ParentTerm] = []
     raw = None
-    for idx, t in enumerate(terms):
-        form = coherent_form(term_superoperator(t, n), kms).mat
-        _check_detailed_balance(form - form.conj().T, f"term {idx}", beta)
-        raw = accumulate(raw, form)
-        h_a = 0.5 * (form + form.conj().T)
-        parent_terms.append(ParentTerm(mat=h_a, support=_doubled_support(t.support, n)))
+    for idx, (h, legs, _, locality) in enumerate(coherent_terms(terms, kms, ham)):
+        form = h.mat
+        anti = form - form.conj().T
+        _check_detailed_balance(anti, f"term {idx}", beta)
+        raw = add_embedded(raw, LocalOperator(form, legs), nq)
+        herm = 0.5 * (form + form.conj().T)
+        parent_terms.append(ParentTerm(herm, legs, float(np.linalg.norm(anti)), locality))
     _check_detailed_balance(raw - raw.conj().T, "the sum of the terms", beta)
     # The coherent form is linear, so full = sum_a H^a; raw is dropped
     # before the spectrum, which needs three more 4^n x 4^n arrays.
@@ -178,7 +173,7 @@ def build_parent(
     ground = vectorize(kms.sqrt)
     ground = ground / np.linalg.norm(ground)
     return ParentHamiltonian(
-        full, tuple(parent_terms), ground, n, gap=gap, kernel_dim=kernel_dim
+        full, tuple(parent_terms), ground, ham.n, gap=gap, kernel_dim=kernel_dim
     )
 
 
@@ -203,76 +198,60 @@ def purified_gibbs(ham: LocalHamiltonian | np.ndarray, beta: float) -> np.ndarra
     return psi / np.linalg.norm(psi)
 
 
-def _local_block(
-    mat: np.ndarray, support: tuple[int, ...], nq: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best local representative on support and the off-support remainder."""
-    comp = 2 ** (nq - len(support))
-    block = partial_trace(mat, keep=list(support), dims=[2] * nq) / comp
-    return block, mat - embed(LocalOperator(block, support), nq)
+def _frustration(term: ParentTerm, ground: np.ndarray, nq: int) -> float:
+    """||H^a ground||: mat applied to ground's legs in support, moved to the front."""
+    order = list(term.support) + [a for a in range(nq) if a not in term.support]
+    legs = ground.reshape((2,) * nq).transpose(order).reshape(term.mat.shape[0], -1)
+    return float(np.linalg.norm(term.mat @ legs))
 
 
-def verify_parent(ph: ParentHamiltonian, ham: LocalHamiltonian) -> ParentReport:
-    """Report-only diagnostics: frustration, hermiticity, locality, degree."""
-    frus = tuple(
-        float(np.linalg.norm(t.mat @ ph.ground)) for t in ph.terms
-    )
-    herm = tuple(hermiticity_residual(t.mat) for t in ph.terms)
-    warns: list[str] = []
-    commuting = commutation_degree(ham) == 0
-    locality: tuple[float, ...] | None = None
-    if commuting:
-        locality = tuple(
-            spectral_norm(_local_block(t.mat, t.support, 2 * ph.n)[1])
-            for t in ph.terms
-        )
-    else:
-        msg = "Hamiltonian terms do not commute; locality checks skipped"
-        warnings.warn(msg)
-        warns.append(msg)
+def verify_parent(ph: ParentHamiltonian) -> ParentReport:
+    """Report-only diagnostics: frustration, hermiticity, locality, degree.
+
+    Hermiticity and locality residuals are the ones build_parent measured.
+    """
+    frus = tuple(_frustration(t, ph.ground, 2 * ph.n) for t in ph.terms)
+    locality = tuple(t.locality_residual for t in ph.terms)
+    warns: tuple[str, ...] = ()
+    if None in locality:
+        warns = ("Hamiltonian terms do not commute; locality checks skipped",)
+        warnings.warn(warns[0])
+        locality = None
     return ParentReport(
         frustration_residuals=frus,
         max_frustration=max(frus),
-        hermiticity_residuals=herm,
+        hermiticity_residuals=tuple(t.db_residual for t in ph.terms),
         locality_residuals=locality,
         parent_degree=support_overlap_degree([t.support for t in ph.terms]),
-        locality_checked=commuting,
-        warnings=tuple(warns),
+        locality_checked=locality is not None,
+        warnings=warns,
     )
 
 
-def parent_projector_input(ph: ParentHamiltonian, tol: float = 1e-9) -> ProjectorInput:
-    """Negate, normalize and localize parent terms for the DL projector.
+def parent_projector_input(ph: ParentHamiltonian) -> ProjectorInput:
+    """Negate and normalize the local parent terms for the DL projector.
 
-    Each term is read through its block, the normalized partial trace onto
-    its doubled dressed support: -block must be positive semidefinite
-    (PositivityFailure otherwise) and H^a exactly local (BadParams
-    otherwise).  Terms are divided by max(1, ||block||), recorded in scales;
-    the partial trace is unital and completely positive, so ||block|| <=
-    ||H^a||.
+    Each H^a is held on its doubled dressed support; -H^a must be positive
+    semidefinite (PositivityFailure otherwise).  Terms are divided by
+    max(1, ||H^a||), recorded in scales, with ||H^a|| read off the same
+    eigvalsh.  A parent of non-commuting H has no local terms (BadParams).
     """
-    nq = 2 * ph.n
     locals_: list[LocalOperator] = []
     scales: list[float] = []
     for idx, t in enumerate(ph.terms):
-        block, off = _local_block(t.mat, t.support, nq)
-        w = np.linalg.eigvalsh(block)
+        if t.locality_residual is None:
+            msg = f"parent term {idx} is not local: the Hamiltonian terms do not commute"
+            raise BadParams(msg)
+        w = np.linalg.eigvalsh(t.mat)
         scale = max(1.0, float(np.abs(w).max()))
-        if norm_exceeds(off, tol * scale):
-            raise BadParams(
-                f"parent term {idx} is not local on its dressed support "
-                f"(residual {spectral_norm(off):.3e}); projection input undefined"
-            )
-        del off
-        # -block / scale has eigenvalues -w / scale and norm at most 1.
+        # -H^a / scale has eigenvalues -w / scale and norm at most 1.
         min_eig = -float(w[-1]) / scale
         if min_eig < -1e-10:
             raise PositivityFailure(
                 f"negated parent term {idx} has eigenvalue {min_eig:.3e} < 0"
             )
-        neg = -block / scale
-        locals_.append(LocalOperator(0.5 * (neg + neg.conj().T), t.support))
+        locals_.append(LocalOperator(-t.mat / scale, t.support))
         scales.append(scale)
     return ProjectorInput(
-        ham=LocalHamiltonian(n=nq, terms=tuple(locals_)), scales=tuple(scales)
+        ham=LocalHamiltonian(n=2 * ph.n, terms=tuple(locals_)), scales=tuple(scales)
     )

@@ -17,8 +17,9 @@ non-commutation degree of the Pi_m.  Iterating from rho_0 then obeys
 The comparison Hamiltonian H_L = sum_m (I - Pi_m) is positive
 semidefinite; its gap above the common kernel upper-bounds the generator
 gap and drives the projector bounds downstream; it is read off the same
-channel.  compose_dl_channel is the one pass over the terms: it derives
-each coherent form h_m once, the orthonormal kernel basis V_m of h_m
+channel.  coherent_terms derives each coherent form h_m once; it is the
+one derivation both compose_dl_channel and parent.build_parent iterate
+over.  compose_dl_channel takes the orthonormal kernel basis V_m of h_m
 (Pi_m = V_m V_m dagger) and P_m from V_m, and checks P_m CPTP.
 
 The channel is local when the Hamiltonian is.  For commuting H each term
@@ -38,6 +39,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -62,6 +64,7 @@ from .kms import (
     KmsForm,
     LindbladTerm,
     SpectralReport,
+    Superoperator,
     coherent_form,
     coherent_spectrum,
     cptp_check,
@@ -151,7 +154,7 @@ def _restrict(
     n: int,
     kms: KmsForm,
     local_kms: KmsForm,
-) -> LindbladTerm:
+) -> tuple[LindbladTerm, float]:
     """term on the register of its sites, which are not the whole register.
 
     Each jump and the coherent part become their normalized partial traces
@@ -159,11 +162,13 @@ def _restrict(
     its modular conjugates sigma^{+-1/4} K sigma^{-+1/4} against those of
     local_kms, the marginal of sigma on sites: the term's coherent form
     is built from exactly these products, so it then equals the local
-    coherent form tensor I.  NotLocal names the term otherwise.
+    coherent form tensor I.  NotLocal names the term otherwise.  Returns
+    the restricted term and the worst residual relative to max(1, ||K||).
     """
     k = len(sites)
     q, iq = kms.quarter, kms.inv_quarter
     lq, liq = local_kms.quarter, local_kms.inv_quarter
+    relatives: list[float] = []
 
     def local(op: LocalOperator, what: str) -> LocalOperator:
         full = embed(op, n)
@@ -175,18 +180,60 @@ def _restrict(
         )
         for label, got, want in pairs:
             residual = float(np.linalg.norm(got - embed(LocalOperator(want, sites), n)))
-            if residual > LOCALITY_TOL * max(1.0, float(np.linalg.norm(got))):
+            relative = residual / max(1.0, float(np.linalg.norm(got)))
+            if relative > LOCALITY_TOL:
                 raise NotLocal(
                     f"term {idx}: {label} is not the identity off sites {sites} "
                     f"(residual {residual:.3e})"
                 )
+            relatives.append(relative)
         return LocalOperator(part, tuple(range(k)))
 
-    return LindbladTerm(
+    restricted = LindbladTerm(
         jumps=tuple(local(j, f"jump {i}") for i, j in enumerate(term.jumps)),
         coherent=None if term.coherent is None else local(term.coherent, "coherent part"),
         support=tuple(range(k)),
     )
+    return restricted, max(relatives)
+
+
+def coherent_terms(
+    terms: list[LindbladTerm] | tuple[LindbladTerm, ...],
+    kms: KmsForm,
+    ham: LocalHamiltonian,
+) -> Iterator[tuple[Superoperator, tuple[int, ...], KmsForm, float | None]]:
+    """Each term's coherent form h_m, built once, in term order.
+
+    ham is the Hamiltonian the terms and sigma come from.  When its terms
+    commute (commutation_degree 0) each term is built on its dressed
+    support S (_restrict) against the marginal of sigma there; otherwise,
+    and when S is the whole register, on the whole register with kms.
+    Yields (h_m, legs, state, locality): h_m acts as h_m tensor I on legs
+    S u (S + n), state is the KMS form it was built against and locality
+    _restrict's worst relative residual (0.0 when S is the whole
+    register, None for non-commuting H).
+    """
+    if not terms:
+        raise BadParams("need at least one term")
+    n = int(round(np.log2(kms.dim)))
+    if 2**n != kms.dim:
+        raise DimensionMismatch(f"state dimension {kms.dim} is not a power of 2")
+    if ham.n != n:
+        raise DimensionMismatch(f"Hamiltonian on {ham.n} qubits, state on {n}")
+    whole = tuple(range(n))
+    local = commutation_degree(ham) == 0
+    marginals = {whole: kms}
+    for idx, t in enumerate(terms):
+        sites = tuple(sorted(t.support)) if local else whole
+        if sites not in marginals:
+            marginals[sites] = KmsForm(partial_trace(kms.sigma, sites, (2,) * n))
+        site_kms = marginals[sites]
+        locality = 0.0 if local else None
+        if sites != whole:
+            t, locality = _restrict(t, idx, sites, n, kms, site_kms)
+        form = coherent_form(term_superoperator(t, len(sites)), site_kms)
+        yield form, sites + tuple(q + n for q in sites), site_kms, locality
+        del form  # so only the caller holds h_m when the next one is built
 
 
 def compose_dl_channel(
@@ -198,40 +245,17 @@ def compose_dl_channel(
 
     The Heisenberg round is the product P_1 ... P_m in term order, so in
     the Schrodinger picture the first term's factor acts on the state
-    first.  Each term's coherent form h_m gives its stationary channel
-    P_m, which is checked CPTP and dropped; only V_m, ||h_m|| and the
-    detailed-balance bound are kept.  The generator spectrum comes from
-    the sum of the h_m (the coherent form is linear).
-
-    ham is the Hamiltonian the terms and sigma come from.  When its terms
-    commute (commutation_degree 0) each term is built on its dressed
-    support (_restrict), with the marginal of sigma there as its KMS
-    state; otherwise, and for a term whose support is the whole register,
-    on the whole register with kms itself.
+    first.  Each term's coherent form h_m (coherent_terms) gives its
+    stationary channel P_m, which is checked CPTP and dropped; only V_m,
+    ||h_m|| and the detailed-balance bound are kept.  The generator
+    spectrum comes from the sum of the h_m (the coherent form is linear).
     """
-    if not terms:
-        raise BadParams("need at least one term to compose a channel")
-    n = int(round(np.log2(kms.dim)))
-    if 2**n != kms.dim:
-        raise DimensionMismatch(f"state dimension {kms.dim} is not a power of 2")
-    if ham.n != n:
-        raise DimensionMismatch(f"Hamiltonian on {ham.n} qubits, state on {n}")
-    whole = tuple(range(n))
-    local = commutation_degree(ham) == 0
-    marginals = {whole: kms}
     generator = None
     bases = []
     legs = []
     h_norms = []
     db_residuals = []
-    for idx, t in enumerate(terms):
-        sites = tuple(sorted(t.support)) if local else whole
-        if sites not in marginals:
-            marginals[sites] = KmsForm(partial_trace(kms.sigma, sites, (2,) * n))
-        site_kms = marginals[sites]
-        if sites != whole:
-            t = _restrict(t, idx, sites, n, kms, site_kms)
-        h = coherent_form(term_superoperator(t, len(sites)), site_kms)
+    for idx, (h, doubled, site_kms, _) in enumerate(coherent_terms(terms, kms, ham)):
         k = stationary_channel(h, site_kms)
         rep = cptp_check(k.channel)
         if not (rep.cp and rep.tp):
@@ -241,17 +265,12 @@ def compose_dl_channel(
                 f"kernel gap gap_m={k.gap:.3e}, so rounding tilts its kernel by "
                 f"about eps*||h_m||/gap_m={np.finfo(float).eps * k.h_norm / k.gap:.3e}"
             )
-        doubled = sites + tuple(q + n for q in sites)
-        lifted = LocalOperator(h.mat, doubled)
-        if generator is None:
-            generator = embed(lifted, 2 * n)
-        else:
-            generator = add_embedded(generator, lifted, 2 * n)
+        generator = add_embedded(generator, LocalOperator(h.mat, doubled), 2 * ham.n)
         bases.append(k.basis)
         legs.append(doubled)
         h_norms.append(k.h_norm)
         db_residuals.append(k.db_residual)
-        del h, k, lifted  # free h_m and P_m before the next term's are built
+        del h, k  # free h_m and P_m before the next term's are built
     _, gap, kernel_dim = coherent_spectrum(generator)
     return DlChannel(
         m=len(terms),

@@ -225,8 +225,8 @@ def test_criterion_09_parent_hamiltonian_certificates():
     for name, ham in _zoo():
         for beta in BETAS:
             terms, kms = _davies(ham, beta)
-            ph = build_parent(terms, kms, beta=beta)
-            rep = verify_parent(ph, ham)
+            ph = build_parent(terms, kms, ham, beta=beta)
+            rep = verify_parent(ph)
             assert rep.max_frustration <= 1e-9, (
                 f"{name} beta={beta}: frustration {rep.max_frustration:.3e}"
             )

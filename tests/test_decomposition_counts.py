@@ -7,13 +7,16 @@ brings back a redundant eigendecomposition or SVD.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import dlgibbs.kms
+import dlgibbs.linalg
 from dlgibbs.anneal import make_schedule, run_annealing
 from dlgibbs.config import parse_config
+from dlgibbs.errors import DlGibbsError
 from dlgibbs.hamiltonians import (
     assemble,
     make_instance,
@@ -22,7 +25,7 @@ from dlgibbs.hamiltonians import (
 )
 from dlgibbs.harness import run_experiment
 from dlgibbs.jumps import WeightProfile, build_model
-from dlgibbs.kms import KmsForm, gibbs_state
+from dlgibbs.kms import DETAILED_BALANCE_TOL, KmsForm, gibbs_state
 from dlgibbs.linalg import spectral_norm
 from dlgibbs.parent import build_parent, parent_projector_input, verify_parent
 from dlgibbs.projector import dl_operator, singular_gap
@@ -88,14 +91,14 @@ def test_commuting_family_runs_only_the_scale_svds(decomps):
     assert decomps["svd"] == [(8, 8)] * k
 
 
-def _count_calls(monkeypatch, name):
-    """Count calls to a dlgibbs.kms function under every name it is bound to.
+def _count_calls(monkeypatch, name, source=dlgibbs.kms):
+    """Count calls to a function of source under every name it is bound to.
 
     Every loaded dlgibbs module that binds the function gets the counting
     wrapper, so no call path through some other module is missed.
     """
     calls = []
-    real = getattr(dlgibbs.kms, name)
+    real = getattr(source, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -118,10 +121,10 @@ def _noncommuting_model():
 
 
 def test_build_parent_derives_each_term_once(monkeypatch):
-    terms, kms, _ = _noncommuting_model()
+    terms, kms, ham = _noncommuting_model()
     sups = _count_calls(monkeypatch, "term_superoperator")
     forms = _count_calls(monkeypatch, "coherent_form")
-    ph = build_parent(terms, kms, beta=0.5)
+    ph = build_parent(terms, kms, ham, beta=0.5)
     assert ph.m == len(terms)
     assert len(sups) == len(terms)
     assert len(forms) == len(terms)
@@ -173,8 +176,6 @@ def test_compose_dl_channel_runs_no_superoperator_svd(decomps):
 
 
 def test_commuting_compose_decomposes_each_term_on_its_support(decomps):
-    from collections import Counter
-
     ham = make_instance("zz_chain", 4)
     beta = 0.5
     terms = build_model(ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=beta))
@@ -207,14 +208,67 @@ def test_commuting_model_runs_no_svd_for_its_zero_coherent_parts(decomps):
 
 
 def test_verify_parent_runs_no_svd_for_hermiticity(decomps):
-    terms, kms, _ = _noncommuting_model()
-    ph = build_parent(terms, kms, beta=0.5)
+    terms, kms, ham = _noncommuting_model()
+    ph = build_parent(terms, kms, ham, beta=0.5)
     decomps["svd"].clear()
     with pytest.warns(UserWarning, match="locality checks skipped"):
-        rep = verify_parent(ph, make_instance("random_ff_projectors", 3, seed=2))
+        rep = verify_parent(ph)
     d2 = 4**ph.n
     assert (d2, d2) not in decomps["svd"]
-    assert rep.hermiticity_residuals == (0.0,) * ph.m
+    # The residuals are the detailed-balance defects build_parent measured
+    # on the coherent forms, not the residual of their symmetrization.
+    defects = []
+    for t in terms:
+        form = dlgibbs.kms.coherent_form(dlgibbs.kms.term_superoperator(t, ham.n), kms)
+        defects.append(float(np.linalg.norm(form.mat - form.mat.conj().T)))
+    assert rep.hermiticity_residuals == tuple(defects)
+    assert max(rep.hermiticity_residuals) <= DETAILED_BALANCE_TOL
+
+
+def test_commuting_parent_builds_each_term_on_its_support(monkeypatch, decomps):
+    ham = make_instance("zz_chain", 4)
+    beta = 0.5
+    terms = build_model(ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=beta))
+    kms = KmsForm(gibbs_state(assemble(ham), beta))
+    sups = _count_calls(monkeypatch, "term_superoperator")
+    forms = _count_calls(monkeypatch, "coherent_form")
+    traces = _count_calls(monkeypatch, "partial_trace", dlgibbs.linalg)
+    decomps["eigvalsh"].clear()
+    pin = parent_projector_input(build_parent(terms, kms, ham, beta=beta))
+    d2 = 4**ham.n
+    assert len(sups) == len(forms) == len(terms) == pin.ham.m
+    # Each term's superoperator and coherent form are built on its doubled
+    # dressed support, and nothing is traced back down from 4^n.
+    assert all(2 ** n < 2**ham.n for _, n in sups)
+    assert all(lind.dim < 2**ham.n for lind, _ in forms)
+    assert traces and all(rho.shape[0] <= 2**ham.n for rho, *_ in traces)
+    # The one 4^n eigvalsh is the spectrum of full; the projector input
+    # reads each term's scale off an eigvalsh of its local matrix.
+    local = Counter(t.op.shape for t in pin.ham.terms)
+    assert Counter(decomps["eigvalsh"]) == local + Counter([(d2, d2)])
+
+
+def _bad_inputs():
+    ham = make_instance("zz_chain", 2)
+    terms = build_model(ham, standard_couplings(ham.n, "x"), WeightProfile(beta=0.5))
+    kms = KmsForm(gibbs_state(assemble(ham), 0.5))
+    three = KmsForm(np.eye(3) / 3)
+    return {
+        "no_terms": ([], kms, ham),
+        "ham_size": (terms, kms, make_instance("zz_chain", 3)),
+        "not_power_of_2": (terms, three, ham),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_inputs()))
+def test_build_parent_and_compose_refuse_bad_input_alike(case):
+    args = _bad_inputs()[case]
+    with pytest.raises(DlGibbsError) as parent_err:
+        build_parent(*args, beta=0.5)
+    with pytest.raises(DlGibbsError) as channel_err:
+        compose_dl_channel(*args)
+    assert type(parent_err.value) is type(channel_err.value)
+    assert str(parent_err.value) == str(channel_err.value)
 
 
 def _anneal_setup():
@@ -294,7 +348,7 @@ def test_real_model_runs_no_complex_superoperator_decomposition(decomps):
     ham, terms, w, kms = _real_model("xz")
     d2 = (4**ham.n, 4**ham.n)
     compose_dl_channel(terms, kms, ham)
-    pin = parent_projector_input(build_parent(terms, kms, beta=0.5))
+    pin = parent_projector_input(build_parent(terms, kms, ham, beta=0.5))
     singular_gap(dl_operator(pin.ham), pin.ham)
     sched = make_schedule(0.5, spectral_norm(assemble(ham)))
     run_annealing(ham, standard_couplings(ham.n, "xz"), w, sched, 0.1, "dl_qsvt")
@@ -313,7 +367,7 @@ def test_complex_model_keeps_complex_superoperator_decompositions(decomps):
     terms, kms, ham = _noncommuting_model()
     d2 = (kms.dim**2, kms.dim**2)
     compose_dl_channel(terms, kms, ham)
-    build_parent(terms, kms, beta=0.5)
+    build_parent(terms, kms, ham, beta=0.5)
     kinds = {kind for kind, _ in _complex_calls(decomps, d2)}
     assert kinds == {"eigh", "eigvalsh"}
 

@@ -7,7 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dlgibbs.errors import BadParams, NotDetailedBalanced, PositivityFailure
+from dlgibbs.errors import (
+    BadParams,
+    NotDetailedBalanced,
+    NotLocal,
+    PositivityFailure,
+)
 from dlgibbs.hamiltonians import (
     PAULI_Z,
     LocalHamiltonian,
@@ -90,7 +95,7 @@ def test_purified_gibbs_partial_trace():
 
 def test_build_parent_single_qubit_golden():
     terms, kms = _model(_single_z(), 1.0)
-    ph = build_parent(terms, kms, beta=1.0)
+    ph = build_parent(terms, kms, _single_z(), beta=1.0)
     assert np.linalg.norm(ph.full @ ph.ground) <= 1e-10
     ev = np.linalg.eigvalsh(ph.full)
     assert ev.max() <= 1e-10
@@ -100,7 +105,7 @@ def test_build_parent_single_qubit_golden():
 def test_build_parent_beta_zero_is_maximally_entangled():
     ham = make_instance("zz_chain", 2)
     terms, kms = _model(ham, 0.0)
-    ph = build_parent(terms, kms, beta=0.0)
+    ph = build_parent(terms, kms, ham, beta=0.0)
     ident = vectorize(np.eye(4, dtype=complex)) / 2.0
     assert np.abs(ph.ground - ident).max() < 1e-12
     assert np.linalg.norm(ph.full @ ph.ground) <= 1e-10
@@ -133,7 +138,7 @@ def test_parent_terms_match_operator_level_conjugation(kind, seed, kinds):
     rng = np.random.default_rng(5)
     for beta in (0.0, 0.5, 1.0):
         terms, kms = _model(ham, beta, kinds=kinds)
-        ph = build_parent(terms, kms, beta=beta)
+        ph = build_parent(terms, kms, ham, beta=beta)
         w, v = np.linalg.eigh(gibbs_state(assemble(ham), beta))
         quarter = (v * w**0.25) @ v.conj().T
         inv_quarter = (v * w**-0.25) @ v.conj().T
@@ -142,14 +147,15 @@ def test_parent_terms_match_operator_level_conjugation(kind, seed, kinds):
             x /= np.linalg.norm(x)
             y = _heisenberg_action(term, 3, inv_quarter @ x @ inv_quarter)
             expect = vectorize(quarter @ y @ quarter)
-            err = np.linalg.norm(pt.mat @ vectorize(x) - expect)
+            h_a = embed(LocalOperator(pt.mat, pt.support), 6)
+            err = np.linalg.norm(h_a @ vectorize(x) - expect)
             assert err <= 1e-12 * max(1.0, pt.norm)
 
 
 def test_parent_spectrum_matches_coherent_form():
     ham = make_instance("zz_chain", 2)
     terms, kms = _model(ham, 0.7, kinds="xz")
-    ph = build_parent(terms, kms, beta=0.7)
+    ph = build_parent(terms, kms, ham, beta=0.7)
     form = coherent_form(lindblad_superoperator(terms, 2), kms)
     w_parent = np.sort(np.linalg.eigvalsh(ph.full))
     w_form = np.sort(np.linalg.eigvalsh(0.5 * (form.mat + form.mat.conj().T)))
@@ -159,7 +165,7 @@ def test_parent_spectrum_matches_coherent_form():
 def test_parent_gap_equals_generator_gap():
     ham = make_instance("zz_chain", 2)
     terms, kms = _model(ham, 0.7, kinds="xz")
-    ph = build_parent(terms, kms, beta=0.7)
+    ph = build_parent(terms, kms, ham, beta=0.7)
     rep = spectral_report(lindblad_superoperator(terms, 2), kms)
     w = np.sort(np.linalg.eigvalsh(ph.full))[::-1]
     assert rep.kernel_dim == 1
@@ -172,7 +178,7 @@ def test_parent_reports_generator_gap_and_kernel_dim():
     for kinds in ("x", "xz"):
         for beta in (0.0, 0.7):
             terms, kms = _model(ham, beta, kinds=kinds)
-            ph = build_parent(terms, kms, beta=beta)
+            ph = build_parent(terms, kms, ham, beta=beta)
             rep = spectral_report(lindblad_superoperator(terms, 2), kms)
             assert ph.kernel_dim == rep.kernel_dim
             assert abs(ph.gap - rep.gap) <= 1e-12 * max(1.0, rep.gap)
@@ -191,9 +197,9 @@ def test_build_parent_checks_the_sum_of_the_terms():
     terms, kms = _model(ham, 0.0)
     g = LocalOperator(0.2e-8 * np.kron(PAULI_Z, np.eye(2)), (0, 1))
     tilted = [LindbladTerm(t.jumps, g, t.support) for t in terms[:2]]
-    build_parent(tilted[:1], kms, beta=0.0)
+    build_parent(tilted[:1], kms, ham, beta=0.0)
     with pytest.raises(NotDetailedBalanced, match="the sum of the terms"):
-        build_parent(tilted, kms, beta=0.0)
+        build_parent(tilted, kms, ham, beta=0.0)
 
 
 def test_parent_frustration_free_on_zoo_models():
@@ -206,8 +212,8 @@ def test_parent_frustration_free_on_zoo_models():
     for ham in hams:
         for beta in (0.0, 0.5, 1.0):
             terms, kms = _model(ham, beta)
-            ph = build_parent(terms, kms, beta=beta)
-            rep = verify_parent(ph, ham)
+            ph = build_parent(terms, kms, ham, beta=beta)
+            rep = verify_parent(ph)
             assert rep.max_frustration <= 1e-9
             assert max(rep.hermiticity_residuals) <= 1e-9
             if rep.locality_checked:
@@ -219,15 +225,15 @@ def test_build_parent_rejects_wrong_state():
     terms, _ = _model(ham, 0.5)
     wrong = KmsForm(gibbs_state(assemble(ham), 1.0))
     with pytest.raises(NotDetailedBalanced):
-        build_parent(terms, wrong, beta=0.5)
+        build_parent(terms, wrong, ham, beta=0.5)
 
 
 def test_verify_parent_skips_locality_for_noncommuting():
     ham = make_instance("random_ff_projectors", 3, seed=2)
     terms, kms = _model(ham, 0.4)
-    ph = build_parent(terms, kms, beta=0.4)
+    ph = build_parent(terms, kms, ham, beta=0.4)
     with pytest.warns(UserWarning, match="locality"):
-        rep = verify_parent(ph, ham)
+        rep = verify_parent(ph)
     assert rep.locality_residuals is None
     assert not rep.locality_checked
     assert rep.max_frustration <= 1e-9
@@ -236,16 +242,16 @@ def test_verify_parent_skips_locality_for_noncommuting():
 def test_projector_input_negates_and_normalizes():
     ham = make_instance("zz_chain", 3)
     terms, kms = _model(ham, 0.5, kinds="xz")
-    ph = build_parent(terms, kms, beta=0.5)
+    ph = build_parent(terms, kms, ham, beta=0.5)
     pin = parent_projector_input(ph)
     assert pin.ham.n == 6
     assert pin.ham.m == ph.m
     for t, scale, pt in zip(pin.ham.terms, pin.scales, ph.terms):
-        # The scale is read from the local block; locality makes it agree
-        # with the norm of the full term.
-        block = partial_trace(pt.mat, keep=list(pt.support), dims=[2] * 6)
-        block = block / 2 ** (6 - len(pt.support))
-        assert scale == max(1.0, float(np.abs(np.linalg.eigvalsh(block)).max()))
+        # Each parent term is held on its doubled dressed support, and its
+        # scale is read from the eigenvalues of that local matrix.
+        assert pt.mat.shape == (4 ** (len(pt.support) // 2),) * 2
+        assert t.support == pt.support
+        assert scale == max(1.0, float(np.abs(np.linalg.eigvalsh(pt.mat)).max()))
         assert abs(scale - max(1.0, pt.norm)) <= 1e-9 * scale
         w = np.linalg.eigvalsh(t.op)
         assert w.min() >= -1e-10
@@ -259,11 +265,16 @@ def test_projector_input_negates_and_normalizes():
 def test_projector_input_refuses_positive_term():
     ham = make_instance("zz_chain", 2)
     terms, kms = _model(ham, 0.5)
-    ph = build_parent(terms, kms, beta=0.5)
+    ph = build_parent(terms, kms, ham, beta=0.5)
     bad = ParentHamiltonian(
         full=ph.full,
         terms=(
-            ParentTerm(mat=np.eye(16, dtype=complex), support=(0, 1, 2, 3)),
+            ParentTerm(
+                mat=np.eye(16, dtype=complex),
+                support=(0, 1, 2, 3),
+                db_residual=0.0,
+                locality_residual=0.0,
+            ),
         ),
         ground=ph.ground,
         n=2,
@@ -274,42 +285,22 @@ def test_projector_input_refuses_positive_term():
         parent_projector_input(bad)
 
 
-def test_projector_input_refuses_nonlocal_term():
-    ham = make_instance("zz_chain", 2)
+def test_build_parent_refuses_a_jump_off_its_dressed_support():
+    # Term 0 (x on site 0) claims the support of the term on site 3: its
+    # jump is not the identity there, so the term is refused when it is
+    # built, before any parent term exists.
+    ham = make_instance("zz_chain", 4)
     terms, kms = _model(ham, 0.5)
-    ph = build_parent(terms, kms, beta=0.5)
-    shrunk = ParentHamiltonian(
-        full=ph.full,
-        terms=(ParentTerm(mat=ph.terms[0].mat, support=(0, 2)),),
-        ground=ph.ground,
-        n=2,
-        gap=ph.gap,
-        kernel_dim=ph.kernel_dim,
-    )
-    with pytest.raises(BadParams):
-        parent_projector_input(shrunk)
+    terms[0] = replace(terms[0], support=terms[3].support)
+    with pytest.raises(NotLocal, match="term 0: jump 0 is not the identity"):
+        build_parent(terms, kms, ham, beta=0.5)
 
 
-@pytest.mark.parametrize("factor, local", [(0.5, True), (2.0, False)])
-def test_projector_input_locality_boundary(factor, local):
-    # A traceless Z on a qubit outside the term's support leaves the local
-    # block and so the scale unchanged, and adds exactly its own norm to
-    # the off-support remainder.
-    ham = make_instance("zz_chain", 3)
+def test_projector_input_refuses_noncommuting_parent():
+    ham = make_instance("random_ff_projectors", 3, seed=2)
     terms, kms = _model(ham, 0.5)
-    ph = build_parent(terms, kms, beta=0.5)
-    tol = 1e-9
-    scales = parent_projector_input(ph, tol).scales
-    idx = next(a for a, t in enumerate(ph.terms) if len(t.support) < 6)
-    pt = ph.terms[idx]
-    q = next(q for q in range(6) if q not in pt.support)
-    kick = factor * tol * scales[idx]
-    off = embed(LocalOperator(kick * PAULI_Z, (q,)), 6)
-    terms_ = list(ph.terms)
-    terms_[idx] = ParentTerm(mat=pt.mat + off, support=pt.support)
-    bumped = replace(ph, terms=tuple(terms_))
-    if local:
-        assert parent_projector_input(bumped, tol).scales == scales
-    else:
-        with pytest.raises(BadParams, match=f"parent term {idx} is not local"):
-            parent_projector_input(bumped, tol)
+    ph = build_parent(terms, kms, ham, beta=0.5)
+    assert all(pt.support == tuple(range(6)) for pt in ph.terms)
+    assert all(pt.locality_residual is None for pt in ph.terms)
+    with pytest.raises(BadParams, match="parent term 0 is not local"):
+        parent_projector_input(ph)

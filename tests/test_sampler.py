@@ -24,6 +24,7 @@ from dlgibbs.kms import (
     stationary_channel,
     term_superoperator,
 )
+from dlgibbs.parent import build_parent
 from dlgibbs.sampler import (
     DlChannel,
     compose_dl_channel,
@@ -266,6 +267,30 @@ def assert_local_matches_dense(ham, terms, kms, k_max=50):
     return ch
 
 
+def assert_parent_matches_dense(ham, terms, kms, beta):
+    """build_parent's local terms against the whole-register coherent forms.
+
+    Each ParentTerm.mat tensor I matches the symmetrized dense h_m within
+    1e-12 max(1, ||H^a||) (Frobenius, which bounds the spectral norm);
+    full's spectrum matches that of the summed dense terms within 1e-12,
+    and gap and kernel_dim agree.
+    """
+    n = ham.n
+    ph = build_parent(terms, kms, ham, beta=beta)
+    dense = []
+    for t, pt in zip(terms, ph.terms, strict=True):
+        h = coherent_form(term_superoperator(t, n), kms).mat
+        h_a = 0.5 * (h + h.conj().T)
+        lifted = embed(LocalOperator(pt.mat, pt.support), 2 * n)
+        assert np.linalg.norm(lifted - h_a) <= 1e-12 * max(1.0, pt.norm)
+        dense.append(h_a)
+    w, gap, kernel_dim = coherent_spectrum(sum(dense))
+    assert np.abs(np.linalg.eigvalsh(ph.full)[::-1] - w).max() <= 1e-12
+    assert ph.kernel_dim == kernel_dim
+    assert abs(ph.gap - gap) <= 1e-12
+    return ph
+
+
 @pytest.mark.filterwarnings("ignore::dlgibbs.errors.IrreducibilityWarning")
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
@@ -276,6 +301,9 @@ def test_local_channel_matches_dense_path(kind, couplings, beta, n):
     terms = build_model(ham, standard_couplings(n, couplings), WeightProfile(beta=beta))
     kms = KmsForm(gibbs_state(assemble(ham), beta))
     ch = assert_local_matches_dense(ham, terms, kms)
+    ph = assert_parent_matches_dense(ham, terms, kms, beta)
+    # The parent terms are the channel's h_m, on the same legs.
+    assert tuple(pt.support for pt in ph.terms) == ch.legs
     # At n = 4 no dressed support is the whole chain, so every term is local.
     if n == 4:
         assert all(len(legs) < 2 * n for legs in ch.legs)
