@@ -220,7 +220,7 @@ def noncommutation_degree(mats: list[np.ndarray], tol: float = 1e-10) -> int:
     )
 
 
-def _lift_basis(
+def lift_basis(
     v: np.ndarray, legs: Sequence[int], union: Sequence[int]
 ) -> np.ndarray:
     """Orthonormal columns v on the qubits legs, tensored with I on the rest of union.
@@ -246,6 +246,31 @@ def _lift_basis(
     return out
 
 
+def sweep_projectors(
+    bases: Sequence[np.ndarray], legs: Sequence[Sequence[int]], z: np.ndarray
+) -> np.ndarray:
+    """Pi_m ... Pi_1 z with Pi = V V dagger on its legs of z, tensor I elsewhere.
+
+    z is a vector on a register of qubits (legs), or a block of such
+    vectors as its columns; each Pi acts on its legs moved to the front,
+    with the rest and the columns behind them.  When the legs are the whole
+    register this is z -> V (V dagger z).  Reversed bases and legs give
+    Pi_1 ... Pi_m z.
+    """
+    n_legs = z.shape[0].bit_length() - 1
+    shape = (2,) * n_legs + z.shape[1:]
+    axes = len(shape)
+    for v, lg in zip(bases, legs):
+        order = list(lg) + [a for a in range(axes) if a not in lg]
+        back = [0] * axes
+        for i, a in enumerate(order):
+            back[a] = i
+        t = z.reshape(shape).transpose(order).reshape(v.shape[0], -1)
+        t = v @ (v.conj().T @ t)
+        z = t.reshape(shape).transpose(back).reshape(z.shape)
+    return z
+
+
 def projector_noncommutation_degree(
     bases: Sequence[np.ndarray],
     tol: float = 1e-10,
@@ -264,7 +289,7 @@ def projector_noncommutation_degree(
     is V V dagger tensor I elsewhere); this is the support graph of the
     projectors.  Projectors on disjoint qubits commute exactly and are not
     compared; an overlapping pair is compared on the union of its qubits,
-    each basis lifted there by the identity (_lift_basis), which leaves the
+    each basis lifted there by the identity (lift_basis), which leaves the
     commutator norm unchanged.  Without legs every basis acts on the same
     register.
     """
@@ -274,7 +299,7 @@ def projector_noncommutation_degree(
             union = sorted(set(legs[a]) | set(legs[b]))
             if len(union) == len(legs[a]) + len(legs[b]):
                 return False
-            va, vb = _lift_basis(va, legs[a], union), _lift_basis(vb, legs[b], union)
+            va, vb = lift_basis(va, legs[a], union), lift_basis(vb, legs[b], union)
         adj_a = va.conj().T
         x = adj_a @ vb
         return norm_exceeds(x @ (vb.conj().T - x.conj().T @ adj_a), tol)

@@ -124,6 +124,27 @@ def hermitian_eigendecompose(a: np.ndarray, tol: float = 1e-10) -> HermitianEig:
     return HermitianEig(eigenvalues=w, eigenvectors=v)
 
 
+def gauge_singular_vectors(u: np.ndarray, vh: np.ndarray) -> None:
+    """Apply the Svd gauge to the pairs (column j of u, row j of vh), in place.
+
+    For each of the first min(u.shape[1], vh.shape[0]) columns, the first
+    entry whose magnitude exceeds 1e-12 times the column norm is made real
+    and nonnegative by the conjugate of its phase, and the row of vh takes
+    the phase, so u diag(s) vh is unchanged.  A column with no such entry
+    (a zero column) is left as it is.  One pass over the whole block.
+    """
+    k = min(u.shape[1], vh.shape[0])
+    cols = u[:, :k]
+    significant = np.abs(cols) > 1e-12 * np.linalg.norm(cols, axis=0)
+    j = np.flatnonzero(significant.any(axis=0))
+    pivot = cols[significant[:, j].argmax(axis=0), j]
+    # hypot is what abs of one complex scalar computes; np.abs over a complex
+    # array may round differently, and the gauge must not depend on that.
+    phase = pivot / np.hypot(pivot.real, pivot.imag)
+    u[:, j] *= phase.conjugate()
+    vh[j, :] *= phase[:, None]
+
+
 def singular_value_decompose(a: np.ndarray) -> Svd:
     """SVD with descending singular values and the deterministic U gauge."""
     a = np.asarray(a)
@@ -133,19 +154,8 @@ def singular_value_decompose(a: np.ndarray) -> Svd:
         u, s, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"svd failed to converge: {exc}") from exc
+    gauge_singular_vectors(u, vh)
     k = min(u.shape[1], vh.shape[0])
-    for j in range(k):
-        col = u[:, j]
-        norm = np.linalg.norm(col)
-        if norm == 0.0:
-            continue
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * norm)
-        if nz.size == 0:
-            continue
-        pivot = col[nz[0]]
-        phase = pivot / abs(pivot)
-        u[:, j] *= phase.conjugate()
-        vh[j, :] *= phase
     recon = float(np.linalg.norm((u[:, :k] * s[:k]) @ vh[:k, :] - a))
     if recon > _RECON_TOL * max(1.0, float(np.linalg.norm(a))):
         raise NoConvergence(f"svd reconstruction residual {recon:.3e}")

@@ -20,6 +20,11 @@ is read off the singular values.  Inverting the bound gives the degree
 schedule l = ceil(ln(2/eps) / sqrt(gamma*)), whose sqrt(gamma*)
 dependence is the quadratic speedup this module certifies empirically.
 
+DL(H) is never formed as a dense product: it equals B_1 C, with B_1 the
+isometry onto the range of the first factor and C an R_1 x d core built by
+applying the other factors to B_1's columns on their tensor legs, and its
+SVD is read off C's (dl_operator).
+
 Evaluation of p uses cosh(l arccosh y) in log space for |y| > 1, which
 stays finite for degrees far beyond the overflow point of T_l itself.
 """
@@ -42,12 +47,14 @@ from .errors import (
 )
 from .hamiltonians import (
     LocalHamiltonian,
-    embed,
     frustration_check,
     interaction_degree,
+    lift_basis,
+    sweep_projectors,
 )
 from .linalg import (
     Svd,
+    gauge_singular_vectors,
     hermitian_eigendecompose,
     norm_exceeds,
     singular_value_decompose,
@@ -61,7 +68,12 @@ class DlOperator:
     Only the SVD and m are kept of the product.  ground_dimension and
     ground_gap describe the ground space of the Hamiltonian the factors came
     from, as found by its frustration check; the top ground_dimension
-    singular values are within 1e-8 of 1.
+    singular values are within 1e-8 of 1.  svd is square: its columns of
+    U past R_1, the rank of the first factor, span that factor's kernel,
+    with singular value exactly 0.  D fixes its null spaces but not how
+    the columns of U there pair with the rows of Vh; that pairing is the
+    one dl_operator builds, and only even polynomials read it
+    (ProjectorResult).
     """
 
     m: int
@@ -115,7 +127,12 @@ class ProjectorResult:
     """Polynomial projector approximation with its certified error bound.
 
     error is ||U p(S) V^dag - U_1 V_1^dag||, read off the singular values;
-    the dense approximation is formed only when approx is read.
+    the dense approximation is formed only when approx is read.  For even
+    degree p(0) != 0, so approx holds p(0) U_0 V_0^dag over bases U_0, V_0
+    of the null spaces of D, which pair as DlOperator.svd pairs them; D
+    itself does not fix that pairing.  |p(0)| is at most error, so another
+    pairing moves approx by at most 2 error in norm (on the zz_chain n = 4
+    anneals a random rotation of U_0 moved the results by ~1e-13 relative).
     """
 
     svd: Svd
@@ -147,12 +164,19 @@ def _log_cosh(t: np.ndarray | float) -> np.ndarray | float:
 
 
 def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
-    """Product of embedded per-term ground projectors, in term order.
+    """SVD of the product P_1 ... P_m of per-term ground projectors, in term order.
 
     Refuses Hamiltonians that are not frustration-free: without a shared
     per-term kernel the product no longer relates to the ground space.
-    Each embedded factor is multiplied into the composite as soon as it is
-    made; none is kept, and of the composite only its SVD is.  Raises
+    Each P_m = E_m E_m dagger tensor I comes from the local eigenvectors
+    E_m of its term.  With B_1 = E_1 tensor I, the d x R_1 isometry onto
+    the range of P_1, the product is D = B_1 C for the R_1 x d core
+    C = (P_m ... P_2 B_1) dagger, formed by applying P_2, ..., P_m to the
+    columns of B_1 on their tensor legs; no factor is embedded and no
+    d x d product is formed.  C = U_C S_C V dagger gives D's SVD with
+    U = [B_1 U_C | B_1 perp], where B_1 perp = E_1 perp tensor I spans the
+    kernel of P_1, and S padded with d - R_1 zeros.  B_1 is an isometry,
+    so C's reconstruction check and Frobenius scale are D's.  Raises
     DegenerateGap unless the top r = ground_dimension singular values lie
     within 1e-8 of 1.
     """
@@ -165,28 +189,44 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
             f"(residual {gs.frustration_residual:.3e})"
         )
     r, gap = gs.dimension, gs.gap
-    comp = None
+    del gs  # only r and the gap are read of the ground vectors
+    first = None
+    bases, legs = [], []
     for t in ham.terms:
         eig = hermitian_eigendecompose(t.op)
         w = eig.eigenvalues
         scale = max(1.0, float(np.abs(w).max()))
         dim = int(np.sum(w - w[0] <= tol * scale))
-        p = eig.eigenvectors[:, :dim] @ eig.eigenvectors[:, :dim].conj().T
-        # ||(p (x) I)^2 - p (x) I|| = ||p^2 - p||, so p is checked before embed.
+        e = eig.eigenvectors[:, :dim]
+        p = e @ e.conj().T
+        # ||(p (x) I)^2 - p (x) I|| = ||p^2 - p||, so p is checked on its legs.
         if norm_exceeds(p @ p - p, 1e-10) or norm_exceeds(p - p.conj().T, 1e-10):
             raise BadParams("term ground projector failed the idempotence check")
-        factor = embed(type(t)(p, t.support), ham.n)
-        comp = factor if comp is None else comp @ factor
-    # The SVD's workspace sets the peak memory, so neither the ground
-    # vectors nor the last factor is held through it.
-    del gs, factor
-    svd = singular_value_decompose(comp)
-    if svd.s[r - 1] < 1.0 - 1e-8:
+        if first is None:
+            first = (eig.eigenvectors, dim, t.support)
+        else:
+            bases.append(e)
+            legs.append(t.support)
+    vectors, dim, support = first
+    n = ham.n
+    # [E_1 | E_1 perp] tensor I, columns ordered (eigenvector, rest), so the
+    # first r1 columns are B_1 and the others B_1 perp; U is written into it.
+    u = lift_basis(vectors, support, range(n)).astype(
+        np.result_type(vectors, *bases), copy=False
+    )
+    r1 = dim * 2 ** (n - len(support))
+    core = singular_value_decompose(sweep_projectors(bases, legs, u[:, :r1]).conj().T)
+    u[:, :r1] = u[:, :r1] @ core.u
+    s = np.zeros(u.shape[0])
+    s[:r1] = core.s
+    vh = core.vh
+    gauge_singular_vectors(u, vh)
+    if s[r - 1] < 1.0 - 1e-8:
         raise DegenerateGap(
-            f"singular value s_r={svd.s[r - 1]:.6e} of the DL operator is below "
+            f"singular value s_r={s[r - 1]:.6e} of the DL operator is below "
             f"1 - 1e-8; its top block does not span the {r}-dimensional ground space"
         )
-    return DlOperator(m=ham.m, svd=svd, ground_dimension=r, ground_gap=gap)
+    return DlOperator(m=ham.m, svd=Svd(u=u, s=s, vh=vh), ground_dimension=r, ground_gap=gap)
 
 
 def singular_gap(dl: DlOperator, ham: LocalHamiltonian, tol: float = 1e-8) -> SingularGap:

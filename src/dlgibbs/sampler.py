@@ -59,6 +59,7 @@ from .hamiltonians import (  # noqa: F401
     embed,
     noncommutation_degree,
     projector_noncommutation_degree,
+    sweep_projectors,
 )
 from .kms import (
     KmsForm,
@@ -289,29 +290,6 @@ def _contraction_factor(gap: float, g: int, tol: float = 1e-9) -> float:
     return 1.0 / np.sqrt(gap / g**2 + 1.0)
 
 
-def _sweep(
-    bases: tuple[np.ndarray, ...], legs: tuple[tuple[int, ...], ...], z: np.ndarray
-) -> np.ndarray:
-    """Pi_m ... Pi_1 z with Pi = V V dagger on its legs of z, tensor I elsewhere.
-
-    z is the vectorized register, one axis of size 2 per leg; each Pi acts
-    on its legs moved to the front.  When the legs are the whole register
-    this is z -> V (V dagger z).  Reversed bases and legs give
-    Pi_1 ... Pi_m z.
-    """
-    n_legs = z.size.bit_length() - 1
-    shape = (2,) * n_legs
-    for v, lg in zip(bases, legs):
-        order = list(lg) + [a for a in range(n_legs) if a not in lg]
-        back = [0] * n_legs
-        for i, a in enumerate(order):
-            back[a] = i
-        t = z.reshape(shape).transpose(order).reshape(v.shape[0], -1)
-        t = v @ (v.conj().T @ t)
-        z = t.reshape(shape).transpose(back).reshape(-1)
-    return z
-
-
 def iterate(
     channel: DlChannel,
     rho0: np.ndarray,
@@ -355,7 +333,7 @@ def iterate(
     dists[0] = schatten1_distance(rho0, kms.sigma)
     z = (kms.inv_quarter @ rho0 @ kms.inv_quarter).reshape(-1)
     for k in range(1, k_max + 1):
-        z = _sweep(channel.kernel_bases, channel.legs, z)
+        z = sweep_projectors(channel.kernel_bases, channel.legs, z)
         rho = kms.quarter @ z.reshape(d, d) @ kms.quarter
         dists[k] = schatten1_distance(0.5 * (rho + rho.conj().T), kms.sigma)
     bounds = q**ks.astype(float) / np.sqrt(kms.sigma_min)
@@ -410,7 +388,7 @@ def contraction_check(
         if x_norm2 < 1e-24:
             vacuous += 1
             continue
-        y = _sweep(*heisenberg, z)
+        y = sweep_projectors(*heisenberg, z)
         y_norm2 = float(np.vdot(y, y).real)
         worst_stat = max(worst_stat, float(abs(np.vdot(sqrt_vec, y))))
         if q == 0.0:
@@ -469,7 +447,7 @@ def superop_hamiltonian(
     if kernel_dim == 0:
         raise BadParams("term projectors share no common kernel vector")
     gap = float(w[kernel_dim]) if kernel_dim < len(w) else 0.0
-    phi = _sweep(ch.kernel_bases, ch.legs, probe_vector(v[:, :kernel_dim]))
+    phi = sweep_projectors(ch.kernel_bases, ch.legs, probe_vector(v[:, :kernel_dim]))
     phi_norm = np.linalg.norm(phi)
     if phi_norm < 1e-14:
         energy = gap

@@ -6,12 +6,14 @@ brings back a redundant eigendecomposition or SVD.
 
 from __future__ import annotations
 
+import json
 import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import dlgibbs.anneal
 import dlgibbs.kms
 import dlgibbs.linalg
 from dlgibbs.anneal import make_schedule, run_annealing
@@ -310,18 +312,37 @@ def test_pipeline_calls_no_reference_generator(monkeypatch):
     assert sums == []
 
 
-def test_dl_qsvt_anneal_reads_parent_terms_through_local_blocks(decomps):
+def _first_range_rank(ham):
+    """R_1, the rank of the first term's ground projector tensor I."""
+    t = ham.terms[0]
+    w = np.linalg.eigvalsh(t.op)
+    dim = int(np.sum(w - w[0] <= 1e-9 * max(1.0, float(np.abs(w).max()))))
+    return dim * 2 ** (ham.n - len(t.support))
+
+
+def test_dl_qsvt_anneal_reads_parent_terms_through_local_blocks(monkeypatch, decomps):
     ham = make_instance("zz_chain", 3)
     couplings = standard_couplings(ham.n, "xz")
     sched = make_schedule(0.5, spectral_norm(assemble(ham)))
     d2 = 4**ham.n
+    real_dl = dlgibbs.anneal.dl_operator
+    ranks = []
+
+    def tracked_dl(parent_ham):
+        ranks.append(_first_range_rank(parent_ham))
+        return real_dl(parent_ham)
+
+    monkeypatch.setattr(dlgibbs.anneal, "dl_operator", tracked_dl)
     run_annealing(ham, couplings, WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt")
-    # Per parent: the DL composite's SVD, from which the projector error is
-    # read in closed form; per transition: its SVD and its error norm.
-    # Parent terms are read through their local blocks, with no (4^n, 4^n)
-    # SVD for norm or locality.
+    # Per parent: the SVD of the DL operator's R_1 x 4^n core, from which
+    # the projector error is read in closed form; per transition: its SVD
+    # and its error norm.  Parent terms are read through their local
+    # blocks, with no (4^n, 4^n) SVD for norm or locality.
     k = sched.steps
-    assert decomps["svd"].count((d2, d2)) == (k + 1) + 2 * k
+    assert len(ranks) == k + 1 and max(ranks) < d2
+    cores = Counter(sh for sh in decomps["svd"] if sh[1] == d2 and 1 < sh[0] < d2)
+    assert cores == Counter((r1, d2) for r1 in ranks)
+    assert decomps["svd"].count((d2, d2)) == 2 * k
 
 
 def test_project_run_takes_one_svd_of_the_dl_operator(decomps, tmp_path):
@@ -329,12 +350,20 @@ def test_project_run_takes_one_svd_of_the_dl_operator(decomps, tmp_path):
         "experiment = project\n[model]\nkind = random_ff_projectors\nn = 5\n"
         "seed = 0\n[run]\neps = 1e-06\nell_min = 1\nell_max = 40\n"
     )
+    ham = make_instance(cfg.model.kind, cfg.model.n, cfg.model.seed)
+    r1 = _first_range_rank(ham)
     res = run_experiment(cfg, tmp_path)
     assert res.exit_code == 0
-    # dl_operator's SVD of the composite; each of the 40 projector errors is
-    # read off its singular values.
+    # dl_operator's one SVD is of its R_1 x d core, with R_1 < d; the other
+    # 2-norms are the frustration residuals of the r ground vectors, one
+    # per term.  Each of the 40 projector errors is read off the singular
+    # values.
     d = 2**cfg.model.n
-    assert decomps["svd"].count((d, d)) == 1
+    r = json.loads(res.summary_path.read_text())["results"]["rank"]
+    assert r1 < d and r1 != r
+    assert decomps["svd"].count((r1, d)) == 1
+    assert decomps["svd"].count((d, d)) == 0
+    assert Counter(decomps["svd"]) == Counter({(r1, d): 1, (r, d): ham.m})
 
 
 def _real_model(couplings):

@@ -1,10 +1,10 @@
 """The shipped configs reproduce their recorded artifacts.
 
 tests/golden holds the CSV and JSON summary of every configs/*.cfg,
-tests/golden/n4 the configs and artifacts of three n = 4 runs (a zz_chain
-mix, a dl_qsvt anneal and the parent of the non-commuting
-random_ff_projectors) that reach the 4^n paths at a size the shipped
-configs do not, and tests/golden/n5 those of a zz_chain mix at n = 5,
+tests/golden/n4 the configs and artifacts of four n = 4 runs (a zz_chain
+mix, two dl_qsvt anneals, one at an odd and one at an even projector
+degree, and the parent of the non-commuting random_ff_projectors) that
+reach the 4^n paths at a size the shipped configs do not, and tests/golden/n5 those of a zz_chain mix at n = 5,
 recorded on the whole-register channel and rerun on the local one.  Each
 config is rerun and compared cell by cell: the header line, column names,
 keys, integers, strings and lists must match exactly, and floats must agree

@@ -14,6 +14,7 @@ from dlgibbs.errors import (
 from dlgibbs.linalg import (
     _RECON_TOL,
     accumulate,
+    gauge_singular_vectors,
     hermitian_eigendecompose,
     partial_trace,
     real_if_exact,
@@ -95,6 +96,50 @@ def test_svd_keeps_real_input_real_with_a_sign_gauge():
     assert np.abs(flipped.vh + s1.vh).max() < 1e-12
     recon = (s1.u[:, :4] * s1.s) @ s1.vh
     assert np.linalg.norm(recon - a) <= _RECON_TOL * np.linalg.norm(a)
+
+
+def _gauge_reference(u, vh):
+    """The per-column loop gauge_singular_vectors replaces, kept as a reference."""
+    for j in range(min(u.shape[1], vh.shape[0])):
+        col = u[:, j]
+        norm = np.linalg.norm(col)
+        if norm == 0.0:
+            continue
+        nz = np.flatnonzero(np.abs(col) > 1e-12 * norm)
+        if nz.size == 0:
+            continue
+        pivot = col[nz[0]]
+        phase = pivot / abs(pivot)
+        u[:, j] *= phase.conjugate()
+        vh[j, :] *= phase
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (6, 4), (4, 6)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_vectorized_gauge_is_bitwise_the_column_loop(shape, dtype):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.normal(size=shape)
+    if dtype is complex:
+        a = a + 1j * rng.normal(size=shape)
+    a[:, 1] = 0.0  # a zero column of the input
+    u, _, vh = np.linalg.svd(a)
+    # A zero column of U is left alone; one whose leading entries are below
+    # 1e-12 of its norm is gauged by its first significant entry.
+    u[:, -1] = 0.0
+    u[:2, 0] = 1e-14 * u[:2, 0]
+    got_u, got_vh = u.copy(), vh.copy()
+    want_u, want_vh = u.copy(), vh.copy()
+    gauge_singular_vectors(got_u, got_vh)
+    _gauge_reference(want_u, want_vh)
+    assert got_u.tobytes() == want_u.tobytes()
+    assert got_vh.tobytes() == want_vh.tobytes()
+    assert not np.array_equal(got_u, u)
+    # singular_value_decompose gauges exactly as the loop does.
+    svd = singular_value_decompose(a)
+    u, s, vh = np.linalg.svd(a)
+    _gauge_reference(u, vh)
+    assert svd.u.tobytes() == u.tobytes() and svd.vh.tobytes() == vh.tobytes()
+    assert svd.s.tobytes() == s.tobytes()
 
 
 def test_real_if_exact_demotes_only_exactly_real_data():

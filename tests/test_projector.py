@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import dlgibbs.anneal
 import dlgibbs.projector
+from dlgibbs.anneal import make_schedule, run_annealing
 from dlgibbs.errors import (
     BadEps,
     BadGamma,
@@ -18,11 +22,16 @@ from dlgibbs.hamiltonians import (
     PAULI,
     LocalHamiltonian,
     LocalOperator,
+    assemble,
     embed,
     ground_space,
     make_instance,
+    standard_couplings,
 )
+from dlgibbs.jumps import WeightProfile, build_model
+from dlgibbs.kms import KmsForm, gibbs_state
 from dlgibbs.linalg import Svd, spectral_norm
+from dlgibbs.parent import build_parent, parent_projector_input
 from dlgibbs.projector import (
     approximate_projector,
     chebyshev_poly,
@@ -273,3 +282,93 @@ def test_singular_gap_requires_gapped_input():
     )
     with pytest.raises(DegenerateGap):
         singular_gap(dl_operator(ham), ham, tol=1e-3)
+
+
+def _dense_dl(ham, tol=1e-9):
+    """The product of the embedded ground projectors P_1 ... P_m, formed densely."""
+    out = np.eye(2**ham.n)
+    for t in ham.terms:
+        w, v = np.linalg.eigh(t.op)
+        dim = int(np.sum(w - w[0] <= tol * max(1.0, float(np.abs(w).max()))))
+        e = v[:, :dim]
+        out = out @ embed(LocalOperator(e @ e.conj().T, t.support), ham.n)
+    return out
+
+
+def _anneal_parent_input():
+    ham = make_instance("zz_chain", 3)
+    beta = 0.5
+    terms = build_model(ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=beta))
+    ph = build_parent(terms, KmsForm(gibbs_state(assemble(ham), beta)), ham, beta=beta)
+    return parent_projector_input(ph).ham
+
+
+def _single_term():
+    zz = 0.5 * (np.eye(4) - np.kron(PAULI["z"], PAULI["z"]))
+    return LocalHamiltonian(n=3, terms=(LocalOperator(zz, (2, 0)),))
+
+
+DENSE_PARITY = {
+    "zz_chain-4": lambda: make_instance("zz_chain", 4),
+    "field_chain-4": lambda: make_instance("field_chain", 4),
+    "commuting_projectors-5": lambda: make_instance("commuting_projectors", 5, seed=0),
+    "random_ff_projectors-5-s0": lambda: make_instance("random_ff_projectors", 5, seed=0),
+    "random_ff_projectors-4-s3": lambda: make_instance("random_ff_projectors", 4, seed=3),
+    "anneal-parent-zz_chain-3-xz": _anneal_parent_input,
+    "single-term": _single_term,
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_PARITY))
+def test_dl_operator_matches_the_dense_product(case):
+    ham = DENSE_PARITY[case]()
+    dense = _dense_dl(ham)
+    dl = dl_operator(ham)
+    u, s, vh = dl.svd.u, dl.svd.s, dl.svd.vh
+    d = dense.shape[0]
+    assert u.shape == vh.shape == (d, d) and s.shape == (d,)
+    assert np.abs((u * s) @ vh - dense).max() < 1e-12
+    assert np.abs(s - np.linalg.svd(dense, compute_uv=False)).max() < 1e-12
+    assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-12
+    assert np.abs(vh @ vh.conj().T - np.eye(d)).max() < 1e-12
+    # Odd polynomials vanish at 0, so U p(S) V^dag is a function of D alone.
+    sg = singular_gap(dl, ham)
+    du, ds, dvh = np.linalg.svd(dense)
+    for ell in (1, 3, 9):
+        poly = chebyshev_poly(sg.gamma_star, ell)
+        res = approximate_projector(dl, poly)
+        assert np.abs(res.approx - (du * poly(ds)) @ dvh).max() < 1e-12, ell
+
+
+def test_even_degree_projector_ignores_the_null_space_pairing(monkeypatch):
+    # For even l, p(0) != 0 and U p(S) V^dag holds p(0) U_0 V_0^dag, where
+    # U_0, V_0 span the null spaces of D, whose pairing D does not fix.
+    # Rotating U_0 by a random orthogonal matrix changes the anneal's
+    # results far below the projector error.
+    ham = make_instance("zz_chain", 4)
+    beta = 0.95
+    couplings = standard_couplings(ham.n, "xz")
+    sched = make_schedule(beta, spectral_norm(assemble(ham)))
+    w = WeightProfile(beta=beta)
+    base = run_annealing(ham, couplings, w, sched, 0.05, "dl_qsvt")
+    assert base.projector_degree % 2 == 0
+    real_dl = dlgibbs.anneal.dl_operator
+    rng = np.random.default_rng(0)
+    rotated = []
+
+    def rotated_dl(parent_ham):
+        dl = real_dl(parent_ham)
+        # The padded zeros and the core's numerically zero singular values.
+        null = np.flatnonzero(dl.svd.s <= 1e-12)
+        q, _ = np.linalg.qr(rng.normal(size=(null.size, null.size)))
+        u = dl.svd.u.copy()
+        u[:, null] = u[:, null] @ q
+        rotated.append(null.size)
+        return replace(dl, svd=Svd(u=u, s=dl.svd.s, vh=dl.svd.vh))
+
+    monkeypatch.setattr(dlgibbs.anneal, "dl_operator", rotated_dl)
+    run = run_annealing(ham, couplings, w, sched, 0.05, "dl_qsvt")
+    assert len(rotated) == len(sched.betas) and min(rotated) > 1
+    for name in ("state_error", "success_probability", "final_fidelity"):
+        got, want = getattr(run, name), getattr(base, name)
+        assert abs(got - want) <= 1e-10 * abs(want), name

@@ -1,13 +1,13 @@
 """The DL products keep their count, not their factors.
 
 compose_dl_channel checks each channel factor CPTP and drops it, keeping
-only the kernel bases; dl_operator multiplies each factor into its
-composite as soon as it is made.  Weak references on the factors show how
-many are still held: no earlier channel factor while the next one is made,
-and no embedded ground projector once dl_operator has returned.  Of its
-composite, dl_operator keeps only the SVD, so no dl_qsvt anneal step holds
-a 4^n x 4^n composite once its DL operator is built, and run_annealing
-releases every step's SVD once the step's projector is built.
+only the kernel bases; dl_operator embeds no ground projector at all, but
+applies each to the columns of the first factor's range on its tensor
+legs.  Weak references show what is still held: no earlier channel factor
+while the next one is made.  Of its R_1 x d core, dl_operator keeps only
+the SVD, so no dl_qsvt anneal step holds a core once its DL operator is
+built, and run_annealing releases every step's SVD once the step's
+projector is built.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import weakref
 import pytest
 
 import dlgibbs.anneal
+import dlgibbs.hamiltonians
 import dlgibbs.projector
 import dlgibbs.sampler
 from dlgibbs.anneal import make_schedule, run_annealing
@@ -55,18 +56,20 @@ def test_compose_dl_channel_holds_no_earlier_factor(monkeypatch):
 def test_dl_operator_keeps_no_embedded_factor(monkeypatch, kind, n, seed):
     ham = make_instance(kind, n, seed=seed)
     assert ham.m >= 2
-    real = dlgibbs.projector.embed
-    refs: list[weakref.ref] = []
+    real = dlgibbs.hamiltonians.embed
+    embedded: list[object] = []
 
-    def tracked(*args, **kwargs):
-        factor = real(*args, **kwargs)
-        refs.append(weakref.ref(factor))
-        return factor
+    def tracked(op, *args, **kwargs):
+        embedded.append(op)
+        return real(op, *args, **kwargs)
 
-    monkeypatch.setattr(dlgibbs.projector, "embed", tracked)
+    monkeypatch.setattr(dlgibbs.hamiltonians, "embed", tracked)
     dl = dl_operator(ham)
-    assert dl.m == ham.m == len(refs)
-    assert [r() is None for r in refs] == [True] * ham.m
+    assert dl.m == ham.m
+    # Only the frustration check lifts operators to the register, and only
+    # the Hamiltonian's own terms; no ground projector is ever embedded.
+    assert not hasattr(dlgibbs.projector, "embed")
+    assert embedded and all(any(op is t for t in ham.terms) for op in embedded)
 
 
 def test_dl_qsvt_anneal_step_keeps_no_composite(monkeypatch):
@@ -83,7 +86,8 @@ def test_dl_qsvt_anneal_step_keeps_no_composite(monkeypatch):
         return sum(r() is not None for r in refs)
 
     def tracked_svd(a):
-        assert a.shape == (4**ham.n, 4**ham.n)
+        # The R_1 x 4^n core, never a 4^n x 4^n composite.
+        assert a.shape[1] == 4**ham.n and a.shape[0] < 4**ham.n
         refs.append(weakref.ref(a))
         return real_svd(a)
 
@@ -103,8 +107,8 @@ def test_dl_qsvt_anneal_step_keeps_no_composite(monkeypatch):
     run_annealing(
         ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=1.0), sched, 0.1, "dl_qsvt"
     )
-    # Each step's composite is decomposed inside dl_operator and released
-    # when it returns; none is alive when the transitions run.
+    # Each step's core is decomposed inside dl_operator and released when
+    # it returns; none is alive when the transitions run.
     assert after_dl == [(1, 0)] * len(sched.betas)
     assert alive_at_transition == [0] * sched.steps
 
