@@ -38,7 +38,6 @@ from .hamiltonians import (
     assemble,
     commutation_degree,
     embed,
-    ground_space,
     interaction_degree,
     make_instance,
     noncommutation_degree,

@@ -235,6 +235,14 @@ def transition_backend(
     )
 
 
+def _check_overlap(s0: float, backend: TransitionBackend) -> None:
+    if s0 < backend.b / 2:
+        raise OverlapTooSmall(
+            f"dominant singular value {s0:.3e} is below half the overlap "
+            f"floor {backend.b:.3e}"
+        )
+
+
 def transition(
     pa: np.ndarray, pb: np.ndarray, backend: TransitionBackend
 ) -> np.ndarray:
@@ -253,11 +261,7 @@ def transition(
         raise BadParams(f"projector shapes {pa.shape} and {pb.shape} do not match")
     svd = singular_value_decompose(pb @ pa)
     s = svd.s
-    if s[0] < backend.b / 2:
-        raise OverlapTooSmall(
-            f"dominant singular value {s[0]:.3e} is below half the overlap "
-            f"floor {backend.b:.3e}"
-        )
+    _check_overlap(s[0], backend)
     if len(s) > 1 and s[1] > s[0] / 10:
         raise RankAmbiguous(
             f"second singular value {s[1]:.3e} is within a factor 10 of the "
@@ -359,8 +363,8 @@ def run_annealing(
     At every scheduled beta_j the dissipative model is rebuilt with the
     weight profile's beta replaced by beta_j, and one build_parent checks
     it for detailed balance; its purified fixed point is targeted by a rank-one
-    projector: exactly (mode "exact", oracle transitions, no query
-    cost) or through the parent-Hamiltonian detectability-lemma
+    projector: exactly (mode "exact", oracle transitions in closed form,
+    no query cost) or through the parent-Hamiltonian detectability-lemma
     pipeline at uniform polynomial degree (mode "dl_qsvt", boosted
     polynomial transitions).  The initial projector at beta = 0 is part
     of the setup and never counted: the walk starts in the exactly
@@ -420,7 +424,6 @@ def run_annealing(
     projector_errors = [0.0] * (k_steps + 1)
     ell = 0
     if projector_mode == "exact":
-        projectors = [np.outer(t, t.conj()) for t in targets]
         backend = transition_backend("oracle", b_floor, epsilon=budgets.epsilon)
     else:
         target_err = budgets.projector_error
@@ -446,10 +449,20 @@ def run_annealing(
     proj_queries = 0
     trans_queries = 0
     for j in range(1, k_steps + 1):
-        o_tilde = transition(projectors[j - 1], projectors[j], backend)
-        exact_op = np.outer(targets[j], targets[j - 1].conj())
-        err = spectral_norm(o_tilde - exact_op)
-        state = o_tilde @ state
+        a, b = targets[j - 1], targets[j]
+        if projector_mode == "exact":
+            # Both projectors are rank one: P_b P_a = <b|a> b a dagger, so
+            # s_0 = |<b|a>| and s_1 = 0 (RankAmbiguous cannot fire), and the
+            # oracle transition is the phase of <b|a> times b a dagger.
+            ba = np.vdot(b, a)
+            _check_overlap(abs(ba), backend)
+            phase = ba / abs(ba)
+            err = float(abs(phase - 1.0))  # ||(phase - 1) b a dagger||
+            state = (phase * np.vdot(a, state)) * b
+        else:
+            o_tilde = transition(projectors[j - 1], projectors[j], backend)
+            err = spectral_norm(o_tilde - np.outer(b, a.conj()))
+            state = o_tilde @ state
         step_queries = 0
         if projector_mode == "dl_qsvt":
             step_queries = ell * m_terms + budgets.degree

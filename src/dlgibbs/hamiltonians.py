@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +25,7 @@ from .errors import (
     UnknownKind,
 )
 from .linalg import (
-    hermitian_eigendecompose,
+    hermitian_eigenvalues,
     norm_exceeds,
     real_if_exact,
     spectral_norm,
@@ -90,22 +89,6 @@ class LocalHamiltonian:
     @property
     def locality(self) -> int:
         return max((len(t.support) for t in self.terms), default=0)
-
-
-@dataclass(frozen=True)
-class GroundSpace:
-    """Ground cluster of a Hermitian matrix, kept as its orthonormal vectors."""
-
-    vectors: np.ndarray
-    dimension: int
-    energy: float
-    gap: float
-    degenerate: bool
-    frustration_residual: float = 0.0
-
-    @cached_property
-    def projector(self) -> np.ndarray:
-        return self.vectors @ self.vectors.conj().T
 
 
 def _diagonal_index(k: int) -> tuple[np.ndarray, ...]:
@@ -246,6 +229,14 @@ def lift_basis(
     return out
 
 
+def apply_local(a: np.ndarray, legs: Sequence[int], z: np.ndarray) -> np.ndarray:
+    """(a on the qubits legs, tensor I elsewhere) z, on z's legs as in sweep_projectors."""
+    shape = (2,) * (z.shape[0].bit_length() - 1) + z.shape[1:]
+    order = list(legs) + [i for i in range(len(shape)) if i not in legs]
+    t = a @ z.reshape(shape).transpose(order).reshape(a.shape[0], -1)
+    return t.reshape(shape).transpose(np.argsort(order)).reshape(z.shape)
+
+
 def sweep_projectors(
     bases: Sequence[np.ndarray], legs: Sequence[Sequence[int]], z: np.ndarray
 ) -> np.ndarray:
@@ -312,68 +303,39 @@ def commutation_degree(ham: LocalHamiltonian, tol: float = 1e-10) -> int:
     return noncommutation_degree([embed(t, ham.n) for t in ham.terms], tol)
 
 
-def ground_space(
-    h: np.ndarray | LocalHamiltonian, tol: float = 1e-8
-) -> GroundSpace:
-    """Project onto the lowest eigenvalue cluster of h.
+@dataclass(frozen=True)
+class GroundCluster:
+    """Lowest eigenvalue w_0 (energy), cluster size and gap of H, and ||H|| = max |w|."""
 
-    The ground cluster collects eigenvalues within tol * max(1, ||h||) of
-    the minimum, with ||h|| read off the eigenvalues; a gap below ten times
-    that width triggers a DegenerateGapWarning because the cluster boundary
-    is then ambiguous.  For a LocalHamiltonian input the frustration
-    residual max_a ||P H_a|| = max_a ||V_r^dag H_a|| over the r ground
-    vectors is reported as well; it vanishes exactly when the ground space
-    sits inside the kernel of every (positive) term.
+    energy: float
+    dimension: int
+    gap: float
+    norm: float
+
+
+def ground_cluster(ham: LocalHamiltonian, tol: float = 1e-8) -> GroundCluster:
+    """Ground cluster of H, summed with add_embedded, from one eigvalsh.
+
+    The cluster collects eigenvalues within tol * max(1, ||H||) of the
+    minimum, and the gap is to the next eigenvalue (inf if there is none);
+    a gap below ten times that width triggers a DegenerateGapWarning
+    because the cluster boundary is then ambiguous.
     """
-    embedded: list[np.ndarray] | None = None
-    if isinstance(h, LocalHamiltonian):
-        # Summed in assemble's order, so h is bitwise assemble(ham).
-        embedded = [embed(t, h.n) for t in h.terms]
-        zero = np.zeros((2**h.n, 2**h.n), dtype=np.result_type(float, *embedded))
-        h = sum(embedded, zero)
-    eig = hermitian_eigendecompose(h)
-    w, v = eig.eigenvalues, eig.eigenvectors
-    scale = max(1.0, float(np.abs(w).max()))
-    width = tol * scale
+    h = None
+    for t in ham.terms:
+        h = add_embedded(h, t, ham.n)
+    w = hermitian_eigenvalues(h)
+    norm = float(np.abs(w).max())
+    width = tol * max(1.0, norm)
     dim = int(np.sum(w - w[0] <= width))
-    ground = v[:, :dim].copy()  # a view would keep all d x d of v alive
     gap = float(w[dim] - w[0]) if dim < len(w) else float("inf")
-    degenerate = gap < 10 * width
-    if degenerate:
+    if gap < 10 * width:
         warnings.warn(
             f"ground cluster of dimension {dim} has gap {gap:.3e} within "
             f"10x the cluster width {width:.3e}",
             DegenerateGapWarning,
         )
-    residual = 0.0
-    if embedded:
-        ground_h = ground.conj().T
-        residual = max(spectral_norm(ground_h @ t) for t in embedded)
-    return GroundSpace(
-        vectors=ground,
-        dimension=dim,
-        energy=float(w[0]),
-        gap=gap,
-        degenerate=degenerate,
-        frustration_residual=residual,
-    )
-
-
-def frustration_check(
-    ham: LocalHamiltonian, tol: float = 1e-8
-) -> tuple[bool, GroundSpace]:
-    """Ground space of ham and whether it annihilates every term.
-
-    Terms are expected in the zoo normalization (positive semidefinite with
-    kernel); a term with negative eigenvalues reads as frustrated even when
-    it shares its minimizer with the total.  The residual is compared with
-    tol * max(1, ||H||); since that scale is at least 1, a residual within
-    tol passes without assembling ||H||.
-    """
-    gs = ground_space(ham, tol)
-    res = abs(gs.frustration_residual)
-    ff = res <= tol or res <= tol * spectral_norm(assemble(ham))
-    return ff, gs
+    return GroundCluster(energy=float(w[0]), dimension=dim, gap=gap, norm=norm)
 
 
 def _projector_from_state(v: np.ndarray) -> np.ndarray:

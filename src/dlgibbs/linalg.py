@@ -99,23 +99,40 @@ def hermiticity_residual(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - a.conj().T))
 
 
-def hermitian_eigendecompose(a: np.ndarray, tol: float = 1e-10) -> HermitianEig:
-    """Eigen-decomposition of a Hermitian matrix, eigenvalues ascending.
+def _hermitian_input(a: np.ndarray, tol: float) -> tuple[np.ndarray, float, float]:
+    """(a made exactly Hermitian, max(1, ||a||_F), ||a - a†||_F), or NotHermitian.
 
-    Rejects inputs whose anti-Hermitian part exceeds tol relative to
-    max(1, ||a||_F); verifies the reconstruction V diag(w) V† afterwards.
     An input whose residual is exactly 0.0 already equals its
-    symmetrization, so eigh gets it as it is, without a symmetrized copy.
+    symmetrization, so it is returned as it is, without a copy.
     """
-    a = _as_square(a, "hermitian_eigendecompose input")
     scale = max(1.0, float(np.linalg.norm(a)))
     res = hermiticity_residual(a)
     if res > tol * scale:
         raise NotHermitian(
             f"hermiticity residual {res:.3e} exceeds {tol:.1e} * {scale:.3e}"
         )
+    return (a if res == 0.0 else 0.5 * (a + a.conj().T)), scale, res
+
+
+def hermitian_eigenvalues(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, checked as hermitian_eigendecompose checks."""
+    sym, _, _ = _hermitian_input(_as_square(a, "hermitian_eigenvalues input"), tol)
     try:
-        w, v = np.linalg.eigh(a if res == 0.0 else 0.5 * (a + a.conj().T))
+        return np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigvalsh failed to converge: {exc}") from exc
+
+
+def hermitian_eigendecompose(a: np.ndarray, tol: float = 1e-10) -> HermitianEig:
+    """Eigen-decomposition of a Hermitian matrix, eigenvalues ascending.
+
+    Rejects inputs whose anti-Hermitian part exceeds tol relative to
+    max(1, ||a||_F); verifies the reconstruction V diag(w) V† afterwards.
+    """
+    a = _as_square(a, "hermitian_eigendecompose input")
+    sym, scale, res = _hermitian_input(a, tol)
+    try:
+        w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh failed to converge: {exc}") from exc
     recon = float(np.linalg.norm((v * w) @ v.conj().T - a))

@@ -47,7 +47,8 @@ from .errors import (
 )
 from .hamiltonians import (
     LocalHamiltonian,
-    frustration_check,
+    apply_local,
+    ground_cluster,
     interaction_degree,
     lift_basis,
     sweep_projectors,
@@ -58,6 +59,7 @@ from .linalg import (
     hermitian_eigendecompose,
     norm_exceeds,
     singular_value_decompose,
+    spectral_norm,
 )
 
 
@@ -66,8 +68,9 @@ class DlOperator:
     """Ordered product of m per-term ground projectors, kept as its SVD.
 
     Only the SVD and m are kept of the product.  ground_dimension and
-    ground_gap describe the ground space of the Hamiltonian the factors came
-    from, as found by its frustration check; the top ground_dimension
+    ground_gap are the dimension and gap of the ground cluster of the
+    Hamiltonian the factors came from, read off its eigenvalues; the top
+    ground_dimension singular vectors span that ground space, and their
     singular values are within 1e-8 of 1.  svd is square: its columns of
     U past R_1, the rank of the first factor, span that factor's kernel,
     with singular value exactly 0.  D fixes its null spaces but not how
@@ -166,8 +169,6 @@ def _log_cosh(t: np.ndarray | float) -> np.ndarray | float:
 def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
     """SVD of the product P_1 ... P_m of per-term ground projectors, in term order.
 
-    Refuses Hamiltonians that are not frustration-free: without a shared
-    per-term kernel the product no longer relates to the ground space.
     Each P_m = E_m E_m dagger tensor I comes from the local eigenvectors
     E_m of its term.  With B_1 = E_1 tensor I, the d x R_1 isometry onto
     the range of P_1, the product is D = B_1 C for the R_1 x d core
@@ -176,20 +177,22 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
     d x d product is formed.  C = U_C S_C V dagger gives D's SVD with
     U = [B_1 U_C | B_1 perp], where B_1 perp = E_1 perp tensor I spans the
     kernel of P_1, and S padded with d - R_1 zeros.  B_1 is an isometry,
-    so C's reconstruction check and Frobenius scale are D's.  Raises
-    DegenerateGap unless the top r = ground_dimension singular values lie
-    within 1e-8 of 1.
+    so C's reconstruction check and Frobenius scale are D's.
+
+    r = ground_dimension, the gap and ||H|| come from one eigvalsh of H
+    (ground_cluster).  FrustrationDetected fires when |w_0| or some
+    ||H_a U_r||, U_r the top r columns of U and H_a applied on its legs,
+    exceeds 1e-8 max(1, ||H||); DegenerateGap unless s_r >= 1 - 1e-8.
+    Past both, U_r lies in every term's lowest eigenspace (||D U_r|| = 1)
+    at energy 0, so every term is positive semidefinite and U_r spans the
+    common kernel, H's ground space.  A frustrated H has no common kernel
+    at energy 0, so the residual or w_0 is off zero; a term with negative
+    eigenvalues reads as frustrated even when it shares its minimizer.
     """
     if ham.m == 0:
         raise BadParams("need at least one term")
-    ff, gs = frustration_check(ham)
-    if not ff:
-        raise FrustrationDetected(
-            "ground space is not annihilated by every term "
-            f"(residual {gs.frustration_residual:.3e})"
-        )
-    r, gap = gs.dimension, gs.gap
-    del gs  # only r and the gap are read of the ground vectors
+    cluster = ground_cluster(ham)
+    r, gap = cluster.dimension, cluster.gap
     first = None
     bases, legs = [], []
     for t in ham.terms:
@@ -221,6 +224,13 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
     s[:r1] = core.s
     vh = core.vh
     gauge_singular_vectors(u, vh)
+    bound = 1e-8 * max(1.0, cluster.norm)
+    actions = [apply_local(t.op, t.support, u[:, :r]) for t in ham.terms]
+    if abs(cluster.energy) > bound or any(norm_exceeds(y, bound) for y in actions):
+        raise FrustrationDetected(
+            "ground space is not annihilated by every term (residual "
+            f"{max(map(spectral_norm, actions)):.3e}, ground energy {cluster.energy:.3e})"
+        )
     if s[r - 1] < 1.0 - 1e-8:
         raise DegenerateGap(
             f"singular value s_r={s[r - 1]:.6e} of the DL operator is below "

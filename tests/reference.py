@@ -1,0 +1,99 @@
+"""Dense references the tests compare the pipeline against.
+
+These are the whole-register computations the package no longer runs: the
+ground space of an assembled Hamiltonian from a full eigendecomposition,
+and the frustration check on its ground vectors.  They are kept here, and
+not in dlgibbs, because only tests read them.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+
+from dlgibbs.errors import DegenerateGapWarning
+from dlgibbs.hamiltonians import LocalHamiltonian, assemble, embed
+from dlgibbs.linalg import hermitian_eigendecompose, spectral_norm
+
+
+@dataclass(frozen=True)
+class GroundSpace:
+    """Ground cluster of a Hermitian matrix, kept as its orthonormal vectors."""
+
+    vectors: np.ndarray
+    dimension: int
+    energy: float
+    gap: float
+    degenerate: bool
+    frustration_residual: float = 0.0
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        return self.vectors @ self.vectors.conj().T
+
+
+def ground_space(
+    h: np.ndarray | LocalHamiltonian, tol: float = 1e-8
+) -> GroundSpace:
+    """Project onto the lowest eigenvalue cluster of h.
+
+    The ground cluster collects eigenvalues within tol * max(1, ||h||) of
+    the minimum, with ||h|| read off the eigenvalues; a gap below ten times
+    that width triggers a DegenerateGapWarning because the cluster boundary
+    is then ambiguous.  For a LocalHamiltonian input the frustration
+    residual max_a ||P H_a|| = max_a ||V_r^dag H_a|| over the r ground
+    vectors is reported as well; it vanishes exactly when the ground space
+    sits inside the kernel of every (positive) term.
+    """
+    embedded: list[np.ndarray] | None = None
+    if isinstance(h, LocalHamiltonian):
+        # Summed in assemble's order, so h is bitwise assemble(ham).
+        embedded = [embed(t, h.n) for t in h.terms]
+        zero = np.zeros((2**h.n, 2**h.n), dtype=np.result_type(float, *embedded))
+        h = sum(embedded, zero)
+    eig = hermitian_eigendecompose(h)
+    w, v = eig.eigenvalues, eig.eigenvectors
+    scale = max(1.0, float(np.abs(w).max()))
+    width = tol * scale
+    dim = int(np.sum(w - w[0] <= width))
+    ground = v[:, :dim].copy()  # a view would keep all d x d of v alive
+    gap = float(w[dim] - w[0]) if dim < len(w) else float("inf")
+    degenerate = gap < 10 * width
+    if degenerate:
+        warnings.warn(
+            f"ground cluster of dimension {dim} has gap {gap:.3e} within "
+            f"10x the cluster width {width:.3e}",
+            DegenerateGapWarning,
+        )
+    residual = 0.0
+    if embedded:
+        ground_h = ground.conj().T
+        residual = max(spectral_norm(ground_h @ t) for t in embedded)
+    return GroundSpace(
+        vectors=ground,
+        dimension=dim,
+        energy=float(w[0]),
+        gap=gap,
+        degenerate=degenerate,
+        frustration_residual=residual,
+    )
+
+
+def frustration_check(
+    ham: LocalHamiltonian, tol: float = 1e-8
+) -> tuple[bool, GroundSpace]:
+    """Ground space of ham and whether it annihilates every term.
+
+    Terms are expected in the zoo normalization (positive semidefinite with
+    kernel); a term with negative eigenvalues reads as frustrated even when
+    it shares its minimizer with the total.  The residual is compared with
+    tol * max(1, ||H||); since that scale is at least 1, a residual within
+    tol passes without assembling ||H||.
+    """
+    gs = ground_space(ham, tol)
+    res = abs(gs.frustration_residual)
+    ff = res <= tol or res <= tol * spectral_norm(assemble(ham))
+    return ff, gs

@@ -22,7 +22,6 @@ from dlgibbs.hamiltonians import (
     LocalHamiltonian,
     LocalOperator,
     assemble,
-    ground_space,
     make_instance,
     standard_couplings,
 )
@@ -52,6 +51,7 @@ from dlgibbs.sampler import (
     iterate,
     superop_hamiltonian,
 )
+from reference import ground_space
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BETAS = (0.0, 0.5, 1.0)

@@ -40,6 +40,7 @@ from dlgibbs.hamiltonians import (
 from dlgibbs.jumps import WeightProfile
 from dlgibbs.kms import LindbladTerm
 from dlgibbs.linalg import spectral_norm
+from dlgibbs.parent import purified_gibbs
 
 
 def test_schedule_formula():
@@ -254,6 +255,32 @@ def test_run_annealing_exact_reaches_target():
         assert rec.error_bound == pytest.approx(delta / (2 * sched.steps))
     assert run.tally.total == 0
     assert run.projector_degree == 0
+
+
+@pytest.mark.parametrize(
+    "kind,n,kinds,beta", [("zz_chain", 3, "xz", 0.9), ("random_ff_projectors", 3, "xz", 0.5)]
+)
+def test_exact_anneal_closed_form_matches_the_svd_transitions(kind, n, kinds, beta):
+    # The dense reference: each oracle transition from the SVD of the
+    # rank-one product P_j P_{j-1}, and its error as a 2-norm.
+    ham = make_instance(kind, n)
+    h = assemble(ham)
+    sched = make_schedule(beta, spectral_norm(h))
+    run = run_annealing(
+        ham, standard_couplings(n, kinds), WeightProfile(beta=beta), sched, 0.1, "exact"
+    )
+    targets = [purified_gibbs(h, float(b)) for b in sched.betas]
+    backend = transition_backend("oracle", run.min_overlap)
+    state = targets[0]
+    for j, rec in enumerate(run.records, start=1):
+        a, b = targets[j - 1], targets[j]
+        o_tilde = transition(np.outer(a, a.conj()), np.outer(b, b.conj()), backend)
+        err = spectral_norm(o_tilde - np.outer(b, a.conj()))
+        assert abs(rec.transition_error - err) <= 1e-12
+        state = o_tilde @ state
+    assert abs(run.success_probability - np.vdot(state, state).real) <= 1e-12
+    assert abs(run.state_error - np.linalg.norm(state - targets[-1])) <= 1e-12
+    assert np.abs(run.final_state - state / np.linalg.norm(state)).max() <= 1e-12
 
 
 def test_run_annealing_dl_qsvt_reaches_target():

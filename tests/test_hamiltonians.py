@@ -12,17 +12,17 @@ from dlgibbs.hamiltonians import (
     PAULI_Z,
     LocalHamiltonian,
     LocalOperator,
+    apply_local,
     assemble,
     commutation_degree,
     embed,
-    frustration_check,
-    ground_space,
     interaction_degree,
     make_instance,
     noncommutation_degree,
     projector_noncommutation_degree,
     standard_couplings,
 )
+from reference import frustration_check, ground_space
 
 
 def test_embed_orders_qubit0_most_significant():
@@ -224,3 +224,14 @@ def test_assemble_matches_manual_sum():
     manual = sum(embed(t, 3) for t in ham.terms)
     assert np.abs(h - manual).max() < 1e-14
     assert np.abs(h - h.conj().T).max() < 1e-14
+
+
+@pytest.mark.parametrize("support", [(0,), (2, 0), (1, 3, 2)])
+@pytest.mark.parametrize("cols", [None, 3])
+def test_apply_local_matches_the_embedded_operator(support, cols):
+    rng = np.random.default_rng(len(support))
+    k = len(support)
+    a = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+    z = rng.normal(size=(16,) if cols is None else (16, cols))
+    dense = embed(LocalOperator(a, support), 4) @ z
+    assert np.abs(apply_local(a, support, z) - dense).max() < 1e-13

@@ -16,6 +16,7 @@ from dlgibbs.linalg import (
     accumulate,
     gauge_singular_vectors,
     hermitian_eigendecompose,
+    hermitian_eigenvalues,
     partial_trace,
     real_if_exact,
     schatten1_distance,
@@ -48,6 +49,18 @@ def test_eigendecompose_rejects_non_hermitian():
         hermitian_eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
         hermitian_eigendecompose(np.zeros((2, 3)))
+
+
+def test_eigenvalues_share_the_eigendecompose_checks():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    a = a + a.conj().T
+    w = hermitian_eigenvalues(a)
+    assert np.abs(w - hermitian_eigendecompose(a).eigenvalues).max() < 1e-12
+    with pytest.raises(NotHermitian):
+        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(DimensionMismatch):
+        hermitian_eigenvalues(np.zeros((2, 3)))
 
 
 def test_svd_descending_and_gauge():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +17,7 @@ from dlgibbs.errors import (
     BadGamma,
     BadParams,
     DegenerateGap,
+    DegenerateGapWarning,
     FrustrationDetected,
     InsufficientSpread,
 )
@@ -24,7 +27,6 @@ from dlgibbs.hamiltonians import (
     LocalOperator,
     assemble,
     embed,
-    ground_space,
     make_instance,
     standard_couplings,
 )
@@ -41,6 +43,7 @@ from dlgibbs.projector import (
     singular_gap,
     speedup_slope,
 )
+from reference import frustration_check, ground_space
 
 FF_INSTANCES = [("commuting_projectors", 5, 0)] + [
     ("random_ff_projectors", n, seed) for n in (4, 5, 6) for seed in (0, 1, 2)
@@ -295,12 +298,21 @@ def _dense_dl(ham, tol=1e-9):
     return out
 
 
-def _anneal_parent_input():
+def _anneal_parent_inputs():
+    """Every step's parent projector input of a zz_chain n = 3 xz anneal."""
     ham = make_instance("zz_chain", 3)
-    beta = 0.5
-    terms = build_model(ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=beta))
-    ph = build_parent(terms, KmsForm(gibbs_state(assemble(ham), beta)), ham, beta=beta)
-    return parent_projector_input(ph).ham
+    h = assemble(ham)
+    w = WeightProfile(beta=0.5)
+    out = []
+    for beta in make_schedule(0.5, spectral_norm(h)).betas.tolist():
+        terms = build_model(ham, standard_couplings(ham.n, "xz"), replace(w, beta=beta))
+        ph = build_parent(terms, KmsForm(gibbs_state(h, beta)), ham, beta=beta)
+        out.append((f"anneal-parent-beta{beta:.4g}", parent_projector_input(ph).ham))
+    return out
+
+
+def _anneal_parent_input():
+    return _anneal_parent_inputs()[-1][1]
 
 
 def _single_term():
@@ -338,6 +350,107 @@ def test_dl_operator_matches_the_dense_product(case):
         poly = chebyshev_poly(sg.gamma_star, ell)
         res = approximate_projector(dl, poly)
         assert np.abs(res.approx - (du * poly(ds)) @ dvh).max() < 1e-12, ell
+
+
+def _near_degenerate():
+    # A frustration-free field whose gap 5e-8 lies within ten cluster widths.
+    fld = 0.5 * (np.eye(2) - PAULI["z"])
+    return LocalHamiltonian(
+        n=2, terms=(LocalOperator(5e-8 * fld, (0,)), LocalOperator(fld, (1,)))
+    )
+
+
+GROUND_PARITY = (
+    [
+        (f"{kind}-{n}", make_instance(kind, n))
+        for kind in ("zz_chain", "field_chain", "commuting_projectors")
+        for n in (2, 3, 4, 5)
+    ]
+    + [
+        (f"random_ff_projectors-{n}-s{seed}", make_instance("random_ff_projectors", n, seed))
+        for n in (4, 5)
+        for seed in (0, 1, 2)
+    ]
+    + _anneal_parent_inputs()
+    + [("near-degenerate", _near_degenerate())]
+)
+
+
+def _with_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [type(c.message) for c in caught]
+
+
+@pytest.mark.parametrize("ham", [h for _, h in GROUND_PARITY], ids=[c for c, _ in GROUND_PARITY])
+def test_dl_operator_ground_cluster_matches_the_dense_ground_space(ham):
+    (ff, gs), dense_warned = _with_warnings(frustration_check, ham)
+    dl, warned = _with_warnings(dl_operator, ham)
+    assert ff
+    assert dl.ground_dimension == gs.dimension
+    norm_h = spectral_norm(assemble(ham))
+    if math.isinf(gs.gap):
+        assert dl.ground_gap == gs.gap
+    else:
+        assert abs(dl.ground_gap - gs.gap) <= 1e-12 * max(1.0, norm_h)
+    assert (DegenerateGapWarning in warned) == (DegenerateGapWarning in dense_warned)
+
+
+def _frustrated_pair():
+    x = 0.5 * (np.eye(2) - PAULI["x"])
+    z = 0.5 * (np.eye(2) - PAULI["z"])
+    return LocalHamiltonian(n=1, terms=(LocalOperator(x, (0,)), LocalOperator(z, (0,))))
+
+
+def _frustrated_chain():
+    # (I - ZZ)/2 keeps |00>, |11>; the x fields keep only |++>, outside that span.
+    zz = 0.5 * (np.eye(4) - np.kron(PAULI["z"], PAULI["z"]))
+    x = 0.5 * (np.eye(2) - PAULI["x"])
+    return LocalHamiltonian(
+        n=2,
+        terms=(LocalOperator(zz, (0, 1)), LocalOperator(x, (0,)), LocalOperator(x, (1,))),
+    )
+
+
+def _negative_shared_minimizer():
+    # Both terms have their lowest eigenvalue -1 at |00>, and so does H at |000>.
+    low = np.diag([-1.0, 0.0, 0.0, 0.0])
+    return LocalHamiltonian(n=3, terms=(LocalOperator(low, (0, 1)), LocalOperator(low, (1, 2))))
+
+
+def _cancelling_terms():
+    # H = 0, so w_0 = 0; the residual alone shows that -|0><0| does not
+    # annihilate the ground space.
+    zero = np.diag([1.0, 0.0])
+    return LocalHamiltonian(
+        n=1, terms=(LocalOperator(-zero, (0,)), LocalOperator(zero, (0,)))
+    )
+
+
+def _negative_ground_outside_the_top_block():
+    # H = diag(0, -1): w_0 = -1 at |1>, while D's top singular vector |0>
+    # lies in the kernel of both terms, so w_0 alone shows the frustration.
+    up, down = np.diag([0.0, 1.0]), np.diag([0.0, -2.0])
+    return LocalHamiltonian(n=1, terms=(LocalOperator(up, (0,)), LocalOperator(down, (0,))))
+
+
+FRUSTRATED = {
+    "cancelling-terms": _cancelling_terms,
+    "negative-ground-outside-the-top-block": _negative_ground_outside_the_top_block,
+    "one-qubit-x-z": _frustrated_pair,
+    "two-site-zz-x-chain": _frustrated_chain,
+    "negative-shared-minimizer": _negative_shared_minimizer,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRUSTRATED))
+def test_dl_operator_refuses_what_the_dense_check_refuses(case):
+    ham = FRUSTRATED[case]()
+    ff, _ = frustration_check(ham)
+    assert not ff
+    with pytest.raises(FrustrationDetected, match="not annihilated by every term"):
+        dl_operator(ham)
 
 
 def test_even_degree_projector_ignores_the_null_space_pairing(monkeypatch):

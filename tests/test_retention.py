@@ -66,8 +66,9 @@ def test_dl_operator_keeps_no_embedded_factor(monkeypatch, kind, n, seed):
     monkeypatch.setattr(dlgibbs.hamiltonians, "embed", tracked)
     dl = dl_operator(ham)
     assert dl.m == ham.m
-    # Only the frustration check lifts operators to the register, and only
-    # the Hamiltonian's own terms; no ground projector is ever embedded.
+    # Only the sum H whose eigenvalues dl_operator reads lifts operators to
+    # the register, and only the Hamiltonian's own terms; no ground
+    # projector is ever embedded.
     assert not hasattr(dlgibbs.projector, "embed")
     assert embedded and all(any(op is t for t in ham.terms) for op in embedded)
 
