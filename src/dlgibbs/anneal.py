@@ -56,14 +56,9 @@ from .errors import (
     RankAmbiguous,
     UnknownKind,
 )
-from .hamiltonians import (
-    LocalHamiltonian,
-    LocalOperator,
-    assemble,
-    commutation_degree,
-)
+from .hamiltonians import LocalHamiltonian, LocalOperator
 from .jumps import WeightProfile, build_model
-from .kms import KmsForm, gibbs_state
+from .kms import KmsForm
 from .linalg import singular_value_decompose, spectral_norm
 from .parent import build_parent, parent_projector_input, purified_gibbs
 from .projector import (
@@ -130,7 +125,7 @@ def make_schedule(beta: float, norm_h: float, alpha: float = 2.0) -> Schedule:
     )
 
 
-def overlap(ham: LocalHamiltonian | np.ndarray, beta: float, dbeta: float) -> float:
+def overlap(ham: LocalHamiltonian, beta: float, dbeta: float) -> float:
     """Exact overlap |<psi_beta | psi_{beta+dbeta}>| of purified Gibbs states."""
     if dbeta < 0:
         raise BadParams(f"temperature increment must be >= 0, got {dbeta}")
@@ -362,26 +357,26 @@ def run_annealing(
 
     At every scheduled beta_j the dissipative model is rebuilt with the
     weight profile's beta replaced by beta_j, and one build_parent checks
-    it for detailed balance; its purified fixed point is targeted by a rank-one
-    projector: exactly (mode "exact", oracle transitions in closed form,
-    no query cost) or through the parent-Hamiltonian detectability-lemma
-    pipeline at uniform polynomial degree (mode "dl_qsvt", boosted
-    polynomial transitions).  The initial projector at beta = 0 is part
-    of the setup and never counted: the walk starts in the exactly
-    preparable maximally entangled state.  Queries tally to
-    K * (ell * M + l) in dl_qsvt mode.
+    it for detailed balance; its ground vector, the purified fixed point
+    vec(sqrt(sigma_j)), is targeted by a rank-one projector: exactly (mode
+    "exact", oracle transitions in closed form, no query cost) or through
+    the parent-Hamiltonian detectability-lemma pipeline at uniform
+    polynomial degree (mode "dl_qsvt", boosted polynomial transitions).
+    The initial projector at beta = 0 is part of the setup and never
+    counted: the walk starts in the exactly preparable maximally entangled
+    state.  Queries tally to K * (ell * M + l) in dl_qsvt mode.  ||H|| and
+    every sigma_j are read off ham.eig.
     """
     if projector_mode not in _MODES:
         raise UnknownKind(f"unknown projector mode {projector_mode!r}")
     if not 0 < delta < 1:
         raise BadParams(f"error target must lie in (0, 1), got {delta}")
-    if projector_mode == "dl_qsvt" and commutation_degree(ham) != 0:
+    if projector_mode == "dl_qsvt" and not ham.commuting:
         raise BadParams(
             "dl_qsvt projector synthesis needs mutually commuting Hamiltonian "
             "terms; the parent terms are not local otherwise"
         )
-    h_mat = assemble(ham)
-    norm_h = spectral_norm(h_mat)
+    norm_h = float(np.abs(ham.eig.eigenvalues).max())
     if sched.beta_final * norm_h > 40.0:
         raise OverflowDetected(
             f"beta * ||H|| = {sched.beta_final * norm_h:.2f} exceeds 40; the "
@@ -391,12 +386,11 @@ def run_annealing(
     betas = sched.betas
 
     notes: list[str] = []
+    targets = []
     dl_steps = []
     for beta_j in betas.tolist():
         terms = build_model(ham, couplings, replace(w, beta=beta_j))
-        ph = build_parent(
-            terms, KmsForm(gibbs_state(h_mat, beta_j)), ham, beta=beta_j
-        )
+        ph = build_parent(terms, KmsForm.gibbs(ham, beta_j), ham, beta=beta_j)
         if ph.kernel_dim > 1:
             msg = (
                 f"generator at beta = {beta_j:.6g} has fixed-point dimension "
@@ -408,11 +402,12 @@ def run_annealing(
             pin = parent_projector_input(ph)
             dl = dl_operator(pin.ham)
             dl_steps.append((dl, singular_gap(dl, pin.ham)))
-        # Drop this step's 4^n x 4^n parent before the next one is built.
+        targets.append(ph.ground)
+        # Drop this step's parent terms (4^n x 4^n each for non-commuting H)
+        # before the next ones are built.
         del ph
     m_terms = len(terms)
 
-    targets = [purified_gibbs(h_mat, float(b)) for b in betas]
     overlaps = [
         float(np.abs(np.vdot(targets[j - 1], targets[j])))
         for j in range(1, k_steps + 1)

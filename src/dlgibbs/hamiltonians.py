@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +26,8 @@ from .errors import (
     UnknownKind,
 )
 from .linalg import (
+    HermitianEig,
+    hermitian_eigendecompose,
     hermitian_eigenvalues,
     norm_exceeds,
     real_if_exact,
@@ -67,7 +70,7 @@ class LocalOperator:
 
 @dataclass(frozen=True)
 class LocalHamiltonian:
-    """Sum of local terms on an n-qubit register."""
+    """Sum of local terms on an n-qubit register; eig and commuting are kept once read."""
 
     n: int
     terms: tuple[LocalOperator, ...]
@@ -86,9 +89,15 @@ class LocalHamiltonian:
     def m(self) -> int:
         return len(self.terms)
 
-    @property
-    def locality(self) -> int:
-        return max((len(t.support) for t in self.terms), default=0)
+    @cached_property
+    def eig(self) -> HermitianEig:
+        """Eigendecomposition of assemble(self), eigenvalues ascending."""
+        return hermitian_eigendecompose(assemble(self))
+
+    @cached_property
+    def commuting(self) -> bool:
+        """Whether the terms commute pairwise: commutation_degree(self) == 0."""
+        return commutation_degree(self) == 0
 
 
 def _diagonal_index(k: int) -> tuple[np.ndarray, ...]:
@@ -155,11 +164,11 @@ def add_embedded(total: np.ndarray | None, op: LocalOperator, n: int) -> np.ndar
 
 
 def assemble(ham: LocalHamiltonian) -> np.ndarray:
-    """Dense matrix of the full Hamiltonian."""
+    """Dense matrix of the full Hamiltonian, each term added with add_embedded."""
     d = 2**ham.n
     h = np.zeros((d, d), dtype=np.result_type(float, *(t.op for t in ham.terms)))
     for t in ham.terms:
-        h += embed(t, ham.n)
+        h = add_embedded(h, t, ham.n)
     return h
 
 
@@ -314,17 +323,14 @@ class GroundCluster:
 
 
 def ground_cluster(ham: LocalHamiltonian, tol: float = 1e-8) -> GroundCluster:
-    """Ground cluster of H, summed with add_embedded, from one eigvalsh.
+    """Ground cluster of H (assemble) from one eigvalsh.
 
     The cluster collects eigenvalues within tol * max(1, ||H||) of the
     minimum, and the gap is to the next eigenvalue (inf if there is none);
     a gap below ten times that width triggers a DegenerateGapWarning
     because the cluster boundary is then ambiguous.
     """
-    h = None
-    for t in ham.terms:
-        h = add_embedded(h, t, ham.n)
-    w = hermitian_eigenvalues(h)
+    w = hermitian_eigenvalues(assemble(ham))
     norm = float(np.abs(w).max())
     width = tol * max(1.0, norm)
     dim = int(np.sum(w - w[0] <= width))

@@ -44,10 +44,9 @@ import numpy as np
 from .anneal import make_schedule, overlap, run_annealing
 from .config import ExperimentConfig, config_hash
 from .errors import BadInputs, DlGibbsError
-from .hamiltonians import assemble, make_instance, standard_couplings
+from .hamiltonians import make_instance, standard_couplings
 from .jumps import WeightProfile, build_model
-from .kms import KmsForm, gibbs_state
-from .linalg import spectral_norm
+from .kms import KmsForm
 from .parent import build_parent, verify_parent
 from .projector import (
     approximate_projector,
@@ -224,7 +223,7 @@ def _run_mix(cfg: ExperimentConfig):
     k_max = int(cfg.run["k_max"])
     ham, couplings, w = _build_common(cfg, beta)
     terms = build_model(ham, couplings, w)
-    kms = KmsForm(gibbs_state(assemble(ham), beta))
+    kms = KmsForm.gibbs(ham, beta)
     channel = compose_dl_channel(terms, kms, ham)
     dim = 2**ham.n
     rho0 = np.zeros((dim, dim))
@@ -309,7 +308,7 @@ def _run_parent(cfg: ExperimentConfig):
     beta = float(cfg.run["beta"])
     ham, couplings, w = _build_common(cfg, beta)
     terms = build_model(ham, couplings, w)
-    kms = KmsForm(gibbs_state(assemble(ham), beta))
+    kms = KmsForm.gibbs(ham, beta)
     ph = build_parent(terms, kms, ham, beta=beta)
     rep = verify_parent(ph)
     columns = [
@@ -359,7 +358,7 @@ def _run_anneal(cfg: ExperimentConfig):
     alpha = float(cfg.run["alpha"])
     mode = str(cfg.run["mode"])
     ham, couplings, w = _build_common(cfg, beta)
-    sched = make_schedule(beta, spectral_norm(assemble(ham)), alpha)
+    sched = make_schedule(beta, float(np.abs(ham.eig.eigenvalues).max()), alpha)
     run = run_annealing(ham, couplings, w, sched, delta, mode)
     columns = ["j", "beta_j", "overlap", "transition_error_bound", "cumulative_queries"]
     rows = []

@@ -37,9 +37,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BadParams, UnknownKind
-from .hamiltonians import LocalHamiltonian, LocalOperator, assemble, embed
-from .kms import KmsForm, LindbladTerm, gibbs_state
-from .linalg import HermitianEig, hermitian_eigendecompose, norm_exceeds, spectral_norm
+from .hamiltonians import LocalHamiltonian, LocalOperator, embed
+from .kms import KmsForm, LindbladTerm
+from .linalg import HermitianEig, norm_exceeds, spectral_norm
 from .sampler import coherent_terms
 
 
@@ -140,35 +140,21 @@ def _weigh(
     return v @ (scale[labels] * rotated) @ v.conj().T
 
 
-def build_jump(
-    a: np.ndarray,
-    h: np.ndarray,
-    w: WeightProfile,
-    eig: HermitianEig | None = None,
-) -> np.ndarray:
-    """Weighted jump operator L = sum_nu w_hat(nu) A_{-nu}."""
-    if eig is None:
-        eig = hermitian_eigendecompose(h)
+def build_jump(a: np.ndarray, eig: HermitianEig, w: WeightProfile) -> np.ndarray:
+    """Weighted jump operator L = sum_nu w_hat(nu) A_{-nu}, for H = V diag(E) V' in eig."""
     tol = 1e-9 * max(1.0, float(np.abs(eig.eigenvalues).max()))
     rotated, labels, gains = _bohr_clusters(a, eig, tol)
     w.check_q_symmetry(gains)
     return _weigh(rotated, labels, [w.jump_weight(nu) for nu in gains.tolist()], eig)
 
 
-def build_coherent(
-    jump: np.ndarray,
-    h: np.ndarray,
-    w: WeightProfile,
-    eig: HermitianEig | None = None,
-) -> np.ndarray:
+def build_coherent(jump: np.ndarray, eig: HermitianEig, w: WeightProfile) -> np.ndarray:
     """Coherent operator G = sum_nu g_hat(nu) (L'L)_{-nu}; Hermitian.
 
-    Warns when L'L has off-shell frequencies and the cutoff excludes all
-    of them.
+    The Bohr frequencies are those of H = V diag(E) V' in eig.  Warns
+    when L'L has off-shell frequencies and the cutoff excludes all of them.
     """
     jump = np.asarray(jump, dtype=complex)
-    if eig is None:
-        eig = hermitian_eigendecompose(h)
     h_norm = float(np.abs(eig.eigenvalues).max())
     cutoff = w.kappa_cutoff
     if cutoff is None:
@@ -211,14 +197,13 @@ def build_model(
     """
     if not couplings:
         raise BadParams("need at least one coupling operator")
-    h = assemble(ham)
-    eig = hermitian_eigendecompose(h)
+    eig = ham.eig
     full = tuple(range(ham.n))
     terms: list[LindbladTerm] = []
     for a in couplings:
         a_full = embed(a, ham.n)
-        jump = build_jump(a_full, h, w, eig=eig)
-        coh = build_coherent(jump, h, w, eig=eig)
+        jump = build_jump(a_full, eig, w)
+        coh = build_coherent(jump, eig, w)
         has_coh = norm_exceeds(coh, 1e-12) and norm_exceeds(
             coh, 1e-12 * max(1.0, spectral_norm(jump)) ** 2
         )
@@ -229,7 +214,7 @@ def build_model(
         )
         terms.append(term)
     if normalize:
-        forms = coherent_terms(terms, KmsForm(gibbs_state(h, w.beta)), ham)
+        forms = coherent_terms(terms, KmsForm.gibbs(ham, w.beta), ham)
         terms = [_rescaled(t, spectral_norm(f[0].mat)) for t, f in zip(terms, forms)]
     return terms
 

@@ -53,8 +53,9 @@ from .errors import (
     PositiveEigenvalue,
     SingularSigma,
 )
-from .hamiltonians import LocalOperator, embed
+from .hamiltonians import LocalHamiltonian, LocalOperator, embed
 from .linalg import (
+    HermitianEig,
     accumulate,
     hermitian_eigendecompose,
     norm_exceeds,
@@ -66,6 +67,8 @@ _PICTURES = ("heisenberg", "schrodinger", "kms")
 
 # Largest ||h - h dagger|| of a coherent form h that counts as detailed balance.
 DETAILED_BALANCE_TOL = 1e-8
+# Default floor on the smallest trace-normalized weight of a KmsForm.
+_MIN_EIG = 1e-14
 
 
 @dataclass(frozen=True)
@@ -130,31 +133,42 @@ class LindbladTerm:
 class KmsForm:
     """Cached spectral data of a full-rank stationary state.
 
-    The input is Hermitian-validated and trace-normalized; the smallest
-    eigenvalue after normalization must exceed min_eig (default 1e-14).
-    An exactly real sigma is demoted to float64, so its eigenvectors and
-    powers are real as well.
+    KmsForm(sigma) Hermitian-validates and diagonalizes sigma.  KmsForm.gibbs
+    takes the Gibbs weights on H's own eigenvectors and no eigendecomposition
+    of sigma, so sigma^{+-1/4} keep H's accuracy at small weights.  Either
+    way the weights are trace-normalized, and the smallest must exceed
+    min_eig (default 1e-14, the value KmsForm.gibbs uses).  An exactly real
+    sigma or H gives real eigenvectors and powers.
     Note the tension with large beta * ||H||: at beta * spread = 80 the
     smallest Gibbs weight is ~1e-35, far below the default threshold, so
-    high-beta studies must loosen min_eig deliberately.
+    high-beta studies must loosen min_eig deliberately, through KmsForm(sigma).
     """
 
-    def __init__(self, sigma: np.ndarray, min_eig: float = 1e-14):
-        sigma = real_if_exact(sigma)
-        eig = hermitian_eigendecompose(sigma)
-        tr = float(np.real(eig.eigenvalues.sum()))
+    def __init__(self, sigma: np.ndarray, min_eig: float = _MIN_EIG):
+        eig = hermitian_eigendecompose(real_if_exact(sigma))
+        self._set_spectrum(eig.eigenvalues, eig.eigenvectors, min_eig)
+
+    @classmethod
+    def gibbs(cls, ham: LocalHamiltonian, beta: float) -> KmsForm:
+        """The form of exp(-beta H)/Z: _gibbs_weights on ham.eig, then the default checks."""
+        form = cls.__new__(cls)
+        form._set_spectrum(*_gibbs_weights(ham.eig, beta), _MIN_EIG)
+        return form
+
+    def _set_spectrum(self, w: np.ndarray, v: np.ndarray, min_eig: float) -> None:
+        tr = float(np.real(w.sum()))
         if tr <= 0:
             raise SingularSigma(f"state trace {tr:.3e} is not positive")
-        w = eig.eigenvalues / tr
+        w = w / tr
         if w.min() <= min_eig:
             raise SingularSigma(
                 f"smallest eigenvalue {w.min():.3e} after normalization is "
                 f"at or below {min_eig:.1e}"
             )
-        self.dim = sigma.shape[0]
+        self.dim = v.shape[0]
         self.eigenvalues = w
-        self.eigenvectors = eig.eigenvectors
-        self.sigma = eig.eigenvectors @ np.diag(w) @ eig.eigenvectors.conj().T
+        self.eigenvectors = v
+        self.sigma = v @ np.diag(w) @ v.conj().T
         self.sigma_min = float(w.min())
 
     def _power(self, p: float) -> np.ndarray:
@@ -187,15 +201,14 @@ def _kron_conj_apply(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.matmul(a.conj(), legs).reshape(d * d, -1)
 
 
-def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-beta h) / Tr exp(-beta h), computed shift-stably.
+def _gibbs_weights(eig: HermitianEig, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(-beta (E - E_0)) / Z, V) from H = V diag(E) V dagger, computed shift-stably.
 
     Rejects beta < 0 and beta * (spectral spread) > 80, beyond which the
     smallest weight underflows any usable stationary-state threshold.
     """
     if beta < 0:
         raise BadParams(f"inverse temperature must be >= 0, got {beta}")
-    eig = hermitian_eigendecompose(h)
     w = eig.eigenvalues
     spread = float(w[-1] - w[0])
     if beta * spread > 80.0:
@@ -205,7 +218,12 @@ def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
         )
     ew = np.exp(-beta * (w - w[0]))
     ew /= ew.sum()
-    v = eig.eigenvectors
+    return ew, eig.eigenvectors
+
+
+def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-beta h) / Tr exp(-beta h) of a dense Hermitian h, with _gibbs_weights' guards."""
+    ew, v = _gibbs_weights(hermitian_eigendecompose(h), beta)
     return v @ np.diag(ew) @ v.conj().T
 
 

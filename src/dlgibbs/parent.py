@@ -44,18 +44,16 @@ from .hamiltonians import (
     LocalHamiltonian,
     LocalOperator,
     add_embedded,
-    assemble,
     support_overlap_degree,
 )
 from .kms import (
     DETAILED_BALANCE_TOL,
     KmsForm,
     LindbladTerm,
+    _gibbs_weights,
     coherent_spectrum,
-    gibbs_state,
 )
 from .linalg import (
-    hermitian_eigendecompose,
     norm_exceeds,
     spectral_norm,
     vectorize,
@@ -97,10 +95,10 @@ class ParentTerm:
 class ParentHamiltonian:
     """Doubled-register Hamiltonian with the purified Gibbs ground state.
 
-    gap and kernel_dim are full's (kms.coherent_spectrum), so the generator's.
+    gap and kernel_dim are those of sum_a H^a (kms.coherent_spectrum), so
+    the generator's.
     """
 
-    full: np.ndarray
     terms: tuple[ParentTerm, ...]
     ground: np.ndarray
     n: int
@@ -162,18 +160,16 @@ def build_parent(
         herm = 0.5 * (form + form.conj().T)
         parent_terms.append(ParentTerm(herm, legs, float(np.linalg.norm(anti)), locality))
     _check_detailed_balance(raw - raw.conj().T, "the sum of the terms", beta)
-    # The coherent form is linear, so full = sum_a H^a; raw is dropped
-    # before the spectrum, which needs three more 4^n x 4^n arrays.
-    full = 0.5 * (raw + raw.conj().T)
-    del raw
-    w, gap, kernel_dim = coherent_spectrum(full)
+    # The coherent form is linear, so the symmetrization of raw, which
+    # coherent_spectrum takes, is sum_a H^a.
+    w, gap, kernel_dim = coherent_spectrum(raw)
     top = float(w[0])
     if top > 1e-8 and top > 1e-8 * max(1.0, float(np.abs(w).max())):
         raise PositiveEigenvalue(f"parent has positive eigenvalue {top:.3e}")
     ground = vectorize(kms.sqrt)
     ground = ground / np.linalg.norm(ground)
     return ParentHamiltonian(
-        full, tuple(parent_terms), ground, ham.n, gap=gap, kernel_dim=kernel_dim
+        tuple(parent_terms), ground, ham.n, gap=gap, kernel_dim=kernel_dim
     )
 
 
@@ -186,15 +182,10 @@ def _check_detailed_balance(anti: np.ndarray, what: str, beta: float | None) -> 
         )
 
 
-def purified_gibbs(ham: LocalHamiltonian | np.ndarray, beta: float) -> np.ndarray:
-    """Normalized v(sqrt(sigma_beta)) on the doubled register."""
-    h = assemble(ham) if isinstance(ham, LocalHamiltonian) else np.asarray(ham)
-    sigma = gibbs_state(h, beta)
-    eig = hermitian_eigendecompose(sigma)
-    root = (eig.eigenvectors * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))) @ (
-        eig.eigenvectors.conj().T
-    )
-    psi = vectorize(root)
+def purified_gibbs(ham: LocalHamiltonian, beta: float) -> np.ndarray:
+    """Normalized v(sqrt(sigma_beta)) on the doubled register, from ham.eig's Gibbs weights."""
+    w, v = _gibbs_weights(ham.eig, beta)
+    psi = vectorize(v @ np.diag(np.sqrt(w)) @ v.conj().T)
     return psi / np.linalg.norm(psi)
 
 

@@ -55,7 +55,6 @@ from .hamiltonians import (  # noqa: F401
     LocalHamiltonian,
     LocalOperator,
     add_embedded,
-    commutation_degree,
     embed,
     noncommutation_degree,
     projector_noncommutation_degree,
@@ -206,7 +205,7 @@ def coherent_terms(
     """Each term's coherent form h_m, built once, in term order.
 
     ham is the Hamiltonian the terms and sigma come from.  When its terms
-    commute (commutation_degree 0) each term is built on its dressed
+    commute (ham.commuting) each term is built on its dressed
     support S (_restrict) against the marginal of sigma there; otherwise,
     and when S is the whole register, on the whole register with kms.
     Yields (h_m, legs, state, locality): h_m acts as h_m tensor I on legs
@@ -222,7 +221,7 @@ def coherent_terms(
     if ham.n != n:
         raise DimensionMismatch(f"Hamiltonian on {ham.n} qubits, state on {n}")
     whole = tuple(range(n))
-    local = commutation_degree(ham) == 0
+    local = ham.commuting
     marginals = {whole: kms}
     for idx, t in enumerate(terms):
         sites = tuple(sorted(t.support)) if local else whole

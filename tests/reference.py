@@ -2,8 +2,9 @@
 
 These are the whole-register computations the package no longer runs: the
 ground space of an assembled Hamiltonian from a full eigendecomposition,
-and the frustration check on its ground vectors.  They are kept here, and
-not in dlgibbs, because only tests read them.
+the frustration check on its ground vectors, and the dense parent
+Hamiltonian summed from its local terms.  They are kept here, and not in
+dlgibbs, because only tests read them.
 """
 
 from __future__ import annotations
@@ -15,8 +16,15 @@ from functools import cached_property
 import numpy as np
 
 from dlgibbs.errors import DegenerateGapWarning
-from dlgibbs.hamiltonians import LocalHamiltonian, assemble, embed
+from dlgibbs.hamiltonians import (
+    LocalHamiltonian,
+    LocalOperator,
+    add_embedded,
+    assemble,
+    embed,
+)
 from dlgibbs.linalg import hermitian_eigendecompose, spectral_norm
+from dlgibbs.parent import ParentHamiltonian
 
 
 @dataclass(frozen=True)
@@ -97,3 +105,11 @@ def frustration_check(
     res = abs(gs.frustration_residual)
     ff = res <= tol or res <= tol * spectral_norm(assemble(ham))
     return ff, gs
+
+
+def parent_matrix(ph: ParentHamiltonian) -> np.ndarray:
+    """The 4^n x 4^n parent sum_a H^a, each term added onto its doubled support."""
+    total = None
+    for t in ph.terms:
+        total = add_embedded(total, LocalOperator(t.mat, t.support), 2 * ph.n)
+    return total

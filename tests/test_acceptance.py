@@ -51,7 +51,7 @@ from dlgibbs.sampler import (
     iterate,
     superop_hamiltonian,
 )
-from reference import ground_space
+from reference import ground_space, parent_matrix
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BETAS = (0.0, 0.5, 1.0)
@@ -231,7 +231,7 @@ def test_criterion_09_parent_hamiltonian_certificates():
                 f"{name} beta={beta}: frustration {rep.max_frustration:.3e}"
             )
             form = coherent_form(lindblad_superoperator(terms, ham.n), kms)
-            w_parent = np.sort(np.linalg.eigvalsh(ph.full))
+            w_parent = np.sort(np.linalg.eigvalsh(parent_matrix(ph)))
             w_form = np.sort(
                 np.linalg.eigvalsh(0.5 * (form.mat + form.mat.conj().T))
             )

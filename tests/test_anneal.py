@@ -269,7 +269,7 @@ def test_exact_anneal_closed_form_matches_the_svd_transitions(kind, n, kinds, be
     run = run_annealing(
         ham, standard_couplings(n, kinds), WeightProfile(beta=beta), sched, 0.1, "exact"
     )
-    targets = [purified_gibbs(h, float(b)) for b in sched.betas]
+    targets = [purified_gibbs(ham, float(b)) for b in sched.betas]
     backend = transition_backend("oracle", run.min_overlap)
     state = targets[0]
     for j, rec in enumerate(run.records, start=1):

@@ -85,14 +85,14 @@ def test_dl_operator_and_singular_gap_share_one_ground_space(monkeypatch, decomp
     dl = dl_operator(ham)
     sg = singular_gap(dl, ham)
     # r and the gap come from one eigvalsh of H, the only place a term is
-    # lifted to the register: each is added onto its diagonal blocks, and
-    # the first starts the sum as its embedding.  Frustration-freeness is
-    # checked on D's own top singular vectors, so no d x d eigh or SVD runs.
+    # lifted to the register: assemble adds each onto its diagonal blocks
+    # of a zero matrix, so none is embedded on its own.  Frustration-freeness
+    # is checked on D's own top singular vectors, so no d x d eigh or SVD runs.
     assert decomps["eigh"].count((d, d)) == 0
     assert decomps["eigvalsh"] == [(d, d)]
     assert (d, d) not in decomps["svd"]
-    assert len(adds) == ham.m
-    assert [args[0] for args in embeds] == [ham.terms[0]]
+    assert len(adds) == ham.m and all(a[1] is t for a, t in zip(adds, ham.terms))
+    assert embeds == []
     assert sg.r == dl.ground_dimension
 
 
@@ -255,7 +255,7 @@ def test_commuting_parent_builds_each_term_on_its_support(monkeypatch, decomps):
     assert all(2 ** n < 2**ham.n for _, n in sups)
     assert all(lind.dim < 2**ham.n for lind, _ in forms)
     assert traces and all(rho.shape[0] <= 2**ham.n for rho, *_ in traces)
-    # The one 4^n eigvalsh is the spectrum of full; the projector input
+    # The one 4^n eigvalsh is the spectrum of the parent; the projector input
     # reads each term's scale off an eigvalsh of its local matrix.
     local = Counter(t.op.shape for t in pin.ham.terms)
     assert Counter(decomps["eigvalsh"]) == local + Counter([(d2, d2)])
@@ -420,3 +420,42 @@ def test_imaginary_jumps_with_a_real_lindbladian_run_real(decomps):
     ch = compose_dl_channel(terms, kms, ham)
     assert [v.dtype for v in ch.kernel_bases] == [np.float64] * len(terms)
     assert _complex_calls(decomps, (4**ham.n, 4**ham.n)) == []
+
+
+def _n3_config(experiment, model, run):
+    return parse_config(f"experiment = {experiment}\n[model]\n{model}[run]\n{run}")
+
+
+_ZZ3 = "kind = zz_chain\nn = 3\ncouplings = xz\n"
+_ANNEAL = "beta = 0.5\ndelta = 0.1\nalpha = 2.0\nmode = "
+_N3_RUNS = {
+    "mix": (
+        "mix",
+        "kind = random_ff_projectors\nn = 3\nseed = 2\ncouplings = xz\n",
+        "beta = 0.5\nk_max = 5\n",
+    ),
+    "parent": ("parent", _ZZ3, "beta = 0.5\n"),
+    "anneal-exact": ("anneal", _ZZ3, _ANNEAL + "exact\n"),
+    "anneal-dl_qsvt": ("anneal", _ZZ3, _ANNEAL + "dl_qsvt\n"),
+    "overlap": ("overlap", _ZZ3, "beta = 0.5\ndbetas = [0.2, 0.1]\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_N3_RUNS))
+def test_each_experiment_diagonalizes_h_once(monkeypatch, decomps, tmp_path, name):
+    degrees = _count_calls(monkeypatch, "commutation_degree", dlgibbs.hamiltonians)
+    res = run_experiment(_n3_config(*_N3_RUNS[name]), tmp_path)
+    assert res.exit_code == 0
+    # Per-term forms are at least 16 x 16 and marginals of sigma are taken
+    # on fewer than 3 qubits, so a d x d eigh is of H or of sigma.  H is
+    # diagonalized once, in ham.eig, and every Gibbs state, purified target,
+    # ||H|| and Bohr weight reads it; whether its terms commute is decided
+    # at most once.
+    d = (8, 8)
+    assert decomps["eigh"].count(d) == 1
+    assert len(degrees) <= 1
+    if name.startswith("anneal"):
+        # ||H|| costs no SVD: the only d x d SVDs are the m term norms that
+        # scale the one commutation test.
+        assert len(degrees) == 1
+        assert decomps["svd"].count(d) == make_instance("zz_chain", 3).m

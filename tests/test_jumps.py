@@ -31,7 +31,7 @@ from dlgibbs.kms import (
     lindblad_superoperator,
     term_superoperator,
 )
-from dlgibbs.linalg import spectral_norm
+from dlgibbs.linalg import hermitian_eigendecompose, spectral_norm
 
 
 def bohr_reference(
@@ -135,7 +135,7 @@ def test_weights_are_evaluated_once_per_reference_cluster():
     a = np.ones((4, 4), dtype=complex)
     seen: list[float] = []
     w = WeightProfile(kind="custom", beta=1.0, q=lambda nu: seen.append(nu) or 1.0)
-    build_jump(a, h, w)
+    build_jump(a, hermitian_eigendecompose(h), w)
     freqs, _ = bohr_reference(a, h)
     assert len(seen) == 3 * freqs.size
     assert sorted(set(seen)) == sorted(set(freqs) | set(-freqs))
@@ -161,9 +161,10 @@ def _agreement_cases():
 )
 def test_weighting_matches_per_cluster_reference(case):
     _, h, a, w = case
-    jump = build_jump(a, h, w)
+    eig = hermitian_eigendecompose(h)
+    jump = build_jump(a, eig, w)
     _assert_close(jump, reference_jump(a, h, w))
-    _assert_close(build_coherent(jump, h, w), reference_coherent(jump, h, w))
+    _assert_close(build_coherent(jump, eig, w), reference_coherent(jump, h, w))
 
 
 def test_infinite_temperature_model_raises_no_cutoff_warning():
@@ -179,18 +180,19 @@ def test_infinite_temperature_model_raises_no_cutoff_warning():
 def test_cutoff_below_every_offshell_frequency_warns():
     h = assemble(make_instance("random_ff_projectors", 3, 2))
     x0 = np.kron(PAULI_X, np.eye(4, dtype=complex))
-    jump = build_jump(x0, h, WeightProfile(beta=0.5))
+    eig = hermitian_eigendecompose(h)
+    jump = build_jump(x0, eig, WeightProfile(beta=0.5))
     freqs, _ = bohr_reference(jump.conj().T @ jump, h)
     smallest = np.abs(freqs[np.abs(freqs) > 1e-12]).min()
     w = WeightProfile(beta=0.5, kappa_cutoff=0.5 * smallest)
     with pytest.warns(UserWarning, match="excludes every off-shell frequency"):
-        coh = build_coherent(jump, h, w)
+        coh = build_coherent(jump, eig, w)
     assert np.abs(coh).max() == 0.0
 
 
 def test_build_jump_qubit_amplitudes():
     w = WeightProfile(kind="davies_kms", beta=1.0)
-    jump = build_jump(PAULI_X, PAULI_Z, w)
+    jump = build_jump(PAULI_X, hermitian_eigendecompose(PAULI_Z), w)
     assert abs(jump[0, 1] - np.exp(-0.5)) < 1e-12
     assert abs(jump[1, 0] - np.exp(0.5)) < 1e-12
     assert abs(jump[0, 0]) < 1e-14 and abs(jump[1, 1]) < 1e-14
@@ -198,7 +200,7 @@ def test_build_jump_qubit_amplitudes():
 
 def test_build_jump_infinite_temperature_is_identity_weight():
     w = WeightProfile(kind="davies_kms", beta=0.0)
-    jump = build_jump(PAULI_X, PAULI_Z, w)
+    jump = build_jump(PAULI_X, hermitian_eigendecompose(PAULI_Z), w)
     assert np.abs(jump - PAULI_X).max() < 1e-12
 
 
@@ -207,9 +209,10 @@ def test_build_coherent_vanishes_for_commuting_coupling():
     h = assemble(ham)
     w = WeightProfile(kind="davies_kms", beta=0.8)
     a = np.kron(PAULI_Z, np.eye(2, dtype=complex))
-    jump = build_jump(a, h, w)
+    eig = hermitian_eigendecompose(h)
+    jump = build_jump(a, eig, w)
     assert np.abs(jump - a).max() < 1e-12
-    coh = build_coherent(jump, h, w)
+    coh = build_coherent(jump, eig, w)
     assert np.abs(coh).max() < 1e-12
 
 
@@ -220,8 +223,9 @@ def test_build_coherent_is_hermitian():
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     a = a + a.conj().T
     w = WeightProfile(kind="davies_kms", beta=0.9)
-    jump = build_jump(a, h, w)
-    coh = build_coherent(jump, h, w)
+    eig = hermitian_eigendecompose(h)
+    jump = build_jump(a, eig, w)
+    coh = build_coherent(jump, eig, w)
     assert np.abs(coh - coh.conj().T).max() < 1e-10
 
 
@@ -233,8 +237,9 @@ def test_detailed_balance_on_noncommuting_hamiltonian():
     w = WeightProfile(kind="davies_kms", beta=beta)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     a = 0.5 * (a + a.conj().T)
-    jump = build_jump(a, h, w)
-    coh = build_coherent(jump, h, w)
+    eig = hermitian_eigendecompose(h)
+    jump = build_jump(a, eig, w)
+    coh = build_coherent(jump, eig, w)
     assert np.abs(coh).max() > 1e-6
     from dlgibbs.kms import LindbladTerm
 
@@ -258,8 +263,9 @@ def test_paper_literal_tanh_breaks_detailed_balance():
     w = WeightProfile(kind="davies_kms", beta=beta, beta_scaled_tanh=False)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     a = 0.5 * (a + a.conj().T)
-    jump = build_jump(a, h, w)
-    coh = build_coherent(jump, h, w)
+    eig = hermitian_eigendecompose(h)
+    jump = build_jump(a, eig, w)
+    coh = build_coherent(jump, eig, w)
     from dlgibbs.kms import LindbladTerm
 
     term = LindbladTerm(
@@ -286,12 +292,12 @@ def test_weight_profile_validation():
 def test_q_symmetry_violation_rejected():
     w = WeightProfile(kind="custom", beta=1.0, q=lambda nu: 1.0 + nu)
     with pytest.raises(BadParams):
-        build_jump(PAULI_X, PAULI_Z, w)
+        build_jump(PAULI_X, hermitian_eigendecompose(PAULI_Z), w)
 
 
 def test_q_even_factor_accepted():
     w = WeightProfile(kind="custom", beta=1.0, q=lambda nu: 1.0 + nu * nu)
-    jump = build_jump(PAULI_X, PAULI_Z, w)
+    jump = build_jump(PAULI_X, hermitian_eigendecompose(PAULI_Z), w)
     assert abs(jump[1, 0] - 5.0 * np.exp(0.5)) < 1e-12
 
 

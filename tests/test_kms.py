@@ -12,7 +12,14 @@ from dlgibbs.errors import (
     PositiveEigenvalue,
     SingularSigma,
 )
-from dlgibbs.hamiltonians import PAULI_X, PAULI_Z, LocalOperator
+from dlgibbs.hamiltonians import (
+    PAULI_X,
+    PAULI_Z,
+    LocalHamiltonian,
+    LocalOperator,
+    assemble,
+    make_instance,
+)
 from dlgibbs.jumps import WeightProfile, build_coherent, build_jump
 from dlgibbs.kms import (
     KmsForm,
@@ -29,14 +36,17 @@ from dlgibbs.kms import (
     stationary_channel,
     term_superoperator,
 )
+from dlgibbs.linalg import hermitian_eigendecompose
+from dlgibbs.parent import purified_gibbs
 
 
 def _davies_qubit(beta: float = 1.0):
     """Single-qubit model: H = Z, coupling X, detailed-balance weights."""
     h = PAULI_Z.copy()
     w = WeightProfile(kind="davies_kms", beta=beta)
-    jump = build_jump(PAULI_X, h, w)
-    coh = build_coherent(jump, h, w)
+    eig = hermitian_eigendecompose(h)
+    jump = build_jump(PAULI_X, eig, w)
+    coh = build_coherent(jump, eig, w)
     term = LindbladTerm(
         jumps=(LocalOperator(jump, (0,)),),
         coherent=LocalOperator(coh, (0,)) if np.abs(coh).max() > 1e-12 else None,
@@ -70,6 +80,64 @@ def test_kms_form_normalizes_and_validates():
     assert np.abs(kms.inv_quarter @ kms.quarter - np.eye(2)).max() < 1e-12
     with pytest.raises(SingularSigma):
         KmsForm(np.diag([1.0, 0.0]))
+
+
+def _rotated_spectrum(beta):
+    """H = Q diag(E) Q^T on 3 qubits as one term, and its Gibbs weights w."""
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(8, 8)))
+    e = np.linspace(0.0, 3.0, 8)
+    ham = LocalHamiltonian(3, (LocalOperator((q * e) @ q.T, (0, 1, 2)),))
+    w = np.exp(-beta * e)
+    return ham, q, w / w.sum()
+
+
+def _relative_error(got, want):
+    return np.linalg.norm(got - want, 2) / np.linalg.norm(want, 2)
+
+
+def test_gibbs_form_is_accurate_at_small_weights():
+    # At beta = 8 the smallest weight is ~4e-11.  Powers read off H's own
+    # eigensystem keep its accuracy; re-diagonalizing sigma loses ~5e-8 on
+    # sigma^{-1/4}, whose norm the smallest weight sets.
+    beta = 8.0
+    ham, q, w = _rotated_spectrum(beta)
+    kms = KmsForm.gibbs(ham, beta)
+    assert kms.sigma_min < 1e-10
+    for got, p in ((kms.quarter, 0.25), (kms.inv_quarter, -0.25), (kms.sqrt, 0.5)):
+        assert _relative_error(got, (q * w**p) @ q.T) <= 1e-12
+    root = ((q * np.sqrt(w)) @ q.T).reshape(-1)
+    assert _relative_error(purified_gibbs(ham, beta), root) <= 1e-12
+
+
+_ZOO = ("zz_chain", "field_chain", "random_ff_projectors", "commuting_projectors")
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("kind", _ZOO)
+def test_gibbs_form_matches_the_dense_route(kind, beta):
+    ham = make_instance(kind, 3, seed=1)
+    got = KmsForm.gibbs(ham, beta)
+    want = KmsForm(gibbs_state(assemble(ham), beta))
+    assert got.dim == want.dim and got.eigenvalues.dtype == want.eigenvalues.dtype
+    assert abs(got.sigma_min - want.sigma_min) <= 1e-12
+    for attr in ("sigma", "sqrt", "quarter", "inv_quarter"):
+        assert getattr(got, attr).dtype == getattr(want, attr).dtype
+        assert _relative_error(getattr(got, attr), getattr(want, attr)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "beta,error", [(-0.5, BadParams), (41.0, OverflowDetected), (17.0, SingularSigma)]
+)
+def test_gibbs_form_refuses_what_the_dense_route_refuses(beta, error):
+    # zz_chain n = 3 has spread 2: beta 41 overflows, and at beta 17 the
+    # smallest weight, ~e^{-34}, is below min_eig.
+    ham = make_instance("zz_chain", 3)
+    with pytest.raises(error) as got:
+        KmsForm.gibbs(ham, beta)
+    with pytest.raises(error) as want:
+        KmsForm(gibbs_state(assemble(ham), beta))
+    if error is not SingularSigma:
+        assert str(got.value) == str(want.value)
 
 
 def test_term_superoperator_matches_dense_action():
@@ -238,8 +306,9 @@ def test_reducible_generator_reports_zero_gap():
     h = np.kron(PAULI_Z, np.eye(2)) + np.kron(np.eye(2), PAULI_Z)
     w = WeightProfile(kind="davies_kms", beta=0.6)
     a = np.kron(PAULI_X, np.eye(2))
-    jump = build_jump(a, h, w)
-    coh = build_coherent(jump, h, w)
+    eig = hermitian_eigendecompose(h)
+    jump = build_jump(a, eig, w)
+    coh = build_coherent(jump, eig, w)
     term = LindbladTerm(
         jumps=(LocalOperator(jump, (0, 1)),),
         coherent=LocalOperator(coh, (0, 1)) if np.abs(coh).max() > 1e-12 else None,

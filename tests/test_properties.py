@@ -24,7 +24,7 @@ from dlgibbs.hamiltonians import (
 )
 from dlgibbs.jumps import WeightProfile, build_coherent, build_jump, build_model
 from dlgibbs.kms import KmsForm, gibbs_state
-from dlgibbs.linalg import norm_exceeds, spectral_norm
+from dlgibbs.linalg import hermitian_eigendecompose, norm_exceeds, spectral_norm
 from test_jumps import reference_coherent, reference_jump
 from test_sampler import assert_local_matches_dense
 
@@ -290,10 +290,11 @@ def test_bohr_weighting_matches_per_cluster_reference(seed, d, beta, degenerate)
         h = 0.5 * (h + h.conj().T)
     a = _complex_normal(rng, d, d)
     w = WeightProfile(beta=beta)
-    jump = build_jump(a, h, w)
+    eig = hermitian_eigendecompose(h)
+    jump = build_jump(a, eig, w)
     ref = reference_jump(a, h, w)
     assert np.linalg.norm(jump - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
-    coh = build_coherent(jump, h, w)
+    coh = build_coherent(jump, eig, w)
     ref = reference_coherent(jump, h, w)
     assert np.linalg.norm(coh - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
 

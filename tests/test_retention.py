@@ -56,14 +56,14 @@ def test_compose_dl_channel_holds_no_earlier_factor(monkeypatch):
 def test_dl_operator_keeps_no_embedded_factor(monkeypatch, kind, n, seed):
     ham = make_instance(kind, n, seed=seed)
     assert ham.m >= 2
-    real = dlgibbs.hamiltonians.embed
+    real = dlgibbs.hamiltonians.add_embedded
     embedded: list[object] = []
 
-    def tracked(op, *args, **kwargs):
+    def tracked(total, op, *args, **kwargs):
         embedded.append(op)
-        return real(op, *args, **kwargs)
+        return real(total, op, *args, **kwargs)
 
-    monkeypatch.setattr(dlgibbs.hamiltonians, "embed", tracked)
+    monkeypatch.setattr(dlgibbs.hamiltonians, "add_embedded", tracked)
     dl = dl_operator(ham)
     assert dl.m == ham.m
     # Only the sum H whose eigenvalues dl_operator reads lifts operators to

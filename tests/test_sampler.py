@@ -32,6 +32,7 @@ from dlgibbs.sampler import (
     iterate,
     superop_hamiltonian,
 )
+from reference import parent_matrix
 
 
 def _zz3_setup(beta: float = 0.5, kinds: str = "x"):
@@ -272,8 +273,8 @@ def assert_parent_matches_dense(ham, terms, kms, beta):
 
     Each ParentTerm.mat tensor I matches the symmetrized dense h_m within
     1e-12 max(1, ||H^a||) (Frobenius, which bounds the spectral norm);
-    full's spectrum matches that of the summed dense terms within 1e-12,
-    and gap and kernel_dim agree.
+    the spectrum of their sum (parent_matrix) matches that of the summed dense
+    terms within 1e-12, and gap and kernel_dim agree.
     """
     n = ham.n
     ph = build_parent(terms, kms, ham, beta=beta)
@@ -285,7 +286,7 @@ def assert_parent_matches_dense(ham, terms, kms, beta):
         assert np.linalg.norm(lifted - h_a) <= 1e-12 * max(1.0, pt.norm)
         dense.append(h_a)
     w, gap, kernel_dim = coherent_spectrum(sum(dense))
-    assert np.abs(np.linalg.eigvalsh(ph.full)[::-1] - w).max() <= 1e-12
+    assert np.abs(np.linalg.eigvalsh(parent_matrix(ph))[::-1] - w).max() <= 1e-12
     assert ph.kernel_dim == kernel_dim
     assert abs(ph.gap - gap) <= 1e-12
     return ph
