@@ -70,7 +70,7 @@ class LocalOperator:
 
 @dataclass(frozen=True)
 class LocalHamiltonian:
-    """Sum of local terms on an n-qubit register; eig and commuting are kept once read."""
+    """Sum of local terms on an n-qubit register; eig, bohr and commuting are kept once read."""
 
     n: int
     terms: tuple[LocalOperator, ...]
@@ -95,9 +95,47 @@ class LocalHamiltonian:
         return hermitian_eigendecompose(assemble(self))
 
     @cached_property
+    def bohr(self) -> BohrGrid:
+        """H's Bohr frequencies clustered once: bohr_grid(self.eig)."""
+        return bohr_grid(self.eig)
+
+    @cached_property
     def commuting(self) -> bool:
         """Whether the terms commute pairwise: commutation_degree(self) == 0."""
         return commutation_degree(self) == 0
+
+
+@dataclass(frozen=True)
+class BohrGrid:
+    """The Bohr frequencies w_ij = E_j - E_i of H = V diag(E) V', clustered.
+
+    eig is H's eigendecomposition; labels[i, j] is the cluster of w_ij and
+    centres[k] the midpoint of cluster k's extremes, ascending in k.
+    """
+
+    eig: HermitianEig
+    labels: np.ndarray
+    centres: np.ndarray
+
+
+def bohr_grid(eig: HermitianEig) -> BohrGrid:
+    """Cluster the d^2 Bohr frequencies of H = V diag(E) V' in eig.
+
+    The frequencies are sorted and split wherever consecutive values lie
+    more than 1e-9 max(1, ||H||) apart, with ||H|| = max |E|.
+    """
+    evals = eig.eigenvalues
+    tol = 1e-9 * max(1.0, float(np.abs(evals).max()))
+    omega = (evals[None, :] - evals[:, None]).ravel()
+    order = np.argsort(omega, kind="stable")
+    sorted_w = omega[order]
+    split = np.diff(sorted_w) > tol
+    labels = np.empty(omega.size, dtype=np.intp)
+    labels[order] = np.concatenate(([0], np.cumsum(split)))
+    first = np.flatnonzero(np.concatenate(([True], split)))
+    last = np.append(first[1:] - 1, omega.size - 1)
+    centres = 0.5 * (sorted_w[first] + sorted_w[last])
+    return BohrGrid(eig, labels.reshape(evals.size, evals.size), centres)
 
 
 def _diagonal_index(k: int) -> tuple[np.ndarray, ...]:
@@ -308,8 +346,28 @@ def projector_noncommutation_degree(
 
 
 def commutation_degree(ham: LocalHamiltonian, tol: float = 1e-10) -> int:
-    """noncommutation_degree of the embedded terms."""
-    return noncommutation_degree([embed(t, ham.n) for t in ham.terms], tol)
+    """noncommutation_degree of the terms, each tensored with I on the register.
+
+    ||A tensor I|| = ||A||, so the scale reads each term's own norm.  Terms
+    on disjoint qubits commute exactly and are not compared; an overlapping
+    pair is compared on the union of its supports, where the commutator has
+    the norm it has on the register.
+    """
+    terms = ham.terms
+    scale = max([1.0] + [spectral_norm(t.op) for t in terms])
+    bound = tol * scale * scale
+
+    def exceeds(a: int, b: int) -> bool:
+        union = sorted(set(terms[a].support) | set(terms[b].support))
+        if len(union) == len(terms[a].support) + len(terms[b].support):
+            return False
+        ta, tb = (
+            embed(LocalOperator(t.op, [union.index(q) for q in t.support]), len(union))
+            for t in (terms[a], terms[b])
+        )
+        return norm_exceeds(ta @ tb - tb @ ta, bound)
+
+    return _pair_degree(len(terms), exceeds)
 
 
 @dataclass(frozen=True)

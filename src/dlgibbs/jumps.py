@@ -18,9 +18,12 @@ with s = beta/4 by default and k a hard frequency cutoff.  When L'L
 commutes with H only the nu = 0 component survives and G = 0.
 
 Both sums are taken in one elementwise pass in the eigenbasis H = V E V'.
-Entry (i, j) of V'AV carries the Bohr frequency w_ij = E_j - E_i; the
-frequencies are clustered once (sorted, split at gaps above a tolerance),
-each cluster's weight is evaluated once at its centre, and
+Entry (i, j) of V'AV carries the Bohr frequency w_ij = E_j - E_i.  The
+frequencies depend on H alone, so they are clustered once per
+Hamiltonian (sorted, split at gaps above a tolerance; hamiltonians.bohr_grid,
+kept as LocalHamiltonian.bohr) and every coupling of every model built on
+H reads that grid.  Each call rotates its own operator, marks the clusters
+it occupies, and weighs them in one array evaluation at their centres:
 
     L = V (w_hat(-Omega) * V'AV) V',   G = V (g_hat(-Omega) * V'L'LV) V',
 
@@ -37,9 +40,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BadParams, UnknownKind
-from .hamiltonians import LocalHamiltonian, LocalOperator, embed
+from .hamiltonians import BohrGrid, LocalHamiltonian, LocalOperator, embed
 from .kms import KmsForm, LindbladTerm
-from .linalg import HermitianEig, norm_exceeds, spectral_norm
+from .linalg import norm_exceeds, spectral_norm
 from .sampler import coherent_terms
 
 
@@ -74,101 +77,109 @@ class WeightProfile:
         if self.kappa_cutoff is not None and self.kappa_cutoff <= 0:
             raise BadParams(f"kappa_cutoff must be positive, got {self.kappa_cutoff}")
 
-    def _q(self, nu: float) -> complex:
-        return complex(1.0) if self.q is None else complex(self.q(nu))
+    def jump_weight(self, nu: float | np.ndarray) -> complex | np.ndarray:
+        """w_hat(nu) = q(nu) exp(-beta nu / 4) on the energy-gain frequencies nu.
 
-    def jump_weight(self, nu: float) -> complex:
-        """w_hat(nu) = q(nu) exp(-beta nu / 4) on the energy-gain frequency nu."""
-        return self._q(nu) * np.exp(-self.beta * nu * 0.25)
+        nu is a scalar or an array; q is read, and checked, at nu by
+        check_q_symmetry.
+        """
+        nu = np.asarray(nu, dtype=float)
+        return self.check_q_symmetry(nu) * np.exp(-self.beta * nu * 0.25)
 
-    def coherent_weight(self, nu: float, cutoff: float) -> complex:
-        """g_hat(nu) = -(i/2) tanh(-s nu) inside the cutoff, 0 outside."""
-        if abs(nu) > cutoff:
-            return 0.0j
+    def coherent_weight(
+        self, nu: float | np.ndarray, cutoff: float
+    ) -> complex | np.ndarray:
+        """g_hat(nu) = -(i/2) tanh(-s nu) inside the cutoff |nu| <= cutoff, 0 outside."""
+        nu = np.asarray(nu, dtype=float)
         s = self.beta * self.tanh_scale if self.beta_scaled_tanh else self.tanh_scale
-        return -0.5j * np.tanh(-s * nu)
+        return np.where(np.abs(nu) > cutoff, 0.0j, -0.5j * np.tanh(-s * nu))[()]
 
-    def check_q_symmetry(self, freqs: Sequence[float], tol: float = 1e-10) -> None:
-        """Validate q(nu) = conj(q(-nu)) on the sampled frequencies."""
+    def check_q_symmetry(
+        self, freqs: float | np.ndarray, tol: float = 1e-10
+    ) -> complex | np.ndarray:
+        """q at the gains freqs (1 without q), validated: q(nu) = conj(q(-nu)).
+
+        q is called once at each gain and once at its negation.  BadParams
+        names the first gain, in freqs' order, where the two values differ
+        by more than tol * max(1, |q(nu)|, |q(-nu)|).
+        """
+        nu = np.asarray(freqs, dtype=float)
         if self.q is None:
-            return
-        for nu in freqs:
-            a, b = self._q(float(nu)), self._q(float(-nu))
-            scale = max(1.0, abs(a), abs(b))
-            if abs(a - np.conj(b)) > tol * scale:
-                raise BadParams(
-                    f"q violates q(nu) = conj(q(-nu)) at nu = {nu:.6g}: "
-                    f"{a:.6g} vs conj({b:.6g})"
-                )
+            return np.ones(nu.shape, dtype=complex)[()]
+        flat = nu.ravel().tolist()
+        pairs = np.array(
+            [(complex(self.q(x)), complex(self.q(-x))) for x in flat], dtype=complex
+        ).reshape(len(flat), 2)
+        a, b = pairs[:, 0], pairs[:, 1]
+        scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        bad = np.flatnonzero(np.abs(a - np.conj(b)) > tol * scale)
+        if bad.size:
+            i = int(bad[0])
+            raise BadParams(
+                f"q violates q(nu) = conj(q(-nu)) at nu = {flat[i]:.6g}: "
+                f"{complex(a[i]):.6g} vs conj({complex(b[i]):.6g})"
+            )
+        return a.reshape(nu.shape)[()]
 
 
-def _bohr_clusters(
-    op: np.ndarray, eig: HermitianEig, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """op in the eigenbasis, the Bohr cluster of each entry, the cluster gains.
-
-    The frequencies w_ij = E_j - E_i are sorted and split wherever
-    consecutive values lie more than tol apart; a cluster's frequency is
-    the midpoint of its extremes.  Only clusters on which op has a nonzero
-    entry are kept, with gains nu = -w in descending order; labels index
-    them, and entries of dropped clusters (all zero) get the label
-    len(gains).
-    """
-    evals, v = eig.eigenvalues, eig.eigenvectors
+def _occupied(op: np.ndarray, bohr: BohrGrid) -> tuple[np.ndarray, np.ndarray]:
+    """op in H's eigenbasis, and which Bohr clusters hold a nonzero entry of it."""
+    v = bohr.eig.eigenvectors
     rotated = v.conj().T @ np.asarray(op, dtype=complex) @ v
-    omega = (evals[None, :] - evals[:, None]).ravel()
-    order = np.argsort(omega, kind="stable")
-    sorted_w = omega[order]
-    split = np.diff(sorted_w) > tol
-    cluster = np.empty(omega.size, dtype=np.intp)
-    cluster[order] = np.concatenate(([0], np.cumsum(split)))
-    first = np.flatnonzero(np.concatenate(([True], split)))
-    last = np.append(first[1:] - 1, omega.size - 1)
-    centres = 0.5 * (sorted_w[first] + sorted_w[last])
-    occupied = np.zeros(centres.size, dtype=bool)
-    occupied[cluster[rotated.ravel() != 0]] = True
-    index = np.where(occupied, np.cumsum(occupied) - 1, np.count_nonzero(occupied))
-    return rotated, index[cluster].reshape(rotated.shape), -centres[occupied]
+    occupied = np.zeros(bohr.centres.size, dtype=bool)
+    occupied[bohr.labels[rotated != 0]] = True
+    return rotated, occupied
 
 
 def _weigh(
-    rotated: np.ndarray, labels: np.ndarray, coeff: list[complex], eig: HermitianEig
+    rotated: np.ndarray, occupied: np.ndarray, coeff: np.ndarray, bohr: BohrGrid
 ) -> np.ndarray:
-    """V (c[labels] * rotated) V', with weight 0 on dropped clusters."""
-    scale = np.append(np.asarray(coeff, dtype=complex), 0.0)
-    v = eig.eigenvectors
-    return v @ (scale[labels] * rotated) @ v.conj().T
+    """V (c[labels] * rotated) V', with c the occupied clusters' coeff and 0 elsewhere."""
+    scale = np.zeros(bohr.centres.size, dtype=complex)
+    scale[occupied] = coeff
+    v = bohr.eig.eigenvectors
+    return v @ (scale[bohr.labels] * rotated) @ v.conj().T
 
 
-def build_jump(a: np.ndarray, eig: HermitianEig, w: WeightProfile) -> np.ndarray:
-    """Weighted jump operator L = sum_nu w_hat(nu) A_{-nu}, for H = V diag(E) V' in eig."""
-    tol = 1e-9 * max(1.0, float(np.abs(eig.eigenvalues).max()))
-    rotated, labels, gains = _bohr_clusters(a, eig, tol)
-    w.check_q_symmetry(gains)
-    return _weigh(rotated, labels, [w.jump_weight(nu) for nu in gains.tolist()], eig)
+def build_jump(a: np.ndarray, bohr: BohrGrid, w: WeightProfile) -> np.ndarray:
+    """Weighted jump operator L = sum_nu w_hat(nu) A_{-nu}, on H's Bohr grid."""
+    rotated, occupied = _occupied(a, bohr)
+    return _weigh(rotated, occupied, w.jump_weight(-bohr.centres[occupied]), bohr)
 
 
-def build_coherent(jump: np.ndarray, eig: HermitianEig, w: WeightProfile) -> np.ndarray:
-    """Coherent operator G = sum_nu g_hat(nu) (L'L)_{-nu}; Hermitian.
+def build_coherent(jump: np.ndarray, bohr: BohrGrid, w: WeightProfile) -> np.ndarray:
+    """Coherent operator G = sum_nu g_hat(nu) (L'L)_{-nu}, on H's Bohr grid; Hermitian.
 
-    The Bohr frequencies are those of H = V diag(E) V' in eig.  Warns
-    when L'L has off-shell frequencies and the cutoff excludes all of them.
+    Warns when L'L has off-shell frequencies and the cutoff excludes all
+    of them.
     """
     jump = np.asarray(jump, dtype=complex)
-    h_norm = float(np.abs(eig.eigenvalues).max())
     cutoff = w.kappa_cutoff
     if cutoff is None:
-        cutoff = 2.0 * h_norm + 1e-9
-    tol = 1e-9 * max(1.0, h_norm)
-    rotated, labels, gains = _bohr_clusters(jump.conj().T @ jump, eig, tol)
+        cutoff = 2.0 * float(np.abs(bohr.eig.eigenvalues).max()) + 1e-9
+    rotated, occupied = _occupied(jump.conj().T @ jump, bohr)
+    gains = -bohr.centres[occupied]
     offshell = np.abs(gains[np.abs(gains) > 1e-12])
     if offshell.size and np.all(offshell > cutoff):
         warnings.warn(
             f"cutoff {cutoff:.3g} excludes every off-shell frequency of L'L",
             UserWarning,
         )
-    coeff = [w.coherent_weight(nu, cutoff) for nu in gains.tolist()]
-    return _weigh(rotated, labels, coeff, eig)
+    return _weigh(rotated, occupied, w.coherent_weight(gains, cutoff), bohr)
+
+
+def _has_coherent_part(coh: np.ndarray, jump: np.ndarray) -> bool:
+    """Whether ||G|| > 1e-12 max(1, ||L||)^2.
+
+    ||L|| <= ||L||_F, so a G above the bound at ||L||_F (with a 1e-12
+    relative slack for rounding) decides it without an SVD of L.
+    """
+    if not norm_exceeds(coh, 1e-12):
+        return False
+    fro = float(np.linalg.norm(jump)) * (1.0 + 1e-12)
+    if norm_exceeds(coh, 1e-12 * max(1.0, fro) ** 2):
+        return True
+    return norm_exceeds(coh, 1e-12 * max(1.0, spectral_norm(jump)) ** 2)
 
 
 def dressed_support(a: LocalOperator, ham: LocalHamiltonian) -> tuple[int, ...]:
@@ -197,19 +208,15 @@ def build_model(
     """
     if not couplings:
         raise BadParams("need at least one coupling operator")
-    eig = ham.eig
+    bohr = ham.bohr
     full = tuple(range(ham.n))
     terms: list[LindbladTerm] = []
     for a in couplings:
-        a_full = embed(a, ham.n)
-        jump = build_jump(a_full, eig, w)
-        coh = build_coherent(jump, eig, w)
-        has_coh = norm_exceeds(coh, 1e-12) and norm_exceeds(
-            coh, 1e-12 * max(1.0, spectral_norm(jump)) ** 2
-        )
+        jump = build_jump(embed(a, ham.n), bohr, w)
+        coh = build_coherent(jump, bohr, w)
         term = LindbladTerm(
             jumps=(LocalOperator(jump, full),),
-            coherent=LocalOperator(coh, full) if has_coh else None,
+            coherent=LocalOperator(coh, full) if _has_coherent_part(coh, jump) else None,
             support=dressed_support(a, ham),
         )
         terms.append(term)

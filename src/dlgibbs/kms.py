@@ -352,15 +352,34 @@ def spectral_report(
     )
 
 
+def _symmetrize(h: np.ndarray, rows: int = 512) -> None:
+    """h <- (h + h dagger)/2 in place, one block of rows at a time.
+
+    Block lo:hi reads rows lo:hi and columns lo:hi, which no earlier block
+    wrote, so every entry of the lower triangle is (h_ij + conj(h_ji)) * 0.5
+    of the input; the upper triangle is its conjugate.  The only temporary
+    is a rows x hi block.
+    """
+    d = h.shape[0]
+    for lo in range(0, d, rows):
+        hi = min(lo + rows, d)
+        block = h[lo:hi, :hi] + h[:hi, lo:hi].conj().T
+        block *= 0.5
+        h[:hi, lo:hi] = block.conj().T
+        h[lo:hi, :hi] = block
+        del block  # before the next, larger block is formed
+
+
 def coherent_spectrum(h: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Descending eigenvalues of (h + h dagger)/2, gap and kernel_dim.
 
-    spectral_report's rules: the kernel cut is 1e-9 * max(1, ||h||), and
-    gap is lambda_1 - lambda_2, or exactly 0.0 when kernel_dim >= 2.
+    h is overwritten by (h + h dagger)/2 (_symmetrize), so the only other
+    array of its size is eigvalsh's working copy.  spectral_report's
+    rules: the kernel cut is 1e-9 * max(1, ||h||), and gap is
+    lambda_1 - lambda_2, or exactly 0.0 when kernel_dim >= 2.
     """
-    h_sym = h + h.conj().T
-    h_sym *= 0.5
-    w = np.linalg.eigvalsh(h_sym)[::-1]
+    _symmetrize(h)
+    w = np.linalg.eigvalsh(h)[::-1]
     kernel_dim = int((np.abs(w) <= 1e-9 * max(1.0, float(np.abs(w).max()))).sum())
     gap = float(w[0] - w[1]) if len(w) > 1 and kernel_dim < 2 else 0.0
     return w, gap, kernel_dim

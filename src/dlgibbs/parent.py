@@ -159,9 +159,13 @@ def build_parent(
         raw = add_embedded(raw, LocalOperator(form, legs), nq)
         herm = 0.5 * (form + form.conj().T)
         parent_terms.append(ParentTerm(herm, legs, float(np.linalg.norm(anti)), locality))
-    _check_detailed_balance(raw - raw.conj().T, "the sum of the terms", beta)
+    # raw - raw dagger in one array beside raw, freed before the spectrum.
+    anti = np.conjugate(raw.T)
+    np.subtract(raw, anti, out=anti)
+    _check_detailed_balance(anti, "the sum of the terms", beta)
+    del anti
     # The coherent form is linear, so the symmetrization of raw, which
-    # coherent_spectrum takes, is sum_a H^a.
+    # coherent_spectrum takes in place, is sum_a H^a.
     w, gap, kernel_dim = coherent_spectrum(raw)
     top = float(w[0])
     if top > 1e-8 and top > 1e-8 * max(1.0, float(np.abs(w).max())):

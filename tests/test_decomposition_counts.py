@@ -15,6 +15,7 @@ import pytest
 
 import dlgibbs.anneal
 import dlgibbs.hamiltonians
+import dlgibbs.jumps
 import dlgibbs.kms
 import dlgibbs.linalg
 from dlgibbs.anneal import make_schedule, run_annealing
@@ -217,6 +218,45 @@ def test_commuting_model_runs_no_svd_for_its_zero_coherent_parts(decomps):
     # One eigh of H; both weighted operators take ||H|| from its
     # eigenvalues, and G = 0 exactly is decided without an SVD.
     assert decomps["eigh"] == [(d, d)]
+    assert decomps["svd"] == []
+
+
+def test_build_model_clusters_the_bohr_frequencies_once(monkeypatch):
+    ham = make_instance("random_ff_projectors", 3, seed=2)
+    couplings = standard_couplings(ham.n, "xz")
+    grids = _count_calls(monkeypatch, "bohr_grid", dlgibbs.hamiltonians)
+    real_argsort = np.argsort
+    sorts = []
+
+    def argsort(a, *args, **kwargs):
+        sorts.append(np.size(a))
+        return real_argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", argsort)
+    terms = build_model(ham, couplings, WeightProfile(beta=0.5))
+    build_model(ham, couplings, WeightProfile(beta=0.9))
+    # The d^2 frequencies are sorted and clustered once per Hamiltonian;
+    # each jump and coherent part of both models only reads the grid.
+    assert len(couplings) == 6 and all(t.coherent is not None for t in terms)
+    assert len(grids) == 1
+    assert sorts.count(4**ham.n) == 1
+
+
+def test_exact_anneal_clusters_the_bohr_frequencies_once(monkeypatch):
+    ham, couplings, w, sched = _anneal_setup()
+    grids = _count_calls(monkeypatch, "bohr_grid", dlgibbs.hamiltonians)
+    builds = _count_calls(monkeypatch, "build_model", dlgibbs.jumps)
+    run_annealing(ham, couplings, w, sched, 0.1, "exact")
+    assert len(builds) == len(sched.betas) > 2
+    assert len(grids) == 1
+
+
+def test_noncommuting_model_takes_no_svd_for_its_coherent_parts(decomps):
+    ham = make_instance("random_ff_projectors", 4, seed=0)
+    terms = build_model(ham, standard_couplings(ham.n, "x"), WeightProfile(beta=0.5))
+    # Every G is far above 1e-12 max(1, ||L||_F)^2, and ||L|| <= ||L||_F, so
+    # neither ||G|| nor ||L|| needs an SVD.
+    assert all(t.coherent is not None for t in terms)
     assert decomps["svd"] == []
 
 
@@ -455,7 +495,8 @@ def test_each_experiment_diagonalizes_h_once(monkeypatch, decomps, tmp_path, nam
     assert decomps["eigh"].count(d) == 1
     assert len(degrees) <= 1
     if name.startswith("anneal"):
-        # ||H|| costs no SVD: the only d x d SVDs are the m term norms that
-        # scale the one commutation test.
+        # ||H|| costs no SVD, and the one commutation test scales by the
+        # norms of the m terms on their own supports: no d x d SVD runs.
         assert len(degrees) == 1
-        assert decomps["svd"].count(d) == make_instance("zz_chain", 3).m
+        assert decomps["svd"].count(d) == 0
+        assert decomps["svd"].count((4, 4)) == make_instance("zz_chain", 3).m

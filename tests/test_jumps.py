@@ -13,11 +13,13 @@ from dlgibbs.hamiltonians import (
     PAULI_Z,
     LocalOperator,
     assemble,
+    bohr_grid,
     make_instance,
     standard_couplings,
 )
 from dlgibbs.jumps import (
     WeightProfile,
+    _has_coherent_part,
     build_coherent,
     build_jump,
     build_model,
@@ -135,9 +137,9 @@ def test_weights_are_evaluated_once_per_reference_cluster():
     a = np.ones((4, 4), dtype=complex)
     seen: list[float] = []
     w = WeightProfile(kind="custom", beta=1.0, q=lambda nu: seen.append(nu) or 1.0)
-    build_jump(a, hermitian_eigendecompose(h), w)
+    build_jump(a, bohr_grid(hermitian_eigendecompose(h)), w)
     freqs, _ = bohr_reference(a, h)
-    assert len(seen) == 3 * freqs.size
+    assert len(seen) == 2 * freqs.size
     assert sorted(set(seen)) == sorted(set(freqs) | set(-freqs))
 
 
@@ -161,10 +163,10 @@ def _agreement_cases():
 )
 def test_weighting_matches_per_cluster_reference(case):
     _, h, a, w = case
-    eig = hermitian_eigendecompose(h)
-    jump = build_jump(a, eig, w)
+    bohr = bohr_grid(hermitian_eigendecompose(h))
+    jump = build_jump(a, bohr, w)
     _assert_close(jump, reference_jump(a, h, w))
-    _assert_close(build_coherent(jump, eig, w), reference_coherent(jump, h, w))
+    _assert_close(build_coherent(jump, bohr, w), reference_coherent(jump, h, w))
 
 
 def test_infinite_temperature_model_raises_no_cutoff_warning():
@@ -180,19 +182,19 @@ def test_infinite_temperature_model_raises_no_cutoff_warning():
 def test_cutoff_below_every_offshell_frequency_warns():
     h = assemble(make_instance("random_ff_projectors", 3, 2))
     x0 = np.kron(PAULI_X, np.eye(4, dtype=complex))
-    eig = hermitian_eigendecompose(h)
-    jump = build_jump(x0, eig, WeightProfile(beta=0.5))
+    bohr = bohr_grid(hermitian_eigendecompose(h))
+    jump = build_jump(x0, bohr, WeightProfile(beta=0.5))
     freqs, _ = bohr_reference(jump.conj().T @ jump, h)
     smallest = np.abs(freqs[np.abs(freqs) > 1e-12]).min()
     w = WeightProfile(beta=0.5, kappa_cutoff=0.5 * smallest)
     with pytest.warns(UserWarning, match="excludes every off-shell frequency"):
-        coh = build_coherent(jump, eig, w)
+        coh = build_coherent(jump, bohr, w)
     assert np.abs(coh).max() == 0.0
 
 
 def test_build_jump_qubit_amplitudes():
     w = WeightProfile(kind="davies_kms", beta=1.0)
-    jump = build_jump(PAULI_X, hermitian_eigendecompose(PAULI_Z), w)
+    jump = build_jump(PAULI_X, bohr_grid(hermitian_eigendecompose(PAULI_Z)), w)
     assert abs(jump[0, 1] - np.exp(-0.5)) < 1e-12
     assert abs(jump[1, 0] - np.exp(0.5)) < 1e-12
     assert abs(jump[0, 0]) < 1e-14 and abs(jump[1, 1]) < 1e-14
@@ -200,7 +202,7 @@ def test_build_jump_qubit_amplitudes():
 
 def test_build_jump_infinite_temperature_is_identity_weight():
     w = WeightProfile(kind="davies_kms", beta=0.0)
-    jump = build_jump(PAULI_X, hermitian_eigendecompose(PAULI_Z), w)
+    jump = build_jump(PAULI_X, bohr_grid(hermitian_eigendecompose(PAULI_Z)), w)
     assert np.abs(jump - PAULI_X).max() < 1e-12
 
 
@@ -209,10 +211,10 @@ def test_build_coherent_vanishes_for_commuting_coupling():
     h = assemble(ham)
     w = WeightProfile(kind="davies_kms", beta=0.8)
     a = np.kron(PAULI_Z, np.eye(2, dtype=complex))
-    eig = hermitian_eigendecompose(h)
-    jump = build_jump(a, eig, w)
+    bohr = bohr_grid(hermitian_eigendecompose(h))
+    jump = build_jump(a, bohr, w)
     assert np.abs(jump - a).max() < 1e-12
-    coh = build_coherent(jump, eig, w)
+    coh = build_coherent(jump, bohr, w)
     assert np.abs(coh).max() < 1e-12
 
 
@@ -223,9 +225,9 @@ def test_build_coherent_is_hermitian():
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     a = a + a.conj().T
     w = WeightProfile(kind="davies_kms", beta=0.9)
-    eig = hermitian_eigendecompose(h)
-    jump = build_jump(a, eig, w)
-    coh = build_coherent(jump, eig, w)
+    bohr = bohr_grid(hermitian_eigendecompose(h))
+    jump = build_jump(a, bohr, w)
+    coh = build_coherent(jump, bohr, w)
     assert np.abs(coh - coh.conj().T).max() < 1e-10
 
 
@@ -237,9 +239,9 @@ def test_detailed_balance_on_noncommuting_hamiltonian():
     w = WeightProfile(kind="davies_kms", beta=beta)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     a = 0.5 * (a + a.conj().T)
-    eig = hermitian_eigendecompose(h)
-    jump = build_jump(a, eig, w)
-    coh = build_coherent(jump, eig, w)
+    bohr = bohr_grid(hermitian_eigendecompose(h))
+    jump = build_jump(a, bohr, w)
+    coh = build_coherent(jump, bohr, w)
     assert np.abs(coh).max() > 1e-6
     from dlgibbs.kms import LindbladTerm
 
@@ -263,9 +265,9 @@ def test_paper_literal_tanh_breaks_detailed_balance():
     w = WeightProfile(kind="davies_kms", beta=beta, beta_scaled_tanh=False)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     a = 0.5 * (a + a.conj().T)
-    eig = hermitian_eigendecompose(h)
-    jump = build_jump(a, eig, w)
-    coh = build_coherent(jump, eig, w)
+    bohr = bohr_grid(hermitian_eigendecompose(h))
+    jump = build_jump(a, bohr, w)
+    coh = build_coherent(jump, bohr, w)
     from dlgibbs.kms import LindbladTerm
 
     term = LindbladTerm(
@@ -292,13 +294,25 @@ def test_weight_profile_validation():
 def test_q_symmetry_violation_rejected():
     w = WeightProfile(kind="custom", beta=1.0, q=lambda nu: 1.0 + nu)
     with pytest.raises(BadParams):
-        build_jump(PAULI_X, hermitian_eigendecompose(PAULI_Z), w)
+        build_jump(PAULI_X, bohr_grid(hermitian_eigendecompose(PAULI_Z)), w)
 
 
 def test_q_even_factor_accepted():
     w = WeightProfile(kind="custom", beta=1.0, q=lambda nu: 1.0 + nu * nu)
-    jump = build_jump(PAULI_X, hermitian_eigendecompose(PAULI_Z), w)
+    jump = build_jump(PAULI_X, bohr_grid(hermitian_eigendecompose(PAULI_Z)), w)
     assert abs(jump[1, 0] - 5.0 * np.exp(0.5)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "g, expected", [(0.5e-12, False), (0.99e-10, False), (1.01e-10, True), (4.1e-10, True)]
+)
+def test_coherent_part_rule_reads_the_spectral_norm_of_the_jump(g, expected):
+    # ||L|| = 10 and ||L||_F = 20: the rule ||G|| > 1e-12 max(1, ||L||)^2
+    # puts the cut at 1e-10, and ||L||_F (cut 4e-10) decides only above it.
+    jump = np.diag([10.0, 10.0, 10.0, 10.0])
+    coh = np.zeros((4, 4))
+    coh[0, 0] = g
+    assert _has_coherent_part(coh, jump) is expected
 
 
 def test_dressed_support():

@@ -18,6 +18,7 @@ from dlgibbs.hamiltonians import (
     LocalHamiltonian,
     LocalOperator,
     assemble,
+    bohr_grid,
     make_instance,
 )
 from dlgibbs.jumps import WeightProfile, build_coherent, build_jump
@@ -26,8 +27,10 @@ from dlgibbs.kms import (
     LindbladTerm,
     Superoperator,
     _kron_conj_apply,
+    _symmetrize,
     choi_matrix,
     coherent_form,
+    coherent_spectrum,
     cptp_check,
     db_residual,
     gibbs_state,
@@ -44,9 +47,9 @@ def _davies_qubit(beta: float = 1.0):
     """Single-qubit model: H = Z, coupling X, detailed-balance weights."""
     h = PAULI_Z.copy()
     w = WeightProfile(kind="davies_kms", beta=beta)
-    eig = hermitian_eigendecompose(h)
-    jump = build_jump(PAULI_X, eig, w)
-    coh = build_coherent(jump, eig, w)
+    bohr = bohr_grid(hermitian_eigendecompose(h))
+    jump = build_jump(PAULI_X, bohr, w)
+    coh = build_coherent(jump, bohr, w)
     term = LindbladTerm(
         jumps=(LocalOperator(jump, (0,)),),
         coherent=LocalOperator(coh, (0,)) if np.abs(coh).max() > 1e-12 else None,
@@ -306,9 +309,9 @@ def test_reducible_generator_reports_zero_gap():
     h = np.kron(PAULI_Z, np.eye(2)) + np.kron(np.eye(2), PAULI_Z)
     w = WeightProfile(kind="davies_kms", beta=0.6)
     a = np.kron(PAULI_X, np.eye(2))
-    eig = hermitian_eigendecompose(h)
-    jump = build_jump(a, eig, w)
-    coh = build_coherent(jump, eig, w)
+    bohr = bohr_grid(hermitian_eigendecompose(h))
+    jump = build_jump(a, bohr, w)
+    coh = build_coherent(jump, bohr, w)
     term = LindbladTerm(
         jumps=(LocalOperator(jump, (0, 1)),),
         coherent=LocalOperator(coh, (0, 1)) if np.abs(coh).max() > 1e-12 else None,
@@ -318,3 +321,36 @@ def test_reducible_generator_reports_zero_gap():
     rep = spectral_report(lindblad_superoperator([term], 2), kms)
     assert rep.kernel_dim >= 2
     assert rep.gap == 0.0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("rows", [1, 3, 10, 512])
+def test_blockwise_symmetrization_is_the_dense_one(dtype, rows):
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(10, 10))
+    if dtype is complex:
+        h = h + 1j * rng.normal(size=(10, 10))
+    dense = h + h.conj().T
+    dense *= 0.5
+    _symmetrize(h, rows)
+    # eigvalsh reads the lower triangle, which matches bit for bit.
+    lower = np.tril_indices(10)
+    assert h[lower].tobytes() == dense[lower].tobytes()
+    assert np.array_equal(h, h.conj().T) and np.array_equal(h, dense)
+
+
+def test_coherent_spectrum_allocates_no_second_matrix():
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    h = rng.normal(size=(1024, 1024))
+    reference = np.linalg.eigvalsh(0.5 * (h + h.T))[::-1]
+    tracemalloc.start()
+    try:
+        w, _, _ = coherent_spectrum(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One 512-row block is half of h; (h + h dagger)/2 as a new array is all of it.
+    assert peak < 0.6 * h.nbytes
+    assert np.array_equal(w, reference)
