@@ -19,7 +19,6 @@ from .anneal import (
     make_schedule,
     overlap,
     run_annealing,
-    transition,
     transition_backend,
 )
 from .config import (

@@ -34,7 +34,10 @@ ground vector of the parent Hamiltonian at each beta_j) or through the
 detectability-lemma projector pipeline run on the negated, normalized
 parent terms; the latter costs ell * M singular-value queries per step
 for M dissipative terms and projector degree ell, giving the countable
-total K (ell M + l).
+total K (ell M + l).  Its projectors are kept as the factors U p(S) V^dag
+of each step's DL operator, and each transition decomposes only a core of
+side at most R_{j-1} + R_j, the nonzero singular values of the two steps
+(transition); no d x d projector or product of two is formed.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .kms import KmsForm
 from .linalg import singular_value_decompose, spectral_norm
 from .parent import build_parent, parent_projector_input, purified_gibbs
 from .projector import (
+    ProjectorResult,
     approximate_projector,
     chebyshev_poly,
     degree_for_error,
@@ -238,34 +242,85 @@ def _check_overlap(s0: float, backend: TransitionBackend) -> None:
         )
 
 
-def transition(
-    pa: np.ndarray, pb: np.ndarray, backend: TransitionBackend
-) -> np.ndarray:
-    """Transition operator O_tilde ~ |psi_b><psi_a| from projectors Pa, Pb.
+def _padding(res: ProjectorResult) -> tuple[int, float]:
+    """(R, c): the R nonzero singular values lead, and p_s is c = p(0) past them."""
+    r = int(np.count_nonzero(res.svd.s))
+    return r, float(res.p_s[r]) if r < res.p_s.size else 0.0
 
-    Takes the singular value decomposition of Pb @ Pa and either divides
-    the dominant singular value to 1 (oracle) or applies the odd boost
-    polynomial to every singular value (polynomial).  Both variants have
-    operator norm at most 1.  The product u1 vh1 of the dominant
-    singular vectors is gauge independent when the top singular value is
-    simple, which the RankAmbiguous check enforces.
+
+def transition(
+    pa: ProjectorResult,
+    pb: ProjectorResult,
+    a: np.ndarray,
+    b: np.ndarray,
+    state: np.ndarray,
+    backend: TransitionBackend,
+) -> tuple[np.ndarray, float]:
+    """Apply O_tilde ~ |b><a| to state; return it and ||O_tilde - b a^dag||.
+
+    O_tilde applies the odd boost polynomial f to every singular value of
+    P_b P_a, each projector given by its factors P = U diag(p_s) Vh.  Past
+    its R nonzero singular values a step's p_s is the constant c = p(0), so
+    with W = Vh_b U_a and W_1 = W[:, :R_a]
+
+        P_b P_a = U_b [Z T Z^dag + c_a c_b (I - Z Z^dag)] W Vh_a,
+
+    where Z = I_{R_b} (+) Q spans e_1 ... e_{R_b} and W_1 (Q from one QR of
+    W_1's rows past R_b) and T = Z^dag diag(p_b) W diag(p_a) W^dag Z is a
+    k x k core, k <= R_a + R_b.  T = X S Y^dag is the one SVD taken: P_b P_a
+    has T's singular values plus |c_a c_b| d - k times, and O_tilde is the
+    bracket with X f(S) Y^dag for T and f(c_a c_b) for c_a c_b.  The same QR
+    extends Z by b^ = U_b^dag b and a^ = W Vh_a a, so the error is the
+    2-norm of E, the bracket minus b^ a^dag on that basis (side <= k + 2).
+    Nothing d x d is formed: W_1 is d x R_a and the state moves by
+    matrix-vector products.  OverlapTooSmall and RankAmbiguous read the top
+    two singular values of P_b P_a, as for the dense product.
     """
-    pa = np.asarray(pa)
-    pb = np.asarray(pb)
-    if pa.shape != pb.shape or pa.ndim != 2 or pa.shape[0] != pa.shape[1]:
-        raise BadParams(f"projector shapes {pa.shape} and {pb.shape} do not match")
-    svd = singular_value_decompose(pb @ pa)
-    s = svd.s
+    if backend.kind != "polynomial":
+        raise BadParams(f"transitions boost by a polynomial, not {backend.kind!r}")
+    ra, ca = _padding(pa)
+    rb, cb = _padding(pb)
+    ua, vha, ub, vhb = pa.svd.u, pa.svd.vh, pb.svd.u, pb.svd.vh
+    d = ua.shape[0]
+    w1 = vhb @ ua[:, :ra]
+    b_hat = ub.conj().T @ b
+    a_hat, y = (vhb @ (ua @ (vha @ np.column_stack([a, state])))).T
+    # I_{R_b} (+) q spans e_1 ... e_{R_b}, W_1, b^ and a^, and r_ext holds the
+    # coordinates of their rows past R_b.  Q is q's first k - R_b columns;
+    # W_1 has no coordinates on the others, where the bracket is f(c_a c_b).
+    q, r_ext = np.linalg.qr(np.column_stack([w1[rb:], b_hat[rb:], a_hat[rb:]]))
+    k = rb + min(ra, d - rb)
+    k_ext = rb + q.shape[1]
+    # On Z, W diag(p_a) W^dag = c_a I + W_z diag(p_a - c_a) W_z^dag with
+    # W_z = Z^dag W_1, and diag(p_b) is p_b's first R_b entries, then c_b.
+    w_z = np.concatenate([w1[:rb], r_ext[:, :ra]])
+    p_z = np.concatenate([pb.p_s[:rb], np.full(k - rb, cb)])
+    m_z = (w_z[:k] * (pa.p_s[:ra] - ca)) @ w_z[:k].conj().T
+    m_z[np.diag_indices(k)] += ca
+    core = singular_value_decompose(p_z[:, None] * m_z)
+    cc = ca * cb
+    s = np.sort(np.concatenate([core.s[:2], np.full(min(2, d - k), abs(cc))]))[::-1]
     _check_overlap(s[0], backend)
     if len(s) > 1 and s[1] > s[0] / 10:
         raise RankAmbiguous(
             f"second singular value {s[1]:.3e} is within a factor 10 of the "
             f"first {s[0]:.3e}"
         )
-    if backend.kind == "oracle":
-        return np.outer(svd.u[:, 0], svd.vh[0, :])
-    boosted = chebyshev.chebval(np.clip(s, 0.0, 1.0), backend.coefficients)
-    return (svd.u * boosted) @ svd.vh
+    coeffs = backend.coefficients
+    # f is odd: the padding's singular value |c_a c_b| carries the sign of c_a c_b.
+    f_pad = math.copysign(float(chebyshev.chebval(min(abs(cc), 1.0), coeffs)), cc)
+    g = f_pad * np.eye(k_ext, dtype=core.u.dtype)
+    g[:k, :k] = (core.u * chebyshev.chebval(np.clip(core.s, 0.0, 1.0), coeffs)) @ core.vh
+    beta_z = np.concatenate([b_hat[:rb], r_ext[:, ra]])
+    alpha_z = np.concatenate([a_hat[:rb], r_ext[:, ra + 1]])
+    # Past the extended basis the difference is f(c_a c_b) I.  When there is
+    # such a space, the basis holds two columns beyond Z, where g is f(c_a c_b)
+    # I_2 and a rank-one term leaves a vector on which E has norm |f(c_a c_b)|.
+    err = spectral_norm(g - np.outer(beta_z, alpha_z.conj()))
+    y_q = q.conj().T @ y[rb:]
+    gy = g @ np.concatenate([y[:rb], y_q])
+    rest = f_pad * (y[rb:] - q @ y_q) + q @ gy[rb:]
+    return ub @ np.concatenate([gy[:rb], rest]), err
 
 
 @dataclass(frozen=True)
@@ -426,11 +481,11 @@ def run_annealing(
         projectors = []
         for j, (dl, sg) in enumerate(dl_steps):
             res = approximate_projector(dl, chebyshev_poly(sg.gamma_star, ell))
-            projectors.append(res.approx)
+            projectors.append(res)
             projector_errors[j] = res.error
-        # The transitions read only the dense projectors, so every step's
-        # DL SVD is released before they run.
-        del dl_steps, dl, sg, res
+        # The transitions read each step's DL SVD through its projector; a
+        # step's factors are released once its outgoing transition has run.
+        del dl_steps, dl, sg, res, pin
         backend = transition_backend(
             "polynomial",
             b_floor,
@@ -455,9 +510,10 @@ def run_annealing(
             err = float(abs(phase - 1.0))  # ||(phase - 1) b a dagger||
             state = (phase * np.vdot(a, state)) * b
         else:
-            o_tilde = transition(projectors[j - 1], projectors[j], backend)
-            err = spectral_norm(o_tilde - np.outer(b, a.conj()))
-            state = o_tilde @ state
+            state, err = transition(
+                projectors[j - 1], projectors[j], a, b, state, backend
+            )
+            projectors[j - 1] = None
         step_queries = 0
         if projector_mode == "dl_qsvt":
             step_queries = ell * m_terms + budgets.degree

@@ -28,7 +28,9 @@ it occupies, and weighs them in one array evaluation at their centres:
     L = V (w_hat(-Omega) * V'AV) V',   G = V (g_hat(-Omega) * V'L'LV) V',
 
 where Omega holds every entry's cluster centre and * is the elementwise
-product: O(d^3) whatever the number of clusters.
+product: O(d^3) whatever the number of clusters.  A jump whose coupling,
+H's eigenvectors and weights are all exactly real is computed in real
+arithmetic; the coherent weights are imaginary, so G is computed complex.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 from .errors import BadParams, UnknownKind
 from .hamiltonians import BohrGrid, LocalHamiltonian, LocalOperator, embed
 from .kms import KmsForm, LindbladTerm
-from .linalg import norm_exceeds, spectral_norm
+from .linalg import norm_exceeds, real_if_exact, spectral_norm
 from .sampler import coherent_terms
 
 
@@ -123,9 +125,13 @@ class WeightProfile:
 
 
 def _occupied(op: np.ndarray, bohr: BohrGrid) -> tuple[np.ndarray, np.ndarray]:
-    """op in H's eigenbasis, and which Bohr clusters hold a nonzero entry of it."""
+    """op in H's eigenbasis, and which Bohr clusters hold a nonzero entry of it.
+
+    The rotation runs in the wider dtype of op and H's eigenvectors: in real
+    arithmetic when both are real.
+    """
     v = bohr.eig.eigenvectors
-    rotated = v.conj().T @ np.asarray(op, dtype=complex) @ v
+    rotated = v.conj().T @ np.asarray(op, dtype=np.result_type(op, v)) @ v
     occupied = np.zeros(bohr.centres.size, dtype=bool)
     occupied[bohr.labels[rotated != 0]] = True
     return rotated, occupied
@@ -134,8 +140,14 @@ def _occupied(op: np.ndarray, bohr: BohrGrid) -> tuple[np.ndarray, np.ndarray]:
 def _weigh(
     rotated: np.ndarray, occupied: np.ndarray, coeff: np.ndarray, bohr: BohrGrid
 ) -> np.ndarray:
-    """V (c[labels] * rotated) V', with c the occupied clusters' coeff and 0 elsewhere."""
-    scale = np.zeros(bohr.centres.size, dtype=complex)
+    """V (c[labels] * rotated) V', with c the occupied clusters' coeff and 0 elsewhere.
+
+    A real rotated operator with exactly-real weights, demoted to float64
+    by real_if_exact, is weighed and rotated back in real arithmetic.
+    """
+    if not np.iscomplexobj(rotated):
+        coeff = real_if_exact(coeff)
+    scale = np.zeros(bohr.centres.size, dtype=np.result_type(coeff, rotated))
     scale[occupied] = coeff
     v = bohr.eig.eigenvectors
     return v @ (scale[bohr.labels] * rotated) @ v.conj().T

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -129,13 +128,14 @@ class SingularGap:
 class ProjectorResult:
     """Polynomial projector approximation with its certified error bound.
 
-    error is ||U p(S) V^dag - U_1 V_1^dag||, read off the singular values;
-    the dense approximation is formed only when approx is read.  For even
-    degree p(0) != 0, so approx holds p(0) U_0 V_0^dag over bases U_0, V_0
-    of the null spaces of D, which pair as DlOperator.svd pairs them; D
-    itself does not fix that pairing.  |p(0)| is at most error, so another
-    pairing moves approx by at most 2 error in norm (on the zz_chain n = 4
-    anneals a random rotation of U_0 moved the results by ~1e-13 relative).
+    The projector is U diag(p_s) V^dag over svd, kept as its factors; error
+    is ||U p(S) V^dag - U_1 V_1^dag||, read off the singular values.  For
+    even degree p(0) != 0, so the projector holds p(0) U_0 V_0^dag over
+    bases U_0, V_0 of the null spaces of D, which pair as DlOperator.svd
+    pairs them; D itself does not fix that pairing.  |p(0)| is at most
+    error, so another pairing moves the projector by at most 2 error in
+    norm (on the zz_chain n = 4 anneals a random rotation of U_0 moved the
+    results by ~1e-13 relative).
     """
 
     svd: Svd
@@ -146,10 +146,6 @@ class ProjectorResult:
     ancilla_estimate: int
     degree: int
     r: int
-
-    @cached_property
-    def approx(self) -> np.ndarray:
-        return (self.svd.u * self.p_s) @ self.svd.vh
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 These are the whole-register computations the package no longer runs: the
 ground space of an assembled Hamiltonian from a full eigendecomposition,
-the frustration check on its ground vectors, and the dense parent
-Hamiltonian summed from its local terms.  They are kept here, and not in
-dlgibbs, because only tests read them.
+the frustration check on its ground vectors, the dense parent
+Hamiltonian summed from its local terms, the dense projector of a
+ProjectorResult and the transition from the SVD of a dense product of two
+projectors.  They are kept here, and not in dlgibbs, because only tests
+read them.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
-from dlgibbs.errors import DegenerateGapWarning
+from dlgibbs.anneal import TransitionBackend, _check_overlap
+from dlgibbs.errors import BadParams, DegenerateGapWarning, RankAmbiguous
 from dlgibbs.hamiltonians import (
     LocalHamiltonian,
     LocalOperator,
@@ -23,8 +27,13 @@ from dlgibbs.hamiltonians import (
     assemble,
     embed,
 )
-from dlgibbs.linalg import hermitian_eigendecompose, spectral_norm
+from dlgibbs.linalg import (
+    hermitian_eigendecompose,
+    singular_value_decompose,
+    spectral_norm,
+)
 from dlgibbs.parent import ParentHamiltonian
+from dlgibbs.projector import ProjectorResult
 
 
 @dataclass(frozen=True)
@@ -113,3 +122,38 @@ def parent_matrix(ph: ParentHamiltonian) -> np.ndarray:
     for t in ph.terms:
         total = add_embedded(total, LocalOperator(t.mat, t.support), 2 * ph.n)
     return total
+
+
+def dense_projector(res: ProjectorResult) -> np.ndarray:
+    """The d x d projector U diag(p_s) V^dag of a ProjectorResult."""
+    return (res.svd.u * res.p_s) @ res.svd.vh
+
+
+def dense_transition(
+    pa: np.ndarray, pb: np.ndarray, backend: TransitionBackend
+) -> np.ndarray:
+    """Transition operator O_tilde ~ |psi_b><psi_a| from projectors Pa, Pb.
+
+    Takes the singular value decomposition of Pb @ Pa and either divides
+    the dominant singular value to 1 (oracle) or applies the odd boost
+    polynomial to every singular value (polynomial).  Both variants have
+    operator norm at most 1.  The product u1 vh1 of the dominant
+    singular vectors is gauge independent when the top singular value is
+    simple, which the RankAmbiguous check enforces.
+    """
+    pa = np.asarray(pa)
+    pb = np.asarray(pb)
+    if pa.shape != pb.shape or pa.ndim != 2 or pa.shape[0] != pa.shape[1]:
+        raise BadParams(f"projector shapes {pa.shape} and {pb.shape} do not match")
+    svd = singular_value_decompose(pb @ pa)
+    s = svd.s
+    _check_overlap(s[0], backend)
+    if len(s) > 1 and s[1] > s[0] / 10:
+        raise RankAmbiguous(
+            f"second singular value {s[1]:.3e} is within a factor 10 of the "
+            f"first {s[0]:.3e}"
+        )
+    if backend.kind == "oracle":
+        return np.outer(svd.u[:, 0], svd.vh[0, :])
+    boosted = chebyshev.chebval(np.clip(s, 0.0, 1.0), backend.coefficients)
+    return (svd.u * boosted) @ svd.vh

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
+import dlgibbs.anneal
 from dlgibbs.anneal import (
     Schedule,
     boost_coefficients,
@@ -39,8 +42,10 @@ from dlgibbs.hamiltonians import (
 )
 from dlgibbs.jumps import WeightProfile
 from dlgibbs.kms import LindbladTerm
-from dlgibbs.linalg import spectral_norm
+from dlgibbs.linalg import Svd, spectral_norm
 from dlgibbs.parent import purified_gibbs
+from dlgibbs.projector import ProjectorResult
+from reference import dense_projector, dense_transition
 
 
 def test_schedule_formula():
@@ -170,9 +175,9 @@ def test_boost_rejects_bad_inputs():
 def test_transition_fixed_point():
     p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     oracle = transition_backend("oracle", b=1.0)
-    assert spectral_norm(transition(p0, p0, oracle) - p0) < 1e-14
+    assert spectral_norm(dense_transition(p0, p0, oracle) - p0) < 1e-14
     poly = transition_backend("polynomial", b=1.0, epsilon=1e-8)
-    assert spectral_norm(transition(p0, p0, poly) - p0) <= 1e-8
+    assert spectral_norm(dense_transition(p0, p0, poly) - p0) <= 1e-8
 
 
 def test_transition_matches_rotated_closed_form():
@@ -181,10 +186,10 @@ def test_transition_matches_rotated_closed_form():
     vb = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
     pb = np.outer(vb, vb.conj())
     want = np.outer(vb, np.array([1.0, 0.0]).conj())
-    oracle = transition(pa, pb, transition_backend("oracle", b=0.8))
+    oracle = dense_transition(pa, pb, transition_backend("oracle", b=0.8))
     assert spectral_norm(oracle - want) < 1e-14
     eps = 1e-6
-    poly = transition(pa, pb, transition_backend("polynomial", b=0.8, epsilon=eps))
+    poly = dense_transition(pa, pb, transition_backend("polynomial", b=0.8, epsilon=eps))
     assert spectral_norm(poly - want) <= eps
 
 
@@ -200,8 +205,8 @@ def test_transition_backends_agree_on_rank_one_inputs():
             continue
         pa = np.outer(va, va.conj())
         pb = np.outer(vb, vb.conj())
-        o1 = transition(pa, pb, transition_backend("oracle", b=0.5))
-        o2 = transition(pa, pb, transition_backend("polynomial", b=0.5, epsilon=eps))
+        o1 = dense_transition(pa, pb, transition_backend("oracle", b=0.5))
+        o2 = dense_transition(pa, pb, transition_backend("polynomial", b=0.5, epsilon=eps))
         assert spectral_norm(o1 - o2) <= eps + 1e-9
 
 
@@ -214,7 +219,7 @@ def test_transition_norm_is_bounded():
     pa = np.outer(va, va)
     pb = np.outer(vb, vb)
     for kind, kw in (("oracle", {}), ("polynomial", {"epsilon": 1e-4})):
-        o = transition(pa, pb, transition_backend(kind, b=0.4, **kw))
+        o = dense_transition(pa, pb, transition_backend(kind, b=0.4, **kw))
         assert spectral_norm(o) <= 1.0 + 1e-12
 
 
@@ -223,14 +228,14 @@ def test_transition_rejects_degenerate_inputs():
     p1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     backend = transition_backend("oracle", b=0.9)
     with pytest.raises(OverlapTooSmall):
-        transition(p0, p1, backend)
+        dense_transition(p0, p1, backend)
     ident = np.eye(2, dtype=complex)
     with pytest.raises(RankAmbiguous):
-        transition(ident, ident, backend)
+        dense_transition(ident, ident, backend)
     with pytest.raises(UnknownKind):
         transition_backend("magic", b=0.9)
     with pytest.raises(BadParams):
-        transition(p0, np.eye(3, dtype=complex), backend)
+        dense_transition(p0, np.eye(3, dtype=complex), backend)
 
 
 def _zz2_setup():
@@ -274,7 +279,7 @@ def test_exact_anneal_closed_form_matches_the_svd_transitions(kind, n, kinds, be
     state = targets[0]
     for j, rec in enumerate(run.records, start=1):
         a, b = targets[j - 1], targets[j]
-        o_tilde = transition(np.outer(a, a.conj()), np.outer(b, b.conj()), backend)
+        o_tilde = dense_transition(np.outer(a, a.conj()), np.outer(b, b.conj()), backend)
         err = spectral_norm(o_tilde - np.outer(b, a.conj()))
         assert abs(rec.transition_error - err) <= 1e-12
         state = o_tilde @ state
@@ -387,3 +392,183 @@ def test_run_annealing_dl_qsvt_three_sites():
     assert run.tally.total == sched.steps * (
         run.projector_degree * run.m_terms + run.budgets.degree
     )
+
+
+def _dense_step(pa, pb, a, b, state, backend):
+    """transition's reference: the SVD of the dense product P_b P_a and a d x d norm."""
+    o_tilde = dense_transition(dense_projector(pa), dense_projector(pb), backend)
+    return o_tilde @ state, spectral_norm(o_tilde - np.outer(b, a.conj()))
+
+
+def _dense_anneal(monkeypatch, *args):
+    with monkeypatch.context() as m:
+        m.setattr(dlgibbs.anneal, "transition", _dense_step)
+        return run_annealing(*args)
+
+
+# (kind, n, beta, delta, parity of the projector degree ell)
+_PARITY_CASES = [
+    ("zz_chain", 2, 1.0, 0.1, 1),
+    ("zz_chain", 2, 1.0, 0.08, 0),
+    ("zz_chain", 3, 0.9, 0.09, 1),
+    ("zz_chain", 3, 0.9, 0.1, 0),
+    ("zz_chain", 4, 0.9, 0.05, 1),
+    ("zz_chain", 4, 0.9, 0.1, 0),
+    ("commuting_projectors", 3, 0.5, 0.1, 1),
+    ("commuting_projectors", 3, 0.5, 0.09, 0),
+]
+
+
+@pytest.mark.parametrize("kind,n,beta,delta,parity", _PARITY_CASES)
+def test_factored_transitions_match_the_dense_product(monkeypatch, kind, n, beta, delta, parity):
+    ham = make_instance(kind, n)
+    sched = make_schedule(beta, spectral_norm(assemble(ham)))
+    args = (ham, standard_couplings(n, "xz"), WeightProfile(beta=beta), sched, delta, "dl_qsvt")
+    run = run_annealing(*args)
+    ref = _dense_anneal(monkeypatch, *args)
+    assert run.projector_degree == ref.projector_degree
+    assert run.projector_degree % 2 == parity
+    for got, want in zip(run.records, ref.records, strict=True):
+        assert abs(got.transition_error - want.transition_error) <= 1e-10 * want.transition_error
+    assert np.linalg.norm(run.final_state - ref.final_state) <= 1e-10
+    for key in ("state_error", "success_probability", "final_fidelity"):
+        assert abs(getattr(run, key) - getattr(ref, key)) <= 1e-10 * getattr(ref, key), key
+
+
+def _unitary_with_first_column(rng, first):
+    d = first.size
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    z[:, 0] = first
+    q, r = np.linalg.qr(z)
+    # q's first column is first up to the phase of r[0, 0]; undo it.
+    return q * (np.conj(r[0, 0]) / abs(r[0, 0]))
+
+
+def _synthetic_projector(rng, target, rank, c):
+    """A ProjectorResult P ~ |target><target| on complex factors.
+
+    svd.s has rank nonzero entries, the first 1; p_s is 1 there, small and
+    of both signs on the other nonzero entries, and c past them.
+    """
+    d = target.size
+    u = _unitary_with_first_column(rng, target)
+    vh = _unitary_with_first_column(rng, target).conj().T
+    s = np.zeros(d)
+    s[:rank] = np.sort(np.concatenate([[1.0], rng.uniform(0.01, 0.9, rank - 1)]))[::-1]
+    p_s = np.full(d, c)
+    p_s[:rank] = np.concatenate([[1.0], rng.uniform(-0.05, 0.05, rank - 1)])
+    return ProjectorResult(
+        svd=Svd(u=u, s=s, vh=vh),
+        p_s=p_s,
+        error=0.0,
+        bound=0.0,
+        queries=0,
+        ancilla_estimate=1,
+        degree=1,
+        r=1,
+    )
+
+
+def _unit(rng, d):
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return v / np.linalg.norm(v)
+
+
+def _synthetic_pair(seed, d, ra, rb, ca, cb, mix=0.5):
+    rng = np.random.default_rng(seed)
+    a = _unit(rng, d)
+    b = a + mix * _unit(rng, d)
+    b /= np.linalg.norm(b)
+    pa = _synthetic_projector(rng, a, ra, ca)
+    pb = _synthetic_projector(rng, b, rb, cb)
+    return pa, pb, a, b, _unit(rng, d)
+
+
+# (d, R_a, R_b, c_a, c_b): c = 0 (odd degree), c != 0 of both signs (even
+# degree), a padding large enough that f(c_a c_b) sets the error, no room
+# past the extended basis (R_b + R_a + 2 > d), and R_a + R_b >= d, where
+# the core is all of the space and nothing is padded.
+_SYNTHETIC_CASES = [
+    (16, 5, 4, 0.0, 0.0),
+    (16, 5, 4, 0.02, -0.03),
+    (16, 5, 4, 0.25, -0.3),
+    (16, 6, 9, 0.02, -0.03),
+    (16, 10, 9, 0.02, 0.04),
+    (16, 10, 9, 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d,ra,rb,ca,cb", _SYNTHETIC_CASES)
+def test_factored_transition_matches_the_dense_product_on_complex_factors(
+    seed, d, ra, rb, ca, cb
+):
+    pa, pb, a, b, state = _synthetic_pair(seed, d, ra, rb, ca, cb)
+    backend = transition_backend("polynomial", b=0.4, epsilon=1e-4)
+    got_state, got_err = transition(pa, pb, a, b, state, backend)
+    want_state, want_err = _dense_step(pa, pb, a, b, state, backend)
+    assert abs(got_err - want_err) <= 1e-10 * want_err
+    assert np.linalg.norm(got_state - want_state) <= 1e-10 * np.linalg.norm(want_state)
+    # The transition applied to a itself lands near b.
+    got_a, _ = transition(pa, pb, a, b, a, backend)
+    assert np.linalg.norm(got_a - _dense_step(pa, pb, a, b, a, backend)[0]) <= 1e-10
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except (OverlapTooSmall, RankAmbiguous) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_factored_transition_raises_where_the_dense_product_does(seed):
+    backend = transition_backend("polynomial", b=0.4, epsilon=1e-4)
+    # b orthogonal to a: the top singular value is below half the floor.
+    rng = np.random.default_rng(seed)
+    a = _unit(rng, 16)
+    b = _unit(rng, 16)
+    b -= np.vdot(a, b) * a
+    b /= np.linalg.norm(b)
+    pa = _synthetic_projector(rng, a, 5, 0.02)
+    pb = _synthetic_projector(rng, b, 4, 0.02)
+    want = _raised(_dense_step, pa, pb, a, b, a, backend)
+    assert want is not None and want[0] is OverlapTooSmall
+    assert _raised(transition, pa, pb, a, b, a, backend) == want
+    # A second singular value of P_a as large as the first: rank ambiguous.
+    pa, pb, a, b, _ = _synthetic_pair(seed, 16, 5, 4, 0.0, 0.0)
+    p_s = pa.p_s.copy()
+    p_s[1] = 1.0
+    pa = replace(pa, p_s=p_s)
+    pb = replace(pb, p_s=np.where(pb.p_s != 0, 1.0, 0.0))
+    want = _raised(_dense_step, pa, pb, a, b, a, backend)
+    assert want is not None and want[0] is RankAmbiguous
+    assert _raised(transition, pa, pb, a, b, a, backend) == want
+    # Paddings with |c_a c_b| above a tenth of the top value: the second
+    # singular value of P_b P_a is too, and both routes are rank ambiguous.
+    pa, pb, a, b, _ = _synthetic_pair(seed, 16, 5, 4, 0.35, -0.35)
+    want = _raised(_dense_step, pa, pb, a, b, a, backend)
+    assert want is not None and want[0] is RankAmbiguous
+    assert _raised(transition, pa, pb, a, b, a, backend) == want
+
+
+def test_reducible_anneal_is_rank_ambiguous_on_both_routes(monkeypatch):
+    # zz_chain couplings x keep the generator reducible: the parents' ground
+    # spaces are two-dimensional, so P_j P_{j-1} has two top singular values.
+    ham = make_instance("zz_chain", 2)
+    sched = make_schedule(0.5, spectral_norm(assemble(ham)))
+    args = (ham, standard_couplings(2, "x"), WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IrreducibilityWarning)
+        with pytest.raises(RankAmbiguous) as got:
+            run_annealing(*args)
+        with pytest.raises(RankAmbiguous) as want:
+            _dense_anneal(monkeypatch, *args)
+    assert str(got.value) == str(want.value)
+
+
+def test_factored_transition_needs_a_polynomial_backend():
+    pa, pb, a, b, state = _synthetic_pair(0, 8, 3, 3, 0.0, 0.0)
+    with pytest.raises(BadParams, match="polynomial"):
+        transition(pa, pb, a, b, state, transition_backend("oracle", b=0.4))

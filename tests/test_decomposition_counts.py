@@ -371,8 +371,9 @@ def _first_range_rank(ham):
     return dim * 2 ** (ham.n - len(t.support))
 
 
-def test_dl_qsvt_anneal_reads_parent_terms_through_local_blocks(monkeypatch, decomps):
-    ham = make_instance("zz_chain", 3)
+@pytest.mark.parametrize("n", [3, 4])
+def test_dl_qsvt_anneal_reads_parent_terms_through_local_blocks(monkeypatch, decomps, n):
+    ham = make_instance("zz_chain", n)
     couplings = standard_couplings(ham.n, "xz")
     sched = make_schedule(0.5, spectral_norm(assemble(ham)))
     d2 = 4**ham.n
@@ -384,16 +385,35 @@ def test_dl_qsvt_anneal_reads_parent_terms_through_local_blocks(monkeypatch, dec
         return real_dl(parent_ham)
 
     monkeypatch.setattr(dlgibbs.anneal, "dl_operator", tracked_dl)
+    cores, norms = [], []
+
+    def record(name, calls):
+        real = getattr(dlgibbs.anneal, name)
+
+        def recorded(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(dlgibbs.anneal, name, recorded)
+
+    # The transitions' own decompositions: the only calls in anneal.
+    record("singular_value_decompose", cores)
+    record("spectral_norm", norms)
     run_annealing(ham, couplings, WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt")
     # Per parent: the SVD of the DL operator's R_1 x 4^n core, from which
-    # the projector error is read in closed form; per transition: its SVD
-    # and its error norm.  Parent terms are read through their local
-    # blocks, with no (4^n, 4^n) SVD for norm or locality.
+    # the projector error is read in closed form; per transition: one SVD
+    # of a core of side at most R_{j-1} + R_j and one 2-norm of side at
+    # most two more.  Parent terms are read through their local blocks, and
+    # no (4^n, 4^n) SVD or 2-norm runs at all.
     k = sched.steps
     assert len(ranks) == k + 1 and max(ranks) < d2
-    cores = Counter(sh for sh in decomps["svd"] if sh[1] == d2 and 1 < sh[0] < d2)
-    assert cores == Counter((r1, d2) for r1 in ranks)
-    assert decomps["svd"].count((d2, d2)) == 2 * k
+    dl_cores = Counter(sh for sh in decomps["svd"] if sh[1] == d2 and 1 < sh[0] < d2)
+    assert dl_cores == Counter((r1, d2) for r1 in ranks)
+    assert (d2, d2) not in decomps["svd"]
+    assert len(cores) == len(norms) == k
+    for j, ((side, cols), err) in enumerate(zip(cores, norms), start=1):
+        assert side == cols <= ranks[j - 1] + ranks[j]
+        assert err[0] == err[1] <= side + 2
 
 
 def test_project_run_takes_one_svd_of_the_dl_operator(decomps, tmp_path):
@@ -434,11 +454,7 @@ def test_real_model_runs_no_complex_superoperator_decomposition(decomps):
     # Every jump, sigma, coherent form, Choi matrix, parent term and DL
     # factor of zz_chain is exactly real, so each 4^n decomposition runs the
     # real LAPACK routine.
-    assert {kind for kind, sh, _ in decomps["dtypes"] if sh == d2} == {
-        "eigh",
-        "eigvalsh",
-        "svd",
-    }
+    assert {kind for kind, sh, _ in decomps["dtypes"] if sh == d2} == {"eigh", "eigvalsh"}
     assert _complex_calls(decomps, d2) == []
 
 

@@ -14,6 +14,7 @@ from dlgibbs.hamiltonians import (
     LocalOperator,
     assemble,
     bohr_grid,
+    embed,
     make_instance,
     standard_couplings,
 )
@@ -190,6 +191,26 @@ def test_cutoff_below_every_offshell_frequency_warns():
     with pytest.warns(UserWarning, match="excludes every off-shell frequency"):
         coh = build_coherent(jump, bohr, w)
     assert np.abs(coh).max() == 0.0
+
+
+@pytest.mark.parametrize(
+    "kind,coupling,w,dtype",
+    [
+        ("zz_chain", "x", WeightProfile(beta=0.7), np.float64),
+        ("zz_chain", "y", WeightProfile(beta=0.7), np.complex128),
+        ("random_ff_projectors", "x", WeightProfile(beta=0.7), np.complex128),
+        # q(nu) = conj(q(-nu)) with an imaginary part: complex weights.
+        ("zz_chain", "x", WeightProfile("custom", 0.7, q=lambda nu: 1 + 0.1j * nu), np.complex128),
+    ],
+)
+def test_jump_half_runs_real_only_on_real_inputs(kind, coupling, w, dtype):
+    # A real H (real eigenvectors), a real coupling and real weights give a
+    # jump computed in real arithmetic; the coherent weights are imaginary,
+    # so the coherent half is complex whatever the inputs.
+    ham = make_instance(kind, 3, 2)
+    jump = build_jump(embed(standard_couplings(3, coupling)[0], 3), ham.bohr, w)
+    assert jump.dtype == dtype
+    assert build_coherent(jump, ham.bohr, w).dtype == np.complex128
 
 
 def test_build_jump_qubit_amplitudes():

@@ -6,14 +6,18 @@ applies each to the columns of the first factor's range on its tensor
 legs.  Weak references show what is still held: no earlier channel factor
 while the next one is made.  Of its R_1 x d core, dl_operator keeps only
 the SVD, so no dl_qsvt anneal step holds a core once its DL operator is
-built, and run_annealing releases every step's SVD once the step's
-projector is built.
+built.  The transitions read the projectors through those SVD factors, so
+no d x d projector or product is held while they run, and run_annealing
+releases each step's factors once its outgoing transition has run.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import sys
 import weakref
 
+import numpy as np
 import pytest
 
 import dlgibbs.anneal
@@ -73,22 +77,43 @@ def test_dl_operator_keeps_no_embedded_factor(monkeypatch, kind, n, seed):
     assert embedded and all(any(op is t for t in ham.terms) for op in embedded)
 
 
+def _held_square_arrays(frame, d):
+    """Every d x d array a frame's locals reach through lists, tuples and dataclasses."""
+    found, seen, todo = [], set(), list(frame.f_locals.values())
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            if x.shape == (d, d):
+                found.append(x)
+        elif isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif dataclasses.is_dataclass(x) and not isinstance(x, type):
+            todo.extend(getattr(x, f.name) for f in dataclasses.fields(x))
+    return found
+
+
 def test_dl_qsvt_anneal_step_keeps_no_composite(monkeypatch):
     ham = make_instance("zz_chain", 2)
+    d = 4**ham.n
     sched = make_schedule(1.0, spectral_norm(assemble(ham)))
     real_svd = dlgibbs.projector.singular_value_decompose
     real_dl = dlgibbs.anneal.dl_operator
     real_transition = dlgibbs.anneal.transition
     refs: list[weakref.ref] = []
+    factors: list[int] = []
     after_dl: list[tuple[int, int]] = []
     alive_at_transition: list[int] = []
+    held_at_transition: list[set[int]] = []
 
     def alive():
         return sum(r() is not None for r in refs)
 
     def tracked_svd(a):
         # The R_1 x 4^n core, never a 4^n x 4^n composite.
-        assert a.shape[1] == 4**ham.n and a.shape[0] < 4**ham.n
+        assert a.shape[1] == d and a.shape[0] < d
         refs.append(weakref.ref(a))
         return real_svd(a)
 
@@ -96,10 +121,12 @@ def test_dl_qsvt_anneal_step_keeps_no_composite(monkeypatch):
         before = len(refs)
         dl = real_dl(*args, **kwargs)
         after_dl.append((len(refs) - before, alive()))
+        factors.extend((id(dl.svd.u), id(dl.svd.vh)))
         return dl
 
     def tracked_transition(*args, **kwargs):
         alive_at_transition.append(alive())
+        held_at_transition.append({id(x) for x in _held_square_arrays(sys._getframe(1), d)})
         return real_transition(*args, **kwargs)
 
     monkeypatch.setattr(dlgibbs.projector, "singular_value_decompose", tracked_svd)
@@ -112,15 +139,19 @@ def test_dl_qsvt_anneal_step_keeps_no_composite(monkeypatch):
     # it returns; none is alive when the transitions run.
     assert after_dl == [(1, 0)] * len(sched.betas)
     assert alive_at_transition == [0] * sched.steps
+    # At every transition the only d x d arrays run_annealing holds are the
+    # DL SVD factors: no dense projector or product of two.
+    assert len(held_at_transition) == sched.steps
+    assert all(held and held <= set(factors) for held in held_at_transition)
 
 
-def test_dl_qsvt_anneal_releases_each_step_svd_before_the_transitions(monkeypatch):
+def test_dl_qsvt_anneal_releases_each_step_svd_after_its_outgoing_transition(monkeypatch):
     ham = make_instance("zz_chain", 2)
     sched = make_schedule(1.0, spectral_norm(assemble(ham)))
     real_dl = dlgibbs.anneal.dl_operator
     real_transition = dlgibbs.anneal.transition
     refs: list[weakref.ref] = []
-    alive_at_transition: list[int] = []
+    alive_at_transition: list[list[int]] = []
 
     def tracked_dl(*args, **kwargs):
         dl = real_dl(*args, **kwargs)
@@ -128,7 +159,7 @@ def test_dl_qsvt_anneal_releases_each_step_svd_before_the_transitions(monkeypatc
         return dl
 
     def tracked_transition(*args, **kwargs):
-        alive_at_transition.append(sum(r() is not None for r in refs))
+        alive_at_transition.append([j for j, r in enumerate(refs) if r() is not None])
         return real_transition(*args, **kwargs)
 
     monkeypatch.setattr(dlgibbs.anneal, "dl_operator", tracked_dl)
@@ -136,7 +167,8 @@ def test_dl_qsvt_anneal_releases_each_step_svd_before_the_transitions(monkeypatc
     run_annealing(
         ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=1.0), sched, 0.1, "dl_qsvt"
     )
-    # Only the dense projectors are read once built; no step's U is alive
-    # when the first transition runs.
-    assert len(refs) == len(sched.betas)
-    assert alive_at_transition[0] == 0
+    # Transition j reads steps j - 1 and j; every step before j - 1 has had
+    # its outgoing transition and its U is gone.
+    k = sched.steps
+    assert len(refs) == k + 1 and k >= 2
+    assert alive_at_transition == [list(range(j - 1, k + 1)) for j in range(1, k + 1)]
