@@ -38,6 +38,16 @@ total K (ell M + l).  Its projectors are kept as the factors U p(S) V^dag
 of each step's DL operator, and each transition decomposes only a core of
 side at most R_{j-1} + R_j, the nonzero singular values of the two steps
 (transition); no d x d projector or product of two is formed.
+
+run_annealing takes two passes.  The first builds every step's parent, for
+its target and its local projector input; the overlaps fix the budgets,
+and each input's certified gamma* (projector.certified_bound, read off its
+ground cluster and interaction degree, not its DL operator) fixes the
+uniform projector degree ell.  The second builds step j's DL operator and
+projector and then runs transition j, so at most the factors of steps
+j - 1 and j are alive.  The boost coefficients need erfcinv, by Newton's
+method on math.erfc, and the scaled Bessel values e^{-z} I_j(z), from one
+real FFT of e^{z (cos t - 1)}; no scipy module is loaded.
 """
 
 from __future__ import annotations
@@ -67,6 +77,7 @@ from .parent import build_parent, parent_projector_input, purified_gibbs
 from .projector import (
     ProjectorResult,
     approximate_projector,
+    certified_bound,
     chebyshev_poly,
     degree_for_error,
     dl_operator,
@@ -140,12 +151,45 @@ def overlap(ham: LocalHamiltonian, beta: float, dbeta: float) -> float:
     return float(np.abs(np.vdot(a, b)))
 
 
+def _erfcinv(y: float) -> float:
+    """The x > 0 with erfc(x) = y, for 0 < y < 1, by Newton's method on math.erfc.
+
+    erfc is convex and decreasing on x >= 0, so Newton steps from x = 0,
+    left of the root, increase monotonically towards it; the iteration
+    stops at the first step that no longer moves x up.
+    """
+    x, prev = 0.0, -1.0
+    while x > prev:
+        prev = x
+        x += (math.erfc(x) - y) * (0.5 * math.sqrt(math.pi)) * math.exp(x * x)
+    return prev
+
+
+def _scaled_bessel_i(jmax: int, z: float) -> np.ndarray:
+    """e^{-z} I_j(z) for j = 0 ... jmax, from one real FFT.
+
+    By Jacobi-Anger, e^{z (cos t - 1)} = sum_j e^{-z} I_|j|(z) e^{i j t}, so
+    bin j of the N-point DFT of its samples, divided by N, is e^{-z} I_j(z)
+    plus the aliases at |j + l N|, l != 0.  cos t - 1 is taken as
+    -2 sin^2(t/2), which keeps the exponent's relative accuracy near t = 0.
+    e^{-z} I_nu(z) <= exp(-z phi(nu/z)) with phi(t) = t asinh t -
+    sqrt(1 + t^2) + 1, and with N - jmax >= 10 sqrt(z) + 32 every alias is
+    below e^{-50}.
+    """
+    n = 2 * jmax + math.ceil(10.0 * math.sqrt(z)) + 32
+    half = np.pi * np.arange(n) / n
+    samples = np.exp(-2.0 * z * np.sin(half) ** 2)
+    return np.fft.rfft(samples).real[: jmax + 1] / n
+
+
 def boost_coefficients(b: float, epsilon: float, degree: int) -> np.ndarray:
     """Chebyshev coefficients of the odd erf-based boosting polynomial.
 
     The result p satisfies |p| <= 1 on [-1, 1] (enforced by a sup-norm
     rescale on a dense grid), p(-x) = -p(x), and p(x) >= 1 - epsilon on
-    [b, 1] provided degree >= C_BOOST * ln(1/epsilon) / b.
+    [b, 1] provided degree >= C_BOOST * ln(1/epsilon) / b.  p is the
+    truncated Chebyshev series of erf(k x), erf(k b) = 1 - epsilon/2, whose
+    coefficients are the scaled Bessel values e^{-z} I_j(z), z = k^2 / 2.
     """
     if not 0 < b <= 1:
         raise BadInputs(f"overlap floor must lie in (0, 1], got {b}")
@@ -153,18 +197,15 @@ def boost_coefficients(b: float, epsilon: float, degree: int) -> np.ndarray:
         raise BadInputs(f"boost accuracy must lie in (0, 1), got {epsilon}")
     if degree < 1:
         raise BadInputs(f"boost degree must be >= 1, got {degree}")
-    # Imported here: scipy.special costs more than half of `import dlgibbs`,
-    # and only this function needs it.
-    from scipy.special import erfcinv, ive
-
-    k = float(erfcinv(epsilon / 2.0)) / b
+    k = _erfcinv(epsilon / 2.0) / b
     z = 0.5 * k * k
     pref = 2.0 * k / math.sqrt(math.pi)
-    coeffs = np.zeros(degree + 1)
-    coeffs[1] += pref * float(ive(0, z))
     jmax = (degree + 1) // 2
+    ive = _scaled_bessel_i(jmax, z)
+    coeffs = np.zeros(degree + 1)
+    coeffs[1] += pref * float(ive[0])
     for j in range(1, jmax + 1):
-        w = pref * float(ive(j, z)) * (-1.0) ** j
+        w = pref * float(ive[j]) * (-1.0) ** j
         if 2 * j + 1 <= degree:
             coeffs[2 * j + 1] += w / (2 * j + 1)
         coeffs[2 * j - 1] -= w / (2 * j - 1)
@@ -421,6 +462,15 @@ def run_annealing(
     counted: the walk starts in the exactly preparable maximally entangled
     state.  Queries tally to K * (ell * M + l) in dl_qsvt mode.  ||H|| and
     every sigma_j are read off ham.eig.
+
+    The run takes two passes.  The first builds every parent and keeps its
+    ground vector and, in dl_qsvt mode, its local projector input (pin);
+    the targets' overlaps give the budgets, and the pins' certified gamma*
+    give ell.  The second builds step j's DL operator and projector from its
+    pin and then runs transition j, so at most two steps' DL factors are
+    alive.  A FrustrationDetected or DegenerateGap from step j's DL
+    operator therefore fires after every parent has been built and
+    transition j - 1 has run.
     """
     if projector_mode not in _MODES:
         raise UnknownKind(f"unknown projector mode {projector_mode!r}")
@@ -440,9 +490,11 @@ def run_annealing(
     k_steps = sched.steps
     betas = sched.betas
 
+    # Pass 1: every step's parent, for its target and, in dl_qsvt mode, its
+    # local projector input; the certified gamma* of each needs only that.
     notes: list[str] = []
     targets = []
-    dl_steps = []
+    pins = []
     for beta_j in betas.tolist():
         terms = build_model(ham, couplings, replace(w, beta=beta_j))
         ph = build_parent(terms, KmsForm.gibbs(ham, beta_j), ham, beta=beta_j)
@@ -454,9 +506,7 @@ def run_annealing(
             warnings.warn(msg, IrreducibilityWarning)
             notes.append(msg)
         if projector_mode == "dl_qsvt":
-            pin = parent_projector_input(ph)
-            dl = dl_operator(pin.ham)
-            dl_steps.append((dl, singular_gap(dl, pin.ham)))
+            pins.append(parent_projector_input(ph))
         targets.append(ph.ground)
         # Drop this step's parent terms (4^n x 4^n each for non-commuting H)
         # before the next ones are built.
@@ -471,65 +521,59 @@ def run_annealing(
     budgets = error_budget(k_steps, b_floor, delta)
     step_bound = delta / (2.0 * k_steps)
 
-    projector_errors = [0.0] * (k_steps + 1)
-    ell = 0
+    ell = transition_queries = 0
     if projector_mode == "exact":
         backend = transition_backend("oracle", b_floor, epsilon=budgets.epsilon)
     else:
         target_err = budgets.projector_error
-        ell = max(degree_for_error(sg.gamma_star, target_err) for _, sg in dl_steps)
-        projectors = []
-        for j, (dl, sg) in enumerate(dl_steps):
-            res = approximate_projector(dl, chebyshev_poly(sg.gamma_star, ell))
-            projectors.append(res)
-            projector_errors[j] = res.error
-        # The transitions read each step's DL SVD through its projector; a
-        # step's factors are released once its outgoing transition has run.
-        del dl_steps, dl, sg, res, pin
+        ell = max(
+            degree_for_error(certified_bound(pin.ham)[0], target_err) for pin in pins
+        )
         backend = transition_backend(
             "polynomial",
             b_floor,
             epsilon=budgets.epsilon,
             degree=budgets.degree,
         )
+        transition_queries = budgets.degree
 
+    # Pass 2: step j's projector, then transition j.  Step j's DL factors
+    # are built after transition j - 1 and dropped after transition j + 1,
+    # so at most two steps' factors are alive.
     dim = targets[0].shape[0]
     state = targets[0].copy()
     records = []
-    proj_queries = 0
-    trans_queries = 0
-    for j in range(1, k_steps + 1):
-        a, b = targets[j - 1], targets[j]
-        if projector_mode == "exact":
-            # Both projectors are rank one: P_b P_a = <b|a> b a dagger, so
-            # s_0 = |<b|a>| and s_1 = 0 (RankAmbiguous cannot fire), and the
-            # oracle transition is the phase of <b|a> times b a dagger.
-            ba = np.vdot(b, a)
-            _check_overlap(abs(ba), backend)
-            phase = ba / abs(ba)
-            err = float(abs(phase - 1.0))  # ||(phase - 1) b a dagger||
-            state = (phase * np.vdot(a, state)) * b
-        else:
-            state, err = transition(
-                projectors[j - 1], projectors[j], a, b, state, backend
-            )
-            projectors[j - 1] = None
-        step_queries = 0
+    prev = res = None
+    for j in range(k_steps + 1):
         if projector_mode == "dl_qsvt":
-            step_queries = ell * m_terms + budgets.degree
-            proj_queries += ell * m_terms
-            trans_queries += budgets.degree
-        records.append(
-            StepRecord(
-                index=j,
-                beta=float(betas[j]),
-                overlap=overlaps[j - 1],
-                transition_error=err,
-                error_bound=step_bound,
-                projector_error=projector_errors[j],
-                queries=step_queries,
+            dl = dl_operator(pins[j].ham)
+            sg = singular_gap(dl, pins[j].ham)
+            res = approximate_projector(dl, chebyshev_poly(sg.gamma_star, ell))
+        if j > 0:
+            a, b = targets[j - 1], targets[j]
+            if projector_mode == "exact":
+                # Both projectors are rank one: P_b P_a = <b|a> b a dagger, so
+                # s_0 = |<b|a>| and s_1 = 0 (RankAmbiguous cannot fire), and the
+                # oracle transition is the phase of <b|a> times b a dagger.
+                ba = np.vdot(b, a)
+                _check_overlap(abs(ba), backend)
+                phase = ba / abs(ba)
+                err = float(abs(phase - 1.0))  # ||(phase - 1) b a dagger||
+                state = (phase * np.vdot(a, state)) * b
+            else:
+                state, err = transition(prev, res, a, b, state, backend)
+            records.append(
+                StepRecord(
+                    index=j,
+                    beta=float(betas[j]),
+                    overlap=overlaps[j - 1],
+                    transition_error=err,
+                    error_bound=step_bound,
+                    projector_error=0.0 if res is None else res.error,
+                    queries=ell * m_terms + transition_queries,
+                )
             )
-        )
+        prev = res
 
     success = float(np.real(np.vdot(state, state)))
     state_error = float(np.linalg.norm(state - targets[-1]))
@@ -549,6 +593,8 @@ def run_annealing(
         min_overlap=b_floor,
         projector_degree=ell,
         m_terms=m_terms,
-        tally=QueryTally(projector=proj_queries, transition=trans_queries),
+        tally=QueryTally(
+            projector=k_steps * ell * m_terms, transition=k_steps * transition_queries
+        ),
         warnings=tuple(notes),
     )

@@ -70,7 +70,10 @@ class LocalOperator:
 
 @dataclass(frozen=True)
 class LocalHamiltonian:
-    """Sum of local terms on an n-qubit register; eig, bohr and commuting are kept once read."""
+    """Sum of local terms on an n-qubit register.
+
+    eig, bohr, commuting and cluster are computed on first read and kept.
+    """
 
     n: int
     terms: tuple[LocalOperator, ...]
@@ -103,6 +106,11 @@ class LocalHamiltonian:
     def commuting(self) -> bool:
         """Whether the terms commute pairwise: commutation_degree(self) == 0."""
         return commutation_degree(self) == 0
+
+    @cached_property
+    def cluster(self) -> GroundCluster:
+        """H's ground cluster from one eigvalsh: ground_cluster(self)."""
+        return ground_cluster(self)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ from .errors import (
 from .hamiltonians import (
     LocalHamiltonian,
     apply_local,
-    ground_cluster,
     interaction_degree,
     lift_basis,
     sweep_projectors,
@@ -175,8 +174,8 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
     kernel of P_1, and S padded with d - R_1 zeros.  B_1 is an isometry,
     so C's reconstruction check and Frobenius scale are D's.
 
-    r = ground_dimension, the gap and ||H|| come from one eigvalsh of H
-    (ground_cluster).  FrustrationDetected fires when |w_0| or some
+    r = ground_dimension, the gap and ||H|| come from one eigvalsh of H,
+    kept on ham (ham.cluster).  FrustrationDetected fires when |w_0| or some
     ||H_a U_r||, U_r the top r columns of U and H_a applied on its legs,
     exceeds 1e-8 max(1, ||H||); DegenerateGap unless s_r >= 1 - 1e-8.
     Past both, U_r lies in every term's lowest eigenspace (||D U_r|| = 1)
@@ -187,7 +186,7 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
     """
     if ham.m == 0:
         raise BadParams("need at least one term")
-    cluster = ground_cluster(ham)
+    cluster = ham.cluster
     r, gap = cluster.dimension, cluster.gap
     first = None
     bases, legs = [], []
@@ -235,26 +234,33 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
     return DlOperator(m=ham.m, svd=Svd(u=u, s=s, vh=vh), ground_dimension=r, ground_gap=gap)
 
 
-def singular_gap(dl: DlOperator, ham: LocalHamiltonian, tol: float = 1e-8) -> SingularGap:
-    """Certified gamma* from (gap, degree) plus the empirical 1 - s_{r+1}.
+def certified_bound(ham: LocalHamiltonian, tol: float = 1e-8) -> tuple[float, float]:
+    """(gamma*, bound): the certified s_{r+1} <= bound = 1 / sqrt(gap / g^2 + 1).
 
-    The gap and the ground-space dimension r come from dl, which must have
-    been built from ham; ham supplies the interaction degree g.  Asserts
-    the singular bound s_{r+1} <= 1 / sqrt(gap / g^2 + 1) + 1e-9.
-    A degree-0 (mutually disjoint) term set drives the bound to 0 and the
-    certified gamma* to 1; it is capped just below 1 so a polynomial can
-    still be requested.
+    gamma* = 1 - bound needs only H's ground cluster (ham.cluster) and its
+    interaction degree g, not the DL operator; DegenerateGap unless the gap
+    exceeds tol.  A degree-0 (mutually disjoint) term set drives the bound
+    to 0 and the certified gamma* to 1; it is capped just below 1 so a
+    polynomial can still be requested.
     """
-    gap = dl.ground_gap
+    gap = ham.cluster.gap
     if not np.isfinite(gap) or gap <= tol:
         raise DegenerateGap(f"Hamiltonian gap {gap:.3e} too small to certify")
     g = interaction_degree(ham)
     if g == 0:
-        bound = 0.0
-        gamma_star = 1.0 - 1e-12
-    else:
-        bound = 1.0 / math.sqrt(gap / g**2 + 1.0)
-        gamma_star = 1.0 - bound
+        return 1.0 - 1e-12, 0.0
+    bound = 1.0 / math.sqrt(gap / g**2 + 1.0)
+    return 1.0 - bound, bound
+
+
+def singular_gap(dl: DlOperator, ham: LocalHamiltonian, tol: float = 1e-8) -> SingularGap:
+    """Certified gamma* from (gap, degree) plus the empirical 1 - s_{r+1}.
+
+    dl must have been built from ham; gamma* and the bound come from
+    certified_bound(ham, tol) and the ground-space dimension r from dl.
+    Asserts the singular bound s_{r+1} <= 1 / sqrt(gap / g^2 + 1) + 1e-9.
+    """
+    gamma_star, bound = certified_bound(ham, tol)
     r = dl.ground_dimension
     s = dl.svd.s
     s_next = float(s[r]) if r < s.size else 0.0
@@ -266,8 +272,8 @@ def singular_gap(dl: DlOperator, ham: LocalHamiltonian, tol: float = 1e-8) -> Si
     return SingularGap(
         gamma_star=gamma_star,
         r=r,
-        gamma=gap,
-        g=g,
+        gamma=dl.ground_gap,
+        g=interaction_degree(ham),
         s_next=s_next,
         empirical_gap=1.0 - s_next,
         bound=bound,

@@ -4,9 +4,9 @@ These are the whole-register computations the package no longer runs: the
 ground space of an assembled Hamiltonian from a full eigendecomposition,
 the frustration check on its ground vectors, the dense parent
 Hamiltonian summed from its local terms, the dense projector of a
-ProjectorResult and the transition from the SVD of a dense product of two
-projectors.  They are kept here, and not in dlgibbs, because only tests
-read them.
+ProjectorResult, the transition from the SVD of a dense product of two
+projectors, and the boost coefficients from scipy.special's erfcinv and
+ive.  They are kept here, and not in dlgibbs, because only tests read them.
 """
 
 from __future__ import annotations
@@ -15,8 +15,11 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
+import math
+
 import numpy as np
 from numpy.polynomial import chebyshev
+from scipy.special import erfcinv, ive
 
 from dlgibbs.anneal import TransitionBackend, _check_overlap
 from dlgibbs.errors import BadParams, DegenerateGapWarning, RankAmbiguous
@@ -157,3 +160,24 @@ def dense_transition(
         return np.outer(svd.u[:, 0], svd.vh[0, :])
     boosted = chebyshev.chebval(np.clip(s, 0.0, 1.0), backend.coefficients)
     return (svd.u * boosted) @ svd.vh
+
+
+def scipy_boost_coefficients(b: float, epsilon: float, degree: int) -> np.ndarray:
+    """anneal.boost_coefficients with erfcinv and e^{-z} I_j(z) from scipy.special."""
+    k = float(erfcinv(epsilon / 2.0)) / b
+    z = 0.5 * k * k
+    pref = 2.0 * k / math.sqrt(math.pi)
+    coeffs = np.zeros(degree + 1)
+    coeffs[1] += pref * float(ive(0, z))
+    jmax = (degree + 1) // 2
+    for j in range(1, jmax + 1):
+        w = pref * float(ive(j, z)) * (-1.0) ** j
+        if 2 * j + 1 <= degree:
+            coeffs[2 * j + 1] += w / (2 * j + 1)
+        coeffs[2 * j - 1] -= w / (2 * j - 1)
+    coeffs[0::2] = 0.0
+    grid = np.linspace(-1.0, 1.0, 8001)
+    sup = float(np.abs(chebyshev.chebval(grid, coeffs)).max())
+    if sup > 1.0:
+        coeffs = coeffs / sup
+    return coeffs

@@ -9,8 +9,12 @@ import pytest
 from numpy.polynomial import chebyshev
 
 import dlgibbs.anneal
+from scipy.special import erfcinv, ive
+
 from dlgibbs.anneal import (
     Schedule,
+    _erfcinv,
+    _scaled_bessel_i,
     boost_coefficients,
     boost_degree,
     error_budget,
@@ -24,6 +28,8 @@ from dlgibbs.errors import (
     BadAlpha,
     BadInputs,
     BadParams,
+    DegenerateGap,
+    FrustrationDetected,
     IrreducibilityWarning,
     NotDetailedBalanced,
     OverflowDetected,
@@ -45,7 +51,7 @@ from dlgibbs.kms import LindbladTerm
 from dlgibbs.linalg import Svd, spectral_norm
 from dlgibbs.parent import purified_gibbs
 from dlgibbs.projector import ProjectorResult
-from reference import dense_projector, dense_transition
+from reference import dense_projector, dense_transition, scipy_boost_coefficients
 
 
 def test_schedule_formula():
@@ -170,6 +176,47 @@ def test_boost_rejects_bad_inputs():
         boost_coefficients(0.5, 1e-3, 0)
     with pytest.raises(BadInputs):
         boost_degree(1.2, 1e-3)
+
+
+# b over [0.02, 1] and epsilon over [1e-12, 1e-1], at half, all and one past
+# the default degree: z = erfcinv(epsilon/2)^2 / (2 b^2) runs from 0.96 to
+# about 3e4, and the degree up to 3455.
+_BOOST_GRID = [
+    (b, eps, degree)
+    for b in (0.02, 0.07, 0.25, 0.6, 1.0)
+    for eps in (1e-12, 1e-9, 1e-6, 1e-3, 1e-1)
+    for l in (boost_degree(b, eps),)
+    for degree in sorted({max(1, l // 2), l, l + 1})
+]
+
+
+def test_boost_coefficients_match_the_scipy_reference():
+    # Every coefficient within 1e-15 of the prefactor 2k/sqrt(pi), which
+    # bounds the series' coefficients.
+    for b, eps, degree in _BOOST_GRID:
+        got = boost_coefficients(b, eps, degree)
+        want = scipy_boost_coefficients(b, eps, degree)
+        pref = 2.0 * float(erfcinv(eps / 2.0)) / b / math.sqrt(math.pi)
+        assert got.shape == want.shape and np.abs(got[0::2]).max() == 0.0
+        err = float(np.abs(got - want).max())
+        assert err <= 1e-15 * pref, (b, eps, degree, err / pref)
+
+
+def test_erfcinv_matches_scipy_within_four_ulp():
+    for y in np.geomspace(5e-13, 0.05, 400):
+        want = float(erfcinv(y))
+        assert abs(_erfcinv(float(y)) - want) <= 4 * np.spacing(want), y
+
+
+def test_scaled_bessel_values_match_scipy():
+    # Every e^{-z} I_j(z) up to jmax agrees in absolute terms, from z near 0
+    # to the largest z of the boost grid, where the exponent of
+    # e^{z (cos t - 1)} must keep its relative accuracy near t = 0.
+    for z in (1e-3, 0.96, 12.5, 400.0, 3.0e4):
+        jmax = 40 + int(5 * math.sqrt(z))
+        got = _scaled_bessel_i(jmax, z)
+        want = ive(np.arange(jmax + 1), z)
+        assert np.abs(got - want).max() <= 1e-16 + 1e-15 * want[0], z
 
 
 def test_transition_fixed_point():
@@ -392,6 +439,66 @@ def test_run_annealing_dl_qsvt_three_sites():
     assert run.tally.total == sched.steps * (
         run.projector_degree * run.m_terms + run.budgets.degree
     )
+
+
+def _frustrated(ham):
+    """ham with its first term shifted by 1e-3 I: ground energy 1e-3, not 0."""
+    t = ham.terms[0]
+    shifted = LocalOperator(t.op + 1e-3 * np.eye(t.op.shape[0]), t.support)
+    return LocalHamiltonian(n=ham.n, terms=(shifted,) + ham.terms[1:])
+
+
+@pytest.mark.parametrize("check", ["frustration", "top block"])
+def test_dl_qsvt_anneal_raises_a_last_step_dl_failure_after_the_earlier_transitions(
+    monkeypatch, check
+):
+    # The projectors are built step by step between the transitions, so a
+    # failing DL check of the last step fires after transition K - 1, with
+    # the error dl_operator raises on that step's input.
+    ham = make_instance("zz_chain", 3)
+    sched = make_schedule(0.5, spectral_norm(assemble(ham)))
+    k = sched.steps
+    real_pin = dlgibbs.anneal.parent_projector_input
+    real_dl = dlgibbs.anneal.dl_operator
+    real_svd = dlgibbs.projector.singular_value_decompose
+    real_transition = dlgibbs.anneal.transition
+    pins, transitions = [], []
+
+    def lowered(a):
+        # s_r = 1 - 2e-8, below the 1 - 1e-8 the top block must reach.
+        svd = real_svd(a)
+        return Svd(u=svd.u, s=np.concatenate([[1.0 - 2e-8], svd.s[1:]]), vh=svd.vh)
+
+    def failing_dl(parent_ham):
+        if parent_ham is not pins[-1].ham or check != "top block":
+            return real_dl(parent_ham)
+        with monkeypatch.context() as m:
+            m.setattr(dlgibbs.projector, "singular_value_decompose", lowered)
+            return real_dl(parent_ham)
+
+    def tracked_pin(ph):
+        pin = real_pin(ph)
+        if len(pins) == k and check == "frustration":
+            pin = replace(pin, ham=_frustrated(pin.ham))
+        pins.append(pin)
+        return pin
+
+    def tracked_transition(*args):
+        transitions.append(len(pins))
+        return real_transition(*args)
+
+    monkeypatch.setattr(dlgibbs.anneal, "parent_projector_input", tracked_pin)
+    monkeypatch.setattr(dlgibbs.anneal, "dl_operator", failing_dl)
+    monkeypatch.setattr(dlgibbs.anneal, "transition", tracked_transition)
+    error = FrustrationDetected if check == "frustration" else DegenerateGap
+    with pytest.raises(error) as raised:
+        run_annealing(
+            ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt"
+        )
+    assert k >= 2 and transitions == [k + 1] * (k - 1)
+    with pytest.raises(error) as direct:
+        failing_dl(pins[-1].ham)
+    assert str(raised.value) == str(direct.value)
 
 
 def _dense_step(pa, pb, a, b, state, backend):

@@ -416,6 +416,21 @@ def test_dl_qsvt_anneal_reads_parent_terms_through_local_blocks(monkeypatch, dec
         assert err[0] == err[1] <= side + 2
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_dl_qsvt_anneal_takes_one_ground_cluster_eigvalsh_per_step(monkeypatch, n):
+    ham = make_instance("zz_chain", n)
+    sched = make_schedule(0.5, spectral_norm(assemble(ham)))
+    d2 = 4**ham.n
+    clusters = _count_calls(monkeypatch, "hermitian_eigenvalues", dlgibbs.linalg)
+    run_annealing(
+        ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt"
+    )
+    # Each parent's ground cluster is read twice, for its certified gamma*
+    # before the projectors and by its dl_operator, and computed once.
+    k = sched.steps
+    assert [np.shape(a[0]) for a in clusters] == [(d2, d2)] * (k + 1)
+
+
 def test_project_run_takes_one_svd_of_the_dl_operator(decomps, tmp_path):
     cfg = parse_config(
         "experiment = project\n[model]\nkind = random_ff_projectors\nn = 5\n"

@@ -393,22 +393,29 @@ ell_max = 3
     assert rows[0].startswith("random_ff_projectors-n4-s9,")
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy.special is imported where the anneal boost polynomial needs it;
-    # `import dlgibbs.cli` alone pays for numpy only.
-    src = Path(__file__).resolve().parent.parent / "src"
+def test_cli_import_loads_no_scipy(tmp_path):
+    # Neither `import dlgibbs.cli` nor a dl_qsvt anneal, whose polynomial
+    # transitions build the boost coefficients, loads any scipy module.
+    tests = Path(__file__).resolve().parent
+    src = tests.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    cfg = tests / "golden" / "n4" / "anneal.cfg"
     probe = (
         "import sys, dlgibbs.cli; "
-        "print(sorted(k for k in sys.modules if k.startswith('scipy')))"
+        "print(sorted(k for k in sys.modules if k.startswith('scipy'))); "
+        "code = dlgibbs.cli.main(['anneal', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+        "print(code, sorted(k for k in sys.modules if k.startswith('scipy')))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", probe, str(cfg), str(tmp_path)],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"
+    assert (tmp_path / "anneal.csv").exists()

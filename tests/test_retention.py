@@ -7,8 +7,10 @@ legs.  Weak references show what is still held: no earlier channel factor
 while the next one is made.  Of its R_1 x d core, dl_operator keeps only
 the SVD, so no dl_qsvt anneal step holds a core once its DL operator is
 built.  The transitions read the projectors through those SVD factors, so
-no d x d projector or product is held while they run, and run_annealing
-releases each step's factors once its outgoing transition has run.
+no d x d projector or product is held while they run.  run_annealing
+builds each step's factors after the previous transition and releases them
+once their outgoing transition has run, so transition j holds exactly the
+factors of steps j - 1 and j.
 """
 
 from __future__ import annotations
@@ -102,8 +104,10 @@ def test_dl_qsvt_anneal_step_keeps_no_composite(monkeypatch):
     real_svd = dlgibbs.projector.singular_value_decompose
     real_dl = dlgibbs.anneal.dl_operator
     real_transition = dlgibbs.anneal.transition
+    real_pin = dlgibbs.anneal.parent_projector_input
     refs: list[weakref.ref] = []
     factors: list[int] = []
+    local_terms: set[int] = set()
     after_dl: list[tuple[int, int]] = []
     alive_at_transition: list[int] = []
     held_at_transition: list[set[int]] = []
@@ -124,6 +128,11 @@ def test_dl_qsvt_anneal_step_keeps_no_composite(monkeypatch):
         factors.extend((id(dl.svd.u), id(dl.svd.vh)))
         return dl
 
+    def tracked_pin(*args, **kwargs):
+        pin = real_pin(*args, **kwargs)
+        local_terms.update(id(t.op) for t in pin.ham.terms)
+        return pin
+
     def tracked_transition(*args, **kwargs):
         alive_at_transition.append(alive())
         held_at_transition.append({id(x) for x in _held_square_arrays(sys._getframe(1), d)})
@@ -132,6 +141,7 @@ def test_dl_qsvt_anneal_step_keeps_no_composite(monkeypatch):
     monkeypatch.setattr(dlgibbs.projector, "singular_value_decompose", tracked_svd)
     monkeypatch.setattr(dlgibbs.anneal, "dl_operator", tracked_dl)
     monkeypatch.setattr(dlgibbs.anneal, "transition", tracked_transition)
+    monkeypatch.setattr(dlgibbs.anneal, "parent_projector_input", tracked_pin)
     run_annealing(
         ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=1.0), sched, 0.1, "dl_qsvt"
     )
@@ -139,10 +149,15 @@ def test_dl_qsvt_anneal_step_keeps_no_composite(monkeypatch):
     # it returns; none is alive when the transitions run.
     assert after_dl == [(1, 0)] * len(sched.betas)
     assert alive_at_transition == [0] * sched.steps
-    # At every transition the only d x d arrays run_annealing holds are the
-    # DL SVD factors: no dense projector or product of two.
+    # At every transition the only d x d arrays run_annealing holds are DL
+    # SVD factors and the local parent terms the later steps' DL operators
+    # are built from (at n = 2 a term's doubled support is the whole
+    # register): no dense projector or product of two.
     assert len(held_at_transition) == sched.steps
-    assert all(held and held <= set(factors) for held in held_at_transition)
+    assert all(
+        held & set(factors) and held <= set(factors) | local_terms
+        for held in held_at_transition
+    )
 
 
 def test_dl_qsvt_anneal_releases_each_step_svd_after_its_outgoing_transition(monkeypatch):
@@ -168,7 +183,7 @@ def test_dl_qsvt_anneal_releases_each_step_svd_after_its_outgoing_transition(mon
         ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=1.0), sched, 0.1, "dl_qsvt"
     )
     # Transition j reads steps j - 1 and j; every step before j - 1 has had
-    # its outgoing transition and its U is gone.
+    # its outgoing transition and its U is gone, and no step after j is built.
     k = sched.steps
     assert len(refs) == k + 1 and k >= 2
-    assert alive_at_transition == [list(range(j - 1, k + 1)) for j in range(1, k + 1)]
+    assert alive_at_transition == [[j - 1, j] for j in range(1, k + 1)]
