@@ -16,10 +16,11 @@ maximally entangled state, each step applies a transition operator
 
 obtained by boosting the dominant singular value of P_j P_{j-1}, the
 product of (approximate) rank-one projectors onto consecutive purified
-states.  The boost is either an oracle (divide out the top singular
-value) or an explicit odd polynomial p with |p| <= 1 on [-1, 1] and
-p >= 1 - eps on [b, 1], built from the Chebyshev series of erf(kx) with
-k chosen so erf(kb) = 1 - eps/2; degree ceil(c_b log(1/eps) / b)
+states.  With exact rank-one projectors the boost divides out the top
+singular value, |<psi_j|psi_{j-1}>|, in closed form.  Otherwise it is an
+explicit odd polynomial p (TransitionBackend) with |p| <= 1 on [-1, 1]
+and p >= 1 - eps on [b, 1], built from the Chebyshev series of erf(kx)
+with k chosen so erf(kb) = 1 - eps/2; degree ceil(c_b log(1/eps) / b)
 suffices.  With per-step budgets
 
     eps = delta/(4K),   sqrt(mu) <= delta/(16 sqrt(3) l K),
@@ -90,7 +91,6 @@ from .projector import (
 # (b, eps) in the tests; 2.5 leaves roughly a factor-2 margin.
 C_BOOST = 2.5
 
-_BACKENDS = ("oracle", "polynomial")
 _MODES = ("exact", "dl_qsvt")
 
 
@@ -228,58 +228,42 @@ def boost_degree(b: float, epsilon: float) -> int:
 
 @dataclass(frozen=True)
 class TransitionBackend:
-    """How transition operators boost the dominant singular value.
+    """The polynomial boost of transition operators' singular values.
 
-    kind "oracle" divides out the top singular value exactly; kind
-    "polynomial" applies the odd erf-based boost of the given degree to
-    all singular values.  b is the overlap floor the boost is built
-    for and epsilon the per-step accuracy.
+    The odd erf-based boost of the given degree, with Chebyshev
+    coefficients, is applied to all singular values.  b is the overlap
+    floor the boost is built for and epsilon the per-step accuracy.
     """
 
-    kind: str
     b: float
     epsilon: float
-    degree: int = 0
-    coefficients: np.ndarray | None = None
+    degree: int
+    coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind not in _BACKENDS:
-            raise UnknownKind(f"unknown transition backend {self.kind!r}")
         if not 0 < self.b <= 1:
             raise BadInputs(f"overlap floor must lie in (0, 1], got {self.b}")
-        if self.kind == "polynomial" and (
-            self.coefficients is None or self.degree < 1
-        ):
-            raise BadInputs("polynomial backend needs a degree and coefficients")
+        if self.degree < 1:
+            raise BadInputs(f"boost degree must be >= 1, got {self.degree}")
 
 
 def transition_backend(
-    kind: str,
     b: float,
-    epsilon: float = 0.0,
+    epsilon: float,
     degree: int | None = None,
 ) -> TransitionBackend:
     """Build a transition backend, deriving the polynomial degree if absent."""
-    if kind == "oracle":
-        return TransitionBackend(kind="oracle", b=b, epsilon=float(epsilon))
-    if kind != "polynomial":
-        raise UnknownKind(f"unknown transition backend {kind!r}")
     l = boost_degree(b, epsilon) if degree is None else int(degree)
     coeffs = boost_coefficients(b, epsilon, l)
-    return TransitionBackend(
-        kind="polynomial",
-        b=b,
-        epsilon=float(epsilon),
-        degree=l,
-        coefficients=coeffs,
-    )
+    return TransitionBackend(b=b, epsilon=float(epsilon), degree=l, coefficients=coeffs)
 
 
-def _check_overlap(s0: float, backend: TransitionBackend) -> None:
-    if s0 < backend.b / 2:
+def _check_overlap(s0: float, b: float) -> None:
+    """OverlapTooSmall when the dominant singular value s0 is below b / 2."""
+    if s0 < b / 2:
         raise OverlapTooSmall(
             f"dominant singular value {s0:.3e} is below half the overlap "
-            f"floor {backend.b:.3e}"
+            f"floor {b:.3e}"
         )
 
 
@@ -317,8 +301,6 @@ def transition(
     matrix-vector products.  OverlapTooSmall and RankAmbiguous read the top
     two singular values of P_b P_a, as for the dense product.
     """
-    if backend.kind != "polynomial":
-        raise BadParams(f"transitions boost by a polynomial, not {backend.kind!r}")
     ra, ca = _padding(pa)
     rb, cb = _padding(pb)
     ua, vha, ub, vhb = pa.svd.u, pa.svd.vh, pb.svd.u, pb.svd.vh
@@ -341,7 +323,7 @@ def transition(
     core = singular_value_decompose(p_z[:, None] * m_z)
     cc = ca * cb
     s = np.sort(np.concatenate([core.s[:2], np.full(min(2, d - k), abs(cc))]))[::-1]
-    _check_overlap(s[0], backend)
+    _check_overlap(s[0], backend.b)
     if len(s) > 1 and s[1] > s[0] / 10:
         raise RankAmbiguous(
             f"second singular value {s[1]:.3e} is within a factor 10 of the "
@@ -455,7 +437,7 @@ def run_annealing(
     weight profile's beta replaced by beta_j, and one build_parent checks
     it for detailed balance; its ground vector, the purified fixed point
     vec(sqrt(sigma_j)), is targeted by a rank-one projector: exactly (mode
-    "exact", oracle transitions in closed form, no query cost) or through
+    "exact", transitions in closed form, no query cost) or through
     the parent-Hamiltonian detectability-lemma pipeline at uniform
     polynomial degree (mode "dl_qsvt", boosted polynomial transitions).
     The initial projector at beta = 0 is part of the setup and never
@@ -522,19 +504,12 @@ def run_annealing(
     step_bound = delta / (2.0 * k_steps)
 
     ell = transition_queries = 0
-    if projector_mode == "exact":
-        backend = transition_backend("oracle", b_floor, epsilon=budgets.epsilon)
-    else:
+    if projector_mode == "dl_qsvt":
         target_err = budgets.projector_error
         ell = max(
             degree_for_error(certified_bound(pin.ham)[0], target_err) for pin in pins
         )
-        backend = transition_backend(
-            "polynomial",
-            b_floor,
-            epsilon=budgets.epsilon,
-            degree=budgets.degree,
-        )
+        backend = transition_backend(b_floor, budgets.epsilon, degree=budgets.degree)
         transition_queries = budgets.degree
 
     # Pass 2: step j's projector, then transition j.  Step j's DL factors
@@ -553,10 +528,10 @@ def run_annealing(
             a, b = targets[j - 1], targets[j]
             if projector_mode == "exact":
                 # Both projectors are rank one: P_b P_a = <b|a> b a dagger, so
-                # s_0 = |<b|a>| and s_1 = 0 (RankAmbiguous cannot fire), and the
-                # oracle transition is the phase of <b|a> times b a dagger.
+                # s_0 = |<b|a>| and s_1 = 0 (RankAmbiguous cannot fire), and
+                # dividing out s_0 leaves the phase of <b|a> times b a dagger.
                 ba = np.vdot(b, a)
-                _check_overlap(abs(ba), backend)
+                _check_overlap(abs(ba), b_floor)
                 phase = ba / abs(ba)
                 err = float(abs(phase - 1.0))  # ||(phase - 1) b a dagger||
                 state = (phase * np.vdot(a, state)) * b

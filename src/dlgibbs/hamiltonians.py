@@ -7,13 +7,21 @@ embedding permutes axes rather than assuming contiguity.  Operator
 matrices are float64 when their entries are exactly real and complex128
 otherwise (linalg.real_if_exact), and embedding and assembly keep that
 dtype.
+
+The leg convention.  A register is held as a tensor with one axis of size
+2 per qubit, qubit 0 first, and a block of vectors adds one axis for its
+columns, last.  A matrix on the qubits legs acts with legs moved to the
+front in the order listed and the other axes behind them in their own
+order, so the columns go last.  _leg_plan computes that axis order and its
+inverse once per (legs, number of axes) for apply_local, sweep_projectors,
+lift_basis, embed and add_embedded.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -156,28 +164,36 @@ def _diagonal_index(k: int) -> tuple[np.ndarray, ...]:
     return tuple((states >> (k - 1 - i)) & 1 for i in range(k))
 
 
-def _held(full: np.ndarray, support: Sequence[int], n: int) -> tuple[np.ndarray, tuple]:
-    """full (2^n x 2^n) with its qubit axes held in the order (support, rest).
+@lru_cache(maxsize=None)
+def _leg_plan(legs: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(order, back): legs first, then the other of ndim axes ascending, and its inverse."""
+    order = legs + tuple(a for a in range(ndim) if a not in legs)
+    return order, tuple(sorted(range(ndim), key=order.__getitem__))
 
-    Returns that view, rows then columns, and the index of the identity's
-    diagonal on the rest: view[index] is a stack of operators on support,
-    2 len(support) axes of size 2 after one stacking axis.
+
+def _held(full: np.ndarray, support: tuple[int, ...], n: int) -> tuple[np.ndarray, tuple]:
+    """full (2^n x 2^n) with the row and column legs of support moved to the front.
+
+    Returns that view, its axes ordered (support rows, support columns,
+    other rows, other columns), and the index of the identity's diagonal on
+    the other qubits: view[index] is 2 len(support) axes of size 2, one
+    operator on support, followed by one axis along that diagonal (of
+    length 1 when support is the whole register).
     """
     if any(q >= n for q in support):
         raise SupportOutOfRange(f"support {tuple(support)} exceeds register size {n}")
-    order = list(support) + [q for q in range(n) if q not in support]
-    held = full.reshape([2] * (2 * n)).transpose(order + [n + q for q in order])
-    legs = (slice(None),) * len(support)
-    diagonal = _diagonal_index(n - len(support))
-    return held, legs + diagonal + legs + diagonal
+    order, _ = _leg_plan(support + tuple(n + q for q in support), 2 * n)
+    held = full.reshape([2] * (2 * n)).transpose(order)
+    diagonal = 2 * _diagonal_index(n - len(support)) or (None,)
+    return held, (slice(None),) * (2 * len(support)) + diagonal
 
 
 def embed(op: LocalOperator, n: int) -> np.ndarray:
     """Lift a local operator to the full 2^n-dimensional register.
 
     The operator is written onto the identity's diagonal through a view of
-    the output whose qubit axes are held in the order (support, rest), so
-    no kron product or transposed copy is formed.  Off the diagonal each
+    the output with support's legs moved to the front (_held), so no kron
+    product or transposed copy is formed.  Off the diagonal each
     entry is op * 0 and on it op * 1, the products np.kron forms, so the
     result is bitwise that of kron(op, I) transposed into place (signed
     zeros included).
@@ -186,9 +202,8 @@ def embed(op: LocalOperator, n: int) -> np.ndarray:
     p = len(op.support)
     out = np.empty((2**n, 2**n), dtype=a.dtype)
     held, diagonal = _held(out, op.support, n)
-    blocks = [2] * p + [1] * (n - p)
-    held[...] = (a * np.zeros((), a.dtype)).reshape(blocks + blocks)
-    held[diagonal] = (a * np.ones((), a.dtype)).reshape([2] * (2 * p))
+    held[...] = (a * np.zeros((), a.dtype)).reshape([2] * (2 * p) + [1] * (2 * (n - p)))
+    held[diagonal] = (a * np.ones((), a.dtype)).reshape([2] * (2 * p) + [1])
     return out
 
 
@@ -205,7 +220,7 @@ def add_embedded(total: np.ndarray | None, op: LocalOperator, n: int) -> np.ndar
     if np.result_type(total, op.op) != total.dtype:
         total = total.astype(np.result_type(total, op.op))
     held, diagonal = _held(total, op.support, n)
-    held[diagonal] += op.op.reshape([2] * (2 * len(op.support)))
+    held[diagonal] += op.op.reshape([2] * (2 * len(op.support)) + [1])
     return total
 
 
@@ -233,12 +248,26 @@ def interaction_degree(ham: LocalHamiltonian) -> int:
     return support_overlap_degree([t.support for t in ham.terms])
 
 
-def _pair_degree(k: int, exceeds: Callable[[int, int], bool]) -> int:
-    """Max over k entries of the number of others b with exceeds(a, b), a < b."""
+def _pair_degree(k: int, supports: Sequence[Sequence[int]] | None, exceeds: Callable) -> int:
+    """Max over k entries of the number of others b with exceeds(a, b, pair), a < b.
+
+    Without supports every entry acts on the whole register and pair is
+    None.  With them, entries on disjoint supports commute exactly and are
+    not compared; an overlapping pair is compared on the sorted union of
+    its supports, and pair is (legs_a, legs_b, width): each support
+    relabelled to its positions in that union of width qubits.
+    """
     counts = [0] * k
     for a in range(k):
         for b in range(a + 1, k):
-            if exceeds(a, b):
+            pair = None
+            if supports is not None:
+                sa, sb = supports[a], supports[b]
+                union = sorted(set(sa) | set(sb))
+                if len(union) == len(sa) + len(sb):
+                    continue
+                pair = ([union.index(q) for q in sa], [union.index(q) for q in sb], len(union))
+            if exceeds(a, b, pair):
                 counts[a] += 1
                 counts[b] += 1
     return max(counts, default=0)
@@ -254,7 +283,8 @@ def noncommutation_degree(mats: list[np.ndarray], tol: float = 1e-10) -> int:
     bound = tol * scale * scale
     return _pair_degree(
         len(mats),
-        lambda a, b: norm_exceeds(mats[a] @ mats[b] - mats[b] @ mats[a], bound),
+        None,
+        lambda a, b, _: norm_exceeds(mats[a] @ mats[b] - mats[b] @ mats[a], bound),
     )
 
 
@@ -263,33 +293,41 @@ def lift_basis(
 ) -> np.ndarray:
     """Orthonormal columns v on the qubits legs, tensored with I on the rest of union.
 
-    Rows follow union's order and columns the order (column of v, rest
-    of union), so the result spans the range of (V V dagger) tensor I on
-    the 2^len(union) register.  Placed on the identity's diagonal as in
-    embed.
+    Rows are the register union, its qubits in the order listed, and the
+    columns are a block on the rest of union: v's column first, then the
+    other qubits (the leg convention of the module docstring), so the
+    result spans the range of (V V dagger) tensor I on the 2^len(union)
+    register.  Placed on the identity's diagonal as in embed.
     """
     if list(legs) == list(union):
         return v
-    rest = [q for q in union if q not in legs]
-    k, cols = len(union), v.shape[1]
-    pos = {q: i for i, q in enumerate(union)}
-    out = np.zeros((2**k, cols * 2 ** len(rest)), dtype=v.dtype)
-    held = out.reshape([2] * k + [cols] + [2] * len(rest)).transpose(
-        [pos[q] for q in legs] + [pos[q] for q in rest] + list(range(k, k + 1 + len(rest)))
-    )
-    diagonal = _diagonal_index(len(rest))
+    k, cols, rest = len(union), v.shape[1], len(union) - len(legs)
+    order, _ = _leg_plan(tuple(list(union).index(q) for q in legs), k + 1 + rest)
+    out = np.zeros((2**k, cols * 2**rest), dtype=v.dtype)
+    held = out.reshape([2] * k + [cols] + [2] * rest).transpose(order)
+    diagonal = _diagonal_index(rest)
     held[(slice(None),) * len(legs) + diagonal + (slice(None),) + diagonal] = v.reshape(
         [2] * len(legs) + [cols]
     )
     return out
 
 
-def apply_local(a: np.ndarray, legs: Sequence[int], z: np.ndarray) -> np.ndarray:
-    """(a on the qubits legs, tensor I elsewhere) z, on z's legs as in sweep_projectors."""
+def apply_local(
+    a: np.ndarray, legs: Sequence[int], z: np.ndarray, *factors: np.ndarray
+) -> np.ndarray:
+    """(a factors[0] ... factors[-1] on the qubits legs, tensor I elsewhere) z.
+
+    z is a vector on a register of qubits or a block of such vectors as its
+    columns, held by the leg convention of the module docstring.  The
+    factors are applied right to left, so the product is never formed:
+    apply_local(v, legs, z, v.conj().T) is V (V dagger z) on legs.
+    """
     shape = (2,) * (z.shape[0].bit_length() - 1) + z.shape[1:]
-    order = list(legs) + [i for i in range(len(shape)) if i not in legs]
-    t = a @ z.reshape(shape).transpose(order).reshape(a.shape[0], -1)
-    return t.reshape(shape).transpose(np.argsort(order)).reshape(z.shape)
+    order, back = _leg_plan(tuple(legs), len(shape))
+    t = z.reshape(shape).transpose(order).reshape(a.shape[0], -1)
+    for f in reversed(factors):
+        t = f @ t
+    return (a @ t).reshape(shape).transpose(back).reshape(z.shape)
 
 
 def sweep_projectors(
@@ -297,23 +335,12 @@ def sweep_projectors(
 ) -> np.ndarray:
     """Pi_m ... Pi_1 z with Pi = V V dagger on its legs of z, tensor I elsewhere.
 
-    z is a vector on a register of qubits (legs), or a block of such
-    vectors as its columns; each Pi acts on its legs moved to the front,
-    with the rest and the columns behind them.  When the legs are the whole
-    register this is z -> V (V dagger z).  Reversed bases and legs give
-    Pi_1 ... Pi_m z.
+    z is a vector or a block of vectors, held by the leg convention of the
+    module docstring; each Pi is applied by apply_local as V (V dagger z).
+    Reversed bases and legs give Pi_1 ... Pi_m z.
     """
-    n_legs = z.shape[0].bit_length() - 1
-    shape = (2,) * n_legs + z.shape[1:]
-    axes = len(shape)
     for v, lg in zip(bases, legs):
-        order = list(lg) + [a for a in range(axes) if a not in lg]
-        back = [0] * axes
-        for i, a in enumerate(order):
-            back[a] = i
-        t = z.reshape(shape).transpose(order).reshape(v.shape[0], -1)
-        t = v @ (v.conj().T @ t)
-        z = t.reshape(shape).transpose(back).reshape(z.shape)
+        z = apply_local(v, lg, z, v.conj().T)
     return z
 
 
@@ -334,23 +361,21 @@ def projector_noncommutation_degree(
     legs[a], when given, lists the qubits bases[a] acts on (the projector
     is V V dagger tensor I elsewhere); this is the support graph of the
     projectors.  Projectors on disjoint qubits commute exactly and are not
-    compared; an overlapping pair is compared on the union of its qubits,
-    each basis lifted there by the identity (lift_basis), which leaves the
-    commutator norm unchanged.  Without legs every basis acts on the same
-    register.
+    compared; an overlapping pair is compared on the union of its qubits
+    (_pair_degree), each basis lifted there by the identity (lift_basis),
+    which leaves the commutator norm unchanged.  Without legs every basis
+    acts on the same register.
     """
-    def exceeds(a: int, b: int) -> bool:
+    def exceeds(a: int, b: int, pair: tuple | None) -> bool:
         va, vb = bases[a], bases[b]
-        if legs is not None:
-            union = sorted(set(legs[a]) | set(legs[b]))
-            if len(union) == len(legs[a]) + len(legs[b]):
-                return False
-            va, vb = lift_basis(va, legs[a], union), lift_basis(vb, legs[b], union)
+        if pair is not None:
+            la, lb, width = pair
+            va, vb = lift_basis(va, la, range(width)), lift_basis(vb, lb, range(width))
         adj_a = va.conj().T
         x = adj_a @ vb
         return norm_exceeds(x @ (vb.conj().T - x.conj().T @ adj_a), tol)
 
-    return _pair_degree(len(bases), exceeds)
+    return _pair_degree(len(bases), legs, exceeds)
 
 
 def commutation_degree(ham: LocalHamiltonian, tol: float = 1e-10) -> int:
@@ -358,24 +383,20 @@ def commutation_degree(ham: LocalHamiltonian, tol: float = 1e-10) -> int:
 
     ||A tensor I|| = ||A||, so the scale reads each term's own norm.  Terms
     on disjoint qubits commute exactly and are not compared; an overlapping
-    pair is compared on the union of its supports, where the commutator has
-    the norm it has on the register.
+    pair is compared on the union of its supports (_pair_degree), where the
+    commutator has the norm it has on the register.
     """
     terms = ham.terms
     scale = max([1.0] + [spectral_norm(t.op) for t in terms])
     bound = tol * scale * scale
 
-    def exceeds(a: int, b: int) -> bool:
-        union = sorted(set(terms[a].support) | set(terms[b].support))
-        if len(union) == len(terms[a].support) + len(terms[b].support):
-            return False
-        ta, tb = (
-            embed(LocalOperator(t.op, [union.index(q) for q in t.support]), len(union))
-            for t in (terms[a], terms[b])
-        )
+    def exceeds(a: int, b: int, pair: tuple) -> bool:
+        la, lb, width = pair
+        ta = embed(LocalOperator(terms[a].op, la), width)
+        tb = embed(LocalOperator(terms[b].op, lb), width)
         return norm_exceeds(ta @ tb - tb @ ta, bound)
 
-    return _pair_degree(len(terms), exceeds)
+    return _pair_degree(len(terms), [t.support for t in terms], exceeds)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ from .hamiltonians import (
     LocalHamiltonian,
     LocalOperator,
     add_embedded,
+    apply_local,
     support_overlap_degree,
 )
 from .kms import (
@@ -193,11 +194,9 @@ def purified_gibbs(ham: LocalHamiltonian, beta: float) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def _frustration(term: ParentTerm, ground: np.ndarray, nq: int) -> float:
-    """||H^a ground||: mat applied to ground's legs in support, moved to the front."""
-    order = list(term.support) + [a for a in range(nq) if a not in term.support]
-    legs = ground.reshape((2,) * nq).transpose(order).reshape(term.mat.shape[0], -1)
-    return float(np.linalg.norm(term.mat @ legs))
+def _frustration(term: ParentTerm, ground: np.ndarray) -> float:
+    """||H^a ground||, with mat applied to ground's legs in support."""
+    return float(np.linalg.norm(apply_local(term.mat, term.support, ground)))
 
 
 def verify_parent(ph: ParentHamiltonian) -> ParentReport:
@@ -205,7 +204,7 @@ def verify_parent(ph: ParentHamiltonian) -> ParentReport:
 
     Hermiticity and locality residuals are the ones build_parent measured.
     """
-    frus = tuple(_frustration(t, ph.ground, 2 * ph.n) for t in ph.terms)
+    frus = tuple(_frustration(t, ph.ground) for t in ph.terms)
     locality = tuple(t.locality_residual for t in ph.terms)
     warns: tuple[str, ...] = ()
     if None in locality:

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 from scipy.special import erfcinv, ive
 
-from dlgibbs.anneal import TransitionBackend, _check_overlap
+from dlgibbs.anneal import _check_overlap
 from dlgibbs.errors import BadParams, DegenerateGapWarning, RankAmbiguous
 from dlgibbs.hamiltonians import (
     LocalHamiltonian,
@@ -133,13 +133,15 @@ def dense_projector(res: ProjectorResult) -> np.ndarray:
 
 
 def dense_transition(
-    pa: np.ndarray, pb: np.ndarray, backend: TransitionBackend
+    pa: np.ndarray, pb: np.ndarray, b: float, coefficients: np.ndarray | None = None
 ) -> np.ndarray:
     """Transition operator O_tilde ~ |psi_b><psi_a| from projectors Pa, Pb.
 
-    Takes the singular value decomposition of Pb @ Pa and either divides
-    the dominant singular value to 1 (oracle) or applies the odd boost
-    polynomial to every singular value (polynomial).  Both variants have
+    Takes the singular value decomposition of Pb @ Pa, checks its top
+    singular value against the overlap floor b, and either divides the
+    dominant singular value to 1 (the oracle, without coefficients) or
+    applies the odd boost polynomial with these Chebyshev coefficients to
+    every singular value (a TransitionBackend's).  Both variants have
     operator norm at most 1.  The product u1 vh1 of the dominant
     singular vectors is gauge independent when the top singular value is
     simple, which the RankAmbiguous check enforces.
@@ -150,15 +152,15 @@ def dense_transition(
         raise BadParams(f"projector shapes {pa.shape} and {pb.shape} do not match")
     svd = singular_value_decompose(pb @ pa)
     s = svd.s
-    _check_overlap(s[0], backend)
+    _check_overlap(s[0], b)
     if len(s) > 1 and s[1] > s[0] / 10:
         raise RankAmbiguous(
             f"second singular value {s[1]:.3e} is within a factor 10 of the "
             f"first {s[0]:.3e}"
         )
-    if backend.kind == "oracle":
+    if coefficients is None:
         return np.outer(svd.u[:, 0], svd.vh[0, :])
-    boosted = chebyshev.chebval(np.clip(s, 0.0, 1.0), backend.coefficients)
+    boosted = chebyshev.chebval(np.clip(s, 0.0, 1.0), coefficients)
     return (svd.u * boosted) @ svd.vh
 
 

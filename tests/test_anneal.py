@@ -221,10 +221,9 @@ def test_scaled_bessel_values_match_scipy():
 
 def test_transition_fixed_point():
     p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    oracle = transition_backend("oracle", b=1.0)
-    assert spectral_norm(dense_transition(p0, p0, oracle) - p0) < 1e-14
-    poly = transition_backend("polynomial", b=1.0, epsilon=1e-8)
-    assert spectral_norm(dense_transition(p0, p0, poly) - p0) <= 1e-8
+    assert spectral_norm(dense_transition(p0, p0, 1.0) - p0) < 1e-14
+    poly = transition_backend(b=1.0, epsilon=1e-8)
+    assert spectral_norm(dense_transition(p0, p0, 1.0, poly.coefficients) - p0) <= 1e-8
 
 
 def test_transition_matches_rotated_closed_form():
@@ -233,10 +232,10 @@ def test_transition_matches_rotated_closed_form():
     vb = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
     pb = np.outer(vb, vb.conj())
     want = np.outer(vb, np.array([1.0, 0.0]).conj())
-    oracle = dense_transition(pa, pb, transition_backend("oracle", b=0.8))
+    oracle = dense_transition(pa, pb, 0.8)
     assert spectral_norm(oracle - want) < 1e-14
     eps = 1e-6
-    poly = dense_transition(pa, pb, transition_backend("polynomial", b=0.8, epsilon=eps))
+    poly = dense_transition(pa, pb, 0.8, transition_backend(b=0.8, epsilon=eps).coefficients)
     assert spectral_norm(poly - want) <= eps
 
 
@@ -252,8 +251,8 @@ def test_transition_backends_agree_on_rank_one_inputs():
             continue
         pa = np.outer(va, va.conj())
         pb = np.outer(vb, vb.conj())
-        o1 = dense_transition(pa, pb, transition_backend("oracle", b=0.5))
-        o2 = dense_transition(pa, pb, transition_backend("polynomial", b=0.5, epsilon=eps))
+        o1 = dense_transition(pa, pb, 0.5)
+        o2 = dense_transition(pa, pb, 0.5, transition_backend(b=0.5, epsilon=eps).coefficients)
         assert spectral_norm(o1 - o2) <= eps + 1e-9
 
 
@@ -265,24 +264,21 @@ def test_transition_norm_is_bounded():
     vb /= np.linalg.norm(vb)
     pa = np.outer(va, va)
     pb = np.outer(vb, vb)
-    for kind, kw in (("oracle", {}), ("polynomial", {"epsilon": 1e-4})):
-        o = dense_transition(pa, pb, transition_backend(kind, b=0.4, **kw))
+    for coefficients in (None, transition_backend(b=0.4, epsilon=1e-4).coefficients):
+        o = dense_transition(pa, pb, 0.4, coefficients)
         assert spectral_norm(o) <= 1.0 + 1e-12
 
 
 def test_transition_rejects_degenerate_inputs():
     p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     p1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    backend = transition_backend("oracle", b=0.9)
     with pytest.raises(OverlapTooSmall):
-        dense_transition(p0, p1, backend)
+        dense_transition(p0, p1, 0.9)
     ident = np.eye(2, dtype=complex)
     with pytest.raises(RankAmbiguous):
-        dense_transition(ident, ident, backend)
-    with pytest.raises(UnknownKind):
-        transition_backend("magic", b=0.9)
+        dense_transition(ident, ident, 0.9)
     with pytest.raises(BadParams):
-        dense_transition(p0, np.eye(3, dtype=complex), backend)
+        dense_transition(p0, np.eye(3, dtype=complex), 0.9)
 
 
 def _zz2_setup():
@@ -322,11 +318,10 @@ def test_exact_anneal_closed_form_matches_the_svd_transitions(kind, n, kinds, be
         ham, standard_couplings(n, kinds), WeightProfile(beta=beta), sched, 0.1, "exact"
     )
     targets = [purified_gibbs(ham, float(b)) for b in sched.betas]
-    backend = transition_backend("oracle", run.min_overlap)
     state = targets[0]
     for j, rec in enumerate(run.records, start=1):
         a, b = targets[j - 1], targets[j]
-        o_tilde = dense_transition(np.outer(a, a.conj()), np.outer(b, b.conj()), backend)
+        o_tilde = dense_transition(np.outer(a, a.conj()), np.outer(b, b.conj()), run.min_overlap)
         err = spectral_norm(o_tilde - np.outer(b, a.conj()))
         assert abs(rec.transition_error - err) <= 1e-12
         state = o_tilde @ state
@@ -503,7 +498,9 @@ def test_dl_qsvt_anneal_raises_a_last_step_dl_failure_after_the_earlier_transiti
 
 def _dense_step(pa, pb, a, b, state, backend):
     """transition's reference: the SVD of the dense product P_b P_a and a d x d norm."""
-    o_tilde = dense_transition(dense_projector(pa), dense_projector(pb), backend)
+    o_tilde = dense_transition(
+        dense_projector(pa), dense_projector(pb), backend.b, backend.coefficients
+    )
     return o_tilde @ state, spectral_norm(o_tilde - np.outer(b, a.conj()))
 
 
@@ -611,7 +608,7 @@ def test_factored_transition_matches_the_dense_product_on_complex_factors(
     seed, d, ra, rb, ca, cb
 ):
     pa, pb, a, b, state = _synthetic_pair(seed, d, ra, rb, ca, cb)
-    backend = transition_backend("polynomial", b=0.4, epsilon=1e-4)
+    backend = transition_backend(b=0.4, epsilon=1e-4)
     got_state, got_err = transition(pa, pb, a, b, state, backend)
     want_state, want_err = _dense_step(pa, pb, a, b, state, backend)
     assert abs(got_err - want_err) <= 1e-10 * want_err
@@ -631,7 +628,7 @@ def _raised(fn, *args):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_factored_transition_raises_where_the_dense_product_does(seed):
-    backend = transition_backend("polynomial", b=0.4, epsilon=1e-4)
+    backend = transition_backend(b=0.4, epsilon=1e-4)
     # b orthogonal to a: the top singular value is below half the floor.
     rng = np.random.default_rng(seed)
     a = _unit(rng, 16)
@@ -674,8 +671,3 @@ def test_reducible_anneal_is_rank_ambiguous_on_both_routes(monkeypatch):
             _dense_anneal(monkeypatch, *args)
     assert str(got.value) == str(want.value)
 
-
-def test_factored_transition_needs_a_polynomial_backend():
-    pa, pb, a, b, state = _synthetic_pair(0, 8, 3, 3, 0.0, 0.0)
-    with pytest.raises(BadParams, match="polynomial"):
-        transition(pa, pb, a, b, state, transition_backend("oracle", b=0.4))

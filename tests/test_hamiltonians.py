@@ -17,10 +17,12 @@ from dlgibbs.hamiltonians import (
     commutation_degree,
     embed,
     interaction_degree,
+    lift_basis,
     make_instance,
     noncommutation_degree,
     projector_noncommutation_degree,
     standard_couplings,
+    sweep_projectors,
 )
 from reference import frustration_check, ground_space
 
@@ -226,12 +228,53 @@ def test_assemble_matches_manual_sum():
     assert np.abs(h - h.conj().T).max() < 1e-14
 
 
+def _complex_basis(rng, k, r):
+    """r orthonormal complex columns on k qubits."""
+    z = rng.normal(size=(2**k, r)) + 1j * rng.normal(size=(2**k, r))
+    return np.linalg.qr(z)[0]
+
+
+@pytest.mark.parametrize("route", ["apply", "factors", "sweep", "lift"])
 @pytest.mark.parametrize("support", [(0,), (2, 0), (1, 3, 2)])
 @pytest.mark.parametrize("cols", [None, 3])
-def test_apply_local_matches_the_embedded_operator(support, cols):
+def test_apply_local_matches_the_embedded_operator(route, support, cols):
+    # Every route puts a matrix on some legs of a 4-qubit register: the
+    # dense reference embeds it and multiplies.
     rng = np.random.default_rng(len(support))
     k = len(support)
     a = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
     z = rng.normal(size=(16,) if cols is None else (16, cols))
-    dense = embed(LocalOperator(a, support), 4) @ z
-    assert np.abs(apply_local(a, support, z) - dense).max() < 1e-13
+    if route == "apply":
+        got = [apply_local(a, support, z)]
+        want = [embed(LocalOperator(a, support), 4) @ z]
+    elif route == "factors":
+        # A chain a b c with a rank-2 middle, applied right to left.
+        b = rng.normal(size=(2**k, 2)) + 1j * rng.normal(size=(2**k, 2))
+        c = rng.normal(size=(2, 2**k))
+        got = [apply_local(a, support, z, b, c)]
+        want = [embed(LocalOperator(a @ b @ c, support), 4) @ z]
+    elif route == "sweep":
+        # Complex projectors on the support, on it reversed and on (3, 1).
+        legs = [support, support[::-1], (3, 1)]
+        bases = [_complex_basis(rng, len(lg), r) for lg, r in zip(legs, (1, 2, 3))]
+        want = z
+        for v, lg in zip(bases, legs):
+            want = embed(LocalOperator(v @ v.conj().T, lg), 4) @ want
+        got = [sweep_projectors(bases, legs, z)]
+        want = [want]
+    else:
+        # Onto the whole register listed as (3, 1, 0, 2): v's first column
+        # leads the columns, then the rest of the register.
+        union = (3, 1, 0, 2)
+        v = _complex_basis(rng, k, 1 if cols is None else 2**k - 1)
+        lifted = lift_basis(v, support, union)
+        head = lifted[:, : 2 ** (4 - k)]
+        on_union = [union.index(q) for q in support]
+        got = [lifted @ lifted.conj().T, head @ head.conj().T, lifted.conj().T @ lifted]
+        want = [
+            embed(LocalOperator(v @ v.conj().T, on_union), 4),
+            embed(LocalOperator(np.outer(v[:, 0], v[:, 0].conj()), on_union), 4),
+            np.eye(lifted.shape[1]),
+        ]
+    for g, w in zip(got, want, strict=True):
+        assert np.abs(g - w).max() < 1e-13
