@@ -74,7 +74,12 @@ from .hamiltonians import LocalHamiltonian, LocalOperator
 from .jumps import WeightProfile, build_model
 from .kms import KmsForm
 from .linalg import singular_value_decompose, spectral_norm
-from .parent import build_parent, parent_projector_input, purified_gibbs
+from .parent import (
+    build_parent,
+    kernel_is_simple,
+    parent_projector_input,
+    purified_gibbs,
+)
 from .projector import (
     ProjectorResult,
     approximate_projector,
@@ -230,21 +235,17 @@ def boost_degree(b: float, epsilon: float) -> int:
 class TransitionBackend:
     """The polynomial boost of transition operators' singular values.
 
-    The odd erf-based boost of the given degree, with Chebyshev
-    coefficients, is applied to all singular values.  b is the overlap
-    floor the boost is built for and epsilon the per-step accuracy.
+    The odd erf-based boost, given by its Chebyshev coefficients, is
+    applied to all singular values.  b is the overlap floor the boost is
+    built for.
     """
 
     b: float
-    epsilon: float
-    degree: int
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
         if not 0 < self.b <= 1:
             raise BadInputs(f"overlap floor must lie in (0, 1], got {self.b}")
-        if self.degree < 1:
-            raise BadInputs(f"boost degree must be >= 1, got {self.degree}")
 
 
 def transition_backend(
@@ -254,8 +255,7 @@ def transition_backend(
 ) -> TransitionBackend:
     """Build a transition backend, deriving the polynomial degree if absent."""
     l = boost_degree(b, epsilon) if degree is None else int(degree)
-    coeffs = boost_coefficients(b, epsilon, l)
-    return TransitionBackend(b=b, epsilon=float(epsilon), degree=l, coefficients=coeffs)
+    return TransitionBackend(b=b, coefficients=boost_coefficients(b, epsilon, l))
 
 
 def _check_overlap(s0: float, b: float) -> None:
@@ -435,10 +435,10 @@ def run_annealing(
 
     At every scheduled beta_j the dissipative model is rebuilt with the
     weight profile's beta replaced by beta_j, and one build_parent checks
-    it for detailed balance; its ground vector, the purified fixed point
-    vec(sqrt(sigma_j)), is targeted by a rank-one projector: exactly (mode
-    "exact", transitions in closed form, no query cost) or through
-    the parent-Hamiltonian detectability-lemma pipeline at uniform
+    it for detailed balance and positivity; its ground vector, the purified
+    fixed point vec(sqrt(sigma_j)), is targeted by a rank-one projector:
+    exactly (mode "exact", transitions in closed form, no query cost) or
+    through the parent-Hamiltonian detectability-lemma pipeline at uniform
     polynomial degree (mode "dl_qsvt", boosted polynomial transitions).
     The initial projector at beta = 0 is part of the setup and never
     counted: the walk starts in the exactly preparable maximally entangled
@@ -446,13 +446,18 @@ def run_annealing(
     every sigma_j are read off ham.eig.
 
     The run takes two passes.  The first builds every parent and keeps its
-    ground vector and, in dl_qsvt mode, its local projector input (pin);
-    the targets' overlaps give the budgets, and the pins' certified gamma*
-    give ell.  The second builds step j's DL operator and projector from its
-    pin and then runs transition j, so at most two steps' DL factors are
-    alive.  A FrustrationDetected or DegenerateGap from step j's DL
-    operator therefore fires after every parent has been built and
-    transition j - 1 has run.
+    ground vector and, in dl_qsvt mode, its local projector input (pin),
+    built right after the parent; the targets' overlaps give the budgets,
+    and the pins' certified gamma* give ell.  An IrreducibilityWarning
+    reports a parent kernel_dim above 1.  In dl_qsvt mode the pin's ground
+    cluster, which certified_bound reads anyway, decides kernel_dim <= 1
+    by a Weyl bound (parent.kernel_is_simple), and the parent's own 4^n
+    spectrum is taken only when the bound cannot decide; exact mode reads
+    ph.kernel_dim, one spectrum per step.  The second pass builds step j's
+    DL operator and projector from its pin and then runs transition j, so
+    at most two steps' DL factors are alive.  A FrustrationDetected or
+    DegenerateGap from step j's DL operator therefore fires after every
+    parent has been built and transition j - 1 has run.
     """
     if projector_mode not in _MODES:
         raise UnknownKind(f"unknown projector mode {projector_mode!r}")
@@ -480,15 +485,17 @@ def run_annealing(
     for beta_j in betas.tolist():
         terms = build_model(ham, couplings, replace(w, beta=beta_j))
         ph = build_parent(terms, KmsForm.gibbs(ham, beta_j), ham, beta=beta_j)
-        if ph.kernel_dim > 1:
+        simple = False
+        if projector_mode == "dl_qsvt":
+            pins.append(parent_projector_input(ph))
+            simple = kernel_is_simple(ph, pins[-1])
+        if not simple and ph.kernel_dim > 1:
             msg = (
                 f"generator at beta = {beta_j:.6g} has fixed-point dimension "
                 f"{ph.kernel_dim}; the purified path is not unique"
             )
             warnings.warn(msg, IrreducibilityWarning)
             notes.append(msg)
-        if projector_mode == "dl_qsvt":
-            pins.append(parent_projector_input(ph))
         targets.append(ph.ground)
         # Drop this step's parent terms (4^n x 4^n each for non-commuting H)
         # before the next ones are built.

@@ -154,14 +154,19 @@ def bohr_grid(eig: HermitianEig) -> BohrGrid:
     return BohrGrid(eig, labels.reshape(evals.size, evals.size), centres)
 
 
+@lru_cache(maxsize=None)
 def _diagonal_index(k: int) -> tuple[np.ndarray, ...]:
     """One bit array per qubit over the 2^k basis states of k qubits.
 
     Used to index k row axes and the k matching column axes of a tensor, it
-    walks the diagonal of the identity on those qubits.
+    walks the diagonal of the identity on those qubits.  Cached per k, so
+    the arrays are read-only.
     """
     states = np.arange(2**k)
-    return tuple((states >> (k - 1 - i)) & 1 for i in range(k))
+    bits = tuple((states >> (k - 1 - i)) & 1 for i in range(k))
+    for b in bits:
+        b.flags.writeable = False
+    return bits
 
 
 @lru_cache(maxsize=None)
@@ -196,12 +201,22 @@ def embed(op: LocalOperator, n: int) -> np.ndarray:
     product or transposed copy is formed.  Off the diagonal each
     entry is op * 0 and on it op * 1, the products np.kron forms, so the
     result is bitwise that of kron(op, I) transposed into place (signed
-    zeros included).
+    zeros included); on the whole register, in order, it is op * 1.
     """
-    a = op.op
-    p = len(op.support)
+    return _embed(op.op, op.support, n)
+
+
+def _embed(a: np.ndarray, support: tuple[int, ...], n: int) -> np.ndarray:
+    """embed(LocalOperator(a, support), n) without building the LocalOperator.
+
+    a keeps its dtype, so complex input with zero imaginary parts stays
+    complex; the entries are those embed writes.
+    """
+    p = len(support)
+    if support == tuple(range(n)):
+        return a * 1
     out = np.empty((2**n, 2**n), dtype=a.dtype)
-    held, diagonal = _held(out, op.support, n)
+    held, diagonal = _held(out, support, n)
     held[...] = (a * np.zeros((), a.dtype)).reshape([2] * (2 * p) + [1] * (2 * (n - p)))
     held[diagonal] = (a * np.ones((), a.dtype)).reshape([2] * (2 * p) + [1])
     return out

@@ -243,14 +243,24 @@ def term_superoperator(term: LindbladTerm, n: int) -> Superoperator:
         lj = embed(j, n)
         ljd = lj.conj().T
         ldl = ljd @ lj
-        mat += np.kron(ljd, lj.T)
-        mat -= 0.5 * np.kron(ldl, ident)
-        mat -= 0.5 * np.kron(ident, ldl.T)
+        mat += _kron(ljd, lj.T)
+        mat -= 0.5 * _kron(ldl, ident)
+        mat -= 0.5 * _kron(ident, ldl.T)
     if term.coherent is not None:
         g = embed(term.coherent, n)
-        mat += 1j * np.kron(g, ident)
-        mat -= 1j * np.kron(ident, g.T)
+        mat += 1j * _kron(g, ident)
+        mat -= 1j * _kron(ident, g.T)
     return Superoperator(mat=mat, picture="heisenberg", dim=d)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two d x d matrices by one broadcast multiply.
+
+    np.kron forms the same products a_ij b_kl, so the result is bitwise
+    equal; only its set-up is skipped.
+    """
+    d = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d, d)
 
 
 def lindblad_superoperator(terms: Sequence[LindbladTerm], n: int) -> Superoperator:

@@ -158,8 +158,14 @@ def gauge_singular_vectors(u: np.ndarray, vh: np.ndarray) -> None:
     # hypot is what abs of one complex scalar computes; np.abs over a complex
     # array may round differently, and the gauge must not depend on that.
     phase = pivot / np.hypot(pivot.real, pivot.imag)
-    u[:, j] *= phase.conjugate()
-    vh[j, :] *= phase[:, None]
+    if j.size == k:
+        # Every column has a pivot: scale the whole block by broadcast,
+        # not by fancy-indexed writes.
+        u[:, :k] *= phase.conjugate()
+        vh[:k] *= phase[:, None]
+    else:
+        u[:, j] *= phase.conjugate()
+        vh[j, :] *= phase[:, None]
 
 
 def singular_value_decompose(a: np.ndarray) -> Svd:

@@ -24,10 +24,26 @@ h_m the round channel is built from, held on that doubled support; a term
 that is not local there raises NotLocal when it is built, and the worst
 relative residual of that check is its locality residual.  For
 non-commuting H every term is on the whole doubled register and has none.
+
+build_parent's checks are decided by bounds where a bound can decide, with
+the rounding slack of linalg.norm_exceeds, and by the dense 4^n spectrum of
+the sum only otherwise:
+
+- Detailed balance of the sum: ||sum_a anti_a|| <= sum_a ||anti_a||_F, the
+  terms' db_residuals; the assembled sum is checked only when they reach
+  DETAILED_BALANCE_TOL.
+- PositiveEigenvalue: lambda_max(sum_a H^a) <= sum_a max(0, lambda_max(H^a))
+  (Weyl), read off each local term's eigenvalues; the spectrum of the sum
+  is taken only when that bound exceeds the 1e-8 rule, and always for
+  non-commuting H, whose terms are as large as the sum.
+- gap and kernel_dim of the sum are computed on their first read.
+  kernel_is_simple decides kernel_dim <= 1 from the ground cluster of the
+  projector input instead, which a dl_qsvt anneal takes anyway.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,6 +71,8 @@ from .kms import (
     coherent_spectrum,
 )
 from .linalg import (
+    _NORM_SLACK,
+    accumulate,
     norm_exceeds,
     spectral_norm,
     vectorize,
@@ -67,6 +85,7 @@ __all__ = [
     "ParentTerm",
     "ProjectorInput",
     "build_parent",
+    "kernel_is_simple",
     "parent_projector_input",
     "purified_gibbs",
     "verify_parent",
@@ -91,24 +110,44 @@ class ParentTerm:
         """||H^a||_2, computed on first read."""
         return spectral_norm(self.mat)
 
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of mat, from one eigvalsh on first read."""
+        return np.linalg.eigvalsh(self.mat)
+
 
 @dataclass(frozen=True)
 class ParentHamiltonian:
     """Doubled-register Hamiltonian with the purified Gibbs ground state.
 
-    gap and kernel_dim are those of sum_a H^a (kms.coherent_spectrum), so
-    the generator's.
+    gap and kernel_dim are those of sum_a H^a by kms.coherent_spectrum's
+    rules, so the generator's.  The sum is assembled and diagonalized on
+    the first read of either, unless build_parent already took its spectrum.
     """
 
     terms: tuple[ParentTerm, ...]
     ground: np.ndarray
     n: int
-    gap: float
-    kernel_dim: int
 
     @property
     def m(self) -> int:
         return len(self.terms)
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, float, int]:
+        """coherent_spectrum of sum_a H^a, each term added on its legs."""
+        total = None
+        for t in self.terms:
+            total = add_embedded(total, LocalOperator(t.mat, t.support), 2 * self.n)
+        return coherent_spectrum(total)
+
+    @property
+    def gap(self) -> float:
+        return self._spectrum[1]
+
+    @property
+    def kernel_dim(self) -> int:
+        return self._spectrum[2]
 
 
 @dataclass(frozen=True)
@@ -148,34 +187,60 @@ def build_parent(
     support; H^a is its symmetrization there.  A term's coherent form, or
     their sum, that deviates from Hermitian by more than
     DETAILED_BALANCE_TOL raises NotDetailedBalanced; a positive eigenvalue
-    of the assembled parent raises PositiveEigenvalue.
+    of the parent raises PositiveEigenvalue.  The sum is checked as a 4^n
+    matrix only when the terms' bounds cannot decide (module docstring), so
+    for commuting H no 4^n spectrum is taken here; the whole-register
+    defects of non-commuting H are summed into one array as they come.
     """
     nq = 2 * ham.n
     parent_terms: list[ParentTerm] = []
-    raw = None
+    whole = None
+    local_anti: list[LocalOperator] = []
     for idx, (h, legs, _, locality) in enumerate(coherent_terms(terms, kms, ham)):
         form = h.mat
         anti = form - form.conj().T
         _check_detailed_balance(anti, f"term {idx}", beta)
-        raw = add_embedded(raw, LocalOperator(form, legs), nq)
+        if len(legs) == nq:
+            whole = accumulate(whole, anti)
+        else:
+            local_anti.append(LocalOperator(anti, legs))
         herm = 0.5 * (form + form.conj().T)
         parent_terms.append(ParentTerm(herm, legs, float(np.linalg.norm(anti)), locality))
-    # raw - raw dagger in one array beside raw, freed before the spectrum.
-    anti = np.conjugate(raw.T)
-    np.subtract(raw, anti, out=anti)
-    _check_detailed_balance(anti, "the sum of the terms", beta)
     del anti
-    # The coherent form is linear, so the symmetrization of raw, which
-    # coherent_spectrum takes in place, is sum_a H^a.
-    w, gap, kernel_dim = coherent_spectrum(raw)
-    top = float(w[0])
-    if top > 1e-8 and top > 1e-8 * max(1.0, float(np.abs(w).max())):
-        raise PositiveEigenvalue(f"parent has positive eigenvalue {top:.3e}")
+    # ||sum_a anti_a|| <= sum_a ||anti_a||_F, each term's db_residual.
+    if sum(t.db_residual for t in parent_terms) >= DETAILED_BALANCE_TOL * (1.0 - _NORM_SLACK):
+        for op in local_anti:
+            whole = add_embedded(whole, op, nq)
+        _check_detailed_balance(whole, "the sum of the terms", beta)
+    del whole, local_anti
     ground = vectorize(kms.sqrt)
     ground = ground / np.linalg.norm(ground)
-    return ParentHamiltonian(
-        tuple(parent_terms), ground, ham.n, gap=gap, kernel_dim=kernel_dim
-    )
+    ph = ParentHamiltonian(tuple(parent_terms), ground, ham.n)
+    if _top_bound(ph.terms) > 1e-8:
+        w = ph._spectrum[0]
+        top = float(w[0])
+        if top > 1e-8 and top > 1e-8 * max(1.0, float(np.abs(w).max())):
+            raise PositiveEigenvalue(f"parent has positive eigenvalue {top:.3e}")
+    return ph
+
+
+def _norm_sum(terms: tuple[ParentTerm, ...]) -> float:
+    """sum_a ||H^a|| >= ||sum_a H^a||, from the terms' eigenvalues."""
+    return sum(float(np.abs(t.eigenvalues).max()) for t in terms)
+
+
+def _top_bound(terms: tuple[ParentTerm, ...]) -> float:
+    """An upper bound on the top eigenvalue of sum_a H^a as eigvalsh computes it.
+
+    lambda_max(sum_a H^a) <= sum_a max(0, lambda_max(H^a)), plus the
+    rounding slack of norm_exceeds relative to sum_a ||H^a||.  Terms of
+    non-commuting H are on the whole register, where a term's spectrum
+    costs what the sum's does, so there the bound is inf.
+    """
+    if any(t.locality_residual is None for t in terms):
+        return math.inf
+    tau = sum(max(0.0, float(t.eigenvalues[-1])) for t in terms)
+    return tau + _NORM_SLACK * max(1.0, _norm_sum(terms))
 
 
 def _check_detailed_balance(anti: np.ndarray, what: str, beta: float | None) -> None:
@@ -227,8 +292,8 @@ def parent_projector_input(ph: ParentHamiltonian) -> ProjectorInput:
 
     Each H^a is held on its doubled dressed support; -H^a must be positive
     semidefinite (PositivityFailure otherwise).  Terms are divided by
-    max(1, ||H^a||), recorded in scales, with ||H^a|| read off the same
-    eigvalsh.  A parent of non-commuting H has no local terms (BadParams).
+    max(1, ||H^a||), recorded in scales, with ||H^a|| read off the term's
+    eigenvalues.  A parent of non-commuting H has no local terms (BadParams).
     """
     locals_: list[LocalOperator] = []
     scales: list[float] = []
@@ -236,7 +301,7 @@ def parent_projector_input(ph: ParentHamiltonian) -> ProjectorInput:
         if t.locality_residual is None:
             msg = f"parent term {idx} is not local: the Hamiltonian terms do not commute"
             raise BadParams(msg)
-        w = np.linalg.eigvalsh(t.mat)
+        w = t.eigenvalues
         scale = max(1.0, float(np.abs(w).max()))
         # -H^a / scale has eigenvalues -w / scale and norm at most 1.
         min_eig = -float(w[-1]) / scale
@@ -249,3 +314,27 @@ def parent_projector_input(ph: ParentHamiltonian) -> ProjectorInput:
     return ProjectorInput(
         ham=LocalHamiltonian(n=2 * ph.n, terms=tuple(locals_)), scales=tuple(scales)
     )
+
+
+def kernel_is_simple(ph: ParentHamiltonian, pin: ProjectorInput) -> bool:
+    """Whether pin's ground cluster proves that ph.kernel_dim <= 1.
+
+    -H^a = -H^a / s_a + (1 - 1/s_a)(-H^a) with s_a >= 1, and -H^a >=
+    -max(0, lambda_max(H^a)) I, so -sum_a H^a >= pin - delta I with
+    delta = sum_a (1 - 1/s_a) max(0, lambda_max(H^a)).  By Weyl's
+    monotonicity the second-lowest eigenvalue of -sum_a H^a is then at
+    least e_0 + gap - delta when pin's ground cluster is one-dimensional.
+    When that exceeds the kernel cut 1e-9 max(1, sum_a ||H^a||), plus the
+    rounding slack of norm_exceeds, every eigenvalue of sum_a H^a past the
+    top lies below minus the cut, and coherent_spectrum counts at most one.
+    False means only that the bound cannot decide: read ph.kernel_dim.
+    """
+    cluster = pin.ham.cluster
+    if cluster.dimension != 1:
+        return False
+    delta = sum(
+        (1.0 - 1.0 / s) * max(0.0, float(t.eigenvalues[-1]))
+        for t, s in zip(ph.terms, pin.scales)
+    )
+    norm = max(1.0, _norm_sum(ph.terms))
+    return cluster.energy + cluster.gap - delta - _NORM_SLACK * norm > 1e-9 * norm

@@ -54,6 +54,7 @@ from .errors import (
 from .hamiltonians import (  # noqa: F401
     LocalHamiltonian,
     LocalOperator,
+    _embed,
     add_embedded,
     embed,
     noncommutation_degree,
@@ -179,7 +180,7 @@ def _restrict(
             (f"{what} as sigma^{{-1/4}} K sigma^{{1/4}}", iq @ full @ q, liq @ part @ lq),
         )
         for label, got, want in pairs:
-            residual = float(np.linalg.norm(got - embed(LocalOperator(want, sites), n)))
+            residual = float(np.linalg.norm(got - _embed(want, sites, n)))
             relative = residual / max(1.0, float(np.linalg.norm(got)))
             if relative > LOCALITY_TOL:
                 raise NotLocal(

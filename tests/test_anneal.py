@@ -671,3 +671,31 @@ def test_reducible_anneal_is_rank_ambiguous_on_both_routes(monkeypatch):
             _dense_anneal(monkeypatch, *args)
     assert str(got.value) == str(want.value)
 
+
+def test_reducible_dl_qsvt_anneal_reads_each_parent_spectrum(monkeypatch):
+    # The projector inputs' ground clusters are not one-dimensional, so the
+    # Weyl bound cannot decide kernel_dim <= 1: each parent's own spectrum
+    # is read, and both IrreducibilityWarnings fire before the transition's
+    # RankAmbiguous, with the messages the dense count gives.
+    ham = make_instance("zz_chain", 2)
+    sched = make_schedule(0.5, spectral_norm(assemble(ham)))
+    decided = []
+    real = dlgibbs.anneal.kernel_is_simple
+
+    def tracked(ph, pin):
+        decided.append(real(ph, pin))
+        return decided[-1]
+
+    monkeypatch.setattr(dlgibbs.anneal, "kernel_is_simple", tracked)
+    args = (ham, standard_couplings(2, "x"), WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt")
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        with pytest.raises(RankAmbiguous, match="within a factor 10 of the first"):
+            run_annealing(*args)
+    assert decided == [False, False]
+    assert [str(r.message) for r in rec if r.category is IrreducibilityWarning] == [
+        f"generator at beta = {b} has fixed-point dimension {k}; the purified "
+        "path is not unique"
+        for b, k in (("0", 4), ("0.5", 2))
+    ]
+

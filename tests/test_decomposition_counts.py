@@ -295,10 +295,46 @@ def test_commuting_parent_builds_each_term_on_its_support(monkeypatch, decomps):
     assert all(2 ** n < 2**ham.n for _, n in sups)
     assert all(lind.dim < 2**ham.n for lind, _ in forms)
     assert traces and all(rho.shape[0] <= 2**ham.n for rho, *_ in traces)
-    # The one 4^n eigvalsh is the spectrum of the parent; the projector input
-    # reads each term's scale off an eigvalsh of its local matrix.
+    # No 4^n eigvalsh runs: the parent's positivity is bounded by its terms'
+    # eigenvalues, one eigvalsh of each local matrix, which the projector
+    # input reads for its scales.
     local = Counter(t.op.shape for t in pin.ham.terms)
-    assert Counter(decomps["eigvalsh"]) == local + Counter([(d2, d2)])
+    assert Counter(decomps["eigvalsh"]) == local
+    assert (d2, d2) not in decomps["eigvalsh"]
+
+
+def test_build_parent_takes_the_4n_spectrum_only_when_it_is_read(monkeypatch, decomps):
+    ham = make_instance("commuting_projectors", 4, seed=1)
+    beta = 0.5
+    terms = build_model(ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=beta))
+    kms = KmsForm(gibbs_state(assemble(ham), beta))
+    spectra = _count_calls(monkeypatch, "coherent_spectrum")
+    decomps["eigvalsh"].clear()
+    ph = build_parent(terms, kms, ham, beta=beta)
+    d2 = 4**ham.n
+    # Detailed balance and positivity of the sum are decided by bounds on
+    # the local terms, so no 4^n matrix is diagonalized ...
+    assert spectra == []
+    assert (d2, d2) not in decomps["eigvalsh"]
+    assert all(t.support != tuple(range(2 * ham.n)) for t in ph.terms)
+    # ... until gap or kernel_dim is read, once for both.
+    ph.gap, ph.kernel_dim, ph.gap
+    assert len(spectra) == 1
+    assert decomps["eigvalsh"].count((d2, d2)) == 1
+
+
+def test_noncommuting_parent_takes_its_one_4n_spectrum_at_build(monkeypatch, decomps):
+    terms, kms, ham = _noncommuting_model()
+    spectra = _count_calls(monkeypatch, "coherent_spectrum")
+    decomps["eigvalsh"].clear()
+    ph = build_parent(terms, kms, ham, beta=0.5)
+    ph.gap, ph.kernel_dim
+    # Every term is on the whole register, where no term's spectrum is
+    # cheaper than the sum's: the positivity check takes the sum's, as
+    # before, and gap and kernel_dim read it.
+    d2 = 4**ham.n
+    assert len(spectra) == 1
+    assert decomps["eigvalsh"] == [(d2, d2)]
 
 
 def _bad_inputs():
@@ -429,6 +465,48 @@ def test_dl_qsvt_anneal_takes_one_ground_cluster_eigvalsh_per_step(monkeypatch, 
     # before the projectors and by its dl_operator, and computed once.
     k = sched.steps
     assert [np.shape(a[0]) for a in clusters] == [(d2, d2)] * (k + 1)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_dl_qsvt_anneal_takes_one_4n_spectrum_per_step(monkeypatch, decomps, n):
+    ham = make_instance("zz_chain", n)
+    couplings = standard_couplings(ham.n, "xz")
+    w = WeightProfile(beta=0.5)
+    sched = make_schedule(0.5, spectral_norm(assemble(ham)))
+    d2 = 4**ham.n
+    kms = KmsForm(gibbs_state(assemble(ham), 0.5))
+    whole = sum(
+        t.support == tuple(range(2 * n))
+        for t in build_parent(build_model(ham, couplings, w), kms, ham, beta=0.5).terms
+    )
+    decomps["eigvalsh"].clear()
+    spectra = _count_calls(monkeypatch, "coherent_spectrum")
+    run = run_annealing(ham, couplings, w, sched, 0.1, "dl_qsvt")
+    # Per step, the ground cluster of the projector input is the one 4^n
+    # spectrum of a sum; it also decides the parent's kernel_dim <= 1, so
+    # the parent's own spectrum is never taken.  A parent term on the whole
+    # doubled register (n = 3) adds one eigvalsh of its own, which both its
+    # positivity bound and its scale read.
+    k = sched.steps
+    assert run.warnings == ()
+    assert spectra == []
+    assert decomps["eigvalsh"].count((d2, d2)) == (k + 1) * (1 + whole)
+    assert (whole > 0) == (n == 3)
+
+
+def test_exact_anneal_takes_one_4n_spectrum_per_step(monkeypatch, decomps):
+    ham = make_instance("zz_chain", 4)
+    sched = make_schedule(0.5, spectral_norm(assemble(ham)))
+    d2 = 4**ham.n
+    spectra = _count_calls(monkeypatch, "coherent_spectrum")
+    run_annealing(
+        ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=0.5), sched, 0.1, "exact"
+    )
+    # Exact mode reads each parent's kernel_dim: one spectrum of the sum per
+    # step, and build_parent takes none of its own.
+    k = sched.steps
+    assert len(spectra) == k + 1
+    assert decomps["eigvalsh"].count((d2, d2)) == k + 1
 
 
 def test_project_run_takes_one_svd_of_the_dl_operator(decomps, tmp_path):

@@ -7,10 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dlgibbs.parent
 from dlgibbs.errors import (
     BadParams,
     NotDetailedBalanced,
     NotLocal,
+    PositiveEigenvalue,
     PositivityFailure,
 )
 from dlgibbs.hamiltonians import (
@@ -204,6 +206,57 @@ def test_build_parent_checks_the_sum_of_the_terms():
         build_parent(tilted, kms, ham, beta=0.0)
 
 
+def _shifted_forms(monkeypatch, shifts):
+    """Make build_parent see each coherent form h_a as h_a + shifts[a] I."""
+    real = dlgibbs.parent.coherent_terms
+
+    def shifted(terms, kms, ham):
+        for (h, legs, site_kms, locality), c in zip(real(terms, kms, ham), shifts):
+            mat = h.mat + c * np.eye(h.mat.shape[0])
+            yield replace(h, mat=mat), legs, site_kms, locality
+
+    monkeypatch.setattr(dlgibbs.parent, "coherent_terms", shifted)
+
+
+def test_build_parent_refuses_a_positive_eigenvalue(monkeypatch):
+    # Shifting one term by 1e-3 I lifts the purified Gibbs state, in the
+    # kernel of every term, to energy 1e-3.  The bound sum_a
+    # max(0, lambda_max(H^a)) = 1e-3 is above the 1e-8 rule, so the
+    # spectrum of the sum is taken, and it fires.
+    ham = make_instance("zz_chain", 2)
+    terms, kms = _model(ham, 0.5, kinds="xz")
+    _shifted_forms(monkeypatch, [1e-3] + [0.0] * (len(terms) - 1))
+    with pytest.raises(PositiveEigenvalue, match=r"parent has positive eigenvalue 1\.000e-03"):
+        build_parent(terms, kms, ham, beta=0.5)
+
+
+def test_build_parent_lets_the_spectrum_decide_what_the_bound_cannot(monkeypatch):
+    # +c I on one term and -c I on another leave the sum as it was, but the
+    # first term has eigenvalue c > 1e-8.  The spectrum of the sum is taken
+    # at build time, passes, and is what gap and kernel_dim read.
+    ham = make_instance("zz_chain", 2)
+    terms, kms = _model(ham, 0.5, kinds="xz")
+    plain = build_parent(terms, kms, ham, beta=0.5)
+    plain_gap, plain_dim = plain.gap, plain.kernel_dim
+    spectra = []
+    real_spectrum = dlgibbs.parent.coherent_spectrum
+
+    def counted(h):
+        spectra.append(h.shape)
+        return real_spectrum(h)
+
+    monkeypatch.setattr(dlgibbs.parent, "coherent_spectrum", counted)
+    c = 1e-3
+    _shifted_forms(monkeypatch, [c, -c] + [0.0] * (len(terms) - 2))
+    ph = build_parent(terms, kms, ham, beta=0.5)
+    assert max(t.eigenvalues[-1] for t in ph.terms) >= c - 1e-12
+    assert spectra == [(16, 16)]
+    assert ph.kernel_dim == plain_dim == 1
+    assert abs(ph.gap - plain_gap) <= 1e-12 * max(1.0, plain_gap)
+    # Reading gap and kernel_dim took no second spectrum.
+    assert spectra == [(16, 16)]
+
+
 def test_parent_frustration_free_on_zoo_models():
     hams = [
         _single_z(),
@@ -279,8 +332,6 @@ def test_projector_input_refuses_positive_term():
         ),
         ground=ph.ground,
         n=2,
-        gap=ph.gap,
-        kernel_dim=ph.kernel_dim,
     )
     with pytest.raises(PositivityFailure):
         parent_projector_input(bad)

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dlgibbs.errors import BadParams
+from dlgibbs.errors import BadParams, DegenerateGapWarning
 from dlgibbs.hamiltonians import (
     LocalHamiltonian,
     LocalOperator,
@@ -27,8 +27,10 @@ from dlgibbs.hamiltonians import (
     standard_couplings,
 )
 from dlgibbs.jumps import WeightProfile, build_coherent, build_jump, build_model
-from dlgibbs.kms import KmsForm, gibbs_state
+from dlgibbs.kms import KmsForm, coherent_spectrum, gibbs_state
 from dlgibbs.linalg import hermitian_eigendecompose, norm_exceeds, spectral_norm
+from dlgibbs.parent import build_parent, kernel_is_simple, parent_projector_input
+from reference import parent_matrix
 from test_jumps import reference_coherent, reference_jump
 from test_sampler import assert_local_matches_dense
 
@@ -410,6 +412,38 @@ def test_local_channel_matches_dense_on_commuting_projectors(seed, n, couplings,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         assert_local_matches_dense(ham, terms, kms)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(
+    st.sampled_from(
+        [("zz_chain", 2), ("zz_chain", 3), ("field_chain", 2), ("field_chain", 3),
+         ("commuting_projectors", 3)]
+    ),
+    seeds,
+    st.sampled_from(["x", "z", "xz", "xyz"]),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+)
+def test_parent_kernel_bound_agrees_with_the_dense_spectrum(model, seed, couplings, beta):
+    # Wherever the projector input's ground cluster proves kernel_dim <= 1,
+    # the dense count agrees; and the lazily read gap and kernel_dim are
+    # coherent_spectrum of the assembled sum of the parent terms.
+    import warnings
+
+    kind, n = model
+    ham = make_instance(kind, n, seed=seed)
+    terms = build_model(ham, standard_couplings(n, couplings), WeightProfile(beta=beta))
+    kms = KmsForm(gibbs_state(assemble(ham), beta))
+    ph = build_parent(terms, kms, ham, beta=beta)
+    pin = parent_projector_input(ph)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateGapWarning)
+        simple = kernel_is_simple(ph, pin)
+    _, gap, kernel_dim = coherent_spectrum(parent_matrix(ph))
+    if simple:
+        assert kernel_dim <= 1
+    assert ph.kernel_dim == kernel_dim
+    assert ph.gap == gap
 
 
 @PROPERTY
