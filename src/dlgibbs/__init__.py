@@ -61,7 +61,6 @@ from .kms import (
     choi_matrix,
     coherent_form,
     cptp_check,
-    gibbs_state,
     stationary_channel,
     term_superoperator,
 )

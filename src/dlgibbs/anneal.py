@@ -89,6 +89,7 @@ from .projector import (
     dl_operator,
     singular_gap,
 )
+from .tolerances import SCHEDULE_END_TOL
 
 # Degree constant of the erf-based boost polynomial: with degree
 # l = ceil(C_BOOST * ln(1/eps) / b) the truncated, renormalized series
@@ -118,7 +119,7 @@ class Schedule:
             )
         if betas[0] != 0.0:
             raise BadParams(f"schedule must start at beta = 0, got {betas[0]}")
-        if abs(betas[-1] - self.beta_final) > 1e-12 * max(1.0, self.beta_final):
+        if abs(betas[-1] - self.beta_final) > SCHEDULE_END_TOL * max(1.0, self.beta_final):
             raise BadParams(
                 f"schedule ends at {betas[-1]}, expected {self.beta_final}"
             )

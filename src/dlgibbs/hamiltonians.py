@@ -41,6 +41,7 @@ from .linalg import (
     real_if_exact,
     spectral_norm,
 )
+from .tolerances import BOHR_SPLIT, COMMUTATOR_CUT, GROUND_CLUSTER_WIDTH
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -138,10 +139,10 @@ def bohr_grid(eig: HermitianEig) -> BohrGrid:
     """Cluster the d^2 Bohr frequencies of H = V diag(E) V' in eig.
 
     The frequencies are sorted and split wherever consecutive values lie
-    more than 1e-9 max(1, ||H||) apart, with ||H|| = max |E|.
+    more than BOHR_SPLIT max(1, ||H||) apart, with ||H|| = max |E|.
     """
     evals = eig.eigenvalues
-    tol = 1e-9 * max(1.0, float(np.abs(evals).max()))
+    tol = BOHR_SPLIT * max(1.0, float(np.abs(evals).max()))
     omega = (evals[None, :] - evals[:, None]).ravel()
     order = np.argsort(omega, kind="stable")
     sorted_w = omega[order]
@@ -288,14 +289,14 @@ def _pair_degree(k: int, supports: Sequence[Sequence[int]] | None, exceeds: Call
     return max(counts, default=0)
 
 
-def noncommutation_degree(mats: list[np.ndarray], tol: float = 1e-10) -> int:
+def noncommutation_degree(mats: list[np.ndarray]) -> int:
     """Max over entries of the number of other matrices it fails to commute with.
 
     Each unordered pair is tested once: fl(BA - AB) = -fl(AB - BA) exactly,
     so both orders of a pair decide the same way.
     """
     scale = max([1.0] + [spectral_norm(m) for m in mats])
-    bound = tol * scale * scale
+    bound = COMMUTATOR_CUT * scale * scale
     return _pair_degree(
         len(mats),
         None,
@@ -361,7 +362,6 @@ def sweep_projectors(
 
 def projector_noncommutation_degree(
     bases: Sequence[np.ndarray],
-    tol: float = 1e-10,
     legs: Sequence[Sequence[int]] | None = None,
 ) -> int:
     """noncommutation_degree of the projectors V V dagger onto orthonormal bases.
@@ -370,7 +370,7 @@ def projector_noncommutation_degree(
     its adjoint, which maps range(P) to its complement, so
     ||[P, Q]|| = ||PQ(I - P)||.  With P = V_a V_a dagger, Q = V_b V_b dagger
     and X = V_a dagger V_b this is ||X (V_b dagger - X dagger V_a dagger)||,
-    an r_a x D matrix, decided by norm_exceeds against tol: a projector has
+    an r_a x D matrix, decided by norm_exceeds against COMMUTATOR_CUT: a projector has
     norm 1, so the scale of noncommutation_degree is 1.
 
     legs[a], when given, lists the qubits bases[a] acts on (the projector
@@ -388,12 +388,12 @@ def projector_noncommutation_degree(
             va, vb = lift_basis(va, la, range(width)), lift_basis(vb, lb, range(width))
         adj_a = va.conj().T
         x = adj_a @ vb
-        return norm_exceeds(x @ (vb.conj().T - x.conj().T @ adj_a), tol)
+        return norm_exceeds(x @ (vb.conj().T - x.conj().T @ adj_a), COMMUTATOR_CUT)
 
     return _pair_degree(len(bases), legs, exceeds)
 
 
-def commutation_degree(ham: LocalHamiltonian, tol: float = 1e-10) -> int:
+def commutation_degree(ham: LocalHamiltonian) -> int:
     """noncommutation_degree of the terms, each tensored with I on the register.
 
     ||A tensor I|| = ||A||, so the scale reads each term's own norm.  Terms
@@ -403,7 +403,7 @@ def commutation_degree(ham: LocalHamiltonian, tol: float = 1e-10) -> int:
     """
     terms = ham.terms
     scale = max([1.0] + [spectral_norm(t.op) for t in terms])
-    bound = tol * scale * scale
+    bound = COMMUTATOR_CUT * scale * scale
 
     def exceeds(a: int, b: int, pair: tuple) -> bool:
         la, lb, width = pair
@@ -424,17 +424,17 @@ class GroundCluster:
     norm: float
 
 
-def ground_cluster(ham: LocalHamiltonian, tol: float = 1e-8) -> GroundCluster:
+def ground_cluster(ham: LocalHamiltonian) -> GroundCluster:
     """Ground cluster of H (assemble) from one eigvalsh.
 
-    The cluster collects eigenvalues within tol * max(1, ||H||) of the
-    minimum, and the gap is to the next eigenvalue (inf if there is none);
+    The cluster collects eigenvalues within GROUND_CLUSTER_WIDTH * max(1, ||H||)
+    of the minimum, and the gap is to the next eigenvalue (inf if there is none);
     a gap below ten times that width triggers a DegenerateGapWarning
     because the cluster boundary is then ambiguous.
     """
     w = hermitian_eigenvalues(assemble(ham))
     norm = float(np.abs(w).max())
-    width = tol * max(1.0, norm)
+    width = GROUND_CLUSTER_WIDTH * max(1.0, norm)
     dim = int(np.sum(w - w[0] <= width))
     gap = float(w[dim] - w[0]) if dim < len(w) else float("inf")
     if gap < 10 * width:
@@ -464,6 +464,8 @@ def make_instance(kind: str, n: int, seed: int = 0) -> LocalHamiltonian:
     """
     if n < 2:
         raise BadParams(f"instances need n >= 2, got {n}")
+    if seed < 0:
+        raise BadParams(f"instance seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     zz = 0.5 * (np.eye(4, dtype=complex) - np.kron(PAULI_Z, PAULI_Z))
     terms: list[LocalOperator] = []

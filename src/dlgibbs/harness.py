@@ -56,6 +56,7 @@ from .projector import (
     singular_gap,
 )
 from .sampler import compose_dl_channel, iterate
+from .tolerances import MIX_VIOLATION_SLACK, PARENT_FRUSTRATION_CUT, VIOLATION_SLACK
 
 ARTIFACT_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -239,7 +240,7 @@ def _run_mix(cfg: ExperimentConfig):
     violations = [
         f"mix: trace distance {d:.3e} exceeds bound {b:.3e} at k={k}"
         for k, d, b, _ in rows
-        if d > b + 1e-8
+        if d > b + MIX_VIOLATION_SLACK
     ]
     results = {
         "instance": _instance_id(cfg),
@@ -285,7 +286,7 @@ def _run_project(cfg: ExperimentConfig):
                 int(res.queries),
             )
         )
-        if res.error > res.bound + 1e-9:
+        if res.error > res.bound + VIOLATION_SLACK:
             violations.append(
                 f"project: error {res.error:.3e} exceeds bound {res.bound:.3e} "
                 f"at ell={ell}"
@@ -337,7 +338,7 @@ def _run_parent(cfg: ExperimentConfig):
             )
         )
     violations = []
-    if rep.max_frustration > 1e-9:
+    if rep.max_frustration > PARENT_FRUSTRATION_CUT:
         violations.append(
             f"parent: frustration residual {rep.max_frustration:.3e} exceeds 1e-9"
         )
@@ -376,17 +377,17 @@ def _run_anneal(cfg: ExperimentConfig):
         )
     violations = []
     for rec in run.records:
-        if rec.transition_error > rec.error_bound + 1e-9:
+        if rec.transition_error > rec.error_bound + VIOLATION_SLACK:
             violations.append(
                 f"anneal: transition error {rec.transition_error:.3e} exceeds "
                 f"budget {rec.error_bound:.3e} at step {rec.index}"
             )
-    if run.state_error > delta / 2 + 1e-9:
+    if run.state_error > delta / 2 + VIOLATION_SLACK:
         violations.append(
             f"anneal: accumulated state error {run.state_error:.3e} exceeds "
             f"delta/2 = {delta / 2:.3e}"
         )
-    floor = (1.0 - delta / 2) ** 2 - 1e-9
+    floor = (1.0 - delta / 2) ** 2 - VIOLATION_SLACK
     if run.success_probability < floor:
         violations.append(
             f"anneal: success probability {run.success_probability:.6f} is "
@@ -396,7 +397,7 @@ def _run_anneal(cfg: ExperimentConfig):
     # Re<psi~, psi> >= 1 - eps and ||psi~|| <= 1 + eps, so the fidelity
     # |<psi~, psi>| / ||psi~|| is at least (1 - eps) / (1 + eps) >= 1 - delta.
     eps = delta / 2
-    fidelity_floor = (1.0 - eps) / (1.0 + eps) - 1e-9
+    fidelity_floor = (1.0 - eps) / (1.0 + eps) - VIOLATION_SLACK
     if run.final_fidelity < fidelity_floor:
         violations.append(
             f"anneal: fidelity {run.final_fidelity:.6f} is below {fidelity_floor:.6f}"

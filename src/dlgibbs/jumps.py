@@ -14,13 +14,13 @@ fixed point exp(-beta H)/Z), and the coherent part is
 
     G = sum_nu g_hat(nu) (L'L)_{-nu},  g_hat(nu) = -(i/2) tanh(-s nu) k(nu),
 
-with s = beta/4 by default and k a hard frequency cutoff.  When L'L
+with s = beta/4 and k a hard frequency cutoff.  When L'L
 commutes with H only the nu = 0 component survives and G = 0.
 
 Both sums are taken in one elementwise pass in the eigenbasis H = V E V'.
 Entry (i, j) of V'AV carries the Bohr frequency w_ij = E_j - E_i.  The
 frequencies depend on H alone, so they are clustered once per
-Hamiltonian (sorted, split at gaps above a tolerance; hamiltonians.bohr_grid,
+Hamiltonian (sorted, split at gaps above BOHR_SPLIT; hamiltonians.bohr_grid,
 kept as LocalHamiltonian.bohr) and every coupling of every model built on
 H reads that grid.  Each call rotates its own operator, marks the clusters
 it occupies, and weighs them in one array evaluation at their centres:
@@ -43,9 +43,11 @@ import numpy as np
 
 from .errors import BadParams, UnknownKind
 from .hamiltonians import BohrGrid, LocalHamiltonian, LocalOperator, embed
-from .kms import KmsForm, LindbladTerm
+from .kms import LindbladTerm
 from .linalg import norm_exceeds, real_if_exact, spectral_norm
-from .sampler import coherent_terms
+from .tolerances import (
+    COHERENT_PART_CUT, KAPPA_CUTOFF_MARGIN, NORM_SLACK, OFFSHELL_FLOOR, Q_SYMMETRY_TOL,
+)
 
 
 @dataclass(frozen=True)
@@ -55,17 +57,13 @@ class WeightProfile:
     kind is the 'davies_kms' preset or 'custom', which requires q; q is an
     optional extra factor on the gain frequency, validated to satisfy
     q(nu) = conj(q(-nu)); kappa_cutoff bounds the coherent-term frequencies
-    (None means twice the Hamiltonian norm, set at build time).  The
-    coherent weight's tanh argument is scaled by beta * tanh_scale, or by
-    tanh_scale alone when beta_scaled_tanh is False.
+    (None means twice the Hamiltonian norm, set at build time).
     """
 
     kind: str = "davies_kms"
     beta: float = 1.0
     q: Callable[[float], complex] | None = None
     kappa_cutoff: float | None = None
-    tanh_scale: float = 0.25
-    beta_scaled_tanh: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in ("davies_kms", "custom"):
@@ -74,8 +72,6 @@ class WeightProfile:
             raise BadParams("custom weight profiles need a q callable")
         if self.beta < 0:
             raise BadParams(f"inverse temperature must be >= 0, got {self.beta}")
-        if self.tanh_scale <= 0:
-            raise BadParams(f"tanh_scale must be positive, got {self.tanh_scale}")
         if self.kappa_cutoff is not None and self.kappa_cutoff <= 0:
             raise BadParams(f"kappa_cutoff must be positive, got {self.kappa_cutoff}")
 
@@ -91,19 +87,17 @@ class WeightProfile:
     def coherent_weight(
         self, nu: float | np.ndarray, cutoff: float
     ) -> complex | np.ndarray:
-        """g_hat(nu) = -(i/2) tanh(-s nu) inside the cutoff |nu| <= cutoff, 0 outside."""
+        """g_hat(nu) = -(i/2) tanh(-s nu), s = beta/4, for |nu| <= cutoff; 0 outside."""
         nu = np.asarray(nu, dtype=float)
-        s = self.beta * self.tanh_scale if self.beta_scaled_tanh else self.tanh_scale
+        s = self.beta * 0.25
         return np.where(np.abs(nu) > cutoff, 0.0j, -0.5j * np.tanh(-s * nu))[()]
 
-    def check_q_symmetry(
-        self, freqs: float | np.ndarray, tol: float = 1e-10
-    ) -> complex | np.ndarray:
+    def check_q_symmetry(self, freqs: float | np.ndarray) -> complex | np.ndarray:
         """q at the gains freqs (1 without q), validated: q(nu) = conj(q(-nu)).
 
         q is called once at each gain and once at its negation.  BadParams
         names the first gain, in freqs' order, where the two values differ
-        by more than tol * max(1, |q(nu)|, |q(-nu)|).
+        by more than Q_SYMMETRY_TOL * max(1, |q(nu)|, |q(-nu)|).
         """
         nu = np.asarray(freqs, dtype=float)
         if self.q is None:
@@ -114,7 +108,7 @@ class WeightProfile:
         ).reshape(len(flat), 2)
         a, b = pairs[:, 0], pairs[:, 1]
         scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-        bad = np.flatnonzero(np.abs(a - np.conj(b)) > tol * scale)
+        bad = np.flatnonzero(np.abs(a - np.conj(b)) > Q_SYMMETRY_TOL * scale)
         if bad.size:
             i = int(bad[0])
             raise BadParams(
@@ -168,10 +162,10 @@ def build_coherent(jump: np.ndarray, bohr: BohrGrid, w: WeightProfile) -> np.nda
     jump = np.asarray(jump, dtype=complex)
     cutoff = w.kappa_cutoff
     if cutoff is None:
-        cutoff = 2.0 * float(np.abs(bohr.eig.eigenvalues).max()) + 1e-9
+        cutoff = 2.0 * float(np.abs(bohr.eig.eigenvalues).max()) + KAPPA_CUTOFF_MARGIN
     rotated, occupied = _occupied(jump.conj().T @ jump, bohr)
     gains = -bohr.centres[occupied]
-    offshell = np.abs(gains[np.abs(gains) > 1e-12])
+    offshell = np.abs(gains[np.abs(gains) > OFFSHELL_FLOOR])
     if offshell.size and np.all(offshell > cutoff):
         warnings.warn(
             f"cutoff {cutoff:.3g} excludes every off-shell frequency of L'L",
@@ -181,17 +175,17 @@ def build_coherent(jump: np.ndarray, bohr: BohrGrid, w: WeightProfile) -> np.nda
 
 
 def _has_coherent_part(coh: np.ndarray, jump: np.ndarray) -> bool:
-    """Whether ||G|| > 1e-12 max(1, ||L||)^2.
+    """Whether ||G|| > COHERENT_PART_CUT max(1, ||L||)^2.
 
-    ||L|| <= ||L||_F, so a G above the bound at ||L||_F (with a 1e-12
+    ||L|| <= ||L||_F, so a G above the bound at ||L||_F (with NORM_SLACK
     relative slack for rounding) decides it without an SVD of L.
     """
-    if not norm_exceeds(coh, 1e-12):
+    if not norm_exceeds(coh, COHERENT_PART_CUT):
         return False
-    fro = float(np.linalg.norm(jump)) * (1.0 + 1e-12)
-    if norm_exceeds(coh, 1e-12 * max(1.0, fro) ** 2):
+    fro = float(np.linalg.norm(jump)) * (1.0 + NORM_SLACK)
+    if norm_exceeds(coh, COHERENT_PART_CUT * max(1.0, fro) ** 2):
         return True
-    return norm_exceeds(coh, 1e-12 * max(1.0, spectral_norm(jump)) ** 2)
+    return norm_exceeds(coh, COHERENT_PART_CUT * max(1.0, spectral_norm(jump)) ** 2)
 
 
 def dressed_support(a: LocalOperator, ham: LocalHamiltonian) -> tuple[int, ...]:
@@ -208,15 +202,11 @@ def build_model(
     ham: LocalHamiltonian,
     couplings: Sequence[LocalOperator],
     w: WeightProfile,
-    normalize: bool = False,
 ) -> list[LindbladTerm]:
     """One detailed-balanced Lindblad term per coupling operator.
 
     Operators are materialized on the full register (their support field
-    records the dressed locality).  With normalize=True each term is
-    rescaled by the spectral norm of its coherent form (from
-    sampler.coherent_terms), an inexpensive stand-in for diamond-norm
-    normalization.
+    records the dressed locality).
     """
     if not couplings:
         raise BadParams("need at least one coupling operator")
@@ -232,19 +222,4 @@ def build_model(
             support=dressed_support(a, ham),
         )
         terms.append(term)
-    if normalize:
-        forms = coherent_terms(terms, KmsForm.gibbs(ham, w.beta), ham)
-        terms = [_rescaled(t, spectral_norm(f[0].mat)) for t, f in zip(terms, forms)]
     return terms
-
-
-def _rescaled(term: LindbladTerm, scale: float) -> LindbladTerm:
-    """term with its coherent form divided by scale (jumps by sqrt(scale))."""
-    if scale <= 1e-14:
-        return term
-    coh = term.coherent
-    return LindbladTerm(
-        jumps=tuple(LocalOperator(j.op / np.sqrt(scale), j.support) for j in term.jumps),
-        coherent=None if coh is None else LocalOperator(coh.op / scale, coh.support),
-        support=term.support,
-    )

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -56,19 +55,18 @@ from .errors import (
 from .hamiltonians import LocalHamiltonian, LocalOperator, embed
 from .linalg import (
     HermitianEig,
-    accumulate,
     hermitian_eigendecompose,
     norm_exceeds,
     real_if_exact,
     spectral_norm,
 )
+from .tolerances import (  # noqa: F401 (DETAILED_BALANCE_TOL is re-exported)
+    CPTP_TOL, DETAILED_BALANCE_TOL, KERNEL_CUT, POSITIVE_EIGENVALUE_CUT, PROBE_NORM_FLOOR,
+    TERM_DETAILED_BALANCE_TOL,
+)
+from .tolerances import MIN_STATE_WEIGHT as _MIN_EIG
 
 _PICTURES = ("heisenberg", "schrodinger", "kms")
-
-# Largest ||h - h dagger|| of a coherent form h that counts as detailed balance.
-DETAILED_BALANCE_TOL = 1e-8
-# Default floor on the smallest trace-normalized weight of a KmsForm.
-_MIN_EIG = 1e-14
 
 
 @dataclass(frozen=True)
@@ -109,11 +107,6 @@ class Superoperator:
             mat=self.mat.conj().T, picture=flip[self.picture], dim=self.dim
         )
 
-    @cached_property
-    def hermiticity_residual(self) -> float:
-        """||M - M dagger||_2; for a coherent form, the detailed-balance defect."""
-        return spectral_norm(self.mat - self.mat.conj().T)
-
 
 @dataclass(frozen=True)
 class LindbladTerm:
@@ -137,33 +130,31 @@ class KmsForm:
     takes the Gibbs weights on H's own eigenvectors and no eigendecomposition
     of sigma, so sigma^{+-1/4} keep H's accuracy at small weights.  Either
     way the weights are trace-normalized, and the smallest must exceed
-    min_eig (default 1e-14, the value KmsForm.gibbs uses).  An exactly real
-    sigma or H gives real eigenvectors and powers.
-    Note the tension with large beta * ||H||: at beta * spread = 80 the
-    smallest Gibbs weight is ~1e-35, far below the default threshold, so
-    high-beta studies must loosen min_eig deliberately, through KmsForm(sigma).
+    tolerances.MIN_STATE_WEIGHT (1e-14), else SingularSigma: a Gibbs state
+    whose beta * spread exceeds about 32 (ln 1e14) is refused.  An exactly
+    real sigma or H gives real eigenvectors and powers.
     """
 
-    def __init__(self, sigma: np.ndarray, min_eig: float = _MIN_EIG):
+    def __init__(self, sigma: np.ndarray):
         eig = hermitian_eigendecompose(real_if_exact(sigma))
-        self._set_spectrum(eig.eigenvalues, eig.eigenvectors, min_eig)
+        self._set_spectrum(eig.eigenvalues, eig.eigenvectors)
 
     @classmethod
     def gibbs(cls, ham: LocalHamiltonian, beta: float) -> KmsForm:
-        """The form of exp(-beta H)/Z: _gibbs_weights on ham.eig, then the default checks."""
+        """The form of exp(-beta H)/Z: _gibbs_weights on ham.eig, then the same checks."""
         form = cls.__new__(cls)
-        form._set_spectrum(*_gibbs_weights(ham.eig, beta), _MIN_EIG)
+        form._set_spectrum(*_gibbs_weights(ham.eig, beta))
         return form
 
-    def _set_spectrum(self, w: np.ndarray, v: np.ndarray, min_eig: float) -> None:
+    def _set_spectrum(self, w: np.ndarray, v: np.ndarray) -> None:
         tr = float(np.real(w.sum()))
         if tr <= 0:
             raise SingularSigma(f"state trace {tr:.3e} is not positive")
         w = w / tr
-        if w.min() <= min_eig:
+        if w.min() <= _MIN_EIG:
             raise SingularSigma(
                 f"smallest eigenvalue {w.min():.3e} after normalization is "
-                f"at or below {min_eig:.1e}"
+                f"at or below {_MIN_EIG:.1e}"
             )
         self.dim = v.shape[0]
         self.eigenvalues = w
@@ -221,12 +212,6 @@ def _gibbs_weights(eig: HermitianEig, beta: float) -> tuple[np.ndarray, np.ndarr
     return ew, eig.eigenvectors
 
 
-def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-beta h) / Tr exp(-beta h) of a dense Hermitian h, with _gibbs_weights' guards."""
-    ew, v = _gibbs_weights(hermitian_eigendecompose(h), beta)
-    return v @ np.diag(ew) @ v.conj().T
-
-
 def term_superoperator(term: LindbladTerm, n: int) -> Superoperator:
     """Heisenberg-picture matrix of one embedded Lindblad term.
 
@@ -263,19 +248,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(d, d)
 
 
-def lindblad_superoperator(terms: Sequence[LindbladTerm], n: int) -> Superoperator:
-    """Heisenberg-picture matrix of a sum of local Lindblad terms.
-
-    A test reference; no pipeline path calls it.
-    """
-    if not terms:
-        raise BadParams("need at least one Lindblad term")
-    mat = None
-    for t in terms:
-        mat = accumulate(mat, term_superoperator(t, n).mat)
-    return Superoperator(mat=mat, picture="heisenberg", dim=2**n)
-
-
 def coherent_form(lind: Superoperator, kms: KmsForm) -> Superoperator:
     """h = Gamma^{1/2} L Gamma^{-1/2}; Hermitian iff L is sigma-detailed-balanced."""
     if lind.picture != "heisenberg":
@@ -286,14 +258,6 @@ def coherent_form(lind: Superoperator, kms: KmsForm) -> Superoperator:
     left = _kron_conj_apply(kms.quarter, lind.mat)
     mat = _kron_conj_apply(kms.inv_quarter, left.conj().T).conj().T
     return Superoperator(mat=mat, picture="kms", dim=lind.dim)
-
-
-def db_residual(lind: Superoperator, kms: KmsForm) -> float:
-    """Operator-norm defect of detailed balance, ||h - h dagger||.
-
-    A test reference; no pipeline path calls it.
-    """
-    return coherent_form(lind, kms).hermiticity_residual
 
 
 @dataclass(frozen=True)
@@ -318,48 +282,13 @@ def probe_vector(kernel_vecs: np.ndarray) -> np.ndarray:
     if kernel_vecs.size:
         psi = psi - kernel_vecs @ (kernel_vecs.conj().T @ psi)
     nrm = np.linalg.norm(psi)
-    if nrm < 1e-12:
+    if nrm < PROBE_NORM_FLOOR:
         rng = np.random.default_rng(7)
         psi = rng.normal(size=d2) + 1j * rng.normal(size=d2)
         if kernel_vecs.size:
             psi = psi - kernel_vecs @ (kernel_vecs.conj().T @ psi)
         nrm = np.linalg.norm(psi)
     return psi / nrm
-
-
-def spectral_report(
-    lind: Superoperator, kms: KmsForm, tol: float = 1e-9
-) -> SpectralReport:
-    """Eigenvalues (descending) of the coherent form, with gap and kernel size.
-
-    gap is lambda_1 - lambda_2 of the descending spectrum, and exactly 0.0
-    when the kernel has dimension >= 2, where that difference is rounding
-    noise.  kernel_dim counts eigenvalues within tol * max(1, ||h||) of
-    zero.  db_residual is
-    the defect ||h - h dagger|| (detailed balance is exactly hermiticity of
-    the coherent form); dl_residual_energy probes the energy of
-    probe_vector off the kernel.
-
-    A test reference; no pipeline path calls it (see coherent_spectrum).
-    """
-    h = lind if lind.picture == "kms" else coherent_form(lind, kms)
-    h_sym = 0.5 * (h.mat + h.mat.conj().T)
-    eig = hermitian_eigendecompose(h_sym)
-    w = eig.eigenvalues[::-1].copy()
-    v = eig.eigenvectors[:, ::-1]
-    scale = max(1.0, float(np.abs(w).max()))
-    kernel = np.abs(w) <= tol * scale
-    kernel_dim = int(kernel.sum())
-    gap = float(w[0] - w[1]) if len(w) > 1 and kernel_dim < 2 else 0.0
-    psi = probe_vector(v[:, :kernel_dim])
-    energy = float(np.real(psi.conj() @ (-h_sym) @ psi))
-    return SpectralReport(
-        eigenvalues=w,
-        gap=gap,
-        kernel_dim=kernel_dim,
-        db_residual=h.hermiticity_residual,
-        dl_residual_energy=energy,
-    )
 
 
 def _symmetrize(h: np.ndarray, rows: int = 512) -> None:
@@ -384,13 +313,13 @@ def coherent_spectrum(h: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Descending eigenvalues of (h + h dagger)/2, gap and kernel_dim.
 
     h is overwritten by (h + h dagger)/2 (_symmetrize), so the only other
-    array of its size is eigvalsh's working copy.  spectral_report's
-    rules: the kernel cut is 1e-9 * max(1, ||h||), and gap is
-    lambda_1 - lambda_2, or exactly 0.0 when kernel_dim >= 2.
+    array of its size is eigvalsh's working copy.  The kernel cut is
+    KERNEL_CUT * max(1, ||h||), and gap is lambda_1 - lambda_2, or exactly
+    0.0 when kernel_dim >= 2, where that difference is rounding noise.
     """
     _symmetrize(h)
     w = np.linalg.eigvalsh(h)[::-1]
-    kernel_dim = int((np.abs(w) <= 1e-9 * max(1.0, float(np.abs(w).max()))).sum())
+    kernel_dim = int((np.abs(w) <= KERNEL_CUT * max(1.0, float(np.abs(w).max()))).sum())
     gap = float(w[0] - w[1]) if len(w) > 1 and kernel_dim < 2 else 0.0
     return w, gap, kernel_dim
 
@@ -414,19 +343,17 @@ class TermKernel:
     gap: float
 
 
-def stationary_channel(
-    term: Superoperator, kms: KmsForm, tol: float = 1e-8
-) -> TermKernel:
+def stationary_channel(term: Superoperator, kms: KmsForm) -> TermKernel:
     """Kernel basis of one term, its projector pulled back to the Heisenberg picture.
 
     P = Gamma^{-1/2} Pi_0 Gamma^{1/2}, with Pi_0 the orthogonal projector
     onto the kernel of the term's coherent form h; term is the Heisenberg
     generator or, when the caller already holds it, h.  ||h|| is read off
     the eigenvalues of the symmetrized h.  Requires ||h - h dagger|| <=
-    tol * max(1, ||h||) (NotDetailedBalanced otherwise, decided by
-    norm_exceeds) and h nonpositive within the same bound
-    (PositiveEigenvalue otherwise); kernel membership uses the relative
-    cutoff 1e-9 * max(1, ||h||).
+    TERM_DETAILED_BALANCE_TOL * max(1, ||h||) (NotDetailedBalanced
+    otherwise, decided by norm_exceeds) and every eigenvalue at most
+    POSITIVE_EIGENVALUE_CUT * max(1, ||h||) (PositiveEigenvalue otherwise);
+    kernel membership uses the relative cutoff KERNEL_CUT * max(1, ||h||).
     """
     h = coherent_form(term, kms) if term.picture == "heisenberg" else term
     h_sym = 0.5 * (h.mat + h.mat.conj().T)
@@ -435,16 +362,16 @@ def stationary_channel(
     h_norm = float(np.abs(w).max())
     scale = max(1.0, h_norm)
     anti = h.mat - h.mat.conj().T
-    if norm_exceeds(anti, tol * scale):
+    if norm_exceeds(anti, TERM_DETAILED_BALANCE_TOL * scale):
         raise NotDetailedBalanced(
             f"coherent form deviates from Hermitian by {spectral_norm(anti):.3e} "
-            f"(tolerance {tol:.1e} * {scale:.3e})"
+            f"(tolerance {TERM_DETAILED_BALANCE_TOL:.1e} * {scale:.3e})"
         )
-    if w[-1] > tol * scale:
+    if w[-1] > POSITIVE_EIGENVALUE_CUT * scale:
         raise PositiveEigenvalue(
             f"coherent form has eigenvalue {w[-1]:.3e} above zero"
         )
-    kernel_cut = 1e-9 * scale
+    kernel_cut = KERNEL_CUT * scale
     sel = np.abs(w) <= kernel_cut
     if not sel.any():
         raise DegenerateGap(
@@ -481,7 +408,7 @@ def choi_matrix(schrodinger_mat: np.ndarray, d: int) -> np.ndarray:
     return s.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def cptp_check(channel: Superoperator, tol: float = 1e-9) -> CptpReport:
+def cptp_check(channel: Superoperator) -> CptpReport:
     """Report Choi positivity and trace preservation; never raises on failure."""
     if channel.picture == "heisenberg":
         s_mat = channel.mat.conj().T
@@ -500,10 +427,10 @@ def cptp_check(channel: Superoperator, tol: float = 1e-9) -> CptpReport:
     )
     # Both tolerances scale with max(1, ||S||) >= 1; the norm is only
     # needed when a residual exceeds the bare tolerance.
-    cp = wmin >= -tol
-    tp = tp_res <= tol
+    cp = wmin >= -CPTP_TOL
+    tp = tp_res <= CPTP_TOL
     if not (cp and tp):
         scale = max(1.0, spectral_norm(s_mat))
-        cp = wmin >= -tol * scale
-        tp = tp_res <= tol * scale
+        cp = wmin >= -CPTP_TOL * scale
+        tp = tp_res <= CPTP_TOL * scale
     return CptpReport(choi_min_eig=wmin, tp_residual=tp_res, cp=cp, tp=tp)

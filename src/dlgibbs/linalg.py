@@ -24,12 +24,8 @@ from .errors import (
     NotHermitian,
     SupportOutOfRange,
 )
-
-_RECON_TOL = 1e-8
-# Relative slack on the Frobenius shortcuts of norm_exceeds.  It dwarfs the
-# rounding of either norm (a few hundred ulps at these sizes), so a shortcut
-# only decides where the SVD could not decide otherwise.
-_NORM_SLACK = 1e-12
+from .tolerances import GAUGE_PIVOT, HERMITIAN_INPUT_TOL
+from .tolerances import NORM_SLACK as _NORM_SLACK, RECONSTRUCTION_TOL as _RECON_TOL
 
 
 @dataclass(frozen=True)
@@ -45,7 +41,7 @@ class Svd:
     """Decomposition a = U diag(s) Vh with s descending.
 
     U and Vh have the input's dtype.  Gauge: the first entry of each
-    column of U whose magnitude exceeds 1e-12 times the column norm is made
+    column of U whose magnitude exceeds GAUGE_PIVOT times the column norm is made
     real and nonnegative, by a unit phase for complex input and by a sign
     flip for real input (the compensating factor is absorbed into the
     matching row of Vh), so repeated runs on identical input are
@@ -99,7 +95,7 @@ def hermiticity_residual(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - a.conj().T))
 
 
-def _hermitian_input(a: np.ndarray, tol: float) -> tuple[np.ndarray, float, float]:
+def _hermitian_input(a: np.ndarray) -> tuple[np.ndarray, float, float]:
     """(a made exactly Hermitian, max(1, ||a||_F), ||a - a†||_F), or NotHermitian.
 
     An input whose residual is exactly 0.0 already equals its
@@ -107,30 +103,30 @@ def _hermitian_input(a: np.ndarray, tol: float) -> tuple[np.ndarray, float, floa
     """
     scale = max(1.0, float(np.linalg.norm(a)))
     res = hermiticity_residual(a)
-    if res > tol * scale:
+    if res > HERMITIAN_INPUT_TOL * scale:
         raise NotHermitian(
-            f"hermiticity residual {res:.3e} exceeds {tol:.1e} * {scale:.3e}"
+            f"hermiticity residual {res:.3e} exceeds {HERMITIAN_INPUT_TOL:.1e} * {scale:.3e}"
         )
     return (a if res == 0.0 else 0.5 * (a + a.conj().T)), scale, res
 
 
-def hermitian_eigenvalues(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, checked as hermitian_eigendecompose checks."""
-    sym, _, _ = _hermitian_input(_as_square(a, "hermitian_eigenvalues input"), tol)
+    sym, _, _ = _hermitian_input(_as_square(a, "hermitian_eigenvalues input"))
     try:
         return np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigvalsh failed to converge: {exc}") from exc
 
 
-def hermitian_eigendecompose(a: np.ndarray, tol: float = 1e-10) -> HermitianEig:
+def hermitian_eigendecompose(a: np.ndarray) -> HermitianEig:
     """Eigen-decomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Rejects inputs whose anti-Hermitian part exceeds tol relative to
-    max(1, ||a||_F); verifies the reconstruction V diag(w) V† afterwards.
+    Rejects inputs whose anti-Hermitian part exceeds HERMITIAN_INPUT_TOL
+    relative to max(1, ||a||_F); verifies the reconstruction V diag(w) V† afterwards.
     """
     a = _as_square(a, "hermitian_eigendecompose input")
-    sym, scale, res = _hermitian_input(a, tol)
+    sym, scale, res = _hermitian_input(a)
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -145,14 +141,14 @@ def gauge_singular_vectors(u: np.ndarray, vh: np.ndarray) -> None:
     """Apply the Svd gauge to the pairs (column j of u, row j of vh), in place.
 
     For each of the first min(u.shape[1], vh.shape[0]) columns, the first
-    entry whose magnitude exceeds 1e-12 times the column norm is made real
+    entry whose magnitude exceeds GAUGE_PIVOT times the column norm is made real
     and nonnegative by the conjugate of its phase, and the row of vh takes
     the phase, so u diag(s) vh is unchanged.  A column with no such entry
     (a zero column) is left as it is.  One pass over the whole block.
     """
     k = min(u.shape[1], vh.shape[0])
     cols = u[:, :k]
-    significant = np.abs(cols) > 1e-12 * np.linalg.norm(cols, axis=0)
+    significant = np.abs(cols) > GAUGE_PIVOT * np.linalg.norm(cols, axis=0)
     j = np.flatnonzero(significant.any(axis=0))
     pivot = cols[significant[:, j].argmax(axis=0), j]
     # hypot is what abs of one complex scalar computes; np.abs over a complex
@@ -211,7 +207,7 @@ def norm_exceeds(a: np.ndarray, bound: float) -> bool:
     return spectral_norm(a) > bound
 
 
-def schatten1_distance(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> float:
+def schatten1_distance(a: np.ndarray, b: np.ndarray) -> float:
     """||a - b||_1 for Hermitian a, b (diameter 2 on density matrices)."""
     a = _as_square(a, "schatten1_distance first argument")
     b = _as_square(b, "schatten1_distance second argument")
@@ -220,7 +216,7 @@ def schatten1_distance(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> floa
     diff = a - b
     scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
     res = hermiticity_residual(diff)
-    if res > tol * scale:
+    if res > HERMITIAN_INPUT_TOL * scale:
         raise NotHermitian(
             f"difference is not Hermitian (residual {res:.3e})"
         )

@@ -34,8 +34,8 @@ the sum only otherwise:
   DETAILED_BALANCE_TOL.
 - PositiveEigenvalue: lambda_max(sum_a H^a) <= sum_a max(0, lambda_max(H^a))
   (Weyl), read off each local term's eigenvalues; the spectrum of the sum
-  is taken only when that bound exceeds the 1e-8 rule, and always for
-  non-commuting H, whose terms are as large as the sum.
+  is taken only when that bound exceeds POSITIVE_EIGENVALUE_CUT, and
+  always for non-commuting H, whose terms are as large as the sum.
 - gap and kernel_dim of the sum are computed on their first read.
   kernel_is_simple decides kernel_dim <= 1 from the ground cluster of the
   projector input instead, which a dl_qsvt anneal takes anyway.
@@ -64,20 +64,21 @@ from .hamiltonians import (
     support_overlap_degree,
 )
 from .kms import (
-    DETAILED_BALANCE_TOL,
     KmsForm,
     LindbladTerm,
     _gibbs_weights,
     coherent_spectrum,
 )
 from .linalg import (
-    _NORM_SLACK,
     accumulate,
     norm_exceeds,
     spectral_norm,
     vectorize,
 )
 from .sampler import coherent_terms
+from .tolerances import (
+    DETAILED_BALANCE_TOL, KERNEL_CUT, NORM_SLACK, PARENT_TERM_PSD_TOL, POSITIVE_EIGENVALUE_CUT,
+)
 
 __all__ = [
     "ParentHamiltonian",
@@ -208,7 +209,7 @@ def build_parent(
         parent_terms.append(ParentTerm(herm, legs, float(np.linalg.norm(anti)), locality))
     del anti
     # ||sum_a anti_a|| <= sum_a ||anti_a||_F, each term's db_residual.
-    if sum(t.db_residual for t in parent_terms) >= DETAILED_BALANCE_TOL * (1.0 - _NORM_SLACK):
+    if sum(t.db_residual for t in parent_terms) >= DETAILED_BALANCE_TOL * (1.0 - NORM_SLACK):
         for op in local_anti:
             whole = add_embedded(whole, op, nq)
         _check_detailed_balance(whole, "the sum of the terms", beta)
@@ -216,10 +217,11 @@ def build_parent(
     ground = vectorize(kms.sqrt)
     ground = ground / np.linalg.norm(ground)
     ph = ParentHamiltonian(tuple(parent_terms), ground, ham.n)
-    if _top_bound(ph.terms) > 1e-8:
+    cut = POSITIVE_EIGENVALUE_CUT
+    if _top_bound(ph.terms) > cut:
         w = ph._spectrum[0]
         top = float(w[0])
-        if top > 1e-8 and top > 1e-8 * max(1.0, float(np.abs(w).max())):
+        if top > cut and top > cut * max(1.0, float(np.abs(w).max())):
             raise PositiveEigenvalue(f"parent has positive eigenvalue {top:.3e}")
     return ph
 
@@ -240,7 +242,7 @@ def _top_bound(terms: tuple[ParentTerm, ...]) -> float:
     if any(t.locality_residual is None for t in terms):
         return math.inf
     tau = sum(max(0.0, float(t.eigenvalues[-1])) for t in terms)
-    return tau + _NORM_SLACK * max(1.0, _norm_sum(terms))
+    return tau + NORM_SLACK * max(1.0, _norm_sum(terms))
 
 
 def _check_detailed_balance(anti: np.ndarray, what: str, beta: float | None) -> None:
@@ -305,7 +307,7 @@ def parent_projector_input(ph: ParentHamiltonian) -> ProjectorInput:
         scale = max(1.0, float(np.abs(w).max()))
         # -H^a / scale has eigenvalues -w / scale and norm at most 1.
         min_eig = -float(w[-1]) / scale
-        if min_eig < -1e-10:
+        if min_eig < -PARENT_TERM_PSD_TOL:
             raise PositivityFailure(
                 f"negated parent term {idx} has eigenvalue {min_eig:.3e} < 0"
             )
@@ -324,7 +326,7 @@ def kernel_is_simple(ph: ParentHamiltonian, pin: ProjectorInput) -> bool:
     delta = sum_a (1 - 1/s_a) max(0, lambda_max(H^a)).  By Weyl's
     monotonicity the second-lowest eigenvalue of -sum_a H^a is then at
     least e_0 + gap - delta when pin's ground cluster is one-dimensional.
-    When that exceeds the kernel cut 1e-9 max(1, sum_a ||H^a||), plus the
+    When that exceeds the kernel cut KERNEL_CUT max(1, sum_a ||H^a||), plus the
     rounding slack of norm_exceeds, every eigenvalue of sum_a H^a past the
     top lies below minus the cut, and coherent_spectrum counts at most one.
     False means only that the bound cannot decide: read ph.kernel_dim.
@@ -337,4 +339,4 @@ def kernel_is_simple(ph: ParentHamiltonian, pin: ProjectorInput) -> bool:
         for t, s in zip(ph.terms, pin.scales)
     )
     norm = max(1.0, _norm_sum(ph.terms))
-    return cluster.energy + cluster.gap - delta - _NORM_SLACK * norm > 1e-9 * norm
+    return cluster.energy + cluster.gap - delta - NORM_SLACK * norm > KERNEL_CUT * norm

@@ -59,6 +59,10 @@ from .linalg import (
     singular_value_decompose,
     spectral_norm,
 )
+from .tolerances import (
+    DECADE_SLACK, FRUSTRATION_CUT, GAMMA_STAR_MARGIN, IDEMPOTENCE_TOL, MIN_CERTIFIED_GAP,
+    SINGULAR_BOUND_SLACK, TERM_GROUND_WIDTH, UNIT_SINGULAR_SLACK,
+)
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ class DlOperator:
     ground_gap are the dimension and gap of the ground cluster of the
     Hamiltonian the factors came from, read off its eigenvalues; the top
     ground_dimension singular vectors span that ground space, and their
-    singular values are within 1e-8 of 1.  svd is square: its columns of
+    singular values are within UNIT_SINGULAR_SLACK of 1.  svd is square: its columns of
     U past R_1, the rank of the first factor, span that factor's kernel,
     with singular value exactly 0.  D fixes its null spaces but not how
     the columns of U there pair with the rows of Vh; that pairing is the
@@ -161,7 +165,7 @@ def _log_cosh(t: np.ndarray | float) -> np.ndarray | float:
     return at + np.log1p(np.exp(-2.0 * at)) - math.log(2.0)
 
 
-def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
+def dl_operator(ham: LocalHamiltonian) -> DlOperator:
     """SVD of the product P_1 ... P_m of per-term ground projectors, in term order.
 
     Each P_m = E_m E_m dagger tensor I comes from the local eigenvectors
@@ -177,10 +181,11 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
     r = ground_dimension, the gap and ||H|| come from one eigvalsh of H,
     kept on ham (ham.cluster).  FrustrationDetected fires when |w_0| or some
     ||H_a U_r||, U_r the top r columns of U and H_a applied on its legs,
-    exceeds 1e-8 max(1, ||H||); DegenerateGap unless s_r >= 1 - 1e-8.
-    Past both, U_r lies in every term's lowest eigenspace (||D U_r|| = 1)
-    at energy 0, so every term is positive semidefinite and U_r spans the
-    common kernel, H's ground space.  A frustrated H has no common kernel
+    exceeds FRUSTRATION_CUT max(1, ||H||); DegenerateGap unless
+    s_r >= 1 - UNIT_SINGULAR_SLACK.  Past both, U_r lies in every term's
+    lowest eigenspace (||D U_r|| = 1) at energy 0, so every term is positive
+    semidefinite and U_r spans the common kernel, H's ground space.  A
+    frustrated H has no common kernel
     at energy 0, so the residual or w_0 is off zero; a term with negative
     eigenvalues reads as frustrated even when it shares its minimizer.
     """
@@ -194,11 +199,12 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
         eig = hermitian_eigendecompose(t.op)
         w = eig.eigenvalues
         scale = max(1.0, float(np.abs(w).max()))
-        dim = int(np.sum(w - w[0] <= tol * scale))
+        dim = int(np.sum(w - w[0] <= TERM_GROUND_WIDTH * scale))
         e = eig.eigenvectors[:, :dim]
         p = e @ e.conj().T
         # ||(p (x) I)^2 - p (x) I|| = ||p^2 - p||, so p is checked on its legs.
-        if norm_exceeds(p @ p - p, 1e-10) or norm_exceeds(p - p.conj().T, 1e-10):
+        tol = IDEMPOTENCE_TOL
+        if norm_exceeds(p @ p - p, tol) or norm_exceeds(p - p.conj().T, tol):
             raise BadParams("term ground projector failed the idempotence check")
         if first is None:
             first = (eig.eigenvectors, dim, t.support)
@@ -219,14 +225,14 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
     s[:r1] = core.s
     vh = core.vh
     gauge_singular_vectors(u, vh)
-    bound = 1e-8 * max(1.0, cluster.norm)
+    bound = FRUSTRATION_CUT * max(1.0, cluster.norm)
     actions = [apply_local(t.op, t.support, u[:, :r]) for t in ham.terms]
     if abs(cluster.energy) > bound or any(norm_exceeds(y, bound) for y in actions):
         raise FrustrationDetected(
             "ground space is not annihilated by every term (residual "
             f"{max(map(spectral_norm, actions)):.3e}, ground energy {cluster.energy:.3e})"
         )
-    if s[r - 1] < 1.0 - 1e-8:
+    if s[r - 1] < 1.0 - UNIT_SINGULAR_SLACK:
         raise DegenerateGap(
             f"singular value s_r={s[r - 1]:.6e} of the DL operator is below "
             f"1 - 1e-8; its top block does not span the {r}-dimensional ground space"
@@ -234,37 +240,37 @@ def dl_operator(ham: LocalHamiltonian, tol: float = 1e-9) -> DlOperator:
     return DlOperator(m=ham.m, svd=Svd(u=u, s=s, vh=vh), ground_dimension=r, ground_gap=gap)
 
 
-def certified_bound(ham: LocalHamiltonian, tol: float = 1e-8) -> tuple[float, float]:
+def certified_bound(ham: LocalHamiltonian) -> tuple[float, float]:
     """(gamma*, bound): the certified s_{r+1} <= bound = 1 / sqrt(gap / g^2 + 1).
 
     gamma* = 1 - bound needs only H's ground cluster (ham.cluster) and its
     interaction degree g, not the DL operator; DegenerateGap unless the gap
-    exceeds tol.  A degree-0 (mutually disjoint) term set drives the bound
-    to 0 and the certified gamma* to 1; it is capped just below 1 so a
-    polynomial can still be requested.
+    exceeds MIN_CERTIFIED_GAP.  A degree-0 (mutually disjoint) term set
+    drives the bound to 0 and the certified gamma* to 1; it is capped
+    GAMMA_STAR_MARGIN below 1 so a polynomial can still be requested.
     """
     gap = ham.cluster.gap
-    if not np.isfinite(gap) or gap <= tol:
+    if not np.isfinite(gap) or gap <= MIN_CERTIFIED_GAP:
         raise DegenerateGap(f"Hamiltonian gap {gap:.3e} too small to certify")
     g = interaction_degree(ham)
     if g == 0:
-        return 1.0 - 1e-12, 0.0
+        return 1.0 - GAMMA_STAR_MARGIN, 0.0
     bound = 1.0 / math.sqrt(gap / g**2 + 1.0)
     return 1.0 - bound, bound
 
 
-def singular_gap(dl: DlOperator, ham: LocalHamiltonian, tol: float = 1e-8) -> SingularGap:
+def singular_gap(dl: DlOperator, ham: LocalHamiltonian) -> SingularGap:
     """Certified gamma* from (gap, degree) plus the empirical 1 - s_{r+1}.
 
     dl must have been built from ham; gamma* and the bound come from
-    certified_bound(ham, tol) and the ground-space dimension r from dl.
-    Asserts the singular bound s_{r+1} <= 1 / sqrt(gap / g^2 + 1) + 1e-9.
+    certified_bound(ham) and the ground-space dimension r from dl.
+    Asserts the singular bound s_{r+1} <= 1 / sqrt(gap / g^2 + 1) + SINGULAR_BOUND_SLACK.
     """
-    gamma_star, bound = certified_bound(ham, tol)
+    gamma_star, bound = certified_bound(ham)
     r = dl.ground_dimension
     s = dl.svd.s
     s_next = float(s[r]) if r < s.size else 0.0
-    if s_next > bound + 1e-9:
+    if s_next > bound + SINGULAR_BOUND_SLACK:
         raise DegenerateGap(
             f"singular value s_{{r+1}}={s_next:.6e} exceeds the certified "
             f"bound {bound:.6e}"
@@ -339,7 +345,7 @@ def planted_spectrum(
 
 
 def _min_degree(spec: PlantedSpectrum, eps: float, max_degree: int = 4000) -> int:
-    top = spec.singular_values >= 1.0 - 1e-8
+    top = spec.singular_values >= 1.0 - UNIT_SINGULAR_SLACK
     tail = spec.singular_values[~top]
     for ell in range(1, max_degree + 1):
         p = chebyshev_poly(spec.gamma_star, ell)
@@ -360,7 +366,7 @@ def speedup_slope(instances: list[PlantedSpectrum], eps: float) -> float:
     if len(instances) < 4:
         raise InsufficientSpread(f"need >= 4 instances, got {len(instances)}")
     gammas = np.array([inst.gamma_star for inst in instances], dtype=float)
-    if gammas.max() / gammas.min() < 10.0 - 1e-12:
+    if gammas.max() / gammas.min() < 10.0 - DECADE_SLACK:
         raise InsufficientSpread(
             f"gamma* range [{gammas.min():.4g}, {gammas.max():.4g}] spans "
             "less than one decade"

@@ -79,10 +79,11 @@ from .linalg import (
     real_if_exact,
     schatten1_distance,
 )
-
-# Largest relative Frobenius residual with which an operator counts as the
-# identity off a term's support.  Rounding leaves about 1e-15.
-LOCALITY_TOL = 1e-10
+from .tolerances import (
+    CONTRACTION_SLACK, DENSITY_MATRIX_TOL, GAP_ORDER_SLACK, KERNEL_CUT, LOCALITY_TOL,
+    OPEN_GAP_FLOOR, PROJECTED_PROBE_FLOOR, STATIONARITY_TOL, UNIT_FACTOR_SLACK,
+    VACUOUS_NORM2, ZERO_ROUND_NORM2,
+)
 
 
 @dataclass(frozen=True)
@@ -284,9 +285,9 @@ def compose_dl_channel(
     )
 
 
-def _contraction_factor(gap: float, g: int, tol: float = 1e-9) -> float:
+def _contraction_factor(gap: float, g: int) -> float:
     if g == 0:
-        return 0.0 if gap > tol else 1.0
+        return 0.0 if gap > OPEN_GAP_FLOOR else 1.0
     return 1.0 / np.sqrt(gap / g**2 + 1.0)
 
 
@@ -310,11 +311,11 @@ def iterate(
     rho0 = real_if_exact(rho0)
     if rho0.shape != (kms.dim, kms.dim):
         raise DimensionMismatch(f"state shape {rho0.shape} vs dim {kms.dim}")
-    if norm_exceeds(rho0 - rho0.conj().T, 1e-10):
+    if norm_exceeds(rho0 - rho0.conj().T, DENSITY_MATRIX_TOL):
         raise BadParams("initial state is not Hermitian")
-    if abs(np.trace(rho0) - 1.0) > 1e-10:
+    if abs(np.trace(rho0) - 1.0) > DENSITY_MATRIX_TOL:
         raise BadParams(f"initial state trace {np.trace(rho0):.6f} is not 1")
-    if float(np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min()) < -1e-10:
+    if float(np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min()) < -DENSITY_MATRIX_TOL:
         raise BadParams("initial state has a negative eigenvalue")
     if k_max < 0:
         raise BadParams(f"k_max must be >= 0, got {k_max}")
@@ -385,14 +386,14 @@ def contraction_check(
         x = x - np.real(np.trace(kms.sigma @ x)) * np.eye(d)
         z = (kms.quarter @ x @ kms.quarter).reshape(-1)
         x_norm2 = float(np.vdot(z, z).real)
-        if x_norm2 < 1e-24:
+        if x_norm2 < VACUOUS_NORM2:
             vacuous += 1
             continue
         y = sweep_projectors(*heisenberg, z)
         y_norm2 = float(np.vdot(y, y).real)
         worst_stat = max(worst_stat, float(abs(np.vdot(sqrt_vec, y))))
         if q == 0.0:
-            ratio = 0.0 if y_norm2 <= 1e-24 * x_norm2 else float("inf")
+            ratio = 0.0 if y_norm2 <= ZERO_ROUND_NORM2 * x_norm2 else float("inf")
         else:
             ratio = y_norm2 / (q * q * x_norm2)
         worst = max(worst, ratio)
@@ -402,7 +403,7 @@ def contraction_check(
         stationarity_residual=worst_stat,
         trials=trials,
         vacuous_trials=vacuous,
-        passed=worst <= 1.0 + 1e-8 and worst_stat <= 1e-10,
+        passed=worst <= 1.0 + CONTRACTION_SLACK and worst_stat <= STATIONARITY_TOL,
         g=channel.g,
         q=q,
     )
@@ -412,7 +413,6 @@ def superop_hamiltonian(
     terms: list[LindbladTerm] | tuple[LindbladTerm, ...],
     kms: KmsForm,
     ham: LocalHamiltonian,
-    tol: float = 1e-9,
 ) -> SpectralReport:
     """Spectral report of H_L = sum_m (I - Pi_m) over the term projectors.
 
@@ -428,8 +428,8 @@ def superop_hamiltonian(
     ||prod Pi_m psi||^2 <= 1 / (e_phi / g^2 + 1), with psi the
     probe_vector off the common kernel.
 
-    Asserts gap(H_L) >= gap(L) - 1e-8 whenever every coherent-form factor
-    has spectral norm at most 1 (which is the hypothesis that makes the
+    Asserts gap(H_L) >= gap(L) - GAP_ORDER_SLACK whenever every coherent-form
+    factor has spectral norm at most 1 (which is the hypothesis that makes the
     ordering a theorem: -h = sum -h_m <= max_m ||h_m|| H_L).  With larger
     factors a reversed ordering is possible and only triggers a warning.
     Also asserts a one-dimensional common kernel when the generator is
@@ -443,13 +443,13 @@ def superop_hamiltonian(
     h_l = 0.5 * (h_l + h_l.conj().T)
     w, v = np.linalg.eigh(h_l)
     scale = max(1.0, float(np.abs(w).max()))
-    kernel_dim = int(np.sum(np.abs(w) <= tol * scale))
+    kernel_dim = int(np.sum(np.abs(w) <= KERNEL_CUT * scale))
     if kernel_dim == 0:
         raise BadParams("term projectors share no common kernel vector")
     gap = float(w[kernel_dim]) if kernel_dim < len(w) else 0.0
     phi = sweep_projectors(ch.kernel_bases, ch.legs, probe_vector(v[:, :kernel_dim]))
     phi_norm = np.linalg.norm(phi)
-    if phi_norm < 1e-14:
+    if phi_norm < PROJECTED_PROBE_FLOOR:
         energy = gap
     else:
         phi_hat = phi / phi_norm
@@ -459,12 +459,12 @@ def superop_hamiltonian(
             f"generator is irreducible but the term projectors share a "
             f"{kernel_dim}-dimensional kernel"
         )
-    if gap < ch.gap - 1e-8:
+    if gap < ch.gap - GAP_ORDER_SLACK:
         msg = (
             f"gap(H_L)={gap:.6e} below generator gap {ch.gap:.6e}; "
             f"max coherent-form factor norm {ch.max_factor_norm:.3f}"
         )
-        if ch.max_factor_norm <= 1.0 + 1e-9:
+        if ch.max_factor_norm <= 1.0 + UNIT_FACTOR_SLACK:
             raise DlGibbsError(msg)
         warnings.warn(msg + " (ordering only guaranteed for unit-norm factors)")
     return SpectralReport(

@@ -6,7 +6,10 @@ the frustration check on its ground vectors, the dense parent
 Hamiltonian summed from its local terms, the dense projector of a
 ProjectorResult, the transition from the SVD of a dense product of two
 projectors, and the boost coefficients from scipy.special's erfcinv and
-ive.  They are kept here, and not in dlgibbs, because only tests read them.
+ive.  Beside them are the dense Gibbs state of an assembled H, the summed
+Lindbladian of a term list, and the detailed-balance defect and spectral
+report of its coherent form.  They are kept here, and not in dlgibbs,
+because only tests read them.
 """
 
 from __future__ import annotations
@@ -30,13 +33,82 @@ from dlgibbs.hamiltonians import (
     assemble,
     embed,
 )
+from dlgibbs.kms import (
+    KmsForm,
+    LindbladTerm,
+    SpectralReport,
+    Superoperator,
+    _gibbs_weights,
+    coherent_form,
+    probe_vector,
+    term_superoperator,
+)
 from dlgibbs.linalg import (
+    accumulate,
     hermitian_eigendecompose,
     singular_value_decompose,
     spectral_norm,
 )
 from dlgibbs.parent import ParentHamiltonian
 from dlgibbs.projector import ProjectorResult
+from dlgibbs.tolerances import KERNEL_CUT
+
+
+def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-beta h) / Tr exp(-beta h) of a dense Hermitian h, with _gibbs_weights' guards."""
+    ew, v = _gibbs_weights(hermitian_eigendecompose(h), beta)
+    return v @ np.diag(ew) @ v.conj().T
+
+
+def lindblad_superoperator(terms: list[LindbladTerm], n: int) -> Superoperator:
+    """Heisenberg-picture matrix of a sum of local Lindblad terms."""
+    if not terms:
+        raise BadParams("need at least one Lindblad term")
+    mat = None
+    for t in terms:
+        mat = accumulate(mat, term_superoperator(t, n).mat)
+    return Superoperator(mat=mat, picture="heisenberg", dim=2**n)
+
+
+def hermiticity_residual(op: Superoperator) -> float:
+    """||M - M dagger||_2; for a coherent form, the detailed-balance defect."""
+    return spectral_norm(op.mat - op.mat.conj().T)
+
+
+def db_residual(lind: Superoperator, kms: KmsForm) -> float:
+    """Operator-norm defect of detailed balance, ||h - h dagger||."""
+    return hermiticity_residual(coherent_form(lind, kms))
+
+
+def spectral_report(lind: Superoperator, kms: KmsForm) -> SpectralReport:
+    """Eigenvalues (descending) of the coherent form, with gap and kernel size.
+
+    gap is lambda_1 - lambda_2 of the descending spectrum, and exactly 0.0
+    when the kernel has dimension >= 2, where that difference is rounding
+    noise.  kernel_dim counts eigenvalues within KERNEL_CUT * max(1, ||h||)
+    of zero.  db_residual is the defect ||h - h dagger|| (detailed balance
+    is exactly hermiticity of the coherent form); dl_residual_energy probes
+    the energy of probe_vector off the kernel.  kms.coherent_spectrum
+    applies the same rules.
+    """
+    h = lind if lind.picture == "kms" else coherent_form(lind, kms)
+    h_sym = 0.5 * (h.mat + h.mat.conj().T)
+    eig = hermitian_eigendecompose(h_sym)
+    w = eig.eigenvalues[::-1].copy()
+    v = eig.eigenvectors[:, ::-1]
+    scale = max(1.0, float(np.abs(w).max()))
+    kernel = np.abs(w) <= KERNEL_CUT * scale
+    kernel_dim = int(kernel.sum())
+    gap = float(w[0] - w[1]) if len(w) > 1 and kernel_dim < 2 else 0.0
+    psi = probe_vector(v[:, :kernel_dim])
+    energy = float(np.real(psi.conj() @ (-h_sym) @ psi))
+    return SpectralReport(
+        eigenvalues=w,
+        gap=gap,
+        kernel_dim=kernel_dim,
+        db_residual=hermiticity_residual(h),
+        dl_residual_energy=energy,
+    )
 
 
 @dataclass(frozen=True)

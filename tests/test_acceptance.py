@@ -27,14 +27,7 @@ from dlgibbs.hamiltonians import (
 )
 from dlgibbs.harness import run_experiment
 from dlgibbs.jumps import WeightProfile, build_model
-from dlgibbs.kms import (
-    KmsForm,
-    coherent_form,
-    db_residual,
-    gibbs_state,
-    lindblad_superoperator,
-    spectral_report,
-)
+from dlgibbs.kms import KmsForm, coherent_form
 from dlgibbs.linalg import partial_trace, schatten1_distance, spectral_norm
 from dlgibbs.parent import build_parent, purified_gibbs, verify_parent
 from dlgibbs.projector import (
@@ -51,7 +44,14 @@ from dlgibbs.sampler import (
     iterate,
     superop_hamiltonian,
 )
-from reference import ground_space, parent_matrix
+from reference import (
+    db_residual,
+    gibbs_state,
+    ground_space,
+    lindblad_superoperator,
+    parent_matrix,
+    spectral_report,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BETAS = (0.0, 0.5, 1.0)

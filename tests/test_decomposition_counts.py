@@ -29,11 +29,13 @@ from dlgibbs.hamiltonians import (
 )
 from dlgibbs.harness import run_experiment
 from dlgibbs.jumps import WeightProfile, build_model
-from dlgibbs.kms import DETAILED_BALANCE_TOL, KmsForm, gibbs_state
+from dlgibbs.kms import DETAILED_BALANCE_TOL, KmsForm
 from dlgibbs.linalg import spectral_norm
 from dlgibbs.parent import build_parent, parent_projector_input, verify_parent
 from dlgibbs.projector import dl_operator, singular_gap
 from dlgibbs.sampler import compose_dl_channel, superop_hamiltonian
+import reference
+from reference import gibbs_state
 
 
 @pytest.fixture
@@ -390,8 +392,8 @@ def test_exact_anneal_runs_no_superoperator_svd_per_step(decomps):
 
 def test_pipeline_calls_no_reference_generator(monkeypatch):
     ham, couplings, w, sched = _anneal_setup()
-    reports = _count_calls(monkeypatch, "spectral_report")
-    sums = _count_calls(monkeypatch, "lindblad_superoperator")
+    reports = _count_calls(monkeypatch, "spectral_report", reference)
+    sums = _count_calls(monkeypatch, "lindblad_superoperator", reference)
     compose_dl_channel(*_zz2_model())
     for mode in ("exact", "dl_qsvt"):
         run_annealing(ham, couplings, w, sched, 0.1, mode)

@@ -24,6 +24,7 @@ from dlgibbs.hamiltonians import (
     standard_couplings,
     sweep_projectors,
 )
+from dlgibbs.tolerances import COMMUTATOR_CUT
 from reference import frustration_check, ground_space
 
 
@@ -182,6 +183,9 @@ def test_unknown_kind_and_bad_params():
         make_instance("heisenberg", 3)
     with pytest.raises(BadParams):
         make_instance("zz_chain", 1)
+    for kind in ("zz_chain", "random_ff_projectors"):
+        with pytest.raises(BadParams, match="seed must be >= 0"):
+            make_instance(kind, 3, seed=-1)
 
 
 def test_interaction_degree_chain():
@@ -200,15 +204,14 @@ def test_noncommutation_degree():
 def test_projector_degree_at_the_tolerance(factor, expected):
     # Rank-one projectors onto e_0 and cos(t) e_0 + sin(t) e_1 have
     # ||[P, Q]|| = sin(t) cos(t); both sit in a randomly rotated frame.
-    tol = 1e-10
-    theta = 0.5 * np.arcsin(2.0 * factor * tol)
+    theta = 0.5 * np.arcsin(2.0 * factor * COMMUTATOR_CUT)
     rng = np.random.default_rng(4)
     frame, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
     va = frame[:, :1]
     vb = np.cos(theta) * frame[:, :1] + np.sin(theta) * frame[:, 1:2]
-    assert projector_noncommutation_degree([va, vb], tol) == expected
+    assert projector_noncommutation_degree([va, vb]) == expected
     dense = [va @ va.conj().T, vb @ vb.conj().T]
-    assert noncommutation_degree(dense, tol) == expected
+    assert noncommutation_degree(dense) == expected
 
 
 def test_standard_couplings():

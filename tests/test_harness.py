@@ -393,6 +393,25 @@ ell_max = 3
     assert rows[0].startswith("random_ff_projectors-n4-s9,")
 
 
+def test_cli_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "mix.cfg"
+    cfg_path.write_text(MIX_CFG)
+    out = tmp_path / "out"
+    code = main(["mix", "--config", str(cfg_path), "--out", str(out), "--seed", "-1"])
+    assert code == 2
+    assert "BadParams: instance seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (out / "mix.csv").exists()
+
+
+def test_cli_negative_config_seed_is_a_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "mix.cfg"
+    cfg_path.write_text(MIX_CFG.replace("n = 3\n", "n = 3\nseed = -1\n"))
+    out = tmp_path / "out"
+    assert main(["mix", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "BadParams: instance seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (out / "mix.csv").exists()
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     # Neither `import dlgibbs.cli` nor a dl_qsvt anneal, whose polynomial
     # transitions build the boost coefficients, loads any scipy module.

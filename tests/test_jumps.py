@@ -26,15 +26,9 @@ from dlgibbs.jumps import (
     build_model,
     dressed_support,
 )
-from dlgibbs.kms import (
-    KmsForm,
-    coherent_form,
-    db_residual,
-    gibbs_state,
-    lindblad_superoperator,
-    term_superoperator,
-)
+from dlgibbs.kms import KmsForm
 from dlgibbs.linalg import hermitian_eigendecompose, spectral_norm
+from reference import db_residual, gibbs_state, lindblad_superoperator
 
 
 def bohr_reference(
@@ -276,31 +270,6 @@ def test_detailed_balance_on_noncommuting_hamiltonian():
     assert res < 1e-9
 
 
-def test_paper_literal_tanh_breaks_detailed_balance():
-    # The unscaled tanh(-nu/4) coherent weight is measurably off balance on
-    # a non-commuting Hamiltonian; kept available but not the preset.
-    rng = np.random.default_rng(21)
-    h = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    h = 0.5 * (h + h.conj().T)
-    beta = 0.9
-    w = WeightProfile(kind="davies_kms", beta=beta, beta_scaled_tanh=False)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    a = 0.5 * (a + a.conj().T)
-    bohr = bohr_grid(hermitian_eigendecompose(h))
-    jump = build_jump(a, bohr, w)
-    coh = build_coherent(jump, bohr, w)
-    from dlgibbs.kms import LindbladTerm
-
-    term = LindbladTerm(
-        jumps=(LocalOperator(jump, (0, 1, 2)),),
-        coherent=LocalOperator(coh, (0, 1, 2)),
-        support=(0, 1, 2),
-    )
-    kms = KmsForm(gibbs_state(h, beta))
-    res = db_residual(lindblad_superoperator([term], 3), kms)
-    assert res > 1e-4
-
-
 def test_weight_profile_validation():
     with pytest.raises(UnknownKind):
         WeightProfile(kind="ohmic")
@@ -308,8 +277,6 @@ def test_weight_profile_validation():
         WeightProfile(beta=-1.0)
     with pytest.raises(BadParams):
         WeightProfile(kind="custom")
-    with pytest.raises(BadParams):
-        WeightProfile(tanh_scale=0.0)
 
 
 def test_q_symmetry_violation_rejected():
@@ -355,14 +322,3 @@ def test_build_model_fixed_point_and_balance():
     assert db_residual(total, kms) < 1e-10
     schro = total.adjoint()
     assert np.abs(schro.apply(kms.sigma)).max() < 1e-10
-
-
-def test_build_model_normalized_terms_have_unit_scale():
-    ham = make_instance("zz_chain", 2)
-    beta = 0.5
-    w = WeightProfile(kind="davies_kms", beta=beta)
-    terms = build_model(ham, standard_couplings(2, "x"), w, normalize=True)
-    kms = KmsForm(gibbs_state(assemble(ham), beta))
-    for t in terms:
-        hmat = coherent_form(term_superoperator(t, 2), kms).mat
-        assert abs(spectral_norm(hmat) - 1.0) < 1e-9

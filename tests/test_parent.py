@@ -29,9 +29,6 @@ from dlgibbs.kms import (
     KmsForm,
     LindbladTerm,
     coherent_form,
-    gibbs_state,
-    lindblad_superoperator,
-    spectral_report,
 )
 from dlgibbs.linalg import partial_trace, vectorize
 from dlgibbs.parent import (
@@ -42,12 +39,12 @@ from dlgibbs.parent import (
     purified_gibbs,
     verify_parent,
 )
-from reference import parent_matrix
+from reference import gibbs_state, lindblad_superoperator, parent_matrix, spectral_report
 
 
-def _model(ham, beta, kinds="x", normalize=False):
+def _model(ham, beta, kinds="x"):
     w = WeightProfile(kind="davies_kms", beta=beta)
-    terms = build_model(ham, standard_couplings(ham.n, kinds), w, normalize=normalize)
+    terms = build_model(ham, standard_couplings(ham.n, kinds), w)
     kms = KmsForm(gibbs_state(assemble(ham), beta))
     return terms, kms
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from dlgibbs.hamiltonians import (
     standard_couplings,
 )
 from dlgibbs.jumps import WeightProfile, build_model
-from dlgibbs.kms import KmsForm, gibbs_state
+from dlgibbs.kms import KmsForm
 from dlgibbs.linalg import Svd, spectral_norm
 from dlgibbs.parent import build_parent, parent_projector_input
 from dlgibbs.projector import (
@@ -43,7 +44,7 @@ from dlgibbs.projector import (
     singular_gap,
     speedup_slope,
 )
-from reference import dense_projector, frustration_check, ground_space
+from reference import dense_projector, frustration_check, gibbs_state, ground_space
 
 FF_INSTANCES = [("commuting_projectors", 5, 0)] + [
     ("random_ff_projectors", n, seed) for n in (4, 5, 6) for seed in (0, 1, 2)
@@ -283,8 +284,12 @@ def test_singular_gap_requires_gapped_input():
     ham = LocalHamiltonian(
         n=2, terms=(LocalOperator(1e-4 * term, (0,)), LocalOperator(term, (1,)))
     )
-    with pytest.raises(DegenerateGap):
-        singular_gap(dl_operator(ham), ham, tol=1e-3)
+    # At the shipped cut the finite-gap branch cannot fire: ground_cluster's
+    # gap exceeds its width, which is at least MIN_CERTIFIED_GAP.  A cut
+    # above this H's gap of 1e-4 reaches it.
+    with patch.object(dlgibbs.projector, "MIN_CERTIFIED_GAP", 1e-3):
+        with pytest.raises(DegenerateGap):
+            singular_gap(dl_operator(ham), ham)
 
 
 def _dense_dl(ham, tol=1e-9):

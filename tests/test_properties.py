@@ -8,11 +8,13 @@ the suite draws the same examples.
 from __future__ import annotations
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dlgibbs.hamiltonians
 from dlgibbs.errors import BadParams, DegenerateGapWarning
 from dlgibbs.hamiltonians import (
     LocalHamiltonian,
@@ -27,10 +29,10 @@ from dlgibbs.hamiltonians import (
     standard_couplings,
 )
 from dlgibbs.jumps import WeightProfile, build_coherent, build_jump, build_model
-from dlgibbs.kms import KmsForm, coherent_spectrum, gibbs_state
+from dlgibbs.kms import KmsForm, coherent_spectrum
 from dlgibbs.linalg import hermitian_eigendecompose, norm_exceeds, spectral_norm
 from dlgibbs.parent import build_parent, kernel_is_simple, parent_projector_input
-from reference import parent_matrix
+from reference import gibbs_state, parent_matrix
 from test_jumps import reference_coherent, reference_jump
 from test_sampler import assert_local_matches_dense
 
@@ -130,6 +132,15 @@ def test_norm_exceeds_runs_svd_only_inside_the_straddle(monkeypatch):
     assert svds == [(6, 4), (6, 4)]
 
 
+def _commutator_cut(tol: float):
+    """The commutator cut the degree functions read, set to tol while in use.
+
+    hypothesis rejects function-scoped fixtures such as monkeypatch, so the
+    cut is patched by a context manager around each example.
+    """
+    return patch.object(dlgibbs.hamiltonians, "COMMUTATOR_CUT", tol)
+
+
 def _ordered_pair_degree(mats: list[np.ndarray], tol: float) -> int:
     """Reference: every ordered pair, exact spectral norm of each commutator."""
     k = len(mats)
@@ -181,7 +192,8 @@ def matrix_families(draw) -> list[np.ndarray]:
 @PROPERTY
 @given(matrix_families(), st.sampled_from([1e-10, 1e-6]))
 def test_noncommutation_degree_matches_ordered_pair_reference(mats, tol):
-    assert noncommutation_degree(mats, tol) == _ordered_pair_degree(mats, tol)
+    with _commutator_cut(tol):
+        assert noncommutation_degree(mats) == _ordered_pair_degree(mats, tol)
 
 
 def _orthonormal(a: np.ndarray) -> np.ndarray:
@@ -234,9 +246,8 @@ def projector_families(draw) -> list[np.ndarray]:
 @given(projector_families(), st.sampled_from([1e-10, 1e-6]))
 def test_projector_degree_matches_dense_noncommutation_degree(bases, tol):
     dense = [v @ v.conj().T for v in bases]
-    assert projector_noncommutation_degree(bases, tol) == noncommutation_degree(
-        dense, tol
-    )
+    with _commutator_cut(tol):
+        assert projector_noncommutation_degree(bases) == noncommutation_degree(dense)
 
 
 @st.composite
@@ -278,9 +289,10 @@ def local_projector_families(draw) -> tuple[list[np.ndarray], list[tuple[int, ..
 def test_support_graph_degree_matches_dense_noncommutation_degree(family, tol):
     bases, legs = family
     dense = [embed(LocalOperator(v @ v.conj().T, lg), 5) for v, lg in zip(bases, legs)]
-    assert projector_noncommutation_degree(bases, tol, legs=legs) == (
-        noncommutation_degree(dense, tol)
-    )
+    with _commutator_cut(tol):
+        assert projector_noncommutation_degree(bases, legs=legs) == (
+            noncommutation_degree(dense)
+        )
 
 
 @PROPERTY
@@ -331,7 +343,7 @@ def test_array_weights_equal_scalar_weights(gains, beta, cutoff, custom, c):
     gains = gains + [cutoff, -cutoff]
     q = (lambda nu: 1.0 + c * nu * nu + 1j * c * nu) if custom else None
     w = WeightProfile(kind="custom" if custom else "davies_kms", beta=beta, q=q)
-    s = beta * w.tanh_scale
+    s = beta * 0.25
     arr = np.array(gains)
     jumps, cohs = w.jump_weight(arr), w.coherent_weight(arr, cutoff)
     for i, nu in enumerate(gains):
@@ -387,7 +399,8 @@ def local_hamiltonians(draw) -> LocalHamiltonian:
 @given(local_hamiltonians(), st.sampled_from([1e-10, 1e-6]))
 def test_commutation_degree_matches_the_embedded_terms(ham, tol):
     dense = [embed(t, ham.n) for t in ham.terms]
-    assert commutation_degree(ham, tol) == noncommutation_degree(dense, tol)
+    with _commutator_cut(tol):
+        assert commutation_degree(ham) == noncommutation_degree(dense)
 
 
 @settings(PROPERTY, max_examples=15)

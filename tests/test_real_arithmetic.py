@@ -16,10 +16,11 @@ import pytest
 import dlgibbs.linalg
 from dlgibbs.hamiltonians import assemble, make_instance, standard_couplings
 from dlgibbs.jumps import WeightProfile, build_model
-from dlgibbs.kms import KmsForm, gibbs_state
+from dlgibbs.kms import KmsForm
 from dlgibbs.parent import build_parent, parent_projector_input
 from dlgibbs.projector import dl_operator
 from dlgibbs.sampler import compose_dl_channel, iterate
+from reference import gibbs_state
 
 _TOL = 1e-12
 

@@ -29,10 +29,11 @@ import dlgibbs.sampler
 from dlgibbs.anneal import make_schedule, run_annealing
 from dlgibbs.hamiltonians import assemble, make_instance, standard_couplings
 from dlgibbs.jumps import WeightProfile, build_model
-from dlgibbs.kms import KmsForm, gibbs_state
+from dlgibbs.kms import KmsForm
 from dlgibbs.linalg import spectral_norm
 from dlgibbs.projector import dl_operator
 from dlgibbs.sampler import compose_dl_channel
+from reference import gibbs_state
 
 
 def test_compose_dl_channel_holds_no_earlier_factor(monkeypatch):
