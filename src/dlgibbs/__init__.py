@@ -12,14 +12,12 @@ from .anneal import (
     AnnealingRun,
     ErrorBudget,
     Schedule,
-    TransitionBackend,
     boost_coefficients,
     boost_degree,
     error_budget,
     make_schedule,
     overlap,
     run_annealing,
-    transition_backend,
 )
 from .config import (
     ExperimentConfig,

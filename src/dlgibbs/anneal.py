@@ -18,7 +18,7 @@ obtained by boosting the dominant singular value of P_j P_{j-1}, the
 product of (approximate) rank-one projectors onto consecutive purified
 states.  With exact rank-one projectors the boost divides out the top
 singular value, |<psi_j|psi_{j-1}>|, in closed form.  Otherwise it is an
-explicit odd polynomial p (TransitionBackend) with |p| <= 1 on [-1, 1]
+explicit odd polynomial p (boost_coefficients) with |p| <= 1 on [-1, 1]
 and p >= 1 - eps on [b, 1], built from the Chebyshev series of erf(kx)
 with k chosen so erf(kb) = 1 - eps/2; degree ceil(c_b log(1/eps) / b)
 suffices.  With per-step budgets
@@ -232,33 +232,6 @@ def boost_degree(b: float, epsilon: float) -> int:
     return max(1, math.ceil(C_BOOST * math.log(1.0 / epsilon) / b))
 
 
-@dataclass(frozen=True)
-class TransitionBackend:
-    """The polynomial boost of transition operators' singular values.
-
-    The odd erf-based boost, given by its Chebyshev coefficients, is
-    applied to all singular values.  b is the overlap floor the boost is
-    built for.
-    """
-
-    b: float
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not 0 < self.b <= 1:
-            raise BadInputs(f"overlap floor must lie in (0, 1], got {self.b}")
-
-
-def transition_backend(
-    b: float,
-    epsilon: float,
-    degree: int | None = None,
-) -> TransitionBackend:
-    """Build a transition backend, deriving the polynomial degree if absent."""
-    l = boost_degree(b, epsilon) if degree is None else int(degree)
-    return TransitionBackend(b=b, coefficients=boost_coefficients(b, epsilon, l))
-
-
 def _check_overlap(s0: float, b: float) -> None:
     """OverlapTooSmall when the dominant singular value s0 is below b / 2."""
     if s0 < b / 2:
@@ -280,14 +253,16 @@ def transition(
     a: np.ndarray,
     b: np.ndarray,
     state: np.ndarray,
-    backend: TransitionBackend,
+    coefficients: np.ndarray,
+    floor: float,
 ) -> tuple[np.ndarray, float]:
     """Apply O_tilde ~ |b><a| to state; return it and ||O_tilde - b a^dag||.
 
-    O_tilde applies the odd boost polynomial f to every singular value of
-    P_b P_a, each projector given by its factors P = U diag(p_s) Vh.  Past
-    its R nonzero singular values a step's p_s is the constant c = p(0), so
-    with W = Vh_b U_a and W_1 = W[:, :R_a]
+    O_tilde applies the odd boost polynomial f, given by its Chebyshev
+    coefficients (boost_coefficients for the overlap floor), to every
+    singular value of P_b P_a, each projector given by its factors
+    P = U diag(p_s) Vh.  Past its R nonzero singular values a step's p_s is
+    the constant c = p(0), so with W = Vh_b U_a and W_1 = W[:, :R_a]
 
         P_b P_a = U_b [Z T Z^dag + c_a c_b (I - Z Z^dag)] W Vh_a,
 
@@ -299,8 +274,9 @@ def transition(
     extends Z by b^ = U_b^dag b and a^ = W Vh_a a, so the error is the
     2-norm of E, the bracket minus b^ a^dag on that basis (side <= k + 2).
     Nothing d x d is formed: W_1 is d x R_a and the state moves by
-    matrix-vector products.  OverlapTooSmall and RankAmbiguous read the top
-    two singular values of P_b P_a, as for the dense product.
+    matrix-vector products.  OverlapTooSmall (below floor / 2) and
+    RankAmbiguous read the top two singular values of P_b P_a, as for the
+    dense product.
     """
     ra, ca = _padding(pa)
     rb, cb = _padding(pb)
@@ -324,17 +300,16 @@ def transition(
     core = singular_value_decompose(p_z[:, None] * m_z)
     cc = ca * cb
     s = np.sort(np.concatenate([core.s[:2], np.full(min(2, d - k), abs(cc))]))[::-1]
-    _check_overlap(s[0], backend.b)
+    _check_overlap(s[0], floor)
     if len(s) > 1 and s[1] > s[0] / 10:
         raise RankAmbiguous(
             f"second singular value {s[1]:.3e} is within a factor 10 of the "
             f"first {s[0]:.3e}"
         )
-    coeffs = backend.coefficients
     # f is odd: the padding's singular value |c_a c_b| carries the sign of c_a c_b.
-    f_pad = math.copysign(float(chebyshev.chebval(min(abs(cc), 1.0), coeffs)), cc)
+    f_pad = math.copysign(float(chebyshev.chebval(min(abs(cc), 1.0), coefficients)), cc)
     g = f_pad * np.eye(k_ext, dtype=core.u.dtype)
-    g[:k, :k] = (core.u * chebyshev.chebval(np.clip(core.s, 0.0, 1.0), coeffs)) @ core.vh
+    g[:k, :k] = (core.u * chebyshev.chebval(np.clip(core.s, 0.0, 1.0), coefficients)) @ core.vh
     beta_z = np.concatenate([b_hat[:rb], r_ext[:, ra]])
     alpha_z = np.concatenate([a_hat[:rb], r_ext[:, ra + 1]])
     # Past the extended basis the difference is f(c_a c_b) I.  When there is
@@ -362,19 +337,17 @@ class ErrorBudget:
 
 
 def error_budget(k_steps: int, b: float, delta: float) -> ErrorBudget:
-    """Budgets eps = delta/(4K), l = ceil(C_BOOST ln(4K/delta)/b), mu.
+    """Budgets eps = delta/(4K), l = boost_degree(b, eps), mu.
 
     mu = (delta / (16 sqrt(3) l K))^2 makes the per-step transition
     error 4 l sqrt(3 mu) + eps at most delta/(2K).
     """
     if k_steps < 1:
         raise BadInputs(f"step count must be >= 1, got {k_steps}")
-    if not 0 < b <= 1:
-        raise BadInputs(f"overlap floor must lie in (0, 1], got {b}")
     if not 0 < delta < 1:
         raise BadInputs(f"error target must lie in (0, 1), got {delta}")
     eps = delta / (4.0 * k_steps)
-    l = max(1, math.ceil(C_BOOST * math.log(4.0 * k_steps / delta) / b))
+    l = boost_degree(b, eps)
     mu = (delta / (16.0 * math.sqrt(3.0) * l * k_steps)) ** 2
     return ErrorBudget(epsilon=eps, mu=mu, degree=l)
 
@@ -421,7 +394,6 @@ class AnnealingRun:
     projector_degree: int
     m_terms: int
     tally: QueryTally
-    warnings: tuple[str, ...]
 
 
 def run_annealing(
@@ -480,7 +452,6 @@ def run_annealing(
 
     # Pass 1: every step's parent, for its target and, in dl_qsvt mode, its
     # local projector input; the certified gamma* of each needs only that.
-    notes: list[str] = []
     targets = []
     pins = []
     for beta_j in betas.tolist():
@@ -491,12 +462,11 @@ def run_annealing(
             pins.append(parent_projector_input(ph))
             simple = kernel_is_simple(ph, pins[-1])
         if not simple and ph.kernel_dim > 1:
-            msg = (
+            warnings.warn(
                 f"generator at beta = {beta_j:.6g} has fixed-point dimension "
-                f"{ph.kernel_dim}; the purified path is not unique"
+                f"{ph.kernel_dim}; the purified path is not unique",
+                IrreducibilityWarning,
             )
-            warnings.warn(msg, IrreducibilityWarning)
-            notes.append(msg)
         targets.append(ph.ground)
         # Drop this step's parent terms (4^n x 4^n each for non-commuting H)
         # before the next ones are built.
@@ -517,7 +487,7 @@ def run_annealing(
         ell = max(
             degree_for_error(certified_bound(pin.ham)[0], target_err) for pin in pins
         )
-        backend = transition_backend(b_floor, budgets.epsilon, degree=budgets.degree)
+        coefficients = boost_coefficients(b_floor, budgets.epsilon, budgets.degree)
         transition_queries = budgets.degree
 
     # Pass 2: step j's projector, then transition j.  Step j's DL factors
@@ -544,7 +514,7 @@ def run_annealing(
                 err = float(abs(phase - 1.0))  # ||(phase - 1) b a dagger||
                 state = (phase * np.vdot(a, state)) * b
             else:
-                state, err = transition(prev, res, a, b, state, backend)
+                state, err = transition(prev, res, a, b, state, coefficients, b_floor)
             records.append(
                 StepRecord(
                     index=j,
@@ -579,5 +549,4 @@ def run_annealing(
         tally=QueryTally(
             projector=k_steps * ell * m_terms, transition=k_steps * transition_queries
         ),
-        warnings=tuple(notes),
     )

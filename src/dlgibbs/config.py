@@ -267,8 +267,8 @@ def parse_config(text: str) -> ExperimentConfig:
     weights = WeightsConfig(
         **_apply_schema("weights", weights_table, _WEIGHTS_SCHEMA)
     )
-    # davies_kms is the only preset a config can use: 'custom' needs a q
-    # callable, which a config cannot supply.
+    # davies_kms is the only weight kind (jumps.WeightProfile); the config
+    # names it so that a file states the weights it was run with.
     if weights.kind != "davies_kms":
         raise ParseError(
             f"line {weights_table['kind'][1]}: weights.kind must be "

@@ -362,7 +362,7 @@ def sweep_projectors(
 
 def projector_noncommutation_degree(
     bases: Sequence[np.ndarray],
-    legs: Sequence[Sequence[int]] | None = None,
+    legs: Sequence[Sequence[int]],
 ) -> int:
     """noncommutation_degree of the projectors V V dagger onto orthonormal bases.
 
@@ -373,19 +373,17 @@ def projector_noncommutation_degree(
     an r_a x D matrix, decided by norm_exceeds against COMMUTATOR_CUT: a projector has
     norm 1, so the scale of noncommutation_degree is 1.
 
-    legs[a], when given, lists the qubits bases[a] acts on (the projector
-    is V V dagger tensor I elsewhere); this is the support graph of the
-    projectors.  Projectors on disjoint qubits commute exactly and are not
-    compared; an overlapping pair is compared on the union of its qubits
-    (_pair_degree), each basis lifted there by the identity (lift_basis),
-    which leaves the commutator norm unchanged.  Without legs every basis
-    acts on the same register.
+    legs[a] lists the qubits bases[a] acts on (the projector is V V dagger
+    tensor I elsewhere); this is the support graph of the projectors.
+    Projectors on disjoint qubits commute exactly and are not compared; an
+    overlapping pair is compared on the union of its qubits (_pair_degree),
+    each basis lifted there by the identity (lift_basis), which leaves the
+    commutator norm unchanged.
     """
-    def exceeds(a: int, b: int, pair: tuple | None) -> bool:
-        va, vb = bases[a], bases[b]
-        if pair is not None:
-            la, lb, width = pair
-            va, vb = lift_basis(va, la, range(width)), lift_basis(vb, lb, range(width))
+    def exceeds(a: int, b: int, pair: tuple) -> bool:
+        la, lb, width = pair
+        va = lift_basis(bases[a], la, range(width))
+        vb = lift_basis(bases[b], lb, range(width))
         adj_a = va.conj().T
         x = adj_a @ vb
         return norm_exceeds(x @ (vb.conj().T - x.conj().T @ adj_a), COMMUTATOR_CUT)

@@ -333,7 +333,7 @@ def _run_parent(cfg: ExperimentConfig):
                 float(term.norm),
                 len(term.support),
                 float(rep.frustration_residuals[a]),
-                float(rep.hermiticity_residuals[a]),
+                float(term.db_residual),
                 loc,
             )
         )

@@ -7,7 +7,7 @@ A coupling operator A splits in the eigenbasis of H into Bohr components
 so A_w lowers energy by w, i.e. carries energy gain nu = -w.  Weights are
 always applied as functions of the gain: the jump operator is
 
-    L = sum_nu w_hat(nu) A_{-nu},      w_hat(nu) = q(nu) exp(-beta nu / 4)
+    L = sum_nu w_hat(nu) A_{-nu},      w_hat(nu) = exp(-beta nu / 4)
 
 (the exponent 1/4 makes the generator exactly KMS-detailed-balanced with
 fixed point exp(-beta H)/Z), and the coherent part is
@@ -28,61 +28,52 @@ it occupies, and weighs them in one array evaluation at their centres:
     L = V (w_hat(-Omega) * V'AV) V',   G = V (g_hat(-Omega) * V'L'LV) V',
 
 where Omega holds every entry's cluster centre and * is the elementwise
-product: O(d^3) whatever the number of clusters.  A jump whose coupling,
-H's eigenvectors and weights are all exactly real is computed in real
-arithmetic; the coherent weights are imaginary, so G is computed complex.
+product: O(d^3) whatever the number of clusters.  The jump weights are
+real, so a jump whose coupling and H's eigenvectors are real is computed
+in real arithmetic; the coherent weights are imaginary, so G is computed
+complex.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BadParams, UnknownKind
 from .hamiltonians import BohrGrid, LocalHamiltonian, LocalOperator, embed
 from .kms import LindbladTerm
-from .linalg import norm_exceeds, real_if_exact, spectral_norm
-from .tolerances import (
-    COHERENT_PART_CUT, KAPPA_CUTOFF_MARGIN, NORM_SLACK, OFFSHELL_FLOOR, Q_SYMMETRY_TOL,
-)
+from .linalg import norm_exceeds, spectral_norm
+from .tolerances import COHERENT_PART_CUT, KAPPA_CUTOFF_MARGIN, NORM_SLACK, OFFSHELL_FLOOR
 
 
 @dataclass(frozen=True)
 class WeightProfile:
     """Weight functions attached to an inverse temperature.
 
-    kind is the 'davies_kms' preset or 'custom', which requires q; q is an
-    optional extra factor on the gain frequency, validated to satisfy
-    q(nu) = conj(q(-nu)); kappa_cutoff bounds the coherent-term frequencies
-    (None means twice the Hamiltonian norm, set at build time).
+    kind names the weight family; 'davies_kms' is the only one.
+    kappa_cutoff bounds the coherent-term frequencies (None means twice the
+    Hamiltonian norm, set at build time).
     """
 
     kind: str = "davies_kms"
     beta: float = 1.0
-    q: Callable[[float], complex] | None = None
     kappa_cutoff: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("davies_kms", "custom"):
+        if self.kind != "davies_kms":
             raise UnknownKind(f"unknown weight kind {self.kind!r}")
-        if self.kind == "custom" and self.q is None:
-            raise BadParams("custom weight profiles need a q callable")
         if self.beta < 0:
             raise BadParams(f"inverse temperature must be >= 0, got {self.beta}")
         if self.kappa_cutoff is not None and self.kappa_cutoff <= 0:
             raise BadParams(f"kappa_cutoff must be positive, got {self.kappa_cutoff}")
 
-    def jump_weight(self, nu: float | np.ndarray) -> complex | np.ndarray:
-        """w_hat(nu) = q(nu) exp(-beta nu / 4) on the energy-gain frequencies nu.
-
-        nu is a scalar or an array; q is read, and checked, at nu by
-        check_q_symmetry.
-        """
+    def jump_weight(self, nu: float | np.ndarray) -> float | np.ndarray:
+        """w_hat(nu) = exp(-beta nu / 4) on the energy-gain frequencies nu (scalar or array)."""
         nu = np.asarray(nu, dtype=float)
-        return self.check_q_symmetry(nu) * np.exp(-self.beta * nu * 0.25)
+        return np.exp(-self.beta * nu * 0.25)
 
     def coherent_weight(
         self, nu: float | np.ndarray, cutoff: float
@@ -91,31 +82,6 @@ class WeightProfile:
         nu = np.asarray(nu, dtype=float)
         s = self.beta * 0.25
         return np.where(np.abs(nu) > cutoff, 0.0j, -0.5j * np.tanh(-s * nu))[()]
-
-    def check_q_symmetry(self, freqs: float | np.ndarray) -> complex | np.ndarray:
-        """q at the gains freqs (1 without q), validated: q(nu) = conj(q(-nu)).
-
-        q is called once at each gain and once at its negation.  BadParams
-        names the first gain, in freqs' order, where the two values differ
-        by more than Q_SYMMETRY_TOL * max(1, |q(nu)|, |q(-nu)|).
-        """
-        nu = np.asarray(freqs, dtype=float)
-        if self.q is None:
-            return np.ones(nu.shape, dtype=complex)[()]
-        flat = nu.ravel().tolist()
-        pairs = np.array(
-            [(complex(self.q(x)), complex(self.q(-x))) for x in flat], dtype=complex
-        ).reshape(len(flat), 2)
-        a, b = pairs[:, 0], pairs[:, 1]
-        scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-        bad = np.flatnonzero(np.abs(a - np.conj(b)) > Q_SYMMETRY_TOL * scale)
-        if bad.size:
-            i = int(bad[0])
-            raise BadParams(
-                f"q violates q(nu) = conj(q(-nu)) at nu = {flat[i]:.6g}: "
-                f"{complex(a[i]):.6g} vs conj({complex(b[i]):.6g})"
-            )
-        return a.reshape(nu.shape)[()]
 
 
 def _occupied(op: np.ndarray, bohr: BohrGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -136,11 +102,9 @@ def _weigh(
 ) -> np.ndarray:
     """V (c[labels] * rotated) V', with c the occupied clusters' coeff and 0 elsewhere.
 
-    A real rotated operator with exactly-real weights, demoted to float64
-    by real_if_exact, is weighed and rotated back in real arithmetic.
+    A real rotated operator with real weights is weighed and rotated back
+    in real arithmetic.
     """
-    if not np.iscomplexobj(rotated):
-        coeff = real_if_exact(coeff)
     scale = np.zeros(bohr.centres.size, dtype=np.result_type(coeff, rotated))
     scale[occupied] = coeff
     v = bohr.eig.eigenvectors

@@ -144,24 +144,20 @@ def gauge_singular_vectors(u: np.ndarray, vh: np.ndarray) -> None:
     entry whose magnitude exceeds GAUGE_PIVOT times the column norm is made real
     and nonnegative by the conjugate of its phase, and the row of vh takes
     the phase, so u diag(s) vh is unchanged.  A column with no such entry
-    (a zero column) is left as it is.  One pass over the whole block.
+    (a zero column) takes phase 1, so its values and its row's do not change.
+    One broadcast pass over the whole block.
     """
     k = min(u.shape[1], vh.shape[0])
     cols = u[:, :k]
     significant = np.abs(cols) > GAUGE_PIVOT * np.linalg.norm(cols, axis=0)
-    j = np.flatnonzero(significant.any(axis=0))
-    pivot = cols[significant[:, j].argmax(axis=0), j]
+    pivot = np.where(
+        significant.any(axis=0), cols[significant.argmax(axis=0), np.arange(k)], 1.0
+    )
     # hypot is what abs of one complex scalar computes; np.abs over a complex
     # array may round differently, and the gauge must not depend on that.
     phase = pivot / np.hypot(pivot.real, pivot.imag)
-    if j.size == k:
-        # Every column has a pivot: scale the whole block by broadcast,
-        # not by fancy-indexed writes.
-        u[:, :k] *= phase.conjugate()
-        vh[:k] *= phase[:, None]
-    else:
-        u[:, j] *= phase.conjugate()
-        vh[j, :] *= phase[:, None]
+    u[:, :k] *= phase.conjugate()
+    vh[:k] *= phase[:, None]
 
 
 def singular_value_decompose(a: np.ndarray) -> Svd:

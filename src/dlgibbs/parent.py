@@ -108,8 +108,8 @@ class ParentTerm:
 
     @cached_property
     def norm(self) -> float:
-        """||H^a||_2, computed on first read."""
-        return spectral_norm(self.mat)
+        """||H^a||_2 = max |eigenvalue| of the Hermitian mat."""
+        return float(np.abs(self.eigenvalues).max())
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -153,19 +153,16 @@ class ParentHamiltonian:
 
 @dataclass(frozen=True)
 class ParentReport:
-    """Frustration, hermiticity, locality and degree diagnostics.
+    """Frustration, locality and degree diagnostics.
 
-    hermiticity_residuals are the terms' db_residual, an upper bound on
-    the spectral norm of each coherent form's anti-Hermitian part.
+    A term's hermiticity residual is its db_residual, kept on the term.
     """
 
     frustration_residuals: tuple[float, ...]
     max_frustration: float
-    hermiticity_residuals: tuple[float, ...]
     locality_residuals: tuple[float, ...] | None
     parent_degree: int
     locality_checked: bool
-    warnings: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -228,7 +225,7 @@ def build_parent(
 
 def _norm_sum(terms: tuple[ParentTerm, ...]) -> float:
     """sum_a ||H^a|| >= ||sum_a H^a||, from the terms' eigenvalues."""
-    return sum(float(np.abs(t.eigenvalues).max()) for t in terms)
+    return sum(t.norm for t in terms)
 
 
 def _top_bound(terms: tuple[ParentTerm, ...]) -> float:
@@ -267,25 +264,21 @@ def _frustration(term: ParentTerm, ground: np.ndarray) -> float:
 
 
 def verify_parent(ph: ParentHamiltonian) -> ParentReport:
-    """Report-only diagnostics: frustration, hermiticity, locality, degree.
+    """Report-only diagnostics: frustration, locality, degree.
 
-    Hermiticity and locality residuals are the ones build_parent measured.
+    Locality residuals are the ones build_parent measured.
     """
     frus = tuple(_frustration(t, ph.ground) for t in ph.terms)
     locality = tuple(t.locality_residual for t in ph.terms)
-    warns: tuple[str, ...] = ()
     if None in locality:
-        warns = ("Hamiltonian terms do not commute; locality checks skipped",)
-        warnings.warn(warns[0])
+        warnings.warn("Hamiltonian terms do not commute; locality checks skipped")
         locality = None
     return ParentReport(
         frustration_residuals=frus,
         max_frustration=max(frus),
-        hermiticity_residuals=tuple(t.db_residual for t in ph.terms),
         locality_residuals=locality,
         parent_degree=support_overlap_degree([t.support for t in ph.terms]),
         locality_checked=locality is not None,
-        warnings=warns,
     )
 
 
@@ -303,10 +296,10 @@ def parent_projector_input(ph: ParentHamiltonian) -> ProjectorInput:
         if t.locality_residual is None:
             msg = f"parent term {idx} is not local: the Hamiltonian terms do not commute"
             raise BadParams(msg)
-        w = t.eigenvalues
-        scale = max(1.0, float(np.abs(w).max()))
-        # -H^a / scale has eigenvalues -w / scale and norm at most 1.
-        min_eig = -float(w[-1]) / scale
+        scale = max(1.0, t.norm)
+        # -H^a / scale has eigenvalues -w / scale, w = t.eigenvalues, and
+        # norm at most 1.
+        min_eig = -float(t.eigenvalues[-1]) / scale
         if min_eig < -PARENT_TERM_PSD_TOL:
             raise PositivityFailure(
                 f"negated parent term {idx} has eigenvalue {min_eig:.3e} < 0"

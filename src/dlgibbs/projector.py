@@ -69,9 +69,9 @@ from .tolerances import (
 class DlOperator:
     """Ordered product of m per-term ground projectors, kept as its SVD.
 
-    Only the SVD and m are kept of the product.  ground_dimension and
-    ground_gap are the dimension and gap of the ground cluster of the
-    Hamiltonian the factors came from, read off its eigenvalues; the top
+    Only the SVD and m are kept of the product.  ground_dimension is the
+    dimension of the ground cluster of the Hamiltonian the factors came
+    from (its ham.cluster, which also holds the gap); the top
     ground_dimension singular vectors span that ground space, and their
     singular values are within UNIT_SINGULAR_SLACK of 1.  svd is square: its columns of
     U past R_1, the rank of the first factor, span that factor's kernel,
@@ -84,7 +84,6 @@ class DlOperator:
     m: int
     svd: Svd
     ground_dimension: int
-    ground_gap: float
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,6 @@ class ProjectorResult:
     error: float
     bound: float
     queries: int
-    ancilla_estimate: int
     degree: int
     r: int
 
@@ -178,8 +176,8 @@ def dl_operator(ham: LocalHamiltonian) -> DlOperator:
     kernel of P_1, and S padded with d - R_1 zeros.  B_1 is an isometry,
     so C's reconstruction check and Frobenius scale are D's.
 
-    r = ground_dimension, the gap and ||H|| come from one eigvalsh of H,
-    kept on ham (ham.cluster).  FrustrationDetected fires when |w_0| or some
+    r = ground_dimension and ||H|| come from one eigvalsh of H, kept on
+    ham (ham.cluster).  FrustrationDetected fires when |w_0| or some
     ||H_a U_r||, U_r the top r columns of U and H_a applied on its legs,
     exceeds FRUSTRATION_CUT max(1, ||H||); DegenerateGap unless
     s_r >= 1 - UNIT_SINGULAR_SLACK.  Past both, U_r lies in every term's
@@ -192,7 +190,7 @@ def dl_operator(ham: LocalHamiltonian) -> DlOperator:
     if ham.m == 0:
         raise BadParams("need at least one term")
     cluster = ham.cluster
-    r, gap = cluster.dimension, cluster.gap
+    r = cluster.dimension
     first = None
     bases, legs = [], []
     for t in ham.terms:
@@ -237,7 +235,7 @@ def dl_operator(ham: LocalHamiltonian) -> DlOperator:
             f"singular value s_r={s[r - 1]:.6e} of the DL operator is below "
             f"1 - 1e-8; its top block does not span the {r}-dimensional ground space"
         )
-    return DlOperator(m=ham.m, svd=Svd(u=u, s=s, vh=vh), ground_dimension=r, ground_gap=gap)
+    return DlOperator(m=ham.m, svd=Svd(u=u, s=s, vh=vh), ground_dimension=r)
 
 
 def certified_bound(ham: LocalHamiltonian) -> tuple[float, float]:
@@ -278,7 +276,7 @@ def singular_gap(dl: DlOperator, ham: LocalHamiltonian) -> SingularGap:
     return SingularGap(
         gamma_star=gamma_star,
         r=r,
-        gamma=dl.ground_gap,
+        gamma=ham.cluster.gap,
         g=interaction_degree(ham),
         s_next=s_next,
         empirical_gap=1.0 - s_next,
@@ -315,7 +313,6 @@ def approximate_projector(dl: DlOperator, poly: ProjectorPoly) -> ProjectorResul
         error=err,
         bound=bound,
         queries=poly.degree * dl.m,
-        ancilla_estimate=math.ceil(math.log2(dl.m)) + 1 if dl.m > 1 else 1,
         degree=poly.degree,
         r=r,
     )

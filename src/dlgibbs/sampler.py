@@ -132,7 +132,6 @@ class MixingTrace:
     g: int
     q: float
     kernel_dim: int
-    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -320,14 +319,12 @@ def iterate(
     if k_max < 0:
         raise BadParams(f"k_max must be >= 0, got {k_max}")
     q = channel.q
-    warns: list[str] = []
     if channel.kernel_dim > 1:
-        msg = (
+        warnings.warn(
             f"stationary space has dimension {channel.kernel_dim}; the distance "
-            "bound is constant and convergence to sigma is not guaranteed"
+            "bound is constant and convergence to sigma is not guaranteed",
+            IrreducibilityWarning,
         )
-        warnings.warn(msg, IrreducibilityWarning)
-        warns.append(msg)
     d = kms.dim
     ks = np.arange(k_max + 1)
     dists = np.empty(k_max + 1)
@@ -348,7 +345,6 @@ def iterate(
         g=channel.g,
         q=q,
         kernel_dim=channel.kernel_dim,
-        warnings=tuple(warns),
     )
 
 

@@ -34,8 +34,6 @@ MIN_STATE_WEIGHT = 1e-14
 CPTP_TOL = 1e-9
 # Norm of the all-ones probe off a kernel below which a seeded one replaces it.
 PROBE_NORM_FLOOR = 1e-12
-# |q(nu) - conj(q(-nu))| relative to max(1, |q(nu)|, |q(-nu)|).
-Q_SYMMETRY_TOL = 1e-10
 # Margin of the default coherent cutoff above 2 ||H||; absolute.
 KAPPA_CUTOFF_MARGIN = 1e-9
 # Smallest |gain| of L'L that is off-shell; absolute.

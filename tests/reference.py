@@ -51,7 +51,7 @@ from dlgibbs.linalg import (
 )
 from dlgibbs.parent import ParentHamiltonian
 from dlgibbs.projector import ProjectorResult
-from dlgibbs.tolerances import KERNEL_CUT
+from dlgibbs.tolerances import FRUSTRATION_CUT, GROUND_CLUSTER_WIDTH, KERNEL_CUT
 
 
 def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
@@ -127,12 +127,11 @@ class GroundSpace:
         return self.vectors @ self.vectors.conj().T
 
 
-def ground_space(
-    h: np.ndarray | LocalHamiltonian, tol: float = 1e-8
-) -> GroundSpace:
+def ground_space(h: np.ndarray | LocalHamiltonian) -> GroundSpace:
     """Project onto the lowest eigenvalue cluster of h.
 
-    The ground cluster collects eigenvalues within tol * max(1, ||h||) of
+    The ground cluster collects eigenvalues within GROUND_CLUSTER_WIDTH *
+    max(1, ||h||) of
     the minimum, with ||h|| read off the eigenvalues; a gap below ten times
     that width triggers a DegenerateGapWarning because the cluster boundary
     is then ambiguous.  For a LocalHamiltonian input the frustration
@@ -149,7 +148,7 @@ def ground_space(
     eig = hermitian_eigendecompose(h)
     w, v = eig.eigenvalues, eig.eigenvectors
     scale = max(1.0, float(np.abs(w).max()))
-    width = tol * scale
+    width = GROUND_CLUSTER_WIDTH * scale
     dim = int(np.sum(w - w[0] <= width))
     ground = v[:, :dim].copy()  # a view would keep all d x d of v alive
     gap = float(w[dim] - w[0]) if dim < len(w) else float("inf")
@@ -174,20 +173,18 @@ def ground_space(
     )
 
 
-def frustration_check(
-    ham: LocalHamiltonian, tol: float = 1e-8
-) -> tuple[bool, GroundSpace]:
+def frustration_check(ham: LocalHamiltonian) -> tuple[bool, GroundSpace]:
     """Ground space of ham and whether it annihilates every term.
 
     Terms are expected in the zoo normalization (positive semidefinite with
     kernel); a term with negative eigenvalues reads as frustrated even when
     it shares its minimizer with the total.  The residual is compared with
-    tol * max(1, ||H||); since that scale is at least 1, a residual within
-    tol passes without assembling ||H||.
+    FRUSTRATION_CUT * max(1, ||H||); since that scale is at least 1, a
+    residual within FRUSTRATION_CUT passes without assembling ||H||.
     """
-    gs = ground_space(ham, tol)
+    gs = ground_space(ham)
     res = abs(gs.frustration_residual)
-    ff = res <= tol or res <= tol * spectral_norm(assemble(ham))
+    ff = res <= FRUSTRATION_CUT or res <= FRUSTRATION_CUT * spectral_norm(assemble(ham))
     return ff, gs
 
 
@@ -213,7 +210,7 @@ def dense_transition(
     singular value against the overlap floor b, and either divides the
     dominant singular value to 1 (the oracle, without coefficients) or
     applies the odd boost polynomial with these Chebyshev coefficients to
-    every singular value (a TransitionBackend's).  Both variants have
+    every singular value (as anneal.transition does).  Both variants have
     operator norm at most 1.  The product u1 vh1 of the dominant
     singular vectors is gauge independent when the top singular value is
     simple, which the RankAmbiguous check enforces.

@@ -12,6 +12,7 @@ import dlgibbs.anneal
 from scipy.special import erfcinv, ive
 
 from dlgibbs.anneal import (
+    C_BOOST,
     Schedule,
     _erfcinv,
     _scaled_bessel_i,
@@ -22,7 +23,6 @@ from dlgibbs.anneal import (
     overlap,
     run_annealing,
     transition,
-    transition_backend,
 )
 from dlgibbs.errors import (
     BadAlpha,
@@ -141,6 +141,18 @@ def test_error_budget_satisfies_composition_bound():
                 assert lhs <= delta / (2 * k) + 1e-15
 
 
+@pytest.mark.parametrize("k_steps", [1, 2, 6, 17])
+def test_error_budget_degree_is_the_boost_degree(k_steps):
+    # The budget's degree is boost_degree at its own eps = delta / (4K), and
+    # that equals the closed form ceil(C_BOOST ln(4K / delta) / b) on a grid.
+    for b in (0.3, 0.7, 0.99, 1.0):
+        for delta in (0.4, 0.05, 0.003):
+            bud = error_budget(k_steps, b, delta)
+            assert bud.degree == boost_degree(b, bud.epsilon)
+            closed = max(1, math.ceil(C_BOOST * math.log(4.0 * k_steps / delta) / b))
+            assert bud.degree == closed
+
+
 def test_error_budget_rejects_bad_inputs():
     with pytest.raises(BadInputs):
         error_budget(0, 0.9, 0.1)
@@ -219,11 +231,16 @@ def test_scaled_bessel_values_match_scipy():
         assert np.abs(got - want).max() <= 1e-16 + 1e-15 * want[0], z
 
 
+def _boost(b, eps):
+    """The boost coefficients at the default degree, as run_annealing builds them."""
+    return boost_coefficients(b, eps, boost_degree(b, eps))
+
+
 def test_transition_fixed_point():
     p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     assert spectral_norm(dense_transition(p0, p0, 1.0) - p0) < 1e-14
-    poly = transition_backend(b=1.0, epsilon=1e-8)
-    assert spectral_norm(dense_transition(p0, p0, 1.0, poly.coefficients) - p0) <= 1e-8
+    poly = _boost(1.0, 1e-8)
+    assert spectral_norm(dense_transition(p0, p0, 1.0, poly) - p0) <= 1e-8
 
 
 def test_transition_matches_rotated_closed_form():
@@ -235,7 +252,7 @@ def test_transition_matches_rotated_closed_form():
     oracle = dense_transition(pa, pb, 0.8)
     assert spectral_norm(oracle - want) < 1e-14
     eps = 1e-6
-    poly = dense_transition(pa, pb, 0.8, transition_backend(b=0.8, epsilon=eps).coefficients)
+    poly = dense_transition(pa, pb, 0.8, _boost(0.8, eps))
     assert spectral_norm(poly - want) <= eps
 
 
@@ -252,7 +269,7 @@ def test_transition_backends_agree_on_rank_one_inputs():
         pa = np.outer(va, va.conj())
         pb = np.outer(vb, vb.conj())
         o1 = dense_transition(pa, pb, 0.5)
-        o2 = dense_transition(pa, pb, 0.5, transition_backend(b=0.5, epsilon=eps).coefficients)
+        o2 = dense_transition(pa, pb, 0.5, _boost(0.5, eps))
         assert spectral_norm(o1 - o2) <= eps + 1e-9
 
 
@@ -264,7 +281,7 @@ def test_transition_norm_is_bounded():
     vb /= np.linalg.norm(vb)
     pa = np.outer(va, va)
     pb = np.outer(vb, vb)
-    for coefficients in (None, transition_backend(b=0.4, epsilon=1e-4).coefficients):
+    for coefficients in (None, _boost(0.4, 1e-4)):
         o = dense_transition(pa, pb, 0.4, coefficients)
         assert spectral_norm(o) <= 1.0 + 1e-12
 
@@ -362,9 +379,8 @@ def test_run_annealing_warns_on_reducible_generator():
     couplings = standard_couplings(2, "x")
     w = WeightProfile(kind="davies_kms", beta=1.0)
     sched = make_schedule(0.5, 1.0, alpha=2.0)
-    with pytest.warns(IrreducibilityWarning):
+    with pytest.warns(IrreducibilityWarning, match="fixed-point dimension"):
         run = run_annealing(ham, couplings, w, sched, 0.1, "exact")
-    assert run.warnings
     assert run.final_fidelity >= 0.9
 
 
@@ -496,11 +512,9 @@ def test_dl_qsvt_anneal_raises_a_last_step_dl_failure_after_the_earlier_transiti
     assert str(raised.value) == str(direct.value)
 
 
-def _dense_step(pa, pb, a, b, state, backend):
+def _dense_step(pa, pb, a, b, state, coefficients, floor):
     """transition's reference: the SVD of the dense product P_b P_a and a d x d norm."""
-    o_tilde = dense_transition(
-        dense_projector(pa), dense_projector(pb), backend.b, backend.coefficients
-    )
+    o_tilde = dense_transition(dense_projector(pa), dense_projector(pb), floor, coefficients)
     return o_tilde @ state, spectral_norm(o_tilde - np.outer(b, a.conj()))
 
 
@@ -567,7 +581,6 @@ def _synthetic_projector(rng, target, rank, c):
         error=0.0,
         bound=0.0,
         queries=0,
-        ancilla_estimate=1,
         degree=1,
         r=1,
     )
@@ -608,14 +621,14 @@ def test_factored_transition_matches_the_dense_product_on_complex_factors(
     seed, d, ra, rb, ca, cb
 ):
     pa, pb, a, b, state = _synthetic_pair(seed, d, ra, rb, ca, cb)
-    backend = transition_backend(b=0.4, epsilon=1e-4)
-    got_state, got_err = transition(pa, pb, a, b, state, backend)
-    want_state, want_err = _dense_step(pa, pb, a, b, state, backend)
+    boost = (_boost(0.4, 1e-4), 0.4)
+    got_state, got_err = transition(pa, pb, a, b, state, *boost)
+    want_state, want_err = _dense_step(pa, pb, a, b, state, *boost)
     assert abs(got_err - want_err) <= 1e-10 * want_err
     assert np.linalg.norm(got_state - want_state) <= 1e-10 * np.linalg.norm(want_state)
     # The transition applied to a itself lands near b.
-    got_a, _ = transition(pa, pb, a, b, a, backend)
-    assert np.linalg.norm(got_a - _dense_step(pa, pb, a, b, a, backend)[0]) <= 1e-10
+    got_a, _ = transition(pa, pb, a, b, a, *boost)
+    assert np.linalg.norm(got_a - _dense_step(pa, pb, a, b, a, *boost)[0]) <= 1e-10
 
 
 def _raised(fn, *args):
@@ -628,7 +641,7 @@ def _raised(fn, *args):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_factored_transition_raises_where_the_dense_product_does(seed):
-    backend = transition_backend(b=0.4, epsilon=1e-4)
+    boost = (_boost(0.4, 1e-4), 0.4)
     # b orthogonal to a: the top singular value is below half the floor.
     rng = np.random.default_rng(seed)
     a = _unit(rng, 16)
@@ -637,24 +650,24 @@ def test_factored_transition_raises_where_the_dense_product_does(seed):
     b /= np.linalg.norm(b)
     pa = _synthetic_projector(rng, a, 5, 0.02)
     pb = _synthetic_projector(rng, b, 4, 0.02)
-    want = _raised(_dense_step, pa, pb, a, b, a, backend)
+    want = _raised(_dense_step, pa, pb, a, b, a, *boost)
     assert want is not None and want[0] is OverlapTooSmall
-    assert _raised(transition, pa, pb, a, b, a, backend) == want
+    assert _raised(transition, pa, pb, a, b, a, *boost) == want
     # A second singular value of P_a as large as the first: rank ambiguous.
     pa, pb, a, b, _ = _synthetic_pair(seed, 16, 5, 4, 0.0, 0.0)
     p_s = pa.p_s.copy()
     p_s[1] = 1.0
     pa = replace(pa, p_s=p_s)
     pb = replace(pb, p_s=np.where(pb.p_s != 0, 1.0, 0.0))
-    want = _raised(_dense_step, pa, pb, a, b, a, backend)
+    want = _raised(_dense_step, pa, pb, a, b, a, *boost)
     assert want is not None and want[0] is RankAmbiguous
-    assert _raised(transition, pa, pb, a, b, a, backend) == want
+    assert _raised(transition, pa, pb, a, b, a, *boost) == want
     # Paddings with |c_a c_b| above a tenth of the top value: the second
     # singular value of P_b P_a is too, and both routes are rank ambiguous.
     pa, pb, a, b, _ = _synthetic_pair(seed, 16, 5, 4, 0.35, -0.35)
-    want = _raised(_dense_step, pa, pb, a, b, a, backend)
+    want = _raised(_dense_step, pa, pb, a, b, a, *boost)
     assert want is not None and want[0] is RankAmbiguous
-    assert _raised(transition, pa, pb, a, b, a, backend) == want
+    assert _raised(transition, pa, pb, a, b, a, *boost) == want
 
 
 def test_reducible_anneal_is_rank_ambiguous_on_both_routes(monkeypatch):

@@ -6,13 +6,17 @@ brings back a redundant eigendecomposition or SVD.
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import dlgibbs
 import dlgibbs.anneal
 import dlgibbs.hamiltonians
 import dlgibbs.jumps
@@ -20,7 +24,7 @@ import dlgibbs.kms
 import dlgibbs.linalg
 from dlgibbs.anneal import make_schedule, run_annealing
 from dlgibbs.config import parse_config
-from dlgibbs.errors import DlGibbsError
+from dlgibbs.errors import DlGibbsError, IrreducibilityWarning
 from dlgibbs.hamiltonians import (
     assemble,
     make_instance,
@@ -34,7 +38,7 @@ from dlgibbs.linalg import spectral_norm
 from dlgibbs.parent import build_parent, parent_projector_input, verify_parent
 from dlgibbs.projector import dl_operator, singular_gap
 from dlgibbs.sampler import compose_dl_channel, superop_hamiltonian
-import reference
+from dlgibbs.tolerances import TERM_GROUND_WIDTH
 from reference import gibbs_state
 
 
@@ -267,17 +271,19 @@ def test_verify_parent_runs_no_svd_for_hermiticity(decomps):
     ph = build_parent(terms, kms, ham, beta=0.5)
     decomps["svd"].clear()
     with pytest.warns(UserWarning, match="locality checks skipped"):
-        rep = verify_parent(ph)
+        verify_parent(ph)
     d2 = 4**ph.n
     assert (d2, d2) not in decomps["svd"]
-    # The residuals are the detailed-balance defects build_parent measured
-    # on the coherent forms, not the residual of their symmetrization.
+    # The hermiticity residuals the parent experiment writes are the
+    # detailed-balance defects build_parent measured on the coherent forms,
+    # not the residual of their symmetrization.
     defects = []
     for t in terms:
         form = dlgibbs.kms.coherent_form(dlgibbs.kms.term_superoperator(t, ham.n), kms)
         defects.append(float(np.linalg.norm(form.mat - form.mat.conj().T)))
-    assert rep.hermiticity_residuals == tuple(defects)
-    assert max(rep.hermiticity_residuals) <= DETAILED_BALANCE_TOL
+    residuals = tuple(t.db_residual for t in ph.terms)
+    assert residuals == tuple(defects)
+    assert max(residuals) <= DETAILED_BALANCE_TOL
 
 
 def test_commuting_parent_builds_each_term_on_its_support(monkeypatch, decomps):
@@ -390,22 +396,24 @@ def test_exact_anneal_runs_no_superoperator_svd_per_step(decomps):
     assert decomps["svd"].count((d2, d2)) == 0
 
 
-def test_pipeline_calls_no_reference_generator(monkeypatch):
-    ham, couplings, w, sched = _anneal_setup()
-    reports = _count_calls(monkeypatch, "spectral_report", reference)
-    sums = _count_calls(monkeypatch, "lindblad_superoperator", reference)
-    compose_dl_channel(*_zz2_model())
-    for mode in ("exact", "dl_qsvt"):
-        run_annealing(ham, couplings, w, sched, 0.1, mode)
-    assert reports == []
-    assert sums == []
+def test_pipeline_calls_no_reference_generator():
+    # The dense generator, its spectral report, the dense Gibbs state and the
+    # detailed-balance residual live in tests/reference.py.  A pipeline path
+    # can call one only through a name some dlgibbs module binds, so no
+    # module of the package may bind any of them.
+    names = ("spectral_report", "lindblad_superoperator", "gibbs_state", "db_residual")
+    modules = [dlgibbs] + [
+        importlib.import_module(f"dlgibbs.{m.name}") for m in pkgutil.iter_modules(dlgibbs.__path__)
+    ]
+    found = [f"{mod.__name__}.{name}" for mod in modules for name in names if hasattr(mod, name)]
+    assert found == []
 
 
 def _first_range_rank(ham):
     """R_1, the rank of the first term's ground projector tensor I."""
     t = ham.terms[0]
     w = np.linalg.eigvalsh(t.op)
-    dim = int(np.sum(w - w[0] <= 1e-9 * max(1.0, float(np.abs(w).max()))))
+    dim = int(np.sum(w - w[0] <= TERM_GROUND_WIDTH * max(1.0, float(np.abs(w).max()))))
     return dim * 2 ** (ham.n - len(t.support))
 
 
@@ -483,14 +491,15 @@ def test_dl_qsvt_anneal_takes_one_4n_spectrum_per_step(monkeypatch, decomps, n):
     )
     decomps["eigvalsh"].clear()
     spectra = _count_calls(monkeypatch, "coherent_spectrum")
-    run = run_annealing(ham, couplings, w, sched, 0.1, "dl_qsvt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IrreducibilityWarning)
+        run_annealing(ham, couplings, w, sched, 0.1, "dl_qsvt")
     # Per step, the ground cluster of the projector input is the one 4^n
     # spectrum of a sum; it also decides the parent's kernel_dim <= 1, so
     # the parent's own spectrum is never taken.  A parent term on the whole
     # doubled register (n = 3) adds one eigvalsh of its own, which both its
     # positivity bound and its scale read.
     k = sched.steps
-    assert run.warnings == ()
     assert spectra == []
     assert decomps["eigvalsh"].count((d2, d2)) == (k + 1) * (1 + whole)
     assert (whole > 0) == (n == 3)
@@ -611,3 +620,17 @@ def test_each_experiment_diagonalizes_h_once(monkeypatch, decomps, tmp_path, nam
         assert len(degrees) == 1
         assert decomps["svd"].count(d) == 0
         assert decomps["svd"].count((4, 4)) == make_instance("zz_chain", 3).m
+
+
+@pytest.mark.parametrize("model", ["zz3", "ff3"])
+def test_parent_run_takes_no_svd_of_a_parent_term(decomps, tmp_path, model):
+    ff3 = "kind = random_ff_projectors\nn = 3\nseed = 2\ncouplings = xz\n"
+    cfg = _n3_config("parent", _ZZ3 if model == "zz3" else ff3, "beta = 0.5\n")
+    res = run_experiment(cfg, tmp_path)
+    assert res.exit_code == 0
+    # The norm column is max |w| over the eigenvalues of each term, which
+    # the parent's checks read anyway: no term is also taken by an SVD.
+    rows = [line.split(",") for line in res.csv_path.read_text().splitlines()[2:]]
+    shapes = {(2 ** int(row[2]),) * 2 for row in rows}
+    assert rows and not shapes & set(decomps["svd"])
+    assert shapes <= set(decomps["eigvalsh"])

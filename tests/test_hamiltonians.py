@@ -209,7 +209,8 @@ def test_projector_degree_at_the_tolerance(factor, expected):
     frame, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
     va = frame[:, :1]
     vb = np.cos(theta) * frame[:, :1] + np.sin(theta) * frame[:, 1:2]
-    assert projector_noncommutation_degree([va, vb]) == expected
+    # Both act on the same 6-dimensional register, one shared leg.
+    assert projector_noncommutation_degree([va, vb], [(0,), (0,)]) == expected
     dense = [va @ va.conj().T, vb @ vb.conj().T]
     assert noncommutation_degree(dense) == expected
 

@@ -67,6 +67,12 @@ def test_mix_experiment_artifacts(tmp_path):
     assert summary["schema_version"] == 1
     assert summary["experiment"] == "mix"
     assert summary["violations"] == []
+    # x couplings leave the stationary space of zz_chain two-dimensional:
+    # iterate's IrreducibilityWarning is the summary's one warning.
+    assert summary["warnings"] == list(res.warnings) == [
+        "stationary space has dimension 2; the distance bound is constant and "
+        "convergence to sigma is not guaranteed"
+    ]
 
 
 def test_identical_config_gives_byte_identical_artifacts(tmp_path):

@@ -125,22 +125,30 @@ def test_bohr_clusters_near_degenerate_levels():
     assert np.abs(np.sort(freqs) - np.array([-1.0, 0.0, 1.0])).max() < 1e-9
 
 
-def test_weights_are_evaluated_once_per_reference_cluster():
-    # Levels 1e-13 apart share clusters: q must see each cluster centre
-    # (and its mirror, for the symmetry check) and nothing else.
+def test_weights_are_evaluated_once_per_reference_cluster(monkeypatch):
+    # Levels 1e-13 apart share clusters: jump_weight must see each cluster
+    # centre's gain, once, in one call, and nothing else.
     h = np.diag([0.0, 1.0, 1.0 + 1e-13, 2.5])
     a = np.ones((4, 4), dtype=complex)
-    seen: list[float] = []
-    w = WeightProfile(kind="custom", beta=1.0, q=lambda nu: seen.append(nu) or 1.0)
-    build_jump(a, bohr_grid(hermitian_eigendecompose(h)), w)
+    seen: list[np.ndarray] = []
+    real = WeightProfile.jump_weight
+
+    def spy(self, nu):
+        seen.append(np.array(nu))
+        return real(self, nu)
+
+    monkeypatch.setattr(WeightProfile, "jump_weight", spy)
+    build_jump(a, bohr_grid(hermitian_eigendecompose(h)), WeightProfile(beta=1.0))
     freqs, _ = bohr_reference(a, h)
-    assert len(seen) == 2 * freqs.size
-    assert sorted(set(seen)) == sorted(set(freqs) | set(-freqs))
+    assert len(seen) == 1 and seen[0].size == freqs.size
+    assert sorted(seen[0].tolist()) == sorted((-freqs).tolist())
 
 
 def _agreement_cases():
     h, a = _random_pair(4, 8)
     yield "random8", h, a, WeightProfile(beta=0.7)
+    # At large beta the coherent weights tanh(-beta nu / 4) saturate.
+    yield "random8-beta3.0", h, a, WeightProfile(beta=3.0)
     near = np.diag([0.0, 1.0, 1.0 + 1e-13, 2.5])
     ones = np.ones((4, 4), dtype=complex)
     yield "near-degenerate", near, ones, WeightProfile(beta=1.3)
@@ -149,8 +157,6 @@ def _agreement_cases():
     x0 = np.kron(PAULI_X, np.eye(4, dtype=complex))
     for beta in (0.0, 0.5, 1.0):
         yield f"ff3-beta{beta}", h_ff, x0, WeightProfile(beta=beta)
-    even_q = WeightProfile(kind="custom", beta=0.8, q=lambda nu: 1.0 + 0.3 * nu * nu)
-    yield "custom-even-q", h, a, even_q
 
 
 @pytest.mark.parametrize(
@@ -193,14 +199,12 @@ def test_cutoff_below_every_offshell_frequency_warns():
         ("zz_chain", "x", WeightProfile(beta=0.7), np.float64),
         ("zz_chain", "y", WeightProfile(beta=0.7), np.complex128),
         ("random_ff_projectors", "x", WeightProfile(beta=0.7), np.complex128),
-        # q(nu) = conj(q(-nu)) with an imaginary part: complex weights.
-        ("zz_chain", "x", WeightProfile("custom", 0.7, q=lambda nu: 1 + 0.1j * nu), np.complex128),
     ],
 )
 def test_jump_half_runs_real_only_on_real_inputs(kind, coupling, w, dtype):
-    # A real H (real eigenvectors), a real coupling and real weights give a
-    # jump computed in real arithmetic; the coherent weights are imaginary,
-    # so the coherent half is complex whatever the inputs.
+    # A real H (real eigenvectors) and a real coupling give a jump computed
+    # in real arithmetic, its weights being real; the coherent weights are
+    # imaginary, so the coherent half is complex whatever the inputs.
     ham = make_instance(kind, 3, 2)
     jump = build_jump(embed(standard_couplings(3, coupling)[0], 3), ham.bohr, w)
     assert jump.dtype == dtype
@@ -270,25 +274,25 @@ def test_detailed_balance_on_noncommuting_hamiltonian():
     assert res < 1e-9
 
 
+def test_jump_weight_is_real():
+    # exp(-beta nu / 4) in real arithmetic, for a scalar gain and an array.
+    w = WeightProfile(beta=0.9)
+    gains = np.array([-2.0, 0.0, 0.5, 3.0])
+    weights = w.jump_weight(gains)
+    assert weights.dtype == np.float64
+    assert np.array_equal(weights, np.exp(-0.9 * gains * 0.25))
+    assert isinstance(w.jump_weight(0.5), float) and w.jump_weight(0.5) == weights[2]
+
+
 def test_weight_profile_validation():
     with pytest.raises(UnknownKind):
         WeightProfile(kind="ohmic")
     with pytest.raises(BadParams):
         WeightProfile(beta=-1.0)
-    with pytest.raises(BadParams):
+    # The custom kind and its q filter are gone; davies_kms is the only kind.
+    with pytest.raises(UnknownKind):
         WeightProfile(kind="custom")
-
-
-def test_q_symmetry_violation_rejected():
-    w = WeightProfile(kind="custom", beta=1.0, q=lambda nu: 1.0 + nu)
-    with pytest.raises(BadParams):
-        build_jump(PAULI_X, bohr_grid(hermitian_eigendecompose(PAULI_Z)), w)
-
-
-def test_q_even_factor_accepted():
-    w = WeightProfile(kind="custom", beta=1.0, q=lambda nu: 1.0 + nu * nu)
-    jump = build_jump(PAULI_X, bohr_grid(hermitian_eigendecompose(PAULI_Z)), w)
-    assert abs(jump[1, 0] - 5.0 * np.exp(0.5)) < 1e-12
+    assert WeightProfile(kind="davies_kms", beta=0.5).beta == 0.5
 
 
 @pytest.mark.parametrize(

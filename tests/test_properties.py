@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dlgibbs.hamiltonians
-from dlgibbs.errors import BadParams, DegenerateGapWarning
+from dlgibbs.errors import DegenerateGapWarning
 from dlgibbs.hamiltonians import (
     LocalHamiltonian,
     LocalOperator,
@@ -246,8 +246,10 @@ def projector_families(draw) -> list[np.ndarray]:
 @given(projector_families(), st.sampled_from([1e-10, 1e-6]))
 def test_projector_degree_matches_dense_noncommutation_degree(bases, tol):
     dense = [v @ v.conj().T for v in bases]
+    # Every basis acts on the whole register, one shared leg of dimension d.
+    legs = [(0,)] * len(bases)
     with _commutator_cut(tol):
-        assert projector_noncommutation_degree(bases) == noncommutation_degree(dense)
+        assert projector_noncommutation_degree(bases, legs) == noncommutation_degree(dense)
 
 
 @st.composite
@@ -317,15 +319,6 @@ def test_bohr_weighting_matches_per_cluster_reference(seed, d, beta, degenerate)
     assert np.linalg.norm(coh - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
 
-def _scalar_q_check(w: WeightProfile, gains: list[float], tol: float = 1e-10) -> str | None:
-    """The per-gain q-symmetry loop: the message for the first violating gain."""
-    for nu in gains:
-        a, b = complex(w.q(nu)), complex(w.q(-nu))
-        if abs(a - np.conj(b)) > tol * max(1.0, abs(a), abs(b)):
-            return f"q violates q(nu) = conj(q(-nu)) at nu = {nu:.6g}: {a:.6g} vs conj({b:.6g})"
-    return None
-
-
 gain_lists = st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=12)
 
 
@@ -334,48 +327,21 @@ gain_lists = st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=12)
     gain_lists,
     st.sampled_from([0.0]) | st.floats(0.0, 2.0),
     st.floats(0.1, 4.0),
-    st.booleans(),
-    st.floats(-1.0, 1.0),
 )
-def test_array_weights_equal_scalar_weights(gains, beta, cutoff, custom, c):
-    # Gains exactly at +-cutoff are inside it; a custom q must be
-    # q(nu) = conj(q(-nu)), which 1 + c nu^2 + i c nu is.
+def test_array_weights_equal_scalar_weights(gains, beta, cutoff):
+    # Gains exactly at +-cutoff are inside it.
     gains = gains + [cutoff, -cutoff]
-    q = (lambda nu: 1.0 + c * nu * nu + 1j * c * nu) if custom else None
-    w = WeightProfile(kind="custom" if custom else "davies_kms", beta=beta, q=q)
+    w = WeightProfile(beta=beta)
     s = beta * 0.25
     arr = np.array(gains)
     jumps, cohs = w.jump_weight(arr), w.coherent_weight(arr, cutoff)
     for i, nu in enumerate(gains):
-        qv = complex(q(nu)) if custom else 1.0
-        assert jumps[i] == w.jump_weight(nu) == qv * np.exp(-beta * nu * 0.25)
+        assert jumps[i] == w.jump_weight(nu) == np.exp(-beta * nu * 0.25)
         inside = 0.0j if abs(nu) > cutoff else -0.5j * np.tanh(-s * nu)
         assert cohs[i] == w.coherent_weight(nu, cutoff) == inside
     assert cohs[-1] == -cohs[-2] == -0.5j * np.tanh(s * cutoff)
     if beta == 0.0:
-        assert np.all(cohs == 0.0) and np.all(jumps == (q(arr) if custom else 1.0))
-
-
-@PROPERTY
-@given(gain_lists, st.sets(st.integers(0, 11)), st.floats(1e-3, 1.0))
-def test_q_symmetry_violation_names_the_scalar_loops_first_gain(gains, bad, slope):
-    # q is odd-tilted at the gains listed in bad and even elsewhere.
-    tilted = {gains[i] for i in bad if i < len(gains)}
-    w = WeightProfile(
-        kind="custom",
-        q=lambda nu: 1.0 + nu * nu + (slope * nu if nu in tilted else 0.0),
-    )
-    expected = _scalar_q_check(w, gains)
-    if expected is None:
-        w.check_q_symmetry(np.array(gains))
-        return
-    for call in (w.check_q_symmetry, w.jump_weight):
-        try:
-            call(np.array(gains))
-        except BadParams as exc:
-            assert str(exc) == expected
-        else:
-            raise AssertionError(f"no BadParams; expected {expected!r}")
+        assert np.all(cohs == 0.0) and np.all(jumps == 1.0)
 
 
 @st.composite

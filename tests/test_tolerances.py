@@ -2,13 +2,15 @@
 
 dlgibbs.tolerances holds the package's numerical cuts as plain literals.
 These guards keep it that way: no small float literal elsewhere in the
-package, no function that takes a tolerance, and one pinned value per name,
-so changing a cut shows up as an edit here.
+package or in the dense test references, no function that takes a
+tolerance or a callable hook, and one pinned value per name, so changing a
+cut shows up as an edit here.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -20,6 +22,7 @@ import dlgibbs
 from dlgibbs import tolerances
 
 PACKAGE = Path(dlgibbs.__file__).resolve().parent
+REFERENCE = Path(__file__).resolve().parent / "reference.py"
 
 TABLE = {
     "HERMITIAN_INPUT_TOL": 1e-10,
@@ -36,7 +39,6 @@ TABLE = {
     "MIN_STATE_WEIGHT": 1e-14,
     "CPTP_TOL": 1e-9,
     "PROBE_NORM_FLOOR": 1e-12,
-    "Q_SYMMETRY_TOL": 1e-10,
     "KAPPA_CUTOFF_MARGIN": 1e-9,
     "OFFSHELL_FLOOR": 1e-12,
     "COHERENT_PART_CUT": 1e-12,
@@ -73,8 +75,10 @@ def _modules():
 
 
 def test_no_small_float_literal_outside_the_table():
+    # tests/reference.py restates the package's rules densely; it reads the
+    # same names, so a moved cut moves the reference with it.
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + [REFERENCE]:
         if path.name == "tolerances.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
@@ -91,8 +95,8 @@ def _is_tolerance(name: str) -> bool:
     return name == "tol" or name.endswith("_tol") or name == "min_eig"
 
 
-def test_no_public_callable_takes_a_tolerance():
-    found = []
+def _public_parameters():
+    """(qualified name, parameter) of every public function, method and constructor."""
     for mod in _modules():
         for attr, obj in vars(mod).items():
             if attr.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
@@ -106,10 +110,36 @@ def test_no_public_callable_takes_a_tolerance():
                 ]
             for name, fn in callables:
                 try:
-                    params = inspect.signature(fn).parameters
+                    params = inspect.signature(fn).parameters.values()
                 except (TypeError, ValueError):
                     continue
-                found += [f"{mod.__name__}.{name}({p})" for p in params if _is_tolerance(p)]
+                for p in params:
+                    yield f"{mod.__name__}.{name}", p
+
+
+def test_no_public_callable_takes_a_tolerance():
+    found = [f"{where}({p.name})" for where, p in _public_parameters() if _is_tolerance(p.name)]
+    assert found == []
+
+
+def test_no_public_parameter_or_field_is_a_callable_hook():
+    # A callable argument is an extension point; each has to name its caller.
+    # Annotations are strings here (postponed evaluation), so they are read
+    # as text.
+    found = [
+        f"{where}({p.name})"
+        for where, p in _public_parameters()
+        if "Callable" in str(p.annotation)
+    ]
+    for mod in _modules():
+        for attr, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__ or not dataclasses.is_dataclass(obj):
+                continue
+            found += [
+                f"{mod.__name__}.{attr}.{f.name}"
+                for f in dataclasses.fields(obj)
+                if not f.name.startswith("_") and "Callable" in str(f.type)
+            ]
     assert found == []
 
 
