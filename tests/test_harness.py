@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dlgibbs import harness
 from dlgibbs.cli import main
 from dlgibbs.config import parse_config
 from dlgibbs.errors import BadInputs, DlGibbsError
@@ -444,3 +446,169 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert lines[0] == "[]"
     assert lines[-1] == "0 []"
     assert (tmp_path / "anneal.csv").exists()
+
+
+def _mix_trace(real):
+    # Distances at, within and beyond MIX_VIOLATION_SLACK above a flat bound.
+    def wrapped(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        return replace(
+            trace,
+            trace_distances=np.array([0.1, 0.75, 0.5 + 5e-9, 0.5 + 2e-8]),
+            bounds=np.full(4, 0.5),
+        )
+
+    return wrapped
+
+
+def _projector_results(real):
+    # ell = 1 is clean, ell = 2 exceeds its bound, ell = 3 lies within slack.
+    def wrapped(dl, poly):
+        res = real(dl, poly)
+        error = {1: 0.125, 2: 0.5, 3: 0.25 + 5e-10}[res.degree]
+        return replace(res, error=error, bound=0.25)
+
+    return wrapped
+
+
+def _parent_report(max_frustration):
+    def wrap(real):
+        def wrapped(ph):
+            return replace(real(ph), max_frustration=max_frustration)
+
+        return wrapped
+
+    return wrap
+
+
+def _anneal_run(state_error, success_probability, final_fidelity):
+    # Step 1 exceeds its budget; step 2 lies within VIOLATION_SLACK of it.
+    def wrap(real):
+        def wrapped(*args, **kwargs):
+            run = real(*args, **kwargs)
+            first, second = run.records
+            records = (
+                replace(first, transition_error=0.25, error_bound=0.125),
+                replace(second, transition_error=0.125 + 5e-10, error_bound=0.125),
+            )
+            return replace(
+                run,
+                records=records,
+                state_error=state_error,
+                success_probability=success_probability,
+                final_fidelity=final_fidelity,
+            )
+
+        return wrapped
+
+    return wrap
+
+
+def _overlaps(deficit):
+    # An overlap whose deficit 1 - o^2 is deficit(dbeta).
+    def wrap(real):
+        def wrapped(ham, beta, db):
+            real(ham, beta, db)
+            return math.sqrt(1.0 - deficit(db))
+
+        return wrapped
+
+    return wrap
+
+
+SMALL_MIX_CFG = MIX_CFG.replace("n = 3", "n = 2").replace("k_max = 30", "k_max = 3")
+SMALL_PROJECT_CFG = """
+experiment = project
+
+[model]
+kind = zz_chain
+n = 2
+
+[run]
+eps = 1e-6
+ell_min = 1
+ell_max = 3
+"""
+SMALL_PARENT_CFG = MIX_CFG.replace("mix", "parent").replace("k_max = 30\n", "")
+SMALL_OVERLAP_CFG = """
+experiment = overlap
+
+[model]
+kind = zz_chain
+n = 2
+
+[run]
+beta = 0.5
+dbetas = [0.2, 0.1]
+"""
+# delta = 0.05: delta/2 = 0.025, (1 - delta/2)^2 - 1e-9 prints as 0.950625
+# and (1 - delta/2) / (1 + delta/2) - 1e-9 as 0.951220.
+SUCCESS_FLOOR = (1.0 - 0.025) ** 2 - 1e-9
+FIDELITY_FLOOR = (1.0 - 0.025) / (1.0 + 0.025) - 1e-9
+
+VIOLATION_CASES = [
+    pytest.param(
+        SMALL_MIX_CFG, "iterate", _mix_trace,
+        [
+            "mix: trace distance 7.500e-01 exceeds bound 5.000e-01 at k=1",
+            "mix: trace distance 5.000e-01 exceeds bound 5.000e-01 at k=3",
+        ],
+        id="mix",
+    ),
+    pytest.param(
+        SMALL_PROJECT_CFG, "approximate_projector", _projector_results,
+        ["project: error 5.000e-01 exceeds bound 2.500e-01 at ell=2"],
+        id="project",
+    ),
+    pytest.param(
+        SMALL_PARENT_CFG, "verify_parent", _parent_report(2e-9),
+        ["parent: frustration residual 2.000e-09 exceeds 1e-9"],
+        id="parent",
+    ),
+    pytest.param(
+        SMALL_PARENT_CFG, "verify_parent", _parent_report(1e-9), [], id="parent-at-cut",
+    ),
+    pytest.param(
+        ANNEAL_CFG, "run_annealing", _anneal_run(0.03, 0.9, 0.5),
+        [
+            "anneal: transition error 2.500e-01 exceeds budget 1.250e-01 at step 1",
+            "anneal: accumulated state error 3.000e-02 exceeds delta/2 = 2.500e-02",
+            "anneal: success probability 0.900000 is below (1 - delta/2)^2 = 0.950625",
+            "anneal: fidelity 0.500000 is below 0.951220",
+        ],
+        id="anneal",
+    ),
+    pytest.param(
+        ANNEAL_CFG, "run_annealing",
+        _anneal_run(0.025 + 5e-10, SUCCESS_FLOOR, FIDELITY_FLOOR),
+        ["anneal: transition error 2.500e-01 exceeds budget 1.250e-01 at step 1"],
+        id="anneal-at-floors",
+    ),
+    pytest.param(
+        SMALL_OVERLAP_CFG, "overlap", _overlaps(lambda db: db**3),
+        ["overlap: deficit slope 3.0000 is outside [1.8, 2.2]"],
+        id="overlap",
+    ),
+    pytest.param(
+        SMALL_OVERLAP_CFG, "overlap", _overlaps(lambda db: 0.0), [], id="overlap-no-slope",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,name,wrap,expected", VIOLATION_CASES)
+def test_violation_text(tmp_path, monkeypatch, text, name, wrap, expected):
+    # Each certified inequality is made to fail by rewriting what the
+    # pipeline call returns; the text, its order and the exit code are
+    # pinned, and strict mode joins the same lines.
+    monkeypatch.setattr(harness, name, wrap(getattr(harness, name)))
+    cfg = parse_config(text)
+    res = run_experiment(cfg, tmp_path)
+    assert list(res.violations) == expected
+    assert json.loads(res.summary_path.read_text())["violations"] == expected
+    assert res.exit_code == (1 if expected else 0)
+    if expected:
+        with pytest.raises(DlGibbsError) as err:
+            run_experiment(cfg, tmp_path, strict=True)
+        assert str(err.value) == (
+            f"{cfg.experiment}: {len(expected)} bound violation(s): " + "; ".join(expected)
+        )
