@@ -1,4 +1,4 @@
-"""Command-line entry point: one subcommand per experiment."""
+"""Command-line entry point: the experiment to run, then its options."""
 
 from __future__ import annotations
 
@@ -20,32 +20,30 @@ def build_parser() -> argparse.ArgumentParser:
             "preparation, purified overlaps, and resource estimates."
         ),
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument(
-            "--config",
-            required=True,
-            type=Path,
-            help="path to a key = value experiment configuration",
-        )
-        p.add_argument(
-            "--out",
-            type=Path,
-            default=Path("."),
-            help="directory for the CSV and JSON artifacts (default: .)",
-        )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="override the model seed from the config",
-        )
-        p.add_argument(
-            "--strict",
-            action="store_true",
-            help="treat bound violations as fatal errors",
-        )
+    parser.add_argument("experiment", choices=EXPERIMENTS, help="the experiment to run")
+    parser.add_argument(
+        "--config",
+        required=True,
+        type=Path,
+        help="path to a key = value experiment configuration",
+    )
+    parser.add_argument(
+        "--out",
+        type=Path,
+        default=Path("."),
+        help="directory for the CSV and JSON artifacts (default: .)",
+    )
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="override the model seed from the config",
+    )
+    parser.add_argument(
+        "--strict",
+        action="store_true",
+        help="treat bound violations as fatal errors",
+    )
     return parser
 
 

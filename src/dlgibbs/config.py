@@ -51,7 +51,6 @@ class WeightsConfig:
     """Weight-function preset for the jump operators."""
 
     kind: str = "davies_kms"
-    kappa_cutoff: float | None = None
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,6 @@ _MODEL_SCHEMA = {
 
 _WEIGHTS_SCHEMA = {
     "kind": ("str", False, "davies_kms"),
-    "kappa_cutoff": ("float", False, None),
 }
 
 _OUTPUT_SCHEMA = {
@@ -314,17 +312,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
                 "couplings": cfg.model.couplings,
             },
         ),
-        (
-            "weights",
-            {
-                "kind": cfg.weights.kind,
-                **(
-                    {"kappa_cutoff": cfg.weights.kappa_cutoff}
-                    if cfg.weights.kappa_cutoff is not None
-                    else {}
-                ),
-            },
-        ),
+        ("weights", {"kind": cfg.weights.kind}),
         ("run", dict(cfg.run)),
         (
             "output",

@@ -5,10 +5,11 @@ the corresponding pipeline, and writes two artifacts: a CSV whose first
 line is a comment carrying the artifact version and the canonical
 config hash, and a JSON summary with a versioned schema.  Outputs are
 deterministic functions of (config, seed): no timestamps, floats
-rendered with 17 significant digits, files written atomically.  Bound
-violations never raise by default; they are recorded in the summary and
-surfaced through the exit code (0 clean, 1 violations), while strict
-mode escalates them to errors.
+rendered with 17 significant digits, files written atomically.  Each
+runner returns one Check per certified inequality it asserts, and the
+violations are the texts of the checks that fail.  They never raise by
+default; they are recorded in the summary and surfaced through the exit
+code (0 clean, 1 violations), while strict mode escalates them to errors.
 
 The estimate experiment evaluates the two closed-form cost displays.
 Cyclic mixing to accuracy eps in trace distance costs
@@ -60,6 +61,33 @@ from .tolerances import MIX_VIOLATION_SLACK, PARENT_FRUSTRATION_CUT, VIOLATION_S
 
 ARTIFACT_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
+# Range of the overlap deficit's log-log slope; 2 is the quadratic law.
+SLOPE_WINDOW = (1.8, 2.2)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One certified inequality: an observed value against its bound.
+
+    A ceiling fails when observed > ceiling + slack.  A floor fails when
+    observed < floor, the floor already including its slack.  A check with
+    both fails unless floor <= observed <= ceiling, so a NaN fails only
+    such a window.  text is the violation line when the check fails.
+    """
+
+    text: str
+    observed: float
+    ceiling: float | None = None
+    slack: float = 0.0
+    floor: float | None = None
+
+    @property
+    def failed(self) -> bool:
+        if self.floor is None:
+            return self.observed > self.ceiling + self.slack
+        if self.ceiling is None:
+            return self.observed < self.floor
+        return not self.floor <= self.observed <= self.ceiling
 
 
 @dataclass(frozen=True)
@@ -211,12 +239,7 @@ def _instance_id(cfg: ExperimentConfig) -> str:
 def _build_common(cfg: ExperimentConfig, beta: float):
     ham = make_instance(cfg.model.kind, cfg.model.n, cfg.model.seed)
     couplings = standard_couplings(cfg.model.n, cfg.model.couplings)
-    w = WeightProfile(
-        kind=cfg.weights.kind,
-        beta=float(beta),
-        kappa_cutoff=cfg.weights.kappa_cutoff,
-    )
-    return ham, couplings, w
+    return ham, couplings, WeightProfile(kind=cfg.weights.kind, beta=float(beta))
 
 
 def _run_mix(cfg: ExperimentConfig):
@@ -237,11 +260,8 @@ def _run_mix(cfg: ExperimentConfig):
             trace.ks, trace.trace_distances, trace.bounds, trace.channel_applications
         )
     ]
-    violations = [
-        f"mix: trace distance {d:.3e} exceeds bound {b:.3e} at k={k}"
-        for k, d, b, _ in rows
-        if d > b + MIX_VIOLATION_SLACK
-    ]
+    text = "mix: trace distance {:.3e} exceeds bound {:.3e} at k={}"
+    checks = [Check(text.format(d, b, k), d, b, MIX_VIOLATION_SLACK) for k, d, b, _ in rows]
     results = {
         "instance": _instance_id(cfg),
         "beta": beta,
@@ -254,7 +274,7 @@ def _run_mix(cfg: ExperimentConfig):
         "final_trace_distance": float(trace.trace_distances[-1]),
         "channel_applications": int(trace.channel_applications[-1]),
     }
-    return columns, rows, results, violations
+    return columns, rows, results, checks
 
 
 def _run_project(cfg: ExperimentConfig):
@@ -270,27 +290,14 @@ def _run_project(cfg: ExperimentConfig):
     sg = singular_gap(dl, ham)
     instance = _instance_id(cfg)
     columns = ["instance_id", "gamma", "g", "gamma_star", "ell", "error", "bound", "queries"]
-    rows = []
-    violations = []
+    head = (instance, float(sg.gamma), int(sg.g), float(sg.gamma_star))
+    rows, checks = [], []
     for ell in range(ell_min, ell_max + 1):
         res = approximate_projector(dl, chebyshev_poly(sg.gamma_star, ell))
-        rows.append(
-            (
-                instance,
-                float(sg.gamma),
-                int(sg.g),
-                float(sg.gamma_star),
-                int(ell),
-                float(res.error),
-                float(res.bound),
-                int(res.queries),
-            )
-        )
-        if res.error > res.bound + VIOLATION_SLACK:
-            violations.append(
-                f"project: error {res.error:.3e} exceeds bound {res.bound:.3e} "
-                f"at ell={ell}"
-            )
+        error, bound = float(res.error), float(res.bound)
+        rows.append(head + (ell, error, bound, int(res.queries)))
+        text = f"project: error {error:.3e} exceeds bound {bound:.3e} at ell={ell}"
+        checks.append(Check(text, error, bound, VIOLATION_SLACK))
     results = {
         "instance": instance,
         "gamma": sg.gamma,
@@ -302,7 +309,7 @@ def _run_project(cfg: ExperimentConfig):
         "ell_for_eps": degree_for_error(sg.gamma_star, eps),
         "eps": eps,
     }
-    return columns, rows, results, violations
+    return columns, rows, results, checks
 
 
 def _run_parent(cfg: ExperimentConfig):
@@ -337,11 +344,8 @@ def _run_parent(cfg: ExperimentConfig):
                 loc,
             )
         )
-    violations = []
-    if rep.max_frustration > PARENT_FRUSTRATION_CUT:
-        violations.append(
-            f"parent: frustration residual {rep.max_frustration:.3e} exceeds 1e-9"
-        )
+    text = f"parent: frustration residual {rep.max_frustration:.3e} exceeds 1e-9"
+    checks = [Check(text, rep.max_frustration, PARENT_FRUSTRATION_CUT)]
     results = {
         "instance": _instance_id(cfg),
         "beta": beta,
@@ -350,7 +354,7 @@ def _run_parent(cfg: ExperimentConfig):
         "parent_degree": rep.parent_degree,
         "locality_checked": rep.locality_checked,
     }
-    return columns, rows, results, violations
+    return columns, rows, results, checks
 
 
 def _run_anneal(cfg: ExperimentConfig):
@@ -362,46 +366,37 @@ def _run_anneal(cfg: ExperimentConfig):
     sched = make_schedule(beta, float(np.abs(ham.eig.eigenvalues).max()), alpha)
     run = run_annealing(ham, couplings, w, sched, delta, mode)
     columns = ["j", "beta_j", "overlap", "transition_error_bound", "cumulative_queries"]
-    rows = []
+    rows, checks = [], []
     cumulative = 0
     for rec in run.records:
         cumulative += rec.queries
-        rows.append(
-            (
-                int(rec.index),
-                float(rec.beta),
-                float(rec.overlap),
-                float(rec.error_bound),
-                int(cumulative),
-            )
+        bound = float(rec.error_bound)
+        rows.append((int(rec.index), float(rec.beta), float(rec.overlap), bound, int(cumulative)))
+        text = (
+            f"anneal: transition error {rec.transition_error:.3e} exceeds "
+            f"budget {bound:.3e} at step {rec.index}"
         )
-    violations = []
-    for rec in run.records:
-        if rec.transition_error > rec.error_bound + VIOLATION_SLACK:
-            violations.append(
-                f"anneal: transition error {rec.transition_error:.3e} exceeds "
-                f"budget {rec.error_bound:.3e} at step {rec.index}"
-            )
-    if run.state_error > delta / 2 + VIOLATION_SLACK:
-        violations.append(
-            f"anneal: accumulated state error {run.state_error:.3e} exceeds "
-            f"delta/2 = {delta / 2:.3e}"
-        )
-    floor = (1.0 - delta / 2) ** 2 - VIOLATION_SLACK
-    if run.success_probability < floor:
-        violations.append(
-            f"anneal: success probability {run.success_probability:.6f} is "
-            f"below (1 - delta/2)^2 = {floor:.6f}"
-        )
-    # With eps = delta/2 >= ||psi~ - psi|| (checked above) and ||psi|| = 1:
+        checks.append(Check(text, rec.transition_error, bound, VIOLATION_SLACK))
+    # With eps = delta/2 >= ||psi~ - psi|| (the state-error check) and ||psi|| = 1:
     # Re<psi~, psi> >= 1 - eps and ||psi~|| <= 1 + eps, so the fidelity
     # |<psi~, psi>| / ||psi~|| is at least (1 - eps) / (1 + eps) >= 1 - delta.
     eps = delta / 2
+    floor = (1.0 - eps) ** 2 - VIOLATION_SLACK
     fidelity_floor = (1.0 - eps) / (1.0 + eps) - VIOLATION_SLACK
-    if run.final_fidelity < fidelity_floor:
-        violations.append(
-            f"anneal: fidelity {run.final_fidelity:.6f} is below {fidelity_floor:.6f}"
-        )
+    state, p, fid = run.state_error, run.success_probability, run.final_fidelity
+    checks += [
+        Check(
+            f"anneal: accumulated state error {state:.3e} exceeds delta/2 = {eps:.3e}",
+            state, eps, VIOLATION_SLACK,
+        ),
+        Check(
+            f"anneal: success probability {p:.6f} is below (1 - delta/2)^2 = {floor:.6f}",
+            p, floor=floor,
+        ),
+        Check(
+            f"anneal: fidelity {fid:.6f} is below {fidelity_floor:.6f}", fid, floor=fidelity_floor
+        ),
+    ]
     results = {
         "instance": _instance_id(cfg),
         "mode": mode,
@@ -423,7 +418,7 @@ def _run_anneal(cfg: ExperimentConfig):
             "total": run.tally.total,
         },
     }
-    return columns, rows, results, violations
+    return columns, rows, results, checks
 
 
 def _run_overlap(cfg: ExperimentConfig):
@@ -437,23 +432,22 @@ def _run_overlap(cfg: ExperimentConfig):
     for db in sorted(dbetas, reverse=True):
         o = overlap(ham, beta, db)
         rows.append((float(db), float(o), float(1.0 - o * o)))
-    violations = []
+    checks = []
     slope = None
     xs = np.array([r[0] for r in rows])
     ys = np.array([r[2] for r in rows])
     if len(rows) >= 2 and np.all(ys > 0):
         slope = float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
-        if not 1.8 <= slope <= 2.2:
-            violations.append(
-                f"overlap: deficit slope {slope:.4f} is outside [1.8, 2.2]"
-            )
+        low, high = SLOPE_WINDOW
+        text = f"overlap: deficit slope {slope:.4f} is outside [{low}, {high}]"
+        checks.append(Check(text, slope, high, floor=low))
     results = {
         "instance": _instance_id(cfg),
         "beta": beta,
         "slope": slope,
         "min_overlap": min(r[1] for r in rows),
     }
-    return columns, rows, results, violations
+    return columns, rows, results, checks
 
 
 def _run_estimate(cfg: ExperimentConfig):
@@ -507,7 +501,8 @@ def run_experiment(
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        columns, rows, results, violations = _RUNNERS[cfg.experiment](cfg)
+        columns, rows, results, checks = _RUNNERS[cfg.experiment](cfg)
+    violations = [check.text for check in checks if check.failed]
     notes = sorted({str(w.message) for w in caught})
 
     header = (

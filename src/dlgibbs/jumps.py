@@ -12,10 +12,11 @@ always applied as functions of the gain: the jump operator is
 (the exponent 1/4 makes the generator exactly KMS-detailed-balanced with
 fixed point exp(-beta H)/Z), and the coherent part is
 
-    G = sum_nu g_hat(nu) (L'L)_{-nu},  g_hat(nu) = -(i/2) tanh(-s nu) k(nu),
+    G = sum_nu g_hat(nu) (L'L)_{-nu},  g_hat(nu) = -(i/2) tanh(-s nu),
 
-with s = beta/4 and k a hard frequency cutoff.  When L'L
-commutes with H only the nu = 0 component survives and G = 0.
+with s = beta/4.  G has no frequency cutoff k: dropping any frequency of
+L'L breaks KMS detailed balance.  When L'L commutes with H only the
+nu = 0 component survives and G = 0.
 
 Both sums are taken in one elementwise pass in the eigenbasis H = V E V'.
 Entry (i, j) of V'AV carries the Bohr frequency w_ij = E_j - E_i.  The
@@ -36,7 +37,6 @@ complex.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,7 +46,7 @@ from .errors import BadParams, UnknownKind
 from .hamiltonians import BohrGrid, LocalHamiltonian, LocalOperator, embed
 from .kms import LindbladTerm
 from .linalg import norm_exceeds, spectral_norm
-from .tolerances import COHERENT_PART_CUT, KAPPA_CUTOFF_MARGIN, NORM_SLACK, OFFSHELL_FLOOR
+from .tolerances import COHERENT_PART_CUT, NORM_SLACK
 
 
 @dataclass(frozen=True)
@@ -54,34 +54,27 @@ class WeightProfile:
     """Weight functions attached to an inverse temperature.
 
     kind names the weight family; 'davies_kms' is the only one.
-    kappa_cutoff bounds the coherent-term frequencies (None means twice the
-    Hamiltonian norm, set at build time).
     """
 
     kind: str = "davies_kms"
     beta: float = 1.0
-    kappa_cutoff: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind != "davies_kms":
             raise UnknownKind(f"unknown weight kind {self.kind!r}")
         if self.beta < 0:
             raise BadParams(f"inverse temperature must be >= 0, got {self.beta}")
-        if self.kappa_cutoff is not None and self.kappa_cutoff <= 0:
-            raise BadParams(f"kappa_cutoff must be positive, got {self.kappa_cutoff}")
 
     def jump_weight(self, nu: float | np.ndarray) -> float | np.ndarray:
         """w_hat(nu) = exp(-beta nu / 4) on the energy-gain frequencies nu (scalar or array)."""
         nu = np.asarray(nu, dtype=float)
         return np.exp(-self.beta * nu * 0.25)
 
-    def coherent_weight(
-        self, nu: float | np.ndarray, cutoff: float
-    ) -> complex | np.ndarray:
-        """g_hat(nu) = -(i/2) tanh(-s nu), s = beta/4, for |nu| <= cutoff; 0 outside."""
+    def coherent_weight(self, nu: float | np.ndarray) -> complex | np.ndarray:
+        """g_hat(nu) = -(i/2) tanh(-s nu), s = beta/4, on the gains nu (scalar or array)."""
         nu = np.asarray(nu, dtype=float)
         s = self.beta * 0.25
-        return np.where(np.abs(nu) > cutoff, 0.0j, -0.5j * np.tanh(-s * nu))[()]
+        return -0.5j * np.tanh(-s * nu)
 
 
 def _occupied(op: np.ndarray, bohr: BohrGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -118,24 +111,10 @@ def build_jump(a: np.ndarray, bohr: BohrGrid, w: WeightProfile) -> np.ndarray:
 
 
 def build_coherent(jump: np.ndarray, bohr: BohrGrid, w: WeightProfile) -> np.ndarray:
-    """Coherent operator G = sum_nu g_hat(nu) (L'L)_{-nu}, on H's Bohr grid; Hermitian.
-
-    Warns when L'L has off-shell frequencies and the cutoff excludes all
-    of them.
-    """
+    """Coherent operator G = sum_nu g_hat(nu) (L'L)_{-nu}, on H's Bohr grid; Hermitian."""
     jump = np.asarray(jump, dtype=complex)
-    cutoff = w.kappa_cutoff
-    if cutoff is None:
-        cutoff = 2.0 * float(np.abs(bohr.eig.eigenvalues).max()) + KAPPA_CUTOFF_MARGIN
     rotated, occupied = _occupied(jump.conj().T @ jump, bohr)
-    gains = -bohr.centres[occupied]
-    offshell = np.abs(gains[np.abs(gains) > OFFSHELL_FLOOR])
-    if offshell.size and np.all(offshell > cutoff):
-        warnings.warn(
-            f"cutoff {cutoff:.3g} excludes every off-shell frequency of L'L",
-            UserWarning,
-        )
-    return _weigh(rotated, occupied, w.coherent_weight(gains, cutoff), bohr)
+    return _weigh(rotated, occupied, w.coherent_weight(-bohr.centres[occupied]), bohr)
 
 
 def _has_coherent_part(coh: np.ndarray, jump: np.ndarray) -> bool:

@@ -34,10 +34,6 @@ MIN_STATE_WEIGHT = 1e-14
 CPTP_TOL = 1e-9
 # Norm of the all-ones probe off a kernel below which a seeded one replaces it.
 PROBE_NORM_FLOOR = 1e-12
-# Margin of the default coherent cutoff above 2 ||H||; absolute.
-KAPPA_CUTOFF_MARGIN = 1e-9
-# Smallest |gain| of L'L that is off-shell; absolute.
-OFFSHELL_FLOOR = 1e-12
 # Smallest kept coherent part ||G||, relative to max(1, ||L||)^2.
 COHERENT_PART_CUT = 1e-12
 # ||K - K_S (x) I||_F of a term off its support, relative to max(1, ||K||_F).

@@ -7,9 +7,11 @@ Hamiltonian summed from its local terms, the dense projector of a
 ProjectorResult, the transition from the SVD of a dense product of two
 projectors, and the boost coefficients from scipy.special's erfcinv and
 ive.  Beside them are the dense Gibbs state of an assembled H, the summed
-Lindbladian of a term list, and the detailed-balance defect and spectral
-report of its coherent form.  They are kept here, and not in dlgibbs,
-because only tests read them.
+Lindbladian of a term list, the detailed-balance defect and spectral
+report of its coherent form, the per-cluster Bohr split with the jump and
+coherent operators weighed on it, and the per-column singular-vector
+gauge.  They are kept here, and not in dlgibbs, because only tests read
+them.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dlgibbs.hamiltonians import (
     assemble,
     embed,
 )
+from dlgibbs.jumps import WeightProfile
 from dlgibbs.kms import (
     KmsForm,
     LindbladTerm,
@@ -51,13 +54,87 @@ from dlgibbs.linalg import (
 )
 from dlgibbs.parent import ParentHamiltonian
 from dlgibbs.projector import ProjectorResult
-from dlgibbs.tolerances import FRUSTRATION_CUT, GROUND_CLUSTER_WIDTH, KERNEL_CUT
+from dlgibbs.tolerances import (
+    BOHR_SPLIT,
+    FRUSTRATION_CUT,
+    GAUGE_PIVOT,
+    GROUND_CLUSTER_WIDTH,
+    KERNEL_CUT,
+)
 
 
 def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
     """exp(-beta h) / Tr exp(-beta h) of a dense Hermitian h, with _gibbs_weights' guards."""
     ew, v = _gibbs_weights(hermitian_eigendecompose(h), beta)
     return v @ np.diag(ew) @ v.conj().T
+
+
+def bohr_reference(
+    a: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Independent per-cluster Bohr split: one dense component per frequency.
+
+    Frequencies w = E - E' are clustered by walking the sorted values and
+    cutting at gaps above BOHR_SPLIT max(1, ||h||); each cluster is selected
+    with a mask widened by half that width and rotated back on its own.
+    Clusters on which a has no nonzero entry are dropped.
+    """
+    a = np.asarray(a, dtype=complex)
+    evals, v = np.linalg.eigh(h)
+    tol = BOHR_SPLIT * max(1.0, spectral_norm(h))
+    a_tilde = v.conj().T @ a @ v
+    w_mat = evals[None, :] - evals[:, None]
+    vals = np.sort(w_mat.ravel())
+    edges = []
+    start = prev = vals[0]
+    for x in vals[1:]:
+        if x - prev > tol:
+            edges.append((start, prev))
+            start = x
+        prev = x
+    edges.append((start, prev))
+    freqs, comps = [], []
+    for lo, hi in edges:
+        mask = (w_mat >= lo - 0.5 * tol) & (w_mat <= hi + 0.5 * tol)
+        block = np.where(mask, a_tilde, 0.0)
+        if not np.any(np.abs(block) > 0):
+            continue
+        freqs.append(float(0.5 * (lo + hi)))
+        comps.append(v @ block @ v.conj().T)
+    return np.array(freqs), comps
+
+
+def reference_jump(a: np.ndarray, h: np.ndarray, w: WeightProfile) -> np.ndarray:
+    """sum_nu w_hat(nu) A_{-nu} over the per-cluster Bohr split."""
+    freqs, comps = bohr_reference(a, h)
+    return sum(w.jump_weight(-f) * c for f, c in zip(freqs, comps))
+
+
+def reference_coherent(jump: np.ndarray, h: np.ndarray, w: WeightProfile) -> np.ndarray:
+    """sum_nu g_hat(nu) (L'L)_{-nu} over the per-cluster Bohr split."""
+    freqs, comps = bohr_reference(jump.conj().T @ jump, h)
+    return sum(w.coherent_weight(-f) * c for f, c in zip(freqs, comps))
+
+
+def gauge_reference(u: np.ndarray, vh: np.ndarray) -> None:
+    """The per-column loop linalg.gauge_singular_vectors replaces, in place.
+
+    Each nonzero column of u is turned so that its first entry above
+    GAUGE_PIVOT of the column's norm is real and positive; the matching
+    row of vh takes the inverse phase.
+    """
+    for j in range(min(u.shape[1], vh.shape[0])):
+        col = u[:, j]
+        norm = np.linalg.norm(col)
+        if norm == 0.0:
+            continue
+        nz = np.flatnonzero(np.abs(col) > GAUGE_PIVOT * norm)
+        if nz.size == 0:
+            continue
+        pivot = col[nz[0]]
+        phase = pivot / abs(pivot)
+        u[:, j] *= phase.conjugate()
+        vh[j, :] *= phase
 
 
 def lindblad_superoperator(terms: list[LindbladTerm], n: int) -> Superoperator:

@@ -208,3 +208,18 @@ def test_unusable_weights_kind_exits_2_before_any_model(
     err = capsys.readouterr().err
     assert "ParseError: line 13" in err
     assert kind in err
+
+
+def test_weights_kappa_cutoff_is_an_unknown_key(tmp_path, capsys):
+    # The coherent part keeps every frequency of L'L, so no cutoff is
+    # configurable; the key is rejected like any misspelling.
+    from dlgibbs.cli import main
+
+    text = MINIMAL_MIX + "\n[weights]\nkappa_cutoff = 1.0\n"
+    with pytest.raises(UnknownKey, match="weights.kappa_cutoff"):
+        parse_config(text)
+    cfg_path = tmp_path / "mix.cfg"
+    cfg_path.write_text(text)
+    assert main(["mix", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "UnknownKey" in capsys.readouterr().err
+    assert not (tmp_path / "mix.csv").exists()

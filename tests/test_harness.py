@@ -15,7 +15,7 @@ from dlgibbs import harness
 from dlgibbs.cli import main
 from dlgibbs.config import parse_config
 from dlgibbs.errors import BadInputs, DlGibbsError
-from dlgibbs.harness import resource_estimate, run_experiment
+from dlgibbs.harness import Check, resource_estimate, run_experiment
 
 MIX_CFG = """
 experiment = mix
@@ -612,3 +612,15 @@ def test_violation_text(tmp_path, monkeypatch, text, name, wrap, expected):
         assert str(err.value) == (
             f"{cfg.experiment}: {len(expected)} bound violation(s): " + "; ".join(expected)
         )
+
+
+def test_check_keeps_each_comparison():
+    # A ceiling fails above ceiling + slack and a floor below the floor; a
+    # NaN fails only a window, as `not 1.8 <= slope <= 2.2` does.
+    nan = float("nan")
+    assert Check("", 0.5 + 2e-9, 0.5, 1e-9).failed
+    assert not Check("", 0.5 + 1e-9, 0.5, 1e-9).failed
+    assert Check("", 0.5, floor=0.625).failed and not Check("", 0.625, floor=0.625).failed
+    window = [Check("", s, 2.2, floor=1.8).failed for s in (1.7, 1.8, 2.2, 2.3, nan)]
+    assert window == [True, False, False, True, True]
+    assert not Check("", nan, 0.5).failed and not Check("", nan, floor=0.5).failed

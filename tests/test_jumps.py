@@ -27,56 +27,15 @@ from dlgibbs.jumps import (
     dressed_support,
 )
 from dlgibbs.kms import KmsForm
-from dlgibbs.linalg import hermitian_eigendecompose, spectral_norm
-from reference import db_residual, gibbs_state, lindblad_superoperator
-
-
-def bohr_reference(
-    a: np.ndarray, h: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Independent per-cluster Bohr split: one dense component per frequency.
-
-    Frequencies w = E - E' are clustered by walking the sorted values and
-    cutting at gaps above 1e-9 max(1, ||h||); each cluster is selected with
-    a mask widened by half the tolerance and rotated back on its own.
-    Clusters on which a has no nonzero entry are dropped.
-    """
-    a = np.asarray(a, dtype=complex)
-    evals, v = np.linalg.eigh(h)
-    tol = 1e-9 * max(1.0, spectral_norm(h))
-    a_tilde = v.conj().T @ a @ v
-    w_mat = evals[None, :] - evals[:, None]
-    vals = np.sort(w_mat.ravel())
-    edges = []
-    start = prev = vals[0]
-    for x in vals[1:]:
-        if x - prev > tol:
-            edges.append((start, prev))
-            start = x
-        prev = x
-    edges.append((start, prev))
-    freqs, comps = [], []
-    for lo, hi in edges:
-        mask = (w_mat >= lo - 0.5 * tol) & (w_mat <= hi + 0.5 * tol)
-        block = np.where(mask, a_tilde, 0.0)
-        if not np.any(np.abs(block) > 0):
-            continue
-        freqs.append(float(0.5 * (lo + hi)))
-        comps.append(v @ block @ v.conj().T)
-    return np.array(freqs), comps
-
-
-def reference_jump(a: np.ndarray, h: np.ndarray, w: WeightProfile) -> np.ndarray:
-    freqs, comps = bohr_reference(a, h)
-    return sum(w.jump_weight(-f) * c for f, c in zip(freqs, comps))
-
-
-def reference_coherent(jump: np.ndarray, h: np.ndarray, w: WeightProfile) -> np.ndarray:
-    cutoff = w.kappa_cutoff
-    if cutoff is None:
-        cutoff = 2.0 * spectral_norm(h) + 1e-9
-    freqs, comps = bohr_reference(jump.conj().T @ jump, h)
-    return sum(w.coherent_weight(-f, cutoff) * c for f, c in zip(freqs, comps))
+from dlgibbs.linalg import hermitian_eigendecompose
+from reference import (
+    bohr_reference,
+    db_residual,
+    gibbs_state,
+    lindblad_superoperator,
+    reference_coherent,
+    reference_jump,
+)
 
 
 def _component(freqs: np.ndarray, comps: list[np.ndarray], w: float) -> np.ndarray:
@@ -171,26 +130,13 @@ def test_weighting_matches_per_cluster_reference(case):
 
 
 def test_infinite_temperature_model_raises_no_cutoff_warning():
-    # At beta = 0 every coherent weight tanh(0) vanishes; the cutoff
-    # excludes nothing, so there is nothing to warn about.
+    # At beta = 0 every coherent weight tanh(0) vanishes, so no term keeps
+    # a coherent part, and the build warns about nothing.
     ham = make_instance("random_ff_projectors", 3, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         terms = build_model(ham, standard_couplings(3, "x"), WeightProfile(beta=0.0))
     assert all(t.coherent is None for t in terms)
-
-
-def test_cutoff_below_every_offshell_frequency_warns():
-    h = assemble(make_instance("random_ff_projectors", 3, 2))
-    x0 = np.kron(PAULI_X, np.eye(4, dtype=complex))
-    bohr = bohr_grid(hermitian_eigendecompose(h))
-    jump = build_jump(x0, bohr, WeightProfile(beta=0.5))
-    freqs, _ = bohr_reference(jump.conj().T @ jump, h)
-    smallest = np.abs(freqs[np.abs(freqs) > 1e-12]).min()
-    w = WeightProfile(beta=0.5, kappa_cutoff=0.5 * smallest)
-    with pytest.warns(UserWarning, match="excludes every off-shell frequency"):
-        coh = build_coherent(jump, bohr, w)
-    assert np.abs(coh).max() == 0.0
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from dlgibbs.linalg import (
     spectral_norm,
     vectorize,
 )
+from reference import gauge_reference
 
 
 def test_eigendecompose_pauli_x():
@@ -111,22 +112,6 @@ def test_svd_keeps_real_input_real_with_a_sign_gauge():
     assert np.linalg.norm(recon - a) <= _RECON_TOL * np.linalg.norm(a)
 
 
-def _gauge_reference(u, vh):
-    """The per-column loop gauge_singular_vectors replaces, kept as a reference."""
-    for j in range(min(u.shape[1], vh.shape[0])):
-        col = u[:, j]
-        norm = np.linalg.norm(col)
-        if norm == 0.0:
-            continue
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * norm)
-        if nz.size == 0:
-            continue
-        pivot = col[nz[0]]
-        phase = pivot / abs(pivot)
-        u[:, j] *= phase.conjugate()
-        vh[j, :] *= phase
-
-
 @pytest.mark.parametrize("shape", [(5, 5), (6, 4), (4, 6)])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_vectorized_gauge_is_bitwise_the_column_loop(shape, dtype):
@@ -143,14 +128,14 @@ def test_vectorized_gauge_is_bitwise_the_column_loop(shape, dtype):
     got_u, got_vh = u.copy(), vh.copy()
     want_u, want_vh = u.copy(), vh.copy()
     gauge_singular_vectors(got_u, got_vh)
-    _gauge_reference(want_u, want_vh)
+    gauge_reference(want_u, want_vh)
     assert got_u.tobytes() == want_u.tobytes()
     assert got_vh.tobytes() == want_vh.tobytes()
     assert not np.array_equal(got_u, u)
     # singular_value_decompose gauges exactly as the loop does.
     svd = singular_value_decompose(a)
     u, s, vh = np.linalg.svd(a)
-    _gauge_reference(u, vh)
+    gauge_reference(u, vh)
     assert svd.u.tobytes() == u.tobytes() and svd.vh.tobytes() == vh.tobytes()
     assert svd.s.tobytes() == s.tobytes()
 

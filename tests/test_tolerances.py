@@ -39,8 +39,6 @@ TABLE = {
     "MIN_STATE_WEIGHT": 1e-14,
     "CPTP_TOL": 1e-9,
     "PROBE_NORM_FLOOR": 1e-12,
-    "KAPPA_CUTOFF_MARGIN": 1e-9,
-    "OFFSHELL_FLOOR": 1e-12,
     "COHERENT_PART_CUT": 1e-12,
     "LOCALITY_TOL": 1e-10,
     "DENSITY_MATRIX_TOL": 1e-10,
