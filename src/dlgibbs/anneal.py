@@ -42,8 +42,9 @@ side at most R_{j-1} + R_j, the nonzero singular values of the two steps
 
 run_annealing takes two passes.  The first builds every step's parent, for
 its target and its local projector input; the overlaps fix the budgets,
-and each input's certified gamma* (projector.certified_bound, read off its
-ground cluster and interaction degree, not its DL operator) fixes the
+each input's ground cluster gives the step's fixed-point dimension, and
+each input's certified gamma* (projector.certified_bound, read off that
+cluster and the interaction degree, not the DL operator) fixes the
 uniform projector degree ell.  The second builds step j's DL operator and
 projector and then runs transition j, so at most the factors of steps
 j - 1 and j are alive.  The boost coefficients need erfcinv, by Newton's
@@ -74,12 +75,7 @@ from .hamiltonians import LocalHamiltonian, LocalOperator
 from .jumps import WeightProfile, build_model
 from .kms import KmsForm
 from .linalg import singular_value_decompose, spectral_norm
-from .parent import (
-    build_parent,
-    kernel_is_simple,
-    parent_projector_input,
-    purified_gibbs,
-)
+from .parent import build_parent, parent_projector_input, purified_gibbs
 from .projector import (
     ProjectorResult,
     approximate_projector,
@@ -422,12 +418,12 @@ def run_annealing(
     ground vector and, in dl_qsvt mode, its local projector input (pin),
     built right after the parent; the targets' overlaps give the budgets,
     and the pins' certified gamma* give ell.  An IrreducibilityWarning
-    reports a parent kernel_dim above 1.  In dl_qsvt mode the pin's ground
-    cluster, which certified_bound reads anyway, decides kernel_dim <= 1
-    by a Weyl bound (parent.kernel_is_simple), and the parent's own 4^n
-    spectrum is taken only when the bound cannot decide; exact mode reads
-    ph.kernel_dim, one spectrum per step.  The second pass builds step j's
-    DL operator and projector from its pin and then runs transition j, so
+    reports a fixed-point dimension above 1.  In dl_qsvt mode that is the
+    dimension of the pin's ground cluster, which certified_bound reads
+    anyway: the rank its DL operator projects onto, so no 4^n spectrum is
+    taken.  Exact mode reads ph.kernel_dim, one spectrum per step, which
+    non-commuting H needs.  The second pass builds step j's DL operator
+    and projector from its pin and then runs transition j, so
     at most two steps' DL factors are alive.  A FrustrationDetected or
     DegenerateGap from step j's DL operator therefore fires after every
     parent has been built and transition j - 1 has run.
@@ -457,14 +453,15 @@ def run_annealing(
     for beta_j in betas.tolist():
         terms = build_model(ham, couplings, replace(w, beta=beta_j))
         ph = build_parent(terms, KmsForm.gibbs(ham, beta_j), ham, beta=beta_j)
-        simple = False
         if projector_mode == "dl_qsvt":
             pins.append(parent_projector_input(ph))
-            simple = kernel_is_simple(ph, pins[-1])
-        if not simple and ph.kernel_dim > 1:
+            kernel_dim = pins[-1].cluster.dimension
+        else:
+            kernel_dim = ph.kernel_dim
+        if kernel_dim > 1:
             warnings.warn(
                 f"generator at beta = {beta_j:.6g} has fixed-point dimension "
-                f"{ph.kernel_dim}; the purified path is not unique",
+                f"{kernel_dim}; the purified path is not unique",
                 IrreducibilityWarning,
             )
         targets.append(ph.ground)
@@ -485,7 +482,7 @@ def run_annealing(
     if projector_mode == "dl_qsvt":
         target_err = budgets.projector_error
         ell = max(
-            degree_for_error(certified_bound(pin.ham)[0], target_err) for pin in pins
+            degree_for_error(certified_bound(pin)[0], target_err) for pin in pins
         )
         coefficients = boost_coefficients(b_floor, budgets.epsilon, budgets.degree)
         transition_queries = budgets.degree
@@ -499,8 +496,8 @@ def run_annealing(
     prev = res = None
     for j in range(k_steps + 1):
         if projector_mode == "dl_qsvt":
-            dl = dl_operator(pins[j].ham)
-            sg = singular_gap(dl, pins[j].ham)
+            dl = dl_operator(pins[j])
+            sg = singular_gap(dl, pins[j])
             res = approximate_projector(dl, chebyshev_poly(sg.gamma_star, ell))
         if j > 0:
             a, b = targets[j - 1], targets[j]

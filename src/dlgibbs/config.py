@@ -14,9 +14,10 @@ Grammar, one directive per line:
 Sections are model, weights, run and output; the set of allowed and
 required keys depends on the experiment.  Values are typed by shape:
 integers, floats, bracketed lists, everything else a bare string (no
-quoting, so values cannot contain '#').  Parsing reports the offending
-line number; unknown sections or keys are rejected, as are missing
-required keys.  serialize_config emits a canonical form (fixed section
+quoting, so values cannot contain '#'); a float or a list entry must be
+finite, so nan and inf are refused.  Parsing reports the offending line
+number; unknown sections or keys are rejected, as are missing required
+keys.  serialize_config emits a canonical form (fixed section
 order, sorted keys, shortest round-trip float repr) whose parse is
 idempotent, and config_hash fingerprints that canonical form.
 """
@@ -24,6 +25,7 @@ idempotent, and config_hash fingerprints that canonical form.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -212,6 +214,10 @@ def _apply_schema(
                 raise ParseError(
                     f"line {lineno}: {section}.{key} must be a number, got {value!r}"
                 )
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"line {lineno}: {section}.{key} must be a finite number, got {value!r}"
+                )
         elif want == "list":
             if not isinstance(value, list):
                 raise ParseError(
@@ -222,6 +228,11 @@ def _apply_schema(
                 raise ParseError(
                     f"line {lineno}: {section}.{key} must list numbers only"
                 )
+            for v in value:
+                if not math.isfinite(v):
+                    raise ParseError(
+                        f"line {lineno}: {section}.{key} must list finite numbers, got {v!r}"
+                    )
         elif want == "str":
             if not isinstance(value, str):
                 raise ParseError(

@@ -36,9 +36,9 @@ the sum only otherwise:
   (Weyl), read off each local term's eigenvalues; the spectrum of the sum
   is taken only when that bound exceeds POSITIVE_EIGENVALUE_CUT, and
   always for non-commuting H, whose terms are as large as the sum.
-- gap and kernel_dim of the sum are computed on their first read.
-  kernel_is_simple decides kernel_dim <= 1 from the ground cluster of the
-  projector input instead, which a dl_qsvt anneal takes anyway.
+- gap and kernel_dim of the sum are computed on their first read.  A
+  dl_qsvt anneal reads neither: its fixed-point dimension is the ground
+  cluster of parent_projector_input, the rank its DL operator projects onto.
 """
 
 from __future__ import annotations
@@ -77,16 +77,14 @@ from .linalg import (
 )
 from .sampler import coherent_terms
 from .tolerances import (
-    DETAILED_BALANCE_TOL, KERNEL_CUT, NORM_SLACK, PARENT_TERM_PSD_TOL, POSITIVE_EIGENVALUE_CUT,
+    DETAILED_BALANCE_TOL, NORM_SLACK, PARENT_TERM_PSD_TOL, POSITIVE_EIGENVALUE_CUT,
 )
 
 __all__ = [
     "ParentHamiltonian",
     "ParentReport",
     "ParentTerm",
-    "ProjectorInput",
     "build_parent",
-    "kernel_is_simple",
     "parent_projector_input",
     "purified_gibbs",
     "verify_parent",
@@ -123,7 +121,8 @@ class ParentHamiltonian:
 
     gap and kernel_dim are those of sum_a H^a by kms.coherent_spectrum's
     rules, so the generator's.  The sum is assembled and diagonalized on
-    the first read of either, unless build_parent already took its spectrum.
+    the first read of either, unless build_parent already took its spectrum;
+    a dl_qsvt anneal reads the kernel off parent_projector_input instead.
     """
 
     terms: tuple[ParentTerm, ...]
@@ -163,14 +162,6 @@ class ParentReport:
     locality_residuals: tuple[float, ...] | None
     parent_degree: int
     locality_checked: bool
-
-
-@dataclass(frozen=True)
-class ProjectorInput:
-    """Negated, normalized local parent terms ready for projection."""
-
-    ham: LocalHamiltonian
-    scales: tuple[float, ...]
 
 
 def build_parent(
@@ -223,23 +214,19 @@ def build_parent(
     return ph
 
 
-def _norm_sum(terms: tuple[ParentTerm, ...]) -> float:
-    """sum_a ||H^a|| >= ||sum_a H^a||, from the terms' eigenvalues."""
-    return sum(t.norm for t in terms)
-
-
 def _top_bound(terms: tuple[ParentTerm, ...]) -> float:
     """An upper bound on the top eigenvalue of sum_a H^a as eigvalsh computes it.
 
     lambda_max(sum_a H^a) <= sum_a max(0, lambda_max(H^a)), plus the
-    rounding slack of norm_exceeds relative to sum_a ||H^a||.  Terms of
-    non-commuting H are on the whole register, where a term's spectrum
-    costs what the sum's does, so there the bound is inf.
+    rounding slack of norm_exceeds relative to sum_a ||H^a|| >= ||sum_a H^a||,
+    all read off the terms' eigenvalues.  Terms of non-commuting H are on
+    the whole register, where a term's spectrum costs what the sum's does,
+    so there the bound is inf.
     """
     if any(t.locality_residual is None for t in terms):
         return math.inf
     tau = sum(max(0.0, float(t.eigenvalues[-1])) for t in terms)
-    return tau + NORM_SLACK * max(1.0, _norm_sum(terms))
+    return tau + NORM_SLACK * max(1.0, sum(t.norm for t in terms))
 
 
 def _check_detailed_balance(anti: np.ndarray, what: str, beta: float | None) -> None:
@@ -282,16 +269,16 @@ def verify_parent(ph: ParentHamiltonian) -> ParentReport:
     )
 
 
-def parent_projector_input(ph: ParentHamiltonian) -> ProjectorInput:
-    """Negate and normalize the local parent terms for the DL projector.
+def parent_projector_input(ph: ParentHamiltonian) -> LocalHamiltonian:
+    """The negated, normalized local parent terms -H^a / max(1, ||H^a||).
 
     Each H^a is held on its doubled dressed support; -H^a must be positive
-    semidefinite (PositivityFailure otherwise).  Terms are divided by
-    max(1, ||H^a||), recorded in scales, with ||H^a|| read off the term's
-    eigenvalues.  A parent of non-commuting H has no local terms (BadParams).
+    semidefinite (PositivityFailure otherwise), and ||H^a|| is read off the
+    term's eigenvalues.  The result is frustration-free with kernel
+    ker sum_a H^a, so its ground cluster's dimension is ph.kernel_dim.  A
+    parent of non-commuting H has no local terms (BadParams).
     """
     locals_: list[LocalOperator] = []
-    scales: list[float] = []
     for idx, t in enumerate(ph.terms):
         if t.locality_residual is None:
             msg = f"parent term {idx} is not local: the Hamiltonian terms do not commute"
@@ -305,31 +292,4 @@ def parent_projector_input(ph: ParentHamiltonian) -> ProjectorInput:
                 f"negated parent term {idx} has eigenvalue {min_eig:.3e} < 0"
             )
         locals_.append(LocalOperator(-t.mat / scale, t.support))
-        scales.append(scale)
-    return ProjectorInput(
-        ham=LocalHamiltonian(n=2 * ph.n, terms=tuple(locals_)), scales=tuple(scales)
-    )
-
-
-def kernel_is_simple(ph: ParentHamiltonian, pin: ProjectorInput) -> bool:
-    """Whether pin's ground cluster proves that ph.kernel_dim <= 1.
-
-    -H^a = -H^a / s_a + (1 - 1/s_a)(-H^a) with s_a >= 1, and -H^a >=
-    -max(0, lambda_max(H^a)) I, so -sum_a H^a >= pin - delta I with
-    delta = sum_a (1 - 1/s_a) max(0, lambda_max(H^a)).  By Weyl's
-    monotonicity the second-lowest eigenvalue of -sum_a H^a is then at
-    least e_0 + gap - delta when pin's ground cluster is one-dimensional.
-    When that exceeds the kernel cut KERNEL_CUT max(1, sum_a ||H^a||), plus the
-    rounding slack of norm_exceeds, every eigenvalue of sum_a H^a past the
-    top lies below minus the cut, and coherent_spectrum counts at most one.
-    False means only that the bound cannot decide: read ph.kernel_dim.
-    """
-    cluster = pin.ham.cluster
-    if cluster.dimension != 1:
-        return False
-    delta = sum(
-        (1.0 - 1.0 / s) * max(0.0, float(t.eigenvalues[-1]))
-        for t, s in zip(ph.terms, pin.scales)
-    )
-    norm = max(1.0, _norm_sum(ph.terms))
-    return cluster.energy + cluster.gap - delta - NORM_SLACK * norm > KERNEL_CUT * norm
+    return LocalHamiltonian(n=2 * ph.n, terms=tuple(locals_))

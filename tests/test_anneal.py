@@ -9,6 +9,7 @@ import pytest
 from numpy.polynomial import chebyshev
 
 import dlgibbs.anneal
+import dlgibbs.parent
 from scipy.special import erfcinv, ive
 
 from dlgibbs.anneal import (
@@ -481,7 +482,7 @@ def test_dl_qsvt_anneal_raises_a_last_step_dl_failure_after_the_earlier_transiti
         return Svd(u=svd.u, s=np.concatenate([[1.0 - 2e-8], svd.s[1:]]), vh=svd.vh)
 
     def failing_dl(parent_ham):
-        if parent_ham is not pins[-1].ham or check != "top block":
+        if parent_ham is not pins[-1] or check != "top block":
             return real_dl(parent_ham)
         with monkeypatch.context() as m:
             m.setattr(dlgibbs.projector, "singular_value_decompose", lowered)
@@ -490,7 +491,7 @@ def test_dl_qsvt_anneal_raises_a_last_step_dl_failure_after_the_earlier_transiti
     def tracked_pin(ph):
         pin = real_pin(ph)
         if len(pins) == k and check == "frustration":
-            pin = replace(pin, ham=_frustrated(pin.ham))
+            pin = _frustrated(pin)
         pins.append(pin)
         return pin
 
@@ -508,7 +509,7 @@ def test_dl_qsvt_anneal_raises_a_last_step_dl_failure_after_the_earlier_transiti
         )
     assert k >= 2 and transitions == [k + 1] * (k - 1)
     with pytest.raises(error) as direct:
-        failing_dl(pins[-1].ham)
+        failing_dl(pins[-1])
     assert str(raised.value) == str(direct.value)
 
 
@@ -685,30 +686,55 @@ def test_reducible_anneal_is_rank_ambiguous_on_both_routes(monkeypatch):
     assert str(got.value) == str(want.value)
 
 
-def test_reducible_dl_qsvt_anneal_reads_each_parent_spectrum(monkeypatch):
-    # The projector inputs' ground clusters are not one-dimensional, so the
-    # Weyl bound cannot decide kernel_dim <= 1: each parent's own spectrum
-    # is read, and both IrreducibilityWarnings fire before the transition's
-    # RankAmbiguous, with the messages the dense count gives.
+# The IrreducibilityWarnings of the zz_chain n = 2, couplings x anneal at
+# beta = 0.5: K = 1, with fixed-point dimension 4 at beta = 0 and 2 at 0.5.
+_REDUCIBLE_WARNINGS = [
+    f"generator at beta = {b} has fixed-point dimension {k}; the purified "
+    "path is not unique"
+    for b, k in (("0", 4), ("0.5", 2))
+]
+
+
+def _irreducibility(rec):
+    return [str(r.message) for r in rec if r.category is IrreducibilityWarning]
+
+
+def test_reducible_dl_qsvt_anneal_reads_no_parent_spectrum(monkeypatch):
+    # Each step's fixed-point dimension is its projector input's ground
+    # cluster, the rank the DL operator projects onto: no parent's 4^n
+    # spectrum is taken, and both IrreducibilityWarnings fire before the
+    # transition's RankAmbiguous, with the messages the dense count gives.
     ham = make_instance("zz_chain", 2)
     sched = make_schedule(0.5, spectral_norm(assemble(ham)))
-    decided = []
-    real = dlgibbs.anneal.kernel_is_simple
+    spectra = []
+    real = dlgibbs.parent.coherent_spectrum
 
-    def tracked(ph, pin):
-        decided.append(real(ph, pin))
-        return decided[-1]
+    def tracked(h):
+        spectra.append(h.shape)
+        return real(h)
 
-    monkeypatch.setattr(dlgibbs.anneal, "kernel_is_simple", tracked)
+    monkeypatch.setattr(dlgibbs.parent, "coherent_spectrum", tracked)
     args = (ham, standard_couplings(2, "x"), WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt")
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         with pytest.raises(RankAmbiguous, match="within a factor 10 of the first"):
             run_annealing(*args)
-    assert decided == [False, False]
-    assert [str(r.message) for r in rec if r.category is IrreducibilityWarning] == [
-        f"generator at beta = {b} has fixed-point dimension {k}; the purified "
-        "path is not unique"
-        for b, k in (("0", 4), ("0.5", 2))
-    ]
+    assert spectra == []
+    assert _irreducibility(rec) == _REDUCIBLE_WARNINGS
 
+
+def test_reducible_anneal_warns_the_same_in_both_modes():
+    # exact mode counts each parent's kernel from its 4^n spectrum, dl_qsvt
+    # mode from its projector input's ground cluster; the two agree.  exact
+    # completes, and dl_qsvt then stops at the transition's RankAmbiguous.
+    ham = make_instance("zz_chain", 2)
+    sched = make_schedule(0.5, spectral_norm(assemble(ham)))
+    args = (ham, standard_couplings(2, "x"), WeightProfile(beta=0.5), sched, 0.1)
+    with warnings.catch_warnings(record=True) as exact:
+        warnings.simplefilter("always")
+        run_annealing(*args, "exact")
+    with warnings.catch_warnings(record=True) as dl_qsvt:
+        warnings.simplefilter("always")
+        with pytest.raises(RankAmbiguous):
+            run_annealing(*args, "dl_qsvt")
+    assert _irreducibility(exact) == _irreducibility(dl_qsvt) == _REDUCIBLE_WARNINGS

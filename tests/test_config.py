@@ -112,6 +112,25 @@ dbetas = 0.1
         parse_config(text.replace("dbetas = 0.1", "dbetas = [0.2, 0.1"))
 
 
+@pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
+def test_non_finite_numbers_are_refused(word):
+    with pytest.raises(ParseError, match=rf"^line 9: run\.beta must be a finite number, got {word}$"):
+        parse_config(MINIMAL_MIX.replace("beta = 0.5", f"beta = {word}"))
+    text = """
+experiment = overlap
+
+[model]
+kind = zz_chain
+n = 2
+
+[run]
+beta = 0.5
+dbetas = [0.2, WORD]
+"""
+    with pytest.raises(ParseError, match=rf"^line 10: run\.dbetas must list finite numbers, got {word}$"):
+        parse_config(text.replace("WORD", word))
+
+
 def test_list_values_parse():
     text = """
 experiment = overlap
@@ -223,3 +242,13 @@ def test_weights_kappa_cutoff_is_an_unknown_key(tmp_path, capsys):
     assert main(["mix", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert "UnknownKey" in capsys.readouterr().err
     assert not (tmp_path / "mix.csv").exists()
+
+
+def test_mix_with_nan_beta_exits_2_and_writes_nothing(tmp_path, capsys):
+    from dlgibbs.cli import main
+
+    cfg_path = tmp_path / "mix.cfg"
+    cfg_path.write_text(MINIMAL_MIX.replace("beta = 0.5", "beta = nan"))
+    assert main(["mix", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "error: ParseError: line 9: run.beta must be a finite number" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mix.cfg"]

@@ -297,7 +297,7 @@ def test_commuting_parent_builds_each_term_on_its_support(monkeypatch, decomps):
     decomps["eigvalsh"].clear()
     pin = parent_projector_input(build_parent(terms, kms, ham, beta=beta))
     d2 = 4**ham.n
-    assert len(sups) == len(forms) == len(terms) == pin.ham.m
+    assert len(sups) == len(forms) == len(terms) == pin.m
     # Each term's superoperator and coherent form are built on its doubled
     # dressed support, and nothing is traced back down from 4^n.
     assert all(2 ** n < 2**ham.n for _, n in sups)
@@ -306,7 +306,7 @@ def test_commuting_parent_builds_each_term_on_its_support(monkeypatch, decomps):
     # No 4^n eigvalsh runs: the parent's positivity is bounded by its terms'
     # eigenvalues, one eigvalsh of each local matrix, which the projector
     # input reads for its scales.
-    local = Counter(t.op.shape for t in pin.ham.terms)
+    local = Counter(t.op.shape for t in pin.terms)
     assert Counter(decomps["eigvalsh"]) == local
     assert (d2, d2) not in decomps["eigvalsh"]
 
@@ -495,7 +495,7 @@ def test_dl_qsvt_anneal_takes_one_4n_spectrum_per_step(monkeypatch, decomps, n):
         warnings.simplefilter("error", IrreducibilityWarning)
         run_annealing(ham, couplings, w, sched, 0.1, "dl_qsvt")
     # Per step, the ground cluster of the projector input is the one 4^n
-    # spectrum of a sum; it also decides the parent's kernel_dim <= 1, so
+    # spectrum of a sum; it also gives the step's fixed-point dimension, so
     # the parent's own spectrum is never taken.  A parent term on the whole
     # doubled register (n = 3) adds one eigvalsh of its own, which both its
     # positivity bound and its scale read.
@@ -552,7 +552,7 @@ def test_real_model_runs_no_complex_superoperator_decomposition(decomps):
     d2 = (4**ham.n, 4**ham.n)
     compose_dl_channel(terms, kms, ham)
     pin = parent_projector_input(build_parent(terms, kms, ham, beta=0.5))
-    singular_gap(dl_operator(pin.ham), pin.ham)
+    singular_gap(dl_operator(pin), pin)
     sched = make_schedule(0.5, spectral_norm(assemble(ham)))
     run_annealing(ham, standard_couplings(ham.n, "xz"), w, sched, 0.1, "dl_qsvt")
     # Every jump, sigma, coherent form, Choi matrix, parent term and DL

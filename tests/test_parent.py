@@ -296,21 +296,22 @@ def test_projector_input_negates_and_normalizes():
     terms, kms = _model(ham, 0.5, kinds="xz")
     ph = build_parent(terms, kms, ham, beta=0.5)
     pin = parent_projector_input(ph)
-    assert pin.ham.n == 6
-    assert pin.ham.m == ph.m
-    for t, scale, pt in zip(pin.ham.terms, pin.scales, ph.terms):
-        # Each parent term is held on its doubled dressed support, and its
-        # scale is read from the eigenvalues of that local matrix.
+    assert pin.n == 6
+    assert pin.m == ph.m
+    for t, pt in zip(pin.terms, ph.terms):
+        # Each parent term is held on its doubled dressed support and divided
+        # by max(1, ||H^a||), read from the eigenvalues of that local matrix.
         assert pt.mat.shape == (4 ** (len(pt.support) // 2),) * 2
         assert t.support == pt.support
-        assert scale == max(1.0, float(np.abs(np.linalg.eigvalsh(pt.mat)).max()))
+        scale = max(1.0, float(np.abs(np.linalg.eigvalsh(pt.mat)).max()))
         assert abs(scale - max(1.0, spectral_norm(pt.mat))) <= 1e-9 * scale
+        np.testing.assert_array_equal(t.op, -pt.mat / scale)
         w = np.linalg.eigvalsh(t.op)
         assert w.min() >= -1e-10
         assert w.max() <= 1.0 + 1e-9
     # the negated normalized parent is frustration-free with the purified
     # Gibbs state in its ground space
-    full = assemble(pin.ham)
+    full = assemble(pin)
     assert np.linalg.norm(full @ ph.ground) <= 1e-9
 
 

@@ -312,7 +312,7 @@ def _anneal_parent_inputs():
     for beta in make_schedule(0.5, spectral_norm(h)).betas.tolist():
         terms = build_model(ham, standard_couplings(ham.n, "xz"), replace(w, beta=beta))
         ph = build_parent(terms, KmsForm(gibbs_state(h, beta)), ham, beta=beta)
-        out.append((f"anneal-parent-beta{beta:.4g}", parent_projector_input(ph).ham))
+        out.append((f"anneal-parent-beta{beta:.4g}", parent_projector_input(ph)))
     return out
 
 

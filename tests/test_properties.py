@@ -31,7 +31,7 @@ from dlgibbs.hamiltonians import (
 from dlgibbs.jumps import WeightProfile, build_coherent, build_jump, build_model
 from dlgibbs.kms import KmsForm, coherent_spectrum
 from dlgibbs.linalg import hermitian_eigendecompose, norm_exceeds, spectral_norm
-from dlgibbs.parent import build_parent, kernel_is_simple, parent_projector_input
+from dlgibbs.parent import build_parent, parent_projector_input
 from reference import gibbs_state, parent_matrix, reference_coherent, reference_jump
 from test_sampler import assert_local_matches_dense
 
@@ -394,10 +394,11 @@ def test_local_channel_matches_dense_on_commuting_projectors(seed, n, couplings,
     st.sampled_from(["x", "z", "xz", "xyz"]),
     st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
 )
-def test_parent_kernel_bound_agrees_with_the_dense_spectrum(model, seed, couplings, beta):
-    # Wherever the projector input's ground cluster proves kernel_dim <= 1,
-    # the dense count agrees; and the lazily read gap and kernel_dim are
-    # coherent_spectrum of the assembled sum of the parent terms.
+def test_projector_input_ground_cluster_is_the_parent_kernel(model, seed, couplings, beta):
+    # The ground cluster of the projector input, which a dl_qsvt anneal
+    # reads for its fixed-point dimension, has the dense kernel_dim of the
+    # parent; and the lazily read gap and kernel_dim are coherent_spectrum of
+    # the assembled sum of the parent terms.
     import warnings
 
     kind, n = model
@@ -408,10 +409,9 @@ def test_parent_kernel_bound_agrees_with_the_dense_spectrum(model, seed, couplin
     pin = parent_projector_input(ph)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateGapWarning)
-        simple = kernel_is_simple(ph, pin)
+        cluster = pin.cluster
     _, gap, kernel_dim = coherent_spectrum(parent_matrix(ph))
-    if simple:
-        assert kernel_dim <= 1
+    assert cluster.dimension == kernel_dim
     assert ph.kernel_dim == kernel_dim
     assert ph.gap == gap
 

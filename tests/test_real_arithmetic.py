@@ -48,7 +48,7 @@ def _pipeline(couplings: str, beta: float) -> dict:
     rho0[0, 0] = 1.0
     trace = iterate(ch, rho0, kms, k_max=20)
     ph = build_parent(terms, kms, ham, beta=beta)
-    dl = dl_operator(parent_projector_input(ph).ham)
+    dl = dl_operator(parent_projector_input(ph))
     return {
         "kernel_projectors": [v @ v.conj().T for v in ch.kernel_bases],
         "kernel_bases": ch.kernel_bases,

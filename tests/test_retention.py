@@ -131,7 +131,7 @@ def test_dl_qsvt_anneal_step_keeps_no_composite(monkeypatch):
 
     def tracked_pin(*args, **kwargs):
         pin = real_pin(*args, **kwargs)
-        local_terms.update(id(t.op) for t in pin.ham.terms)
+        local_terms.update(id(t.op) for t in pin.terms)
         return pin
 
     def tracked_transition(*args, **kwargs):
