@@ -59,6 +59,7 @@ from .linalg import (
     norm_exceeds,
     real_if_exact,
     spectral_norm,
+    symmetric_eigenvalues,
 )
 from .tolerances import (  # noqa: F401 (DETAILED_BALANCE_TOL is re-exported)
     CPTP_TOL, DETAILED_BALANCE_TOL, KERNEL_CUT, POSITIVE_EIGENVALUE_CUT, PROBE_NORM_FLOOR,
@@ -313,12 +314,14 @@ def coherent_spectrum(h: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Descending eigenvalues of (h + h dagger)/2, gap and kernel_dim.
 
     h is overwritten by (h + h dagger)/2 (_symmetrize), so the only other
-    array of its size is eigvalsh's working copy.  The kernel cut is
+    array of its size is eigvalsh's working copy; on a direct sum
+    (linalg.symmetric_eigenvalues) that copy is one of the blocks, and only
+    a boolean pattern of h is formed besides.  The kernel cut is
     KERNEL_CUT * max(1, ||h||), and gap is lambda_1 - lambda_2, or exactly
     0.0 when kernel_dim >= 2, where that difference is rounding noise.
     """
     _symmetrize(h)
-    w = np.linalg.eigvalsh(h)[::-1]
+    w = symmetric_eigenvalues(h)[::-1]
     kernel_dim = int((np.abs(w) <= KERNEL_CUT * max(1.0, float(np.abs(w).max()))).sum())
     gap = float(w[0] - w[1]) if len(w) > 1 and kernel_dim < 2 else 0.0
     return w, gap, kernel_dim

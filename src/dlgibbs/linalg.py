@@ -8,6 +8,23 @@ from :mod:`dlgibbs.errors` instead of letting numpy failures propagate
 raw.  The wrappers keep the dtype of their input, so exactly-real data
 run the real LAPACK and BLAS routines; real_if_exact is the one place
 where complex data become real.
+
+Direct sums are decomposed block by block.  direct_sum_labels labels the
+connected components of a matrix's exact nonzero pattern: one graph on the
+indices for Hermitian input, rows and columns as the two sides of a
+bipartite graph for an SVD.  When the largest component has at most half
+the rows and half the columns, the matrix is, up to a permutation, a direct
+sum of the components' blocks, and hermitian_eigenvalues,
+hermitian_eigendecompose, singular_value_decompose and spectral_norm
+decompose the blocks instead, equal shapes in one stacked LAPACK call; any
+other input takes the whole-matrix call.  This is exact: the pattern is that
+of the exact zeros, with no tolerance, every off-block entry is 0, and the
+spectrum of a direct sum is the union of its blocks' spectra.  The results
+keep the whole-matrix conventions (ascending eigenvalues and descending
+singular values by a stable sort, the Svd gauge, zero rows and columns
+completing U and Vh as standard basis vectors), and every check runs on the
+blocks, where the off-block residual is exactly 0.  Values a whole-matrix
+call rounds to ~1e-17 on a structurally zero direction come out exactly 0.
 """
 
 from __future__ import annotations
@@ -110,11 +127,157 @@ def _hermitian_input(a: np.ndarray) -> tuple[np.ndarray, float, float]:
     return (a if res == 0.0 else 0.5 * (a + a.conj().T)), scale, res
 
 
+def direct_sum_labels(
+    pattern: np.ndarray, square: bool
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Labels of the connected components of a boolean pattern, or None.
+
+    Returns (row labels, column labels), numbered 0, 1, ... by the
+    component's smallest row; a column with no nonzero is a component of
+    its own, numbered after all rows' in column order.  square: the graph
+    has one node per index, with an edge wherever pattern or its transpose
+    is nonzero, and both label arrays are the same; otherwise rows and
+    columns are the two sides of a bipartite graph.  None when some
+    component has more than half the rows or half the columns (at once
+    when more than half of the pattern is nonzero, which no such split
+    allows), or a side has fewer than 2.
+
+    Every node starts labelled by itself; each round gives both ends of
+    every edge the smaller of their labels and then follows labels to
+    their roots, until a round changes nothing, when each label is its
+    component's smallest node, or until one label holds more than half a
+    side.  The edges are read from row ranges of the pattern holding at
+    most max(m n / 16, 2^16) nonzeros each, so their index arrays take no
+    more memory than the pattern, or than 1 MB.
+    """
+    m, n = pattern.shape
+    nnz = int(np.count_nonzero(pattern))
+    if min(m, n) < 2 or 2 * nnz > m * n:
+        return None
+    first_col = 0 if square else m
+    step = m if nnz <= max(m * n // 16, 1 << 16) else max(1, m // 16)
+
+    def edges():
+        for lo in range(0, m, step):
+            # Flat indices split by divmod: 2-d np.nonzero is several times slower.
+            i, j = np.divmod(np.flatnonzero(pattern[lo : lo + step]), n)
+            yield i + lo, j + first_col
+
+    kept = list(edges()) if step == m else None
+    label = np.arange(first_col + n)
+    while True:
+        before = label.copy()
+        for i, j in kept or edges():
+            np.minimum.at(label, i, label[j])
+            np.minimum.at(label, j, label[i])
+        while not np.array_equal(root := label[label], label):
+            label = root
+        # Each label's nodes lie in one component, so a label already
+        # holding more than half a side decides the rule.
+        if 2 * np.bincount(label[:m]).max() > m or 2 * np.bincount(label[first_col:]).max() > n:
+            return None
+        if np.array_equal(label, before):
+            break
+    label = (np.cumsum(label == np.arange(label.size)) - 1)[label]
+    return label[:m], label[first_col:]
+
+
+class _Blocks:
+    """Where each block of a direct sum sits, from direct_sum_labels.
+
+    Block c has p[c] rows and q[c] columns, rows[row_start[c]:][:p[c]] and
+    cols[col_start[c]:][:q[c]], each ascending.
+    """
+
+    def __init__(self, labels: tuple[np.ndarray, np.ndarray]):
+        rows, cols = labels
+        count = max(rows.max(), cols.max()) + 1
+        self.p = np.bincount(rows, minlength=count)
+        self.q = np.bincount(cols, minlength=count)
+        self.rows = np.argsort(rows, kind="stable")
+        self.cols = np.argsort(cols, kind="stable")
+        self.row_start = np.cumsum(self.p) - self.p
+        self.col_start = np.cumsum(self.q) - self.q
+
+    def stacks(self, a: np.ndarray):
+        """(members, rows, cols, stack) per block shape with both sides nonempty.
+
+        members lists the blocks of that shape in order, rows and cols are
+        their (B, p) and (B, q) index arrays, and stack the (B, p, q) array
+        of a's entries there.
+        """
+        key = np.where((self.p > 0) & (self.q > 0), self.p * (self.q.max() + 1) + self.q, -1)
+        for value in np.unique(key[key >= 0]):
+            members = np.flatnonzero(key == value)
+            p, q = self.p[members[0]], self.q[members[0]]
+            rows = self.rows[self.row_start[members, None] + np.arange(p)]
+            cols = self.cols[self.col_start[members, None] + np.arange(q)]
+            yield members, rows, cols, a[rows[:, :, None], cols[:, None, :]]
+
+
+def _block_eigh(
+    sym: np.ndarray, blocks: _Blocks, a: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """(ascending w, V, reconstruction residual) of sym from its blocks.
+
+    With a given, V is scattered into a d x d array and the residual is
+    ||V diag(w) V† - a||_F, summed over the blocks of a in quadrature
+    (blocks of a's pattern, so every entry of a outside them is 0);
+    without a, only the eigenvalues are computed, V is None and the
+    residual 0.0.  Ties between blocks keep block order.
+    """
+    d = sym.shape[0]
+    w_cat = np.empty(d)
+    parts = []
+    for members, idx, _, stack in blocks.stacks(sym):
+        if a is None:
+            w, v = np.linalg.eigvalsh(stack), None
+        else:
+            w, v = np.linalg.eigh(stack)
+        pos = blocks.row_start[members, None] + np.arange(idx.shape[1])
+        w_cat[pos] = w
+        parts.append((idx, pos, w, v))
+    order = np.argsort(w_cat, kind="stable")
+    if a is None:
+        return w_cat[order], None, 0.0
+    col = np.empty(d, dtype=np.intp)
+    col[order] = np.arange(d)
+    vecs = np.zeros((d, d), dtype=parts[0][3].dtype)
+    recon = 0.0
+    for idx, pos, w, v in parts:
+        vecs[idx[:, :, None], col[pos][:, None, :]] = v
+        blk = a[idx[:, :, None], idx[:, None, :]]
+        recon += float(np.linalg.norm((v * w[:, None, :]) @ v.conj().transpose(0, 2, 1) - blk)) ** 2
+    return w_cat[order], vecs, math.sqrt(recon)
+
+
+def _direct_sum(pattern: np.ndarray, square: bool) -> _Blocks | None:
+    """The blocks of pattern's components, or None (direct_sum_labels).
+
+    For Hermitian input a, square blocks of a's pattern also split
+    0.5 (a + a†), whose pattern lies inside that of a and its transpose.
+    """
+    labels = direct_sum_labels(pattern, square)
+    return None if labels is None else _Blocks(labels)
+
+
+def symmetric_eigenvalues(sym: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of an exactly Hermitian matrix, block by block when it splits.
+
+    No input check (hermitian_eigenvalues is the checked call) and no copy
+    beyond the pattern and the blocks; a LinAlgError propagates.
+    """
+    blocks = _direct_sum(sym != 0, square=True)
+    if blocks is None:
+        return np.linalg.eigvalsh(sym)
+    return _block_eigh(sym, blocks)[0]
+
+
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, checked as hermitian_eigendecompose checks."""
     sym, _, _ = _hermitian_input(_as_square(a, "hermitian_eigenvalues input"))
     try:
-        return np.linalg.eigvalsh(sym)
+        return symmetric_eigenvalues(sym)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigvalsh failed to converge: {exc}") from exc
 
@@ -124,14 +287,20 @@ def hermitian_eigendecompose(a: np.ndarray) -> HermitianEig:
 
     Rejects inputs whose anti-Hermitian part exceeds HERMITIAN_INPUT_TOL
     relative to max(1, ||a||_F); verifies the reconstruction V diag(w) V† afterwards.
+    On a direct sum each eigenvector is supported on one block.
     """
     a = _as_square(a, "hermitian_eigendecompose input")
     sym, scale, res = _hermitian_input(a)
+    blocks = _direct_sum(a != 0, square=True)
     try:
-        w, v = np.linalg.eigh(sym)
+        if blocks is None:
+            w, v = np.linalg.eigh(sym)
+        else:
+            w, v, recon = _block_eigh(sym, blocks, a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh failed to converge: {exc}") from exc
-    recon = float(np.linalg.norm((v * w) @ v.conj().T - a))
+    if blocks is None:
+        recon = float(np.linalg.norm((v * w) @ v.conj().T - a))
     if recon > max(_RECON_TOL * scale, res):
         raise NoConvergence(f"eigh reconstruction residual {recon:.3e}")
     return HermitianEig(eigenvalues=w, eigenvectors=v)
@@ -160,29 +329,96 @@ def gauge_singular_vectors(u: np.ndarray, vh: np.ndarray) -> None:
     vh[:k] *= phase[:, None]
 
 
+def _block_svd(a: np.ndarray, blocks: _Blocks) -> tuple[Svd, float]:
+    """(gauged Svd of a, reconstruction residual) from its blocks.
+
+    The blocks' singular triples are sorted by a stable descending sort;
+    the rest of U's columns and Vh's rows, paired with singular value 0,
+    are the blocks' other singular vectors and the standard basis vectors
+    of zero rows and columns, in block order.  The residual is summed over
+    the blocks in quadrature; every entry outside them is 0 in a and in
+    the reconstruction.
+    """
+    m, n = a.shape
+    k = np.minimum(blocks.p, blocks.q)
+    total = int(k.sum())
+    start = np.cumsum(k) - k
+    left = blocks.p - k
+    right = blocks.q - k
+    left_at = total + np.cumsum(left) - left
+    right_at = total + np.cumsum(right) - right
+    s_cat = np.empty(total)
+    parts = []
+    for members, rows, cols, stack in blocks.stacks(a):
+        u, s, vh = np.linalg.svd(stack)
+        pos = start[members, None] + np.arange(s.shape[1])
+        s_cat[pos] = s
+        parts.append((members, rows, cols, stack, u, vh, pos))
+    order = np.argsort(-s_cat, kind="stable")
+    at = np.empty(total, dtype=np.intp)
+    at[order] = np.arange(total)
+    dtype = parts[0][4].dtype if parts else np.result_type(a.dtype, 1.0)
+    uu = np.zeros((m, m), dtype=dtype)
+    vv = np.zeros((n, n), dtype=dtype)
+    for members, rows, cols, _, u, vh, pos in parts:
+        kb = pos.shape[1]
+        uu[rows[:, :, None], at[pos][:, None, :]] = u[:, :, :kb]
+        vv[at[pos][:, :, None], cols[:, None, :]] = vh[:, :kb, :]
+        lpos = left_at[members, None] + np.arange(rows.shape[1] - kb)
+        rpos = right_at[members, None] + np.arange(cols.shape[1] - kb)
+        uu[rows[:, :, None], lpos[:, None, :]] = u[:, :, kb:]
+        vv[rpos[:, :, None], cols[:, None, :]] = vh[:, kb:, :]
+    zero_rows = np.flatnonzero(blocks.q == 0)
+    zero_cols = np.flatnonzero(blocks.p == 0)
+    uu[blocks.rows[blocks.row_start[zero_rows]], left_at[zero_rows]] = 1.0
+    vv[right_at[zero_cols], blocks.cols[blocks.col_start[zero_cols]]] = 1.0
+    s_all = np.zeros(min(m, n))
+    s_all[:total] = s_cat[order]
+    gauge_singular_vectors(uu, vv)
+    recon = 0.0
+    for _, rows, cols, stack, _, _, pos in parts:
+        ug = uu[rows[:, :, None], at[pos][:, None, :]]
+        vg = vv[at[pos][:, :, None], cols[:, None, :]]
+        recon += float(np.linalg.norm((ug * s_cat[pos][:, None, :]) @ vg - stack)) ** 2
+    return Svd(u=uu, s=s_all, vh=vv), math.sqrt(recon)
+
+
 def singular_value_decompose(a: np.ndarray) -> Svd:
-    """SVD with descending singular values and the deterministic U gauge."""
+    """SVD with descending singular values and the deterministic U gauge.
+
+    On a direct sum each singular vector is supported on one block.
+    """
     a = np.asarray(a)
     if a.ndim != 2:
         raise DimensionMismatch(f"svd input must be a matrix, got shape {a.shape}")
+    blocks = _direct_sum(a != 0, square=False)
     try:
-        u, s, vh = np.linalg.svd(a)
+        if blocks is None:
+            u, s, vh = np.linalg.svd(a)
+        else:
+            svd, recon = _block_svd(a, blocks)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"svd failed to converge: {exc}") from exc
-    gauge_singular_vectors(u, vh)
-    k = min(u.shape[1], vh.shape[0])
-    recon = float(np.linalg.norm((u[:, :k] * s[:k]) @ vh[:k, :] - a))
+    if blocks is None:
+        gauge_singular_vectors(u, vh)
+        k = min(u.shape[1], vh.shape[0])
+        recon = float(np.linalg.norm((u[:, :k] * s[:k]) @ vh[:k, :] - a))
+        svd = Svd(u=u, s=s, vh=vh)
     if recon > _RECON_TOL * max(1.0, float(np.linalg.norm(a))):
         raise NoConvergence(f"svd reconstruction residual {recon:.3e}")
-    return Svd(u=u, s=s, vh=vh)
+    return svd
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value of a."""
+    """Largest singular value of a, the largest of its blocks' on a direct sum."""
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.svd(a, compute_uv=False).max())
+    blocks = _direct_sum(a != 0, square=False)
+    if blocks is None:
+        return float(np.linalg.svd(a, compute_uv=False).max())
+    tops = [np.linalg.svd(stack, compute_uv=False).max() for *_, stack in blocks.stacks(a)]
+    return float(max(tops, default=0.0))
 
 
 def norm_exceeds(a: np.ndarray, bound: float) -> bool:

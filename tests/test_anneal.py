@@ -10,6 +10,9 @@ from numpy.polynomial import chebyshev
 
 import dlgibbs.anneal
 import dlgibbs.parent
+import dlgibbs.projector
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import structural_rank
 from scipy.special import erfcinv, ive
 
 from dlgibbs.anneal import (
@@ -523,6 +526,40 @@ def _dense_anneal(monkeypatch, *args):
     with monkeypatch.context() as m:
         m.setattr(dlgibbs.anneal, "transition", _dense_step)
         return run_annealing(*args)
+
+
+def test_dl_qsvt_padding_is_the_structural_rank_of_the_dl_core(monkeypatch):
+    # Each DL core of zz_chain n = 4 (xz) is one 8 x 16 block and zero rows
+    # and columns.  Its SVD, taken block by block, is exactly 0 past the
+    # structural rank of that pattern, so each step's padding R is that
+    # rank, 8, at beta = 0 too, where one singular value is above 1e-12;
+    # each transition core then has side R_{j-1} + R_j = 16.
+    ham = make_instance("zz_chain", 4)
+    sched = make_schedule(0.9, spectral_norm(assemble(ham)))
+    ranks, pads, cores = [], [], []
+
+    def wrap(module, name, record):
+        real = getattr(module, name)
+
+        def recorded(x):
+            out = real(x)
+            record(x, out)
+            return out
+
+        monkeypatch.setattr(module, name, recorded)
+
+    wrap(dlgibbs.projector, "singular_value_decompose",
+         lambda a, _: ranks.append(structural_rank(csr_matrix((a != 0).astype(int)))))
+    wrap(dlgibbs.anneal, "_padding", lambda _, out: pads.append(out[0]))
+    wrap(dlgibbs.anneal, "singular_value_decompose", lambda a, _: cores.append(a.shape))
+    run_annealing(
+        ham, standard_couplings(4, "xz"), WeightProfile(beta=0.9), sched, 0.05, "dl_qsvt"
+    )
+    k = sched.steps
+    assert k == 6 and sched.betas[0] == 0.0
+    assert ranks == [8] * (k + 1)
+    assert pads == [r for j in range(1, k + 1) for r in (ranks[j - 1], ranks[j])]
+    assert cores == [(16, 16)] * k
 
 
 # (kind, n, beta, delta, parity of the projector degree ell)

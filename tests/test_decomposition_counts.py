@@ -22,6 +22,7 @@ import dlgibbs.hamiltonians
 import dlgibbs.jumps
 import dlgibbs.kms
 import dlgibbs.linalg
+import dlgibbs.projector
 from dlgibbs.anneal import make_schedule, run_annealing
 from dlgibbs.config import parse_config
 from dlgibbs.errors import DlGibbsError, IrreducibilityWarning
@@ -84,6 +85,11 @@ def _complex_calls(calls, shape):
     ]
 
 
+def _rows(shape):
+    """Rows of the matrix a recorded call decomposes: a stack (B, p, q) is B blocks of p."""
+    return shape[0] * shape[1] if len(shape) == 3 else shape[0]
+
+
 def test_dl_operator_and_singular_gap_share_one_ground_space(monkeypatch, decomps):
     ham = make_instance("random_ff_projectors", 4, seed=0)
     d = 2**ham.n
@@ -108,7 +114,8 @@ def test_commuting_family_runs_only_the_scale_svds(decomps):
     k = 5
     mats = [np.diag(rng.normal(size=8)).astype(complex) for _ in range(k)]
     assert noncommutation_degree(mats) == 0
-    assert decomps["svd"] == [(8, 8)] * k
+    # Each diagonal scale splits into eight 1 x 1 blocks, one stacked call.
+    assert decomps["svd"] == [(8, 1, 1)] * k
 
 
 def _count_calls(monkeypatch, name, source=dlgibbs.kms):
@@ -203,17 +210,21 @@ def test_commuting_compose_decomposes_each_term_on_its_support(decomps):
     for kind in ("eigh", "eigvalsh", "svd"):
         decomps[kind].clear()
     compose_dl_channel(terms, kms, ham)
-    d2 = (4**ham.n, 4**ham.n)
+    d = 2**ham.n
+    d2 = (d * d, d * d)
     per_term = Counter((4 ** len(t.support),) * 2 for t in terms)
     assert max(per_term)[0] < d2[0]
-    # No superoperator-sized eigh or SVD; the one 4^n eigvalsh is the
-    # generator's.  Each term's kernel eigh and Choi eigvalsh run at
-    # 4^|S_m|; the only other eigh are the marginals of sigma, at 2^|S_m|.
-    assert d2 not in decomps["eigh"] and d2 not in decomps["svd"]
-    assert Counter(decomps["eigvalsh"]) == per_term + Counter([d2])
-    kernels = Counter(s for s in decomps["eigh"] if s[0] >= 2**ham.n)
-    assert kernels == per_term
-    assert max(s[0] for s in decomps["eigh"]) <= max(per_term)[0]
+    # No superoperator-sized eigh or SVD.  The generator maps |i><j| into
+    # |i'><j'| with i' xor j' = i xor j, so its spectrum is 2^n blocks of
+    # side 2^n in one stacked eigvalsh.  Each term's Choi eigvalsh runs at
+    # 4^|S_m|, and its kernel eigh as one stack of blocks of side 1 (z) or
+    # 2 (x) that fill 4^|S_m|; the only other eigh are the marginals of
+    # sigma, at 2^|S_m| < 2^n.
+    assert all(_rows(s) < d2[0] for s in decomps["eigh"] + decomps["svd"])
+    assert Counter(decomps["eigvalsh"]) == per_term + Counter([(d, d, d)])
+    kernels = Counter(_rows(s) for s in decomps["eigh"] if _rows(s) >= d)
+    assert kernels == Counter(side for side, _ in per_term.elements())
+    assert all(len(s) == 3 and s[1] <= 2 for s in decomps["eigh"])
 
 
 def test_commuting_model_runs_no_svd_for_its_zero_coherent_parts(decomps):
@@ -221,9 +232,10 @@ def test_commuting_model_runs_no_svd_for_its_zero_coherent_parts(decomps):
     d = 2**ham.n
     terms = build_model(ham, standard_couplings(ham.n, "x"), WeightProfile(beta=0.5))
     assert all(t.coherent is None for t in terms)
-    # One eigh of H; both weighted operators take ||H|| from its
-    # eigenvalues, and G = 0 exactly is decided without an SVD.
-    assert decomps["eigh"] == [(d, d)]
+    # One eigh of H, which is diagonal: d blocks of side 1 in one stacked
+    # call.  Both weighted operators take ||H|| from its eigenvalues, and
+    # G = 0 exactly is decided without an SVD.
+    assert decomps["eigh"] == [(d, 1, 1)]
     assert decomps["svd"] == []
 
 
@@ -325,10 +337,13 @@ def test_build_parent_takes_the_4n_spectrum_only_when_it_is_read(monkeypatch, de
     assert spectra == []
     assert (d2, d2) not in decomps["eigvalsh"]
     assert all(t.support != tuple(range(2 * ham.n)) for t in ph.terms)
-    # ... until gap or kernel_dim is read, once for both.
+    # ... until gap or kernel_dim is read, once for both, as the 2^n blocks
+    # of side 2^n that the diagonal H and Pauli couplings split it into.
     ph.gap, ph.kernel_dim, ph.gap
+    d = 2**ham.n
     assert len(spectra) == 1
-    assert decomps["eigvalsh"].count((d2, d2)) == 1
+    assert decomps["eigvalsh"].count((d, d, d)) == 1
+    assert (d2, d2) not in decomps["eigvalsh"]
 
 
 def test_noncommuting_parent_takes_its_one_4n_spectrum_at_build(monkeypatch, decomps):
@@ -431,35 +446,40 @@ def test_dl_qsvt_anneal_reads_parent_terms_through_local_blocks(monkeypatch, dec
         return real_dl(parent_ham)
 
     monkeypatch.setattr(dlgibbs.anneal, "dl_operator", tracked_dl)
-    cores, norms = [], []
+    dl_cores, cores, norms = [], [], []
 
-    def record(name, calls):
-        real = getattr(dlgibbs.anneal, name)
+    def record(module, name, calls):
+        real = getattr(module, name)
 
         def recorded(a):
-            calls.append(a.shape)
-            return real(a)
+            start = len(decomps["svd"])
+            out = real(a)
+            calls.append((a.shape, decomps["svd"][start:]))
+            return out
 
-        monkeypatch.setattr(dlgibbs.anneal, name, recorded)
+        monkeypatch.setattr(module, name, recorded)
 
-    # The transitions' own decompositions: the only calls in anneal.
-    record("singular_value_decompose", cores)
-    record("spectral_norm", norms)
+    # dl_operator's core SVD, and the transitions' own decompositions: the
+    # only calls in anneal.
+    record(dlgibbs.projector, "singular_value_decompose", dl_cores)
+    record(dlgibbs.anneal, "singular_value_decompose", cores)
+    record(dlgibbs.anneal, "spectral_norm", norms)
     run_annealing(ham, couplings, WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt")
     # Per parent: the SVD of the DL operator's R_1 x 4^n core, from which
-    # the projector error is read in closed form; per transition: one SVD
-    # of a core of side at most R_{j-1} + R_j and one 2-norm of side at
-    # most two more.  Parent terms are read through their local blocks, and
-    # no (4^n, 4^n) SVD or 2-norm runs at all.
+    # the projector error is read in closed form.  The core is one block of
+    # 2^(n-1) x 2^n and zero rows and columns, so its R = 2^(n-1) singular
+    # values lead, and each transition's core has side R_{j-1} + R_j = 2^n,
+    # its 2-norm at most two more.  Parent terms are read through their
+    # local blocks, and no SVD or 2-norm of a side above 2^n + 2 runs at all.
     k = sched.steps
     assert len(ranks) == k + 1 and max(ranks) < d2
-    dl_cores = Counter(sh for sh in decomps["svd"] if sh[1] == d2 and 1 < sh[0] < d2)
-    assert dl_cores == Counter((r1, d2) for r1 in ranks)
-    assert (d2, d2) not in decomps["svd"]
+    assert [shape for shape, _ in dl_cores] == [(r1, d2) for r1 in ranks]
+    assert [blocks for _, blocks in dl_cores] == [[(1, 2 ** (n - 1), 2**n)]] * (k + 1)
+    assert max(max(sh[-2:]) for sh in decomps["svd"]) <= 2**n + 2
     assert len(cores) == len(norms) == k
-    for j, ((side, cols), err) in enumerate(zip(cores, norms), start=1):
-        assert side == cols <= ranks[j - 1] + ranks[j]
-        assert err[0] == err[1] <= side + 2
+    for ((side, cols), _), ((err, err_cols), _) in zip(cores, norms):
+        assert side == cols == 2**n
+        assert err == err_cols <= side + 2
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -495,13 +515,16 @@ def test_dl_qsvt_anneal_takes_one_4n_spectrum_per_step(monkeypatch, decomps, n):
         warnings.simplefilter("error", IrreducibilityWarning)
         run_annealing(ham, couplings, w, sched, 0.1, "dl_qsvt")
     # Per step, the ground cluster of the projector input is the one 4^n
-    # spectrum of a sum; it also gives the step's fixed-point dimension, so
-    # the parent's own spectrum is never taken.  A parent term on the whole
-    # doubled register (n = 3) adds one eigvalsh of its own, which both its
+    # spectrum of a sum, taken as its 2^n blocks of side 2^n in one stacked
+    # call; it also gives the step's fixed-point dimension, so the parent's
+    # own spectrum is never taken.  A parent term on the whole doubled
+    # register (n = 3) adds one eigvalsh of its own, which both its
     # positivity bound and its scale read.
     k = sched.steps
+    d = 2**n
     assert spectra == []
-    assert decomps["eigvalsh"].count((d2, d2)) == (k + 1) * (1 + whole)
+    assert decomps["eigvalsh"].count((d, d, d)) == k + 1
+    assert decomps["eigvalsh"].count((d2, d2)) == (k + 1) * whole
     assert (whole > 0) == (n == 3)
 
 
@@ -514,10 +537,13 @@ def test_exact_anneal_takes_one_4n_spectrum_per_step(monkeypatch, decomps):
         ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=0.5), sched, 0.1, "exact"
     )
     # Exact mode reads each parent's kernel_dim: one spectrum of the sum per
-    # step, and build_parent takes none of its own.
+    # step, as 2^n blocks of side 2^n in one stacked call, and build_parent
+    # takes none of its own.
     k = sched.steps
+    d = 2**ham.n
     assert len(spectra) == k + 1
-    assert decomps["eigvalsh"].count((d2, d2)) == k + 1
+    assert decomps["eigvalsh"].count((d, d, d)) == k + 1
+    assert (d2, d2) not in decomps["eigvalsh"]
 
 
 def test_project_run_takes_one_svd_of_the_dl_operator(decomps, tmp_path):
@@ -557,9 +583,10 @@ def test_real_model_runs_no_complex_superoperator_decomposition(decomps):
     run_annealing(ham, standard_couplings(ham.n, "xz"), w, sched, 0.1, "dl_qsvt")
     # Every jump, sigma, coherent form, Choi matrix, parent term and DL
     # factor of zz_chain is exactly real, so each 4^n decomposition runs the
-    # real LAPACK routine.
-    assert {kind for kind, sh, _ in decomps["dtypes"] if sh == d2} == {"eigh", "eigvalsh"}
-    assert _complex_calls(decomps, d2) == []
+    # real LAPACK routine, on the whole matrix or as a stack of its blocks.
+    superop = [(kind, dtype) for kind, sh, dtype in decomps["dtypes"] if _rows(sh) == d2[0]]
+    assert {kind for kind, _ in superop} == {"eigh", "eigvalsh"}
+    assert {dtype for _, dtype in superop} == {"float64"}
 
 
 def test_complex_model_keeps_complex_superoperator_decompositions(decomps):
@@ -604,6 +631,17 @@ _N3_RUNS = {
 @pytest.mark.parametrize("name", sorted(_N3_RUNS))
 def test_each_experiment_diagonalizes_h_once(monkeypatch, decomps, tmp_path, name):
     degrees = _count_calls(monkeypatch, "commutation_degree", dlgibbs.hamiltonians)
+    real_transition = dlgibbs.anneal.transition
+    in_transitions = []
+
+    def transition(*args):
+        start = len(decomps["svd"])
+        try:
+            return real_transition(*args)
+        finally:
+            in_transitions.extend(decomps["svd"][start:])
+
+    monkeypatch.setattr(dlgibbs.anneal, "transition", transition)
     res = run_experiment(_n3_config(*_N3_RUNS[name]), tmp_path)
     assert res.exit_code == 0
     # Per-term forms are at least 16 x 16 and marginals of sigma are taken
@@ -611,15 +649,21 @@ def test_each_experiment_diagonalizes_h_once(monkeypatch, decomps, tmp_path, nam
     # diagonalized once, in ham.eig, and every Gibbs state, purified target,
     # ||H|| and Bohr weight reads it; whether its terms commute is decided
     # at most once.
+    # The zz_chain H is diagonal, so its one eigh is 8 blocks of side 1 in
+    # one stacked call.
     d = (8, 8)
-    assert decomps["eigh"].count(d) == 1
+    assert [s for s in decomps["eigh"] if _rows(s) == 8] == [d if name == "mix" else (8, 1, 1)]
     assert len(degrees) <= 1
     if name.startswith("anneal"):
         # ||H|| costs no SVD, and the one commutation test scales by the
-        # norms of the m terms on their own supports: no d x d SVD runs.
+        # norms of the m terms on their own supports: no d x d SVD runs
+        # outside the transitions, whose cores have side 2^n = d in dl_qsvt
+        # mode.  Each diagonal 4 x 4 term is two 1 x 1 blocks and two zero
+        # rows and columns.
         assert len(degrees) == 1
-        assert decomps["svd"].count(d) == 0
-        assert decomps["svd"].count((4, 4)) == make_instance("zz_chain", 3).m
+        outside = Counter(decomps["svd"]) - Counter(in_transitions)
+        assert all(_rows(s) < 8 for s in outside)
+        assert decomps["svd"].count((2, 1, 1)) == make_instance("zz_chain", 3).m
 
 
 @pytest.mark.parametrize("model", ["zz3", "ff3"])

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from dlgibbs.errors import (
     BadDimensionFactorization,
@@ -14,6 +18,7 @@ from dlgibbs.errors import (
 from dlgibbs.linalg import (
     _RECON_TOL,
     accumulate,
+    direct_sum_labels,
     gauge_singular_vectors,
     hermitian_eigendecompose,
     hermitian_eigenvalues,
@@ -24,6 +29,7 @@ from dlgibbs.linalg import (
     spectral_norm,
     vectorize,
 )
+from dlgibbs.tolerances import GAUGE_PIVOT
 from reference import gauge_reference
 
 
@@ -228,3 +234,166 @@ def test_partial_trace_validation():
 
 def test_spectral_norm():
     assert abs(spectral_norm(np.diag([3.0, -4.0])) - 4.0) < 1e-14
+
+
+PROPERTY = settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def direct_sums(draw, hermitian: bool) -> np.ndarray:
+    """A random direct sum, its rows and columns permuted.
+
+    Blocks have 0 to 4 rows and columns, or 1 to 4 and are Hermitian for
+    Hermitian input; an empty side makes zero rows or columns, a zero 1 x 1
+    block a zero row and column of a Hermitian matrix, and a repeated block
+    values repeated across blocks.  A single block, or one much larger than
+    the others, falls under the whole-matrix rule.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([np.float64, np.complex128]))
+    side = st.integers(1 if hermitian else 0, 4)
+    shapes = draw(st.lists(st.tuples(side, side), min_size=1, max_size=6))
+    blocks = []
+    for p, q in shapes:
+        q = p if hermitian else q
+        b = rng.normal(size=(p, q)).astype(dtype)
+        if dtype is np.complex128:
+            b += 1j * rng.normal(size=(p, q))
+        blocks.append(0.5 * (b + b.conj().T) if hermitian else b)
+    if draw(st.booleans()):
+        blocks.append(blocks[0].copy())
+    if hermitian and draw(st.booleans()):
+        blocks.append(np.zeros((1, 1), dtype))
+    m, n = (sum(b.shape[k] for b in blocks) for k in (0, 1))
+    assume(m > 0 and n > 0)
+    a = np.zeros((m, n), dtype)
+    i = j = 0
+    for b in blocks:
+        a[i : i + b.shape[0], j : j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    rows = rng.permutation(m)
+    return a[np.ix_(rows, rows if hermitian else rng.permutation(n))]
+
+
+def _reference_labels(a: np.ndarray, square: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Components of a's nonzero pattern by scipy, numbered by smallest row."""
+    m, n = a.shape
+    nz = a != 0
+    if square:
+        graph = nz | nz.T
+    else:
+        graph = np.zeros((m + n, m + n), dtype=bool)
+        graph[:m, m:] = nz
+        graph[m:, :m] = nz.T
+    _, labels = connected_components(csr_matrix(graph.astype(int)), directed=False)
+    _, first = np.unique(labels, return_index=True)
+    number = np.empty_like(first)
+    number[np.argsort(first)] = np.arange(first.size)
+    labels = number[labels]
+    return (labels, labels) if square else (labels[:m], labels[m:])
+
+
+def _splits(labels: tuple[np.ndarray, np.ndarray]) -> bool:
+    rows, cols = labels
+    m, n = rows.size, cols.size
+    return min(m, n) >= 2 and max(
+        2 * np.bincount(rows).max() / m, 2 * np.bincount(cols).max() / n
+    ) <= 1
+
+
+def _in_one_block(vectors: np.ndarray, labels: np.ndarray, axis: int) -> bool:
+    """Whether each vector along axis has its support in one component."""
+    support = np.moveaxis(vectors != 0, axis, 0)
+    return all(np.unique(labels[s]).size <= 1 for s in support)
+
+
+@PROPERTY
+@given(st.booleans().flatmap(lambda h: st.tuples(st.just(h), direct_sums(h))))
+def test_direct_sum_labels_are_the_connected_components(case):
+    square, a = case
+    want = _reference_labels(a, square)
+    got = direct_sum_labels(a != 0, square)
+    if not _splits(want):
+        assert got is None
+        return
+    assert got is not None
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("square", [True, False])
+def test_direct_sum_labels_of_a_large_pattern_read_it_by_row_ranges(square):
+    # Three dense 200 x 200 blocks hold 120000 nonzeros, more than 2^16 and
+    # than 1/16 of the pattern, so the edges are read a range of rows at a time.
+    rng = np.random.default_rng(5)
+    a = np.kron(np.eye(3), rng.normal(size=(200, 200)))
+    rows = rng.permutation(600)
+    a = a[np.ix_(rows, rows if square else rng.permutation(600))]
+    got = direct_sum_labels(a != 0, square)
+    want = _reference_labels(a, square)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@PROPERTY
+@given(direct_sums(hermitian=True))
+def test_hermitian_direct_sums_decompose_by_blocks(a):
+    eig = hermitian_eigendecompose(a)
+    w, v = eig.eigenvalues, eig.eigenvectors
+    labels, _ = _reference_labels(a, square=True)
+    if not _splits((labels, labels)):
+        want_w, want_v = np.linalg.eigh(a)
+        assert w.tobytes() == want_w.tobytes() and v.tobytes() == want_v.tobytes()
+        assert hermitian_eigenvalues(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+        return
+    scale = max(1.0, float(np.linalg.norm(a, 2)))
+    assert v.dtype == a.dtype and w.dtype == np.float64
+    assert np.all(np.diff(w) >= 0)
+    assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-12 * scale
+    assert np.abs(hermitian_eigenvalues(a) - w).max() <= 1e-12 * scale
+    frob = max(1.0, float(np.linalg.norm(a)))
+    assert np.linalg.norm(v.conj().T @ v - np.eye(a.shape[0])) <= _RECON_TOL
+    assert np.linalg.norm((v * w) @ v.conj().T - a) <= _RECON_TOL * frob
+    assert _in_one_block(v, labels, axis=1)
+
+
+@PROPERTY
+@given(direct_sums(hermitian=False))
+def test_rectangular_direct_sums_decompose_by_blocks(a):
+    svd = singular_value_decompose(a)
+    u, s, vh = svd.u, svd.s, svd.vh
+    labels = _reference_labels(a, square=False)
+    if not _splits(labels):
+        want_u, want_s, want_vh = np.linalg.svd(a)
+        gauge_reference(want_u, want_vh)
+        assert u.tobytes() == want_u.tobytes() and vh.tobytes() == want_vh.tobytes()
+        assert s.tobytes() == want_s.tobytes()
+        assert spectral_norm(a) == float(np.linalg.svd(a, compute_uv=False).max())
+        return
+    m, n = a.shape
+    k = min(m, n)
+    scale = max(1.0, float(np.linalg.norm(a, 2)))
+    assert u.shape == (m, m) and vh.shape == (n, n) and s.shape == (k,)
+    assert u.dtype == vh.dtype == a.dtype
+    assert np.all(np.diff(s) <= 0)
+    assert np.abs(s - np.linalg.svd(a, compute_uv=False)).max() <= 1e-12 * scale
+    frob = max(1.0, float(np.linalg.norm(a)))
+    assert np.linalg.norm(u.conj().T @ u - np.eye(m)) <= _RECON_TOL
+    assert np.linalg.norm(vh @ vh.conj().T - np.eye(n)) <= _RECON_TOL
+    assert np.linalg.norm((u[:, :k] * s) @ vh[:k] - a) <= _RECON_TOL * frob
+    assert _in_one_block(u, labels[0], axis=1) and _in_one_block(vh, labels[1], axis=0)
+    # The gauge: in each of the first k columns of U, the first entry above
+    # GAUGE_PIVOT of the column's norm is real and positive, to rounding.
+    for col in u[:, :k].T:
+        pivot = col[np.flatnonzero(np.abs(col) > GAUGE_PIVOT * np.linalg.norm(col))[0]]
+        assert pivot.real > 0 and abs(pivot.imag) <= 1e-15 * abs(pivot)
+    block_norms = [
+        np.linalg.norm(a[np.ix_(labels[0] == c, labels[1] == c)], 2)
+        for c in range(labels[0].max() + 1)
+        if (labels[1] == c).any()
+    ]
+    assert abs(spectral_norm(a) - max(block_norms, default=0.0)) <= 1e-12 * scale
