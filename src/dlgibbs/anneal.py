@@ -102,7 +102,6 @@ class Schedule:
 
     beta_final: float
     steps: int
-    alpha: float
     betas: np.ndarray
 
     def __post_init__(self) -> None:
@@ -137,7 +136,6 @@ def make_schedule(beta: float, norm_h: float, alpha: float = 2.0) -> Schedule:
     return Schedule(
         beta_final=float(beta),
         steps=k,
-        alpha=float(alpha),
         betas=np.linspace(0.0, float(beta), k + 1),
     )
 
@@ -377,9 +375,6 @@ class QueryTally:
 class AnnealingRun:
     """Full record of a temperature-path preparation."""
 
-    schedule: Schedule
-    mode: str
-    delta: float
     budgets: ErrorBudget
     records: tuple[StepRecord, ...]
     final_state: np.ndarray
@@ -531,9 +526,6 @@ def run_annealing(
     final_state = state / norm
     fidelity = float(np.abs(np.vdot(final_state, targets[-1])))
     return AnnealingRun(
-        schedule=sched,
-        mode=projector_mode,
-        delta=float(delta),
         budgets=budgets,
         records=tuple(records),
         final_state=final_state.reshape(dim),

@@ -218,20 +218,6 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _instance_id(cfg: ExperimentConfig) -> str:
     return f"{cfg.model.kind}-n{cfg.model.n}-s{cfg.model.seed}"
 
@@ -518,7 +504,7 @@ def run_experiment(
         "artifact_version": ARTIFACT_VERSION,
         "experiment": cfg.experiment,
         "config_hash": digest,
-        "results": _jsonable(results),
+        "results": results,
         "violations": list(violations),
         "warnings": notes,
     }

@@ -346,19 +346,20 @@ class TermKernel:
     gap: float
 
 
-def stationary_channel(term: Superoperator, kms: KmsForm) -> TermKernel:
+def stationary_channel(h: Superoperator, kms: KmsForm) -> TermKernel:
     """Kernel basis of one term, its projector pulled back to the Heisenberg picture.
 
     P = Gamma^{-1/2} Pi_0 Gamma^{1/2}, with Pi_0 the orthogonal projector
-    onto the kernel of the term's coherent form h; term is the Heisenberg
-    generator or, when the caller already holds it, h.  ||h|| is read off
-    the eigenvalues of the symmetrized h.  Requires ||h - h dagger|| <=
+    onto the kernel of h, the term's coherent form (coherent_form against
+    kms); any other picture raises BadParams.  ||h|| is read off the
+    eigenvalues of the symmetrized h.  Requires ||h - h dagger|| <=
     TERM_DETAILED_BALANCE_TOL * max(1, ||h||) (NotDetailedBalanced
     otherwise, decided by norm_exceeds) and every eigenvalue at most
     POSITIVE_EIGENVALUE_CUT * max(1, ||h||) (PositiveEigenvalue otherwise);
     kernel membership uses the relative cutoff KERNEL_CUT * max(1, ||h||).
     """
-    h = coherent_form(term, kms) if term.picture == "heisenberg" else term
+    if h.picture != "kms":
+        raise BadParams(f"stationary_channel expects a coherent form, got {h.picture}")
     h_sym = 0.5 * (h.mat + h.mat.conj().T)
     eig = hermitian_eigendecompose(h_sym)
     w = eig.eigenvalues
@@ -386,7 +387,7 @@ def stationary_channel(term: Superoperator, kms: KmsForm) -> TermKernel:
     mat = left @ _kron_conj_apply(kms.quarter, vk).conj().T
     return TermKernel(
         vk,
-        Superoperator(mat, "heisenberg", term.dim),
+        Superoperator(mat, "heisenberg", h.dim),
         h_norm,
         float(np.linalg.norm(anti)),
         float(np.abs(w[~sel]).min()) if not sel.all() else float("inf"),
@@ -412,15 +413,15 @@ def choi_matrix(schrodinger_mat: np.ndarray, d: int) -> np.ndarray:
 
 
 def cptp_check(channel: Superoperator) -> CptpReport:
-    """Report Choi positivity and trace preservation; never raises on failure."""
-    if channel.picture == "heisenberg":
-        s_mat = channel.mat.conj().T
-        heis_mat = channel.mat
-    elif channel.picture == "schrodinger":
-        s_mat = channel.mat
-        heis_mat = channel.mat.conj().T
-    else:
-        raise BadParams("cptp_check needs a Heisenberg or Schrodinger channel")
+    """Report Choi positivity and trace preservation of a Heisenberg channel.
+
+    Never raises on a failed check; a channel in another picture raises
+    BadParams.
+    """
+    if channel.picture != "heisenberg":
+        raise BadParams(f"cptp_check expects a Heisenberg channel, got {channel.picture}")
+    heis_mat = channel.mat
+    s_mat = heis_mat.conj().T
     d = channel.dim
     choi = choi_matrix(s_mat, d)
     wmin = float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min())

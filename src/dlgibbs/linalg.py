@@ -15,9 +15,12 @@ indices for Hermitian input, rows and columns as the two sides of a
 bipartite graph for an SVD.  When the largest component has at most half
 the rows and half the columns, the matrix is, up to a permutation, a direct
 sum of the components' blocks, and hermitian_eigenvalues,
-hermitian_eigendecompose, singular_value_decompose and spectral_norm
-decompose the blocks instead, equal shapes in one stacked LAPACK call; any
-other input takes the whole-matrix call.  This is exact: the pattern is that
+hermitian_eigendecompose and singular_value_decompose decompose the blocks
+instead, equal shapes in one stacked LAPACK call; any other input, and
+every spectral_norm, takes the whole-matrix call.  The pattern's edges are
+read once, at 16 bytes per nonzero, no more than the boolean pattern itself
+at density at most 1/16; every matrix of side 256 or more that splits in
+the experiments is sparser than that.  This is exact: the pattern is that
 of the exact zeros, with no tolerance, every off-block entry is 0, and the
 spectrum of a direct sum is the union of its blocks' spectra.  The results
 keep the whole-matrix conventions (ascending eigenvalues and descending
@@ -85,20 +88,6 @@ def real_if_exact(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
-def accumulate(total: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    """total + x, written into total unless the sum needs a wider dtype.
-
-    A total of None starts the sum with a copy of x, so a sum of real
-    arrays stays real and turns complex at the first complex term.
-    """
-    if total is None:
-        return np.array(x)
-    if np.result_type(total, x) != total.dtype:
-        return total + x
-    total += x
-    return total
-
-
 def _as_square(a: np.ndarray, what: str) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -146,30 +135,22 @@ def direct_sum_labels(
     every edge the smaller of their labels and then follows labels to
     their roots, until a round changes nothing, when each label is its
     component's smallest node, or until one label holds more than half a
-    side.  The edges are read from row ranges of the pattern holding at
-    most max(m n / 16, 2^16) nonzeros each, so their index arrays take no
-    more memory than the pattern, or than 1 MB.
+    side.  The edges are read once, as two int64 index arrays, 16 bytes
+    per nonzero: no more than the boolean pattern at density at most 1/16.
     """
     m, n = pattern.shape
     nnz = int(np.count_nonzero(pattern))
     if min(m, n) < 2 or 2 * nnz > m * n:
         return None
     first_col = 0 if square else m
-    step = m if nnz <= max(m * n // 16, 1 << 16) else max(1, m // 16)
-
-    def edges():
-        for lo in range(0, m, step):
-            # Flat indices split by divmod: 2-d np.nonzero is several times slower.
-            i, j = np.divmod(np.flatnonzero(pattern[lo : lo + step]), n)
-            yield i + lo, j + first_col
-
-    kept = list(edges()) if step == m else None
+    # Flat indices split by divmod: 2-d np.nonzero is several times slower.
+    i, j = np.divmod(np.flatnonzero(pattern), n)
+    j += first_col
     label = np.arange(first_col + n)
     while True:
         before = label.copy()
-        for i, j in kept or edges():
-            np.minimum.at(label, i, label[j])
-            np.minimum.at(label, j, label[i])
+        np.minimum.at(label, i, label[j])
+        np.minimum.at(label, j, label[i])
         while not np.array_equal(root := label[label], label):
             label = root
         # Each label's nodes lie in one component, so a label already
@@ -410,15 +391,11 @@ def singular_value_decompose(a: np.ndarray) -> Svd:
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value of a, the largest of its blocks' on a direct sum."""
+    """Largest singular value of a, from one SVD of the whole matrix; a direct sum is not split."""
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    blocks = _direct_sum(a != 0, square=False)
-    if blocks is None:
-        return float(np.linalg.svd(a, compute_uv=False).max())
-    tops = [np.linalg.svd(stack, compute_uv=False).max() for *_, stack in blocks.stacks(a)]
-    return float(max(tops, default=0.0))
+    return float(np.linalg.svd(a, compute_uv=False).max())
 
 
 def norm_exceeds(a: np.ndarray, bound: float) -> bool:

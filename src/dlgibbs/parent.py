@@ -69,12 +69,7 @@ from .kms import (
     _gibbs_weights,
     coherent_spectrum,
 )
-from .linalg import (
-    accumulate,
-    norm_exceeds,
-    spectral_norm,
-    vectorize,
-)
+from .linalg import norm_exceeds, spectral_norm, vectorize
 from .sampler import coherent_terms
 from .tolerances import (
     DETAILED_BALANCE_TOL, NORM_SLACK, PARENT_TERM_PSD_TOL, POSITIVE_EIGENVALUE_CUT,
@@ -190,7 +185,7 @@ def build_parent(
         anti = form - form.conj().T
         _check_detailed_balance(anti, f"term {idx}", beta)
         if len(legs) == nq:
-            whole = accumulate(whole, anti)
+            whole = add_embedded(whole, LocalOperator(anti, legs), nq)
         else:
             local_anti.append(LocalOperator(anti, legs))
         herm = 0.5 * (form + form.conj().T)

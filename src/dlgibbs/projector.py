@@ -93,10 +93,6 @@ class ProjectorPoly:
     degree: int
     gamma_star: float
 
-    @property
-    def parity(self) -> int:
-        return self.degree % 2
-
     def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
@@ -115,14 +111,13 @@ class ProjectorPoly:
 
 @dataclass(frozen=True)
 class SingularGap:
-    """Certified and empirical singular gap of a DL operator."""
+    """Certified singular gap of a DL operator and its observed s_{r+1}."""
 
     gamma_star: float
     r: int
     gamma: float
     g: int
     s_next: float
-    empirical_gap: float
     bound: float
 
 
@@ -258,7 +253,7 @@ def certified_bound(ham: LocalHamiltonian) -> tuple[float, float]:
 
 
 def singular_gap(dl: DlOperator, ham: LocalHamiltonian) -> SingularGap:
-    """Certified gamma* from (gap, degree) plus the empirical 1 - s_{r+1}.
+    """Certified gamma* from (gap, degree), checked against the observed s_{r+1}.
 
     dl must have been built from ham; gamma* and the bound come from
     certified_bound(ham) and the ground-space dimension r from dl.
@@ -279,7 +274,6 @@ def singular_gap(dl: DlOperator, ham: LocalHamiltonian) -> SingularGap:
         gamma=ham.cluster.gap,
         g=interaction_degree(ham),
         s_next=s_next,
-        empirical_gap=1.0 - s_next,
         bound=bound,
     )
 

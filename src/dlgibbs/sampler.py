@@ -139,9 +139,7 @@ class ContractionReport:
     """Worst observed one-round contraction over centered observables."""
 
     max_ratio: float
-    bound: float
     stationarity_residual: float
-    trials: int
     vacuous_trials: int
     passed: bool
     g: int
@@ -395,9 +393,7 @@ def contraction_check(
         worst = max(worst, ratio)
     return ContractionReport(
         max_ratio=worst,
-        bound=1.0,
         stationarity_residual=worst_stat,
-        trials=trials,
         vacuous_trials=vacuous,
         passed=worst <= 1.0 + CONTRACTION_SLACK and worst_stat <= STATIONARITY_TOL,
         g=channel.g,

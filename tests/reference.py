@@ -47,7 +47,6 @@ from dlgibbs.kms import (
     term_superoperator,
 )
 from dlgibbs.linalg import (
-    accumulate,
     hermitian_eigendecompose,
     singular_value_decompose,
     spectral_norm,
@@ -141,9 +140,7 @@ def lindblad_superoperator(terms: list[LindbladTerm], n: int) -> Superoperator:
     """Heisenberg-picture matrix of a sum of local Lindblad terms."""
     if not terms:
         raise BadParams("need at least one Lindblad term")
-    mat = None
-    for t in terms:
-        mat = accumulate(mat, term_superoperator(t, n).mat)
+    mat = sum(term_superoperator(t, n).mat for t in terms)
     return Superoperator(mat=mat, picture="heisenberg", dim=2**n)
 
 

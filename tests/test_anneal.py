@@ -79,11 +79,11 @@ def test_schedule_rejects_bad_alpha():
 
 def test_schedule_validates_path():
     with pytest.raises(BadParams):
-        Schedule(beta_final=1.0, steps=2, alpha=2.0, betas=np.array([0.1, 0.5, 1.0]))
+        Schedule(beta_final=1.0, steps=2, betas=np.array([0.1, 0.5, 1.0]))
     with pytest.raises(BadParams):
-        Schedule(beta_final=1.0, steps=2, alpha=2.0, betas=np.array([0.0, 0.6, 0.5]))
+        Schedule(beta_final=1.0, steps=2, betas=np.array([0.0, 0.6, 0.5]))
     with pytest.raises(BadParams):
-        Schedule(beta_final=1.0, steps=2, alpha=2.0, betas=np.array([0.0, 1.0]))
+        Schedule(beta_final=1.0, steps=2, betas=np.array([0.0, 1.0]))
 
 
 def test_overlap_trivial_and_closed_form():

@@ -12,6 +12,7 @@ from dlgibbs.hamiltonians import (
     PAULI_Z,
     LocalHamiltonian,
     LocalOperator,
+    add_embedded,
     apply_local,
     assemble,
     commutation_degree,
@@ -103,6 +104,17 @@ def test_add_embedded_sums_like_embed():
     assert np.array_equal(total, want)
     with pytest.raises(SupportOutOfRange):
         add_embedded(total, LocalOperator(PAULI_X, (4,)), 4)
+
+
+def test_add_embedded_on_the_whole_register_widens_only_when_needed():
+    a = np.ones((4, 4))
+    total = add_embedded(None, LocalOperator(a, (0, 1)), 2)
+    assert total is not a and total.dtype == np.float64
+    same = add_embedded(total, LocalOperator(a, (0, 1)), 2)
+    assert same is total and np.array_equal(total, 2 * a)
+    wider = add_embedded(total, LocalOperator(1j * a, (0, 1)), 2)
+    assert wider.dtype == np.complex128
+    assert np.array_equal(wider, (2 + 1j) * a)
 
 
 def test_embed_rejects_out_of_range():

@@ -227,8 +227,8 @@ def test_tensor_leg_conjugation_matches_dense_kron(d):
 
 def test_stationary_channel_structure():
     term, kms = _davies_qubit()
-    sup = term_superoperator(term, 1)
-    kernel = stationary_channel(sup, kms)
+    h = coherent_form(term_superoperator(term, 1), kms)
+    kernel = stationary_channel(h, kms)
     p = kernel.channel
     assert np.abs(p.mat @ p.mat - p.mat).max() < 1e-10
     assert np.abs(p.apply(np.eye(2)) - np.eye(2)).max() < 1e-10
@@ -238,9 +238,8 @@ def test_stationary_channel_structure():
     v = kernel.basis
     assert np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() < 1e-12
     assert np.abs(v @ v.conj().T - hk).max() < 1e-10
-    h = coherent_form(sup, kms).mat
-    assert kernel.h_norm == pytest.approx(np.linalg.norm(h, 2), rel=1e-12)
-    assert kernel.db_residual == np.linalg.norm(h - h.conj().T)
+    assert kernel.h_norm == pytest.approx(np.linalg.norm(h.mat, 2), rel=1e-12)
+    assert kernel.db_residual == np.linalg.norm(h.mat - h.mat.conj().T)
     schro = p.adjoint()
     assert np.abs(schro.apply(kms.sigma) - kms.sigma).max() < 1e-10
     rep = cptp_check(p)
@@ -252,7 +251,7 @@ def test_stationary_channel_rejects_wrong_state():
     sup = term_superoperator(term, 1)
     wrong = KmsForm(gibbs_state(PAULI_Z, 0.3))
     with pytest.raises(NotDetailedBalanced):
-        stationary_channel(sup, wrong)
+        stationary_channel(coherent_form(sup, wrong), wrong)
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
@@ -281,13 +280,24 @@ def test_stationary_channel_rejects_positive_spectrum():
     sup = term_superoperator(term, 1)
     flipped = Superoperator(mat=-sup.mat, picture="heisenberg", dim=2)
     with pytest.raises(PositiveEigenvalue):
-        stationary_channel(flipped, kms)
+        stationary_channel(coherent_form(flipped, kms), kms)
+
+
+def test_channel_routines_take_one_picture():
+    term, kms = _davies_qubit()
+    sup = term_superoperator(term, 1)
+    with pytest.raises(BadParams, match="expects a coherent form, got heisenberg"):
+        stationary_channel(sup, kms)
+    channel = stationary_channel(coherent_form(sup, kms), kms).channel
+    for other in (channel.adjoint(), coherent_form(sup, kms)):
+        with pytest.raises(BadParams, match="expects a Heisenberg channel"):
+            cptp_check(other)
 
 
 def test_choi_identity_and_transpose():
     d = 2
     ident = Superoperator(np.eye(d * d, dtype=complex), "schrodinger", d)
-    rep = cptp_check(ident)
+    rep = cptp_check(ident.adjoint())
     assert rep.cp and rep.tp
     w = np.linalg.eigvalsh(choi_matrix(ident.mat, d))
     assert np.abs(np.sort(w) - np.array([0.0, 0.0, 0.0, 2.0])).max() < 1e-12
@@ -295,7 +305,7 @@ def test_choi_identity_and_transpose():
     for i in range(2):
         for j in range(2):
             t[2 * i + j, 2 * j + i] = 1.0
-    rep_t = cptp_check(Superoperator(t, "schrodinger", 2))
+    rep_t = cptp_check(Superoperator(t, "schrodinger", 2).adjoint())
     assert rep_t.tp and not rep_t.cp
     assert abs(rep_t.choi_min_eig + 1.0) < 1e-12
 

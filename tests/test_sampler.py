@@ -428,7 +428,6 @@ def test_contraction_check_centered_observables():
     rep = contraction_check(ch, kms, trials=20, seed=1)
     assert rep.passed
     assert rep.max_ratio <= 1.0 + 1e-8
-    assert rep.bound == 1.0
     assert rep.stationarity_residual <= 1e-10
     assert rep.vacuous_trials == 0
 
