@@ -61,9 +61,8 @@ from .linalg import (
     spectral_norm,
     symmetric_eigenvalues,
 )
-from .tolerances import (  # noqa: F401 (DETAILED_BALANCE_TOL is re-exported)
+from .tolerances import (
     CPTP_TOL, DETAILED_BALANCE_TOL, KERNEL_CUT, POSITIVE_EIGENVALUE_CUT, PROBE_NORM_FLOOR,
-    TERM_DETAILED_BALANCE_TOL,
 )
 from .tolerances import MIN_STATE_WEIGHT as _MIN_EIG
 
@@ -314,8 +313,8 @@ def coherent_spectrum(h: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Descending eigenvalues of (h + h dagger)/2, gap and kernel_dim.
 
     h is overwritten by (h + h dagger)/2 (_symmetrize), so the only other
-    array of its size is eigvalsh's working copy; on a direct sum
-    (linalg.symmetric_eigenvalues) that copy is one of the blocks, and only
+    array of its size is eigvalsh's working copy; on a direct sum that
+    linalg.symmetric_eigenvalues splits that copy is one of the blocks, and only
     a boolean pattern of h is formed besides.  The kernel cut is
     KERNEL_CUT * max(1, ||h||), and gap is lambda_1 - lambda_2, or exactly
     0.0 when kernel_dim >= 2, where that difference is rounding noise.
@@ -353,7 +352,7 @@ def stationary_channel(h: Superoperator, kms: KmsForm) -> TermKernel:
     onto the kernel of h, the term's coherent form (coherent_form against
     kms); any other picture raises BadParams.  ||h|| is read off the
     eigenvalues of the symmetrized h.  Requires ||h - h dagger|| <=
-    TERM_DETAILED_BALANCE_TOL * max(1, ||h||) (NotDetailedBalanced
+    DETAILED_BALANCE_TOL, the parent terms' cut (NotDetailedBalanced
     otherwise, decided by norm_exceeds) and every eigenvalue at most
     POSITIVE_EIGENVALUE_CUT * max(1, ||h||) (PositiveEigenvalue otherwise);
     kernel membership uses the relative cutoff KERNEL_CUT * max(1, ||h||).
@@ -366,10 +365,10 @@ def stationary_channel(h: Superoperator, kms: KmsForm) -> TermKernel:
     h_norm = float(np.abs(w).max())
     scale = max(1.0, h_norm)
     anti = h.mat - h.mat.conj().T
-    if norm_exceeds(anti, TERM_DETAILED_BALANCE_TOL * scale):
+    if norm_exceeds(anti, DETAILED_BALANCE_TOL):
         raise NotDetailedBalanced(
             f"coherent form deviates from Hermitian by {spectral_norm(anti):.3e} "
-            f"(tolerance {TERM_DETAILED_BALANCE_TOL:.1e} * {scale:.3e})"
+            f"(tolerance {DETAILED_BALANCE_TOL:.1e})"
         )
     if w[-1] > POSITIVE_EIGENVALUE_CUT * scale:
         raise PositiveEigenvalue(
@@ -424,7 +423,7 @@ def cptp_check(channel: Superoperator) -> CptpReport:
     s_mat = heis_mat.conj().T
     d = channel.dim
     choi = choi_matrix(s_mat, d)
-    wmin = float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min())
+    wmin = float(symmetric_eigenvalues(0.5 * (choi + choi.conj().T)).min())
     ident = np.eye(d, dtype=heis_mat.dtype)
     tp_res = float(
         np.linalg.norm((heis_mat @ ident.reshape(-1)).reshape(d, d) - ident)

@@ -9,25 +9,33 @@ raw.  The wrappers keep the dtype of their input, so exactly-real data
 run the real LAPACK and BLAS routines; real_if_exact is the one place
 where complex data become real.
 
-Direct sums are decomposed block by block.  direct_sum_labels labels the
-connected components of a matrix's exact nonzero pattern: one graph on the
-indices for Hermitian input, rows and columns as the two sides of a
-bipartite graph for an SVD.  When the largest component has at most half
-the rows and half the columns, the matrix is, up to a permutation, a direct
-sum of the components' blocks, and hermitian_eigenvalues,
-hermitian_eigendecompose and singular_value_decompose decompose the blocks
-instead, equal shapes in one stacked LAPACK call; any other input, and
-every spectral_norm, takes the whole-matrix call.  The pattern's edges are
-read once, at 16 bytes per nonzero, no more than the boolean pattern itself
-at density at most 1/16; every matrix of side 256 or more that splits in
-the experiments is sparser than that.  This is exact: the pattern is that
-of the exact zeros, with no tolerance, every off-block entry is 0, and the
-spectrum of a direct sum is the union of its blocks' spectra.  The results
-keep the whole-matrix conventions (ascending eigenvalues and descending
-singular values by a stable sort, the Svd gauge, zero rows and columns
-completing U and Vh as standard basis vectors), and every check runs on the
-blocks, where the off-block residual is exactly 0.  Values a whole-matrix
-call rounds to ~1e-17 on a structurally zero direction come out exactly 0.
+Every eigen- and singular-value decomposition of the package runs here,
+and only here is it decided whether a matrix is decomposed whole or block
+by block.  direct_sum_labels labels the connected components of a
+matrix's exact nonzero pattern: one graph on the indices for Hermitian
+input, rows and columns as the two sides of a bipartite graph for an SVD.
+When the largest component has at most half the rows and half the
+columns, the matrix is, up to a permutation, a direct sum of the
+components' blocks, and hermitian_eigendecompose and
+singular_value_decompose decompose the blocks instead, equal shapes in one
+stacked LAPACK call.  Eigenvalue-only calls look for blocks only above
+side _WHOLE_SIDE = 64, as finding them costs ~150 us: on permuted direct
+sums of 2^n blocks of side 2^n, with one BLAS thread, a whole eigvalsh
+took 16 / 167 / 3066 us and the blocks 111 / 150 / 511 us at sides 16 /
+64 / 256.  Eigenvector calls split at every size, as their blocks set the
+eigenvectors' zero patterns, which the dl_qsvt padding reads.  Any other
+input, and every spectral_norm, takes the whole-matrix call.  The
+pattern's edges are read once, at 16 bytes per nonzero, no more than the
+boolean pattern itself at density at most 1/16; every matrix of side 256
+or more that splits in the experiments is sparser than that.  This is
+exact: the pattern is that of the exact zeros, with no tolerance, every
+off-block entry is 0, and the spectrum of a direct sum is the union of
+its blocks' spectra.  The results keep the whole-matrix conventions
+(ascending eigenvalues and descending singular values by a stable sort,
+the Svd gauge, zero rows and columns completing U and Vh as standard
+basis vectors), and every check runs on the blocks, where the off-block
+residual is exactly 0.  Values a whole-matrix call rounds to ~1e-17 on a
+structurally zero direction come out exactly 0.
 """
 
 from __future__ import annotations
@@ -46,6 +54,9 @@ from .errors import (
 )
 from .tolerances import GAUGE_PIVOT, HERMITIAN_INPUT_TOL
 from .tolerances import NORM_SLACK as _NORM_SLACK, RECONSTRUCTION_TOL as _RECON_TOL
+
+# Largest side whose eigenvalues are one whole eigvalsh: a speed rule, not a cut.
+_WHOLE_SIDE = 64
 
 
 @dataclass(frozen=True)
@@ -243,24 +254,24 @@ def _direct_sum(pattern: np.ndarray, square: bool) -> _Blocks | None:
 
 
 def symmetric_eigenvalues(sym: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of an exactly Hermitian matrix, block by block when it splits.
+    """Ascending eigenvalues of an exactly Hermitian matrix, block by block above _WHOLE_SIDE.
 
     No input check (hermitian_eigenvalues is the checked call) and no copy
-    beyond the pattern and the blocks; a LinAlgError propagates.
+    beyond the pattern and the blocks; a LinAlgError raises NoConvergence.
     """
-    blocks = _direct_sum(sym != 0, square=True)
-    if blocks is None:
-        return np.linalg.eigvalsh(sym)
-    return _block_eigh(sym, blocks)[0]
+    blocks = None if sym.shape[0] <= _WHOLE_SIDE else _direct_sum(sym != 0, square=True)
+    try:
+        if blocks is None:
+            return np.linalg.eigvalsh(sym)
+        return _block_eigh(sym, blocks)[0]
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigvalsh failed to converge: {exc}") from exc
 
 
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, checked as hermitian_eigendecompose checks."""
     sym, _, _ = _hermitian_input(_as_square(a, "hermitian_eigenvalues input"))
-    try:
-        return symmetric_eigenvalues(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigvalsh failed to converge: {exc}") from exc
+    return symmetric_eigenvalues(sym)
 
 
 def hermitian_eigendecompose(a: np.ndarray) -> HermitianEig:
@@ -422,15 +433,7 @@ def schatten1_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = _as_square(b, "schatten1_distance second argument")
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    diff = a - b
-    scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-    res = hermiticity_residual(diff)
-    if res > HERMITIAN_INPUT_TOL * scale:
-        raise NotHermitian(
-            f"difference is not Hermitian (residual {res:.3e})"
-        )
-    w = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
-    return float(np.abs(w).sum())
+    return float(np.abs(hermitian_eigenvalues(a - b)).sum())
 
 
 def vectorize(x: np.ndarray) -> np.ndarray:

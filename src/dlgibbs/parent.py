@@ -69,7 +69,7 @@ from .kms import (
     _gibbs_weights,
     coherent_spectrum,
 )
-from .linalg import norm_exceeds, spectral_norm, vectorize
+from .linalg import norm_exceeds, spectral_norm, symmetric_eigenvalues, vectorize
 from .sampler import coherent_terms
 from .tolerances import (
     DETAILED_BALANCE_TOL, NORM_SLACK, PARENT_TERM_PSD_TOL, POSITIVE_EIGENVALUE_CUT,
@@ -106,8 +106,8 @@ class ParentTerm:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of mat, from one eigvalsh on first read."""
-        return np.linalg.eigvalsh(self.mat)
+        """Ascending eigenvalues of mat, computed on first read."""
+        return symmetric_eigenvalues(self.mat)
 
 
 @dataclass(frozen=True)

@@ -140,8 +140,6 @@ class ProjectorResult:
     error: float
     bound: float
     queries: int
-    degree: int
-    r: int
 
 
 @dataclass(frozen=True)
@@ -307,8 +305,6 @@ def approximate_projector(dl: DlOperator, poly: ProjectorPoly) -> ProjectorResul
         error=err,
         bound=bound,
         queries=poly.degree * dl.m,
-        degree=poly.degree,
-        r=r,
     )
 
 

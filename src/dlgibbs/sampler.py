@@ -74,10 +74,12 @@ from .kms import (
     term_superoperator,
 )
 from .linalg import (
+    hermitian_eigendecompose,
     norm_exceeds,
     partial_trace,
     real_if_exact,
     schatten1_distance,
+    symmetric_eigenvalues,
 )
 from .tolerances import (
     CONTRACTION_SLACK, DENSITY_MATRIX_TOL, GAP_ORDER_SLACK, KERNEL_CUT, LOCALITY_TOL,
@@ -312,7 +314,7 @@ def iterate(
         raise BadParams("initial state is not Hermitian")
     if abs(np.trace(rho0) - 1.0) > DENSITY_MATRIX_TOL:
         raise BadParams(f"initial state trace {np.trace(rho0):.6f} is not 1")
-    if float(np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min()) < -DENSITY_MATRIX_TOL:
+    if float(symmetric_eigenvalues(0.5 * (rho0 + rho0.conj().T)).min()) < -DENSITY_MATRIX_TOL:
         raise BadParams("initial state has a negative eigenvalue")
     if k_max < 0:
         raise BadParams(f"k_max must be >= 0, got {k_max}")
@@ -432,8 +434,8 @@ def superop_hamiltonian(
     h_l = ch.m * np.eye(d2, dtype=np.result_type(float, *ch.kernel_bases))
     for basis, legs in zip(ch.kernel_bases, ch.legs):
         h_l = add_embedded(h_l, LocalOperator(-(basis @ basis.conj().T), legs), 2 * ham.n)
-    h_l = 0.5 * (h_l + h_l.conj().T)
-    w, v = np.linalg.eigh(h_l)
+    eig = hermitian_eigendecompose(h_l)
+    w, v = eig.eigenvalues, eig.eigenvectors
     scale = max(1.0, float(np.abs(w).max()))
     kernel_dim = int(np.sum(np.abs(w) <= KERNEL_CUT * scale))
     if kernel_dim == 0:

@@ -18,10 +18,9 @@ BOHR_SPLIT = 1e-9
 COMMUTATOR_CUT = 1e-10
 # Width of H's ground cluster above its minimum, relative to max(1, ||H||).
 GROUND_CLUSTER_WIDTH = 1e-8
-# Detailed-balance defect ||h - h dagger|| of a parent term or sum; absolute.
+# Detailed-balance defect ||h - h dagger|| of a coherent form h_m, parent
+# term or sum; absolute.
 DETAILED_BALANCE_TOL = 1e-8
-# Detailed-balance defect of a term's coherent form, rel. max(1, ||h_m||).
-TERM_DETAILED_BALANCE_TOL = 1e-8
 # Largest eigenvalue of a nonpositive coherent form, rel. max(1, ||h||).
 POSITIVE_EIGENVALUE_CUT = 1e-8
 # |eigenvalue| of a coherent form's kernel, relative to max(1, ||h||).

@@ -619,8 +619,6 @@ def _synthetic_projector(rng, target, rank, c):
         error=0.0,
         bound=0.0,
         queries=0,
-        degree=1,
-        r=1,
     )
 
 

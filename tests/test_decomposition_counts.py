@@ -120,6 +120,30 @@ def test_commuting_family_runs_only_the_scale_svds(decomps):
     assert decomps["svd"] == [(8, 8)] * k
 
 
+def _permuted_direct_sum(blocks, side):
+    """A direct sum of `blocks` real symmetric blocks of side `side`, rows and columns permuted."""
+    rng = np.random.default_rng(side)
+    a = np.zeros((blocks * side, blocks * side))
+    for k in range(blocks):
+        b = rng.normal(size=(side, side))
+        a[k * side : (k + 1) * side, k * side : (k + 1) * side] = b + b.T
+    perm = rng.permutation(blocks * side)
+    return a[np.ix_(perm, perm)]
+
+
+def test_eigenvalues_split_only_above_side_64_and_eigenvectors_always(decomps):
+    # One whole eigvalsh beats finding the blocks up to side 64; eigenvector
+    # calls split at every size, since their blocks set the eigenvectors'
+    # zero patterns.
+    dlgibbs.linalg.hermitian_eigenvalues(_permuted_direct_sum(8, 8))
+    assert decomps["eigvalsh"] == [(64, 64)]
+    decomps["eigvalsh"].clear()
+    dlgibbs.linalg.hermitian_eigenvalues(_permuted_direct_sum(16, 16))
+    assert decomps["eigvalsh"] == [(16, 16, 16)]
+    dlgibbs.linalg.hermitian_eigendecompose(_permuted_direct_sum(4, 4))
+    assert decomps["eigh"] == [(4, 4, 4)]
+
+
 def _count_calls(monkeypatch, name, source=dlgibbs.kms):
     """Count calls to a function of source under every name it is bound to.
 
@@ -427,10 +451,11 @@ def test_pipeline_calls_no_reference_generator():
 
 
 def _numpy_decompositions(path: Path) -> Counter:
-    """(module, enclosing function, name) of each numpy decomposition or 2-norm in path.
+    """(module, enclosing function, name) of each numpy.linalg call in path but a plain norm.
 
-    Counts calls of a linalg attribute eigh, eigvalsh, svd or qr, and of
-    norm with ord 2, and every import from numpy.linalg.
+    Counts every call of a linalg attribute (eig, eigvals, pinv, lstsq,
+    solve, inv, cholesky, matrix_rank as well as eigh, eigvalsh, svd and
+    qr) except norm without ord 2, and every import from numpy.linalg.
     """
     module = f"dlgibbs.{path.stem}"
     found = Counter()
@@ -452,7 +477,7 @@ def _numpy_decompositions(path: Path) -> Counter:
             ):
                 ords = child.args[1:2] + [k.value for k in child.keywords if k.arg == "ord"]
                 two = any(isinstance(o, ast.Constant) and o.value == 2 for o in ords)
-                if func.attr in ("eigh", "eigvalsh", "svd", "qr") or (func.attr == "norm" and two):
+                if func.attr != "norm" or two:
                     found[(module, scope, func.attr)] += 1
             visit(child, inner)
 
@@ -461,23 +486,16 @@ def _numpy_decompositions(path: Path) -> Counter:
 
 
 def test_numpy_decompositions_outside_linalg_are_the_known_bypasses():
-    # linalg splits direct sums; these calls run whole on a matrix that
-    # splits.  A new bypass fails here, and routing one of these through
-    # linalg removes its entry, so the set only shrinks.
+    # Every spectrum goes through linalg, which alone decides whole call or
+    # blocks.  The one call left outside is transition's QR: it extends a
+    # basis whose R factor transition reads directly, so a linalg wrapper
+    # would add nothing.
     src = Path(dlgibbs.__file__).parent
     found = Counter()
     for path in sorted(src.glob("*.py")):
         if path.name != "linalg.py":
             found += _numpy_decompositions(path)
-    assert found == Counter(
-        {
-            ("dlgibbs.anneal", "transition", "qr"): 1,
-            ("dlgibbs.kms", "cptp_check", "eigvalsh"): 1,
-            ("dlgibbs.parent", "ParentTerm.eigenvalues", "eigvalsh"): 1,
-            ("dlgibbs.sampler", "iterate", "eigvalsh"): 1,
-            ("dlgibbs.sampler", "superop_hamiltonian", "eigh"): 1,
-        }
-    )
+    assert found == Counter({("dlgibbs.anneal", "transition", "qr"): 1})
 
 
 def _first_range_rank(ham):
@@ -571,16 +589,19 @@ def test_dl_qsvt_anneal_takes_one_4n_spectrum_per_step(monkeypatch, decomps, n):
         warnings.simplefilter("error", IrreducibilityWarning)
         run_annealing(ham, couplings, w, sched, 0.1, "dl_qsvt")
     # Per step, the ground cluster of the projector input is the one 4^n
-    # spectrum of a sum, taken as its 2^n blocks of side 2^n in one stacked
-    # call; it also gives the step's fixed-point dimension, so the parent's
-    # own spectrum is never taken.  A parent term on the whole doubled
-    # register (n = 3) adds one eigvalsh of its own, which both its
-    # positivity bound and its scale read.
+    # spectrum of a sum: its 2^n blocks of side 2^n in one stacked call at
+    # n = 4, one whole eigvalsh of side 64 at n = 3, below the size at which
+    # linalg looks for blocks.  It also gives the step's fixed-point
+    # dimension, so the parent's own spectrum is never taken.  A parent term
+    # on the whole doubled register (n = 3) adds one eigvalsh of its own,
+    # which both its positivity bound and its scale read.
     k = sched.steps
     d = 2**n
+    split = d2 > dlgibbs.linalg._WHOLE_SIDE
+    assert split == (n == 4)
     assert spectra == []
-    assert decomps["eigvalsh"].count((d, d, d)) == k + 1
-    assert decomps["eigvalsh"].count((d2, d2)) == (k + 1) * whole
+    assert decomps["eigvalsh"].count((d, d, d)) == (k + 1) * split
+    assert decomps["eigvalsh"].count((d2, d2)) == (k + 1) * (whole + (not split))
     assert (whole > 0) == (n == 3)
 
 

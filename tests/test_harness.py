@@ -465,7 +465,7 @@ def _projector_results(real):
     # ell = 1 is clean, ell = 2 exceeds its bound, ell = 3 lies within slack.
     def wrapped(dl, poly):
         res = real(dl, poly)
-        error = {1: 0.125, 2: 0.5, 3: 0.25 + 5e-10}[res.degree]
+        error = {1: 0.125, 2: 0.5, 3: 0.25 + 5e-10}[poly.degree]
         return replace(res, error=error, bound=0.25)
 
     return wrapped

@@ -37,6 +37,7 @@ from dlgibbs.kms import (
 )
 from dlgibbs.linalg import hermitian_eigendecompose
 from dlgibbs.parent import purified_gibbs
+from dlgibbs.tolerances import DETAILED_BALANCE_TOL
 from reference import db_residual, gibbs_state, lindblad_superoperator, spectral_report
 
 
@@ -256,13 +257,15 @@ def test_stationary_channel_rejects_wrong_state():
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
 def test_stationary_channel_detailed_balance_boundary(factor):
-    # h + e with e anti-Hermitian keeps the symmetrized h, hence the scale,
-    # and has ||(h + e) - (h + e) dagger|| = ||h - h dagger + 2e||, with h
-    # Hermitian to rounding; e is sized so that this defect is factor times
-    # the bound tol * max(1, ||h||).
+    # h + e with e anti-Hermitian keeps the symmetrized h and has
+    # ||(h + e) - (h + e) dagger|| = ||h - h dagger + 2e||, with h Hermitian
+    # to rounding; e is sized so that this defect is factor times the
+    # absolute cut DETAILED_BALANCE_TOL.  ||h|| > 2, so a cut relative to
+    # max(1, ||h||) would let the [2.0] case pass.
     term, kms = _davies_qubit()
     h = coherent_form(term_superoperator(term, 1), kms)
-    bound = 1e-8 * max(1.0, np.linalg.norm(h.mat, 2))
+    assert np.linalg.norm(h.mat, 2) > 2.0
+    bound = DETAILED_BALANCE_TOL
     b = _complex_normal(np.random.default_rng(5), 4, 4)
     e = b - b.conj().T
     e *= 0.5 * factor * bound / np.linalg.norm(e, 2)

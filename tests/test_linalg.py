@@ -12,9 +12,11 @@ from scipy.sparse.csgraph import connected_components
 from dlgibbs.errors import (
     BadDimensionFactorization,
     DimensionMismatch,
+    NoConvergence,
     NotHermitian,
     SupportOutOfRange,
 )
+from dlgibbs.kms import Superoperator, coherent_spectrum, cptp_check
 from dlgibbs.linalg import (
     _RECON_TOL,
     direct_sum_labels,
@@ -26,8 +28,10 @@ from dlgibbs.linalg import (
     schatten1_distance,
     singular_value_decompose,
     spectral_norm,
+    symmetric_eigenvalues,
     vectorize,
 )
+from dlgibbs.parent import ParentTerm
 from dlgibbs.tolerances import GAUGE_PIVOT
 from reference import gauge_reference
 
@@ -67,6 +71,23 @@ def test_eigenvalues_share_the_eigendecompose_checks():
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
         hermitian_eigenvalues(np.zeros((2, 3)))
+
+
+def test_every_eigenvalue_call_raises_no_convergence(monkeypatch):
+    def fail(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    rho = np.eye(2) / 2
+    calls = [
+        lambda: cptp_check(Superoperator(np.eye(4), "heisenberg", 2)),
+        lambda: ParentTerm(-np.eye(4), (0, 1), 0.0, None).eigenvalues,
+        lambda: schatten1_distance(rho, rho),
+        lambda: coherent_spectrum(-np.eye(4)),
+    ]
+    for call in calls:
+        with pytest.raises(NoConvergence, match="eigvalsh failed to converge"):
+            call()
 
 
 def test_svd_descending_and_gauge():
@@ -234,19 +255,20 @@ PROPERTY = settings(
 
 
 @st.composite
-def direct_sums(draw, hermitian: bool) -> np.ndarray:
+def direct_sums(draw, hermitian: bool, largest: int = 4, count: int = 6) -> np.ndarray:
     """A random direct sum, its rows and columns permuted.
 
-    Blocks have 0 to 4 rows and columns, or 1 to 4 and are Hermitian for
-    Hermitian input; an empty side makes zero rows or columns, a zero 1 x 1
-    block a zero row and column of a Hermitian matrix, and a repeated block
-    values repeated across blocks.  A single block, or one much larger than
-    the others, falls under the whole-matrix rule.
+    1 to count blocks have 0 to largest rows and columns, or 1 to largest
+    and are Hermitian for Hermitian input; an empty side makes zero rows
+    or columns, a zero 1 x 1 block a zero row and column of a Hermitian
+    matrix, and a repeated block values repeated across blocks.  A single
+    block, or one much larger than the others, falls under the whole-matrix
+    rule.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dtype = draw(st.sampled_from([np.float64, np.complex128]))
-    side = st.integers(1 if hermitian else 0, 4)
-    shapes = draw(st.lists(st.tuples(side, side), min_size=1, max_size=6))
+    side = st.integers(1 if hermitian else 0, largest)
+    shapes = draw(st.lists(st.tuples(side, side), min_size=1, max_size=count))
     blocks = []
     for p, q in shapes:
         q = p if hermitian else q
@@ -346,6 +368,16 @@ def test_hermitian_direct_sums_decompose_by_blocks(a):
     assert np.linalg.norm(v.conj().T @ v - np.eye(a.shape[0])) <= _RECON_TOL
     assert np.linalg.norm((v * w) @ v.conj().T - a) <= _RECON_TOL * frob
     assert _in_one_block(v, labels, axis=1)
+
+
+@PROPERTY
+@given(direct_sums(hermitian=True, largest=15, count=15))
+def test_eigenvalues_are_eigvalsh_whole_or_by_blocks(a):
+    # Sides 1 to 241: one whole eigvalsh up to side 64, the blocks above it.
+    want = np.linalg.eigvalsh(a)
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(a, 2)))
+    assert np.abs(symmetric_eigenvalues(a) - want).max() <= tol
+    assert np.abs(hermitian_eigenvalues(a) - want).max() <= tol
 
 
 @PROPERTY

@@ -33,7 +33,6 @@ TABLE = {
     "COMMUTATOR_CUT": 1e-10,
     "GROUND_CLUSTER_WIDTH": 1e-8,
     "DETAILED_BALANCE_TOL": 1e-8,
-    "TERM_DETAILED_BALANCE_TOL": 1e-8,
     "POSITIVE_EIGENVALUE_CUT": 1e-8,
     "KERNEL_CUT": 1e-9,
     "MIN_STATE_WEIGHT": 1e-14,
