@@ -17,6 +17,11 @@ its kernel is the fixed-point space conjugated by G, the stationary channel
 of a single term is P = G^{-1} Pi_0 G with Pi_0 the kernel projector of h,
 and gaps of h are the mixing quantities.
 
+The terms' coherent forms are derived once, in parent.coherent_terms,
+and checked detailed balanced there by build_parent, which keeps each as
+the exactly Hermitian (h + h dagger)/2.  stationary_channel and
+coherent_spectrum take those matrices and their sums as they are.
+
 Vectorization is row-major, vec(|i><j|) = |i> tensor |j>, so the map
 X -> A X B has matrix kron(A, B^T) and the Heisenberg Lindbladian
 
@@ -47,7 +52,6 @@ from .errors import (
     BadParams,
     DegenerateGap,
     DimensionMismatch,
-    NotDetailedBalanced,
     OverflowDetected,
     PositiveEigenvalue,
     SingularSigma,
@@ -56,14 +60,11 @@ from .hamiltonians import LocalHamiltonian, LocalOperator, embed
 from .linalg import (
     HermitianEig,
     hermitian_eigendecompose,
-    norm_exceeds,
     real_if_exact,
     spectral_norm,
     symmetric_eigenvalues,
 )
-from .tolerances import (
-    CPTP_TOL, DETAILED_BALANCE_TOL, KERNEL_CUT, POSITIVE_EIGENVALUE_CUT, PROBE_NORM_FLOOR,
-)
+from .tolerances import CPTP_TOL, KERNEL_CUT, POSITIVE_EIGENVALUE_CUT, PROBE_NORM_FLOOR
 from .tolerances import MIN_STATE_WEIGHT as _MIN_EIG
 
 _PICTURES = ("heisenberg", "schrodinger", "kms")
@@ -291,35 +292,18 @@ def probe_vector(kernel_vecs: np.ndarray) -> np.ndarray:
     return psi / nrm
 
 
-def _symmetrize(h: np.ndarray, rows: int = 512) -> None:
-    """h <- (h + h dagger)/2 in place, one block of rows at a time.
-
-    Block lo:hi reads rows lo:hi and columns lo:hi, which no earlier block
-    wrote, so every entry of the lower triangle is (h_ij + conj(h_ji)) * 0.5
-    of the input; the upper triangle is its conjugate.  The only temporary
-    is a rows x hi block.
-    """
-    d = h.shape[0]
-    for lo in range(0, d, rows):
-        hi = min(lo + rows, d)
-        block = h[lo:hi, :hi] + h[:hi, lo:hi].conj().T
-        block *= 0.5
-        h[:hi, lo:hi] = block.conj().T
-        h[lo:hi, :hi] = block
-        del block  # before the next, larger block is formed
-
-
 def coherent_spectrum(h: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Descending eigenvalues of (h + h dagger)/2, gap and kernel_dim.
+    """Descending eigenvalues of h, gap and kernel_dim.
 
-    h is overwritten by (h + h dagger)/2 (_symmetrize), so the only other
-    array of its size is eigvalsh's working copy; on a direct sum that
-    linalg.symmetric_eigenvalues splits that copy is one of the blocks, and only
-    a boolean pattern of h is formed besides.  The kernel cut is
-    KERNEL_CUT * max(1, ||h||), and gap is lambda_1 - lambda_2, or exactly
-    0.0 when kernel_dim >= 2, where that difference is rounding noise.
+    h must be exactly Hermitian, as a sum of parent terms is: eigvalsh
+    reads only its lower triangle, so nothing here would show a defect.
+    The only other array of h's size is eigvalsh's working copy; on a
+    direct sum that linalg.symmetric_eigenvalues splits that copy is one of
+    the blocks, and only a boolean pattern of h is formed besides.  The
+    kernel cut is KERNEL_CUT * max(1, ||h||), and gap is lambda_1 -
+    lambda_2, or exactly 0.0 when kernel_dim >= 2, where that difference
+    is rounding noise.
     """
-    _symmetrize(h)
     w = symmetric_eigenvalues(h)[::-1]
     kernel_dim = int((np.abs(w) <= KERNEL_CUT * max(1.0, float(np.abs(w).max()))).sum())
     gap = float(w[0] - w[1]) if len(w) > 1 and kernel_dim < 2 else 0.0
@@ -331,45 +315,33 @@ class TermKernel:
     """Kernel of one term's coherent form h and its Heisenberg pullback.
 
     basis holds orthonormal columns V spanning the kernel, so Pi_0 = V V
-    dagger; channel is P = Gamma^{-1/2} Pi_0 Gamma^{1/2}; h_norm is ||h||
-    and db_residual the Frobenius bound ||h - h dagger||_F on the
-    detailed-balance defect.  gap is the smallest |eigenvalue| of h above
-    the kernel cut (inf when the kernel is everything); rounding of order
-    eps * h_norm / gap tilts the kernel basis (Davis-Kahan).
+    dagger; channel is P = Gamma^{-1/2} Pi_0 Gamma^{1/2}; h_norm is ||h||.
+    gap is the smallest |eigenvalue| of h above the kernel cut (inf when
+    the kernel is everything); rounding of order eps * h_norm / gap tilts
+    the kernel basis (Davis-Kahan).
     """
 
     basis: np.ndarray
     channel: Superoperator
     h_norm: float
-    db_residual: float
     gap: float
 
 
-def stationary_channel(h: Superoperator, kms: KmsForm) -> TermKernel:
+def stationary_channel(h: np.ndarray, kms: KmsForm) -> TermKernel:
     """Kernel basis of one term, its projector pulled back to the Heisenberg picture.
 
     P = Gamma^{-1/2} Pi_0 Gamma^{1/2}, with Pi_0 the orthogonal projector
-    onto the kernel of h, the term's coherent form (coherent_form against
-    kms); any other picture raises BadParams.  ||h|| is read off the
-    eigenvalues of the symmetrized h.  Requires ||h - h dagger|| <=
-    DETAILED_BALANCE_TOL, the parent terms' cut (NotDetailedBalanced
-    otherwise, decided by norm_exceeds) and every eigenvalue at most
+    onto the kernel of h, the term's Hermitian coherent form against kms
+    (parent.ParentTerm.mat and .state, whose detailed balance build_parent
+    checked); a matrix that is not Hermitian raises NotHermitian.  ||h|| is
+    read off its eigenvalues.  Requires every eigenvalue at most
     POSITIVE_EIGENVALUE_CUT * max(1, ||h||) (PositiveEigenvalue otherwise);
     kernel membership uses the relative cutoff KERNEL_CUT * max(1, ||h||).
     """
-    if h.picture != "kms":
-        raise BadParams(f"stationary_channel expects a coherent form, got {h.picture}")
-    h_sym = 0.5 * (h.mat + h.mat.conj().T)
-    eig = hermitian_eigendecompose(h_sym)
+    eig = hermitian_eigendecompose(h)
     w = eig.eigenvalues
     h_norm = float(np.abs(w).max())
     scale = max(1.0, h_norm)
-    anti = h.mat - h.mat.conj().T
-    if norm_exceeds(anti, DETAILED_BALANCE_TOL):
-        raise NotDetailedBalanced(
-            f"coherent form deviates from Hermitian by {spectral_norm(anti):.3e} "
-            f"(tolerance {DETAILED_BALANCE_TOL:.1e})"
-        )
     if w[-1] > POSITIVE_EIGENVALUE_CUT * scale:
         raise PositiveEigenvalue(
             f"coherent form has eigenvalue {w[-1]:.3e} above zero"
@@ -386,9 +358,8 @@ def stationary_channel(h: Superoperator, kms: KmsForm) -> TermKernel:
     mat = left @ _kron_conj_apply(kms.quarter, vk).conj().T
     return TermKernel(
         vk,
-        Superoperator(mat, "heisenberg", h.dim),
+        Superoperator(mat, "heisenberg", kms.dim),
         h_norm,
-        float(np.linalg.norm(anti)),
         float(np.abs(w[~sel]).min()) if not sel.all() else float("inf"),
     )
 

@@ -19,11 +19,14 @@ coherent form, so gap(H) = gap(L).
 For commuting H the Bohr components of each coupling are exact
 eigenoperators, the quarter-power dressing acts by scalars, and H^a is
 supported on the dressed coupling support copied to both halves of the
-register.  build_parent takes each H^a from sampler.coherent_terms, the
-h_m the round channel is built from, held on that doubled support; a term
-that is not local there raises NotLocal when it is built, and the worst
-relative residual of that check is its locality residual.  For
-non-commuting H every term is on the whole doubled register and has none.
+register.  coherent_terms derives each term's coherent form h_a once, held
+on that doubled support; a term that is not local there raises NotLocal
+when it is built, and the worst relative residual of that check is its
+locality residual.  For non-commuting H every term is on the whole doubled
+register and has none.  H^a = (h_a + h_a dagger)/2 is exactly Hermitian,
+and so is their sum.  Every experiment reads its terms here: the mix's
+round channel (sampler.compose_dl_channel) takes its factors from the
+kernels of the H^a and its gap and kernel_dim from the sum's spectrum.
 
 build_parent's checks are decided by bounds where a bound can decide, with
 the rounding slack of linalg.norm_exceeds, and by the dense 4^n spectrum of
@@ -47,32 +50,42 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
 from .errors import (
     BadParams,
+    DimensionMismatch,
     NotDetailedBalanced,
+    NotLocal,
     PositiveEigenvalue,
     PositivityFailure,
 )
 from .hamiltonians import (
     LocalHamiltonian,
     LocalOperator,
+    _embed,
     add_embedded,
     apply_local,
+    embed,
     support_overlap_degree,
 )
 from .kms import (
     KmsForm,
     LindbladTerm,
+    Superoperator,
     _gibbs_weights,
+    coherent_form,
     coherent_spectrum,
+    term_superoperator,
 )
-from .linalg import norm_exceeds, spectral_norm, symmetric_eigenvalues, vectorize
-from .sampler import coherent_terms
+from .linalg import (
+    norm_exceeds, partial_trace, spectral_norm, symmetric_eigenvalues, vectorize,
+)
 from .tolerances import (
-    DETAILED_BALANCE_TOL, NORM_SLACK, PARENT_TERM_PSD_TOL, POSITIVE_EIGENVALUE_CUT,
+    DETAILED_BALANCE_TOL, LOCALITY_TOL, NORM_SLACK, PARENT_TERM_PSD_TOL,
+    POSITIVE_EIGENVALUE_CUT,
 )
 
 __all__ = [
@@ -90,12 +103,15 @@ __all__ = [
 class ParentTerm:
     """One per-coupling block H^a = mat tensor I, mat on the legs in support.
 
-    db_residual is ||h_a - h_a dagger||_F of the coherent form mat
-    symmetrizes; locality_residual is sampler.coherent_terms' locality.
+    state is the KMS form mat was built against (the marginal of sigma on
+    the term's sites); db_residual is ||h_a - h_a dagger||_F of the
+    coherent form mat symmetrizes; locality_residual is coherent_terms'
+    locality.
     """
 
     mat: np.ndarray
     support: tuple[int, ...]
+    state: KmsForm
     db_residual: float
     locality_residual: float | None
 
@@ -114,10 +130,11 @@ class ParentTerm:
 class ParentHamiltonian:
     """Doubled-register Hamiltonian with the purified Gibbs ground state.
 
-    gap and kernel_dim are those of sum_a H^a by kms.coherent_spectrum's
-    rules, so the generator's.  The sum is assembled and diagonalized on
-    the first read of either, unless build_parent already took its spectrum;
-    a dl_qsvt anneal reads the kernel off parent_projector_input instead.
+    gap and kernel_dim are those of sum_a H^a, an exactly Hermitian sum of
+    exactly Hermitian terms, by kms.coherent_spectrum's rules, so the
+    generator's.  The sum is assembled and diagonalized on the first read
+    of either, unless build_parent already took its spectrum; a dl_qsvt
+    anneal reads the kernel off parent_projector_input instead.
     """
 
     terms: tuple[ParentTerm, ...]
@@ -159,6 +176,96 @@ class ParentReport:
     locality_checked: bool
 
 
+def _restrict(
+    term: LindbladTerm,
+    idx: int,
+    sites: tuple[int, ...],
+    n: int,
+    kms: KmsForm,
+    local_kms: KmsForm,
+) -> tuple[LindbladTerm, float]:
+    """term on the register of its sites, which are not the whole register.
+
+    Each jump and the coherent part become their normalized partial traces
+    onto sites.  Each must equal its partial trace tensor I, and so must
+    its modular conjugates sigma^{+-1/4} K sigma^{-+1/4} against those of
+    local_kms, the marginal of sigma on sites: the term's coherent form
+    is built from exactly these products, so it then equals the local
+    coherent form tensor I.  NotLocal names the term otherwise.  Returns
+    the restricted term and the worst residual relative to max(1, ||K||).
+    """
+    k = len(sites)
+    q, iq = kms.quarter, kms.inv_quarter
+    lq, liq = local_kms.quarter, local_kms.inv_quarter
+    relatives: list[float] = []
+
+    def local(op: LocalOperator, what: str) -> LocalOperator:
+        full = embed(op, n)
+        part = partial_trace(full, sites, (2,) * n) / 2 ** (n - k)
+        pairs = (
+            (what, full, part),
+            (f"{what} as sigma^{{1/4}} K sigma^{{-1/4}}", q @ full @ iq, lq @ part @ liq),
+            (f"{what} as sigma^{{-1/4}} K sigma^{{1/4}}", iq @ full @ q, liq @ part @ lq),
+        )
+        for label, got, want in pairs:
+            residual = float(np.linalg.norm(got - _embed(want, sites, n)))
+            relative = residual / max(1.0, float(np.linalg.norm(got)))
+            if relative > LOCALITY_TOL:
+                raise NotLocal(
+                    f"term {idx}: {label} is not the identity off sites {sites} "
+                    f"(residual {residual:.3e})"
+                )
+            relatives.append(relative)
+        return LocalOperator(part, tuple(range(k)))
+
+    restricted = LindbladTerm(
+        jumps=tuple(local(j, f"jump {i}") for i, j in enumerate(term.jumps)),
+        coherent=None if term.coherent is None else local(term.coherent, "coherent part"),
+        support=tuple(range(k)),
+    )
+    return restricted, max(relatives)
+
+
+def coherent_terms(
+    terms: list[LindbladTerm] | tuple[LindbladTerm, ...],
+    kms: KmsForm,
+    ham: LocalHamiltonian,
+) -> Iterator[tuple[Superoperator, tuple[int, ...], KmsForm, float | None]]:
+    """Each term's coherent form h_m, built once, in term order.
+
+    The package's one call of term_superoperator and coherent_form.  ham
+    is the Hamiltonian the terms and sigma come from.  When its terms
+    commute (ham.commuting) each term is built on its dressed support S
+    (_restrict) against the marginal of sigma there; otherwise, and when S
+    is the whole register, on the whole register with kms.  Yields
+    (h_m, legs, state, locality): h_m acts as h_m tensor I on legs
+    S u (S + n), state is the KMS form it was built against and locality
+    _restrict's worst relative residual (0.0 when S is the whole
+    register, None for non-commuting H).
+    """
+    if not terms:
+        raise BadParams("need at least one term")
+    n = int(round(np.log2(kms.dim)))
+    if 2**n != kms.dim:
+        raise DimensionMismatch(f"state dimension {kms.dim} is not a power of 2")
+    if ham.n != n:
+        raise DimensionMismatch(f"Hamiltonian on {ham.n} qubits, state on {n}")
+    whole = tuple(range(n))
+    local = ham.commuting
+    marginals = {whole: kms}
+    for idx, t in enumerate(terms):
+        sites = tuple(sorted(t.support)) if local else whole
+        if sites not in marginals:
+            marginals[sites] = KmsForm(partial_trace(kms.sigma, sites, (2,) * n))
+        site_kms = marginals[sites]
+        locality = 0.0 if local else None
+        if sites != whole:
+            t, locality = _restrict(t, idx, sites, n, kms, site_kms)
+        form = coherent_form(term_superoperator(t, len(sites)), site_kms)
+        yield form, sites + tuple(q + n for q in sites), site_kms, locality
+        del form  # so only the caller holds h_m when the next one is built
+
+
 def build_parent(
     terms: list[LindbladTerm] | tuple[LindbladTerm, ...],
     kms: KmsForm,
@@ -167,20 +274,21 @@ def build_parent(
 ) -> ParentHamiltonian:
     """Assemble H = sum_a H^a, with H^a the KMS coherent form of term a.
 
-    Each coherent form comes from sampler.coherent_terms, on its doubled
-    support; H^a is its symmetrization there.  A term's coherent form, or
-    their sum, that deviates from Hermitian by more than
-    DETAILED_BALANCE_TOL raises NotDetailedBalanced; a positive eigenvalue
-    of the parent raises PositiveEigenvalue.  The sum is checked as a 4^n
-    matrix only when the terms' bounds cannot decide (module docstring), so
-    for commuting H no 4^n spectrum is taken here; the whole-register
-    defects of non-commuting H are summed into one array as they come.
+    Each coherent form comes from coherent_terms, on its doubled support;
+    H^a is its symmetrization there.  A term's coherent form, or their
+    sum, that deviates from Hermitian by more than DETAILED_BALANCE_TOL
+    raises NotDetailedBalanced, whose message names beta when one is
+    given; a positive eigenvalue of the parent raises PositiveEigenvalue.
+    The sum is checked as a 4^n matrix only when the terms' bounds cannot
+    decide (module docstring), so for commuting H no 4^n spectrum is taken
+    here; the whole-register defects of non-commuting H are summed into
+    one array as they come.
     """
     nq = 2 * ham.n
     parent_terms: list[ParentTerm] = []
     whole = None
     local_anti: list[LocalOperator] = []
-    for idx, (h, legs, _, locality) in enumerate(coherent_terms(terms, kms, ham)):
+    for idx, (h, legs, state, locality) in enumerate(coherent_terms(terms, kms, ham)):
         form = h.mat
         anti = form - form.conj().T
         _check_detailed_balance(anti, f"term {idx}", beta)
@@ -189,7 +297,9 @@ def build_parent(
         else:
             local_anti.append(LocalOperator(anti, legs))
         herm = 0.5 * (form + form.conj().T)
-        parent_terms.append(ParentTerm(herm, legs, float(np.linalg.norm(anti)), locality))
+        parent_terms.append(
+            ParentTerm(herm, legs, state, float(np.linalg.norm(anti)), locality)
+        )
     del anti
     # ||sum_a anti_a|| <= sum_a ||anti_a||_F, each term's db_residual.
     if sum(t.db_residual for t in parent_terms) >= DETAILED_BALANCE_TOL * (1.0 - NORM_SLACK):
@@ -225,11 +335,15 @@ def _top_bound(terms: tuple[ParentTerm, ...]) -> float:
 
 
 def _check_detailed_balance(anti: np.ndarray, what: str, beta: float | None) -> None:
-    """Raise NotDetailedBalanced when ||h - h dagger|| = ||anti|| is too large."""
+    """Raise NotDetailedBalanced when ||h - h dagger|| = ||anti|| is too large.
+
+    The message names beta only when the caller gave one.
+    """
     if norm_exceeds(anti, DETAILED_BALANCE_TOL):
+        at = "" if beta is None else f" at beta = {beta}"
         raise NotDetailedBalanced(
-            f"{what} has detailed-balance defect {spectral_norm(anti):.3e} "
-            f"at beta = {beta} (tolerance {DETAILED_BALANCE_TOL:.1e})"
+            f"{what} has detailed-balance defect {spectral_norm(anti):.3e}"
+            f"{at} (tolerance {DETAILED_BALANCE_TOL:.1e})"
         )
 
 

@@ -17,10 +17,11 @@ non-commutation degree of the Pi_m.  Iterating from rho_0 then obeys
 The comparison Hamiltonian H_L = sum_m (I - Pi_m) is positive
 semidefinite; its gap above the common kernel upper-bounds the generator
 gap and drives the projector bounds downstream; it is read off the same
-channel.  coherent_terms derives each coherent form h_m once; it is the
-one derivation both compose_dl_channel and parent.build_parent iterate
-over.  compose_dl_channel takes the orthonormal kernel basis V_m of h_m
-(Pi_m = V_m V_m dagger) and P_m from V_m, and checks P_m CPTP.
+channel.  The channel's factors are the kernels of the parent's terms:
+compose_dl_channel calls parent.build_parent, where each coherent form
+h_m is derived once and checked detailed balanced alone and summed, takes
+the orthonormal kernel basis V_m of its Hermitian term (Pi_m = V_m V_m
+dagger) and P_m from V_m, and checks P_m CPTP.
 
 The channel is local when the Hamiltonian is.  For commuting H each term
 is built on its dressed support S (Kastoryano & Brandao): its jumps,
@@ -31,7 +32,8 @@ support is the whole register.  The channel is kept as the V_m with their
 doubled supports: one round is a KMS-picture sweep that applies each
 Pi_m = V_m V_m dagger to its tensor legs of z, so no composite and no dense
 Pi_m outside H_L is formed, and g is read off the support graph.  The
-generator's coherent form is the sum of the h_m^loc tensor I.
+generator's coherent form is the parent, the sum of the h_m^loc tensor I,
+and gap and kernel_dim are read off its spectrum.
 """
 
 from __future__ import annotations
@@ -39,24 +41,15 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    BadParams,
-    DimensionMismatch,
-    DlGibbsError,
-    IrreducibilityWarning,
-    NotLocal,
-)
+from .errors import BadParams, DimensionMismatch, DlGibbsError, IrreducibilityWarning
 # perfbench/selftest.py reads noncommutation_degree from this module.
 from .hamiltonians import (  # noqa: F401
     LocalHamiltonian,
     LocalOperator,
-    _embed,
     add_embedded,
-    embed,
     noncommutation_degree,
     projector_noncommutation_degree,
     sweep_projectors,
@@ -65,26 +58,22 @@ from .kms import (
     KmsForm,
     LindbladTerm,
     SpectralReport,
-    Superoperator,
-    coherent_form,
-    coherent_spectrum,
     cptp_check,
     probe_vector,
     stationary_channel,
-    term_superoperator,
 )
 from .linalg import (
     hermitian_eigendecompose,
     norm_exceeds,
-    partial_trace,
     real_if_exact,
     schatten1_distance,
     symmetric_eigenvalues,
 )
+from .parent import build_parent
 from .tolerances import (
-    CONTRACTION_SLACK, DENSITY_MATRIX_TOL, GAP_ORDER_SLACK, KERNEL_CUT, LOCALITY_TOL,
-    OPEN_GAP_FLOOR, PROJECTED_PROBE_FLOOR, STATIONARITY_TOL, UNIT_FACTOR_SLACK,
-    VACUOUS_NORM2, ZERO_ROUND_NORM2,
+    CONTRACTION_SLACK, DENSITY_MATRIX_TOL, GAP_ORDER_SLACK, KERNEL_CUT, OPEN_GAP_FLOOR,
+    PROJECTED_PROBE_FLOOR, STATIONARITY_TOL, UNIT_FACTOR_SLACK, VACUOUS_NORM2,
+    ZERO_ROUND_NORM2,
 )
 
 
@@ -148,116 +137,26 @@ class ContractionReport:
     q: float
 
 
-def _restrict(
-    term: LindbladTerm,
-    idx: int,
-    sites: tuple[int, ...],
-    n: int,
-    kms: KmsForm,
-    local_kms: KmsForm,
-) -> tuple[LindbladTerm, float]:
-    """term on the register of its sites, which are not the whole register.
-
-    Each jump and the coherent part become their normalized partial traces
-    onto sites.  Each must equal its partial trace tensor I, and so must
-    its modular conjugates sigma^{+-1/4} K sigma^{-+1/4} against those of
-    local_kms, the marginal of sigma on sites: the term's coherent form
-    is built from exactly these products, so it then equals the local
-    coherent form tensor I.  NotLocal names the term otherwise.  Returns
-    the restricted term and the worst residual relative to max(1, ||K||).
-    """
-    k = len(sites)
-    q, iq = kms.quarter, kms.inv_quarter
-    lq, liq = local_kms.quarter, local_kms.inv_quarter
-    relatives: list[float] = []
-
-    def local(op: LocalOperator, what: str) -> LocalOperator:
-        full = embed(op, n)
-        part = partial_trace(full, sites, (2,) * n) / 2 ** (n - k)
-        pairs = (
-            (what, full, part),
-            (f"{what} as sigma^{{1/4}} K sigma^{{-1/4}}", q @ full @ iq, lq @ part @ liq),
-            (f"{what} as sigma^{{-1/4}} K sigma^{{1/4}}", iq @ full @ q, liq @ part @ lq),
-        )
-        for label, got, want in pairs:
-            residual = float(np.linalg.norm(got - _embed(want, sites, n)))
-            relative = residual / max(1.0, float(np.linalg.norm(got)))
-            if relative > LOCALITY_TOL:
-                raise NotLocal(
-                    f"term {idx}: {label} is not the identity off sites {sites} "
-                    f"(residual {residual:.3e})"
-                )
-            relatives.append(relative)
-        return LocalOperator(part, tuple(range(k)))
-
-    restricted = LindbladTerm(
-        jumps=tuple(local(j, f"jump {i}") for i, j in enumerate(term.jumps)),
-        coherent=None if term.coherent is None else local(term.coherent, "coherent part"),
-        support=tuple(range(k)),
-    )
-    return restricted, max(relatives)
-
-
-def coherent_terms(
-    terms: list[LindbladTerm] | tuple[LindbladTerm, ...],
-    kms: KmsForm,
-    ham: LocalHamiltonian,
-) -> Iterator[tuple[Superoperator, tuple[int, ...], KmsForm, float | None]]:
-    """Each term's coherent form h_m, built once, in term order.
-
-    ham is the Hamiltonian the terms and sigma come from.  When its terms
-    commute (ham.commuting) each term is built on its dressed
-    support S (_restrict) against the marginal of sigma there; otherwise,
-    and when S is the whole register, on the whole register with kms.
-    Yields (h_m, legs, state, locality): h_m acts as h_m tensor I on legs
-    S u (S + n), state is the KMS form it was built against and locality
-    _restrict's worst relative residual (0.0 when S is the whole
-    register, None for non-commuting H).
-    """
-    if not terms:
-        raise BadParams("need at least one term")
-    n = int(round(np.log2(kms.dim)))
-    if 2**n != kms.dim:
-        raise DimensionMismatch(f"state dimension {kms.dim} is not a power of 2")
-    if ham.n != n:
-        raise DimensionMismatch(f"Hamiltonian on {ham.n} qubits, state on {n}")
-    whole = tuple(range(n))
-    local = ham.commuting
-    marginals = {whole: kms}
-    for idx, t in enumerate(terms):
-        sites = tuple(sorted(t.support)) if local else whole
-        if sites not in marginals:
-            marginals[sites] = KmsForm(partial_trace(kms.sigma, sites, (2,) * n))
-        site_kms = marginals[sites]
-        locality = 0.0 if local else None
-        if sites != whole:
-            t, locality = _restrict(t, idx, sites, n, kms, site_kms)
-        form = coherent_form(term_superoperator(t, len(sites)), site_kms)
-        yield form, sites + tuple(q + n for q in sites), site_kms, locality
-        del form  # so only the caller holds h_m when the next one is built
-
-
 def compose_dl_channel(
     terms: list[LindbladTerm] | tuple[LindbladTerm, ...],
     kms: KmsForm,
     ham: LocalHamiltonian,
 ) -> DlChannel:
-    """Build the round channel in one pass over the terms.
+    """Build the round channel on the parent Hamiltonian of the terms.
 
     The Heisenberg round is the product P_1 ... P_m in term order, so in
     the Schrodinger picture the first term's factor acts on the state
-    first.  Each term's coherent form h_m (coherent_terms) gives its
-    stationary channel P_m, which is checked CPTP and dropped; only V_m,
-    ||h_m|| and the detailed-balance bound are kept.  The generator
-    spectrum comes from the sum of the h_m (the coherent form is linear).
+    first.  build_parent derives and checks each term's Hermitian coherent
+    form H^a; its kernel gives the stationary channel P_m, which is checked
+    CPTP and dropped, so only V_m and ||H^a|| are kept.  gap and kernel_dim
+    are the parent's (the coherent form is linear), and db_residual the
+    largest of its terms'.
     """
-    generator = None
+    ph = build_parent(terms, kms, ham)
     bases = []
-    legs = []
     h_norms = []
-    db_residuals = []
-    for idx, (h, doubled, site_kms, _) in enumerate(coherent_terms(terms, kms, ham)):
-        k = stationary_channel(h, site_kms)
+    for idx, t in enumerate(ph.terms):
+        k = stationary_channel(t.mat, t.state)
         rep = cptp_check(k.channel)
         if not (rep.cp and rep.tp):
             raise DlGibbsError(
@@ -266,21 +165,17 @@ def compose_dl_channel(
                 f"kernel gap gap_m={k.gap:.3e}, so rounding tilts its kernel by "
                 f"about eps*||h_m||/gap_m={np.finfo(float).eps * k.h_norm / k.gap:.3e}"
             )
-        generator = add_embedded(generator, LocalOperator(h.mat, doubled), 2 * ham.n)
         bases.append(k.basis)
-        legs.append(doubled)
         h_norms.append(k.h_norm)
-        db_residuals.append(k.db_residual)
-        del h, k  # free h_m and P_m before the next term's are built
-    _, gap, kernel_dim = coherent_spectrum(generator)
+        del k  # free P_m before the next term's is built
     return DlChannel(
-        m=len(terms),
+        m=ph.m,
         kernel_bases=tuple(bases),
-        legs=tuple(legs),
-        gap=gap,
-        kernel_dim=kernel_dim,
+        legs=tuple(t.support for t in ph.terms),
+        gap=ph.gap,
+        kernel_dim=ph.kernel_dim,
         max_factor_norm=max(h_norms),
-        db_residual=max(db_residuals),
+        db_residual=max(t.db_residual for t in ph.terms),
     )
 
 

@@ -36,12 +36,12 @@ from dlgibbs.hamiltonians import (
 )
 from dlgibbs.harness import run_experiment
 from dlgibbs.jumps import WeightProfile, build_model
-from dlgibbs.kms import DETAILED_BALANCE_TOL, KmsForm
+from dlgibbs.kms import KmsForm
 from dlgibbs.linalg import spectral_norm
 from dlgibbs.parent import build_parent, parent_projector_input, verify_parent
 from dlgibbs.projector import dl_operator, singular_gap
 from dlgibbs.sampler import compose_dl_channel, superop_hamiltonian
-from dlgibbs.tolerances import TERM_GROUND_WIDTH
+from dlgibbs.tolerances import DETAILED_BALANCE_TOL, TERM_GROUND_WIDTH
 from reference import gibbs_state
 
 
@@ -245,9 +245,11 @@ def test_commuting_compose_decomposes_each_term_on_its_support(decomps):
     # side 2^n in one stacked eigvalsh.  Each term's Choi eigvalsh runs at
     # 4^|S_m|, and its kernel eigh as one stack of blocks of side 1 (z) or
     # 2 (x) that fill 4^|S_m|; the only other eigh are the marginals of
-    # sigma, at 2^|S_m| < 2^n.
+    # sigma, at 2^|S_m| < 2^n.  The channel is built on build_parent, whose
+    # positivity bound adds one eigvalsh of each term at 4^|S_m|: a check
+    # of the sum the channel did not run before, not a second derivation.
     assert all(_rows(s) < d2[0] for s in decomps["eigh"] + decomps["svd"])
-    assert Counter(decomps["eigvalsh"]) == per_term + Counter([(d, d, d)])
+    assert Counter(decomps["eigvalsh"]) == per_term + per_term + Counter([(d, d, d)])
     kernels = Counter(_rows(s) for s in decomps["eigh"] if _rows(s) >= d)
     assert kernels == Counter(side for side, _ in per_term.elements())
     assert all(len(s) == 3 and s[1] <= 2 for s in decomps["eigh"])
@@ -496,6 +498,57 @@ def test_numpy_decompositions_outside_linalg_are_the_known_bypasses():
         if path.name != "linalg.py":
             found += _numpy_decompositions(path)
     assert found == Counter({("dlgibbs.anneal", "transition", "qr"): 1})
+
+
+def _module_imports(tree: ast.AST, package: str = "dlgibbs") -> set[str]:
+    """Every module an import in tree names, relative imports resolved against package."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"{package}.{base}" if base else package
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found
+
+
+def _derivation_calls(path: Path) -> Counter:
+    """(module, enclosing function, name) of each call of coherent_form or term_superoperator."""
+    module = f"dlgibbs.{path.stem}"
+    found = Counter()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            func = child.func if isinstance(child, ast.Call) else None
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("coherent_form", "term_superoperator"):
+                found[(module, scope, name)] += 1
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_each_term_is_derived_in_one_place():
+    # One derivation per object: the terms' coherent forms are built only
+    # in parent.coherent_terms, and every experiment, the mix's channel
+    # included, reads them off the parent, which builds on nothing of the
+    # sampler.
+    src = Path(dlgibbs.__file__).parent
+    found = Counter()
+    for path in sorted(src.glob("*.py")):
+        found += _derivation_calls(path)
+    assert found == Counter({
+        ("dlgibbs.parent", "coherent_terms", "coherent_form"): 1,
+        ("dlgibbs.parent", "coherent_terms", "term_superoperator"): 1,
+    })
+    assert "dlgibbs.sampler" not in _module_imports(ast.parse((src / "parent.py").read_text()))
 
 
 def _first_range_rank(ham):

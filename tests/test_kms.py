@@ -7,7 +7,7 @@ import pytest
 
 from dlgibbs.errors import (
     BadParams,
-    NotDetailedBalanced,
+    NotHermitian,
     OverflowDetected,
     PositiveEigenvalue,
     SingularSigma,
@@ -27,7 +27,6 @@ from dlgibbs.kms import (
     LindbladTerm,
     Superoperator,
     _kron_conj_apply,
-    _symmetrize,
     choi_matrix,
     coherent_form,
     coherent_spectrum,
@@ -37,7 +36,6 @@ from dlgibbs.kms import (
 )
 from dlgibbs.linalg import hermitian_eigendecompose
 from dlgibbs.parent import purified_gibbs
-from dlgibbs.tolerances import DETAILED_BALANCE_TOL
 from reference import db_residual, gibbs_state, lindblad_superoperator, spectral_report
 
 
@@ -229,7 +227,7 @@ def test_tensor_leg_conjugation_matches_dense_kron(d):
 def test_stationary_channel_structure():
     term, kms = _davies_qubit()
     h = coherent_form(term_superoperator(term, 1), kms)
-    kernel = stationary_channel(h, kms)
+    kernel = stationary_channel(0.5 * (h.mat + h.mat.conj().T), kms)
     p = kernel.channel
     assert np.abs(p.mat @ p.mat - p.mat).max() < 1e-10
     assert np.abs(p.apply(np.eye(2)) - np.eye(2)).max() < 1e-10
@@ -240,7 +238,6 @@ def test_stationary_channel_structure():
     assert np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() < 1e-12
     assert np.abs(v @ v.conj().T - hk).max() < 1e-10
     assert kernel.h_norm == pytest.approx(np.linalg.norm(h.mat, 2), rel=1e-12)
-    assert kernel.db_residual == np.linalg.norm(h.mat - h.mat.conj().T)
     schro = p.adjoint()
     assert np.abs(schro.apply(kms.sigma) - kms.sigma).max() < 1e-10
     rep = cptp_check(p)
@@ -248,50 +245,34 @@ def test_stationary_channel_structure():
 
 
 def test_stationary_channel_rejects_wrong_state():
+    # Detailed balance is build_parent's check (test_parent.py); a form
+    # built against the wrong state is far from Hermitian, which
+    # stationary_channel's eigendecomposition refuses.
     term, _ = _davies_qubit(beta=1.0)
     sup = term_superoperator(term, 1)
     wrong = KmsForm(gibbs_state(PAULI_Z, 0.3))
-    with pytest.raises(NotDetailedBalanced):
-        stationary_channel(coherent_form(sup, wrong), wrong)
-
-
-@pytest.mark.parametrize("factor", [0.5, 2.0])
-def test_stationary_channel_detailed_balance_boundary(factor):
-    # h + e with e anti-Hermitian keeps the symmetrized h and has
-    # ||(h + e) - (h + e) dagger|| = ||h - h dagger + 2e||, with h Hermitian
-    # to rounding; e is sized so that this defect is factor times the
-    # absolute cut DETAILED_BALANCE_TOL.  ||h|| > 2, so a cut relative to
-    # max(1, ||h||) would let the [2.0] case pass.
-    term, kms = _davies_qubit()
-    h = coherent_form(term_superoperator(term, 1), kms)
-    assert np.linalg.norm(h.mat, 2) > 2.0
-    bound = DETAILED_BALANCE_TOL
-    b = _complex_normal(np.random.default_rng(5), 4, 4)
-    e = b - b.conj().T
-    e *= 0.5 * factor * bound / np.linalg.norm(e, 2)
-    tilted = Superoperator(h.mat + e, "kms", 2)
-    if factor < 1:
-        kernel = stationary_channel(tilted, kms)
-        assert kernel.db_residual >= factor * bound
-    else:
-        with pytest.raises(NotDetailedBalanced):
-            stationary_channel(tilted, kms)
+    with pytest.raises(NotHermitian):
+        stationary_channel(coherent_form(sup, wrong).mat, wrong)
 
 
 def test_stationary_channel_rejects_positive_spectrum():
     term, kms = _davies_qubit()
     sup = term_superoperator(term, 1)
     flipped = Superoperator(mat=-sup.mat, picture="heisenberg", dim=2)
+    h = coherent_form(flipped, kms).mat
     with pytest.raises(PositiveEigenvalue):
-        stationary_channel(coherent_form(flipped, kms), kms)
+        stationary_channel(0.5 * (h + h.conj().T), kms)
 
 
 def test_channel_routines_take_one_picture():
+    # stationary_channel takes a Hermitian coherent form as a matrix, so a
+    # Heisenberg generator, which is not Hermitian, is refused.
     term, kms = _davies_qubit()
     sup = term_superoperator(term, 1)
-    with pytest.raises(BadParams, match="expects a coherent form, got heisenberg"):
-        stationary_channel(sup, kms)
-    channel = stationary_channel(coherent_form(sup, kms), kms).channel
+    with pytest.raises(NotHermitian, match="hermiticity residual"):
+        stationary_channel(sup.mat, kms)
+    h = coherent_form(sup, kms).mat
+    channel = stationary_channel(0.5 * (h + h.conj().T), kms).channel
     for other in (channel.adjoint(), coherent_form(sup, kms)):
         with pytest.raises(BadParams, match="expects a Heisenberg channel"):
             cptp_check(other)
@@ -333,34 +314,19 @@ def test_reducible_generator_reports_zero_gap():
     assert rep.gap == 0.0
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("rows", [1, 3, 10, 512])
-def test_blockwise_symmetrization_is_the_dense_one(dtype, rows):
-    rng = np.random.default_rng(5)
-    h = rng.normal(size=(10, 10))
-    if dtype is complex:
-        h = h + 1j * rng.normal(size=(10, 10))
-    dense = h + h.conj().T
-    dense *= 0.5
-    _symmetrize(h, rows)
-    # eigvalsh reads the lower triangle, which matches bit for bit.
-    lower = np.tril_indices(10)
-    assert h[lower].tobytes() == dense[lower].tobytes()
-    assert np.array_equal(h, h.conj().T) and np.array_equal(h, dense)
-
-
 def test_coherent_spectrum_allocates_no_second_matrix():
     import tracemalloc
 
     rng = np.random.default_rng(6)
     h = rng.normal(size=(1024, 1024))
-    reference = np.linalg.eigvalsh(0.5 * (h + h.T))[::-1]
+    h = h + h.T
+    reference = np.linalg.eigvalsh(h)[::-1]
     tracemalloc.start()
     try:
         w, _, _ = coherent_spectrum(h)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # One 512-row block is half of h; (h + h dagger)/2 as a new array is all of it.
+    # A copy of h, as a symmetrization would make, is all of h.nbytes.
     assert peak < 0.6 * h.nbytes
     assert np.array_equal(w, reference)

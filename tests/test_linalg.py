@@ -16,7 +16,7 @@ from dlgibbs.errors import (
     NotHermitian,
     SupportOutOfRange,
 )
-from dlgibbs.kms import Superoperator, coherent_spectrum, cptp_check
+from dlgibbs.kms import KmsForm, Superoperator, coherent_spectrum, cptp_check
 from dlgibbs.linalg import (
     _RECON_TOL,
     direct_sum_labels,
@@ -81,7 +81,7 @@ def test_every_eigenvalue_call_raises_no_convergence(monkeypatch):
     rho = np.eye(2) / 2
     calls = [
         lambda: cptp_check(Superoperator(np.eye(4), "heisenberg", 2)),
-        lambda: ParentTerm(-np.eye(4), (0, 1), 0.0, None).eigenvalues,
+        lambda: ParentTerm(-np.eye(4), (0, 1), KmsForm(rho), 0.0, None).eigenvalues,
         lambda: schatten1_distance(rho, rho),
         lambda: coherent_spectrum(-np.eye(4)),
     ]

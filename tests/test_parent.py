@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +40,8 @@ from dlgibbs.parent import (
     purified_gibbs,
     verify_parent,
 )
+from dlgibbs.sampler import compose_dl_channel
+from dlgibbs.tolerances import DETAILED_BALANCE_TOL
 from reference import gibbs_state, lindblad_superoperator, parent_matrix, spectral_report
 
 
@@ -203,6 +206,37 @@ def test_build_parent_checks_the_sum_of_the_terms():
         build_parent(tilted, kms, ham, beta=0.0)
 
 
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_build_parent_detailed_balance_boundary(monkeypatch, factor):
+    # h + e with e anti-Hermitian keeps the symmetrized h and has
+    # ||(h + e) - (h + e) dagger|| = ||h - h dagger + 2e||, with h Hermitian
+    # to rounding; e is sized so that this defect is factor times the
+    # absolute cut DETAILED_BALANCE_TOL.  ||h|| > 2, so a cut relative to
+    # max(1, ||h||) would let the [2.0] case pass.
+    ham = _single_z()
+    terms, kms = _model(ham, 1.0)
+    h = coherent_form(lindblad_superoperator(terms, 1), kms).mat
+    assert np.linalg.norm(h, 2) > 2.0
+    bound = DETAILED_BALANCE_TOL
+    rng = np.random.default_rng(5)
+    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    e = b - b.conj().T
+    e *= 0.5 * factor * bound / np.linalg.norm(e, 2)
+    real = dlgibbs.parent.coherent_terms
+
+    def tilted(*args):
+        for form, *rest in real(*args):
+            yield (replace(form, mat=form.mat + e), *rest)
+
+    monkeypatch.setattr(dlgibbs.parent, "coherent_terms", tilted)
+    if factor < 1:
+        ph = build_parent(terms, kms, ham)
+        assert ph.terms[0].db_residual >= factor * bound
+    else:
+        with pytest.raises(NotDetailedBalanced, match="term 0"):
+            build_parent(terms, kms, ham)
+
+
 def _shifted_forms(monkeypatch, shifts):
     """Make build_parent see each coherent form h_a as h_a + shifts[a] I."""
     real = dlgibbs.parent.coherent_terms
@@ -280,6 +314,53 @@ def test_build_parent_rejects_wrong_state():
         build_parent(terms, wrong, ham, beta=0.5)
 
 
+def test_detailed_balance_message_names_beta_only_when_given():
+    # The parent and anneal experiments pass their beta; the mix builds its
+    # channel on build_parent without one, and its message says nothing of beta.
+    ham = make_instance("zz_chain", 2)
+    terms, _ = _model(ham, 0.5)
+    wrong = KmsForm(gibbs_state(assemble(ham), 1.0))
+    defect = r"term 0 has detailed-balance defect \d\.\d{3}e[-+]\d\d"
+    with pytest.raises(NotDetailedBalanced) as with_beta:
+        build_parent(terms, wrong, ham, beta=0.5)
+    assert re.fullmatch(defect + r" at beta = 0\.5 \(tolerance 1\.0e-08\)", str(with_beta.value))
+    with pytest.raises(NotDetailedBalanced) as without:
+        compose_dl_channel(terms, wrong, ham)
+    assert re.fullmatch(defect + r" \(tolerance 1\.0e-08\)", str(without.value))
+
+
+_HERMITIAN_SUM_MODELS = [
+    *[("zz_chain", n, 0, kinds) for n in (3, 4) for kinds in ("x", "xz", "xyz")],
+    *[("commuting_projectors", 3, seed, "xyz") for seed in (0, 1)],
+    ("field_chain", 3, 0, "xz"),
+    *[("random_ff_projectors", 3, seed, kinds) for seed in (0, 1, 2) for kinds in ("x", "xz")],
+]
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("kind,n,seed,kinds", _HERMITIAN_SUM_MODELS)
+def test_parent_sum_is_exactly_hermitian(monkeypatch, kind, n, seed, kinds, beta):
+    # Each H^a is (h_a + h_a dagger)/2, exactly Hermitian, and so is their
+    # sum: the matrix coherent_spectrum diagonalizes needs no
+    # re-symmetrization.  Complex sums differ from their conjugate
+    # transposes only in the signs of zeros, which array_equal ignores.
+    ham = make_instance(kind, n, seed=seed)
+    terms, kms = _model(ham, beta, kinds=kinds)
+    sums = []
+    real = dlgibbs.parent.coherent_spectrum
+
+    def kept(h):
+        sums.append(h.copy())
+        return real(h)
+
+    monkeypatch.setattr(dlgibbs.parent, "coherent_spectrum", kept)
+    ph = build_parent(terms, kms, ham, beta=beta)
+    ph.gap
+    assert all(np.array_equal(t.mat, t.mat.conj().T) for t in ph.terms)
+    assert len(sums) == 1 and sums[0].shape == (4**n, 4**n)
+    assert np.array_equal(sums[0], sums[0].conj().T)
+
+
 def test_verify_parent_skips_locality_for_noncommuting():
     ham = make_instance("random_ff_projectors", 3, seed=2)
     terms, kms = _model(ham, 0.4)
@@ -324,6 +405,7 @@ def test_projector_input_refuses_positive_term():
             ParentTerm(
                 mat=np.eye(16, dtype=complex),
                 support=(0, 1, 2, 3),
+                state=kms,
                 db_residual=0.0,
                 locality_residual=0.0,
             ),

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dlgibbs.errors import BadParams, IrreducibilityWarning
+from dlgibbs.errors import BadParams, IrreducibilityWarning, NotDetailedBalanced
 from dlgibbs.hamiltonians import (
+    PAULI_Z,
     LocalOperator,
     assemble,
     embed,
@@ -193,17 +194,19 @@ def dense_channel(terms, kms, n):
 
     Each h_m comes from the 4^n superoperator of its term and sigma itself,
     with no restriction to a support: the reference the local path of
-    compose_dl_channel must reproduce.
+    compose_dl_channel must reproduce.  The generator is the symmetrized
+    sum of the raw h_m.
     """
     bases, forms, norms, residuals = [], [], [], []
     for t in terms:
-        h = coherent_form(term_superoperator(t, n), kms)
-        k = stationary_channel(h, kms)
+        h = coherent_form(term_superoperator(t, n), kms).mat
+        k = stationary_channel(0.5 * (h + h.conj().T), kms)
         bases.append(k.basis)
-        forms.append(h.mat)
+        forms.append(h)
         norms.append(k.h_norm)
-        residuals.append(k.db_residual)
-    _, gap, kernel_dim = coherent_spectrum(sum(forms))
+        residuals.append(float(np.linalg.norm(h - h.conj().T)))
+    total = sum(forms)
+    _, gap, kernel_dim = coherent_spectrum(0.5 * (total + total.conj().T))
     channel = DlChannel(
         m=len(terms),
         kernel_bases=tuple(bases),
@@ -224,18 +227,19 @@ def assert_local_matches_dense(ham, terms, kms, k_max=50):
     agree (integers exactly); iterate's trace-distance and bound rows and
     contraction_check's max_ratio agree within 1e-12 absolute.
     """
-    import dlgibbs.sampler as sampler
+    import dlgibbs.parent as parent
 
     n = ham.n
     local_forms = []
-    real = sampler.stationary_channel
+    real = parent.coherent_terms
 
-    def spy(h, site_kms):
-        local_forms.append(h.mat)
-        return real(h, site_kms)
+    def spy(*args):
+        for h, *rest in real(*args):
+            local_forms.append(h.mat)
+            yield (h, *rest)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sampler, "stationary_channel", spy)
+        patch.setattr(parent, "coherent_terms", spy)
         ch = compose_dl_channel(terms, kms, ham)
     dense, forms, norms = dense_channel(terms, kms, n)
     assert len(local_forms) == len(forms) == ch.m
@@ -312,7 +316,39 @@ def test_noncommuting_model_builds_on_the_whole_register():
     assert ch.legs == dense.legs
     for got, want in zip(ch.kernel_bases, dense.kernel_bases):
         assert got.tobytes() == want.tobytes()
-    assert (ch.gap, ch.kernel_dim, ch.g) == (dense.gap, dense.kernel_dim, dense.g)
+    assert (ch.kernel_dim, ch.g) == (dense.kernel_dim, dense.g)
+    # The channel's generator is the parent, sum_m (h_m + h_m dagger)/2;
+    # the reference symmetrizes sum_m h_m, which rounds differently.
+    assert abs(ch.gap - dense.gap) <= 1e-12 * dense.gap
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kinds", ["x", "xz"])
+def test_channel_reads_the_parent_spectrum(seed, kinds):
+    # One spectrum: the channel's gap and kernel_dim are the parent's, to
+    # the last bit, on non-commuting models whose terms are on the whole
+    # register.
+    ham = make_instance("random_ff_projectors", 3, seed=seed)
+    terms = build_model(ham, standard_couplings(3, kinds), WeightProfile(beta=0.5))
+    kms = KmsForm(gibbs_state(assemble(ham), 0.5))
+    ch = compose_dl_channel(terms, kms, ham)
+    ph = build_parent(terms, kms, ham)
+    assert (ch.gap, ch.kernel_dim) == (ph.gap, ph.kernel_dim)
+
+
+def test_channel_checks_the_sum_of_the_terms():
+    # The tilted model of test_parent.py: at beta = 0 a coherent part
+    # eps * Z_0 gives a term the defect 4 eps = 0.8e-8, which passes alone,
+    # and two aligned terms sum to 1.6e-8, which the channel, built on
+    # build_parent, refuses.
+    ham = make_instance("zz_chain", 2)
+    terms = build_model(ham, standard_couplings(2, "x"), WeightProfile(beta=0.0))
+    kms = KmsForm(gibbs_state(assemble(ham), 0.0))
+    g = LocalOperator(0.2e-8 * np.kron(PAULI_Z, np.eye(2)), (0, 1))
+    tilted = [LindbladTerm(t.jumps, g, t.support) for t in terms[:2]]
+    compose_dl_channel(tilted[:1], kms, ham)
+    with pytest.raises(NotDetailedBalanced, match="the sum of the terms"):
+        compose_dl_channel(tilted, kms, ham)
 
 
 def test_term_that_is_not_local_on_its_support_is_refused():
@@ -538,17 +574,19 @@ def test_fixed_point_of_round_channel():
 
 
 def test_iterate_and_contraction_check_share_channel_invariants(monkeypatch):
+    import dlgibbs.parent as parent
     import dlgibbs.sampler as sampler
 
-    counts = {"coherent_spectrum": 0, "projector_noncommutation_degree": 0}
-    for name in counts:
-        real = getattr(sampler, name)
+    owners = {"coherent_spectrum": parent, "projector_noncommutation_degree": sampler}
+    counts = dict.fromkeys(owners, 0)
+    for name, module in owners.items():
+        real = getattr(module, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(sampler, name, counted)
+        monkeypatch.setattr(module, name, counted)
     ham, terms, kms = _zz3_setup(kinds="xz")
     ch = compose_dl_channel(terms, kms, ham)
     rho0 = np.zeros((8, 8), dtype=complex)

@@ -159,10 +159,12 @@ def test_table_value_is_pinned(name, value):
 
 
 def test_former_module_constants_read_the_table():
-    from dlgibbs import kms, linalg, sampler
+    from dlgibbs import kms, linalg, parent
 
-    assert kms.DETAILED_BALANCE_TOL == tolerances.DETAILED_BALANCE_TOL
+    # Detailed balance is checked in one place, build_parent.
+    assert parent.DETAILED_BALANCE_TOL == tolerances.DETAILED_BALANCE_TOL
+    assert not hasattr(kms, "DETAILED_BALANCE_TOL")
     assert kms._MIN_EIG == tolerances.MIN_STATE_WEIGHT
-    assert sampler.LOCALITY_TOL == tolerances.LOCALITY_TOL
+    assert parent.LOCALITY_TOL == tolerances.LOCALITY_TOL
     assert linalg._RECON_TOL == tolerances.RECONSTRUCTION_TOL
     assert linalg._NORM_SLACK == tolerances.NORM_SLACK
