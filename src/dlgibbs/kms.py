@@ -18,7 +18,7 @@ of a single term is P = G^{-1} Pi_0 G with Pi_0 the kernel projector of h,
 and gaps of h are the mixing quantities.
 
 The terms' coherent forms are derived once, in parent.coherent_terms,
-and checked detailed balanced there by build_parent, which keeps each as
+and checked detailed balanced there by parent_terms, which yields each as
 the exactly Hermitian (h + h dagger)/2.  stationary_channel and
 coherent_spectrum take those matrices and their sums as they are.
 
@@ -299,13 +299,18 @@ def coherent_spectrum(h: np.ndarray) -> tuple[np.ndarray, float, int]:
     reads only its lower triangle, so nothing here would show a defect.
     The only other array of h's size is eigvalsh's working copy; on a
     direct sum that linalg.symmetric_eigenvalues splits that copy is one of
-    the blocks, and only a boolean pattern of h is formed besides.  The
-    kernel cut is KERNEL_CUT * max(1, ||h||), and gap is lambda_1 -
+    the blocks, and only a boolean pattern of h is formed besides.  An
+    eigenvalue above POSITIVE_EIGENVALUE_CUT * max(1, ||h||) raises
+    PositiveEigenvalue, the rule stationary_channel applies to each term.
+    The kernel cut is KERNEL_CUT * max(1, ||h||), and gap is lambda_1 -
     lambda_2, or exactly 0.0 when kernel_dim >= 2, where that difference
     is rounding noise.
     """
     w = symmetric_eigenvalues(h)[::-1]
-    kernel_dim = int((np.abs(w) <= KERNEL_CUT * max(1.0, float(np.abs(w).max()))).sum())
+    scale = max(1.0, float(np.abs(w).max()))
+    if w[0] > POSITIVE_EIGENVALUE_CUT * scale:
+        raise PositiveEigenvalue(f"parent has positive eigenvalue {w[0]:.3e}")
+    kernel_dim = int((np.abs(w) <= KERNEL_CUT * scale).sum())
     gap = float(w[0] - w[1]) if len(w) > 1 and kernel_dim < 2 else 0.0
     return w, gap, kernel_dim
 
@@ -332,7 +337,7 @@ def stationary_channel(h: np.ndarray, kms: KmsForm) -> TermKernel:
 
     P = Gamma^{-1/2} Pi_0 Gamma^{1/2}, with Pi_0 the orthogonal projector
     onto the kernel of h, the term's Hermitian coherent form against kms
-    (parent.ParentTerm.mat and .state, whose detailed balance build_parent
+    (parent.ParentTerm.mat and .state, whose detailed balance parent_terms
     checked); a matrix that is not Hermitian raises NotHermitian.  ||h|| is
     read off its eigenvalues.  Requires every eigenvalue at most
     POSITIVE_EIGENVALUE_CUT * max(1, ||h||) (PositiveEigenvalue otherwise);

@@ -24,21 +24,23 @@ on that doubled support; a term that is not local there raises NotLocal
 when it is built, and the worst relative residual of that check is its
 locality residual.  For non-commuting H every term is on the whole doubled
 register and has none.  H^a = (h_a + h_a dagger)/2 is exactly Hermitian,
-and so is their sum.  Every experiment reads its terms here: the mix's
-round channel (sampler.compose_dl_channel) takes its factors from the
-kernels of the H^a and its gap and kernel_dim from the sum's spectrum.
+and so is their sum.  Every experiment reads its terms off parent_terms:
+build_parent keeps them, and the mix's round channel
+(sampler.compose_dl_channel) takes the kernel of each H^a as it comes and
+its gap and kernel_dim from the spectrum of their sum.
 
-build_parent's checks are decided by bounds where a bound can decide, with
-the rounding slack of linalg.norm_exceeds, and by the dense 4^n spectrum of
+The checks are decided by bounds where a bound can decide, with the
+rounding slack of linalg.norm_exceeds, and by the dense 4^n spectrum of
 the sum only otherwise:
 
 - Detailed balance of the sum: ||sum_a anti_a|| <= sum_a ||anti_a||_F, the
   terms' db_residuals; the assembled sum is checked only when they reach
   DETAILED_BALANCE_TOL.
 - PositiveEigenvalue: lambda_max(sum_a H^a) <= sum_a max(0, lambda_max(H^a))
-  (Weyl), read off each local term's eigenvalues; the spectrum of the sum
-  is taken only when that bound exceeds POSITIVE_EIGENVALUE_CUT, and
-  always for non-commuting H, whose terms are as large as the sum.
+  (Weyl), read off each local term's eigenvalues; build_parent takes the
+  spectrum of the sum only when that bound exceeds POSITIVE_EIGENVALUE_CUT,
+  and always for non-commuting H, whose terms are as large as the sum.
+  The mix takes that spectrum for its gap anyway, so it reads no bound.
 - gap and kernel_dim of the sum are computed on their first read.  A
   dl_qsvt anneal reads neither: its fixed-point dimension is the ground
   cluster of parent_projector_input, the rank its DL operator projects onto.
@@ -59,7 +61,6 @@ from .errors import (
     DimensionMismatch,
     NotDetailedBalanced,
     NotLocal,
-    PositiveEigenvalue,
     PositivityFailure,
 )
 from .hamiltonians import (
@@ -261,9 +262,50 @@ def coherent_terms(
         locality = 0.0 if local else None
         if sites != whole:
             t, locality = _restrict(t, idx, sites, n, kms, site_kms)
-        form = coherent_form(term_superoperator(t, len(sites)), site_kms)
-        yield form, sites + tuple(q + n for q in sites), site_kms, locality
-        del form  # so only the caller holds h_m when the next one is built
+        legs = sites + tuple(q + n for q in sites)
+        # Unnamed, so only the caller holds h_m when the next one is built.
+        yield coherent_form(term_superoperator(t, len(sites)), site_kms), legs, site_kms, locality
+
+
+def parent_terms(
+    terms: list[LindbladTerm] | tuple[LindbladTerm, ...],
+    kms: KmsForm,
+    ham: LocalHamiltonian,
+    beta: float | None = None,
+) -> Iterator[ParentTerm]:
+    """Each H^a, the symmetrization of coherent_terms' h_a, in term order.
+
+    An h_a, or their sum (checked after the last term, by the bound of the
+    module docstring first), that deviates from Hermitian by more than
+    DETAILED_BALANCE_TOL raises NotDetailedBalanced, whose message names
+    beta when one is given.  Only the h_a - h_a dagger are kept, so a
+    caller that drops each H^a holds one whole-register term at a time.
+    """
+    nq = 2 * ham.n
+    whole = None
+    local_anti: list[LocalOperator] = []
+    db_bound = 0.0
+    idx = 0  # not enumerate, whose result tuple keeps h_a while the next is built
+    for h, legs, state, locality in coherent_terms(terms, kms, ham):
+        anti = h.mat - h.mat.conj().T
+        _check_detailed_balance(anti, f"term {idx}", beta)
+        db_residual = float(np.linalg.norm(anti))
+        db_bound += db_residual
+        if len(legs) == nq:
+            whole = add_embedded(whole, LocalOperator(anti, legs), nq)
+        else:
+            local_anti.append(LocalOperator(anti, legs))
+        del anti
+        herm = 0.5 * (h.mat + h.mat.conj().T)
+        del h
+        yield ParentTerm(herm, legs, state, db_residual, locality)
+        del herm  # so only the caller holds H^a when the next one is built
+        idx += 1
+    # ||sum_a anti_a|| <= sum_a ||anti_a||_F, each term's db_residual.
+    if db_bound >= DETAILED_BALANCE_TOL * (1.0 - NORM_SLACK):
+        for op in local_anti:
+            whole = add_embedded(whole, op, nq)
+        _check_detailed_balance(whole, "the sum of the terms", beta)
 
 
 def build_parent(
@@ -272,50 +314,17 @@ def build_parent(
     ham: LocalHamiltonian,
     beta: float | None = None,
 ) -> ParentHamiltonian:
-    """Assemble H = sum_a H^a, with H^a the KMS coherent form of term a.
+    """Assemble H = sum_a H^a from parent_terms, keeping the terms.
 
-    Each coherent form comes from coherent_terms, on its doubled support;
-    H^a is its symmetrization there.  A term's coherent form, or their
-    sum, that deviates from Hermitian by more than DETAILED_BALANCE_TOL
-    raises NotDetailedBalanced, whose message names beta when one is
-    given; a positive eigenvalue of the parent raises PositiveEigenvalue.
-    The sum is checked as a 4^n matrix only when the terms' bounds cannot
-    decide (module docstring), so for commuting H no 4^n spectrum is taken
-    here; the whole-register defects of non-commuting H are summed into
-    one array as they come.
+    A positive eigenvalue of the sum raises PositiveEigenvalue
+    (coherent_spectrum); its spectrum is taken here only when the terms'
+    bound cannot decide (module docstring), so for commuting H it is not.
     """
-    nq = 2 * ham.n
-    parent_terms: list[ParentTerm] = []
-    whole = None
-    local_anti: list[LocalOperator] = []
-    for idx, (h, legs, state, locality) in enumerate(coherent_terms(terms, kms, ham)):
-        form = h.mat
-        anti = form - form.conj().T
-        _check_detailed_balance(anti, f"term {idx}", beta)
-        if len(legs) == nq:
-            whole = add_embedded(whole, LocalOperator(anti, legs), nq)
-        else:
-            local_anti.append(LocalOperator(anti, legs))
-        herm = 0.5 * (form + form.conj().T)
-        parent_terms.append(
-            ParentTerm(herm, legs, state, float(np.linalg.norm(anti)), locality)
-        )
-    del anti
-    # ||sum_a anti_a|| <= sum_a ||anti_a||_F, each term's db_residual.
-    if sum(t.db_residual for t in parent_terms) >= DETAILED_BALANCE_TOL * (1.0 - NORM_SLACK):
-        for op in local_anti:
-            whole = add_embedded(whole, op, nq)
-        _check_detailed_balance(whole, "the sum of the terms", beta)
-    del whole, local_anti
     ground = vectorize(kms.sqrt)
     ground = ground / np.linalg.norm(ground)
-    ph = ParentHamiltonian(tuple(parent_terms), ground, ham.n)
-    cut = POSITIVE_EIGENVALUE_CUT
-    if _top_bound(ph.terms) > cut:
-        w = ph._spectrum[0]
-        top = float(w[0])
-        if top > cut and top > cut * max(1.0, float(np.abs(w).max())):
-            raise PositiveEigenvalue(f"parent has positive eigenvalue {top:.3e}")
+    ph = ParentHamiltonian(tuple(parent_terms(terms, kms, ham, beta)), ground, ham.n)
+    if _top_bound(ph.terms) > POSITIVE_EIGENVALUE_CUT:
+        ph._spectrum  # coherent_spectrum refuses a positive eigenvalue
     return ph
 
 

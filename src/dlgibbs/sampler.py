@@ -17,11 +17,10 @@ non-commutation degree of the Pi_m.  Iterating from rho_0 then obeys
 The comparison Hamiltonian H_L = sum_m (I - Pi_m) is positive
 semidefinite; its gap above the common kernel upper-bounds the generator
 gap and drives the projector bounds downstream; it is read off the same
-channel.  The channel's factors are the kernels of the parent's terms:
-compose_dl_channel calls parent.build_parent, where each coherent form
-h_m is derived once and checked detailed balanced alone and summed, takes
-the orthonormal kernel basis V_m of its Hermitian term (Pi_m = V_m V_m
-dagger) and P_m from V_m, and checks P_m CPTP.
+channel.  Its factors are the kernels of the parent's terms, derived
+once and checked detailed balanced alone and summed in parent.parent_terms:
+compose_dl_channel takes the orthonormal kernel basis V_m of each
+(Pi_m = V_m V_m dagger) as it comes and P_m from V_m, and checks P_m CPTP.
 
 The channel is local when the Hamiltonian is.  For commuting H each term
 is built on its dressed support S (Kastoryano & Brandao): its jumps,
@@ -32,8 +31,7 @@ support is the whole register.  The channel is kept as the V_m with their
 doubled supports: one round is a KMS-picture sweep that applies each
 Pi_m = V_m V_m dagger to its tensor legs of z, so no composite and no dense
 Pi_m outside H_L is formed, and g is read off the support graph.  The
-generator's coherent form is the parent, the sum of the h_m^loc tensor I,
-and gap and kernel_dim are read off its spectrum.
+generator's coherent form is the parent, the sum of the h_m^loc tensor I.
 """
 
 from __future__ import annotations
@@ -58,6 +56,7 @@ from .kms import (
     KmsForm,
     LindbladTerm,
     SpectralReport,
+    coherent_spectrum,
     cptp_check,
     probe_vector,
     stationary_channel,
@@ -69,7 +68,7 @@ from .linalg import (
     schatten1_distance,
     symmetric_eigenvalues,
 )
-from .parent import build_parent
+from .parent import parent_terms
 from .tolerances import (
     CONTRACTION_SLACK, DENSITY_MATRIX_TOL, GAP_ORDER_SLACK, KERNEL_CUT, OPEN_GAP_FLOOR,
     PROJECTED_PROBE_FLOOR, STATIONARITY_TOL, UNIT_FACTOR_SLACK, VACUOUS_NORM2,
@@ -142,40 +141,40 @@ def compose_dl_channel(
     kms: KmsForm,
     ham: LocalHamiltonian,
 ) -> DlChannel:
-    """Build the round channel on the parent Hamiltonian of the terms.
+    """Build the round channel in one pass over the parent's terms.
 
     The Heisenberg round is the product P_1 ... P_m in term order, so in
     the Schrodinger picture the first term's factor acts on the state
-    first.  build_parent derives and checks each term's Hermitian coherent
-    form H^a; its kernel gives the stationary channel P_m, which is checked
-    CPTP and dropped, so only V_m and ||H^a|| are kept.  gap and kernel_dim
-    are the parent's (the coherent form is linear), and db_residual the
-    largest of its terms'.
+    first.  Each parent term H^a (parent_terms) gives its stationary
+    channel P_m, which is checked CPTP and dropped, and is added into the
+    parent's sum before the next is built; only V_m, ||H^a|| and
+    db_residual are kept.  gap and kernel_dim are the sum's, the parent's.
     """
-    ph = build_parent(terms, kms, ham)
-    bases = []
-    h_norms = []
-    for idx, t in enumerate(ph.terms):
+    total = None
+    kept = []
+    for t in parent_terms(terms, kms, ham):  # not enumerate, which would keep t
         k = stationary_channel(t.mat, t.state)
         rep = cptp_check(k.channel)
         if not (rep.cp and rep.tp):
             raise DlGibbsError(
-                f"stationary channel for term {idx} is not CPTP: "
+                f"stationary channel for term {len(kept)} is not CPTP: "
                 f"choi_min_eig={rep.choi_min_eig:.3e} tp_residual={rep.tp_residual:.3e}; "
                 f"kernel gap gap_m={k.gap:.3e}, so rounding tilts its kernel by "
                 f"about eps*||h_m||/gap_m={np.finfo(float).eps * k.h_norm / k.gap:.3e}"
             )
-        bases.append(k.basis)
-        h_norms.append(k.h_norm)
-        del k  # free P_m before the next term's is built
+        total = add_embedded(total, LocalOperator(t.mat, t.support), 2 * ham.n)
+        kept.append((k.basis, t.support, k.h_norm, t.db_residual))
+        del t, k  # free H^a and P_m before the next term's are built
+    bases, legs, h_norms, db_residuals = zip(*kept)
+    _, gap, kernel_dim = coherent_spectrum(total)
     return DlChannel(
-        m=ph.m,
-        kernel_bases=tuple(bases),
-        legs=tuple(t.support for t in ph.terms),
-        gap=ph.gap,
-        kernel_dim=ph.kernel_dim,
+        m=len(terms),
+        kernel_bases=bases,
+        legs=legs,
+        gap=gap,
+        kernel_dim=kernel_dim,
         max_factor_norm=max(h_norms),
-        db_residual=max(t.db_residual for t in ph.terms),
+        db_residual=max(db_residuals),
     )
 
 

@@ -245,11 +245,10 @@ def test_commuting_compose_decomposes_each_term_on_its_support(decomps):
     # side 2^n in one stacked eigvalsh.  Each term's Choi eigvalsh runs at
     # 4^|S_m|, and its kernel eigh as one stack of blocks of side 1 (z) or
     # 2 (x) that fill 4^|S_m|; the only other eigh are the marginals of
-    # sigma, at 2^|S_m| < 2^n.  The channel is built on build_parent, whose
-    # positivity bound adds one eigvalsh of each term at 4^|S_m|: a check
-    # of the sum the channel did not run before, not a second derivation.
+    # sigma, at 2^|S_m| < 2^n.  The parent's positivity check of the sum
+    # reads the generator spectrum, so no term is decomposed twice.
     assert all(_rows(s) < d2[0] for s in decomps["eigh"] + decomps["svd"])
-    assert Counter(decomps["eigvalsh"]) == per_term + per_term + Counter([(d, d, d)])
+    assert Counter(decomps["eigvalsh"]) == per_term + Counter([(d, d, d)])
     kernels = Counter(_rows(s) for s in decomps["eigh"] if _rows(s) >= d)
     assert kernels == Counter(side for side, _ in per_term.elements())
     assert all(len(s) == 3 and s[1] <= 2 for s in decomps["eigh"])

@@ -316,7 +316,8 @@ def test_build_parent_rejects_wrong_state():
 
 def test_detailed_balance_message_names_beta_only_when_given():
     # The parent and anneal experiments pass their beta; the mix builds its
-    # channel on build_parent without one, and its message says nothing of beta.
+    # channel on the parent's terms without one, and its message says
+    # nothing of beta.
     ham = make_instance("zz_chain", 2)
     terms, _ = _model(ham, 0.5)
     wrong = KmsForm(gibbs_state(assemble(ham), 1.0))
