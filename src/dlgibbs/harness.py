@@ -330,7 +330,10 @@ def _run_parent(cfg: ExperimentConfig):
                 loc,
             )
         )
-    text = f"parent: frustration residual {rep.max_frustration:.3e} exceeds 1e-9"
+    text = (
+        f"parent: frustration residual {rep.max_frustration:.3e} "
+        f"exceeds {PARENT_FRUSTRATION_CUT:.1e}"
+    )
     checks = [Check(text, rep.max_frustration, PARENT_FRUSTRATION_CUT)]
     results = {
         "instance": _instance_id(cfg),

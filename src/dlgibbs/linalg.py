@@ -10,32 +10,42 @@ run the real LAPACK and BLAS routines; real_if_exact is the one place
 where complex data become real.
 
 Every eigen- and singular-value decomposition of the package runs here,
-and only here is it decided whether a matrix is decomposed whole or block
-by block.  direct_sum_labels labels the connected components of a
-matrix's exact nonzero pattern: one graph on the indices for Hermitian
-input, rows and columns as the two sides of a bipartite graph for an SVD.
-When the largest component has at most half the rows and half the
-columns, the matrix is, up to a permutation, a direct sum of the
-components' blocks, and hermitian_eigendecompose and
-singular_value_decompose decompose the blocks instead, equal shapes in one
-stacked LAPACK call.  Eigenvalue-only calls look for blocks only above
-side _WHOLE_SIDE = 64, as finding them costs ~150 us: on permuted direct
-sums of 2^n blocks of side 2^n, with one BLAS thread, a whole eigvalsh
-took 16 / 167 / 3066 us and the blocks 111 / 150 / 511 us at sides 16 /
-64 / 256.  Eigenvector calls split at every size, as their blocks set the
-eigenvectors' zero patterns, which the dl_qsvt padding reads.  Any other
-input, and every spectral_norm, takes the whole-matrix call.  The
-pattern's edges are read once, at 16 bytes per nonzero, no more than the
-boolean pattern itself at density at most 1/16; every matrix of side 256
-or more that splits in the experiments is sparser than that.  This is
-exact: the pattern is that of the exact zeros, with no tolerance, every
-off-block entry is 0, and the spectrum of a direct sum is the union of
-its blocks' spectra.  The results keep the whole-matrix conventions
-(ascending eigenvalues and descending singular values by a stable sort,
-the Svd gauge, zero rows and columns completing U and Vh as standard
-basis vectors), and every check runs on the blocks, where the off-block
-residual is exactly 0.  Values a whole-matrix call rounds to ~1e-17 on a
-structurally zero direction come out exactly 0.
+and only here is it decided what a decomposition runs on.  Both rules
+below read the exact zero pattern, with no tolerance.
+
+singular_value_decompose takes one SVD of the submatrix on a's nonzero
+rows and columns (of a itself when none is zero), pads s with exact
+zeros, and completes U and Vh with standard basis vectors.  With k the
+submatrix's number of singular values, U's columns past k are the zero
+rows' basis vectors in row order, with the submatrix's other left singular
+vectors at the slot of its first row, and Vh's rows past k are the
+submatrix's other right singular vectors, then the zero columns' basis
+rows in column order.  That fixes how the null spaces of U and Vh pair,
+which even-degree projectors read (projector.ProjectorResult).  The DL
+core of a diagonal-H model, R_1 x 4^n, is nonzero on 2^(n-1) rows and
+2^n columns only, so its SVD runs on that part.
+
+For Hermitian input, direct_sum_labels labels the connected components of
+the matrix's exact nonzero pattern, one graph on the indices.  When the
+largest component has at most half the indices, the matrix is, up to a
+permutation, a direct sum of the components' blocks, and
+hermitian_eigendecompose and symmetric_eigenvalues decompose the blocks
+instead, equal sides in one stacked LAPACK call.  Eigenvalue-only calls
+look for blocks only above side _WHOLE_SIDE = 64, as finding them costs
+~150 us: on permuted direct sums of 2^n blocks of side 2^n, with one BLAS
+thread, a whole eigvalsh took 16 / 167 / 3066 us and the blocks 111 / 150
+/ 511 us at sides 16 / 64 / 256.  Eigenvector calls split at every size,
+as their blocks set the eigenvectors' zero patterns, which the dl_qsvt
+padding reads.  Any other input, and every spectral_norm, takes the
+whole-matrix call.  The pattern's edges are read once, at 16 bytes per
+nonzero, no more than the boolean pattern itself at density at most 1/16;
+every matrix of side 256 or more that splits in the experiments is
+sparser than that.  Every off-block entry is 0, and the spectrum of a
+direct sum is the union of its blocks' spectra.  The results keep the
+whole-matrix conventions (ascending eigenvalues by a stable sort), and
+every check runs on the blocks, where the off-block residual is exactly 0.
+Values a whole-matrix call rounds to ~1e-17 on a structurally zero
+direction come out exactly 0.
 """
 
 from __future__ import annotations
@@ -120,44 +130,36 @@ def _hermitian_input(a: np.ndarray) -> tuple[np.ndarray, float, float]:
     """
     scale = max(1.0, float(np.linalg.norm(a)))
     res = hermiticity_residual(a)
-    if res > HERMITIAN_INPUT_TOL * scale:
+    if not res <= HERMITIAN_INPUT_TOL * scale:
         raise NotHermitian(
             f"hermiticity residual {res:.3e} exceeds {HERMITIAN_INPUT_TOL:.1e} * {scale:.3e}"
         )
     return (a if res == 0.0 else 0.5 * (a + a.conj().T)), scale, res
 
 
-def direct_sum_labels(
-    pattern: np.ndarray, square: bool
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Labels of the connected components of a boolean pattern, or None.
+def direct_sum_labels(pattern: np.ndarray) -> np.ndarray | None:
+    """Labels of the connected components of a square boolean pattern, or None.
 
-    Returns (row labels, column labels), numbered 0, 1, ... by the
-    component's smallest row; a column with no nonzero is a component of
-    its own, numbered after all rows' in column order.  square: the graph
-    has one node per index, with an edge wherever pattern or its transpose
-    is nonzero, and both label arrays are the same; otherwise rows and
-    columns are the two sides of a bipartite graph.  None when some
-    component has more than half the rows or half the columns (at once
-    when more than half of the pattern is nonzero, which no such split
-    allows), or a side has fewer than 2.
+    The graph has one node per index, with an edge wherever pattern or its
+    transpose is nonzero; the labels are numbered 0, 1, ... by the
+    component's smallest index.  None when some component has more than
+    half the indices (at once when more than half of the pattern is
+    nonzero, which no such split allows), or there are fewer than 2.
 
     Every node starts labelled by itself; each round gives both ends of
     every edge the smaller of their labels and then follows labels to
     their roots, until a round changes nothing, when each label is its
-    component's smallest node, or until one label holds more than half a
-    side.  The edges are read once, as two int64 index arrays, 16 bytes
+    component's smallest node, or until one label holds more than half the
+    nodes.  The edges are read once, as two int64 index arrays, 16 bytes
     per nonzero: no more than the boolean pattern at density at most 1/16.
     """
-    m, n = pattern.shape
+    d = pattern.shape[0]
     nnz = int(np.count_nonzero(pattern))
-    if min(m, n) < 2 or 2 * nnz > m * n:
+    if d < 2 or 2 * nnz > d * d:
         return None
-    first_col = 0 if square else m
     # Flat indices split by divmod: 2-d np.nonzero is several times slower.
-    i, j = np.divmod(np.flatnonzero(pattern), n)
-    j += first_col
-    label = np.arange(first_col + n)
+    i, j = np.divmod(np.flatnonzero(pattern), d)
+    label = np.arange(d)
     while True:
         before = label.copy()
         np.minimum.at(label, i, label[j])
@@ -165,46 +167,36 @@ def direct_sum_labels(
         while not np.array_equal(root := label[label], label):
             label = root
         # Each label's nodes lie in one component, so a label already
-        # holding more than half a side decides the rule.
-        if 2 * np.bincount(label[:m]).max() > m or 2 * np.bincount(label[first_col:]).max() > n:
+        # holding more than half the nodes decides the rule.
+        if 2 * np.bincount(label).max() > d:
             return None
         if np.array_equal(label, before):
             break
-    label = (np.cumsum(label == np.arange(label.size)) - 1)[label]
-    return label[:m], label[first_col:]
+    return (np.cumsum(label == np.arange(d)) - 1)[label]
 
 
 class _Blocks:
     """Where each block of a direct sum sits, from direct_sum_labels.
 
-    Block c has p[c] rows and q[c] columns, rows[row_start[c]:][:p[c]] and
-    cols[col_start[c]:][:q[c]], each ascending.
+    Block c has side[c] indices, index[start[c]:][:side[c]], ascending.
     """
 
-    def __init__(self, labels: tuple[np.ndarray, np.ndarray]):
-        rows, cols = labels
-        count = max(rows.max(), cols.max()) + 1
-        self.p = np.bincount(rows, minlength=count)
-        self.q = np.bincount(cols, minlength=count)
-        self.rows = np.argsort(rows, kind="stable")
-        self.cols = np.argsort(cols, kind="stable")
-        self.row_start = np.cumsum(self.p) - self.p
-        self.col_start = np.cumsum(self.q) - self.q
+    def __init__(self, labels: np.ndarray):
+        self.side = np.bincount(labels)
+        self.index = np.argsort(labels, kind="stable")
+        self.start = np.cumsum(self.side) - self.side
 
     def stacks(self, a: np.ndarray):
-        """(members, rows, cols, stack) per block shape with both sides nonempty.
+        """(members, index, stack) per block side.
 
-        members lists the blocks of that shape in order, rows and cols are
-        their (B, p) and (B, q) index arrays, and stack the (B, p, q) array
-        of a's entries there.
+        members lists the blocks of that side in order, index is their
+        (B, p) index array, and stack the (B, p, p) array of a's entries
+        there.
         """
-        key = np.where((self.p > 0) & (self.q > 0), self.p * (self.q.max() + 1) + self.q, -1)
-        for value in np.unique(key[key >= 0]):
-            members = np.flatnonzero(key == value)
-            p, q = self.p[members[0]], self.q[members[0]]
-            rows = self.rows[self.row_start[members, None] + np.arange(p)]
-            cols = self.cols[self.col_start[members, None] + np.arange(q)]
-            yield members, rows, cols, a[rows[:, :, None], cols[:, None, :]]
+        for p in np.unique(self.side):
+            members = np.flatnonzero(self.side == p)
+            idx = self.index[self.start[members, None] + np.arange(p)]
+            yield members, idx, a[idx[:, :, None], idx[:, None, :]]
 
 
 def _block_eigh(
@@ -221,12 +213,12 @@ def _block_eigh(
     d = sym.shape[0]
     w_cat = np.empty(d)
     parts = []
-    for members, idx, _, stack in blocks.stacks(sym):
+    for members, idx, stack in blocks.stacks(sym):
         if a is None:
             w, v = np.linalg.eigvalsh(stack), None
         else:
             w, v = np.linalg.eigh(stack)
-        pos = blocks.row_start[members, None] + np.arange(idx.shape[1])
+        pos = blocks.start[members, None] + np.arange(idx.shape[1])
         w_cat[pos] = w
         parts.append((idx, pos, w, v))
     order = np.argsort(w_cat, kind="stable")
@@ -243,13 +235,13 @@ def _block_eigh(
     return w_cat[order], vecs, math.sqrt(recon)
 
 
-def _direct_sum(pattern: np.ndarray, square: bool) -> _Blocks | None:
+def _direct_sum(pattern: np.ndarray) -> _Blocks | None:
     """The blocks of pattern's components, or None (direct_sum_labels).
 
-    For Hermitian input a, square blocks of a's pattern also split
+    For Hermitian input a, the blocks of a's pattern also split
     0.5 (a + a†), whose pattern lies inside that of a and its transpose.
     """
-    labels = direct_sum_labels(pattern, square)
+    labels = direct_sum_labels(pattern)
     return None if labels is None else _Blocks(labels)
 
 
@@ -259,7 +251,7 @@ def symmetric_eigenvalues(sym: np.ndarray) -> np.ndarray:
     No input check (hermitian_eigenvalues is the checked call) and no copy
     beyond the pattern and the blocks; a LinAlgError raises NoConvergence.
     """
-    blocks = None if sym.shape[0] <= _WHOLE_SIDE else _direct_sum(sym != 0, square=True)
+    blocks = None if sym.shape[0] <= _WHOLE_SIDE else _direct_sum(sym != 0)
     try:
         if blocks is None:
             return np.linalg.eigvalsh(sym)
@@ -283,7 +275,7 @@ def hermitian_eigendecompose(a: np.ndarray) -> HermitianEig:
     """
     a = _as_square(a, "hermitian_eigendecompose input")
     sym, scale, res = _hermitian_input(a)
-    blocks = _direct_sum(a != 0, square=True)
+    blocks = _direct_sum(a != 0)
     try:
         if blocks is None:
             w, v = np.linalg.eigh(sym)
@@ -293,7 +285,7 @@ def hermitian_eigendecompose(a: np.ndarray) -> HermitianEig:
         raise NoConvergence(f"eigh failed to converge: {exc}") from exc
     if blocks is None:
         recon = float(np.linalg.norm((v * w) @ v.conj().T - a))
-    if recon > max(_RECON_TOL * scale, res):
+    if not recon <= max(_RECON_TOL * scale, res):
         raise NoConvergence(f"eigh reconstruction residual {recon:.3e}")
     return HermitianEig(eigenvalues=w, eigenvectors=v)
 
@@ -321,84 +313,46 @@ def gauge_singular_vectors(u: np.ndarray, vh: np.ndarray) -> None:
     vh[:k] *= phase[:, None]
 
 
-def _block_svd(a: np.ndarray, blocks: _Blocks) -> tuple[Svd, float]:
-    """(gauged Svd of a, reconstruction residual) from its blocks.
-
-    The blocks' singular triples are sorted by a stable descending sort;
-    the rest of U's columns and Vh's rows, paired with singular value 0,
-    are the blocks' other singular vectors and the standard basis vectors
-    of zero rows and columns, in block order.  The residual is summed over
-    the blocks in quadrature; every entry outside them is 0 in a and in
-    the reconstruction.
-    """
-    m, n = a.shape
-    k = np.minimum(blocks.p, blocks.q)
-    total = int(k.sum())
-    start = np.cumsum(k) - k
-    left = blocks.p - k
-    right = blocks.q - k
-    left_at = total + np.cumsum(left) - left
-    right_at = total + np.cumsum(right) - right
-    s_cat = np.empty(total)
-    parts = []
-    for members, rows, cols, stack in blocks.stacks(a):
-        u, s, vh = np.linalg.svd(stack)
-        pos = start[members, None] + np.arange(s.shape[1])
-        s_cat[pos] = s
-        parts.append((members, rows, cols, stack, u, vh, pos))
-    order = np.argsort(-s_cat, kind="stable")
-    at = np.empty(total, dtype=np.intp)
-    at[order] = np.arange(total)
-    dtype = parts[0][4].dtype if parts else np.result_type(a.dtype, 1.0)
-    uu = np.zeros((m, m), dtype=dtype)
-    vv = np.zeros((n, n), dtype=dtype)
-    for members, rows, cols, _, u, vh, pos in parts:
-        kb = pos.shape[1]
-        uu[rows[:, :, None], at[pos][:, None, :]] = u[:, :, :kb]
-        vv[at[pos][:, :, None], cols[:, None, :]] = vh[:, :kb, :]
-        lpos = left_at[members, None] + np.arange(rows.shape[1] - kb)
-        rpos = right_at[members, None] + np.arange(cols.shape[1] - kb)
-        uu[rows[:, :, None], lpos[:, None, :]] = u[:, :, kb:]
-        vv[rpos[:, :, None], cols[:, None, :]] = vh[:, kb:, :]
-    zero_rows = np.flatnonzero(blocks.q == 0)
-    zero_cols = np.flatnonzero(blocks.p == 0)
-    uu[blocks.rows[blocks.row_start[zero_rows]], left_at[zero_rows]] = 1.0
-    vv[right_at[zero_cols], blocks.cols[blocks.col_start[zero_cols]]] = 1.0
-    s_all = np.zeros(min(m, n))
-    s_all[:total] = s_cat[order]
-    gauge_singular_vectors(uu, vv)
-    recon = 0.0
-    for _, rows, cols, stack, _, _, pos in parts:
-        ug = uu[rows[:, :, None], at[pos][:, None, :]]
-        vg = vv[at[pos][:, :, None], cols[:, None, :]]
-        recon += float(np.linalg.norm((ug * s_cat[pos][:, None, :]) @ vg - stack)) ** 2
-    return Svd(u=uu, s=s_all, vh=vv), math.sqrt(recon)
-
-
 def singular_value_decompose(a: np.ndarray) -> Svd:
     """SVD with descending singular values and the deterministic U gauge.
 
-    On a direct sum each singular vector is supported on one block.
+    One SVD of a's nonzero rows and columns (of a itself when none is
+    zero), completed to square U and Vh as the module docstring lays out.
     """
     a = np.asarray(a)
     if a.ndim != 2:
         raise DimensionMismatch(f"svd input must be a matrix, got shape {a.shape}")
-    blocks = _direct_sum(a != 0, square=False)
+    m, n = a.shape
+    row_nz, col_nz = a.any(axis=1), a.any(axis=0)
+    rows, cols = np.flatnonzero(row_nz), np.flatnonzero(col_nz)
+    whole = rows.size == m and cols.size == n
+    sub = a if whole else a[np.ix_(rows, cols)]
     try:
-        if blocks is None:
-            u, s, vh = np.linalg.svd(a)
-        else:
-            svd, recon = _block_svd(a, blocks)
+        u, s, vh = np.linalg.svd(sub)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"svd failed to converge: {exc}") from exc
-    if blocks is None:
-        gauge_singular_vectors(u, vh)
-        k = min(u.shape[1], vh.shape[0])
-        recon = float(np.linalg.norm((u[:, :k] * s[:k]) @ vh[:k, :] - a))
-        svd = Svd(u=u, s=s, vh=vh)
-    if recon > _RECON_TOL * max(1.0, float(np.linalg.norm(a))):
+    k = s.size
+    if not whole:
+        p, q = rows.size, cols.size
+        # Past k, U holds the basis vectors of the `first` zero rows before
+        # the first nonzero one, the submatrix's other left singular vectors,
+        # then the later zero rows' basis vectors.
+        first = rows[0] if p else 0
+        zero_slots = np.arange(k, k + m - p)
+        zero_slots[first:] += p - k
+        full_u = np.zeros((m, m), dtype=u.dtype)
+        full_u[np.ix_(rows, np.r_[:k, k + first : first + p])] = u
+        full_u[np.flatnonzero(~row_nz), zero_slots] = 1.0
+        full_vh = np.zeros((n, n), dtype=vh.dtype)
+        full_vh[:q, cols] = vh
+        full_vh[np.arange(q, n), np.flatnonzero(~col_nz)] = 1.0
+        u, vh = full_u, full_vh
+        s = np.concatenate([s, np.zeros(min(m, n) - k)])
+    gauge_singular_vectors(u, vh)
+    recon = float(np.linalg.norm((u[rows, :k] * s[:k]) @ vh[:k, cols] - sub))
+    if not recon <= _RECON_TOL * max(1.0, float(np.linalg.norm(a))):
         raise NoConvergence(f"svd reconstruction residual {recon:.3e}")
-    return svd
+    return Svd(u=u, s=s, vh=vh)
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -406,7 +360,10 @@ def spectral_norm(a: np.ndarray) -> float:
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.svd(a, compute_uv=False).max())
+    try:
+        return float(np.linalg.svd(a, compute_uv=False).max())
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"svd failed to converge: {exc}") from exc
 
 
 def norm_exceeds(a: np.ndarray, bound: float) -> bool:

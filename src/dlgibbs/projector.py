@@ -226,7 +226,8 @@ def dl_operator(ham: LocalHamiltonian) -> DlOperator:
     if s[r - 1] < 1.0 - UNIT_SINGULAR_SLACK:
         raise DegenerateGap(
             f"singular value s_r={s[r - 1]:.6e} of the DL operator is below "
-            f"1 - 1e-8; its top block does not span the {r}-dimensional ground space"
+            f"1 - {UNIT_SINGULAR_SLACK:.1e}; its top block does not span the "
+            f"{r}-dimensional ground space"
         )
     return DlOperator(m=ham.m, svd=Svd(u=u, s=s, vh=vh), ground_dimension=r)
 

@@ -499,6 +499,20 @@ def test_numpy_decompositions_outside_linalg_are_the_known_bypasses():
     assert found == Counter({("dlgibbs.anneal", "transition", "qr"): 1})
 
 
+def test_linalg_has_one_call_site_per_decomposition_path():
+    # One SVD per path (the checked decomposition and the 2-norm), and the
+    # Hermitian calls whole or by blocks: a second SVD path fails here.
+    path = Path(dlgibbs.__file__).parent / "linalg.py"
+    assert _numpy_decompositions(path) == Counter({
+        ("dlgibbs.linalg", "singular_value_decompose", "svd"): 1,
+        ("dlgibbs.linalg", "spectral_norm", "svd"): 1,
+        ("dlgibbs.linalg", "hermitian_eigendecompose", "eigh"): 1,
+        ("dlgibbs.linalg", "_block_eigh", "eigh"): 1,
+        ("dlgibbs.linalg", "symmetric_eigenvalues", "eigvalsh"): 1,
+        ("dlgibbs.linalg", "_block_eigh", "eigvalsh"): 1,
+    })
+
+
 def _module_imports(tree: ast.AST, package: str = "dlgibbs") -> set[str]:
     """Every module an import in tree names, relative imports resolved against package."""
     found = set()
@@ -558,10 +572,21 @@ def _first_range_rank(ham):
     return dim * 2 ** (ham.n - len(t.support))
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_dl_qsvt_anneal_reads_parent_terms_through_local_blocks(monkeypatch, decomps, n):
-    ham = make_instance("zz_chain", n)
-    couplings = standard_couplings(ham.n, "xz")
+@pytest.mark.parametrize(
+    "kind, n, axes, parents",
+    [
+        ("zz_chain", 3, "xz", 3),
+        ("zz_chain", 4, "xz", 4),
+        ("zz_chain", 5, "xz", 5),
+        ("commuting_projectors", 4, "xyz", 3),
+        ("field_chain", 4, "xyz", 5),
+    ],
+)
+def test_dl_qsvt_anneal_reads_parent_terms_through_local_blocks(
+    monkeypatch, decomps, kind, n, axes, parents
+):
+    ham = make_instance(kind, n)
+    couplings = standard_couplings(ham.n, axes)
     sched = make_schedule(0.5, spectral_norm(assemble(ham)))
     d2 = 4**ham.n
     real_dl = dlgibbs.anneal.dl_operator
@@ -592,15 +617,17 @@ def test_dl_qsvt_anneal_reads_parent_terms_through_local_blocks(monkeypatch, dec
     record(dlgibbs.anneal, "spectral_norm", norms)
     run_annealing(ham, couplings, WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt")
     # Per parent: the SVD of the DL operator's R_1 x 4^n core, from which
-    # the projector error is read in closed form.  The core is one block of
-    # 2^(n-1) x 2^n and zero rows and columns, so its R = 2^(n-1) singular
-    # values lead, and each transition's core has side R_{j-1} + R_j = 2^n,
-    # its 2-norm at most two more.  Parent terms are read through their
-    # local blocks, and no SVD or 2-norm of a side above 2^n + 2 runs at all.
+    # the projector error is read in closed form.  The core is zero outside
+    # 2^(n-1) rows and 2^n columns, so one SVD of that submatrix gives its
+    # R = 2^(n-1) leading singular values, and each transition's core has
+    # side R_{j-1} + R_j = 2^n, its 2-norm at most two more.  Parent terms
+    # are read through their local blocks, and no SVD or 2-norm of a side
+    # above 2^n + 2 runs at all.
     k = sched.steps
+    assert k + 1 == parents
     assert len(ranks) == k + 1 and max(ranks) < d2
     assert [shape for shape, _ in dl_cores] == [(r1, d2) for r1 in ranks]
-    assert [blocks for _, blocks in dl_cores] == [[(1, 2 ** (n - 1), 2**n)]] * (k + 1)
+    assert [svds for _, svds in dl_cores] == [[(2 ** (n - 1), 2**n)]] * (k + 1)
     assert max(max(sh[-2:]) for sh in decomps["svd"]) <= 2**n + 2
     assert len(cores) == len(norms) == k
     for ((side, cols), _), ((err, err_cols), _) in zip(cores, norms):

@@ -562,7 +562,7 @@ VIOLATION_CASES = [
     ),
     pytest.param(
         SMALL_PARENT_CFG, "verify_parent", _parent_report(2e-9),
-        ["parent: frustration residual 2.000e-09 exceeds 1e-9"],
+        ["parent: frustration residual 2.000e-09 exceeds 1.0e-09"],
         id="parent",
     ),
     pytest.param(

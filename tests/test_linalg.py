@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from dlgibbs.cli import main
 from dlgibbs.errors import (
     BadDimensionFactorization,
     DimensionMismatch,
@@ -23,6 +26,7 @@ from dlgibbs.linalg import (
     gauge_singular_vectors,
     hermitian_eigendecompose,
     hermitian_eigenvalues,
+    norm_exceeds,
     partial_trace,
     real_if_exact,
     schatten1_distance,
@@ -32,7 +36,6 @@ from dlgibbs.linalg import (
     vectorize,
 )
 from dlgibbs.parent import ParentTerm
-from dlgibbs.tolerances import GAUGE_PIVOT
 from reference import gauge_reference
 
 
@@ -88,6 +91,52 @@ def test_every_eigenvalue_call_raises_no_convergence(monkeypatch):
     for call in calls:
         with pytest.raises(NoConvergence, match="eigvalsh failed to converge"):
             call()
+
+
+def test_every_svd_call_raises_no_convergence(monkeypatch):
+    def fail(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    # ||a||_F = sqrt(2) and sqrt(min(shape)) = sqrt(2), so a bound of 1.2
+    # lies between ||a||_F / sqrt(2) and ||a||_F: only the SVD decides.
+    a = np.eye(2)
+    calls = [
+        lambda: spectral_norm(a),
+        lambda: norm_exceeds(a, 1.2),
+        lambda: singular_value_decompose(a),
+    ]
+    for call in calls:
+        with pytest.raises(NoConvergence, match="svd failed to converge"):
+            call()
+
+
+def test_a_failed_two_norm_exits_2_from_the_cli(monkeypatch, tmp_path, capsys):
+    # Each dl_qsvt transition takes a 2-norm; a failed one is a typed error,
+    # so the run exits 2 rather than with a traceback.
+    real = np.linalg.svd
+
+    def fail_norm_only(a, *args, compute_uv=True, **kwargs):
+        if not compute_uv:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fail_norm_only)
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "anneal.cfg"
+    assert main(["anneal", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "NoConvergence: svd failed to converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nan_and_inf_raise_typed_errors(bad):
+    a = np.array([[bad, 1.0], [1.0, 2.0]])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NotHermitian):
+            hermitian_eigendecompose(a)
+        with pytest.raises(NotHermitian):
+            hermitian_eigenvalues(a)
+        with pytest.raises(NoConvergence):
+            singular_value_decompose(a)
 
 
 def test_svd_descending_and_gauge():
@@ -158,7 +207,9 @@ def test_vectorized_gauge_is_bitwise_the_column_loop(shape, dtype):
     assert got_u.tobytes() == want_u.tobytes()
     assert got_vh.tobytes() == want_vh.tobytes()
     assert not np.array_equal(got_u, u)
-    # singular_value_decompose gauges exactly as the loop does.
+    # singular_value_decompose gauges exactly as the loop does; an input
+    # with no zero row or column takes one whole SVD.
+    a[:, 1] = 1.0
     svd = singular_value_decompose(a)
     u, s, vh = np.linalg.svd(a)
     gauge_reference(u, vh)
@@ -261,9 +312,9 @@ def direct_sums(draw, hermitian: bool, largest: int = 4, count: int = 6) -> np.n
     1 to count blocks have 0 to largest rows and columns, or 1 to largest
     and are Hermitian for Hermitian input; an empty side makes zero rows
     or columns, a zero 1 x 1 block a zero row and column of a Hermitian
-    matrix, and a repeated block values repeated across blocks.  A single
-    block, or one much larger than the others, falls under the whole-matrix
-    rule.
+    matrix, and a repeated block values repeated across blocks.  For
+    Hermitian input a single block, or one much larger than the others,
+    falls under the whole-matrix rule.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dtype = draw(st.sampled_from([np.float64, np.complex128]))
@@ -291,30 +342,18 @@ def direct_sums(draw, hermitian: bool, largest: int = 4, count: int = 6) -> np.n
     return a[np.ix_(rows, rows if hermitian else rng.permutation(n))]
 
 
-def _reference_labels(a: np.ndarray, square: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Components of a's nonzero pattern by scipy, numbered by smallest row."""
-    m, n = a.shape
+def _reference_labels(a: np.ndarray) -> np.ndarray:
+    """Components of a square a's nonzero pattern by scipy, numbered by smallest index."""
     nz = a != 0
-    if square:
-        graph = nz | nz.T
-    else:
-        graph = np.zeros((m + n, m + n), dtype=bool)
-        graph[:m, m:] = nz
-        graph[m:, :m] = nz.T
-    _, labels = connected_components(csr_matrix(graph.astype(int)), directed=False)
+    _, labels = connected_components(csr_matrix((nz | nz.T).astype(int)), directed=False)
     _, first = np.unique(labels, return_index=True)
     number = np.empty_like(first)
     number[np.argsort(first)] = np.arange(first.size)
-    labels = number[labels]
-    return (labels, labels) if square else (labels[:m], labels[m:])
+    return number[labels]
 
 
-def _splits(labels: tuple[np.ndarray, np.ndarray]) -> bool:
-    rows, cols = labels
-    m, n = rows.size, cols.size
-    return min(m, n) >= 2 and max(
-        2 * np.bincount(rows).max() / m, 2 * np.bincount(cols).max() / n
-    ) <= 1
+def _splits(labels: np.ndarray) -> bool:
+    return labels.size >= 2 and 2 * np.bincount(labels).max() <= labels.size
 
 
 def _in_one_block(vectors: np.ndarray, labels: np.ndarray, axis: int) -> bool:
@@ -324,28 +363,23 @@ def _in_one_block(vectors: np.ndarray, labels: np.ndarray, axis: int) -> bool:
 
 
 @PROPERTY
-@given(st.booleans().flatmap(lambda h: st.tuples(st.just(h), direct_sums(h))))
-def test_direct_sum_labels_are_the_connected_components(case):
-    square, a = case
-    want = _reference_labels(a, square)
-    got = direct_sum_labels(a != 0, square)
+@given(direct_sums(hermitian=True))
+def test_direct_sum_labels_are_the_connected_components(a):
+    want = _reference_labels(a)
+    got = direct_sum_labels(a != 0)
     if not _splits(want):
         assert got is None
         return
-    assert got is not None
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got is not None and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("square", [True, False])
-def test_direct_sum_labels_of_a_large_pattern(square):
-    # Three dense 200 x 200 blocks, 120000 nonzeros, under permuted rows and columns.
+def test_direct_sum_labels_of_a_large_pattern():
+    # Three dense 200 x 200 blocks, 120000 nonzeros, under permuted indices.
     rng = np.random.default_rng(5)
     a = np.kron(np.eye(3), rng.normal(size=(200, 200)))
     rows = rng.permutation(600)
-    a = a[np.ix_(rows, rows if square else rng.permutation(600))]
-    got = direct_sum_labels(a != 0, square)
-    want = _reference_labels(a, square)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    a = a[np.ix_(rows, rows)]
+    assert np.array_equal(direct_sum_labels(a != 0), _reference_labels(a))
 
 
 @PROPERTY
@@ -353,8 +387,8 @@ def test_direct_sum_labels_of_a_large_pattern(square):
 def test_hermitian_direct_sums_decompose_by_blocks(a):
     eig = hermitian_eigendecompose(a)
     w, v = eig.eigenvalues, eig.eigenvectors
-    labels, _ = _reference_labels(a, square=True)
-    if not _splits((labels, labels)):
+    labels = _reference_labels(a)
+    if not _splits(labels):
         want_w, want_v = np.linalg.eigh(a)
         assert w.tobytes() == want_w.tobytes() and v.tobytes() == want_v.tobytes()
         assert hermitian_eigenvalues(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
@@ -382,31 +416,36 @@ def test_eigenvalues_are_eigvalsh_whole_or_by_blocks(a):
 
 @PROPERTY
 @given(direct_sums(hermitian=False))
-def test_rectangular_direct_sums_decompose_by_blocks(a):
+def test_svd_runs_on_the_nonzero_rows_and_columns(a):
     svd = singular_value_decompose(a)
-    u, s, vh = svd.u, svd.s, svd.vh
-    labels = _reference_labels(a, square=False)
     assert spectral_norm(a) == float(np.linalg.svd(a, compute_uv=False).max())
-    if not _splits(labels):
-        want_u, want_s, want_vh = np.linalg.svd(a)
-        gauge_reference(want_u, want_vh)
-        assert u.tobytes() == want_u.tobytes() and vh.tobytes() == want_vh.tobytes()
-        assert s.tobytes() == want_s.tobytes()
-        return
     m, n = a.shape
-    k = min(m, n)
-    scale = max(1.0, float(np.linalg.norm(a, 2)))
-    assert u.shape == (m, m) and vh.shape == (n, n) and s.shape == (k,)
-    assert u.dtype == vh.dtype == a.dtype
-    assert np.all(np.diff(s) <= 0)
-    assert np.abs(s - np.linalg.svd(a, compute_uv=False)).max() <= 1e-12 * scale
-    frob = max(1.0, float(np.linalg.norm(a)))
-    assert np.linalg.norm(u.conj().T @ u - np.eye(m)) <= _RECON_TOL
-    assert np.linalg.norm(vh @ vh.conj().T - np.eye(n)) <= _RECON_TOL
-    assert np.linalg.norm((u[:, :k] * s) @ vh[:k] - a) <= _RECON_TOL * frob
-    assert _in_one_block(u, labels[0], axis=1) and _in_one_block(vh, labels[1], axis=0)
-    # The gauge: in each of the first k columns of U, the first entry above
-    # GAUGE_PIVOT of the column's norm is real and positive, to rounding.
-    for col in u[:, :k].T:
-        pivot = col[np.flatnonzero(np.abs(col) > GAUGE_PIVOT * np.linalg.norm(col))[0]]
-        assert pivot.real > 0 and abs(pivot.imag) <= 1e-15 * abs(pivot)
+    rows, cols = np.flatnonzero(a.any(axis=1)), np.flatnonzero(a.any(axis=0))
+    p, q = rows.size, cols.size
+    u, s, vh = np.linalg.svd(a[np.ix_(rows, cols)])
+    k = s.size
+    # U: the submatrix's singular vectors on its rows, then, in row order,
+    # each zero row's basis vector, with the submatrix's other left
+    # singular vectors at its first row.  Vh: the submatrix's right singular
+    # vectors on its columns, then the zero columns' basis rows.
+    want_u = np.zeros((m, m), u.dtype)
+    want_u[np.ix_(rows, range(k))] = u[:, :k]
+    slot = k
+    for i in range(m):
+        if i not in rows:
+            want_u[i, slot] = 1.0
+            slot += 1
+        elif i == rows[0]:
+            want_u[np.ix_(rows, range(slot, slot + p - k))] = u[:, k:]
+            slot += p - k
+    want_vh = np.zeros((n, n), vh.dtype)
+    want_vh[np.ix_(range(q), cols)] = vh
+    for slot, j in enumerate(np.setdiff1d(np.arange(n), cols), start=q):
+        want_vh[slot, j] = 1.0
+    gauge_reference(want_u, want_vh)
+    assert svd.u.dtype == svd.vh.dtype == a.dtype
+    assert svd.u.tobytes() == want_u.tobytes() and svd.vh.tobytes() == want_vh.tobytes()
+    assert svd.s.shape == (min(m, n),) and svd.s[:k].tobytes() == s.tobytes()
+    assert np.all(svd.s[k:] == 0.0)
+    assert np.linalg.norm(svd.u.conj().T @ svd.u - np.eye(m)) <= _RECON_TOL
+    assert np.linalg.norm(svd.vh @ svd.vh.conj().T - np.eye(n)) <= _RECON_TOL
