@@ -14,7 +14,16 @@ columns, last.  A matrix on the qubits legs acts with legs moved to the
 front in the order listed and the other axes behind them in their own
 order, so the columns go last.  _leg_plan computes that axis order and its
 inverse once per (legs, number of axes) for apply_local, sweep_projectors,
-lift_basis, embed and add_embedded.
+lift_basis, embed, add_embedded and the Sectors methods.
+
+Sectors.  On the doubled register of a vectorized n-qubit operator,
+|i>|j> with legs 0..n-1 for i and n..2n-1 for j, a superoperator that keeps
+s = i xor j splits into 2^n sectors of side 2^n (Sectors).  Every parent
+term of a diagonal H with Pauli couplings does, which sector_blocks tests
+exactly.  A stack holds one matrix per sector, and the mix's round
+channel, its g and the parent spectrum are summed, multiplied and
+decomposed as stacks.  When one operator of a sum leaves its sectors, the
+whole sum goes on the one sector of side 4^n instead, by the same code.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -360,35 +369,268 @@ def sweep_projectors(
     return z
 
 
-def projector_noncommutation_degree(
-    bases: Sequence[np.ndarray],
-    legs: Sequence[Sequence[int]],
+@lru_cache(maxsize=None)
+def sector_rows(k: int) -> np.ndarray:
+    """The (2^k, 2^k) indices a 2^k + (a xor t), at [t, a], of the sectors of 2k doubled legs.
+
+    On the legs S + (S + n) of a doubled register, |S| = k, index a 2^k + b
+    is |a>|b>; row t lists the indices of sector t = a xor b in the order of
+    a.  Each index appears once.  Cached per k, so read-only.
+    """
+    a = np.arange(2**k)
+    rows = a[None, :] * 2**k + (a[None, :] ^ a[:, None])
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _restricted_labels(pos: tuple[int, ...], width: int) -> np.ndarray:
+    """For each of the 2^width sectors of a register, the index of its labels at pos.
+
+    Qubit 0 is the most significant bit of a label, and the first of pos
+    that of the result.  Cached per (pos, width), so read-only.
+    """
+    states = np.arange(2**width)
+    labels = np.zeros(2**width, dtype=np.intp)
+    for p in pos:
+        labels = 2 * labels + ((states >> (width - 1 - p)) & 1)
+    labels.flags.writeable = False
+    return labels
+
+
+def sector_blocks(mat: np.ndarray) -> np.ndarray | None:
+    """The (2^k, 2^k, 2^k) blocks [t, a', a] = mat[a' 2^k + (a' xor t), a 2^k + (a xor t)], or None.
+
+    mat is an operator on the doubled legs S + (S + n), |S| = k.  None when
+    it is not exactly zero outside its sectors: the blocks then hold fewer
+    of its nonzero entries than it has, an exact count with no tolerance.
+    """
+    rows = sector_rows(int(mat.shape[0]).bit_length() // 2)
+    blocks = mat[rows[:, :, None], rows[:, None, :]]
+    return blocks if np.count_nonzero(blocks) == np.count_nonzero(mat) else None
+
+
+def sector_columns(v: np.ndarray) -> np.ndarray | None:
+    """Orthonormal columns v on doubled legs S + (S + n), by sector: (2^k, 2^k, r), or None.
+
+    Every column of v must be exactly zero outside one sector t (None
+    otherwise); block t holds those columns, in order, on that sector's
+    indices (sector_rows), followed by zero columns up to the most any
+    sector has.  A zero column changes no V V dagger, no V dagger z and no
+    commutator norm.
+    """
+    rows = sector_rows(int(v.shape[0]).bit_length() // 2)
+    blocks = v[rows]
+    nonzero = blocks.any(axis=1)
+    if not np.all(nonzero.sum(axis=0) == 1):
+        return None
+    sector = nonzero.argmax(axis=0)
+    order = np.argsort(sector, kind="stable")
+    counts = np.bincount(sector, minlength=rows.shape[0])
+    slot = np.arange(sector.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    out = np.zeros(rows.shape + (int(counts.max(initial=0)),), dtype=v.dtype)
+    out[sector[order], :, slot] = blocks[sector[order], :, order]
+    return out
+
+
+@dataclass(frozen=True)
+class Sectors:
+    """The sectors of superoperators on the doubled register of n qubits.
+
+    A superoperator that maps |i>|j> into |i'>|j'> with i' xor j' = i xor j
+    splits, labelled, into 2^n sectors s of side 2^n, sector s spanned by
+    the |i>|i xor s> in the order of i (Albert & Jiang, PRA 2014): it is a
+    stack (2^n, 2^n, 2^n) and a vector a (2^n, 2^n) array.  A term on the
+    doubled legs S + (S + n) that is exactly zero outside its local sectors
+    (sector_blocks) acts in sector s as its block at t = s restricted to S,
+    tensored with I, on the sites S of an n-qubit register: its qubits here
+    are S.  Unlabelled, the register is its own one sector, the 2n qubits
+    of the doubled register (a stack (1, 4^n, 4^n)), and a term's qubits
+    are its legs: every term has that case, so one code path serves both.
+    """
+
+    n: int
+    labelled: bool
+
+    @property
+    def width(self) -> int:
+        """Qubits of the register a sector lives on: n labelled, 2n unlabelled."""
+        return self.n if self.labelled else 2 * self.n
+
+    @property
+    def count(self) -> int:
+        return 2**self.n if self.labelled else 1
+
+    def qubits(self, legs: tuple[int, ...]) -> tuple[int, ...]:
+        """The qubits of a term on the doubled legs S + (S + n): S labelled, else the legs."""
+        return legs[: len(legs) // 2] if self.labelled else legs
+
+    def split(self, mat: np.ndarray, legs: tuple[int, ...]) -> np.ndarray | None:
+        """The blocks of an operator on legs (sector_blocks), or None; unlabelled, mat itself."""
+        if not self.labelled:
+            return mat[None]
+        return sector_blocks(mat) if self._paired(legs) else None
+
+    def split_basis(self, v: np.ndarray, legs: tuple[int, ...]) -> np.ndarray | None:
+        """The blocks of orthonormal columns on legs (sector_columns), or None; unlabelled, v itself."""
+        if not self.labelled:
+            return v[None]
+        return sector_columns(v) if self._paired(legs) else None
+
+    def _paired(self, legs: tuple[int, ...]) -> bool:
+        sites = legs[: len(legs) // 2]
+        return legs == sites + tuple(q + self.n for q in sites)
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """(count, 2^width) positions in vec order of each sector's basis vectors."""
+        if not self.labelled:
+            return np.arange(4**self.n)[None]
+        return sector_rows(self.n)
+
+    def identity(self, dtype) -> np.ndarray:
+        side = 2**self.width
+        return np.broadcast_to(np.eye(side, dtype=dtype), (self.count, side, side)).copy()
+
+    def add(self, total: np.ndarray, blocks: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+        """total + (blocks at each sector's local block, tensor I), total a stack.
+
+        Written into total, on the identity's diagonal of the other qubits as
+        add_embedded writes, unless the sum needs a wider dtype.
+        """
+        if np.result_type(total, blocks) != total.dtype:
+            total = total.astype(np.result_type(total, blocks))
+        w, labels = self.width, self._labels(qubits)
+        front = labels + tuple(self._label_axes + q for q in qubits)
+        front += tuple(self._label_axes + w + q for q in qubits)
+        order, _ = _leg_plan(front, self._label_axes + 2 * w)
+        held = total.reshape((2,) * (self._label_axes + 2 * w)).transpose(order)
+        other = self._label_axes - len(labels)
+        diagonal = 2 * _diagonal_index(w - len(qubits)) or (None,)
+        held[(slice(None),) * (len(front) + other) + diagonal] += blocks.reshape(
+            (2,) * len(front) + (1,) * (other + 1)
+        )
+        return total
+
+    def apply(self, stack: np.ndarray, v: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+        """Each sector of a stack (count, 2^width, C) times V V dagger on qubits.
+
+        v holds V's blocks, one per local sector (split_basis); a sector takes
+        the block its labels on qubits select.
+        """
+        shape = (2,) * (self._label_axes + self.width) + (stack.shape[-1],)
+        front = self._labels(qubits) + tuple(self._label_axes + q for q in qubits)
+        order, back = _leg_plan(front, len(shape))
+        t = stack.reshape(shape).transpose(order).reshape(v.shape[0], v.shape[1], -1)
+        t = v @ (np.swapaxes(v.conj(), -1, -2) @ t)
+        return t.reshape([shape[a] for a in order]).transpose(back).reshape(stack.shape)
+
+    def lift(self, v: np.ndarray, pos: Sequence[int], width: int) -> np.ndarray:
+        """v's blocks on the qubits at positions pos of a width-qubit register, tensor I.
+
+        One block per sector of that register: labelled, the block its labels
+        at pos select.  Rows follow the register, and columns are v's column
+        first, then the other qubits, as in lift_basis.
+        """
+        pos = tuple(pos)
+        if self.labelled:
+            v = v[_restricted_labels(pos, width)]
+        if pos == tuple(range(width)):
+            return v
+        rest = 2 ** (width - len(pos))
+        lifted = v[:, :, None, :, None] * np.eye(rest, dtype=v.dtype)[:, None, :]
+        lifted = lifted.reshape((v.shape[0],) + (2,) * width + (v.shape[-1] * rest,))
+        # Its register axes are pos, then the other qubits: _leg_plan's order.
+        _, back = _leg_plan(pos, width)
+        axes = (0,) + tuple(1 + a for a in back) + (width + 1,)
+        return lifted.transpose(axes).reshape(v.shape[0], 2**width, -1)
+
+    @property
+    def _label_axes(self) -> int:
+        """Leading axes of a stack's labels: width labelled, none unlabelled."""
+        return self.width if self.labelled else 0
+
+    def _labels(self, qubits: tuple[int, ...]) -> tuple[int, ...]:
+        """The label axes a term on qubits selects its block by."""
+        return tuple(qubits) if self.labelled else ()
+
+    def gather(self, z: np.ndarray) -> np.ndarray:
+        """A vector in vec order as its sectors, (count, 2^width)."""
+        return z[self.index]
+
+    def scatter(self, z: np.ndarray) -> np.ndarray:
+        """The vector in vec order whose sectors are z, gather's inverse."""
+        out = np.empty(4**self.n, dtype=z.dtype)
+        out[self.index] = z
+        return out
+
+
+def sector_sum(
+    terms: Iterable[tuple[np.ndarray, tuple[int, ...]]], n: int
+) -> tuple[Sectors, np.ndarray]:
+    """The sum of the operators mat on doubled legs, by sector, from one pass over terms.
+
+    Labelled when every term splits (Sectors.split); at the first that does
+    not, the sum so far is written into the one sector and the rest are
+    added there, so only one stack is ever held.
+    """
+    sectors, total = Sectors(n, True), None
+    for mat, legs in terms:
+        blocks = sectors.split(mat, legs)
+        if blocks is None:
+            sectors = Sectors(n, False)
+            if total is not None:
+                rows = sector_rows(n)
+                whole = np.zeros((1, 4**n, 4**n), dtype=total.dtype)
+                whole[0][rows[:, :, None], rows[:, None, :]] = total
+                total = whole
+            blocks = sectors.split(mat, legs)
+        if total is None:
+            total = np.zeros((sectors.count,) + (2**sectors.width,) * 2, dtype=blocks.dtype)
+        total = sectors.add(total, blocks, sectors.qubits(legs))
+        del mat, blocks  # so a streamed term is freed before the next is built
+    return sectors, total
+
+
+def sector_bases(
+    bases: Sequence[np.ndarray], legs: Sequence[tuple[int, ...]], n: int
+) -> tuple[Sectors, tuple[tuple[np.ndarray, tuple[int, ...]], ...]]:
+    """Orthonormal bases on doubled legs as (blocks, qubits), labelled when every one splits."""
+    sectors = Sectors(n, True)
+    parts = [sectors.split_basis(v, lg) for v, lg in zip(bases, legs)]
+    if any(p is None for p in parts):
+        sectors = Sectors(n, False)
+        parts = [v[None] for v in bases]
+    return sectors, tuple((p, sectors.qubits(lg)) for p, lg in zip(parts, legs))
+
+
+def sector_noncommutation_degree(
+    sectors: Sectors, parts: Sequence[tuple[np.ndarray, tuple[int, ...]]]
 ) -> int:
-    """noncommutation_degree of the projectors V V dagger onto orthonormal bases.
+    """noncommutation_degree of the projectors V V dagger of sector_bases' parts.
 
     For orthogonal projectors P, Q the commutator PQ - QP is PQ(I - P) minus
     its adjoint, which maps range(P) to its complement, so
     ||[P, Q]|| = ||PQ(I - P)||.  With P = V_a V_a dagger, Q = V_b V_b dagger
     and X = V_a dagger V_b this is ||X (V_b dagger - X dagger V_a dagger)||,
-    an r_a x D matrix, decided by norm_exceeds against COMMUTATOR_CUT: a projector has
-    norm 1, so the scale of noncommutation_degree is 1.
-
-    legs[a] lists the qubits bases[a] acts on (the projector is V V dagger
-    tensor I elsewhere); this is the support graph of the projectors.
-    Projectors on disjoint qubits commute exactly and are not compared; an
-    overlapping pair is compared on the union of its qubits (_pair_degree),
-    each basis lifted there by the identity (lift_basis), which leaves the
-    commutator norm unchanged.
+    decided by norm_exceeds against COMMUTATOR_CUT: a projector has norm 1,
+    so the scale of noncommutation_degree is 1.  Projectors on disjoint
+    qubits commute exactly and are not compared; an overlapping pair is
+    compared on the union of its qubits (_pair_degree), each basis lifted
+    there by the identity, which leaves the commutator norm unchanged.  Both
+    keep the union's sectors, so the norm is the largest over them, and
+    norm_exceeds decides it on the stack of the sectors' matrices.
     """
     def exceeds(a: int, b: int, pair: tuple) -> bool:
         la, lb, width = pair
-        va = lift_basis(bases[a], la, range(width))
-        vb = lift_basis(bases[b], lb, range(width))
-        adj_a = va.conj().T
+        va = sectors.lift(parts[a][0], la, width)
+        vb = sectors.lift(parts[b][0], lb, width)
+        adj_a = np.swapaxes(va.conj(), -1, -2)
         x = adj_a @ vb
-        return norm_exceeds(x @ (vb.conj().T - x.conj().T @ adj_a), COMMUTATOR_CUT)
+        y = np.swapaxes(vb.conj(), -1, -2) - np.swapaxes(x.conj(), -1, -2) @ adj_a
+        return norm_exceeds(x @ y, COMMUTATOR_CUT)
 
-    return _pair_degree(len(bases), legs, exceeds)
+    return _pair_degree(len(parts), [q for _, q in parts], exceeds)
 
 
 def commutation_degree(ham: LocalHamiltonian) -> int:

@@ -56,7 +56,7 @@ from .errors import (
     PositiveEigenvalue,
     SingularSigma,
 )
-from .hamiltonians import LocalHamiltonian, LocalOperator, embed
+from .hamiltonians import LocalHamiltonian, LocalOperator, embed, sector_blocks, sector_rows
 from .linalg import (
     HermitianEig,
     hermitian_eigendecompose,
@@ -297,16 +297,20 @@ def coherent_spectrum(h: np.ndarray) -> tuple[np.ndarray, float, int]:
 
     h must be exactly Hermitian, as a sum of parent terms is: eigvalsh
     reads only its lower triangle, so nothing here would show a defect.
-    The only other array of h's size is eigvalsh's working copy; on a
-    direct sum that linalg.symmetric_eigenvalues splits that copy is one of
-    the blocks, and only a boolean pattern of h is formed besides.  An
-    eigenvalue above POSITIVE_EIGENVALUE_CUT * max(1, ||h||) raises
-    PositiveEigenvalue, the rule stationary_channel applies to each term.
-    The kernel cut is KERNEL_CUT * max(1, ||h||), and gap is lambda_1 -
-    lambda_2, or exactly 0.0 when kernel_dim >= 2, where that difference
-    is rounding noise.
+    It is a matrix or the stack of a sum's sectors (hamiltonians.sector_sum),
+    whose spectrum is the union of theirs.  The only other array of h's size
+    is eigvalsh's working copy; on a direct sum that
+    linalg.symmetric_eigenvalues splits that copy is one of the blocks, and
+    only a boolean pattern of h is formed besides.  An eigenvalue above
+    POSITIVE_EIGENVALUE_CUT * max(1, ||h||) raises PositiveEigenvalue, the
+    rule stationary_channel applies to each term.  The kernel cut is
+    KERNEL_CUT * max(1, ||h||), and gap is lambda_1 - lambda_2, or exactly
+    0.0 when kernel_dim >= 2, where that difference is rounding noise.
     """
-    w = symmetric_eigenvalues(h)[::-1]
+    w = symmetric_eigenvalues(h)
+    if w.ndim > 1:
+        w = np.sort(w, axis=None, kind="stable")
+    w = w[::-1]
     scale = max(1.0, float(np.abs(w).max()))
     if w[0] > POSITIVE_EIGENVALUE_CUT * scale:
         raise PositiveEigenvalue(f"parent has positive eigenvalue {w[0]:.3e}")
@@ -336,28 +340,39 @@ def stationary_channel(h: np.ndarray, kms: KmsForm) -> TermKernel:
     """Kernel basis of one term, its projector pulled back to the Heisenberg picture.
 
     P = Gamma^{-1/2} Pi_0 Gamma^{1/2}, with Pi_0 the orthogonal projector
-    onto the kernel of h, the term's Hermitian coherent form against kms
-    (parent.ParentTerm.mat and .state, whose detailed balance parent_terms
-    checked); a matrix that is not Hermitian raises NotHermitian.  ||h|| is
-    read off its eigenvalues.  Requires every eigenvalue at most
-    POSITIVE_EIGENVALUE_CUT * max(1, ||h||) (PositiveEigenvalue otherwise);
-    kernel membership uses the relative cutoff KERNEL_CUT * max(1, ||h||).
+    onto the kernel of h, the term's Hermitian coherent form on its doubled
+    legs S + (S + n) against kms (parent.ParentTerm.mat and .state, whose
+    detailed balance parent_terms checked); a matrix that is not Hermitian
+    raises NotHermitian.  When h is exactly zero outside its sectors
+    (hamiltonians.sector_blocks) its blocks are decomposed in one stacked
+    call and each basis vector lies in one sector; otherwise h is
+    decomposed whole.  ||h|| is read off its eigenvalues.  Requires every
+    eigenvalue at most POSITIVE_EIGENVALUE_CUT * max(1, ||h||)
+    (PositiveEigenvalue otherwise); kernel membership uses the relative
+    cutoff KERNEL_CUT * max(1, ||h||).
     """
-    eig = hermitian_eigendecompose(h)
+    blocks = sector_blocks(h)
+    if blocks is None:
+        blocks, rows = h[None], np.arange(h.shape[0])[None]
+    else:
+        rows = sector_rows(h.shape[0].bit_length() // 2)
+    eig = hermitian_eigendecompose(blocks)
     w = eig.eigenvalues
     h_norm = float(np.abs(w).max())
     scale = max(1.0, h_norm)
-    if w[-1] > POSITIVE_EIGENVALUE_CUT * scale:
+    if w.max() > POSITIVE_EIGENVALUE_CUT * scale:
         raise PositiveEigenvalue(
-            f"coherent form has eigenvalue {w[-1]:.3e} above zero"
+            f"coherent form has eigenvalue {w.max():.3e} above zero"
         )
     kernel_cut = KERNEL_CUT * scale
     sel = np.abs(w) <= kernel_cut
     if not sel.any():
         raise DegenerateGap(
-            f"no kernel eigenvalue within {kernel_cut:.1e} (largest is {w[-1]:.3e})"
+            f"no kernel eigenvalue within {kernel_cut:.1e} (largest is {w.max():.3e})"
         )
-    vk = eig.eigenvectors[:, sel]
+    sector, col = np.nonzero(sel)
+    vk = np.zeros((h.shape[0], sector.size), dtype=eig.eigenvectors.dtype)
+    vk[rows[sector], np.arange(sector.size)[:, None]] = eig.eigenvectors[sector, :, col]
     # Gamma^{1/2} is Hermitian, so Pi_0 Gamma^{1/2} = V (Gamma^{1/2} V) dagger.
     left = _kron_conj_apply(kms.inv_quarter, vk)
     mat = left @ _kron_conj_apply(kms.quarter, vk).conj().T

@@ -30,8 +30,13 @@ build_parent keeps them, and the mix's round channel
 its gap and kernel_dim from the spectrum of their sum.
 
 The checks are decided by bounds where a bound can decide, with the
-rounding slack of linalg.norm_exceeds, and by the dense 4^n spectrum of
-the sum only otherwise:
+rounding slack of linalg.norm_exceeds, and by the spectrum of the sum only
+otherwise.  That spectrum is taken by sector (hamiltonians.sector_sum): for
+a diagonal H with Pauli couplings the 2^n sectors of side 2^n in one
+stacked eigvalsh, with no 4^n x 4^n array; otherwise the one sector of
+side 4^n, which the linalg block path may still split.  The dl_qsvt
+anneal's parent_projector_input is summed whole and reaches that block
+path too, through its ground cluster and dl_operator.
 
 - Detailed balance of the sum: ||sum_a anti_a|| <= sum_a ||anti_a||_F, the
   terms' db_residuals; the assembled sum is checked only when they reach
@@ -70,6 +75,7 @@ from .hamiltonians import (
     add_embedded,
     apply_local,
     embed,
+    sector_sum,
     support_overlap_degree,
 )
 from .kms import (
@@ -148,10 +154,8 @@ class ParentHamiltonian:
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, float, int]:
-        """coherent_spectrum of sum_a H^a, each term added on its legs."""
-        total = None
-        for t in self.terms:
-            total = add_embedded(total, LocalOperator(t.mat, t.support), 2 * self.n)
+        """coherent_spectrum of sum_a H^a, summed by sector (sector_sum)."""
+        _, total = sector_sum(((t.mat, t.support) for t in self.terms), self.n)
         return coherent_spectrum(total)
 
     @property

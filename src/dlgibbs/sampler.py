@@ -28,10 +28,15 @@ coherent part and the marginal Tr_{S^c} sigma live on S, and h_m, V_m and
 P_m on the doubled support S u (S + n) of the vectorized register, with
 4^|S| rows, so h_m acts as h_m^loc tensor I.  For non-commuting H the
 support is the whole register.  The channel is kept as the V_m with their
-doubled supports: one round is a KMS-picture sweep that applies each
-Pi_m = V_m V_m dagger to its tensor legs of z, so no composite and no dense
-Pi_m outside H_L is formed, and g is read off the support graph.  The
-generator's coherent form is the parent, the sum of the h_m^loc tensor I.
+doubled supports, and the round is composed from them sector by sector
+(hamiltonians.Sectors).  Every commuting model shipped has a diagonal H
+and Pauli couplings, so each h_m keeps s = i xor j of |i>|j>, and each V_m
+splits into its sectors: the round is the 2^n per-sector composites
+R_s = Pi_{m,s} ... Pi_{1,s} of side 2^n, 8^n entries, g is decided sector
+by sector on the support graph, and the generator's spectrum, the
+parent's, is that of the 2^n sectors of sum_m h_m^loc tensor I.  Other
+models run the same code on one sector of side 4^n, a round of 16^n
+entries, which the reach of non-commuting models (n <= 5) bounds.
 """
 
 from __future__ import annotations
@@ -46,11 +51,11 @@ from .errors import BadParams, DimensionMismatch, DlGibbsError, IrreducibilityWa
 # perfbench/selftest.py reads noncommutation_degree from this module.
 from .hamiltonians import (  # noqa: F401
     LocalHamiltonian,
-    LocalOperator,
-    add_embedded,
+    Sectors,
     noncommutation_degree,
-    projector_noncommutation_degree,
-    sweep_projectors,
+    sector_bases,
+    sector_noncommutation_degree,
+    sector_sum,
 )
 from .kms import (
     KmsForm,
@@ -63,9 +68,9 @@ from .kms import (
 )
 from .linalg import (
     hermitian_eigendecompose,
+    hermitian_eigenvalues,
     norm_exceeds,
     real_if_exact,
-    schatten1_distance,
     symmetric_eigenvalues,
 )
 from .parent import parent_terms
@@ -78,7 +83,7 @@ from .tolerances import (
 
 @dataclass(frozen=True)
 class DlChannel:
-    """Ordered product of the m per-term stationary channels.
+    """Ordered product of the m per-term stationary channels on n qubits.
 
     The channel is its kernel bases: kernel_bases holds each term's
     orthonormal kernel basis V_m on the tensor legs listed in legs[m] (the
@@ -87,12 +92,13 @@ class DlChannel:
     round is Gamma^{1/2} Pi_m ... Pi_1 Gamma^{-1/2}.  gap and kernel_dim
     describe the coherent form of the full generator; max_factor_norm is
     the largest ||h_m|| and db_residual the largest Frobenius bound
-    ||h_m - h_m dagger||_F over the terms' coherent forms.  g, the
-    non-commutation degree of the Pi_m, and q, the one-round contraction
-    factor they certify, are computed on first read.
+    ||h_m - h_m dagger||_F over the terms' coherent forms.  The round by
+    sector, g, the non-commutation degree of the Pi_m, and q, the one-round
+    contraction factor they certify, are computed on first read.
     """
 
     m: int
+    n: int
     kernel_bases: tuple[np.ndarray, ...]
     legs: tuple[tuple[int, ...], ...]
     gap: float
@@ -101,8 +107,22 @@ class DlChannel:
     db_residual: float
 
     @cached_property
+    def sectors(self) -> tuple[Sectors, tuple[tuple[np.ndarray, tuple[int, ...]], ...]]:
+        """The kernel bases by sector (hamiltonians.sector_bases)."""
+        return sector_bases(self.kernel_bases, self.legs, self.n)
+
+    @cached_property
+    def round(self) -> np.ndarray:
+        """R_s = Pi_{m,s} ... Pi_{1,s} in each sector s, a stack: the Schrodinger KMS-picture round."""
+        sectors, parts = self.sectors
+        r = sectors.identity(np.result_type(float, *self.kernel_bases))
+        for v, qubits in parts:
+            r = sectors.apply(r, v, qubits)
+        return r
+
+    @cached_property
     def g(self) -> int:
-        return projector_noncommutation_degree(self.kernel_bases, legs=self.legs)
+        return sector_noncommutation_degree(*self.sectors)
 
     @cached_property
     def q(self) -> float:
@@ -147,28 +167,34 @@ def compose_dl_channel(
     the Schrodinger picture the first term's factor acts on the state
     first.  Each parent term H^a (parent_terms) gives its stationary
     channel P_m, which is checked CPTP and dropped, and is added into the
-    parent's sum before the next is built; only V_m, ||H^a|| and
-    db_residual are kept.  gap and kernel_dim are the sum's, the parent's.
+    parent's sum by sector (sector_sum) before the next is built; only V_m,
+    ||H^a|| and db_residual are kept.  gap and kernel_dim are the sum's,
+    the parent's.
     """
-    total = None
     kept = []
-    for t in parent_terms(terms, kms, ham):  # not enumerate, which would keep t
-        k = stationary_channel(t.mat, t.state)
-        rep = cptp_check(k.channel)
-        if not (rep.cp and rep.tp):
-            raise DlGibbsError(
-                f"stationary channel for term {len(kept)} is not CPTP: "
-                f"choi_min_eig={rep.choi_min_eig:.3e} tp_residual={rep.tp_residual:.3e}; "
-                f"kernel gap gap_m={k.gap:.3e}, so rounding tilts its kernel by "
-                f"about eps*||h_m||/gap_m={np.finfo(float).eps * k.h_norm / k.gap:.3e}"
-            )
-        total = add_embedded(total, LocalOperator(t.mat, t.support), 2 * ham.n)
-        kept.append((k.basis, t.support, k.h_norm, t.db_residual))
-        del t, k  # free H^a and P_m before the next term's are built
-    bases, legs, h_norms, db_residuals = zip(*kept)
+
+    def summands():
+        for t in parent_terms(terms, kms, ham):  # not enumerate, which would keep t
+            k = stationary_channel(t.mat, t.state)
+            rep = cptp_check(k.channel)
+            if not (rep.cp and rep.tp):
+                raise DlGibbsError(
+                    f"stationary channel for term {len(kept)} is not CPTP: "
+                    f"choi_min_eig={rep.choi_min_eig:.3e} tp_residual={rep.tp_residual:.3e}; "
+                    f"kernel gap gap_m={k.gap:.3e}, so rounding tilts its kernel by "
+                    f"about eps*||h_m||/gap_m={np.finfo(float).eps * k.h_norm / k.gap:.3e}"
+                )
+            kept.append((k.basis, t.support, k.h_norm, t.db_residual))
+            del k  # free P_m before the sum reads H^a
+            yield t.mat, t.support
+            del t  # free H^a before the next term's is built
+
+    _, total = sector_sum(summands(), ham.n)
     _, gap, kernel_dim = coherent_spectrum(total)
+    bases, legs, h_norms, db_residuals = zip(*kept)
     return DlChannel(
         m=len(terms),
+        n=ham.n,
         kernel_bases=bases,
         legs=legs,
         gap=gap,
@@ -193,8 +219,10 @@ def iterate(
     """Apply the round channel k_max times, recording distance and bound.
 
     rho_0 is mapped once to the KMS picture, x = sigma^{-1/4} rho_0
-    sigma^{-1/4}, swept k_max times through the Pi_m, and each iterate is
-    mapped back as rho_k = sigma^{1/4} x_k sigma^{1/4}.
+    sigma^{-1/4}, whose every sector is moved by the round (DlChannel.round)
+    k_max times, one stacked product each, and each iterate is mapped back
+    as rho_k = sigma^{1/4} x_k sigma^{1/4}.  The k_max + 1 trace distances
+    are read off one stacked eigvalsh.
     channel_applications counts factor applications cumulatively (k times
     the number of terms).  A stationary space of dimension above one emits
     IrreducibilityWarning; the bound then degrades to the constant
@@ -219,15 +247,16 @@ def iterate(
             "bound is constant and convergence to sigma is not guaranteed",
             IrreducibilityWarning,
         )
-    d = kms.dim
+    sectors, _ = channel.sectors
+    r = channel.round
     ks = np.arange(k_max + 1)
-    dists = np.empty(k_max + 1)
-    dists[0] = schatten1_distance(rho0, kms.sigma)
-    z = (kms.inv_quarter @ rho0 @ kms.inv_quarter).reshape(-1)
-    for k in range(1, k_max + 1):
-        z = sweep_projectors(channel.kernel_bases, channel.legs, z)
-        rho = kms.quarter @ z.reshape(d, d) @ kms.quarter
-        dists[k] = schatten1_distance(0.5 * (rho + rho.conj().T), kms.sigma)
+    diffs = [rho0 - kms.sigma]
+    z = sectors.gather((kms.inv_quarter @ rho0 @ kms.inv_quarter).reshape(-1))
+    for _ in range(k_max):
+        z = np.matmul(r, z[:, :, None])[:, :, 0]
+        rho = kms.quarter @ sectors.scatter(z).reshape(kms.dim, kms.dim) @ kms.quarter
+        diffs.append(0.5 * (rho + rho.conj().T) - kms.sigma)
+    dists = np.abs(hermitian_eigenvalues(np.stack(diffs))).sum(axis=-1)
     bounds = q**ks.astype(float) / np.sqrt(kms.sigma_min)
     return MixingTrace(
         ks=ks,
@@ -258,14 +287,16 @@ def contraction_check(
     observables) and counts trials discarded because X was proportional to
     the identity.  With z = vec(sigma^{1/4} X sigma^{1/4}), ||X||_sigma =
     ||z||, ||Phi(X)||_sigma = ||y|| and Tr[sigma Phi(X)] =
-    <vec(sigma^{1/2}), y> for y = Pi_1 ... Pi_m z.
+    <vec(sigma^{1/2}), y> for y = Pi_1 ... Pi_m z, the adjoint of the
+    round in each sector.
     """
     if trials < 1:
         raise BadParams(f"trials must be >= 1, got {trials}")
     d = kms.dim
     q = channel.q
-    heisenberg = (channel.kernel_bases[::-1], channel.legs[::-1])
-    sqrt_vec = kms.sqrt.reshape(-1)
+    sectors, _ = channel.sectors
+    heisenberg = np.swapaxes(channel.round.conj(), -1, -2)
+    sqrt_vec = sectors.gather(kms.sqrt.reshape(-1))
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_stat = 0.0
@@ -274,12 +305,12 @@ def contraction_check(
         b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         x = 0.5 * (b + b.conj().T)
         x = x - np.real(np.trace(kms.sigma @ x)) * np.eye(d)
-        z = (kms.quarter @ x @ kms.quarter).reshape(-1)
+        z = sectors.gather((kms.quarter @ x @ kms.quarter).reshape(-1))
         x_norm2 = float(np.vdot(z, z).real)
         if x_norm2 < VACUOUS_NORM2:
             vacuous += 1
             continue
-        y = sweep_projectors(*heisenberg, z)
+        y = np.matmul(heisenberg, z[:, :, None])[:, :, 0]
         y_norm2 = float(np.vdot(y, y).real)
         worst_stat = max(worst_stat, float(abs(np.vdot(sqrt_vec, y))))
         if q == 0.0:
@@ -316,6 +347,9 @@ def superop_hamiltonian(
     ||prod Pi_m psi||^2 <= 1 / (e_phi / g^2 + 1), with psi the
     probe_vector off the common kernel.
 
+    H_L is summed and decomposed by sector, the channel's (DlChannel.sectors),
+    and the probe is projected by the round.
+
     Asserts gap(H_L) >= gap(L) - GAP_ORDER_SLACK whenever every coherent-form
     factor has spectral norm at most 1 (which is the hypothesis that makes the
     ordering a theorem: -h = sum -h_m <= max_m ||h_m|| H_L).  With larger
@@ -324,24 +358,29 @@ def superop_hamiltonian(
     irreducible.
     """
     ch = compose_dl_channel(terms, kms, ham)
-    d2 = kms.dim**2
-    h_l = ch.m * np.eye(d2, dtype=np.result_type(float, *ch.kernel_bases))
-    for basis, legs in zip(ch.kernel_bases, ch.legs):
-        h_l = add_embedded(h_l, LocalOperator(-(basis @ basis.conj().T), legs), 2 * ham.n)
+    sectors, parts = ch.sectors
+    h_l = ch.m * sectors.identity(np.result_type(float, *ch.kernel_bases))
+    for v, qubits in parts:
+        h_l = sectors.add(h_l, -(v @ np.swapaxes(v.conj(), -1, -2)), qubits)
     eig = hermitian_eigendecompose(h_l)
-    w, v = eig.eigenvalues, eig.eigenvectors
+    order = np.argsort(eig.eigenvalues, axis=None, kind="stable")
+    w = eig.eigenvalues.reshape(-1)[order]
     scale = max(1.0, float(np.abs(w).max()))
     kernel_dim = int(np.sum(np.abs(w) <= KERNEL_CUT * scale))
     if kernel_dim == 0:
         raise BadParams("term projectors share no common kernel vector")
     gap = float(w[kernel_dim]) if kernel_dim < len(w) else 0.0
-    phi = sweep_projectors(ch.kernel_bases, ch.legs, probe_vector(v[:, :kernel_dim]))
+    sector, col = np.divmod(order[:kernel_dim], h_l.shape[-1])
+    kernel = np.zeros((kms.dim**2, kernel_dim), dtype=eig.eigenvectors.dtype)
+    kernel[sectors.index[sector], np.arange(kernel_dim)[:, None]] = eig.eigenvectors[sector, :, col]
+    psi = sectors.gather(probe_vector(kernel))
+    phi = np.matmul(ch.round, psi[:, :, None])
     phi_norm = np.linalg.norm(phi)
     if phi_norm < PROJECTED_PROBE_FLOOR:
         energy = gap
     else:
         phi_hat = phi / phi_norm
-        energy = float(np.real(phi_hat.conj() @ h_l @ phi_hat))
+        energy = float(np.real(np.vdot(phi_hat, h_l @ phi_hat)))
     if ch.kernel_dim == 1 and kernel_dim != 1:
         raise DlGibbsError(
             f"generator is irreducible but the term projectors share a "

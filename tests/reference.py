@@ -31,9 +31,12 @@ from dlgibbs.errors import BadParams, DegenerateGapWarning, RankAmbiguous
 from dlgibbs.hamiltonians import (
     LocalHamiltonian,
     LocalOperator,
+    _pair_degree,
     add_embedded,
     assemble,
     embed,
+    lift_basis,
+    sweep_projectors,
 )
 from dlgibbs.jumps import WeightProfile
 from dlgibbs.kms import (
@@ -48,6 +51,8 @@ from dlgibbs.kms import (
 )
 from dlgibbs.linalg import (
     hermitian_eigendecompose,
+    norm_exceeds,
+    schatten1_distance,
     singular_value_decompose,
     spectral_norm,
 )
@@ -55,6 +60,7 @@ from dlgibbs.parent import ParentHamiltonian
 from dlgibbs.projector import ProjectorResult
 from dlgibbs.tolerances import (
     BOHR_SPLIT,
+    COMMUTATOR_CUT,
     FRUSTRATION_CUT,
     GAUGE_PIVOT,
     GROUND_CLUSTER_WIDTH,
@@ -268,6 +274,46 @@ def parent_matrix(ph: ParentHamiltonian) -> np.ndarray:
     for t in ph.terms:
         total = add_embedded(total, LocalOperator(t.mat, t.support), 2 * ph.n)
     return total
+
+
+def projector_noncommutation_degree(
+    bases: list[np.ndarray] | tuple[np.ndarray, ...],
+    legs: list[tuple[int, ...]] | tuple[tuple[int, ...], ...],
+) -> int:
+    """noncommutation_degree of the projectors V V dagger onto orthonormal bases.
+
+    The whole-register counterpart of hamiltonians.sector_noncommutation_degree:
+    an overlapping pair is compared on the union of its qubits, each basis
+    lifted there by the identity (lift_basis), by
+    ||[P, Q]|| = ||X (V_b dagger - X dagger V_a dagger)||, X = V_a dagger V_b,
+    decided by norm_exceeds against COMMUTATOR_CUT, with no sectors.
+    """
+    def exceeds(a: int, b: int, pair: tuple) -> bool:
+        la, lb, width = pair
+        va = lift_basis(bases[a], la, range(width))
+        vb = lift_basis(bases[b], lb, range(width))
+        adj_a = va.conj().T
+        x = adj_a @ vb
+        return norm_exceeds(x @ (vb.conj().T - x.conj().T @ adj_a), COMMUTATOR_CUT)
+
+    return _pair_degree(len(bases), legs, exceeds)
+
+
+def swept_distances(ch, rho0: np.ndarray, kms: KmsForm, k_max: int) -> np.ndarray:
+    """iterate's trace distances from rounds swept term by term over the whole vector.
+
+    Each round applies every Pi_m = V_m V_m dagger to its legs of the
+    4^n-entry KMS-picture vector (sweep_projectors), with no sectors and
+    no composite, and each distance is its own eigvalsh.
+    """
+    d = kms.dim
+    dists = [schatten1_distance(rho0, kms.sigma)]
+    z = (kms.inv_quarter @ rho0 @ kms.inv_quarter).reshape(-1)
+    for _ in range(k_max):
+        z = sweep_projectors(ch.kernel_bases, ch.legs, z)
+        rho = kms.quarter @ z.reshape(d, d) @ kms.quarter
+        dists.append(schatten1_distance(0.5 * (rho + rho.conj().T), kms.sigma))
+    return np.array(dists)
 
 
 def dense_projector(res: ProjectorResult) -> np.ndarray:

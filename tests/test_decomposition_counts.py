@@ -241,28 +241,26 @@ def test_commuting_compose_decomposes_each_term_on_its_support(decomps):
     per_term = Counter((4 ** len(t.support),) * 2 for t in terms)
     assert max(per_term)[0] < d2[0]
     # No superoperator-sized eigh or SVD.  The generator maps |i><j| into
-    # |i'><j'| with i' xor j' = i xor j, so its spectrum is 2^n blocks of
+    # |i'><j'| with i' xor j' = i xor j, so its spectrum is 2^n sectors of
     # side 2^n in one stacked eigvalsh.  Each term's Choi eigvalsh runs at
-    # 4^|S_m|, and its kernel eigh as one stack of blocks of side 1 (z) or
-    # 2 (x) that fill 4^|S_m|; the only other eigh are the marginals of
-    # sigma, at 2^|S_m| < 2^n.  The parent's positivity check of the sum
-    # reads the generator spectrum, so no term is decomposed twice.
+    # 4^|S_m|, and its kernel eigh as one stack of its 2^|S_m| sectors of
+    # side 2^|S_m|.  The marginals of sigma are diagonal, so they are their
+    # own eigendecompositions and take no eigh.  The parent's positivity
+    # check of the sum reads the generator spectrum, so no term is
+    # decomposed twice.
     assert all(_rows(s) < d2[0] for s in decomps["eigh"] + decomps["svd"])
     assert Counter(decomps["eigvalsh"]) == per_term + Counter([(d, d, d)])
-    kernels = Counter(_rows(s) for s in decomps["eigh"] if _rows(s) >= d)
-    assert kernels == Counter(side for side, _ in per_term.elements())
-    assert all(len(s) == 3 and s[1] <= 2 for s in decomps["eigh"])
+    assert Counter(decomps["eigh"]) == Counter((2 ** len(t.support),) * 3 for t in terms)
 
 
 def test_commuting_model_runs_no_svd_for_its_zero_coherent_parts(decomps):
     ham = make_instance("zz_chain", 3)
-    d = 2**ham.n
     terms = build_model(ham, standard_couplings(ham.n, "x"), WeightProfile(beta=0.5))
     assert all(t.coherent is None for t in terms)
-    # One eigh of H, which is diagonal: d blocks of side 1 in one stacked
-    # call.  Both weighted operators take ||H|| from its eigenvalues, and
-    # G = 0 exactly is decided without an SVD.
-    assert decomps["eigh"] == [(d, 1, 1)]
+    # H is diagonal, so it is its own eigendecomposition and takes no eigh.
+    # Both weighted operators take ||H|| from its eigenvalues, and G = 0
+    # exactly is decided without an SVD.
+    assert decomps["eigh"] == []
     assert decomps["svd"] == []
 
 
@@ -805,10 +803,10 @@ def test_each_experiment_diagonalizes_h_once(monkeypatch, decomps, tmp_path, nam
     # diagonalized once, in ham.eig, and every Gibbs state, purified target,
     # ||H|| and Bohr weight reads it; whether its terms commute is decided
     # at most once.
-    # The zz_chain H is diagonal, so its one eigh is 8 blocks of side 1 in
-    # one stacked call.
+    # The zz_chain H is diagonal, so it is its own eigendecomposition and
+    # takes no eigh.
     d = (8, 8)
-    assert [s for s in decomps["eigh"] if _rows(s) == 8] == [d if name == "mix" else (8, 1, 1)]
+    assert [s for s in decomps["eigh"] if _rows(s) == 8] == ([d] if name == "mix" else [])
     assert len(degrees) <= 1
     if name.startswith("anneal"):
         # ||H|| costs no SVD, and the one commutation test scales by the

@@ -21,12 +21,11 @@ from dlgibbs.hamiltonians import (
     lift_basis,
     make_instance,
     noncommutation_degree,
-    projector_noncommutation_degree,
     standard_couplings,
     sweep_projectors,
 )
 from dlgibbs.tolerances import COMMUTATOR_CUT
-from reference import frustration_check, ground_space
+from reference import frustration_check, ground_space, projector_noncommutation_degree
 
 
 def test_embed_orders_qubit0_most_significant():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+import dlgibbs.linalg
 from dlgibbs.cli import main
 from dlgibbs.errors import (
     BadDimensionFactorization,
@@ -62,6 +63,49 @@ def test_eigendecompose_rejects_non_hermitian():
         hermitian_eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
         hermitian_eigendecompose(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("side", [4, 8, 16])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_diagonal_input_is_its_own_eigendecomposition(monkeypatch, side, dtype):
+    # Ties and signed zeros: the result is bitwise the block path's, each
+    # 1 x 1 block one eigh, stable-sorted, with no LAPACK call.
+    rng = np.random.default_rng(side)
+    diag = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=side)
+    a = np.diag(diag).astype(dtype)
+    want_w, want_v, _ = dlgibbs.linalg._block_eigh(a, dlgibbs.linalg._direct_sum(a != 0), a)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("a diagonal input took an eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    eig = hermitian_eigendecompose(a)
+    assert eig.eigenvalues.dtype == want_w.dtype and eig.eigenvectors.dtype == want_v.dtype
+    assert eig.eigenvalues.tobytes() == want_w.tobytes()
+    assert eig.eigenvectors.tobytes() == want_v.tobytes()
+    with pytest.raises(NotHermitian):
+        hermitian_eigendecompose(np.diag([1.0, 2.0 + 1.0j]))
+
+
+def test_stacks_decompose_matrix_by_matrix():
+    # A stack is one stacked LAPACK call, matrix by matrix, each checked
+    # against its own norm; a stack of one matrix is that matrix.
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(3, 6, 6))
+    a = a + a.transpose(0, 2, 1)
+    eig = hermitian_eigendecompose(a)
+    for k in range(3):
+        w, v = np.linalg.eigh(a[k])
+        assert eig.eigenvalues[k].tobytes() == w.tobytes()
+        assert eig.eigenvectors[k].tobytes() == v.tobytes()
+        assert hermitian_eigenvalues(a)[k].tobytes() == np.linalg.eigvalsh(a[k]).tobytes()
+    one = hermitian_eigendecompose(a[:1])
+    assert one.eigenvectors.tobytes() == hermitian_eigendecompose(a[0]).eigenvectors.tobytes()
+    a[1, 0, 1] += 1.0
+    with pytest.raises(NotHermitian):
+        hermitian_eigenvalues(a)
+    with pytest.raises(DimensionMismatch):
+        hermitian_eigenvalues(np.zeros((2, 2, 3)))
 
 
 def test_eigenvalues_share_the_eigendecompose_checks():

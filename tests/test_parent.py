@@ -281,11 +281,12 @@ def test_build_parent_lets_the_spectrum_decide_what_the_bound_cannot(monkeypatch
     _shifted_forms(monkeypatch, [c, -c] + [0.0] * (len(terms) - 2))
     ph = build_parent(terms, kms, ham, beta=0.5)
     assert max(t.eigenvalues[-1] for t in ph.terms) >= c - 1e-12
-    assert spectra == [(16, 16)]
+    # One spectrum of the sum, by its 2^n sectors of side 2^n.
+    assert spectra == [(4, 4, 4)]
     assert ph.kernel_dim == plain_dim == 1
     assert abs(ph.gap - plain_gap) <= 1e-12 * max(1.0, plain_gap)
     # Reading gap and kernel_dim took no second spectrum.
-    assert spectra == [(16, 16)]
+    assert spectra == [(4, 4, 4)]
 
 
 def test_parent_frustration_free_on_zoo_models():
@@ -342,7 +343,7 @@ _HERMITIAN_SUM_MODELS = [
 @pytest.mark.parametrize("kind,n,seed,kinds", _HERMITIAN_SUM_MODELS)
 def test_parent_sum_is_exactly_hermitian(monkeypatch, kind, n, seed, kinds, beta):
     # Each H^a is (h_a + h_a dagger)/2, exactly Hermitian, and so is their
-    # sum: the matrix coherent_spectrum diagonalizes needs no
+    # sum: the sectors coherent_spectrum diagonalizes need no
     # re-symmetrization.  Complex sums differ from their conjugate
     # transposes only in the signs of zeros, which array_equal ignores.
     ham = make_instance(kind, n, seed=seed)
@@ -358,8 +359,11 @@ def test_parent_sum_is_exactly_hermitian(monkeypatch, kind, n, seed, kinds, beta
     ph = build_parent(terms, kms, ham, beta=beta)
     ph.gap
     assert all(np.array_equal(t.mat, t.mat.conj().T) for t in ph.terms)
-    assert len(sums) == 1 and sums[0].shape == (4**n, 4**n)
-    assert np.array_equal(sums[0], sums[0].conj().T)
+    # The sum is held by sector: 2^n of side 2^n for the diagonal H of the
+    # commuting kinds, one of side 4^n otherwise; each is exactly Hermitian.
+    sectors = (1, 4**n, 4**n) if kind == "random_ff_projectors" else (2**n,) * 3
+    assert len(sums) == 1 and sums[0].shape == sectors
+    assert np.array_equal(sums[0], np.swapaxes(sums[0].conj(), 1, 2))
 
 
 def test_verify_parent_skips_locality_for_noncommuting():

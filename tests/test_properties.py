@@ -19,20 +19,26 @@ from dlgibbs.errors import DegenerateGapWarning
 from dlgibbs.hamiltonians import (
     LocalHamiltonian,
     LocalOperator,
+    Sectors,
     assemble,
     bohr_grid,
     commutation_degree,
     embed,
     make_instance,
     noncommutation_degree,
-    projector_noncommutation_degree,
+    sector_noncommutation_degree,
     standard_couplings,
 )
 from dlgibbs.jumps import WeightProfile, build_coherent, build_jump, build_model
 from dlgibbs.kms import KmsForm, coherent_spectrum
 from dlgibbs.linalg import hermitian_eigendecompose, norm_exceeds, spectral_norm
 from dlgibbs.parent import build_parent, parent_projector_input
-from reference import gibbs_state, parent_matrix, reference_coherent, reference_jump
+from reference import (
+    gibbs_state,
+    parent_matrix,
+    reference_coherent,
+    reference_jump,
+)
 from test_sampler import assert_local_matches_dense
 
 PROPERTY = settings(
@@ -241,6 +247,11 @@ def projector_families(draw) -> list[np.ndarray]:
     return bases
 
 
+def _one_sector_degree(bases, legs) -> int:
+    """sector_noncommutation_degree of bases on qubits legs of a register, in its one sector."""
+    return sector_noncommutation_degree(Sectors(3, False), [(v[None], lg) for v, lg in zip(bases, legs)])
+
+
 @PROPERTY
 @given(projector_families(), st.sampled_from([1e-10, 1e-6]))
 def test_projector_degree_matches_dense_noncommutation_degree(bases, tol):
@@ -248,7 +259,7 @@ def test_projector_degree_matches_dense_noncommutation_degree(bases, tol):
     # Every basis acts on the whole register, one shared leg of dimension d.
     legs = [(0,)] * len(bases)
     with _commutator_cut(tol):
-        assert projector_noncommutation_degree(bases, legs) == noncommutation_degree(dense)
+        assert _one_sector_degree(bases, legs) == noncommutation_degree(dense)
 
 
 @st.composite
@@ -291,7 +302,7 @@ def test_support_graph_degree_matches_dense_noncommutation_degree(family, tol):
     bases, legs = family
     dense = [embed(LocalOperator(v @ v.conj().T, lg), 5) for v, lg in zip(bases, legs)]
     with _commutator_cut(tol):
-        assert projector_noncommutation_degree(bases, legs=legs) == (
+        assert _one_sector_degree(bases, legs) == (
             noncommutation_degree(dense)
         )
 
@@ -397,8 +408,9 @@ def test_local_channel_matches_dense_on_commuting_projectors(seed, n, couplings,
 def test_projector_input_ground_cluster_is_the_parent_kernel(model, seed, couplings, beta):
     # The ground cluster of the projector input, which a dl_qsvt anneal
     # reads for its fixed-point dimension, has the dense kernel_dim of the
-    # parent; and the lazily read gap and kernel_dim are coherent_spectrum of
-    # the assembled sum of the parent terms.
+    # parent; and the lazily read gap and kernel_dim, taken by sector, are
+    # coherent_spectrum's of the assembled sum of the parent terms: the
+    # kernel_dim exactly, the gap to within rounding on the spectrum's scale.
     import warnings
 
     kind, n = model
@@ -410,10 +422,10 @@ def test_projector_input_ground_cluster_is_the_parent_kernel(model, seed, coupli
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateGapWarning)
         cluster = pin.cluster
-    _, gap, kernel_dim = coherent_spectrum(parent_matrix(ph))
+    w, gap, kernel_dim = coherent_spectrum(parent_matrix(ph))
     assert cluster.dimension == kernel_dim
     assert ph.kernel_dim == kernel_dim
-    assert ph.gap == gap
+    assert abs(ph.gap - gap) <= 1e-13 * max(1.0, float(np.abs(w).max()))
 
 
 @PROPERTY

@@ -210,6 +210,7 @@ def dense_channel(terms, kms, n):
     _, gap, kernel_dim = coherent_spectrum(sum(hermitian))
     channel = DlChannel(
         m=len(terms),
+        n=n,
         kernel_bases=tuple(bases),
         legs=(tuple(range(2 * n)),) * len(terms),
         gap=gap,
@@ -387,8 +388,10 @@ def test_channel_holds_no_superoperator_sized_array():
         kms = KmsForm(gibbs_state(assemble(ham), beta))
         ch = compose_dl_channel(terms, kms, ham)
         assert ch.g > 0 and ch.q > 0  # computed on first read, then held
-        shapes = [a.shape for a in _arrays(ch)]
-        assert len(shapes) == ch.m
+        # The round is held by sector, 2^n of side 2^n: 8^n entries against
+        # the 16^n of one superoperator.
+        assert ch.round.shape == (2**n,) * 3
+        assert all(a.size < 16**n for a in _arrays(ch))
         # A commuting model keeps each kernel basis on its doubled dressed
         # support: 4^|S_m| rows, fewer than 4^n unless S_m is the whole chain.
         for t, basis, legs in zip(terms, ch.kernel_bases, ch.legs):
@@ -574,7 +577,7 @@ def test_fixed_point_of_round_channel():
 def test_iterate_and_contraction_check_share_channel_invariants(monkeypatch):
     import dlgibbs.sampler as sampler
 
-    counts = {"coherent_spectrum": 0, "projector_noncommutation_degree": 0}
+    counts = {"coherent_spectrum": 0, "sector_noncommutation_degree": 0}
     for name in counts:
         real = getattr(sampler, name)
 
@@ -592,7 +595,7 @@ def test_iterate_and_contraction_check_share_channel_invariants(monkeypatch):
     assert (trace.g, trace.q) == (rep.g, rep.q) == (ch.g, ch.q)
     assert (trace.gap, trace.kernel_dim) == (ch.gap, ch.kernel_dim)
     assert ch.g > 0 and 0.0 < ch.q < 1.0
-    assert counts == {"coherent_spectrum": 1, "projector_noncommutation_degree": 1}
+    assert counts == {"coherent_spectrum": 1, "sector_noncommutation_degree": 1}
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -600,13 +603,13 @@ def test_superop_hamiltonian_does_not_compute_g(monkeypatch):
     import dlgibbs.sampler as sampler
 
     calls = []
-    real = sampler.projector_noncommutation_degree
+    real = sampler.sector_noncommutation_degree
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sampler, "projector_noncommutation_degree", counted)
+    monkeypatch.setattr(sampler, "sector_noncommutation_degree", counted)
     ham, terms, kms = _zz3_setup(kinds="xz")
     rep = superop_hamiltonian(terms, kms, ham)
     assert rep.kernel_dim == 1
