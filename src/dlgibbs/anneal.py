@@ -35,10 +35,13 @@ ground vector of the parent Hamiltonian at each beta_j) or through the
 detectability-lemma projector pipeline run on the negated, normalized
 parent terms; the latter costs ell * M singular-value queries per step
 for M dissipative terms and projector degree ell, giving the countable
-total K (ell M + l).  Its projectors are kept as the factors U p(S) V^dag
-of each step's DL operator, and each transition decomposes only a core of
-side at most R_{j-1} + R_j, the nonzero singular values of the two steps
-(transition); no d x d projector or product of two is formed.
+total K (ell M + l).  Every parent term of a diagonal H with Pauli
+couplings keeps s = i xor j of the doubled register |i>|j>, and so do the
+projector input's ground cluster, its DL operator, p(DL) and every product
+P_b P_a: each is held as the stack of its 2^n sectors of side 2^n
+(hamiltonians.Sectors), 8^n entries, and decomposed in one stacked call,
+and no 4^n x 4^n array is formed.  When some step's terms leave their
+sectors, every step runs the same code on the one sector of side 4^n.
 
 run_annealing takes two passes.  The first builds every step's parent, for
 its target and its local projector input; the overlaps fix the budgets,
@@ -235,12 +238,6 @@ def _check_overlap(s0: float, b: float) -> None:
         )
 
 
-def _padding(res: ProjectorResult) -> tuple[int, float]:
-    """(R, c): the R nonzero singular values lead, and p_s is c = p(0) past them."""
-    r = int(np.count_nonzero(res.svd.s))
-    return r, float(res.p_s[r]) if r < res.p_s.size else 0.0
-
-
 def transition(
     pa: ProjectorResult,
     pb: ProjectorResult,
@@ -254,66 +251,32 @@ def transition(
 
     O_tilde applies the odd boost polynomial f, given by its Chebyshev
     coefficients (boost_coefficients for the overlap floor), to every
-    singular value of P_b P_a, each projector given by its factors
-    P = U diag(p_s) Vh.  Past its R nonzero singular values a step's p_s is
-    the constant c = p(0), so with W = Vh_b U_a and W_1 = W[:, :R_a]
-
-        P_b P_a = U_b [Z T Z^dag + c_a c_b (I - Z Z^dag)] W Vh_a,
-
-    where Z = I_{R_b} (+) Q spans e_1 ... e_{R_b} and W_1 (Q from one QR of
-    W_1's rows past R_b) and T = Z^dag diag(p_b) W diag(p_a) W^dag Z is a
-    k x k core, k <= R_a + R_b.  T = X S Y^dag is the one SVD taken: P_b P_a
-    has T's singular values plus |c_a c_b| d - k times, and O_tilde is the
-    bracket with X f(S) Y^dag for T and f(c_a c_b) for c_a c_b.  The same QR
-    extends Z by b^ = U_b^dag b and a^ = W Vh_a a, so the error is the
-    2-norm of E, the bracket minus b^ a^dag on that basis (side <= k + 2).
-    Nothing d x d is formed: W_1 is d x R_a and the state moves by
-    matrix-vector products.  OverlapTooSmall (below floor / 2) and
-    RankAmbiguous read the top two singular values of P_b P_a, as for the
-    dense product.
+    singular value of P_b P_a.  Both projectors are held by the same sectors
+    (ProjectorResult.sectors), each sector s as P_s = U_s p(S_s) V_s^dag
+    (ProjectorResult.blocks), so M_s = P_{b,s} P_{a,s} is one stacked
+    product and X_s S_s Y_s^dag one stacked SVD, and O_tilde_s =
+    X_s f(S_s) Y_s^dag.  OverlapTooSmall (below floor / 2) and
+    RankAmbiguous read the top two singular values over all sectors, as
+    for the dense product.  The state moves in every sector.  The targets
+    a and b lie in one common sector (sector 0 for a diagonal H, where
+    vec(sqrt(sigma)) is diagonal; the whole register on one sector), so
+    b a^dag is block diagonal and the error is the largest spectral norm
+    over the stack O_tilde_s - b_s a_s^dag.
     """
-    ra, ca = _padding(pa)
-    rb, cb = _padding(pb)
-    ua, vha, ub, vhb = pa.svd.u, pa.svd.vh, pb.svd.u, pb.svd.vh
-    d = ua.shape[0]
-    w1 = vhb @ ua[:, :ra]
-    b_hat = ub.conj().T @ b
-    a_hat, y = (vhb @ (ua @ (vha @ np.column_stack([a, state])))).T
-    # I_{R_b} (+) q spans e_1 ... e_{R_b}, W_1, b^ and a^, and r_ext holds the
-    # coordinates of their rows past R_b.  Q is q's first k - R_b columns;
-    # W_1 has no coordinates on the others, where the bracket is f(c_a c_b).
-    q, r_ext = np.linalg.qr(np.column_stack([w1[rb:], b_hat[rb:], a_hat[rb:]]))
-    k = rb + min(ra, d - rb)
-    k_ext = rb + q.shape[1]
-    # On Z, W diag(p_a) W^dag = c_a I + W_z diag(p_a - c_a) W_z^dag with
-    # W_z = Z^dag W_1, and diag(p_b) is p_b's first R_b entries, then c_b.
-    w_z = np.concatenate([w1[:rb], r_ext[:, :ra]])
-    p_z = np.concatenate([pb.p_s[:rb], np.full(k - rb, cb)])
-    m_z = (w_z[:k] * (pa.p_s[:ra] - ca)) @ w_z[:k].conj().T
-    m_z[np.diag_indices(k)] += ca
-    core = singular_value_decompose(p_z[:, None] * m_z)
-    cc = ca * cb
-    s = np.sort(np.concatenate([core.s[:2], np.full(min(2, d - k), abs(cc))]))[::-1]
+    sectors = pa.sectors
+    core = singular_value_decompose(pb.blocks @ pa.blocks)
+    s = np.sort(core.s, axis=None)[::-1]
     _check_overlap(s[0], floor)
     if len(s) > 1 and s[1] > s[0] / 10:
         raise RankAmbiguous(
             f"second singular value {s[1]:.3e} is within a factor 10 of the "
             f"first {s[0]:.3e}"
         )
-    # f is odd: the padding's singular value |c_a c_b| carries the sign of c_a c_b.
-    f_pad = math.copysign(float(chebyshev.chebval(min(abs(cc), 1.0), coefficients)), cc)
-    g = f_pad * np.eye(k_ext, dtype=core.u.dtype)
-    g[:k, :k] = (core.u * chebyshev.chebval(np.clip(core.s, 0.0, 1.0), coefficients)) @ core.vh
-    beta_z = np.concatenate([b_hat[:rb], r_ext[:, ra]])
-    alpha_z = np.concatenate([a_hat[:rb], r_ext[:, ra + 1]])
-    # Past the extended basis the difference is f(c_a c_b) I.  When there is
-    # such a space, the basis holds two columns beyond Z, where g is f(c_a c_b)
-    # I_2 and a rank-one term leaves a vector on which E has norm |f(c_a c_b)|.
-    err = spectral_norm(g - np.outer(beta_z, alpha_z.conj()))
-    y_q = q.conj().T @ y[rb:]
-    gy = g @ np.concatenate([y[:rb], y_q])
-    rest = f_pad * (y[rb:] - q @ y_q) + q @ gy[rb:]
-    return ub @ np.concatenate([gy[:rb], rest]), err
+    f = chebyshev.chebval(np.clip(core.s, 0.0, 1.0), coefficients)
+    o = (core.u * f[..., None, :]) @ core.vh
+    a_s, b_s, y = (sectors.gather(z) for z in (a, b, state))
+    err = spectral_norm(o - b_s[..., :, None] * a_s[..., None, :].conj())
+    return sectors.scatter((o @ y[..., None])[..., 0]), err
 
 
 @dataclass(frozen=True)
@@ -421,7 +384,9 @@ def run_annealing(
     and projector from its pin and then runs transition j, so
     at most two steps' DL factors are alive.  A FrustrationDetected or
     DegenerateGap from step j's DL operator therefore fires after every
-    parent has been built and transition j - 1 has run.
+    parent has been built and transition j - 1 has run.  The pins are held
+    by sector; when one step's terms leave their sectors, every pin goes on
+    the one sector, so the transitions read matching stacks.
     """
     if projector_mode not in _MODES:
         raise UnknownKind(f"unknown projector mode {projector_mode!r}")
@@ -464,6 +429,9 @@ def run_annealing(
         # before the next ones are built.
         del ph
     m_terms = len(terms)
+    if len({pin.sectors.labelled for pin in pins}) > 1:
+        # One step's terms leave their sectors: every step runs on the one sector.
+        pins = [replace(pin, labelled=False) for pin in pins]
 
     overlaps = [
         float(np.abs(np.vdot(targets[j - 1], targets[j])))

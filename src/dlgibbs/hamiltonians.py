@@ -21,9 +21,11 @@ Sectors.  On the doubled register of a vectorized n-qubit operator,
 s = i xor j splits into 2^n sectors of side 2^n (Sectors).  Every parent
 term of a diagonal H with Pauli couplings does, which sector_blocks tests
 exactly.  A stack holds one matrix per sector, and the mix's round
-channel, its g and the parent spectrum are summed, multiplied and
-decomposed as stacks.  When one operator of a sum leaves its sectors, the
-whole sum goes on the one sector of side 4^n instead, by the same code.
+channel, its g, the parent spectrum and the dl_qsvt anneal's projector
+input (SectorHamiltonian: its ground cluster, DL operator and transitions)
+are summed, multiplied and decomposed as stacks.  When one operator of a
+sum leaves its sectors, the whole sum goes on the one sector of side 4^n
+instead, by the same code.
 """
 
 from __future__ import annotations
@@ -433,6 +435,33 @@ def sector_columns(v: np.ndarray) -> np.ndarray | None:
     return out
 
 
+def sector_eigh(mat: np.ndarray) -> HermitianEig:
+    """mat's eigendecomposition by local sector, as a stack.
+
+    mat is Hermitian on doubled legs S + (S + n).  When it is exactly zero
+    outside its local sectors (sector_blocks) its 2^|S| blocks are
+    decomposed in one stacked call; otherwise mat is one block, a stack of
+    one.  sector_eigenvectors places the blocks' eigenvectors back in mat.
+    """
+    blocks = sector_blocks(mat)
+    return hermitian_eigendecompose(mat[None] if blocks is None else blocks)
+
+
+def sector_eigenvectors(eig: HermitianEig, sel: np.ndarray) -> np.ndarray:
+    """The eigenvectors of a sector_eigh stack where sel holds, as columns of the whole matrix.
+
+    Block t of 2^k sits at the indices sector_rows(k)[t], and a stack of one
+    at every index; columns follow sel's (block, eigenvalue) order, so each
+    is exactly zero outside one sector.
+    """
+    count, side = eig.eigenvalues.shape
+    rows = np.arange(side)[None] if count == 1 else sector_rows(count.bit_length() - 1)
+    sector, col = np.nonzero(sel)
+    v = np.zeros((count * side, sector.size), dtype=eig.eigenvectors.dtype)
+    v[rows[sector], np.arange(sector.size)[:, None]] = eig.eigenvectors[sector, :, col]
+    return v
+
+
 @dataclass(frozen=True)
 class Sectors:
     """The sectors of superoperators on the doubled register of n qubits.
@@ -512,17 +541,25 @@ class Sectors:
         )
         return total
 
-    def apply(self, stack: np.ndarray, v: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-        """Each sector of a stack (count, 2^width, C) times V V dagger on qubits.
+    def apply(self, stack: np.ndarray, qubits: tuple[int, ...], blocks: np.ndarray) -> np.ndarray:
+        """Each sector of a stack (count, 2^width, C) times an operator on qubits, tensor I.
 
-        v holds V's blocks, one per local sector (split_basis); a sector takes
-        the block its labels on qubits select.
+        blocks holds the operator's block per local sector (split), and a
+        sector takes the block its labels on qubits select.  Labelled, on a
+        run of consecutive qubits (every chain term), the stack is viewed as
+        (pre, labels, middle, rows, rest), the qubits' label and row axes one
+        axis each, and the blocks broadcast over that view, with no
+        transposed copy; otherwise those axes are moved to the front.
         """
-        shape = (2,) * (self._label_axes + self.width) + (stack.shape[-1],)
+        k, w = len(qubits), self.width
+        if self.labelled and tuple(qubits) == tuple(range(qubits[0], qubits[0] + k)):
+            t = stack.reshape(2 ** qubits[0], 2**k, 2 ** (w - k), 2**k, -1)
+            return (blocks[:, None] @ t).reshape(stack.shape)
+        shape = (2,) * (self._label_axes + w) + (stack.shape[-1],)
         front = self._labels(qubits) + tuple(self._label_axes + q for q in qubits)
         order, back = _leg_plan(front, len(shape))
-        t = stack.reshape(shape).transpose(order).reshape(v.shape[0], v.shape[1], -1)
-        t = v @ (np.swapaxes(v.conj(), -1, -2) @ t)
+        t = stack.reshape(shape).transpose(order).reshape(blocks.shape[0], blocks.shape[-1], -1)
+        t = blocks @ t
         return t.reshape([shape[a] for a in order]).transpose(back).reshape(stack.shape)
 
     def lift(self, v: np.ndarray, pos: Sequence[int], width: int) -> np.ndarray:
@@ -566,15 +603,15 @@ class Sectors:
 
 
 def sector_sum(
-    terms: Iterable[tuple[np.ndarray, tuple[int, ...]]], n: int
+    terms: Iterable[tuple[np.ndarray, tuple[int, ...]]], n: int, labelled: bool = True
 ) -> tuple[Sectors, np.ndarray]:
     """The sum of the operators mat on doubled legs, by sector, from one pass over terms.
 
-    Labelled when every term splits (Sectors.split); at the first that does
-    not, the sum so far is written into the one sector and the rest are
-    added there, so only one stack is ever held.
+    Labelled when every term splits (Sectors.split) and labelled is True; at
+    the first that does not, the sum so far is written into the one sector
+    and the rest are added there, so only one stack is ever held.
     """
-    sectors, total = Sectors(n, True), None
+    sectors, total = Sectors(n, labelled), None
     for mat, legs in terms:
         blocks = sectors.split(mat, legs)
         if blocks is None:
@@ -655,6 +692,46 @@ def commutation_degree(ham: LocalHamiltonian) -> int:
 
 
 @dataclass(frozen=True)
+class SectorHamiltonian(LocalHamiltonian):
+    """A LocalHamiltonian on the doubled register of n // 2 qubits, held by sector.
+
+    Every term acts on doubled legs S + (S + n // 2), and eigs holds each
+    term's sector_eigh.  The sum is labelled (sectors) when labelled is True
+    and every term's eigendecomposition is by local sector, a stack of more
+    than one; otherwise it is on the one sector of side 2^n.  cluster is
+    read off the sum by sector (sector_sum) and one stacked eigvalsh, with
+    no 2^n x 2^n array when the sum is labelled.
+    """
+
+    eigs: tuple[HermitianEig, ...]
+    labelled: bool = True
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "eigs", tuple(self.eigs))
+        if len(self.eigs) != len(self.terms) or self.n % 2:
+            raise DimensionMismatch(
+                f"{len(self.eigs)} eigendecompositions for {len(self.terms)} terms "
+                f"on a doubled register of {self.n} qubits"
+            )
+
+    @cached_property
+    def sectors(self) -> Sectors:
+        """The sectors the sum, its DL operator and its projector are held by."""
+        split = all(e.eigenvalues.shape[0] > 1 for e in self.eigs)
+        return Sectors(self.n // 2, self.labelled and split)
+
+    @cached_property
+    def cluster(self) -> GroundCluster:
+        """The ground cluster (ground_cluster's rule) of the sum's eigenvalues over all its sectors."""
+        sectors = self.sectors
+        _, total = sector_sum(
+            ((t.op, t.support) for t in self.terms), sectors.n, sectors.labelled
+        )
+        return _cluster_of(np.sort(hermitian_eigenvalues(total), axis=None))
+
+
+@dataclass(frozen=True)
 class GroundCluster:
     """Lowest eigenvalue w_0 (energy), cluster size and gap of H, and ||H|| = max |w|."""
 
@@ -665,14 +742,18 @@ class GroundCluster:
 
 
 def ground_cluster(ham: LocalHamiltonian) -> GroundCluster:
-    """Ground cluster of H (assemble) from one eigvalsh.
+    """Ground cluster of H (assemble) from one eigvalsh (_cluster_of)."""
+    return _cluster_of(hermitian_eigenvalues(assemble(ham)))
+
+
+def _cluster_of(w: np.ndarray) -> GroundCluster:
+    """The ground cluster of the ascending eigenvalues w of H.
 
     The cluster collects eigenvalues within GROUND_CLUSTER_WIDTH * max(1, ||H||)
     of the minimum, and the gap is to the next eigenvalue (inf if there is none);
     a gap below ten times that width triggers a DegenerateGapWarning
     because the cluster boundary is then ambiguous.
     """
-    w = hermitian_eigenvalues(assemble(ham))
     norm = float(np.abs(w).max())
     width = GROUND_CLUSTER_WIDTH * max(1.0, norm)
     dim = int(np.sum(w - w[0] <= width))

@@ -56,7 +56,9 @@ from .errors import (
     PositiveEigenvalue,
     SingularSigma,
 )
-from .hamiltonians import LocalHamiltonian, LocalOperator, embed, sector_blocks, sector_rows
+from .hamiltonians import (
+    LocalHamiltonian, LocalOperator, embed, sector_eigenvectors, sector_eigh,
+)
 from .linalg import (
     HermitianEig,
     hermitian_eigendecompose,
@@ -299,9 +301,7 @@ def coherent_spectrum(h: np.ndarray) -> tuple[np.ndarray, float, int]:
     reads only its lower triangle, so nothing here would show a defect.
     It is a matrix or the stack of a sum's sectors (hamiltonians.sector_sum),
     whose spectrum is the union of theirs.  The only other array of h's size
-    is eigvalsh's working copy; on a direct sum that
-    linalg.symmetric_eigenvalues splits that copy is one of the blocks, and
-    only a boolean pattern of h is formed besides.  An eigenvalue above
+    is eigvalsh's working copy.  An eigenvalue above
     POSITIVE_EIGENVALUE_CUT * max(1, ||h||) raises PositiveEigenvalue, the
     rule stationary_channel applies to each term.  The kernel cut is
     KERNEL_CUT * max(1, ||h||), and gap is lambda_1 - lambda_2, or exactly
@@ -343,20 +343,15 @@ def stationary_channel(h: np.ndarray, kms: KmsForm) -> TermKernel:
     onto the kernel of h, the term's Hermitian coherent form on its doubled
     legs S + (S + n) against kms (parent.ParentTerm.mat and .state, whose
     detailed balance parent_terms checked); a matrix that is not Hermitian
-    raises NotHermitian.  When h is exactly zero outside its sectors
-    (hamiltonians.sector_blocks) its blocks are decomposed in one stacked
-    call and each basis vector lies in one sector; otherwise h is
-    decomposed whole.  ||h|| is read off its eigenvalues.  Requires every
+    raises NotHermitian.  h is decomposed by sector (hamiltonians.sector_eigh):
+    when it is exactly zero outside its sectors its blocks are decomposed in
+    one stacked call and each basis vector lies in one sector; otherwise h
+    is decomposed whole.  ||h|| is read off its eigenvalues.  Requires every
     eigenvalue at most POSITIVE_EIGENVALUE_CUT * max(1, ||h||)
     (PositiveEigenvalue otherwise); kernel membership uses the relative
     cutoff KERNEL_CUT * max(1, ||h||).
     """
-    blocks = sector_blocks(h)
-    if blocks is None:
-        blocks, rows = h[None], np.arange(h.shape[0])[None]
-    else:
-        rows = sector_rows(h.shape[0].bit_length() // 2)
-    eig = hermitian_eigendecompose(blocks)
+    eig = sector_eigh(h)
     w = eig.eigenvalues
     h_norm = float(np.abs(w).max())
     scale = max(1.0, h_norm)
@@ -370,9 +365,7 @@ def stationary_channel(h: np.ndarray, kms: KmsForm) -> TermKernel:
         raise DegenerateGap(
             f"no kernel eigenvalue within {kernel_cut:.1e} (largest is {w.max():.3e})"
         )
-    sector, col = np.nonzero(sel)
-    vk = np.zeros((h.shape[0], sector.size), dtype=eig.eigenvectors.dtype)
-    vk[rows[sector], np.arange(sector.size)[:, None]] = eig.eigenvectors[sector, :, col]
+    vk = sector_eigenvectors(eig, sel)
     # Gamma^{1/2} is Hermitian, so Pi_0 Gamma^{1/2} = V (Gamma^{1/2} V) dagger.
     left = _kron_conj_apply(kms.inv_quarter, vk)
     mat = left @ _kron_conj_apply(kms.quarter, vk).conj().T

@@ -34,9 +34,11 @@ rounding slack of linalg.norm_exceeds, and by the spectrum of the sum only
 otherwise.  That spectrum is taken by sector (hamiltonians.sector_sum): for
 a diagonal H with Pauli couplings the 2^n sectors of side 2^n in one
 stacked eigvalsh, with no 4^n x 4^n array; otherwise the one sector of
-side 4^n, which the linalg block path may still split.  The dl_qsvt
-anneal's parent_projector_input is summed whole and reaches that block
-path too, through its ground cluster and dl_operator.
+side 4^n.  Each local term is decomposed once, by its own sectors
+(ParentTerm.eig): its eigenvalues bound the sum's and scale the dl_qsvt
+anneal's parent_projector_input, a hamiltonians.SectorHamiltonian whose
+ground cluster is summed by sector too and whose DL operator reads the
+same eigenvectors.
 
 - Detailed balance of the sum: ||sum_a anti_a|| <= sum_a ||anti_a||_F, the
   terms' db_residuals; the assembled sum is checked only when they reach
@@ -71,10 +73,12 @@ from .errors import (
 from .hamiltonians import (
     LocalHamiltonian,
     LocalOperator,
+    SectorHamiltonian,
     _embed,
     add_embedded,
     apply_local,
     embed,
+    sector_eigh,
     sector_sum,
     support_overlap_degree,
 )
@@ -88,7 +92,7 @@ from .kms import (
     term_superoperator,
 )
 from .linalg import (
-    norm_exceeds, partial_trace, spectral_norm, symmetric_eigenvalues, vectorize,
+    HermitianEig, norm_exceeds, partial_trace, spectral_norm, symmetric_eigenvalues, vectorize,
 )
 from .tolerances import (
     DETAILED_BALANCE_TOL, LOCALITY_TOL, NORM_SLACK, PARENT_TERM_PSD_TOL,
@@ -128,9 +132,21 @@ class ParentTerm:
         return float(np.abs(self.eigenvalues).max())
 
     @cached_property
+    def eig(self) -> HermitianEig:
+        """mat's eigendecomposition by local sector (hamiltonians.sector_eigh), on first read."""
+        return sector_eigh(self.mat)
+
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of mat, computed on first read."""
-        return symmetric_eigenvalues(self.mat)
+        """Ascending eigenvalues of mat, computed on first read.
+
+        A local term's are all its sectors' of eig, which the dl_qsvt anneal
+        reads for its ground bases too; a term on the whole register of
+        non-commuting H takes one eigvalsh, as nothing reads its eigenvectors.
+        """
+        if self.locality_residual is None:
+            return symmetric_eigenvalues(self.mat)
+        return np.sort(self.eig.eigenvalues, axis=None)
 
 
 @dataclass(frozen=True)
@@ -391,16 +407,19 @@ def verify_parent(ph: ParentHamiltonian) -> ParentReport:
     )
 
 
-def parent_projector_input(ph: ParentHamiltonian) -> LocalHamiltonian:
+def parent_projector_input(ph: ParentHamiltonian) -> SectorHamiltonian:
     """The negated, normalized local parent terms -H^a / max(1, ||H^a||).
 
     Each H^a is held on its doubled dressed support; -H^a must be positive
     semidefinite (PositivityFailure otherwise), and ||H^a|| is read off the
-    term's eigenvalues.  The result is frustration-free with kernel
+    term's eigenvalues.  Each term's eigendecomposition is H^a's by sector
+    (ParentTerm.eig), its eigenvalues scaled by -1 / max(1, ||H^a||), so
+    each term is decomposed once.  The result is frustration-free with kernel
     ker sum_a H^a, so its ground cluster's dimension is ph.kernel_dim.  A
     parent of non-commuting H has no local terms (BadParams).
     """
     locals_: list[LocalOperator] = []
+    eigs: list[HermitianEig] = []
     for idx, t in enumerate(ph.terms):
         if t.locality_residual is None:
             msg = f"parent term {idx} is not local: the Hamiltonian terms do not commute"
@@ -414,4 +433,5 @@ def parent_projector_input(ph: ParentHamiltonian) -> LocalHamiltonian:
                 f"negated parent term {idx} has eigenvalue {min_eig:.3e} < 0"
             )
         locals_.append(LocalOperator(-t.mat / scale, t.support))
-    return LocalHamiltonian(n=2 * ph.n, terms=tuple(locals_))
+        eigs.append(HermitianEig(-t.eig.eigenvalues / scale, t.eig.eigenvectors))
+    return SectorHamiltonian(n=2 * ph.n, terms=tuple(locals_), eigs=tuple(eigs))

@@ -23,7 +23,11 @@ dependence is the quadratic speedup this module certifies empirically.
 DL(H) is never formed as a dense product: it equals B_1 C, with B_1 the
 isometry onto the range of the first factor and C an R_1 x d core built by
 applying the other factors to B_1's columns on their tensor legs, and its
-SVD is read off C's (dl_operator).
+SVD is read off C's (dl_operator).  The dl_qsvt anneal's projector input,
+a hamiltonians.SectorHamiltonian on the doubled register, is decomposed by
+sector instead: every term keeps s = i xor j, so DL(H) is the direct sum of
+its sectors' products D_s, composed and decomposed as one stack, and so is
+each projector U_s p(S_s) V_s^dag.
 
 Evaluation of p uses cosh(l arccosh y) in log space for |y| > 1, which
 stays finite for degrees far beyond the overflow point of T_l itself.
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,10 +50,14 @@ from .errors import (
     InsufficientSpread,
 )
 from .hamiltonians import (
+    GroundCluster,
     LocalHamiltonian,
+    SectorHamiltonian,
+    Sectors,
     apply_local,
     interaction_degree,
     lift_basis,
+    sector_eigenvectors,
     sweep_projectors,
 )
 from .linalg import (
@@ -78,12 +87,28 @@ class DlOperator:
     with singular value exactly 0.  D fixes its null spaces but not how
     the columns of U there pair with the rows of Vh; that pairing is the
     one dl_operator builds, and only even polynomials read it
-    (ProjectorResult).
+    (ProjectorResult).  On sectors (a SectorHamiltonian's), svd is the
+    stack of the sectors' SVDs, U (count, p, p), s (count, p) and Vh, and
+    the top singular vectors are the ground_dimension largest over all
+    sectors (top).
     """
 
     m: int
     svd: Svd
     ground_dimension: int
+    sectors: Sectors | None = None
+
+    @cached_property
+    def top(self) -> np.ndarray:
+        """Where the ground_dimension largest singular values sit, over all sectors.
+
+        One descending order of every singular value, ties kept in flat
+        order, so on a single SVD the top is its first ground_dimension.
+        """
+        s = self.svd.s
+        top = np.zeros(s.size, dtype=bool)
+        top[np.argsort(-s, axis=None, kind="stable")[: self.ground_dimension]] = True
+        return top.reshape(s.shape)
 
 
 @dataclass(frozen=True)
@@ -125,14 +150,16 @@ class SingularGap:
 class ProjectorResult:
     """Polynomial projector approximation with its certified error bound.
 
-    The projector is U diag(p_s) V^dag over svd, kept as its factors; error
-    is ||U p(S) V^dag - U_1 V_1^dag||, read off the singular values.  For
-    even degree p(0) != 0, so the projector holds p(0) U_0 V_0^dag over
-    bases U_0, V_0 of the null spaces of D, which pair as DlOperator.svd
-    pairs them; D itself does not fix that pairing.  |p(0)| is at most
-    error, so another pairing moves the projector by at most 2 error in
-    norm (on the zz_chain n = 4 anneals a random rotation of U_0 moved the
-    results by ~1e-13 relative).
+    The projector is U diag(p_s) V^dag over svd, kept as its factors, and
+    on sectors also as the stack of the sectors' U_s p(S_s) V_s^dag
+    (blocks), 8^n entries; error is ||U p(S) V^dag - U_1 V_1^dag||, read
+    off the singular values of every sector.  For even degree p(0) != 0, so
+    the projector holds p(0) U_0 V_0^dag over bases U_0, V_0 of the null
+    spaces of D, which pair as DlOperator.svd pairs them; D itself does not
+    fix that pairing.  |p(0)| is at most error, so another pairing moves
+    the projector by at most 2 error in norm (on the zz_chain n = 4 anneals
+    a random rotation of each sector's U_0 moved the results by ~1e-13
+    relative).
     """
 
     svd: Svd
@@ -140,6 +167,12 @@ class ProjectorResult:
     error: float
     bound: float
     queries: int
+    sectors: Sectors | None = None
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """U p(S) V^dag of each sector, a stack (or the one matrix), on first read."""
+        return (self.svd.u * self.p_s[..., None, :]) @ self.svd.vh
 
 
 @dataclass(frozen=True)
@@ -182,6 +215,8 @@ def dl_operator(ham: LocalHamiltonian) -> DlOperator:
     """
     if ham.m == 0:
         raise BadParams("need at least one term")
+    if isinstance(ham, SectorHamiltonian):
+        return _dl_by_sector(ham)
     cluster = ham.cluster
     r = cluster.dimension
     first = None
@@ -216,20 +251,83 @@ def dl_operator(ham: LocalHamiltonian) -> DlOperator:
     s[:r1] = core.s
     vh = core.vh
     gauge_singular_vectors(u, vh)
+    _check_ground(cluster, [apply_local(t.op, t.support, u[:, :r]) for t in ham.terms], s[r - 1])
+    return DlOperator(m=ham.m, svd=Svd(u=u, s=s, vh=vh), ground_dimension=r)
+
+
+def _check_ground(cluster: GroundCluster, actions: list[np.ndarray], s_r: float) -> None:
+    """FrustrationDetected or DegenerateGap, as dl_operator lays out.
+
+    actions are the terms applied to the top r singular vectors (each a
+    matrix, or a stack whose norm is the largest of its matrices') and s_r
+    the r-th largest singular value, r = cluster.dimension.
+    """
     bound = FRUSTRATION_CUT * max(1.0, cluster.norm)
-    actions = [apply_local(t.op, t.support, u[:, :r]) for t in ham.terms]
     if abs(cluster.energy) > bound or any(norm_exceeds(y, bound) for y in actions):
         raise FrustrationDetected(
             "ground space is not annihilated by every term (residual "
             f"{max(map(spectral_norm, actions)):.3e}, ground energy {cluster.energy:.3e})"
         )
-    if s[r - 1] < 1.0 - UNIT_SINGULAR_SLACK:
+    if s_r < 1.0 - UNIT_SINGULAR_SLACK:
         raise DegenerateGap(
-            f"singular value s_r={s[r - 1]:.6e} of the DL operator is below "
+            f"singular value s_r={s_r:.6e} of the DL operator is below "
             f"1 - {UNIT_SINGULAR_SLACK:.1e}; its top block does not span the "
-            f"{r}-dimensional ground space"
+            f"{cluster.dimension}-dimensional ground space"
         )
-    return DlOperator(m=ham.m, svd=Svd(u=u, s=s, vh=vh), ground_dimension=r)
+
+
+def _dl_by_sector(ham: SectorHamiltonian) -> DlOperator:
+    """dl_operator of a doubled-register input, D_s = Pi_{1,s} ... Pi_{M,s} in each sector s.
+
+    Each term's ground basis is read off its eigendecomposition by local
+    sector (ham.eigs): the eigenvectors within TERM_GROUND_WIDTH * max(1, ||H_a||)
+    of its lowest eigenvalue over all its sectors, each local sector's
+    zero-padded to the most any has, or placed in the whole term when ham
+    is on the one sector.  Each P = V V dagger passes the idempotence check
+    as a stack, and D_s is composed of them on the identity of each sector
+    by Sectors.apply and decomposed in one stacked SVD, so nothing has more
+    than 8^n entries when ham is labelled.  r, s_r and the frustration
+    residuals ||H_a U_r|| read the top r singular values over all sectors
+    (DlOperator.top); every U_r column lies in one sector and each H_a keeps
+    the sectors, so ||H_a U_r|| is the largest of the sectors' norms.
+    """
+    sectors, cluster = ham.sectors, ham.cluster
+    parts = []
+    for t, eig in zip(ham.terms, ham.eigs):
+        w = eig.eigenvalues
+        ground = w - w.min() <= TERM_GROUND_WIDTH * max(1.0, float(np.abs(w).max()))
+        if sectors.labelled or w.shape[0] == 1:
+            v = _columns(eig.eigenvectors, ground)
+        else:
+            v = sector_eigenvectors(eig, ground)[None]
+        p = v @ np.swapaxes(v.conj(), -1, -2)
+        tol = IDEMPOTENCE_TOL
+        if norm_exceeds(p @ p - p, tol) or norm_exceeds(p - np.swapaxes(p.conj(), -1, -2), tol):
+            raise BadParams("term ground projector failed the idempotence check")
+        parts.append((sectors.qubits(t.support), p))
+    d = sectors.identity(np.result_type(float, *(p for _, p in parts)))
+    for qubits, p in reversed(parts):
+        d = sectors.apply(d, qubits, p)
+    dl = DlOperator(
+        m=ham.m, svd=singular_value_decompose(d), ground_dimension=cluster.dimension,
+        sectors=sectors,
+    )
+    u_r = _columns(dl.svd.u, dl.top)
+    actions = [
+        sectors.apply(u_r, sectors.qubits(t.support), sectors.split(t.op, t.support))
+        for t in ham.terms
+    ]
+    _check_ground(cluster, actions, float(dl.svd.s[dl.top].min()))
+    return dl
+
+
+def _columns(u: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The columns of each matrix of a stack u where keep holds, zero-padded to the most any has."""
+    sector, col = np.nonzero(keep)
+    slot = (np.cumsum(keep, axis=-1) - 1)[sector, col]
+    out = np.zeros(u.shape[:-1] + (int(keep.sum(axis=-1).max()),), dtype=u.dtype)
+    out[sector, :, slot] = u[sector, :, col]
+    return out
 
 
 def certified_bound(ham: LocalHamiltonian) -> tuple[float, float]:
@@ -261,7 +359,7 @@ def singular_gap(dl: DlOperator, ham: LocalHamiltonian) -> SingularGap:
     gamma_star, bound = certified_bound(ham)
     r = dl.ground_dimension
     s = dl.svd.s
-    s_next = float(s[r]) if r < s.size else 0.0
+    s_next = float(s[~dl.top].max()) if r < s.size else 0.0
     if s_next > bound + SINGULAR_BOUND_SLACK:
         raise DegenerateGap(
             f"singular value s_{{r+1}}={s_next:.6e} exceeds the certified "
@@ -296,9 +394,8 @@ def approximate_projector(dl: DlOperator, poly: ProjectorPoly) -> ProjectorResul
     applications l times M.
     """
     svd = dl.svd
-    r = dl.ground_dimension
     p_s = poly(svd.s)
-    err = float(np.abs(p_s - (np.arange(p_s.size) < r)).max())
+    err = float(np.abs(p_s - dl.top).max())
     bound = 2.0 * math.exp(-poly.degree * math.sqrt(poly.gamma_star))
     return ProjectorResult(
         svd=svd,
@@ -306,6 +403,7 @@ def approximate_projector(dl: DlOperator, poly: ProjectorPoly) -> ProjectorResul
         error=err,
         bound=bound,
         queries=poly.degree * dl.m,
+        sectors=dl.sectors,
     )
 
 

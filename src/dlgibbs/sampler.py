@@ -117,7 +117,7 @@ class DlChannel:
         sectors, parts = self.sectors
         r = sectors.identity(np.result_type(float, *self.kernel_bases))
         for v, qubits in parts:
-            r = sectors.apply(r, v, qubits)
+            r = sectors.apply(r, qubits, v @ np.swapaxes(v.conj(), -1, -2))
         return r
 
     @cached_property

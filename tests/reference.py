@@ -17,7 +17,7 @@ them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import math
@@ -31,6 +31,7 @@ from dlgibbs.errors import BadParams, DegenerateGapWarning, RankAmbiguous
 from dlgibbs.hamiltonians import (
     LocalHamiltonian,
     LocalOperator,
+    Sectors,
     _pair_degree,
     add_embedded,
     assemble,
@@ -50,6 +51,7 @@ from dlgibbs.kms import (
     term_superoperator,
 )
 from dlgibbs.linalg import (
+    Svd,
     hermitian_eigendecompose,
     norm_exceeds,
     schatten1_distance,
@@ -65,6 +67,7 @@ from dlgibbs.tolerances import (
     GAUGE_PIVOT,
     GROUND_CLUSTER_WIDTH,
     KERNEL_CUT,
+    TERM_GROUND_WIDTH,
 )
 
 
@@ -316,9 +319,118 @@ def swept_distances(ch, rho0: np.ndarray, kms: KmsForm, k_max: int) -> np.ndarra
     return np.array(dists)
 
 
+def dense_stack(blocks: np.ndarray, sectors: Sectors | None) -> np.ndarray:
+    """The 4^n x 4^n matrix whose sectors are a stack's blocks; a matrix (no sectors) as it is."""
+    if sectors is None:
+        return blocks
+    idx = sectors.index
+    out = np.zeros((4**sectors.n,) * 2, dtype=blocks.dtype)
+    out[idx[:, :, None], idx[:, None, :]] = blocks
+    return out
+
+
+def _dense_values(values: np.ndarray, sectors: Sectors | None) -> np.ndarray:
+    """Per-sector values (count, side) at their sectors' indices, in vec order."""
+    if sectors is None:
+        return values
+    out = np.empty(4**sectors.n)
+    out[sectors.index] = values
+    return out
+
+
+def dense_svd(svd: Svd, sectors: Sectors | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, s, Vh) of a matrix whose sectors' SVDs are svd, with D = U diag(s) Vh.
+
+    Singular vector j of sector s sits at the index of that sector's basis
+    vector j, so s is not sorted.
+    """
+    u, vh = dense_stack(svd.u, sectors), dense_stack(svd.vh, sectors)
+    return u, _dense_values(svd.s, sectors), vh
+
+
 def dense_projector(res: ProjectorResult) -> np.ndarray:
-    """The d x d projector U diag(p_s) V^dag of a ProjectorResult."""
-    return (res.svd.u * res.p_s) @ res.svd.vh
+    """The d x d projector U diag(p_s) V^dag of a ProjectorResult, its sectors made whole."""
+    u, _, vh = dense_svd(res.svd, res.sectors)
+    return (u * _dense_values(res.p_s, res.sectors)) @ vh
+
+
+def dense_dl(ham: LocalHamiltonian) -> np.ndarray:
+    """The product of the embedded ground projectors P_1 ... P_m, formed densely.
+
+    Each P is read off one eigh of its whole term, by the TERM_GROUND_WIDTH
+    rule, with no sectors.
+    """
+    out = np.eye(2**ham.n)
+    for t in ham.terms:
+        w, v = np.linalg.eigh(t.op)
+        dim = int(np.sum(w - w[0] <= TERM_GROUND_WIDTH * max(1.0, float(np.abs(w).max()))))
+        e = v[:, :dim]
+        out = out @ embed(LocalOperator(e @ e.conj().T, t.support), ham.n)
+    return out
+
+
+@dataclass(frozen=True)
+class DenseAnneal:
+    """What a dense dl_qsvt anneal reports: ell, tally, errors and the final state."""
+
+    projector_degree: int
+    tally: int
+    transition_errors: tuple[float, ...]
+    state_error: float
+    success_probability: float
+
+
+def dense_dl_qsvt_anneal(
+    ham: LocalHamiltonian,
+    couplings: list[LocalOperator],
+    w: WeightProfile,
+    sched,
+    delta: float,
+) -> DenseAnneal:
+    """anneal.run_annealing's dl_qsvt mode on whole 4^n x 4^n matrices.
+
+    Each step's projector input is taken as a plain LocalHamiltonian, so its
+    ground cluster and certified gamma* come from the assembled sum; its DL
+    operator is the dense product (dense_dl), whose SVD gives the projector
+    U p(S) V^dag, and each transition is dense_transition of two such
+    projectors, its error the 2-norm of O_tilde - b a^dag.  The budgets,
+    degrees and boost coefficients are the package's.
+    """
+    from dlgibbs.anneal import boost_coefficients, error_budget
+    from dlgibbs.jumps import build_model
+    from dlgibbs.parent import build_parent, parent_projector_input
+    from dlgibbs.projector import certified_bound, chebyshev_poly, degree_for_error
+
+    targets, pins = [], []
+    for beta in sched.betas.tolist():
+        terms = build_model(ham, couplings, replace(w, beta=beta))
+        ph = build_parent(terms, KmsForm.gibbs(ham, beta), ham, beta=beta)
+        pin = parent_projector_input(ph)
+        pins.append(LocalHamiltonian(n=pin.n, terms=pin.terms))
+        targets.append(ph.ground)
+    k = sched.steps
+    floor = min(abs(np.vdot(targets[j - 1], targets[j])) for j in range(1, k + 1))
+    budgets = error_budget(k, floor, delta)
+    ell = max(
+        degree_for_error(certified_bound(pin)[0], budgets.projector_error) for pin in pins
+    )
+    coefficients = boost_coefficients(floor, budgets.epsilon, budgets.degree)
+    projectors = []
+    for pin in pins:
+        u, s, vh = np.linalg.svd(dense_dl(pin))
+        projectors.append((u * chebyshev_poly(certified_bound(pin)[0], ell)(s)) @ vh)
+    state, errors = targets[0], []
+    for j in range(1, k + 1):
+        o = dense_transition(projectors[j - 1], projectors[j], floor, coefficients)
+        errors.append(spectral_norm(o - np.outer(targets[j], targets[j - 1].conj())))
+        state = o @ state
+    return DenseAnneal(
+        projector_degree=ell,
+        tally=k * (ell * pins[0].m + budgets.degree),
+        transition_errors=tuple(errors),
+        state_error=float(np.linalg.norm(state - targets[-1])),
+        success_probability=float(np.real(np.vdot(state, state))),
+    )
 
 
 def dense_transition(

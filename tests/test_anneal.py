@@ -11,8 +11,6 @@ from numpy.polynomial import chebyshev
 import dlgibbs.anneal
 import dlgibbs.parent
 import dlgibbs.projector
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import structural_rank
 from scipy.special import erfcinv, ive
 
 from dlgibbs.anneal import (
@@ -46,6 +44,7 @@ from dlgibbs.hamiltonians import (
     PAULI_Z,
     LocalHamiltonian,
     LocalOperator,
+    Sectors,
     assemble,
     make_instance,
     standard_couplings,
@@ -55,7 +54,7 @@ from dlgibbs.kms import LindbladTerm
 from dlgibbs.linalg import Svd, spectral_norm
 from dlgibbs.parent import purified_gibbs
 from dlgibbs.projector import ProjectorResult
-from reference import dense_projector, dense_transition, scipy_boost_coefficients
+from reference import dense_dl, dense_projector, dense_transition, scipy_boost_coefficients
 
 
 def test_schedule_formula():
@@ -456,11 +455,12 @@ def test_run_annealing_dl_qsvt_three_sites():
     )
 
 
-def _frustrated(ham):
-    """ham with its first term shifted by 1e-3 I: ground energy 1e-3, not 0."""
-    t = ham.terms[0]
+def _frustrated(pin):
+    """pin with its first term shifted by 1e-3 I: ground energy 1e-3, not 0."""
+    t, eig = pin.terms[0], pin.eigs[0]
     shifted = LocalOperator(t.op + 1e-3 * np.eye(t.op.shape[0]), t.support)
-    return LocalHamiltonian(n=ham.n, terms=(shifted,) + ham.terms[1:])
+    eig = replace(eig, eigenvalues=eig.eigenvalues + 1e-3)
+    return replace(pin, terms=(shifted,) + pin.terms[1:], eigs=(eig,) + pin.eigs[1:])
 
 
 @pytest.mark.parametrize("check", ["frustration", "top block"])
@@ -482,7 +482,9 @@ def test_dl_qsvt_anneal_raises_a_last_step_dl_failure_after_the_earlier_transiti
     def lowered(a):
         # s_r = 1 - 2e-8, below the 1 - 1e-8 the top block must reach.
         svd = real_svd(a)
-        return Svd(u=svd.u, s=np.concatenate([[1.0 - 2e-8], svd.s[1:]]), vh=svd.vh)
+        s = svd.s.copy()
+        s[np.unravel_index(s.argmax(), s.shape)] = 1.0 - 2e-8
+        return Svd(u=svd.u, s=s, vh=svd.vh)
 
     def failing_dl(parent_ham):
         if parent_ham is not pins[-1] or check != "top block":
@@ -528,38 +530,38 @@ def _dense_anneal(monkeypatch, *args):
         return run_annealing(*args)
 
 
-def test_dl_qsvt_padding_is_the_structural_rank_of_the_dl_core(monkeypatch):
-    # Each DL core of zz_chain n = 4 (xz) is one 8 x 16 block and zero rows
-    # and columns.  Its SVD, taken block by block, is exactly 0 past the
-    # structural rank of that pattern, so each step's padding R is that
-    # rank, 8, at beta = 0 too, where one singular value is above 1e-12;
-    # each transition core then has side R_{j-1} + R_j = 16.
+def test_dl_qsvt_sector_stacks_hold_the_rank_of_the_dense_dl(monkeypatch):
+    # Each DL operator of zz_chain n = 4 (xz) is the stack of its 16 sectors
+    # of side 16, decomposed in one stacked SVD; the singular values above
+    # 1e-12 over all sectors number those of the dense product: 8, and 1
+    # at beta = 0.  Each transition decomposes one such stack.
     ham = make_instance("zz_chain", 4)
     sched = make_schedule(0.9, spectral_norm(assemble(ham)))
-    ranks, pads, cores = [], [], []
+    ranks, dense_ranks, cores = [], [], []
+    real_dl = dlgibbs.anneal.dl_operator
+    real_svd = dlgibbs.anneal.singular_value_decompose
 
-    def wrap(module, name, record):
-        real = getattr(module, name)
+    def tracked_dl(pin):
+        dl = real_dl(pin)
+        ranks.append(int(np.count_nonzero(dl.svd.s > 1e-12)))
+        plain = LocalHamiltonian(n=pin.n, terms=pin.terms)
+        dense_ranks.append(int(np.count_nonzero(np.linalg.svd(dense_dl(plain), compute_uv=False) > 1e-12)))
+        assert dl.svd.u.shape == dl.svd.vh.shape == (16, 16, 16)
+        return dl
 
-        def recorded(x):
-            out = real(x)
-            record(x, out)
-            return out
+    def tracked_svd(a):
+        cores.append(a.shape)
+        return real_svd(a)
 
-        monkeypatch.setattr(module, name, recorded)
-
-    wrap(dlgibbs.projector, "singular_value_decompose",
-         lambda a, _: ranks.append(structural_rank(csr_matrix((a != 0).astype(int)))))
-    wrap(dlgibbs.anneal, "_padding", lambda _, out: pads.append(out[0]))
-    wrap(dlgibbs.anneal, "singular_value_decompose", lambda a, _: cores.append(a.shape))
+    monkeypatch.setattr(dlgibbs.anneal, "dl_operator", tracked_dl)
+    monkeypatch.setattr(dlgibbs.anneal, "singular_value_decompose", tracked_svd)
     run_annealing(
         ham, standard_couplings(4, "xz"), WeightProfile(beta=0.9), sched, 0.05, "dl_qsvt"
     )
     k = sched.steps
     assert k == 6 and sched.betas[0] == 0.0
-    assert ranks == [8] * (k + 1)
-    assert pads == [r for j in range(1, k + 1) for r in (ranks[j - 1], ranks[j])]
-    assert cores == [(16, 16)] * k
+    assert ranks == dense_ranks == [1] + [8] * k
+    assert cores == [(16, 16, 16)] * k
 
 
 # (kind, n, beta, delta, parity of the projector degree ell)
@@ -576,7 +578,7 @@ _PARITY_CASES = [
 
 
 @pytest.mark.parametrize("kind,n,beta,delta,parity", _PARITY_CASES)
-def test_factored_transitions_match_the_dense_product(monkeypatch, kind, n, beta, delta, parity):
+def test_sector_transitions_match_the_dense_product(monkeypatch, kind, n, beta, delta, parity):
     ham = make_instance(kind, n)
     sched = make_schedule(beta, spectral_norm(assemble(ham)))
     args = (ham, standard_couplings(n, "xz"), WeightProfile(beta=beta), sched, delta, "dl_qsvt")
@@ -600,25 +602,29 @@ def _unitary_with_first_column(rng, first):
     return q * (np.conj(r[0, 0]) / abs(r[0, 0]))
 
 
-def _synthetic_projector(rng, target, rank, c):
-    """A ProjectorResult P ~ |target><target| on complex factors.
+def _synthetic_projector(rng, sectors, target, rank, c):
+    """A ProjectorResult P ~ |target><target| on complex factors, by sector.
 
-    svd.s has rank nonzero entries, the first 1; p_s is 1 there, small and
-    of both signs on the other nonzero entries, and c past them.
+    target lies in sector 0, or in the one sector; there the first columns
+    of U and V are its block and the first entry of p_s is 1.  Every sector
+    has rank nonzero singular values, where the other entries of p_s are
+    small and of both signs, and p_s is c past them.
     """
-    d = target.size
-    u = _unitary_with_first_column(rng, target)
-    vh = _unitary_with_first_column(rng, target).conj().T
-    s = np.zeros(d)
-    s[:rank] = np.sort(np.concatenate([[1.0], rng.uniform(0.01, 0.9, rank - 1)]))[::-1]
-    p_s = np.full(d, c)
-    p_s[:rank] = np.concatenate([[1.0], rng.uniform(-0.05, 0.05, rank - 1)])
+    blocks = sectors.gather(target)
+    count, side = blocks.shape
+    u = np.empty((count, side, side), dtype=complex)
+    vh = np.empty_like(u)
+    s = np.zeros((count, side))
+    p_s = np.full((count, side), c)
+    for k in range(count):
+        first = blocks[0] if k == 0 else _unit(rng, side)
+        u[k] = _unitary_with_first_column(rng, first)
+        vh[k] = _unitary_with_first_column(rng, first).conj().T
+        s[k, :rank] = np.sort(rng.uniform(0.01, 0.9, rank))[::-1]
+        p_s[k, :rank] = rng.uniform(-0.05, 0.05, rank)
+    s[0, 0] = p_s[0, 0] = 1.0
     return ProjectorResult(
-        svd=Svd(u=u, s=s, vh=vh),
-        p_s=p_s,
-        error=0.0,
-        bound=0.0,
-        queries=0,
+        svd=Svd(u=u, s=s, vh=vh), p_s=p_s, error=0.0, bound=0.0, queries=0, sectors=sectors
     )
 
 
@@ -627,36 +633,48 @@ def _unit(rng, d):
     return v / np.linalg.norm(v)
 
 
-def _synthetic_pair(seed, d, ra, rb, ca, cb, mix=0.5):
+def _in_sector_zero(rng, sectors):
+    """A unit vector on the doubled register of sectors.n qubits, in sector 0 only."""
+    blocks = np.zeros((sectors.count, 2**sectors.width), dtype=complex)
+    blocks[0] = _unit(rng, blocks.shape[1])
+    return sectors.scatter(blocks)
+
+
+def _synthetic_pair(seed, labelled, ra, rb, ca, cb, mix=0.5):
+    sectors = Sectors(2, labelled)
     rng = np.random.default_rng(seed)
-    a = _unit(rng, d)
-    b = a + mix * _unit(rng, d)
+    a = _in_sector_zero(rng, sectors)
+    b = a + mix * _in_sector_zero(rng, sectors)
     b /= np.linalg.norm(b)
-    pa = _synthetic_projector(rng, a, ra, ca)
-    pb = _synthetic_projector(rng, b, rb, cb)
-    return pa, pb, a, b, _unit(rng, d)
+    pa = _synthetic_projector(rng, sectors, a, ra, ca)
+    pb = _synthetic_projector(rng, sectors, b, rb, cb)
+    return pa, pb, a, b, _unit(rng, 16)
 
 
-# (d, R_a, R_b, c_a, c_b): c = 0 (odd degree), c != 0 of both signs (even
-# degree), a padding large enough that f(c_a c_b) sets the error, no room
-# past the extended basis (R_b + R_a + 2 > d), and R_a + R_b >= d, where
-# the core is all of the space and nothing is padded.
+# (labelled, R_a, R_b, c_a, c_b) on two qubits, d = 16: the 4 sectors of
+# side 4, or the one sector of side 16.  c = 0 (odd degree), c != 0 of both
+# signs (even degree), a c large enough that f(c_a c_b) sets the error, and
+# ranks that fill a sector, where nothing is padded.
 _SYNTHETIC_CASES = [
-    (16, 5, 4, 0.0, 0.0),
-    (16, 5, 4, 0.02, -0.03),
-    (16, 5, 4, 0.25, -0.3),
-    (16, 6, 9, 0.02, -0.03),
-    (16, 10, 9, 0.02, 0.04),
-    (16, 10, 9, 0.0, 0.0),
+    (True, 2, 3, 0.0, 0.0),
+    (True, 2, 3, 0.02, -0.03),
+    (True, 3, 2, 0.25, -0.3),
+    (True, 4, 4, 0.0, 0.0),
+    (False, 5, 4, 0.0, 0.0),
+    (False, 5, 4, 0.02, -0.03),
+    (False, 5, 4, 0.25, -0.3),
+    (False, 6, 9, 0.02, -0.03),
+    (False, 10, 9, 0.02, 0.04),
+    (False, 16, 16, 0.0, 0.0),
 ]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("d,ra,rb,ca,cb", _SYNTHETIC_CASES)
-def test_factored_transition_matches_the_dense_product_on_complex_factors(
-    seed, d, ra, rb, ca, cb
+@pytest.mark.parametrize("labelled,ra,rb,ca,cb", _SYNTHETIC_CASES)
+def test_sector_transition_matches_the_dense_product_on_complex_factors(
+    seed, labelled, ra, rb, ca, cb
 ):
-    pa, pb, a, b, state = _synthetic_pair(seed, d, ra, rb, ca, cb)
+    pa, pb, a, b, state = _synthetic_pair(seed, labelled, ra, rb, ca, cb)
     boost = (_boost(0.4, 1e-4), 0.4)
     got_state, got_err = transition(pa, pb, a, b, state, *boost)
     want_state, want_err = _dense_step(pa, pb, a, b, state, *boost)
@@ -676,31 +694,34 @@ def _raised(fn, *args):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_factored_transition_raises_where_the_dense_product_does(seed):
+@pytest.mark.parametrize("labelled", [True, False])
+def test_sector_transition_raises_where_the_dense_product_does(seed, labelled):
     boost = (_boost(0.4, 1e-4), 0.4)
+    sectors = Sectors(2, labelled)
     # b orthogonal to a: the top singular value is below half the floor.
     rng = np.random.default_rng(seed)
-    a = _unit(rng, 16)
-    b = _unit(rng, 16)
+    a = _in_sector_zero(rng, sectors)
+    b = _in_sector_zero(rng, sectors)
     b -= np.vdot(a, b) * a
     b /= np.linalg.norm(b)
-    pa = _synthetic_projector(rng, a, 5, 0.02)
-    pb = _synthetic_projector(rng, b, 4, 0.02)
+    pa = _synthetic_projector(rng, sectors, a, 3, 0.02)
+    pb = _synthetic_projector(rng, sectors, b, 2, 0.02)
     want = _raised(_dense_step, pa, pb, a, b, a, *boost)
     assert want is not None and want[0] is OverlapTooSmall
     assert _raised(transition, pa, pb, a, b, a, *boost) == want
     # A second singular value of P_a as large as the first: rank ambiguous.
-    pa, pb, a, b, _ = _synthetic_pair(seed, 16, 5, 4, 0.0, 0.0)
+    pa, pb, a, b, _ = _synthetic_pair(seed, labelled, 3, 2, 0.0, 0.0)
     p_s = pa.p_s.copy()
-    p_s[1] = 1.0
+    p_s[0, 1] = 1.0
     pa = replace(pa, p_s=p_s)
     pb = replace(pb, p_s=np.where(pb.p_s != 0, 1.0, 0.0))
     want = _raised(_dense_step, pa, pb, a, b, a, *boost)
     assert want is not None and want[0] is RankAmbiguous
     assert _raised(transition, pa, pb, a, b, a, *boost) == want
-    # Paddings with |c_a c_b| above a tenth of the top value: the second
-    # singular value of P_b P_a is too, and both routes are rank ambiguous.
-    pa, pb, a, b, _ = _synthetic_pair(seed, 16, 5, 4, 0.35, -0.35)
+    # Paddings with |c_a c_b| well above a tenth of the top value: the
+    # second singular value of P_b P_a is too, and both routes are rank
+    # ambiguous.
+    pa, pb, a, b, _ = _synthetic_pair(seed, labelled, 3, 2, 0.5, -0.5)
     want = _raised(_dense_step, pa, pb, a, b, a, *boost)
     assert want is not None and want[0] is RankAmbiguous
     assert _raised(transition, pa, pb, a, b, a, *boost) == want

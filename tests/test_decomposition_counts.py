@@ -79,11 +79,11 @@ def decomps(monkeypatch):
 
 
 def _complex_calls(calls, shape):
-    """The recorded decompositions of the given shape that ran in complex."""
+    """The recorded decompositions of a matrix with shape's rows, whole or as a stack, that ran in complex."""
     return [
         (kind, dtype)
         for kind, sh, dtype in calls["dtypes"]
-        if sh == shape and dtype.startswith("complex")
+        if _rows(sh) == shape[0] and dtype.startswith("complex")
     ]
 
 
@@ -118,30 +118,6 @@ def test_commuting_family_runs_only_the_scale_svds(decomps):
     assert noncommutation_degree(mats) == 0
     # Each diagonal scale is one whole SVD: spectral_norm does not split.
     assert decomps["svd"] == [(8, 8)] * k
-
-
-def _permuted_direct_sum(blocks, side):
-    """A direct sum of `blocks` real symmetric blocks of side `side`, rows and columns permuted."""
-    rng = np.random.default_rng(side)
-    a = np.zeros((blocks * side, blocks * side))
-    for k in range(blocks):
-        b = rng.normal(size=(side, side))
-        a[k * side : (k + 1) * side, k * side : (k + 1) * side] = b + b.T
-    perm = rng.permutation(blocks * side)
-    return a[np.ix_(perm, perm)]
-
-
-def test_eigenvalues_split_only_above_side_64_and_eigenvectors_always(decomps):
-    # One whole eigvalsh beats finding the blocks up to side 64; eigenvector
-    # calls split at every size, since their blocks set the eigenvectors'
-    # zero patterns.
-    dlgibbs.linalg.hermitian_eigenvalues(_permuted_direct_sum(8, 8))
-    assert decomps["eigvalsh"] == [(64, 64)]
-    decomps["eigvalsh"].clear()
-    dlgibbs.linalg.hermitian_eigenvalues(_permuted_direct_sum(16, 16))
-    assert decomps["eigvalsh"] == [(16, 16, 16)]
-    dlgibbs.linalg.hermitian_eigendecompose(_permuted_direct_sum(4, 4))
-    assert decomps["eigh"] == [(4, 4, 4)]
 
 
 def _count_calls(monkeypatch, name, source=dlgibbs.kms):
@@ -340,12 +316,13 @@ def test_commuting_parent_builds_each_term_on_its_support(monkeypatch, decomps):
     assert all(2 ** n < 2**ham.n for _, n in sups)
     assert all(lind.dim < 2**ham.n for lind, _ in forms)
     assert traces and all(rho.shape[0] <= 2**ham.n for rho, *_ in traces)
-    # No 4^n eigvalsh runs: the parent's positivity is bounded by its terms'
-    # eigenvalues, one eigvalsh of each local matrix, which the projector
-    # input reads for its scales.
-    local = Counter(t.op.shape for t in pin.terms)
-    assert Counter(decomps["eigvalsh"]) == local
-    assert (d2, d2) not in decomps["eigvalsh"]
+    # No spectrum of the sum runs: the parent's positivity is bounded by its
+    # terms' eigenvalues, one stacked eigh of each local matrix's sector
+    # blocks, which the projector input reads for its scales and keeps for
+    # its ground bases.
+    local = Counter((2 ** (len(t.support) // 2),) * 3 for t in pin.terms)
+    assert Counter(decomps["eigh"]) == local
+    assert decomps["eigvalsh"] == []
 
 
 def test_build_parent_takes_the_4n_spectrum_only_when_it_is_read(monkeypatch, decomps):
@@ -379,10 +356,10 @@ def test_noncommuting_parent_takes_its_one_4n_spectrum_at_build(monkeypatch, dec
     ph.gap, ph.kernel_dim
     # Every term is on the whole register, where no term's spectrum is
     # cheaper than the sum's: the positivity check takes the sum's, as
-    # before, and gap and kernel_dim read it.
+    # before, and gap and kernel_dim read it, on the one sector.
     d2 = 4**ham.n
     assert len(spectra) == 1
-    assert decomps["eigvalsh"] == [(d2, d2)]
+    assert decomps["eigvalsh"] == [(1, d2, d2)]
 
 
 def _bad_inputs():
@@ -485,29 +462,25 @@ def _numpy_decompositions(path: Path) -> Counter:
 
 
 def test_numpy_decompositions_outside_linalg_are_the_known_bypasses():
-    # Every spectrum goes through linalg, which alone decides whole call or
-    # blocks.  The one call left outside is transition's QR: it extends a
-    # basis whose R factor transition reads directly, so a linalg wrapper
-    # would add nothing.
+    # Every decomposition goes through linalg, which alone decides what it
+    # runs on: none is left outside.
     src = Path(dlgibbs.__file__).parent
     found = Counter()
     for path in sorted(src.glob("*.py")):
         if path.name != "linalg.py":
             found += _numpy_decompositions(path)
-    assert found == Counter({("dlgibbs.anneal", "transition", "qr"): 1})
+    assert found == Counter()
 
 
 def test_linalg_has_one_call_site_per_decomposition_path():
-    # One SVD per path (the checked decomposition and the 2-norm), and the
-    # Hermitian calls whole or by blocks: a second SVD path fails here.
+    # One call site per path (the checked SVD, matrix or stack, the 2-norm
+    # and the two Hermitian calls): a second path fails here.
     path = Path(dlgibbs.__file__).parent / "linalg.py"
     assert _numpy_decompositions(path) == Counter({
         ("dlgibbs.linalg", "singular_value_decompose", "svd"): 1,
         ("dlgibbs.linalg", "spectral_norm", "svd"): 1,
         ("dlgibbs.linalg", "hermitian_eigendecompose", "eigh"): 1,
-        ("dlgibbs.linalg", "_block_eigh", "eigh"): 1,
         ("dlgibbs.linalg", "symmetric_eigenvalues", "eigvalsh"): 1,
-        ("dlgibbs.linalg", "_block_eigh", "eigvalsh"): 1,
     })
 
 
@@ -562,14 +535,6 @@ def test_each_term_is_derived_in_one_place():
     assert "dlgibbs.sampler" not in _module_imports(ast.parse((src / "parent.py").read_text()))
 
 
-def _first_range_rank(ham):
-    """R_1, the rank of the first term's ground projector tensor I."""
-    t = ham.terms[0]
-    w = np.linalg.eigvalsh(t.op)
-    dim = int(np.sum(w - w[0] <= TERM_GROUND_WIDTH * max(1.0, float(np.abs(w).max()))))
-    return dim * 2 ** (ham.n - len(t.support))
-
-
 @pytest.mark.parametrize(
     "kind, n, axes, parents",
     [
@@ -586,16 +551,7 @@ def test_dl_qsvt_anneal_reads_parent_terms_through_local_blocks(
     ham = make_instance(kind, n)
     couplings = standard_couplings(ham.n, axes)
     sched = make_schedule(0.5, spectral_norm(assemble(ham)))
-    d2 = 4**ham.n
-    real_dl = dlgibbs.anneal.dl_operator
-    ranks = []
-
-    def tracked_dl(parent_ham):
-        ranks.append(_first_range_rank(parent_ham))
-        return real_dl(parent_ham)
-
-    monkeypatch.setattr(dlgibbs.anneal, "dl_operator", tracked_dl)
-    dl_cores, cores, norms = [], [], []
+    dl_svds, cores, norms = [], [], []
 
     def record(module, name, calls):
         real = getattr(module, name)
@@ -608,44 +564,40 @@ def test_dl_qsvt_anneal_reads_parent_terms_through_local_blocks(
 
         monkeypatch.setattr(module, name, recorded)
 
-    # dl_operator's core SVD, and the transitions' own decompositions: the
-    # only calls in anneal.
-    record(dlgibbs.projector, "singular_value_decompose", dl_cores)
+    # dl_operator's SVD, and the transitions' own decompositions: the only
+    # calls in anneal.
+    record(dlgibbs.projector, "singular_value_decompose", dl_svds)
     record(dlgibbs.anneal, "singular_value_decompose", cores)
     record(dlgibbs.anneal, "spectral_norm", norms)
     run_annealing(ham, couplings, WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt")
-    # Per parent: the SVD of the DL operator's R_1 x 4^n core, from which
-    # the projector error is read in closed form.  The core is zero outside
-    # 2^(n-1) rows and 2^n columns, so one SVD of that submatrix gives its
-    # R = 2^(n-1) leading singular values, and each transition's core has
-    # side R_{j-1} + R_j = 2^n, its 2-norm at most two more.  Parent terms
-    # are read through their local blocks, and no SVD or 2-norm of a side
-    # above 2^n + 2 runs at all.
+    # Per parent, the DL operator is the stack of its 2^n sectors of side
+    # 2^n, decomposed in one stacked SVD, from which the projector error is
+    # read in closed form; each transition's product P_b P_a and its error
+    # are stacks of the same shape.  Parent terms are read through their
+    # local blocks, and no SVD or 2-norm of a side above 2^n runs at all.
     k = sched.steps
+    d = 2**n
+    stack = (d, d, d)
     assert k + 1 == parents
-    assert len(ranks) == k + 1 and max(ranks) < d2
-    assert [shape for shape, _ in dl_cores] == [(r1, d2) for r1 in ranks]
-    assert [svds for _, svds in dl_cores] == [[(2 ** (n - 1), 2**n)]] * (k + 1)
-    assert max(max(sh[-2:]) for sh in decomps["svd"]) <= 2**n + 2
-    assert len(cores) == len(norms) == k
-    for ((side, cols), _), ((err, err_cols), _) in zip(cores, norms):
-        assert side == cols == 2**n
-        assert err == err_cols <= side + 2
+    assert dl_svds == [(stack, [stack])] * (k + 1)
+    assert cores == norms == [(stack, [stack])] * k
+    assert max(max(sh[-2:]) for sh in decomps["svd"]) <= d
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_dl_qsvt_anneal_takes_one_ground_cluster_eigvalsh_per_step(monkeypatch, n):
     ham = make_instance("zz_chain", n)
     sched = make_schedule(0.5, spectral_norm(assemble(ham)))
-    d2 = 4**ham.n
+    d = 2**ham.n
     clusters = _count_calls(monkeypatch, "hermitian_eigenvalues", dlgibbs.linalg)
     run_annealing(
         ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt"
     )
     # Each parent's ground cluster is read twice, for its certified gamma*
-    # before the projectors and by its dl_operator, and computed once.
+    # before the projectors and by its dl_operator, and computed once, from
+    # the stack of its sum's 2^n sectors.
     k = sched.steps
-    assert [np.shape(a[0]) for a in clusters] == [(d2, d2)] * (k + 1)
+    assert [np.shape(a[0]) for a in clusters] == [(d, d, d)] * (k + 1)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -656,30 +608,28 @@ def test_dl_qsvt_anneal_takes_one_4n_spectrum_per_step(monkeypatch, decomps, n):
     sched = make_schedule(0.5, spectral_norm(assemble(ham)))
     d2 = 4**ham.n
     kms = KmsForm(gibbs_state(assemble(ham), 0.5))
-    whole = sum(
-        t.support == tuple(range(2 * n))
-        for t in build_parent(build_model(ham, couplings, w), kms, ham, beta=0.5).terms
-    )
+    terms = build_parent(build_model(ham, couplings, w), kms, ham, beta=0.5).terms
     decomps["eigvalsh"].clear()
+    decomps["eigh"].clear()
     spectra = _count_calls(monkeypatch, "coherent_spectrum")
     with warnings.catch_warnings():
         warnings.simplefilter("error", IrreducibilityWarning)
         run_annealing(ham, couplings, w, sched, 0.1, "dl_qsvt")
     # Per step, the ground cluster of the projector input is the one 4^n
-    # spectrum of a sum: its 2^n blocks of side 2^n in one stacked call at
-    # n = 4, one whole eigvalsh of side 64 at n = 3, below the size at which
-    # linalg looks for blocks.  It also gives the step's fixed-point
-    # dimension, so the parent's own spectrum is never taken.  A parent term
-    # on the whole doubled register (n = 3) adds one eigvalsh of its own,
-    # which both its positivity bound and its scale read.
+    # spectrum of a sum: its 2^n blocks of side 2^n in one stacked call.  It
+    # also gives the step's fixed-point dimension, so the parent's own
+    # spectrum is never taken.  Each parent term takes one stacked eigh of
+    # its sector blocks, which its positivity bound, its scale and its DL
+    # ground basis all read; a term on the whole doubled register (n = 3)
+    # is no exception.
     k = sched.steps
     d = 2**n
-    split = d2 > dlgibbs.linalg._WHOLE_SIDE
-    assert split == (n == 4)
+    per_term = Counter((2 ** (len(t.support) // 2),) * 3 for t in terms)
     assert spectra == []
-    assert decomps["eigvalsh"].count((d, d, d)) == (k + 1) * split
-    assert decomps["eigvalsh"].count((d2, d2)) == (k + 1) * (whole + (not split))
-    assert (whole > 0) == (n == 3)
+    assert decomps["eigvalsh"] == [(d, d, d)] * (k + 1)
+    assert Counter(decomps["eigh"]) == Counter({s: c * (k + 1) for s, c in per_term.items()})
+    assert (any(len(t.support) == 2 * n for t in terms)) == (n == 3)
+    assert all(_rows(sh) <= d2 for sh in decomps["eigh"])
 
 
 def test_exact_anneal_takes_one_4n_spectrum_per_step(monkeypatch, decomps):
@@ -698,6 +648,14 @@ def test_exact_anneal_takes_one_4n_spectrum_per_step(monkeypatch, decomps):
     assert len(spectra) == k + 1
     assert decomps["eigvalsh"].count((d, d, d)) == k + 1
     assert (d2, d2) not in decomps["eigvalsh"]
+
+
+def _first_range_rank(ham):
+    """R_1, the rank of the first term's ground projector tensor I."""
+    t = ham.terms[0]
+    w = np.linalg.eigvalsh(t.op)
+    dim = int(np.sum(w - w[0] <= TERM_GROUND_WIDTH * max(1.0, float(np.abs(w).max()))))
+    return dim * 2 ** (ham.n - len(t.support))
 
 
 def test_project_run_takes_one_svd_of_the_dl_operator(decomps, tmp_path):
@@ -735,11 +693,11 @@ def test_real_model_runs_no_complex_superoperator_decomposition(decomps):
     singular_gap(dl_operator(pin), pin)
     sched = make_schedule(0.5, spectral_norm(assemble(ham)))
     run_annealing(ham, standard_couplings(ham.n, "xz"), w, sched, 0.1, "dl_qsvt")
-    # Every jump, sigma, coherent form, Choi matrix, parent term and DL
-    # factor of zz_chain is exactly real, so each 4^n decomposition runs the
-    # real LAPACK routine, on the whole matrix or as a stack of its blocks.
+    # Every jump, sigma, coherent form, Choi matrix, parent term, DL
+    # operator and transition of zz_chain is exactly real, so each 4^n
+    # decomposition runs the real LAPACK routine, as a stack of its sectors.
     superop = [(kind, dtype) for kind, sh, dtype in decomps["dtypes"] if _rows(sh) == d2[0]]
-    assert {kind for kind, _ in superop} == {"eigh", "eigvalsh"}
+    assert {kind for kind, _ in superop} == {"eigh", "eigvalsh", "svd"}
     assert {dtype for _, dtype in superop} == {"float64"}
 
 
@@ -810,12 +768,16 @@ def test_each_experiment_diagonalizes_h_once(monkeypatch, decomps, tmp_path, nam
     assert len(degrees) <= 1
     if name.startswith("anneal"):
         # ||H|| costs no SVD, and the one commutation test scales by the
-        # norms of the m terms on their own supports: no d x d SVD runs
-        # outside the transitions, whose cores have side 2^n = d in dl_qsvt
-        # mode.  Each 4 x 4 term's scale is one whole SVD.
+        # norms of the m terms on their own supports: no d x d SVD runs.
+        # Outside the transitions, in dl_qsvt mode, only each step's DL
+        # operator is decomposed as a stack of sectors of side 2^n = d.
+        # Each 4 x 4 term's scale is one whole SVD.
         assert len(degrees) == 1
         outside = Counter(decomps["svd"]) - Counter(in_transitions)
-        assert all(_rows(s) < 8 for s in outside)
+        assert d not in decomps["svd"]
+        assert all(_rows(s) < 8 for s in outside if len(s) == 2)
+        stacks = [s for s in outside if len(s) == 3]
+        assert stacks == ([(8, 8, 8)] if name == "anneal-dl_qsvt" else [])
         assert decomps["svd"].count((4, 4)) == make_instance("zz_chain", 3).m
 
 
@@ -826,8 +788,13 @@ def test_parent_run_takes_no_svd_of_a_parent_term(decomps, tmp_path, model):
     res = run_experiment(cfg, tmp_path)
     assert res.exit_code == 0
     # The norm column is max |w| over the eigenvalues of each term, which
-    # the parent's checks read anyway: no term is also taken by an SVD.
+    # the parent's checks read anyway: no term is also taken by an SVD.  A
+    # local term's eigenvalues are its sector blocks', from one stacked eigh;
+    # a term on the whole register of non-commuting H takes one eigvalsh.
     rows = [line.split(",") for line in res.csv_path.read_text().splitlines()[2:]]
     shapes = {(2 ** int(row[2]),) * 2 for row in rows}
     assert rows and not shapes & set(decomps["svd"])
-    assert shapes <= set(decomps["eigvalsh"])
+    if model == "zz3":
+        assert {(2 ** (int(row[2]) // 2),) * 3 for row in rows} <= set(decomps["eigh"])
+    else:
+        assert shapes <= set(decomps["eigvalsh"])

@@ -8,10 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
-import dlgibbs.linalg
 from dlgibbs.cli import main
 from dlgibbs.errors import (
     BadDimensionFactorization,
@@ -23,7 +20,6 @@ from dlgibbs.errors import (
 from dlgibbs.kms import KmsForm, Superoperator, coherent_spectrum, cptp_check
 from dlgibbs.linalg import (
     _RECON_TOL,
-    direct_sum_labels,
     gauge_singular_vectors,
     hermitian_eigendecompose,
     hermitian_eigenvalues,
@@ -68,12 +64,14 @@ def test_eigendecompose_rejects_non_hermitian():
 @pytest.mark.parametrize("side", [4, 8, 16])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_diagonal_input_is_its_own_eigendecomposition(monkeypatch, side, dtype):
-    # Ties and signed zeros: the result is bitwise the block path's, each
-    # 1 x 1 block one eigh, stable-sorted, with no LAPACK call.
+    # Ties and signed zeros: the diagonal stable-sorted and the matching
+    # columns of the identity, in the dtype eigh gives, with no LAPACK call.
     rng = np.random.default_rng(side)
     diag = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=side)
     a = np.diag(diag).astype(dtype)
-    want_w, want_v, _ = dlgibbs.linalg._block_eigh(a, dlgibbs.linalg._direct_sum(a != 0), a)
+    order = sorted(range(side), key=lambda i: diag[i])
+    want_w = diag[order]
+    want_v = np.eye(side, dtype=np.linalg.eigh(a)[1].dtype)[:, order]
 
     def no_eigh(*args, **kwargs):
         raise AssertionError("a diagonal input took an eigh")
@@ -386,76 +384,53 @@ def direct_sums(draw, hermitian: bool, largest: int = 4, count: int = 6) -> np.n
     return a[np.ix_(rows, rows if hermitian else rng.permutation(n))]
 
 
-def _reference_labels(a: np.ndarray) -> np.ndarray:
-    """Components of a square a's nonzero pattern by scipy, numbered by smallest index."""
-    nz = a != 0
-    _, labels = connected_components(csr_matrix((nz | nz.T).astype(int)), directed=False)
-    _, first = np.unique(labels, return_index=True)
-    number = np.empty_like(first)
-    number[np.argsort(first)] = np.arange(first.size)
-    return number[labels]
-
-
-def _splits(labels: np.ndarray) -> bool:
-    return labels.size >= 2 and 2 * np.bincount(labels).max() <= labels.size
-
-
-def _in_one_block(vectors: np.ndarray, labels: np.ndarray, axis: int) -> bool:
-    """Whether each vector along axis has its support in one component."""
-    support = np.moveaxis(vectors != 0, axis, 0)
-    return all(np.unique(labels[s]).size <= 1 for s in support)
-
-
-@PROPERTY
-@given(direct_sums(hermitian=True))
-def test_direct_sum_labels_are_the_connected_components(a):
-    want = _reference_labels(a)
-    got = direct_sum_labels(a != 0)
-    if not _splits(want):
-        assert got is None
-        return
-    assert got is not None and np.array_equal(got, want)
-
-
-def test_direct_sum_labels_of_a_large_pattern():
-    # Three dense 200 x 200 blocks, 120000 nonzeros, under permuted indices.
-    rng = np.random.default_rng(5)
-    a = np.kron(np.eye(3), rng.normal(size=(200, 200)))
-    rows = rng.permutation(600)
-    a = a[np.ix_(rows, rows)]
-    assert np.array_equal(direct_sum_labels(a != 0), _reference_labels(a))
-
-
-@PROPERTY
-@given(direct_sums(hermitian=True))
-def test_hermitian_direct_sums_decompose_by_blocks(a):
-    eig = hermitian_eigendecompose(a)
-    w, v = eig.eigenvalues, eig.eigenvectors
-    labels = _reference_labels(a)
-    if not _splits(labels):
-        want_w, want_v = np.linalg.eigh(a)
-        assert w.tobytes() == want_w.tobytes() and v.tobytes() == want_v.tobytes()
-        assert hermitian_eigenvalues(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
-        return
-    scale = max(1.0, float(np.linalg.norm(a, 2)))
-    assert v.dtype == a.dtype and w.dtype == np.float64
-    assert np.all(np.diff(w) >= 0)
-    assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-12 * scale
-    assert np.abs(hermitian_eigenvalues(a) - w).max() <= 1e-12 * scale
-    frob = max(1.0, float(np.linalg.norm(a)))
-    assert np.linalg.norm(v.conj().T @ v - np.eye(a.shape[0])) <= _RECON_TOL
-    assert np.linalg.norm((v * w) @ v.conj().T - a) <= _RECON_TOL * frob
-    assert _in_one_block(v, labels, axis=1)
-
-
 @PROPERTY
 @given(direct_sums(hermitian=True, largest=15, count=15))
-def test_eigenvalues_are_eigvalsh_whole_or_by_blocks(a):
-    # Sides 1 to 241: one whole eigvalsh up to side 64, the blocks above it.
-    want = np.linalg.eigvalsh(a)
-    tol = 1e-12 * max(1.0, float(np.linalg.norm(a, 2)))
-    assert np.abs(symmetric_eigenvalues(a) - want).max() <= tol
-    assert np.abs(hermitian_eigenvalues(a) - want).max() <= tol
+def test_hermitian_calls_take_one_whole_call_on_direct_sums(a):
+    # Sides 1 to 241: the Hermitian calls decompose the whole matrix, as
+    # numpy does, whatever its zero pattern; a diagonal one is its own
+    # decomposition.
+    assert symmetric_eigenvalues(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+    assert hermitian_eigenvalues(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+    if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
+        return
+    eig = hermitian_eigendecompose(a)
+    w, v = np.linalg.eigh(a)
+    assert eig.eigenvalues.tobytes() == w.tobytes()
+    assert eig.eigenvectors.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stacked_svd_gauges_and_checks_each_whole_matrix(monkeypatch, dtype):
+    # A stack is one stacked SVD of its whole matrices, zero rows included,
+    # each gauged as the column loop gauges it and checked against its own
+    # norm.
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(3, 5, 4)).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.normal(size=a.shape)
+    a[1, 2] = 0.0
+    a[2] *= 1e3
+    svd = singular_value_decompose(a)
+    assert svd.u.shape == (3, 5, 5) and svd.s.shape == (3, 4) and svd.vh.shape == (3, 4, 4)
+    for k in range(3):
+        u, s, vh = np.linalg.svd(a[k])
+        gauge_reference(u, vh)
+        assert svd.u[k].tobytes() == u.tobytes() and svd.vh[k].tobytes() == vh.tobytes()
+        assert svd.s[k].tobytes() == s.tobytes()
+    real_svd = np.linalg.svd
+
+    def perturbed(x, *args, **kwargs):
+        u, s, vh = real_svd(x, *args, **kwargs)
+        s = s.copy()
+        s[0, 0] += 1e-6
+        return u, s, vh
+
+    # Matrix 0's residual, 1e-6, is below the tolerance of the large
+    # matrix 2 but not of its own norm.
+    monkeypatch.setattr(np.linalg, "svd", perturbed)
+    with pytest.raises(NoConvergence):
+        singular_value_decompose(a)
 
 
 @PROPERTY

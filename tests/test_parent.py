@@ -384,14 +384,19 @@ def test_projector_input_negates_and_normalizes():
     pin = parent_projector_input(ph)
     assert pin.n == 6
     assert pin.m == ph.m
-    for t, pt in zip(pin.terms, ph.terms):
+    for t, eig, pt in zip(pin.terms, pin.eigs, ph.terms, strict=True):
         # Each parent term is held on its doubled dressed support and divided
-        # by max(1, ||H^a||), read from the eigenvalues of that local matrix.
+        # by max(1, ||H^a||), read from the eigenvalues of that local matrix
+        # (its sector blocks'), and keeps their eigenvectors.
         assert pt.mat.shape == (4 ** (len(pt.support) // 2),) * 2
         assert t.support == pt.support
-        scale = max(1.0, float(np.abs(np.linalg.eigvalsh(pt.mat)).max()))
+        scale = max(1.0, pt.norm)
+        whole = np.linalg.eigvalsh(pt.mat)
+        assert np.abs(pt.eigenvalues - whole).max() <= 1e-13 * scale
         assert abs(scale - max(1.0, spectral_norm(pt.mat))) <= 1e-9 * scale
         np.testing.assert_array_equal(t.op, -pt.mat / scale)
+        np.testing.assert_array_equal(eig.eigenvalues, -pt.eig.eigenvalues / scale)
+        assert eig.eigenvectors is pt.eig.eigenvectors
         w = np.linalg.eigvalsh(t.op)
         assert w.min() >= -1e-10
         assert w.max() <= 1.0 + 1e-9

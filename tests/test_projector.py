@@ -44,8 +44,9 @@ from dlgibbs.projector import (
     singular_gap,
     speedup_slope,
 )
-from dlgibbs.tolerances import TERM_GROUND_WIDTH
-from reference import dense_projector, frustration_check, gibbs_state, ground_space
+from reference import (
+    dense_dl, dense_projector, dense_svd, frustration_check, gibbs_state, ground_space,
+)
 
 FF_INSTANCES = [("commuting_projectors", 5, 0)] + [
     ("random_ff_projectors", n, seed) for n in (4, 5, 6) for seed in (0, 1, 2)
@@ -290,17 +291,6 @@ def test_singular_gap_requires_gapped_input():
             singular_gap(dl_operator(ham), ham)
 
 
-def _dense_dl(ham):
-    """The product of the embedded ground projectors P_1 ... P_m, formed densely."""
-    out = np.eye(2**ham.n)
-    for t in ham.terms:
-        w, v = np.linalg.eigh(t.op)
-        dim = int(np.sum(w - w[0] <= TERM_GROUND_WIDTH * max(1.0, float(np.abs(w).max()))))
-        e = v[:, :dim]
-        out = out @ embed(LocalOperator(e @ e.conj().T, t.support), ham.n)
-    return out
-
-
 def _anneal_parent_inputs():
     """Every step's parent projector input of a zz_chain n = 3 xz anneal."""
     ham = make_instance("zz_chain", 3)
@@ -336,14 +326,17 @@ DENSE_PARITY = {
 
 @pytest.mark.parametrize("case", sorted(DENSE_PARITY))
 def test_dl_operator_matches_the_dense_product(case):
+    # A projector input of the anneal is decomposed by sector: its sectors'
+    # factors, made whole, are the dense product's.
     ham = DENSE_PARITY[case]()
-    dense = _dense_dl(ham)
+    dense = dense_dl(ham)
     dl = dl_operator(ham)
-    u, s, vh = dl.svd.u, dl.svd.s, dl.svd.vh
+    assert (dl.sectors is not None) == case.startswith("anneal")
+    u, s, vh = dense_svd(dl.svd, dl.sectors)
     d = dense.shape[0]
     assert u.shape == vh.shape == (d, d) and s.shape == (d,)
     assert np.abs((u * s) @ vh - dense).max() < 1e-12
-    assert np.abs(s - np.linalg.svd(dense, compute_uv=False)).max() < 1e-12
+    assert np.abs(np.sort(s)[::-1] - np.linalg.svd(dense, compute_uv=False)).max() < 1e-12
     assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-12
     assert np.abs(vh @ vh.conj().T - np.eye(d)).max() < 1e-12
     # Odd polynomials vanish at 0, so U p(S) V^dag is a function of D alone.
@@ -459,6 +452,7 @@ def test_dl_operator_refuses_what_the_dense_check_refuses(case):
 def test_even_degree_projector_ignores_the_null_space_pairing(monkeypatch):
     # For even l, p(0) != 0 and U p(S) V^dag holds p(0) U_0 V_0^dag, where
     # U_0, V_0 span the null spaces of D, whose pairing D does not fix.
+    # Each sector has its own.
     # Rotating U_0 by a random orthogonal matrix changes the anneal's
     # results far below the projector error.
     ham = make_instance("zz_chain", 4)
@@ -474,12 +468,15 @@ def test_even_degree_projector_ignores_the_null_space_pairing(monkeypatch):
 
     def rotated_dl(parent_ham):
         dl = real_dl(parent_ham)
-        # The padded zeros and the core's numerically zero singular values.
-        null = np.flatnonzero(dl.svd.s <= 1e-12)
-        q, _ = np.linalg.qr(rng.normal(size=(null.size, null.size)))
+        # Each sector's numerically zero singular values.
         u = dl.svd.u.copy()
-        u[:, null] = u[:, null] @ q
-        rotated.append(null.size)
+        sizes = []
+        for k, s in enumerate(dl.svd.s):
+            null = np.flatnonzero(s <= 1e-12)
+            q, _ = np.linalg.qr(rng.normal(size=(null.size, null.size)))
+            u[k][:, null] = u[k][:, null] @ q
+            sizes.append(null.size)
+        rotated.append(max(sizes))
         return replace(dl, svd=Svd(u=u, s=dl.svd.s, vh=dl.svd.vh))
 
     monkeypatch.setattr(dlgibbs.anneal, "dl_operator", rotated_dl)

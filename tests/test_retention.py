@@ -4,10 +4,10 @@ compose_dl_channel checks each channel factor CPTP and drops it, keeping
 only the kernel bases; dl_operator embeds no ground projector at all, but
 applies each to the columns of the first factor's range on its tensor
 legs.  Weak references show what is still held: no earlier channel factor
-while the next one is made.  Of its R_1 x d core, dl_operator keeps only
-the SVD, so no dl_qsvt anneal step holds a core once its DL operator is
-built.  The transitions read the projectors through those SVD factors, so
-no d x d projector or product is held while they run.  run_annealing
+while the next one is made.  A dl_qsvt anneal's DL operator is a stack of
+its sectors, of which dl_operator keeps only the SVD, so no step holds the
+stack once its DL operator is built, and nothing with a side of 4^n but the
+local parent terms is held while the transitions run.  run_annealing
 builds each step's factors after the previous transition and releases them
 once their outgoing transition has run, so transition j holds exactly the
 factors of steps j - 1 and j.
@@ -80,8 +80,8 @@ def test_dl_operator_keeps_no_embedded_factor(monkeypatch, kind, n, seed):
     assert embedded and all(any(op is t for t in ham.terms) for op in embedded)
 
 
-def _held_square_arrays(frame, d):
-    """Every d x d array a frame's locals reach through lists, tuples and dataclasses."""
+def _held_arrays(frame, keep):
+    """Every array a frame's locals reach through lists, tuples and dataclasses, where keep(shape) holds."""
     found, seen, todo = [], set(), list(frame.f_locals.values())
     while todo:
         x = todo.pop()
@@ -89,7 +89,7 @@ def _held_square_arrays(frame, d):
             continue
         seen.add(id(x))
         if isinstance(x, np.ndarray):
-            if x.shape == (d, d):
+            if keep(x.shape):
                 found.append(x)
         elif isinstance(x, (list, tuple)):
             todo.extend(x)
@@ -101,6 +101,7 @@ def _held_square_arrays(frame, d):
 def test_dl_qsvt_anneal_step_keeps_no_composite(monkeypatch):
     ham = make_instance("zz_chain", 2)
     d = 4**ham.n
+    stack = (2**ham.n,) * 3
     sched = make_schedule(1.0, spectral_norm(assemble(ham)))
     real_svd = dlgibbs.projector.singular_value_decompose
     real_dl = dlgibbs.anneal.dl_operator
@@ -112,13 +113,14 @@ def test_dl_qsvt_anneal_step_keeps_no_composite(monkeypatch):
     after_dl: list[tuple[int, int]] = []
     alive_at_transition: list[int] = []
     held_at_transition: list[set[int]] = []
+    stacks_at_transition: list[set[int]] = []
 
     def alive():
         return sum(r() is not None for r in refs)
 
     def tracked_svd(a):
-        # The R_1 x 4^n core, never a 4^n x 4^n composite.
-        assert a.shape[1] == d and a.shape[0] < d
+        # The stack of the DL operator's sectors, never a 4^n x 4^n composite.
+        assert a.shape == stack
         refs.append(weakref.ref(a))
         return real_svd(a)
 
@@ -136,7 +138,9 @@ def test_dl_qsvt_anneal_step_keeps_no_composite(monkeypatch):
 
     def tracked_transition(*args, **kwargs):
         alive_at_transition.append(alive())
-        held_at_transition.append({id(x) for x in _held_square_arrays(sys._getframe(1), d)})
+        frame = sys._getframe(1)
+        held_at_transition.append({id(x) for x in _held_arrays(frame, lambda sh: len(sh) > 1 and d in sh[-2:])})
+        stacks_at_transition.append({id(x) for x in _held_arrays(frame, lambda sh: sh == stack)})
         return real_transition(*args, **kwargs)
 
     monkeypatch.setattr(dlgibbs.projector, "singular_value_decompose", tracked_svd)
@@ -146,19 +150,18 @@ def test_dl_qsvt_anneal_step_keeps_no_composite(monkeypatch):
     run_annealing(
         ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=1.0), sched, 0.1, "dl_qsvt"
     )
-    # Each step's core is decomposed inside dl_operator and released when
+    # Each step's stack is decomposed inside dl_operator and released when
     # it returns; none is alive when the transitions run.
     assert after_dl == [(1, 0)] * len(sched.betas)
     assert alive_at_transition == [0] * sched.steps
-    # At every transition the only d x d arrays run_annealing holds are DL
-    # SVD factors and the local parent terms the later steps' DL operators
-    # are built from (at n = 2 a term's doubled support is the whole
-    # register): no dense projector or product of two.
+    # At every transition the only arrays with a side of 4^n that
+    # run_annealing holds are the local parent terms the later steps' DL
+    # operators are built from (at n = 2 a term's doubled support is the
+    # whole register): no dense projector or product of two.  It holds DL
+    # SVD factors as sector stacks.
     assert len(held_at_transition) == sched.steps
-    assert all(
-        held & set(factors) and held <= set(factors) | local_terms
-        for held in held_at_transition
-    )
+    assert all(held <= local_terms for held in held_at_transition)
+    assert all(held & set(factors) for held in stacks_at_transition)
 
 
 def test_dl_qsvt_anneal_releases_each_step_svd_after_its_outgoing_transition(monkeypatch):

@@ -1,12 +1,14 @@
-"""The sector path of the mix channel and the parent spectrum.
+"""The sector path of the mix channel, the parent spectrum and the dl_qsvt anneal.
 
 Every commuting model shipped has a diagonal H and Pauli couplings, so
 each parent term keeps s = i xor j of |i>|j>, and compose_dl_channel,
-iterate, contraction_check and ParentHamiltonian work on the 2^n sectors
-of side 2^n (hamiltonians.Sectors).  Other models run the same code on one
-sector of side 4^n.  The references are the whole-register computations
-the package ran before: the dense parent sum's spectrum, the degree of the
-lifted kernel bases and rounds swept term by term over the whole vector
+iterate, contraction_check, ParentHamiltonian and the dl_qsvt anneal's
+ground clusters, DL operators, projectors and transitions work on the 2^n
+sectors of side 2^n (hamiltonians.Sectors).  Other models run the same
+code on one sector of side 4^n.  The references are the whole-register
+computations the package ran before: the dense parent sum's spectrum, the
+degree of the lifted kernel bases, rounds swept term by term over the
+whole vector, and an anneal on dense DL products and projectors
 (tests/reference.py).
 """
 
@@ -14,19 +16,27 @@ from __future__ import annotations
 
 import tracemalloc
 import warnings
+from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dlgibbs.anneal
 from dlgibbs.anneal import make_schedule, run_annealing
-from dlgibbs.hamiltonians import make_instance, sector_sum, standard_couplings
+from dlgibbs.errors import DlGibbsError, IrreducibilityWarning
+from dlgibbs.hamiltonians import (
+    LocalHamiltonian, LocalOperator, make_instance, sector_sum, standard_couplings,
+)
 from dlgibbs.jumps import WeightProfile, build_model
 from dlgibbs.kms import KmsForm, coherent_spectrum
 from dlgibbs.parent import build_parent
 from dlgibbs.sampler import compose_dl_channel, iterate
-from reference import parent_matrix, projector_noncommutation_degree, swept_distances
+from reference import (
+    dense_dl_qsvt_anneal, parent_matrix, projector_noncommutation_degree, swept_distances,
+)
 from test_properties import PROPERTY
 
 COMMUTING = ["zz_chain", "field_chain", "commuting_projectors"]
@@ -43,10 +53,10 @@ def _random_state(d: int, seed: int) -> np.ndarray:
 def assert_sectors_match_dense(kind, n, couplings, beta, seed=0, labelled=True, k_max=20):
     """The channel and parent on sectors against the whole-register references.
 
-    g and kernel_dim are equal, the gap agrees within 1e-13 relative and
-    every trace distance within 1e-12 absolute, from a state with weight in
-    every sector.  The channel's gap and kernel_dim are the parent's, bit
-    for bit.
+    g and kernel_dim are equal, the gap agrees within 1e-13 max(1, ||H||),
+    the accuracy of the dense reference's one whole eigvalsh, and every
+    trace distance within 1e-12 absolute, from a state with weight in every
+    sector.  The channel's gap and kernel_dim are the parent's, bit for bit.
     """
     ham = make_instance(kind, n, seed=seed)
     terms = build_model(ham, standard_couplings(n, couplings), WeightProfile(beta=beta))
@@ -55,11 +65,11 @@ def assert_sectors_match_dense(kind, n, couplings, beta, seed=0, labelled=True, 
         warnings.simplefilter("ignore", UserWarning)
         ch = compose_dl_channel(terms, kms, ham)
         ph = build_parent(terms, kms, ham, beta=beta)
-        _, gap, kernel_dim = coherent_spectrum(parent_matrix(ph))
+        w, gap, kernel_dim = coherent_spectrum(parent_matrix(ph))
         assert ch.sectors[0].labelled == labelled
         assert ch.kernel_dim == ph.kernel_dim == kernel_dim
         assert ch.gap == ph.gap
-        assert abs(ch.gap - gap) <= 1e-13 * gap
+        assert abs(ch.gap - gap) <= 1e-13 * max(1.0, float(np.abs(w).max()))
         assert ch.g == projector_noncommutation_degree(ch.kernel_bases, ch.legs)
         rho0 = _random_state(kms.dim, seed=n)
         got = iterate(ch, rho0, kms, k_max).trace_distances
@@ -124,4 +134,118 @@ def test_zz_chain_n5_holds_no_superoperator_sized_array():
     finally:
         tracemalloc.stop()
     assert trace.kernel_dim == 1 and gap == trace.gap and run.m_terms == len(terms)
+    assert peak < (4**n) ** 2 * 8
+
+
+def _rotated_zz_chain(n: int, theta: float = 0.3) -> LocalHamiltonian:
+    """zz_chain with every site rotated by one real u: commuting, not diagonal."""
+    c, s = np.cos(theta), np.sin(theta)
+    uu = np.kron(*[np.array([[c, -s], [s, c]])] * 2)
+    terms = make_instance("zz_chain", n).terms
+    return LocalHamiltonian(n, tuple(LocalOperator(uu @ t.op @ uu.T, t.support) for t in terms))
+
+
+def _anneal_model(kind: str, n: int) -> LocalHamiltonian:
+    return _rotated_zz_chain(n) if kind == "rotated" else make_instance(kind, n)
+
+
+@settings(PROPERTY, max_examples=8)
+@given(
+    st.sampled_from(COMMUTING + ["rotated"]),
+    st.integers(2, 3),
+    st.sampled_from(["x", "xz", "xyz"]),
+    st.sampled_from([0.5, 0.9]),
+    st.sampled_from([0.05, 0.08, 0.1]),
+)
+# zz_chain n = 4 at ell = 199 (odd) and 184 (even), every kind with xyz,
+# and the rotated chain.
+@example("zz_chain", 4, "xz", 0.9, 0.05)
+@example("zz_chain", 4, "xz", 0.9, 0.1)
+@example("commuting_projectors", 3, "xyz", 0.5, 0.1)
+@example("field_chain", 3, "xyz", 0.9, 0.08)
+@example("zz_chain", 3, "xyz", 0.5, 0.05)
+@example("rotated", 3, "xz", 0.5, 0.1)
+def test_dl_qsvt_anneal_on_sectors_matches_dense(kind, n, couplings, beta, delta):
+    # The sector anneal against run_annealing's dl_qsvt mode on dense 4^n
+    # matrices: ell and the query tally equal, state_error,
+    # success_probability and every transition error within 1e-10
+    # relative, or the same refusal.  The diagonal models run labelled, the
+    # rotated chain on the one sector.
+    ham = _anneal_model(kind, n)
+    sched = make_schedule(beta, float(np.abs(ham.eig.eigenvalues).max()))
+    args = (ham, standard_couplings(n, couplings), WeightProfile(beta=beta), sched, delta)
+    real_dl = dlgibbs.anneal.dl_operator
+    labelled = set()
+
+    def tracked_dl(pin):
+        dl = real_dl(pin)
+        labelled.add(dl.sectors.labelled)
+        return dl
+
+    with patch.object(dlgibbs.anneal, "dl_operator", tracked_dl), warnings.catch_warnings():
+        warnings.simplefilter("ignore", IrreducibilityWarning)
+        try:
+            run = run_annealing(*args, "dl_qsvt")
+        except DlGibbsError as exc:
+            with pytest.raises(type(exc)):
+                dense_dl_qsvt_anneal(*args)
+            return
+        ref = dense_dl_qsvt_anneal(*args)
+    assert labelled == {kind != "rotated"}
+    assert run.projector_degree == ref.projector_degree
+    assert run.tally.total == ref.tally
+    errors = [r.transition_error for r in run.records]
+    for got, want in zip(errors, ref.transition_errors, strict=True):
+        assert abs(got - want) <= 1e-10 * want
+    for key in ("state_error", "success_probability"):
+        got, want = getattr(run, key), getattr(ref, key)
+        assert abs(got - want) <= 1e-10 * want, key
+
+
+def test_one_step_off_its_sectors_puts_the_whole_anneal_on_one_sector():
+    # A pin held on the one sector at one step moves every step there, so
+    # the transitions read matching stacks; the run agrees with the
+    # labelled one.
+    ham = make_instance("zz_chain", 3)
+    sched = make_schedule(0.5, float(np.abs(ham.eig.eigenvalues).max()))
+    args = (ham, standard_couplings(3, "xz"), WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt")
+    real_pin, real_dl = dlgibbs.anneal.parent_projector_input, dlgibbs.anneal.dl_operator
+    pins, labelled = [], []
+
+    def one_unlabelled(ph):
+        pins.append(real_pin(ph))
+        return replace(pins[-1], labelled=False) if len(pins) == 2 else pins[-1]
+
+    def tracked_dl(pin):
+        dl = real_dl(pin)
+        labelled.append(dl.sectors.labelled)
+        return dl
+
+    base = run_annealing(*args)
+    with patch.object(dlgibbs.anneal, "parent_projector_input", one_unlabelled), \
+            patch.object(dlgibbs.anneal, "dl_operator", tracked_dl):
+        run = run_annealing(*args)
+    assert labelled == [False] * len(sched.betas)
+    assert run.projector_degree == base.projector_degree
+    for got, want in zip(run.records, base.records, strict=True):
+        assert abs(got.transition_error - want.transition_error) <= 1e-10 * want.transition_error
+    for key in ("state_error", "success_probability"):
+        assert abs(getattr(run, key) - getattr(base, key)) <= 1e-10 * getattr(base, key), key
+
+
+def test_zz_chain_n5_dl_qsvt_anneal_holds_no_superoperator_sized_array():
+    # One 4^n x 4^n float64 array at n = 5 is 8 MB: a dl_qsvt anneal holds
+    # its ground clusters, DL operators, projectors and transitions as
+    # stacks of 2^n sectors of side 2^n, 256 kB each.
+    n = 5
+    ham = make_instance("zz_chain", n)
+    sched = make_schedule(0.25, float(np.abs(ham.eig.eigenvalues).max()))
+    args = (ham, standard_couplings(n, "xz"), WeightProfile(beta=0.25), sched, 0.05)
+    tracemalloc.start()
+    try:
+        run = run_annealing(*args, "dl_qsvt")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert run.success_probability >= 1.0 - 0.05
     assert peak < (4**n) ** 2 * 8
