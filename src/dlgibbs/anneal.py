@@ -40,8 +40,9 @@ couplings keeps s = i xor j of the doubled register |i>|j>, and so do the
 projector input's ground cluster, its DL operator, p(DL) and every product
 P_b P_a: each is held as the stack of its 2^n sectors of side 2^n
 (hamiltonians.Sectors), 8^n entries, and decomposed in one stacked call,
-and no 4^n x 4^n array is formed.  When some step's terms leave their
-sectors, every step runs the same code on the one sector of side 4^n.
+and no 4^n x 4^n array is formed.  When the terms leave their sectors
+(a commuting H that is not diagonal), every step runs the same code on the
+one sector of side 4^n.
 
 run_annealing takes two passes.  The first builds every step's parent, for
 its target and its local projector input; the overlaps fix the budgets,
@@ -385,8 +386,8 @@ def run_annealing(
     at most two steps' DL factors are alive.  A FrustrationDetected or
     DegenerateGap from step j's DL operator therefore fires after every
     parent has been built and transition j - 1 has run.  The pins are held
-    by sector; when one step's terms leave their sectors, every pin goes on
-    the one sector, so the transitions read matching stacks.
+    by sector, the same at every step (BadParams otherwise), so the
+    transitions read matching stacks.
     """
     if projector_mode not in _MODES:
         raise UnknownKind(f"unknown projector mode {projector_mode!r}")
@@ -429,9 +430,9 @@ def run_annealing(
         # before the next ones are built.
         del ph
     m_terms = len(terms)
-    if len({pin.sectors.labelled for pin in pins}) > 1:
-        # One step's terms leave their sectors: every step runs on the one sector.
-        pins = [replace(pin, labelled=False) for pin in pins]
+    if len({pin.sectors for pin in pins}) > 1:
+        # The transitions multiply one step's sector stacks by the next's.
+        raise BadParams("the steps' projector inputs are not held on the same sectors")
 
     overlaps = [
         float(np.abs(np.vdot(targets[j - 1], targets[j])))

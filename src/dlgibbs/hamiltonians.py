@@ -603,15 +603,15 @@ class Sectors:
 
 
 def sector_sum(
-    terms: Iterable[tuple[np.ndarray, tuple[int, ...]]], n: int, labelled: bool = True
+    terms: Iterable[tuple[np.ndarray, tuple[int, ...]]], n: int
 ) -> tuple[Sectors, np.ndarray]:
     """The sum of the operators mat on doubled legs, by sector, from one pass over terms.
 
-    Labelled when every term splits (Sectors.split) and labelled is True; at
-    the first that does not, the sum so far is written into the one sector
-    and the rest are added there, so only one stack is ever held.
+    Labelled when every term splits (Sectors.split); at the first that does
+    not, the sum so far is written into the one sector and the rest are
+    added there, so only one stack is ever held.
     """
-    sectors, total = Sectors(n, labelled), None
+    sectors, total = Sectors(n, True), None
     for mat, legs in terms:
         blocks = sectors.split(mat, legs)
         if blocks is None:
@@ -696,15 +696,14 @@ class SectorHamiltonian(LocalHamiltonian):
     """A LocalHamiltonian on the doubled register of n // 2 qubits, held by sector.
 
     Every term acts on doubled legs S + (S + n // 2), and eigs holds each
-    term's sector_eigh.  The sum is labelled (sectors) when labelled is True
-    and every term's eigendecomposition is by local sector, a stack of more
-    than one; otherwise it is on the one sector of side 2^n.  cluster is
-    read off the sum by sector (sector_sum) and one stacked eigvalsh, with
-    no 2^n x 2^n array when the sum is labelled.
+    term's sector_eigh.  The sum is labelled (sectors) when every term's
+    eigendecomposition is by local sector, a stack of more than one;
+    otherwise it is on the one sector of side 2^n.  cluster is read off the
+    sum by sector (sector_sum) and one stacked eigvalsh, with no 2^n x 2^n
+    array when the sum is labelled.
     """
 
     eigs: tuple[HermitianEig, ...]
-    labelled: bool = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -718,16 +717,12 @@ class SectorHamiltonian(LocalHamiltonian):
     @cached_property
     def sectors(self) -> Sectors:
         """The sectors the sum, its DL operator and its projector are held by."""
-        split = all(e.eigenvalues.shape[0] > 1 for e in self.eigs)
-        return Sectors(self.n // 2, self.labelled and split)
+        return Sectors(self.n // 2, all(e.eigenvalues.shape[0] > 1 for e in self.eigs))
 
     @cached_property
     def cluster(self) -> GroundCluster:
         """The ground cluster (ground_cluster's rule) of the sum's eigenvalues over all its sectors."""
-        sectors = self.sectors
-        _, total = sector_sum(
-            ((t.op, t.support) for t in self.terms), sectors.n, sectors.labelled
-        )
+        _, total = sector_sum(((t.op, t.support) for t in self.terms), self.n // 2)
         return _cluster_of(np.sort(hermitian_eigenvalues(total), axis=None))
 
 

@@ -34,11 +34,12 @@ rounding slack of linalg.norm_exceeds, and by the spectrum of the sum only
 otherwise.  That spectrum is taken by sector (hamiltonians.sector_sum): for
 a diagonal H with Pauli couplings the 2^n sectors of side 2^n in one
 stacked eigvalsh, with no 4^n x 4^n array; otherwise the one sector of
-side 4^n.  Each local term is decomposed once, by its own sectors
-(ParentTerm.eig): its eigenvalues bound the sum's and scale the dl_qsvt
-anneal's parent_projector_input, a hamiltonians.SectorHamiltonian whose
-ground cluster is summed by sector too and whose DL operator reads the
-same eigenvectors.
+side 4^n.  Each local term's eigenvalues are one stacked eigvalsh of its
+own sectors (ParentTerm.eigenvalues): they bound the sum's and scale the
+dl_qsvt anneal's parent_projector_input, a hamiltonians.SectorHamiltonian
+whose ground cluster is summed by sector too and whose DL operator reads
+each term's eigenvectors by sector (ParentTerm.eig), which only that
+anneal takes.
 
 - Detailed balance of the sum: ||sum_a anti_a|| <= sum_a ||anti_a||_F, the
   terms' db_residuals; the assembled sum is checked only when they reach
@@ -78,6 +79,7 @@ from .hamiltonians import (
     add_embedded,
     apply_local,
     embed,
+    sector_blocks,
     sector_eigh,
     sector_sum,
     support_overlap_degree,
@@ -133,20 +135,25 @@ class ParentTerm:
 
     @cached_property
     def eig(self) -> HermitianEig:
-        """mat's eigendecomposition by local sector (hamiltonians.sector_eigh), on first read."""
+        """mat's eigendecomposition by local sector (hamiltonians.sector_eigh), on first read.
+
+        Only the dl_qsvt anneal's parent_projector_input reads it, for its
+        ground bases.
+        """
         return sector_eigh(self.mat)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of mat, computed on first read.
 
-        A local term's are all its sectors' of eig, which the dl_qsvt anneal
-        reads for its ground bases too; a term on the whole register of
-        non-commuting H takes one eigvalsh, as nothing reads its eigenvectors.
+        A local term takes one stacked eigvalsh of its local sectors' blocks
+        (sector_blocks), or of mat when it has none; a term on the whole
+        register of non-commuting H one eigvalsh of mat.
         """
-        if self.locality_residual is None:
+        blocks = None if self.locality_residual is None else sector_blocks(self.mat)
+        if blocks is None:
             return symmetric_eigenvalues(self.mat)
-        return np.sort(self.eig.eigenvalues, axis=None)
+        return np.sort(symmetric_eigenvalues(blocks), axis=None)
 
 
 @dataclass(frozen=True)
@@ -413,8 +420,8 @@ def parent_projector_input(ph: ParentHamiltonian) -> SectorHamiltonian:
     Each H^a is held on its doubled dressed support; -H^a must be positive
     semidefinite (PositivityFailure otherwise), and ||H^a|| is read off the
     term's eigenvalues.  Each term's eigendecomposition is H^a's by sector
-    (ParentTerm.eig), its eigenvalues scaled by -1 / max(1, ||H^a||), so
-    each term is decomposed once.  The result is frustration-free with kernel
+    (ParentTerm.eig), its eigenvalues scaled by -1 / max(1, ||H^a||).  The
+    result is frustration-free with kernel
     ker sum_a H^a, so its ground cluster's dimension is ph.kernel_dim.  A
     parent of non-commuting H has no local terms (BadParams).
     """

@@ -317,12 +317,12 @@ def test_commuting_parent_builds_each_term_on_its_support(monkeypatch, decomps):
     assert all(lind.dim < 2**ham.n for lind, _ in forms)
     assert traces and all(rho.shape[0] <= 2**ham.n for rho, *_ in traces)
     # No spectrum of the sum runs: the parent's positivity is bounded by its
-    # terms' eigenvalues, one stacked eigh of each local matrix's sector
-    # blocks, which the projector input reads for its scales and keeps for
-    # its ground bases.
+    # terms' eigenvalues, one stacked eigvalsh of each local matrix's sector
+    # blocks, which the projector input reads for its scales; it takes one
+    # stacked eigh of the same blocks for its ground bases.
     local = Counter((2 ** (len(t.support) // 2),) * 3 for t in pin.terms)
     assert Counter(decomps["eigh"]) == local
-    assert decomps["eigvalsh"] == []
+    assert Counter(decomps["eigvalsh"]) == local
 
 
 def test_build_parent_takes_the_4n_spectrum_only_when_it_is_read(monkeypatch, decomps):
@@ -618,16 +618,17 @@ def test_dl_qsvt_anneal_takes_one_4n_spectrum_per_step(monkeypatch, decomps, n):
     # Per step, the ground cluster of the projector input is the one 4^n
     # spectrum of a sum: its 2^n blocks of side 2^n in one stacked call.  It
     # also gives the step's fixed-point dimension, so the parent's own
-    # spectrum is never taken.  Each parent term takes one stacked eigh of
-    # its sector blocks, which its positivity bound, its scale and its DL
-    # ground basis all read; a term on the whole doubled register (n = 3)
-    # is no exception.
+    # spectrum is never taken.  Each parent term takes one stacked eigvalsh
+    # of its sector blocks, which its positivity bound and its scale read,
+    # and one stacked eigh of the same blocks for its DL ground basis; a
+    # term on the whole doubled register (n = 3) is no exception.
     k = sched.steps
     d = 2**n
     per_term = Counter((2 ** (len(t.support) // 2),) * 3 for t in terms)
+    per_run = Counter({s: c * (k + 1) for s, c in per_term.items()})
     assert spectra == []
-    assert decomps["eigvalsh"] == [(d, d, d)] * (k + 1)
-    assert Counter(decomps["eigh"]) == Counter({s: c * (k + 1) for s, c in per_term.items()})
+    assert Counter(decomps["eigvalsh"]) == per_run + Counter({(d, d, d): k + 1})
+    assert Counter(decomps["eigh"]) == per_run
     assert (any(len(t.support) == 2 * n for t in terms)) == (n == 3)
     assert all(_rows(sh) <= d2 for sh in decomps["eigh"])
 
@@ -789,12 +790,15 @@ def test_parent_run_takes_no_svd_of_a_parent_term(decomps, tmp_path, model):
     assert res.exit_code == 0
     # The norm column is max |w| over the eigenvalues of each term, which
     # the parent's checks read anyway: no term is also taken by an SVD.  A
-    # local term's eigenvalues are its sector blocks', from one stacked eigh;
-    # a term on the whole register of non-commuting H takes one eigvalsh.
+    # local term's eigenvalues are its sector blocks', from one stacked
+    # eigvalsh, and no eigenvector is taken; a term on the whole register of
+    # non-commuting H takes one eigvalsh.
     rows = [line.split(",") for line in res.csv_path.read_text().splitlines()[2:]]
     shapes = {(2 ** int(row[2]),) * 2 for row in rows}
     assert rows and not shapes & set(decomps["svd"])
     if model == "zz3":
-        assert {(2 ** (int(row[2]) // 2),) * 3 for row in rows} <= set(decomps["eigh"])
+        stacks = {(2 ** (int(row[2]) // 2),) * 3 for row in rows}
+        assert stacks <= set(decomps["eigvalsh"])
+        assert not stacks & set(decomps["eigh"])
     else:
         assert shapes <= set(decomps["eigvalsh"])

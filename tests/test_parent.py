@@ -20,6 +20,7 @@ from dlgibbs.hamiltonians import (
     PAULI_Z,
     LocalHamiltonian,
     LocalOperator,
+    Sectors,
     assemble,
     embed,
     make_instance,
@@ -386,11 +387,18 @@ def test_projector_input_negates_and_normalizes():
     assert pin.m == ph.m
     for t, eig, pt in zip(pin.terms, pin.eigs, ph.terms, strict=True):
         # Each parent term is held on its doubled dressed support and divided
-        # by max(1, ||H^a||), read from the eigenvalues of that local matrix
-        # (its sector blocks'), and keeps their eigenvectors.
-        assert pt.mat.shape == (4 ** (len(pt.support) // 2),) * 2
+        # by max(1, ||H^a||), read from the eigenvalues of that local matrix's
+        # sector blocks, and keeps their eigenvectors.  The blocks are taken
+        # here from the matrix by its sectors' indices.
+        k = len(pt.support) // 2
+        assert pt.mat.shape == (4**k,) * 2
         assert t.support == pt.support
-        scale = max(1.0, pt.norm)
+        idx = Sectors(k, True).index
+        blocks = pt.mat[idx[:, :, None], idx[:, None, :]]
+        assert np.count_nonzero(blocks) == np.count_nonzero(pt.mat)
+        w_blocks = np.linalg.eigvalsh(blocks)
+        np.testing.assert_array_equal(pt.eigenvalues, np.sort(w_blocks, axis=None))
+        scale = max(1.0, float(np.abs(w_blocks).max()))
         whole = np.linalg.eigvalsh(pt.mat)
         assert np.abs(pt.eigenvalues - whole).max() <= 1e-13 * scale
         assert abs(scale - max(1.0, spectral_norm(pt.mat))) <= 1e-9 * scale
