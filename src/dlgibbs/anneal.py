@@ -49,11 +49,17 @@ its target and its local projector input; the overlaps fix the budgets,
 each input's ground cluster gives the step's fixed-point dimension, and
 each input's certified gamma* (projector.certified_bound, read off that
 cluster and the interaction degree, not the DL operator) fixes the
-uniform projector degree ell.  The second builds step j's DL operator and
-projector and then runs transition j, so at most the factors of steps
-j - 1 and j are alive.  The boost coefficients need erfcinv, by Newton's
-method on math.erfc, and the scaled Bessel values e^{-z} I_j(z), from one
-real FFT of e^{z (cos t - 1)}; no scipy module is loaded.
+uniform projector degree ell.  For commuting H the K + 1 parents differ
+only in beta, so the first pass builds them as one temperature stack:
+each coupling's rotation, jump, restriction, coherent form and term
+eigensystems once per run, with the temperatures as a leading axis
+(jumps.model_terms, parent.TermStack).  Non-commuting H, whose terms are
+on the whole register, is built one temperature at a time.  The second
+pass builds step j's DL operator and projector and then runs transition
+j, so at most the factors of steps j - 1 and j are alive.  The boost
+coefficients need erfcinv, by Newton's method on math.erfc, and the scaled
+Bessel values e^{-z} I_j(z), from one real FFT of e^{z (cos t - 1)}; no
+scipy module is loaded.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -69,17 +76,19 @@ from .errors import (
     BadAlpha,
     BadInputs,
     BadParams,
+    DlGibbsError,
     IrreducibilityWarning,
     OverflowDetected,
     OverlapTooSmall,
     RankAmbiguous,
+    StackDisagreement,
     UnknownKind,
 )
 from .hamiltonians import LocalHamiltonian, LocalOperator
-from .jumps import WeightProfile, build_model
+from .jumps import WeightProfile, model_terms
 from .kms import KmsForm
 from .linalg import singular_value_decompose, spectral_norm
-from .parent import build_parent, parent_projector_input, purified_gibbs
+from .parent import ParentHamiltonian, build_parent, parent_projector_input, purified_gibbs
 from .projector import (
     ProjectorResult,
     approximate_projector,
@@ -351,6 +360,47 @@ class AnnealingRun:
     tally: QueryTally
 
 
+def _step_parents(
+    ham: LocalHamiltonian,
+    couplings: Sequence[LocalOperator],
+    w: WeightProfile,
+    betas: np.ndarray,
+) -> Iterator[ParentHamiltonian]:
+    """The parent of the model at each beta of betas, in order.
+
+    For commuting H the parents are built as one temperature stack: each
+    coupling's rotation, weighted jump, restriction, coherent form and
+    term eigensystems are computed once for every temperature
+    (model_terms, build_parent), and each parent is a view of the stacks.
+    Non-commuting H, whose terms are on the whole register, is built one
+    temperature at a time, and so is a stack that raises or whose
+    temperatures disagree on how a term is held (StackDisagreement): each
+    error is then raised at the temperature, and the term, where a build
+    of that temperature alone raises it, and a step's parent is not built
+    before every earlier step has been read.
+    """
+    profiles = [replace(w, beta=beta) for beta in betas.tolist()]
+    if ham.commuting and len(profiles) > 1:
+        try:
+            stacked = _parent(ham, couplings, profiles)
+        except (DlGibbsError, StackDisagreement):
+            pass
+        else:
+            yield from (stacked[j] for j in range(len(profiles)))
+            return
+    for profile in profiles:
+        yield _parent(ham, couplings, [profile])[0]
+
+
+def _parent(
+    ham: LocalHamiltonian, couplings: Sequence[LocalOperator], profiles: list[WeightProfile]
+) -> ParentHamiltonian:
+    """build_parent on the temperature stack of profiles."""
+    betas = np.array([p.beta for p in profiles])
+    terms = model_terms(ham, couplings, profiles)
+    return build_parent(terms, KmsForm.gibbs(ham, betas), ham, beta=betas)
+
+
 def run_annealing(
     ham: LocalHamiltonian,
     couplings: list[LocalOperator] | tuple[LocalOperator, ...],
@@ -376,7 +426,16 @@ def run_annealing(
     The run takes two passes.  The first builds every parent and keeps its
     ground vector and, in dl_qsvt mode, its local projector input (pin),
     built right after the parent; the targets' overlaps give the budgets,
-    and the pins' certified gamma* give ell.  An IrreducibilityWarning
+    and the pins' certified gamma* give ell.  For commuting H the parents
+    are one temperature stack (_step_parents), held until the last pin is
+    built: each local term by sector at every temperature, its eigenvalues
+    and its sector eigendecompositions, which the pins keep.  Each step's
+    parent is a view of the stack, rebuilt dense for that step and dropped
+    after it, and each step's ground cluster is summed for that step alone.
+    Non-commuting H is built one temperature at a time, so at most one
+    step's 4^n x 4^n terms are alive.  Errors and warnings come in the
+    order of a build one temperature at a time: beta first, then term.  An
+    IrreducibilityWarning
     reports a fixed-point dimension above 1.  In dl_qsvt mode that is the
     dimension of the pin's ground cluster, which certified_bound reads
     anyway: the rank its DL operator projects onto, so no 4^n spectrum is
@@ -411,9 +470,9 @@ def run_annealing(
     # local projector input; the certified gamma* of each needs only that.
     targets = []
     pins = []
+    parents = _step_parents(ham, couplings, w, betas)
     for beta_j in betas.tolist():
-        terms = build_model(ham, couplings, replace(w, beta=beta_j))
-        ph = build_parent(terms, KmsForm.gibbs(ham, beta_j), ham, beta=beta_j)
+        ph = next(parents)
         if projector_mode == "dl_qsvt":
             pins.append(parent_projector_input(ph))
             kernel_dim = pins[-1].cluster.dimension
@@ -429,7 +488,8 @@ def run_annealing(
         # Drop this step's parent terms (4^n x 4^n each for non-commuting H)
         # before the next ones are built.
         del ph
-    m_terms = len(terms)
+    del parents  # and with it the temperature stacks the pins do not hold
+    m_terms = len(couplings)
     if len({pin.sectors for pin in pins}) > 1:
         # The transitions multiply one step's sector stacks by the next's.
         raise BadParams("the steps' projector inputs are not held on the same sectors")

@@ -112,6 +112,16 @@ class PositivityFailure(DlGibbsError):
     """A matrix expected positive semidefinite has a negative eigenvalue."""
 
 
+class StackDisagreement(Exception):
+    """The temperatures of a stack disagree on how a term is held.
+
+    One keeps a coherent part another drops, or one splits by sector where
+    another does not, so one stacked computation cannot hold them all.
+    Not a DlGibbsError: run_annealing, which builds its parents as one
+    temperature stack, catches it and builds each temperature alone.
+    """
+
+
 class IrreducibilityWarning(UserWarning):
     """The generator's stationary space has dimension above one."""
 

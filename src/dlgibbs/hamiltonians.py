@@ -66,6 +66,8 @@ class LocalOperator:
     """Dense matrix acting on the qubits listed in support.
 
     op is float64 when its entries are exactly real, complex128 otherwise.
+    It may be a stack (..., d, d) of matrices on the same support, one per
+    temperature of an anneal (jumps.model_terms).
     """
 
     op: np.ndarray
@@ -81,7 +83,7 @@ class LocalOperator:
         if any(q < 0 for q in support):
             raise SupportOutOfRange(f"negative qubit index in support {support}")
         d = 2 ** len(support)
-        if op.ndim != 2 or op.shape != (d, d):
+        if op.ndim < 2 or op.shape[-2:] != (d, d):
             raise DimensionMismatch(
                 f"operator shape {op.shape} does not match support {support}"
                 f" (expected {(d, d)})"
@@ -189,20 +191,24 @@ def _leg_plan(legs: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], tuple[
 
 
 def _held(full: np.ndarray, support: tuple[int, ...], n: int) -> tuple[np.ndarray, tuple]:
-    """full (2^n x 2^n) with the row and column legs of support moved to the front.
+    """full (..., 2^n, 2^n) with the row and column legs of support moved to the front.
 
-    Returns that view, its axes ordered (support rows, support columns,
-    other rows, other columns), and the index of the identity's diagonal on
-    the other qubits: view[index] is 2 len(support) axes of size 2, one
-    operator on support, followed by one axis along that diagonal (of
-    length 1 when support is the whole register).
+    Returns that view, its axes ordered (stack axes, support rows, support
+    columns, other rows, other columns), and the index of the identity's
+    diagonal on the other qubits: view[index] is the stack axes and 2
+    len(support) axes of size 2, one operator on support, followed by one
+    axis along that diagonal (of length 1 when support is the whole
+    register).
     """
     if any(q >= n for q in support):
         raise SupportOutOfRange(f"support {tuple(support)} exceeds register size {n}")
+    lead = full.ndim - 2
     order, _ = _leg_plan(support + tuple(n + q for q in support), 2 * n)
-    held = full.reshape([2] * (2 * n)).transpose(order)
+    if lead:
+        order = tuple(range(lead)) + tuple(lead + a for a in order)
+    held = full.reshape(full.shape[:lead] + (2,) * (2 * n)).transpose(order)
     diagonal = 2 * _diagonal_index(n - len(support)) or (None,)
-    return held, (slice(None),) * (2 * len(support)) + diagonal
+    return held, (slice(None),) * (lead + 2 * len(support)) + diagonal
 
 
 def embed(op: LocalOperator, n: int) -> np.ndarray:
@@ -222,15 +228,17 @@ def _embed(a: np.ndarray, support: tuple[int, ...], n: int) -> np.ndarray:
     """embed(LocalOperator(a, support), n) without building the LocalOperator.
 
     a keeps its dtype, so complex input with zero imaginary parts stays
-    complex; the entries are those embed writes.
+    complex; the entries are those embed writes.  A stack (..., 2^p, 2^p)
+    is embedded matrix by matrix.
     """
     p = len(support)
     if support == tuple(range(n)):
         return a * 1
-    out = np.empty((2**n, 2**n), dtype=a.dtype)
+    lead = a.shape[:-2]
+    out = np.empty(lead + (2**n, 2**n), dtype=a.dtype)
     held, diagonal = _held(out, support, n)
-    held[...] = (a * np.zeros((), a.dtype)).reshape([2] * (2 * p) + [1] * (2 * (n - p)))
-    held[diagonal] = (a * np.ones((), a.dtype)).reshape([2] * (2 * p) + [1])
+    held[...] = (a * np.zeros((), a.dtype)).reshape(lead + (2,) * (2 * p) + (1,) * (2 * (n - p)))
+    held[diagonal] = (a * np.ones((), a.dtype)).reshape(lead + (2,) * (2 * p) + (1,))
     return out
 
 
@@ -247,7 +255,7 @@ def add_embedded(total: np.ndarray | None, op: LocalOperator, n: int) -> np.ndar
     if np.result_type(total, op.op) != total.dtype:
         total = total.astype(np.result_type(total, op.op))
     held, diagonal = _held(total, op.support, n)
-    held[diagonal] += op.op.reshape([2] * (2 * len(op.support)) + [1])
+    held[diagonal] += op.op.reshape(op.op.shape[:-2] + (2,) * (2 * len(op.support)) + (1,))
     return total
 
 
@@ -406,9 +414,11 @@ def sector_blocks(mat: np.ndarray) -> np.ndarray | None:
     mat is an operator on the doubled legs S + (S + n), |S| = k.  None when
     it is not exactly zero outside its sectors: the blocks then hold fewer
     of its nonzero entries than it has, an exact count with no tolerance.
+    A stack (..., 4^k, 4^k) gives the blocks (..., 2^k, 2^k, 2^k) of each
+    matrix, or None unless every matrix of it is zero outside its sectors.
     """
-    rows = sector_rows(int(mat.shape[0]).bit_length() // 2)
-    blocks = mat[rows[:, :, None], rows[:, None, :]]
+    rows = sector_rows(int(mat.shape[-1]).bit_length() // 2)
+    blocks = mat[..., rows[:, :, None], rows[:, None, :]]
     return blocks if np.count_nonzero(blocks) == np.count_nonzero(mat) else None
 
 
@@ -442,9 +452,12 @@ def sector_eigh(mat: np.ndarray) -> HermitianEig:
     outside its local sectors (sector_blocks) its 2^|S| blocks are
     decomposed in one stacked call; otherwise mat is one block, a stack of
     one.  sector_eigenvectors places the blocks' eigenvectors back in mat.
+    A stack of such matrices (..., 4^k, 4^k) is decomposed in one stacked
+    call too, with the stack axes first: by sector when every matrix of it
+    splits, else each matrix as one block.
     """
     blocks = sector_blocks(mat)
-    return hermitian_eigendecompose(mat[None] if blocks is None else blocks)
+    return hermitian_eigendecompose(mat[..., None, :, :] if blocks is None else blocks)
 
 
 def sector_eigenvectors(eig: HermitianEig, sel: np.ndarray) -> np.ndarray:

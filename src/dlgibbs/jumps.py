@@ -33,16 +33,22 @@ product: O(d^3) whatever the number of clusters.  The jump weights are
 real, so a jump whose coupling and H's eigenvectors are real is computed
 in real arithmetic; the coherent weights are imaginary, so G is computed
 complex.
+
+A model is built for one weight profile or for a sequence of them, the
+temperatures of an anneal (model_terms).  Then every operator is a stack
+(B, d, d) with a leading temperature axis: each coupling is rotated into
+H's eigenbasis once, and weighed by a (B, clusters) table, one row of
+weights per temperature, in one stacked product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BadParams, UnknownKind
+from .errors import BadParams, StackDisagreement, UnknownKind
 from .hamiltonians import BohrGrid, LocalHamiltonian, LocalOperator, embed
 from .kms import LindbladTerm
 from .linalg import norm_exceeds, spectral_norm
@@ -81,40 +87,75 @@ def _occupied(op: np.ndarray, bohr: BohrGrid) -> tuple[np.ndarray, np.ndarray]:
     """op in H's eigenbasis, and which Bohr clusters hold a nonzero entry of it.
 
     The rotation runs in the wider dtype of op and H's eigenvectors: in real
-    arithmetic when both are real.
+    arithmetic when both are real.  A stack (B, d, d) is rotated matrix by
+    matrix, and occupied is then (B, clusters).
     """
     v = bohr.eig.eigenvectors
     rotated = v.conj().T @ np.asarray(op, dtype=np.result_type(op, v)) @ v
-    occupied = np.zeros(bohr.centres.size, dtype=bool)
-    occupied[bohr.labels[rotated != 0]] = True
+    occupied = np.zeros(rotated.shape[:-2] + bohr.centres.shape, dtype=bool)
+    labels = bohr.labels
+    if rotated.ndim > 2:  # each matrix's labels, offset to its own row of occupied
+        offsets = np.arange(0, occupied.size, bohr.centres.size)
+        labels = labels + offsets.reshape(rotated.shape[:-2] + (1, 1))
+    occupied.reshape(-1)[labels[rotated != 0]] = True
     return rotated, occupied
 
 
-def _weigh(
-    rotated: np.ndarray, occupied: np.ndarray, coeff: np.ndarray, bohr: BohrGrid
+def _table(
+    w: WeightProfile | Sequence[WeightProfile], weight, occupied: np.ndarray, bohr: BohrGrid, dtype
 ) -> np.ndarray:
-    """V (c[labels] * rotated) V', with c the occupied clusters' coeff and 0 elsewhere.
+    """Each profile's weight at the gains of its occupied clusters, 0 elsewhere.
 
-    A real rotated operator with real weights is weighed and rotated back
+    weight is WeightProfile.jump_weight or .coherent_weight, called once per
+    profile on those gains only.  One profile gives (clusters,); a sequence
+    of B gives (B, clusters), occupied then (clusters,), shared by every
+    row, or (B, clusters).
+    """
+    single = isinstance(w, WeightProfile)
+    profiles = [w] if single else w
+    nu = -bohr.centres
+    table = np.zeros((len(profiles), nu.size), dtype=dtype)
+    rows = occupied if occupied.ndim > 1 else [occupied] * len(profiles)
+    for row, occ, profile in zip(table, rows, profiles):
+        row[occ] = weight(profile, nu[occ])
+    return table[0] if single else table
+
+
+def _weigh(rotated: np.ndarray, table: np.ndarray, bohr: BohrGrid) -> np.ndarray:
+    """V (table[labels] * rotated) V', for each row of a weight table (_table).
+
+    rotated is one matrix, shared by every row, or a stack (B, d, d).  A
+    real rotated operator with real weights is weighed and rotated back
     in real arithmetic.
     """
-    scale = np.zeros(bohr.centres.size, dtype=np.result_type(coeff, rotated))
-    scale[occupied] = coeff
     v = bohr.eig.eigenvectors
-    return v @ (scale[bohr.labels] * rotated) @ v.conj().T
+    return v @ (table[..., bohr.labels] * rotated) @ v.conj().T
 
 
-def build_jump(a: np.ndarray, bohr: BohrGrid, w: WeightProfile) -> np.ndarray:
-    """Weighted jump operator L = sum_nu w_hat(nu) A_{-nu}, on H's Bohr grid."""
+def build_jump(
+    a: np.ndarray, bohr: BohrGrid, w: WeightProfile | Sequence[WeightProfile]
+) -> np.ndarray:
+    """Weighted jump operator L = sum_nu w_hat(nu) A_{-nu}, on H's Bohr grid.
+
+    For a sequence of B profiles, the stack (B, d, d) of them, from one
+    rotation of a.
+    """
     rotated, occupied = _occupied(a, bohr)
-    return _weigh(rotated, occupied, w.jump_weight(-bohr.centres[occupied]), bohr)
+    dtype = np.result_type(float, rotated)
+    return _weigh(rotated, _table(w, WeightProfile.jump_weight, occupied, bohr, dtype), bohr)
 
 
-def build_coherent(jump: np.ndarray, bohr: BohrGrid, w: WeightProfile) -> np.ndarray:
-    """Coherent operator G = sum_nu g_hat(nu) (L'L)_{-nu}, on H's Bohr grid; Hermitian."""
+def build_coherent(
+    jump: np.ndarray, bohr: BohrGrid, w: WeightProfile | Sequence[WeightProfile]
+) -> np.ndarray:
+    """Coherent operator G = sum_nu g_hat(nu) (L'L)_{-nu}, on H's Bohr grid; Hermitian.
+
+    For a sequence of B profiles jump is a stack (B, d, d), one per profile.
+    """
     jump = np.asarray(jump, dtype=complex)
-    rotated, occupied = _occupied(jump.conj().T @ jump, bohr)
-    return _weigh(rotated, occupied, w.coherent_weight(-bohr.centres[occupied]), bohr)
+    rotated, occupied = _occupied(np.swapaxes(jump.conj(), -1, -2) @ jump, bohr)
+    table = _table(w, WeightProfile.coherent_weight, occupied, bohr, complex)
+    return _weigh(rotated, table, bohr)
 
 
 def _has_coherent_part(coh: np.ndarray, jump: np.ndarray) -> bool:
@@ -141,28 +182,43 @@ def dressed_support(a: LocalOperator, ham: LocalHamiltonian) -> tuple[int, ...]:
     return tuple(sorted(sites))
 
 
-def build_model(
+def model_terms(
     ham: LocalHamiltonian,
     couplings: Sequence[LocalOperator],
-    w: WeightProfile,
-) -> list[LindbladTerm]:
-    """One detailed-balanced Lindblad term per coupling operator.
+    w: WeightProfile | Sequence[WeightProfile],
+) -> Iterator[LindbladTerm]:
+    """One detailed-balanced Lindblad term per coupling operator, in order, one at a time.
 
     Operators are materialized on the full register (their support field
-    records the dressed locality).
+    records the dressed locality).  w is one weight profile, or a sequence
+    of them: then every operator is a stack (B, d, d), one matrix per
+    profile, and each coupling is rotated into H's eigenbasis once for all
+    of them.  The coherent part is kept where ||G|| exceeds its cut
+    (_has_coherent_part); a stack whose temperatures disagree on that
+    raises StackDisagreement.
     """
     if not couplings:
         raise BadParams("need at least one coupling operator")
     bohr = ham.bohr
     full = tuple(range(ham.n))
-    terms: list[LindbladTerm] = []
     for a in couplings:
         jump = build_jump(embed(a, ham.n), bohr, w)
         coh = build_coherent(jump, bohr, w)
-        term = LindbladTerm(
+        pairs = [(coh, jump)] if isinstance(w, WeightProfile) else zip(coh, jump)
+        kept = {_has_coherent_part(c, j) for c, j in pairs}
+        if len(kept) > 1:
+            raise StackDisagreement("the temperatures disagree on a coherent part")
+        yield LindbladTerm(
             jumps=(LocalOperator(jump, full),),
-            coherent=LocalOperator(coh, full) if _has_coherent_part(coh, jump) else None,
+            coherent=LocalOperator(coh, full) if kept.pop() else None,
             support=dressed_support(a, ham),
         )
-        terms.append(term)
-    return terms
+
+
+def build_model(
+    ham: LocalHamiltonian,
+    couplings: Sequence[LocalOperator],
+    w: WeightProfile,
+) -> list[LindbladTerm]:
+    """One detailed-balanced Lindblad term per coupling operator (model_terms at one profile)."""
+    return list(model_terms(ham, couplings, w))

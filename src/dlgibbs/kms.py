@@ -39,6 +39,13 @@ models (random_ff_projectors) take the same code in complex arithmetic.
 zz_chain, field_chain and commuting_projectors are real with any of the
 x, y, z couplings: a y jump L = iR is complex, but kron(L', L^T) =
 kron(R^T, R^T) and L'L = R^T R are exactly real.
+
+Temperature stacks.  KmsForm, Superoperator, term_superoperator,
+coherent_form and the kron kernels also take stacks with leading axes, one
+entry per temperature of an anneal (jumps.model_terms): a stack of states
+(..., d, d), or of Gibbs weights at an array of beta, holds each entry's
+spectrum, and every product is then one stacked product whose entry j is
+computed as the single-temperature call computes it.
 """
 
 from __future__ import annotations
@@ -61,7 +68,8 @@ from .hamiltonians import (
 )
 from .linalg import (
     HermitianEig,
-    hermitian_eigendecompose,
+    _adjoint,
+    hermitian_eigendecompose_each,
     real_if_exact,
     spectral_norm,
     symmetric_eigenvalues,
@@ -77,7 +85,8 @@ class Superoperator:
     """Matrix acting on vectorized operators, tagged with its picture.
 
     mat is float64 when its entries are exactly real, complex128 otherwise;
-    apply demotes its operand by the same rule.
+    apply demotes its operand by the same rule.  mat may be a stack
+    (..., d^2, d^2) of superoperators; apply and adjoint take one matrix.
     """
 
     mat: np.ndarray
@@ -90,7 +99,7 @@ class Superoperator:
         if self.picture not in _PICTURES:
             raise BadParams(f"unknown picture {self.picture!r}")
         d2 = self.dim * self.dim
-        if mat.shape != (d2, d2):
+        if mat.ndim < 2 or mat.shape[-2:] != (d2, d2):
             raise DimensionMismatch(
                 f"superoperator shape {mat.shape} does not match dim {self.dim}"
             )
@@ -136,38 +145,48 @@ class KmsForm:
     tolerances.MIN_STATE_WEIGHT (1e-14), else SingularSigma: a Gibbs state
     whose beta * spread exceeds about 32 (ln 1e14) is refused.  An exactly
     real sigma or H gives real eigenvectors and powers.
+
+    A stack of states (..., d, d), or the Gibbs states at an array of beta,
+    gives a stack of forms: each state is decomposed as it would be alone
+    (linalg.hermitian_eigendecompose_each), every check holds for each, and
+    form[j] is entry j, sharing the stack's arrays.
     """
 
     def __init__(self, sigma: np.ndarray):
-        eig = hermitian_eigendecompose(real_if_exact(sigma))
+        eig = hermitian_eigendecompose_each(real_if_exact(sigma))
         self._set_spectrum(eig.eigenvalues, eig.eigenvectors)
 
     @classmethod
-    def gibbs(cls, ham: LocalHamiltonian, beta: float) -> KmsForm:
+    def gibbs(cls, ham: LocalHamiltonian, beta: float | np.ndarray) -> KmsForm:
         """The form of exp(-beta H)/Z: _gibbs_weights on ham.eig, then the same checks."""
         form = cls.__new__(cls)
         form._set_spectrum(*_gibbs_weights(ham.eig, beta))
         return form
 
     def _set_spectrum(self, w: np.ndarray, v: np.ndarray) -> None:
-        tr = float(np.real(w.sum()))
-        if tr <= 0:
-            raise SingularSigma(f"state trace {tr:.3e} is not positive")
-        w = w / tr
-        if w.min() <= _MIN_EIG:
+        tr = np.real(w.sum(axis=-1))
+        if np.any(tr <= 0):
+            raise SingularSigma(f"state trace {_first(tr, tr <= 0):.3e} is not positive")
+        w = w / tr[..., None]
+        low = w.min(axis=-1)
+        if np.any(low <= _MIN_EIG):
             raise SingularSigma(
-                f"smallest eigenvalue {w.min():.3e} after normalization is "
+                f"smallest eigenvalue {_first(low, low <= _MIN_EIG):.3e} after normalization is "
                 f"at or below {_MIN_EIG:.1e}"
             )
-        self.dim = v.shape[0]
+        self.dim = v.shape[-1]
         self.eigenvalues = w
         self.eigenvectors = v
-        self.sigma = v @ np.diag(w) @ v.conj().T
-        self.sigma_min = float(w.min())
+        self.sigma = self._power(1.0)
+
+    @property
+    def sigma_min(self) -> float:
+        """The smallest weight (over every entry of a stack)."""
+        return float(self.eigenvalues.min())
 
     def _power(self, p: float) -> np.ndarray:
         v = self.eigenvectors
-        return v @ np.diag(self.eigenvalues**p) @ v.conj().T
+        return v @ _diagonal(self.eigenvalues**p) @ _adjoint(v)
 
     @cached_property
     def sqrt(self) -> np.ndarray:
@@ -181,6 +200,32 @@ class KmsForm:
     def inv_quarter(self) -> np.ndarray:
         return self._power(-0.25)
 
+    def __getitem__(self, j) -> KmsForm:
+        """Entry j of a stack of forms, with views of its arrays and of the powers taken so far."""
+        form = KmsForm.__new__(KmsForm)
+        form.dim = self.dim
+        v = self.eigenvectors
+        form.eigenvectors = v if v.ndim < self.eigenvalues.ndim + 1 else v[j]
+        for name in ("eigenvalues", "sigma", "sqrt", "quarter", "inv_quarter"):
+            if name in vars(self):
+                setattr(form, name, getattr(self, name)[j])
+        return form
+
+
+def _diagonal(w: np.ndarray) -> np.ndarray:
+    """np.diag of a vector, or of each vector of a stack (..., d)."""
+    if w.ndim == 1:
+        return np.diag(w)
+    out = np.zeros(w.shape + w.shape[-1:], dtype=w.dtype)
+    i = np.arange(w.shape[-1])
+    out[..., i, i] = w
+    return out
+
+
+def _first(values: np.ndarray, bad: np.ndarray) -> float:
+    """The first of values where bad holds, in the stack's order."""
+    return float(np.ravel(values)[np.flatnonzero(np.ravel(bad))[0]])
+
 
 def _kron_conj_apply(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     """kron(a, a.conj()) @ m for a d x d matrix a and d^2 rows of m.
@@ -188,30 +233,35 @@ def _kron_conj_apply(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     Applies a to the first tensor leg of the rows and a.conj() to the
     second, O(d^3 * cols) instead of the O(d^4 * cols) of the dense kron.
     With a = sigma^{1/4} this is Gamma^{1/2}, the matrix of
-    X -> sigma^{1/4} X sigma^{1/4} on vectorized operators.
+    X -> sigma^{1/4} X sigma^{1/4} on vectorized operators.  Stacks of a
+    (..., d, d) and of m (..., d^2, cols) are applied entry by entry.
     """
-    d = a.shape[0]
-    legs = (a @ m.reshape(d, -1)).reshape(d, d, -1)
-    return np.matmul(a.conj(), legs).reshape(d * d, -1)
+    d = a.shape[-1]
+    legs = a @ m.reshape(m.shape[:-2] + (d, -1))
+    lead = legs.shape[:-2]
+    legs = legs.reshape(lead + (d, d, -1))
+    return np.matmul(a.conj()[..., None, :, :], legs).reshape(lead + (d * d, -1))
 
 
 def _gibbs_weights(eig: HermitianEig, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """(exp(-beta (E - E_0)) / Z, V) from H = V diag(E) V dagger, computed shift-stably.
 
     Rejects beta < 0 and beta * (spectral spread) > 80, beyond which the
-    smallest weight underflows any usable stationary-state threshold.
+    smallest weight underflows any usable stationary-state threshold.  An
+    array of beta gives the weights (..., d), one row per beta, on the one V.
     """
-    if beta < 0:
-        raise BadParams(f"inverse temperature must be >= 0, got {beta}")
+    beta = np.asarray(beta, dtype=float)
+    if np.any(beta < 0):
+        raise BadParams(f"inverse temperature must be >= 0, got {_first(beta, beta < 0)}")
     w = eig.eigenvalues
     spread = float(w[-1] - w[0])
-    if beta * spread > 80.0:
+    if np.any(beta * spread > 80.0):
         raise OverflowDetected(
-            f"beta * spread = {beta * spread:.2f} exceeds 80; the Gibbs "
+            f"beta * spread = {float(np.max(beta)) * spread:.2f} exceeds 80; the Gibbs "
             "weights would underflow double precision"
         )
-    ew = np.exp(-beta * (w - w[0]))
-    ew /= ew.sum()
+    ew = np.exp(-beta[..., None] * (w - w[0]))
+    ew /= ew.sum(axis=-1, keepdims=True)
     return ew, eig.eigenvectors
 
 
@@ -219,36 +269,46 @@ def term_superoperator(term: LindbladTerm, n: int) -> Superoperator:
     """Heisenberg-picture matrix of one embedded Lindblad term.
 
     Real unless a jump is complex or a coherent part (the i terms) is
-    present.
+    present.  A term whose operators are stacks (..., d, d) gives the stack
+    of its superoperators.
     """
     d = 2**n
     dtype = np.result_type(float, *(j.op for j in term.jumps))
     if term.coherent is not None:
         dtype = np.dtype(complex)
+    lead = term.jumps[0].op.shape[:-2]
     ident = np.eye(d, dtype=dtype)
-    mat = np.zeros((d * d, d * d), dtype=dtype)
+    mat = np.zeros(lead + (d * d, d * d), dtype=dtype)
     for j in term.jumps:
         lj = embed(j, n)
-        ljd = lj.conj().T
+        ljd = _adjoint(lj)
         ldl = ljd @ lj
-        mat += _kron(ljd, lj.T)
-        mat -= 0.5 * _kron(ldl, ident)
-        mat -= 0.5 * _kron(ident, ldl.T)
+        mat += _kron(ljd, np.swapaxes(lj, -1, -2))
+        mat -= _half(_kron(ldl, ident))
+        mat -= _half(_kron(ident, np.swapaxes(ldl, -1, -2)))
     if term.coherent is not None:
         g = embed(term.coherent, n)
         mat += 1j * _kron(g, ident)
-        mat -= 1j * _kron(ident, g.T)
+        mat -= 1j * _kron(ident, np.swapaxes(g, -1, -2))
     return Superoperator(mat=mat, picture="heisenberg", dim=d)
 
 
+def _half(a: np.ndarray) -> np.ndarray:
+    """0.5 * a, written into a."""
+    a *= 0.5
+    return a
+
+
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a, b) of two d x d matrices by one broadcast multiply.
+    """np.kron(a, b) of two square matrices by one broadcast multiply.
 
     np.kron forms the same products a_ij b_kl, so the result is bitwise
-    equal; only its set-up is skipped.
+    equal; only its set-up is skipped.  Stacks (..., p, p) and (..., q, q)
+    are multiplied entry by entry.
     """
-    d = a.shape[0] * b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d, d)
+    d = a.shape[-1] * b.shape[-1]
+    products = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return products.reshape(products.shape[:-4] + (d, d))
 
 
 def coherent_form(lind: Superoperator, kms: KmsForm) -> Superoperator:
@@ -259,7 +319,7 @@ def coherent_form(lind: Superoperator, kms: KmsForm) -> Superoperator:
         raise DimensionMismatch(f"generator dim {lind.dim} vs state dim {kms.dim}")
     # Gamma^{-1/2} is Hermitian, so M Gamma^{-1/2} = (Gamma^{-1/2} M dagger) dagger.
     left = _kron_conj_apply(kms.quarter, lind.mat)
-    mat = _kron_conj_apply(kms.inv_quarter, left.conj().T).conj().T
+    mat = _adjoint(_kron_conj_apply(kms.inv_quarter, _adjoint(left)))
     return Superoperator(mat=mat, picture="kms", dim=lind.dim)
 
 

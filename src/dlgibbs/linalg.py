@@ -28,10 +28,12 @@ with each matrix checked against its own norm: the sectors of
 hamiltonians.Sectors come as stacks, so the mix's sums, kernels and
 rounds, every parent spectrum of a diagonal-H model and the dl_qsvt
 anneal's ground clusters, term bases, DL operators and transitions are
-decomposed sector by sector.  A stack's SVD is of its whole matrices.  An
-exactly diagonal matrix is its own eigendecomposition, with no LAPACK
-call: the diagonal stable-sorted and the matching columns of the
-identity.
+decomposed sector by sector, and the anneal's parent terms at all its
+temperatures in one call (a leading temperature axis).  partial_trace
+and frobenius_norms take such stacks too, matrix by matrix.  A stack's
+SVD is of its whole matrices.  An exactly diagonal matrix is its own
+eigendecomposition, with no LAPACK call: the diagonal stable-sorted and
+the matching columns of the identity.
 """
 
 from __future__ import annotations
@@ -99,6 +101,25 @@ def _as_square(a: np.ndarray, what: str, stack: bool = False) -> np.ndarray:
     return a
 
 
+def frobenius_norms(a: np.ndarray) -> np.ndarray:
+    """||a||_F of a matrix, or of each matrix of a stack (..., p, q), as np.linalg.norm computes it.
+
+    np.linalg.norm sums the squares of a matrix in its memory order by one
+    BLAS dot product (two for complex data, real and imaginary parts); here
+    every matrix of the stack takes that same dot product, as one stacked
+    row-times-column product, so each norm is np.linalg.norm's bit for bit.
+    """
+    a = np.asarray(a)
+    if a.ndim == 2:
+        return np.linalg.norm(a)
+    if a.strides[-2] < a.strides[-1]:
+        a = np.swapaxes(a, -1, -2)
+    flat = a.reshape(a.shape[:-2] + (1, -1))
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    squares = sum(p @ np.swapaxes(p, -1, -2) for p in parts)
+    return np.sqrt(squares[..., 0, 0])
+
+
 def _frobenius(a: np.ndarray):
     """||a||_F of a matrix, or the array of them over a stack's last two axes."""
     return np.linalg.norm(a) if a.ndim == 2 else np.linalg.norm(a, axis=(-2, -1))
@@ -158,11 +179,8 @@ def hermitian_eigendecompose(a: np.ndarray) -> HermitianEig:
     """
     a = _as_square(a, "hermitian_eigendecompose input", stack=True)
     sym, scale, res = _hermitian_input(a)
-    if a.ndim == 2 and np.count_nonzero(sym) == np.count_nonzero(np.diagonal(sym)):
-        w = np.diagonal(sym).real
-        order = np.argsort(w, kind="stable")
-        eye = np.eye(a.shape[0], dtype=np.result_type(sym.dtype, np.float32))
-        return HermitianEig(w[order], eye[:, order])
+    if a.ndim == 2 and _is_diagonal(sym):
+        return _diagonal_eig(sym)
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -171,6 +189,44 @@ def hermitian_eigendecompose(a: np.ndarray) -> HermitianEig:
     if not np.all(recon <= np.maximum(_RECON_TOL * scale, res)):
         raise NoConvergence(f"eigh reconstruction residual {np.max(recon):.3e}")
     return HermitianEig(eigenvalues=w, eigenvectors=v)
+
+
+def hermitian_eigendecompose_each(a: np.ndarray) -> HermitianEig:
+    """Each matrix of a stack (..., p, p) decomposed as hermitian_eigendecompose would alone.
+
+    The exactly diagonal ones by the diagonal rule, the others in one
+    stacked eigh; when the stack holds both, matrix by matrix.  A matrix is
+    a stack of none.
+    """
+    a = _as_square(a, "hermitian_eigendecompose input", stack=True)
+    if a.ndim == 2:
+        return hermitian_eigendecompose(a)
+    sym, _, _ = _hermitian_input(a)
+    diagonal = _is_diagonal(sym)
+    if np.all(diagonal):
+        return _diagonal_eig(sym)
+    if not np.any(diagonal):
+        return hermitian_eigendecompose(a)
+    eigs = [hermitian_eigendecompose(m) for m in a.reshape((-1,) + a.shape[-2:])]
+    return HermitianEig(
+        np.stack([e.eigenvalues for e in eigs]).reshape(a.shape[:-1]),
+        np.stack([e.eigenvectors for e in eigs]).reshape(a.shape),
+    )
+
+
+def _is_diagonal(sym: np.ndarray):
+    """Whether each matrix of sym is exactly zero off its diagonal."""
+    diagonal = np.diagonal(sym, axis1=-2, axis2=-1)
+    return np.count_nonzero(sym, axis=(-2, -1)) == np.count_nonzero(diagonal, axis=-1)
+
+
+def _diagonal_eig(sym: np.ndarray) -> HermitianEig:
+    """The decomposition of each exactly diagonal matrix of sym: its diagonal
+    stable-sorted and the matching columns of the identity, in eigh's dtype."""
+    w = np.diagonal(sym, axis1=-2, axis2=-1).real
+    order = np.argsort(w, axis=-1, kind="stable")
+    eye = np.eye(sym.shape[-1], dtype=np.result_type(sym.dtype, np.float32))
+    return HermitianEig(np.take_along_axis(w, order, -1), np.moveaxis(eye[:, order], 0, -2))
 
 
 def gauge_singular_vectors(u: np.ndarray, vh: np.ndarray) -> None:
@@ -299,24 +355,27 @@ def partial_trace(
     """Trace out all tensor factors not listed in keep.
 
     dims gives the dimension of every factor in order; the result acts on
-    the kept factors in ascending index order.
+    the kept factors in ascending index order.  A stack (..., d, d) is
+    traced matrix by matrix.
     """
-    rho = _as_square(rho, "partial_trace input")
+    rho = _as_square(rho, "partial_trace input", stack=True)
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise BadDimensionFactorization(f"factor dims must be positive, got {dims}")
     total = int(np.prod(dims))
-    if total != rho.shape[0]:
+    if total != rho.shape[-1]:
         raise BadDimensionFactorization(
-            f"dims {dims} multiply to {total}, matrix has dimension {rho.shape[0]}"
+            f"dims {dims} multiply to {total}, matrix has dimension {rho.shape[-1]}"
         )
     keep = sorted(set(int(q) for q in keep))
     if any(q < 0 or q >= len(dims) for q in keep):
         raise SupportOutOfRange(f"keep indices {keep} for {len(dims)} factors")
     n = len(dims)
-    t = rho.reshape(dims + dims)
+    lead = rho.shape[:-2]
+    t = rho.reshape(lead + dims + dims)
     traced = [q for q in range(n) if q not in keep]
     for q in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=q, axis2=q + (t.ndim // 2))
+        first = len(lead) + q
+        t = np.trace(t, axis1=first, axis2=first + (t.ndim - len(lead)) // 2)
     d_keep = int(np.prod([dims[q] for q in keep])) if keep else 1
-    return t.reshape(d_keep, d_keep)
+    return t.reshape(lead + (d_keep, d_keep))

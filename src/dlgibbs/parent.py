@@ -52,15 +52,21 @@ anneal takes.
 - gap and kernel_dim of the sum are computed on their first read.  A
   dl_qsvt anneal reads neither: its fixed-point dimension is the ground
   cluster of parent_projector_input, the rank its DL operator projects onto.
+
+Every function here also takes a temperature stack: terms whose operators
+are (B, d, d) (jumps.model_terms at B weight profiles) and a KmsForm of B
+states.  parent_terms then yields one TermStack per term, each check is
+made at every temperature, and build_parent's result holds the stacks;
+ph[j] is temperature j's parent.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -70,6 +76,7 @@ from .errors import (
     NotDetailedBalanced,
     NotLocal,
     PositivityFailure,
+    StackDisagreement,
 )
 from .hamiltonians import (
     LocalHamiltonian,
@@ -81,6 +88,7 @@ from .hamiltonians import (
     embed,
     sector_blocks,
     sector_eigh,
+    sector_rows,
     sector_sum,
     support_overlap_degree,
 )
@@ -88,13 +96,16 @@ from .kms import (
     KmsForm,
     LindbladTerm,
     Superoperator,
+    _first,
     _gibbs_weights,
     coherent_form,
     coherent_spectrum,
     term_superoperator,
 )
 from .linalg import (
-    HermitianEig, norm_exceeds, partial_trace, spectral_norm, symmetric_eigenvalues, vectorize,
+    HermitianEig, _adjoint, frobenius_norms, hermitian_eigendecompose, norm_exceeds,
+    partial_trace, spectral_norm,
+    symmetric_eigenvalues, vectorize,
 )
 from .tolerances import (
     DETAILED_BALANCE_TOL, LOCALITY_TOL, NORM_SLACK, PARENT_TERM_PSD_TOL,
@@ -119,7 +130,8 @@ class ParentTerm:
     state is the KMS form mat was built against (the marginal of sigma on
     the term's sites); db_residual is ||h_a - h_a dagger||_F of the
     coherent form mat symmetrizes; locality_residual is coherent_terms'
-    locality.
+    locality.  A term read off a TermStack records it in entry_of, and its
+    eigenvalues and eig are the stack's entry.
     """
 
     mat: np.ndarray
@@ -127,6 +139,7 @@ class ParentTerm:
     state: KmsForm
     db_residual: float
     locality_residual: float | None
+    entry_of: tuple[TermStack, int] | None = field(default=None, repr=False)
 
     @cached_property
     def norm(self) -> float:
@@ -140,6 +153,9 @@ class ParentTerm:
         Only the dl_qsvt anneal's parent_projector_input reads it, for its
         ground bases.
         """
+        if self.entry_of is not None:
+            stack, j = self.entry_of
+            return HermitianEig(stack.eig.eigenvalues[j], stack.eig.eigenvectors[j])
         return sector_eigh(self.mat)
 
     @cached_property
@@ -150,10 +166,73 @@ class ParentTerm:
         (sector_blocks), or of mat when it has none; a term on the whole
         register of non-commuting H one eigvalsh of mat.
         """
+        if self.entry_of is not None:
+            stack, j = self.entry_of
+            return stack.eigenvalues[j]
         blocks = None if self.locality_residual is None else sector_blocks(self.mat)
         if blocks is None:
             return symmetric_eigenvalues(self.mat)
-        return np.sort(symmetric_eigenvalues(blocks), axis=None)
+        return _block_eigenvalues(blocks)
+
+
+@dataclass(frozen=True)
+class TermStack:
+    """One parent term at every temperature of a stack, as parent_terms yields it.
+
+    held is the term by sector, (B, 2^k, 2^k, 2^k) with one set of blocks
+    per temperature (sector_blocks), when every temperature's matrix is
+    exactly zero outside its local sectors: 8^k entries each instead of
+    mat's 16^k.  Otherwise, and for a term of non-commuting H, it is the
+    matrices themselves, each one block, (B, 1, D, D).  state is the
+    stacked KMS form and the residuals hold one value per temperature.
+    eigenvalues and eig are one stacked call on held for every
+    temperature, and term[j] is temperature j's ParentTerm, with its mat
+    rebuilt from held.
+    """
+
+    held: np.ndarray
+    support: tuple[int, ...]
+    state: KmsForm
+    db_residual: np.ndarray
+    locality_residual: np.ndarray | None
+
+    def __getitem__(self, j: int) -> ParentTerm:
+        held, local = self.held[j], self.locality_residual
+        mat = held[0] if held.shape[0] == 1 else _unsplit(held)
+        return ParentTerm(
+            mat,
+            self.support,
+            self.state[j],
+            float(self.db_residual[j]),
+            None if local is None else float(local[j]),
+            (self, j),
+        )
+
+    @cached_property
+    def eig(self) -> HermitianEig:
+        """Each temperature's eigendecomposition by local sector, in one stacked eigh."""
+        return hermitian_eigendecompose(self.held)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Each temperature's ascending eigenvalues, (B, D), from one stacked eigvalsh."""
+        if self.held.shape[1] == 1:
+            return symmetric_eigenvalues(self.held[:, 0])
+        return _block_eigenvalues(self.held)
+
+
+def _block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the matrix, or each entry of a stack, with these sector blocks."""
+    w = symmetric_eigenvalues(blocks)
+    return np.sort(w.reshape(w.shape[:-2] + (-1,)), axis=-1)
+
+
+def _unsplit(blocks: np.ndarray) -> np.ndarray:
+    """The matrix whose sector blocks (sector_blocks) are blocks, zero outside them."""
+    rows = sector_rows(blocks.shape[0].bit_length() - 1)
+    out = np.zeros((rows.size, rows.size), dtype=blocks.dtype)
+    out[rows[:, :, None], rows[:, None, :]] = blocks
+    return out
 
 
 @dataclass(frozen=True)
@@ -164,7 +243,9 @@ class ParentHamiltonian:
     exactly Hermitian terms, by kms.coherent_spectrum's rules, so the
     generator's.  The sum is assembled and diagonalized on the first read
     of either, unless build_parent already took its spectrum; a dl_qsvt
-    anneal reads the kernel off parent_projector_input instead.
+    anneal reads the kernel off parent_projector_input instead.  A parent
+    built on a temperature stack holds stacked terms and grounds (..., 4^n);
+    ph[j] is the parent at entry j, whose terms are views of the stacks.
     """
 
     terms: tuple[ParentTerm, ...]
@@ -174,6 +255,16 @@ class ParentHamiltonian:
     @property
     def m(self) -> int:
         return len(self.terms)
+
+    def __getitem__(self, j: int) -> ParentHamiltonian:
+        """The parent at entry j of a stack; one whose spectrum build_parent took is kept."""
+        if j in self._checked:
+            return self._checked[j]
+        return ParentHamiltonian(tuple(t[j] for t in self.terms), self.ground[j], self.n)
+
+    @cached_property
+    def _checked(self) -> dict[int, ParentHamiltonian]:
+        return {}
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, float, int]:
@@ -211,7 +302,7 @@ def _restrict(
     n: int,
     kms: KmsForm,
     local_kms: KmsForm,
-) -> tuple[LindbladTerm, float]:
+) -> tuple[LindbladTerm, np.ndarray]:
     """term on the register of its sites, which are not the whole register.
 
     Each jump and the coherent part become their normalized partial traces
@@ -221,11 +312,13 @@ def _restrict(
     is built from exactly these products, so it then equals the local
     coherent form tensor I.  NotLocal names the term otherwise.  Returns
     the restricted term and the worst residual relative to max(1, ||K||).
+    On a temperature stack every product, trace and residual is taken for
+    every entry at once, and the residual is one per entry.
     """
     k = len(sites)
     q, iq = kms.quarter, kms.inv_quarter
     lq, liq = local_kms.quarter, local_kms.inv_quarter
-    relatives: list[float] = []
+    relatives: list[np.ndarray] = []
 
     def local(op: LocalOperator, what: str) -> LocalOperator:
         full = embed(op, n)
@@ -236,12 +329,12 @@ def _restrict(
             (f"{what} as sigma^{{-1/4}} K sigma^{{1/4}}", iq @ full @ q, liq @ part @ lq),
         )
         for label, got, want in pairs:
-            residual = float(np.linalg.norm(got - _embed(want, sites, n)))
-            relative = residual / max(1.0, float(np.linalg.norm(got)))
-            if relative > LOCALITY_TOL:
+            residual = frobenius_norms(got - _embed(want, sites, n))
+            relative = residual / np.maximum(1.0, frobenius_norms(got))
+            if np.any(relative > LOCALITY_TOL):
                 raise NotLocal(
                     f"term {idx}: {label} is not the identity off sites {sites} "
-                    f"(residual {residual:.3e})"
+                    f"(residual {_first(residual, relative > LOCALITY_TOL):.3e})"
                 )
             relatives.append(relative)
         return LocalOperator(part, tuple(range(k)))
@@ -251,14 +344,14 @@ def _restrict(
         coherent=None if term.coherent is None else local(term.coherent, "coherent part"),
         support=tuple(range(k)),
     )
-    return restricted, max(relatives)
+    return restricted, np.max(relatives, axis=0)
 
 
 def coherent_terms(
-    terms: list[LindbladTerm] | tuple[LindbladTerm, ...],
+    terms: Iterable[LindbladTerm],
     kms: KmsForm,
     ham: LocalHamiltonian,
-) -> Iterator[tuple[Superoperator, tuple[int, ...], KmsForm, float | None]]:
+) -> Iterator[tuple[Superoperator, tuple[int, ...], KmsForm, np.ndarray | None]]:
     """Each term's coherent form h_m, built once, in term order.
 
     The package's one call of term_superoperator and coherent_form.  ham
@@ -269,10 +362,11 @@ def coherent_terms(
     (h_m, legs, state, locality): h_m acts as h_m tensor I on legs
     S u (S + n), state is the KMS form it was built against and locality
     _restrict's worst relative residual (0.0 when S is the whole
-    register, None for non-commuting H).
+    register, None for non-commuting H).  Terms and kms may be temperature
+    stacks (jumps.model_terms, KmsForm.gibbs at an array of beta): every
+    form, marginal and residual is then a stack, one entry per temperature.
+    terms may be an iterator, consumed one term at a time.
     """
-    if not terms:
-        raise BadParams("need at least one term")
     n = int(round(np.log2(kms.dim)))
     if 2**n != kms.dim:
         raise DimensionMismatch(f"state dimension {kms.dim} is not a power of 2")
@@ -281,24 +375,27 @@ def coherent_terms(
     whole = tuple(range(n))
     local = ham.commuting
     marginals = {whole: kms}
+    idx = -1
     for idx, t in enumerate(terms):
         sites = tuple(sorted(t.support)) if local else whole
         if sites not in marginals:
             marginals[sites] = KmsForm(partial_trace(kms.sigma, sites, (2,) * n))
         site_kms = marginals[sites]
-        locality = 0.0 if local else None
+        locality = np.zeros(kms.eigenvalues.shape[:-1]) if local else None
         if sites != whole:
             t, locality = _restrict(t, idx, sites, n, kms, site_kms)
         legs = sites + tuple(q + n for q in sites)
         # Unnamed, so only the caller holds h_m when the next one is built.
         yield coherent_form(term_superoperator(t, len(sites)), site_kms), legs, site_kms, locality
+    if idx < 0:
+        raise BadParams("need at least one term")
 
 
 def parent_terms(
-    terms: list[LindbladTerm] | tuple[LindbladTerm, ...],
+    terms: Iterable[LindbladTerm],
     kms: KmsForm,
     ham: LocalHamiltonian,
-    beta: float | None = None,
+    beta: float | np.ndarray | None = None,
 ) -> Iterator[ParentTerm]:
     """Each H^a, the symmetrization of coherent_terms' h_a, in term order.
 
@@ -307,80 +404,137 @@ def parent_terms(
     DETAILED_BALANCE_TOL raises NotDetailedBalanced, whose message names
     beta when one is given.  Only the h_a - h_a dagger are kept, so a
     caller that drops each H^a holds one whole-register term at a time.
+    On a temperature stack beta holds one value per entry, each entry is
+    checked, and the first failing entry is named; the sum of each entry
+    whose bound does not decide is assembled one entry at a time.  A
+    stack of local terms whose entries disagree on splitting by sector
+    raises StackDisagreement.
     """
     nq = 2 * ham.n
     whole = None
-    local_anti: list[LocalOperator] = []
+    local_anti: list[tuple[np.ndarray, bool, tuple[int, ...]]] = []
     db_bound = 0.0
     idx = 0  # not enumerate, whose result tuple keeps h_a while the next is built
     for h, legs, state, locality in coherent_terms(terms, kms, ham):
-        anti = h.mat - h.mat.conj().T
-        _check_detailed_balance(anti, f"term {idx}", beta)
-        db_residual = float(np.linalg.norm(anti))
-        db_bound += db_residual
+        anti = h.mat - _adjoint(h.mat)
+        db_residual = frobenius_norms(anti)
+        _check_detailed_balance(anti, db_residual, f"term {idx}", beta)
+        db_bound = db_bound + db_residual
         if len(legs) == nq:
             whole = add_embedded(whole, LocalOperator(anti, legs), nq)
         else:
-            local_anti.append(LocalOperator(anti, legs))
+            # A stack is kept by sector when it splits, 8^k entries, not 16^k.
+            blocks = sector_blocks(anti) if anti.ndim > 2 else None
+            local_anti.append((anti if blocks is None else blocks, blocks is not None, legs))
         del anti
-        herm = 0.5 * (h.mat + h.mat.conj().T)
+        herm = 0.5 * (h.mat + _adjoint(h.mat))
         del h
-        yield ParentTerm(herm, legs, state, db_residual, locality)
+        if herm.ndim == 2:
+            local = None if locality is None else float(locality)
+            yield ParentTerm(herm, legs, state, float(db_residual), local)
+        else:
+            yield TermStack(_held(herm, locality is not None), legs, state, db_residual, locality)
         del herm  # so only the caller holds H^a when the next one is built
         idx += 1
     # ||sum_a anti_a|| <= sum_a ||anti_a||_F, each term's db_residual.
-    if db_bound >= DETAILED_BALANCE_TOL * (1.0 - NORM_SLACK):
-        for op in local_anti:
-            whole = add_embedded(whole, op, nq)
-        _check_detailed_balance(whole, "the sum of the terms", beta)
+    for j in np.flatnonzero(np.ravel(db_bound >= DETAILED_BALANCE_TOL * (1.0 - NORM_SLACK))):
+        total = None if whole is None else _entries(whole)[j]
+        for anti, split, legs in local_anti:
+            if split:
+                anti = _unsplit(anti.reshape((-1,) + anti.shape[-3:])[j])
+            else:
+                anti = _entries(anti)[j]
+            total = add_embedded(total, LocalOperator(anti, legs), nq)
+        _check_detailed_balance(
+            total, frobenius_norms(total), "the sum of the terms", _entry(beta, j)
+        )
 
 
 def build_parent(
-    terms: list[LindbladTerm] | tuple[LindbladTerm, ...],
+    terms: Iterable[LindbladTerm],
     kms: KmsForm,
     ham: LocalHamiltonian,
-    beta: float | None = None,
+    beta: float | np.ndarray | None = None,
 ) -> ParentHamiltonian:
     """Assemble H = sum_a H^a from parent_terms, keeping the terms.
 
     A positive eigenvalue of the sum raises PositiveEigenvalue
     (coherent_spectrum); its spectrum is taken here only when the terms'
     bound cannot decide (module docstring), so for commuting H it is not.
+    On a temperature stack (terms and kms stacked, beta one value per
+    entry) the result holds the stacks, and each entry's sum is checked
+    in order; ph[j] is entry j's parent.
     """
-    ground = vectorize(kms.sqrt)
-    ground = ground / np.linalg.norm(ground)
+    ground = kms.sqrt.reshape(kms.sqrt.shape[:-2] + (-1,))
+    ground = ground / frobenius_norms(ground[..., None, :])[..., None]
     ph = ParentHamiltonian(tuple(parent_terms(terms, kms, ham, beta)), ground, ham.n)
-    if _top_bound(ph.terms) > POSITIVE_EIGENVALUE_CUT:
-        ph._spectrum  # coherent_spectrum refuses a positive eigenvalue
+    over = np.broadcast_to(_top_bound(ph.terms) > POSITIVE_EIGENVALUE_CUT, ground.shape[:-1])
+    for j in np.flatnonzero(over):
+        step = ph if ground.ndim == 1 else ph._checked.setdefault(j, ph[j])
+        step._spectrum  # refuses a positive eigenvalue
     return ph
 
 
-def _top_bound(terms: tuple[ParentTerm, ...]) -> float:
+def _top_bound(terms: tuple[ParentTerm, ...]) -> float | np.ndarray:
     """An upper bound on the top eigenvalue of sum_a H^a as eigvalsh computes it.
 
     lambda_max(sum_a H^a) <= sum_a max(0, lambda_max(H^a)), plus the
     rounding slack of norm_exceeds relative to sum_a ||H^a|| >= ||sum_a H^a||,
-    all read off the terms' eigenvalues.  Terms of non-commuting H are on
-    the whole register, where a term's spectrum costs what the sum's does,
-    so there the bound is inf.
+    all read off the terms' eigenvalues, one bound per entry of a stack.
+    Terms of non-commuting H are on the whole register, where a term's
+    spectrum costs what the sum's does, so there the bound is inf.
     """
     if any(t.locality_residual is None for t in terms):
         return math.inf
-    tau = sum(max(0.0, float(t.eigenvalues[-1])) for t in terms)
-    return tau + NORM_SLACK * max(1.0, sum(t.norm for t in terms))
+    tau = sum(np.maximum(0.0, t.eigenvalues[..., -1]) for t in terms)
+    norms = sum(np.abs(t.eigenvalues).max(axis=-1) for t in terms)
+    return tau + NORM_SLACK * np.maximum(1.0, norms)
 
 
-def _check_detailed_balance(anti: np.ndarray, what: str, beta: float | None) -> None:
+def _check_detailed_balance(
+    anti: np.ndarray, fro: np.ndarray, what: str, beta: float | np.ndarray | None
+) -> None:
     """Raise NotDetailedBalanced when ||h - h dagger|| = ||anti|| is too large.
 
-    The message names beta only when the caller gave one.
+    fro holds ||anti||_F, which decides below the tolerance as norm_exceeds
+    would; on a stack the first entry found too large is named.  The
+    message names beta only when the caller gave one.
     """
-    if norm_exceeds(anti, DETAILED_BALANCE_TOL):
-        at = "" if beta is None else f" at beta = {beta}"
-        raise NotDetailedBalanced(
-            f"{what} has detailed-balance defect {spectral_norm(anti):.3e}"
-            f"{at} (tolerance {DETAILED_BALANCE_TOL:.1e})"
-        )
+    for j in np.flatnonzero(np.ravel(fro >= DETAILED_BALANCE_TOL * (1.0 - NORM_SLACK))):
+        a = _entries(anti)[j]
+        if norm_exceeds(a, DETAILED_BALANCE_TOL):
+            b = _entry(beta, j)
+            at = "" if b is None else f" at beta = {b}"
+            raise NotDetailedBalanced(
+                f"{what} has detailed-balance defect {spectral_norm(a):.3e}"
+                f"{at} (tolerance {DETAILED_BALANCE_TOL:.1e})"
+            )
+
+
+def _held(herm: np.ndarray, local: bool) -> np.ndarray:
+    """TermStack.held of a stack of matrices (B, D, D).
+
+    StackDisagreement when some of a local term's temperatures split by
+    sector and others do not, which one stacked call cannot hold.
+    """
+    blocks = sector_blocks(herm) if local else None
+    if blocks is not None:
+        return blocks
+    if local and any(sector_blocks(m) is not None for m in herm):
+        raise StackDisagreement("the temperatures disagree on the sectors of a term")
+    return herm[:, None]
+
+
+def _entries(a: np.ndarray) -> np.ndarray:
+    """A matrix or a stack of them as a stack (entries, p, q), entry j in the stack's order."""
+    return a.reshape((-1,) + a.shape[-2:])
+
+
+def _entry(beta: float | np.ndarray | None, j: int) -> float | None:
+    """The beta of entry j: beta itself when it is one value."""
+    if beta is None or np.ndim(beta) == 0:
+        return beta
+    return float(np.ravel(beta)[j])
 
 
 def purified_gibbs(ham: LocalHamiltonian, beta: float) -> np.ndarray:

@@ -395,19 +395,22 @@ def test_run_annealing_rejects_generator_without_detailed_balance(monkeypatch):
     for mode in ("exact", "dl_qsvt"):
         run = run_annealing(ham, couplings, w, sched, 0.1, mode)
         assert run.final_fidelity >= 0.9
-    real_build_model = anneal.build_model
+    real_model_terms = anneal.model_terms
 
     def with_random_coherent_part(*args, **kwargs):
         # A Hamiltonian part i[G, X] with G not commuting with sigma breaks
         # detailed balance; at beta = 0 its coherent form is anti-Hermitian.
-        terms = real_build_model(*args, **kwargs)
+        # The terms are stacks, one matrix per temperature, and G is the
+        # same at every one.
+        terms = list(real_model_terms(*args, **kwargs))
         rng = np.random.default_rng(0)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         t0 = terms[0]
-        g = LocalOperator(0.5 * (a + a.conj().T), t0.jumps[0].support)
+        stack = np.broadcast_to(0.5 * (a + a.conj().T), t0.jumps[0].op.shape).copy()
+        g = LocalOperator(stack, t0.jumps[0].support)
         return [LindbladTerm(t0.jumps, g, t0.support), *terms[1:]]
 
-    monkeypatch.setattr(anneal, "build_model", with_random_coherent_part)
+    monkeypatch.setattr(anneal, "model_terms", with_random_coherent_part)
     for mode in ("exact", "dl_qsvt"):
         with pytest.raises(NotDetailedBalanced, match=r"term 0 .* beta = 0\.0"):
             run_annealing(ham, couplings, w, sched, 0.1, mode)

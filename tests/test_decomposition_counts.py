@@ -264,9 +264,16 @@ def test_build_model_clusters_the_bohr_frequencies_once(monkeypatch):
 def test_exact_anneal_clusters_the_bohr_frequencies_once(monkeypatch):
     ham, couplings, w, sched = _anneal_setup()
     grids = _count_calls(monkeypatch, "bohr_grid", dlgibbs.hamiltonians)
-    builds = _count_calls(monkeypatch, "build_model", dlgibbs.jumps)
+    builds = _count_calls(monkeypatch, "model_terms", dlgibbs.jumps)
+    rotations = _count_calls(monkeypatch, "_occupied", dlgibbs.jumps)
     run_annealing(ham, couplings, w, sched, 0.1, "exact")
-    assert len(builds) == len(sched.betas) > 2
+    # One model for the whole temperature stack.  Each coupling is rotated
+    # into H's eigenbasis once, and each L'L once as the stack of its K + 1
+    # temperatures.
+    steps = len(sched.betas)
+    assert steps > 2 and len(builds) == 1 and len(builds[0][2]) == steps
+    assert [np.ndim(op) for op, _ in rotations] == [2, 3] * len(couplings)
+    assert all(np.shape(op)[0] == steps for op, _ in rotations if np.ndim(op) == 3)
     assert len(grids) == 1
 
 
@@ -398,10 +405,13 @@ def test_anneal_derives_each_step_parent_once(monkeypatch, mode):
     sups = _count_calls(monkeypatch, "term_superoperator")
     forms = _count_calls(monkeypatch, "coherent_form")
     run = run_annealing(ham, couplings, w, sched, 0.1, mode)
-    # One parent per scheduled temperature, beta_0 = 0 included, and one
-    # superoperator and coherent form per term of it.
-    assert len(sups) == len(sched.betas) * run.m_terms
-    assert len(forms) == len(sched.betas) * run.m_terms
+    # One parent per scheduled temperature, beta_0 = 0 included, built as one
+    # temperature stack: one superoperator and one coherent form per term,
+    # each the stack of its K + 1 temperatures.
+    steps = len(sched.betas)
+    assert len(sups) == len(forms) == run.m_terms
+    assert all(term.jumps[0].op.shape[0] == steps for term, _ in sups)
+    assert all(lind.mat.shape[0] == steps for lind, _ in forms)
 
 
 def test_exact_anneal_runs_no_superoperator_svd_per_step(decomps):
@@ -619,18 +629,39 @@ def test_dl_qsvt_anneal_takes_one_4n_spectrum_per_step(monkeypatch, decomps, n):
     # spectrum of a sum: its 2^n blocks of side 2^n in one stacked call.  It
     # also gives the step's fixed-point dimension, so the parent's own
     # spectrum is never taken.  Each parent term takes one stacked eigvalsh
-    # of its sector blocks, which its positivity bound and its scale read,
-    # and one stacked eigh of the same blocks for its DL ground basis; a
-    # term on the whole doubled register (n = 3) is no exception.
+    # of its sector blocks at all K + 1 temperatures, which every step's
+    # positivity bound and scale read, and one stacked eigh of the same
+    # blocks for every step's DL ground basis; a term on the whole doubled
+    # register (n = 3) is no exception.
     k = sched.steps
     d = 2**n
-    per_term = Counter((2 ** (len(t.support) // 2),) * 3 for t in terms)
-    per_run = Counter({s: c * (k + 1) for s, c in per_term.items()})
+    per_run = Counter((k + 1,) + (2 ** (len(t.support) // 2),) * 3 for t in terms)
     assert spectra == []
     assert Counter(decomps["eigvalsh"]) == per_run + Counter({(d, d, d): k + 1})
     assert Counter(decomps["eigh"]) == per_run
     assert (any(len(t.support) == 2 * n for t in terms)) == (n == 3)
     assert all(_rows(sh) <= d2 for sh in decomps["eigh"])
+
+
+def test_pass_one_decompositions_do_not_grow_with_the_step_count(decomps):
+    # The ratchet on the temperature stack: twice the steps take the same
+    # number of eigh and eigvalsh calls, apart from the per-step ground
+    # cluster, one eigvalsh of a (2^n, 2^n, 2^n) stack per step.
+    ham = make_instance("zz_chain", 3)
+    couplings = standard_couplings(ham.n, "xz")
+    d = 2**ham.n
+    counts = []
+    for k in (3, 6):
+        for kind in ("eigh", "eigvalsh"):
+            decomps[kind].clear()
+        sched = dlgibbs.anneal.Schedule(0.5, k, np.linspace(0.0, 0.5, k + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IrreducibilityWarning)
+            run_annealing(ham, couplings, WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt")
+        clusters = decomps["eigvalsh"].count((d, d, d))
+        assert clusters == k + 1
+        counts.append((len(decomps["eigh"]), len(decomps["eigvalsh"]) - clusters))
+    assert counts[0] == counts[1] == (len(couplings), len(couplings))
 
 
 def test_exact_anneal_takes_one_4n_spectrum_per_step(monkeypatch, decomps):
