@@ -111,14 +111,16 @@ def _table(
     of B gives (B, clusters), occupied then (clusters,), shared by every
     row, or (B, clusters).
     """
-    single = isinstance(w, WeightProfile)
-    profiles = [w] if single else w
     nu = -bohr.centres
-    table = np.zeros((len(profiles), nu.size), dtype=dtype)
-    rows = occupied if occupied.ndim > 1 else [occupied] * len(profiles)
-    for row, occ, profile in zip(table, rows, profiles):
+    if isinstance(w, WeightProfile):
+        table = np.zeros(nu.size, dtype=dtype)
+        table[occupied] = weight(w, nu[occupied])
+        return table
+    table = np.zeros((len(w), nu.size), dtype=dtype)
+    rows = occupied if occupied.ndim > 1 else [occupied] * len(w)
+    for row, occ, profile in zip(table, rows, w):
         row[occ] = weight(profile, nu[occ])
-    return table[0] if single else table
+    return table
 
 
 def _weigh(rotated: np.ndarray, table: np.ndarray, bohr: BohrGrid) -> np.ndarray:
@@ -129,7 +131,7 @@ def _weigh(rotated: np.ndarray, table: np.ndarray, bohr: BohrGrid) -> np.ndarray
     in real arithmetic.
     """
     v = bohr.eig.eigenvectors
-    return v @ (table[..., bohr.labels] * rotated) @ v.conj().T
+    return v @ (np.take(table, bohr.labels, axis=-1) * rotated) @ v.conj().T
 
 
 def build_jump(

@@ -216,6 +216,8 @@ def hermitian_eigendecompose_each(a: np.ndarray) -> HermitianEig:
 
 def _is_diagonal(sym: np.ndarray):
     """Whether each matrix of sym is exactly zero off its diagonal."""
+    if sym.ndim == 2:
+        return np.count_nonzero(sym) == np.count_nonzero(np.diagonal(sym))
     diagonal = np.diagonal(sym, axis1=-2, axis2=-1)
     return np.count_nonzero(sym, axis=(-2, -1)) == np.count_nonzero(diagonal, axis=-1)
 
