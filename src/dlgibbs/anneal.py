@@ -38,11 +38,11 @@ for M dissipative terms and projector degree ell, giving the countable
 total K (ell M + l).  Every parent term of a diagonal H with Pauli
 couplings keeps s = i xor j of the doubled register |i>|j>, and so do the
 projector input's ground cluster, its DL operator, p(DL) and every product
-P_b P_a: each is held as the stack of its 2^n sectors of side 2^n
-(hamiltonians.Sectors), 8^n entries, and decomposed in one stacked call,
-and no 4^n x 4^n array is formed.  When the terms leave their sectors
-(a commuting H that is not diagonal), every step runs the same code on the
-one sector of side 4^n.
+P_b P_a: each is held as a stack of sectors of side 2^n
+(hamiltonians.Sectors) and decomposed in one stacked call, and no 4^n x
+4^n array is formed.  When the terms leave their sectors (a commuting H
+that is not diagonal), every step runs the same code on the one sector of
+side 4^n.
 
 run_annealing takes two passes.  The first builds every step's parent, for
 its target and its local projector input; the overlaps fix the budgets,
@@ -53,13 +53,27 @@ uniform projector degree ell.  For commuting H the K + 1 parents differ
 only in beta, so the first pass builds them as one temperature stack:
 each coupling's rotation, jump, restriction, coherent form and term
 eigensystems once per run, with the temperatures as a leading axis
-(jumps.model_terms, parent.TermStack).  Non-commuting H, whose terms are
-on the whole register, is built one temperature at a time.  The second
-pass builds step j's DL operator and projector and then runs transition
-j, so at most the factors of steps j - 1 and j are alive.  The boost
-coefficients need erfcinv, by Newton's method on math.erfc, and the scaled
-Bessel values e^{-z} I_j(z), from one real FFT of e^{z (cos t - 1)}; no
-scipy module is loaded.
+(jumps.model_terms, parent.TermStack).  The projector inputs are read off
+the stack's sector blocks, and each step's all-sector ground cluster is
+summed for that step alone.  Non-commuting H, whose terms are on the whole
+register, is built one temperature at a time.
+
+The second pass, on sectors, is one stacked call each for all K + 1 steps:
+the DL operators, their gap checks and projectors (projector._dl_by_sector
+on the stack of inputs), then the K transitions as one stack of pairs,
+followed by a walk of the state through them.  Only D's support sectors
+are composed and decomposed: sector 0 alone on the shipped models with
+couplings xz or xyz, and with the reducible couplings x a second sector
+past beta = 0 (every sector at beta = 0).  Every other sector, where D is
+exactly zero, enters through the closed forms of the zero matrix's SVD.  The checks of
+every step are made on the stack and raised in the order of a walk one
+step at a time: DL_0, DL_1, T_1, ..., DL_K, T_K.  On the one sector, and
+when a stacked LAPACK call itself fails, the steps run one at a time
+through the same functions, step j's DL operator and projector and then
+transition j, so at most two steps' 4^n x 4^n factors are alive.  The
+boost coefficients need erfcinv, by Newton's method on math.erfc, and the
+scaled Bessel values e^{-z} I_j(z), from one real FFT of e^{z (cos t -
+1)}; no scipy module is loaded.
 """
 
 from __future__ import annotations
@@ -78,19 +92,21 @@ from .errors import (
     BadParams,
     DlGibbsError,
     IrreducibilityWarning,
+    NoConvergence,
     OverflowDetected,
     OverlapTooSmall,
     RankAmbiguous,
     StackDisagreement,
     UnknownKind,
 )
-from .hamiltonians import LocalHamiltonian, LocalOperator
+from .hamiltonians import LocalHamiltonian, LocalOperator, SectorHamiltonian
 from .jumps import WeightProfile, model_terms
 from .kms import KmsForm
 from .linalg import singular_value_decompose, spectral_norm
 from .parent import ParentHamiltonian, build_parent, parent_projector_input, purified_gibbs
 from .projector import (
     ProjectorResult,
+    _dl_by_sector,
     approximate_projector,
     certified_bound,
     chebyshev_poly,
@@ -256,37 +272,61 @@ def transition(
     state: np.ndarray,
     coefficients: np.ndarray,
     floor: float,
-) -> tuple[np.ndarray, float]:
-    """Apply O_tilde ~ |b><a| to state; return it and ||O_tilde - b a^dag||.
+) -> tuple[np.ndarray, np.ndarray, tuple[DlGibbsError | None, ...]]:
+    """Apply O_tilde_j ~ |b_j><a_j| for each pair j in turn to state.
 
-    O_tilde applies the odd boost polynomial f, given by its Chebyshev
-    coefficients (boost_coefficients for the overlap floor), to every
-    singular value of P_b P_a.  Both projectors are held by the same sectors
-    (ProjectorResult.sectors), each sector s as P_s = U_s p(S_s) V_s^dag
-    (ProjectorResult.blocks), so M_s = P_{b,s} P_{a,s} is one stacked
-    product and X_s S_s Y_s^dag one stacked SVD, and O_tilde_s =
-    X_s f(S_s) Y_s^dag.  OverlapTooSmall (below floor / 2) and
-    RankAmbiguous read the top two singular values over all sectors, as
-    for the dense product.  The state moves in every sector.  The targets
-    a and b lie in one common sector (sector 0 for a diagonal H, where
-    vec(sqrt(sigma)) is diagonal; the whole register on one sector), so
-    b a^dag is block diagonal and the error is the largest spectral norm
-    over the stack O_tilde_s - b_s a_s^dag.
+    Pair j is entry j of the projector stacks pa and pb and the targets a
+    and b, (P, 4^n).  O_tilde applies the odd boost polynomial f, given by
+    its Chebyshev coefficients (boost_coefficients for the overlap floor),
+    to every singular value of P_b P_a.  Both projectors are held by the
+    same sectors (ProjectorResult.sectors), each sector s as P_s = U_s
+    p(S_s) V_s^dag (ProjectorResult.blocks), so M_s = P_{b,s} P_{a,s} of
+    every pair is one stacked product and X_s S_s Y_s^dag one stacked SVD,
+    and O_tilde_s = X_s f(S_s) Y_s^dag.  On every sector a held subset
+    leaves out, P_a and P_b are p_a(0) I and p_b(0) I (ProjectorResult), so
+    M_s = c I with c = p_b(0) p_a(0): its singular values are |c|, side
+    times per sector, and O_tilde_s - b_s a_s^dag has norm |f(|c|)|.
+    OverlapTooSmall (below floor / 2) and RankAmbiguous read each pair's
+    top two singular values over all sectors, as for the dense product;
+    they are returned as that pair's failure, for the caller to raise in
+    its order.  The targets lie in one common sector (sector 0 for a
+    diagonal H, where vec(sqrt(sigma)) is diagonal; the whole register on
+    one sector), so b a^dag is block diagonal and each pair's error is the
+    largest spectral norm over its stack O_tilde_s - b_s a_s^dag, all pairs
+    in one stacked SVD.  The state starts in the targets' sector, so it is
+    zero on every sector left out and stays so; on the held ones it moves
+    by each pair's O_tilde_s in turn.  Returns the state after the last
+    pair, the errors (P,) and the failures.
     """
     sectors = pa.sectors
     core = singular_value_decompose(pb.blocks @ pa.blocks)
-    s = np.sort(core.s, axis=None)[::-1]
-    _check_overlap(s[0], floor)
-    if len(s) > 1 and s[1] > s[0] / 10:
-        raise RankAmbiguous(
-            f"second singular value {s[1]:.3e} is within a factor 10 of the "
-            f"first {s[0]:.3e}"
-        )
+    pairs = core.s.shape[0]
+    s = np.sort(core.s.reshape(pairs, -1), axis=-1)[:, ::-1][:, :2]
     f = chebyshev.chebval(np.clip(core.s, 0.0, 1.0), coefficients)
     o = (core.u * f[..., None, :]) @ core.vh
-    a_s, b_s, y = (sectors.gather(z) for z in (a, b, state))
-    err = spectral_norm(o - b_s[..., :, None] * a_s[..., None, :].conj())
-    return sectors.scatter((o @ y[..., None])[..., 0]), err
+    a_s, b_s = sectors.gather(a), sectors.gather(b)
+    err = spectral_norm(o - b_s[..., :, None] * a_s[..., None, :].conj(), entries=True)
+    if pa.p_zero is not None:
+        c = np.abs(pb.p_zero * pa.p_zero)
+        s = np.sort(np.concatenate([s, np.stack([c, c], axis=-1)], axis=-1), axis=-1)[:, ::-1]
+        err = np.maximum(err, np.abs(chebyshev.chebval(np.clip(c, 0.0, 1.0), coefficients)))
+    failures: list[DlGibbsError | None] = []
+    for s0, s1 in s[:, :2].tolist():
+        try:
+            _check_overlap(s0, floor)
+            if s1 > s0 / 10:
+                raise RankAmbiguous(
+                    f"second singular value {s1:.3e} is within a factor 10 of the "
+                    f"first {s0:.3e}"
+                )
+        except (OverlapTooSmall, RankAmbiguous) as exc:
+            failures.append(exc)
+        else:
+            failures.append(None)
+    y = sectors.gather(state)
+    for o_j in o:
+        y = (o_j @ y[..., None])[..., 0]
+    return sectors.scatter(y), err, tuple(failures)
 
 
 @dataclass(frozen=True)
@@ -365,20 +405,33 @@ def _step_parents(
     couplings: Sequence[LocalOperator],
     w: WeightProfile,
     betas: np.ndarray,
-) -> Iterator[ParentHamiltonian]:
-    """The parent of the model at each beta of betas, in order.
+) -> Iterator[tuple[ParentHamiltonian, int]]:
+    """(parent, entry) of the model at each beta of betas, in order: ph[entry] is that step's.
 
     For commuting H the parents are built as one temperature stack: each
     coupling's rotation, weighted jump, restriction, coherent form and
     term eigensystems are computed once for every temperature
-    (model_terms, build_parent), and each parent is a view of the stacks.
+    (model_terms, build_parent), and step j is entry j of it.
     Non-commuting H, whose terms are on the whole register, is built one
-    temperature at a time, and so is a stack that raises or whose
-    temperatures disagree on how a term is held (StackDisagreement): each
-    error is then raised at the temperature, and the term, where a build
-    of that temperature alone raises it, and a step's parent is not built
-    before every earlier step has been read.
+    temperature at a time, a stack of one per step, and so is a stack that
+    raises or whose temperatures disagree on how a term is held
+    (StackDisagreement): each error is then raised at the temperature, and
+    the term, where a build of that temperature alone raises it, and a
+    step's parent is not built before every earlier step has been read.
     """
+    for stack, entries in _parent_stacks(ham, couplings, w, betas):
+        for j in range(entries):
+            yield stack, j
+        del stack  # before the next stack is built
+
+
+def _parent_stacks(
+    ham: LocalHamiltonian,
+    couplings: Sequence[LocalOperator],
+    w: WeightProfile,
+    betas: np.ndarray,
+) -> Iterator[tuple[ParentHamiltonian, int]]:
+    """_step_parents' stacks, each once with its number of entries."""
     profiles = [replace(w, beta=beta) for beta in betas.tolist()]
     if ham.commuting and len(profiles) > 1:
         try:
@@ -386,10 +439,40 @@ def _step_parents(
         except (DlGibbsError, StackDisagreement):
             pass
         else:
-            yield from (stacked[j] for j in range(len(profiles)))
+            # Handed over from a list, so this frame does not hold the stack
+            # while its steps are read.
+            held = [stacked]
+            del stacked
+            yield held.pop(), len(profiles)
             return
     for profile in profiles:
-        yield _parent(ham, couplings, [profile])[0]
+        yield _parent(ham, couplings, [profile]), 1
+
+
+def _step_inputs(
+    ham: LocalHamiltonian,
+    couplings: Sequence[LocalOperator],
+    w: WeightProfile,
+    betas: np.ndarray,
+) -> Iterator[tuple[np.ndarray, SectorHamiltonian]]:
+    """(target, projector input) of each step, in order, from _step_parents' stacks.
+
+    Every entry's input is built as soon as its stack is, and the stack is
+    dropped before the first is yielded, so a temperature stack is not held
+    beside the inputs of its steps.  An input that raises (PositivityFailure)
+    is raised after every earlier step's input has been yielded.
+    """
+    for stack, entries in _parent_stacks(ham, couplings, w, betas):
+        ground, steps, failure = stack.ground, [], None
+        try:
+            for j in range(entries):
+                steps.append(parent_projector_input(stack, j))
+        except DlGibbsError as exc:
+            failure = exc
+        del stack
+        yield from zip(ground, steps)
+        if failure is not None:
+            raise failure
 
 
 def _parent(
@@ -399,6 +482,108 @@ def _parent(
     betas = np.array([p.beta for p in profiles])
     terms = model_terms(ham, couplings, profiles)
     return build_parent(terms, KmsForm.gibbs(ham, betas), ham, beta=betas)
+
+
+def _projectors(
+    pins: SectorHamiltonian, ell: int, everywhere: bool = False
+) -> tuple[ProjectorResult, list[DlGibbsError | None]]:
+    """Each entry's degree-ell projector, and the first error of its checks (None if none).
+
+    One stacked call each: the DL operator (on every sector with
+    everywhere), its singular-gap check and the projector.
+    """
+    dl = _dl_by_sector(pins, everywhere) if everywhere else dl_operator(pins)
+    sg = singular_gap(dl, pins)
+    res = approximate_projector(dl, chebyshev_poly(sg.gamma_star, ell))
+    return res, [d if d is not None else g for d, g in zip(dl.failures, sg.failures)]
+
+
+def _dl_qsvt_steps(
+    pins: list[SectorHamiltonian],
+    targets: list[np.ndarray],
+    ell: int,
+    coefficients: np.ndarray,
+    floor: float,
+) -> tuple[list[float], list[float], np.ndarray]:
+    """Pass 2 of a dl_qsvt run: each step's projector error, each transition's, and the final state.
+
+    Labelled, every step's DL operator, gap check and projector are one
+    stacked call on D's support sectors (_stacked_steps); on the one sector,
+    or when a stacked LAPACK call itself fails (NoConvergence), the steps
+    run one at a time (_single_steps).  Either way a failing check raises
+    in the order of a walk one step at a time: DL_0, DL_1, T_1, ..., DL_K,
+    T_K.
+    """
+    if pins[0].sectors.labelled:
+        try:
+            return _stacked_steps(pins, targets, ell, coefficients, floor)
+        except NoConvergence:
+            pass
+    return _single_steps(pins, targets, ell, coefficients, floor)
+
+
+def _stacked_steps(
+    pins: list[SectorHamiltonian],
+    targets: list[np.ndarray],
+    ell: int,
+    coefficients: np.ndarray,
+    floor: float,
+) -> tuple[list[float], list[float], np.ndarray]:
+    """_dl_qsvt_steps with every step one entry of one stack, and every transition one pair.
+
+    The transitions run between the steps before the first failing one,
+    and the failures are raised in walk order once all are known.
+    """
+    res, failures = _projectors(SectorHamiltonian.stack(pins), ell)
+    first = next((j for j, f in enumerate(failures) if f is not None), len(pins))
+    pairs = max(0, min(first, len(pins)) - 1)
+    state, errors, broken = targets[0].copy(), np.zeros(0), ()
+    if pairs:
+        a, b = np.stack(targets[:pairs]), np.stack(targets[1 : pairs + 1])
+        res.blocks  # once for both ends of every pair
+        state, errors, broken = transition(
+            res[:pairs], res[1 : pairs + 1], a, b, state, coefficients, floor
+        )
+    for j in range(len(pins)):
+        if failures[j] is not None:
+            raise failures[j]
+        if j and broken[j - 1] is not None:
+            raise broken[j - 1]
+    return res.error.tolist(), errors.tolist(), state
+
+
+def _single_steps(
+    pins: list[SectorHamiltonian],
+    targets: list[np.ndarray],
+    ell: int,
+    coefficients: np.ndarray,
+    floor: float,
+) -> tuple[list[float], list[float], np.ndarray]:
+    """_dl_qsvt_steps one step at a time: step j's projector, then transition j.
+
+    Each step is a stack of one, on every sector when labelled, so the
+    steps' sectors match; step j's factors are built after transition
+    j - 1 and dropped after transition j + 1, so at most two steps' factors
+    are alive.
+    """
+    labelled = pins[0].sectors.labelled
+    projector_errors, transition_errors = [], []
+    state = targets[0].copy()
+    prev = None
+    for j, pin in enumerate(pins):
+        res, failures = _projectors(pin, ell, everywhere=labelled)
+        if failures[0] is not None:
+            raise failures[0]
+        projector_errors.append(float(res.error[0]))
+        if j:
+            state, err, broken = transition(
+                prev, res, targets[j - 1][None], targets[j][None], state, coefficients, floor
+            )
+            if broken[0] is not None:
+                raise broken[0]
+            transition_errors.append(float(err[0]))
+        prev = res
+    return projector_errors, transition_errors, state
 
 
 def run_annealing(
@@ -424,29 +609,34 @@ def run_annealing(
     every sigma_j are read off ham.eig.
 
     The run takes two passes.  The first builds every parent and keeps its
-    ground vector and, in dl_qsvt mode, its local projector input (pin),
-    built right after the parent; the targets' overlaps give the budgets,
-    and the pins' certified gamma* give ell.  For commuting H the parents
-    are one temperature stack (_step_parents), held until the last pin is
-    built: each local term by sector at every temperature, its eigenvalues
-    and its sector eigendecompositions, which the pins keep.  Each step's
-    parent is a view of the stack, rebuilt dense for that step and dropped
-    after it, and each step's ground cluster is summed for that step alone.
-    Non-commuting H is built one temperature at a time, so at most one
-    step's 4^n x 4^n terms are alive.  Errors and warnings come in the
-    order of a build one temperature at a time: beta first, then term.  An
-    IrreducibilityWarning
-    reports a fixed-point dimension above 1.  In dl_qsvt mode that is the
-    dimension of the pin's ground cluster, which certified_bound reads
-    anyway: the rank its DL operator projects onto, so no 4^n spectrum is
-    taken.  Exact mode reads ph.kernel_dim, one spectrum per step, which
-    non-commuting H needs.  The second pass builds step j's DL operator
-    and projector from its pin and then runs transition j, so
-    at most two steps' DL factors are alive.  A FrustrationDetected or
-    DegenerateGap from step j's DL operator therefore fires after every
-    parent has been built and transition j - 1 has run.  The pins are held
-    by sector, the same at every step (BadParams otherwise), so the
-    transitions read matching stacks.
+    ground vector and, in dl_qsvt mode, its local projector input (pin);
+    the targets' overlaps give the budgets, and the pins' certified gamma*
+    give ell.  For commuting H the parents are one temperature stack
+    (_step_parents), and in dl_qsvt mode every step's pin is read off its
+    sector blocks as soon as the stack is built, before the stack is
+    dropped (_step_inputs): each term's blocks -H^a / max(1, ||H^a||) and
+    scaled eigendecompositions, 8^k entries per step and term.  Each step's
+    all-sector ground cluster is then summed for that step alone, at most
+    one 8^n sum at a time.  Non-commuting H is built one temperature at a
+    time, so at most one step's 4^n x 4^n terms are alive.  Errors and
+    warnings come in the order of a build one temperature at a time: beta
+    first, then term, and a step's PositivityFailure after every earlier
+    step's warnings.  An IrreducibilityWarning reports a fixed-point
+    dimension above 1.  In dl_qsvt mode that is the dimension of the pin's
+    ground cluster, which certified_bound reads anyway: the rank its DL
+    operator projects onto, so no 4^n spectrum is taken.  Exact mode reads
+    ph.kernel_dim, one spectrum per step, which non-commuting H needs.
+
+    The second pass (_dl_qsvt_steps) holds, when the pins are labelled, the
+    K + 1 steps' DL factors and projectors at once as stacks on D's support
+    sectors, (K + 1, support, 2^n, 2^n), and the K transitions as one stack
+    of pairs: one DL SVD, one transition SVD and one error-norm SVD per run.
+    A FrustrationDetected or DegenerateGap of step j is raised after
+    transitions 1 ... j - 1 have been checked, and a failing transition j
+    before any failure of step j + 1.  On the one sector the steps run one
+    at a time, so at most two steps' DL factors are alive there.  The pins
+    are held by sector, the same at every step (BadParams otherwise), so
+    the transitions read matching stacks.
     """
     if projector_mode not in _MODES:
         raise UnknownKind(f"unknown projector mode {projector_mode!r}")
@@ -470,25 +660,31 @@ def run_annealing(
     # local projector input; the certified gamma* of each needs only that.
     targets = []
     pins = []
-    parents = _step_parents(ham, couplings, w, betas)
+    if projector_mode == "dl_qsvt":
+        steps = _step_inputs(ham, couplings, w, betas)
+    else:
+        steps = _step_parents(ham, couplings, w, betas)
     for beta_j in betas.tolist():
-        ph = next(parents)
         if projector_mode == "dl_qsvt":
-            pins.append(parent_projector_input(ph))
-            kernel_dim = pins[-1].cluster.dimension
+            target, step = next(steps)
+            pins.append(step)
+            kernel_dim = step.cluster.dimension
         else:
-            kernel_dim = ph.kernel_dim
+            ph, entry = next(steps)
+            step = ph[entry]
+            del ph
+            target, kernel_dim = step.ground, step.kernel_dim
         if kernel_dim > 1:
             warnings.warn(
                 f"generator at beta = {beta_j:.6g} has fixed-point dimension "
                 f"{kernel_dim}; the purified path is not unique",
                 IrreducibilityWarning,
             )
-        targets.append(ph.ground)
-        # Drop this step's parent terms (4^n x 4^n each for non-commuting H)
-        # before the next ones are built.
-        del ph
-    del parents  # and with it the temperature stacks the pins do not hold
+        targets.append(target)
+        # Drop this step's parent (4^n x 4^n terms for non-commuting H)
+        # before the next one is built.
+        del step
+    del steps
     m_terms = len(couplings)
     if len({pin.sectors for pin in pins}) > 1:
         # The transitions multiply one step's sector stacks by the next's.
@@ -502,52 +698,45 @@ def run_annealing(
     budgets = error_budget(k_steps, b_floor, delta)
     step_bound = delta / (2.0 * k_steps)
 
-    ell = transition_queries = 0
-    if projector_mode == "dl_qsvt":
+    # Pass 2: the transitions, each of its projectors built from its pin.
+    dim = targets[0].shape[0]
+    if projector_mode == "exact":
+        ell = transition_queries = 0
+        projector_errors = [0.0] * (k_steps + 1)
+        transition_errors = []
+        state = targets[0].copy()
+        for j in range(1, k_steps + 1):
+            a, b = targets[j - 1], targets[j]
+            # Both projectors are rank one: P_b P_a = <b|a> b a dagger, so
+            # s_0 = |<b|a>| and s_1 = 0 (RankAmbiguous cannot fire), and
+            # dividing out s_0 leaves the phase of <b|a> times b a dagger.
+            ba = np.vdot(b, a)
+            _check_overlap(abs(ba), b_floor)
+            phase = ba / abs(ba)
+            transition_errors.append(float(abs(phase - 1.0)))  # ||(phase - 1) b a dagger||
+            state = (phase * np.vdot(a, state)) * b
+    else:
         target_err = budgets.projector_error
         ell = max(
             degree_for_error(certified_bound(pin)[0], target_err) for pin in pins
         )
         coefficients = boost_coefficients(b_floor, budgets.epsilon, budgets.degree)
         transition_queries = budgets.degree
-
-    # Pass 2: step j's projector, then transition j.  Step j's DL factors
-    # are built after transition j - 1 and dropped after transition j + 1,
-    # so at most two steps' factors are alive.
-    dim = targets[0].shape[0]
-    state = targets[0].copy()
-    records = []
-    prev = res = None
-    for j in range(k_steps + 1):
-        if projector_mode == "dl_qsvt":
-            dl = dl_operator(pins[j])
-            sg = singular_gap(dl, pins[j])
-            res = approximate_projector(dl, chebyshev_poly(sg.gamma_star, ell))
-        if j > 0:
-            a, b = targets[j - 1], targets[j]
-            if projector_mode == "exact":
-                # Both projectors are rank one: P_b P_a = <b|a> b a dagger, so
-                # s_0 = |<b|a>| and s_1 = 0 (RankAmbiguous cannot fire), and
-                # dividing out s_0 leaves the phase of <b|a> times b a dagger.
-                ba = np.vdot(b, a)
-                _check_overlap(abs(ba), b_floor)
-                phase = ba / abs(ba)
-                err = float(abs(phase - 1.0))  # ||(phase - 1) b a dagger||
-                state = (phase * np.vdot(a, state)) * b
-            else:
-                state, err = transition(prev, res, a, b, state, coefficients, b_floor)
-            records.append(
-                StepRecord(
-                    index=j,
-                    beta=float(betas[j]),
-                    overlap=overlaps[j - 1],
-                    transition_error=err,
-                    error_bound=step_bound,
-                    projector_error=0.0 if res is None else res.error,
-                    queries=ell * m_terms + transition_queries,
-                )
-            )
-        prev = res
+        projector_errors, transition_errors, state = _dl_qsvt_steps(
+            pins, targets, ell, coefficients, b_floor
+        )
+    records = [
+        StepRecord(
+            index=j,
+            beta=float(betas[j]),
+            overlap=overlaps[j - 1],
+            transition_error=transition_errors[j - 1],
+            error_bound=step_bound,
+            projector_error=projector_errors[j],
+            queries=ell * m_terms + transition_queries,
+        )
+        for j in range(1, k_steps + 1)
+    ]
 
     success = float(np.real(np.vdot(state, state)))
     state_error = float(np.linalg.norm(state - targets[-1]))

@@ -22,8 +22,10 @@ s = i xor j splits into 2^n sectors of side 2^n (Sectors).  Every parent
 term of a diagonal H with Pauli couplings does, which sector_blocks tests
 exactly.  A stack holds one matrix per sector, and the mix's round
 channel, its g, the parent spectrum and the dl_qsvt anneal's projector
-input (SectorHamiltonian: its ground cluster, DL operator and transitions)
-are summed, multiplied and decomposed as stacks.  When one operator of a
+inputs (SectorHamiltonian: their ground clusters, DL operators and
+transitions) are summed, multiplied and decomposed as stacks; the DL
+operators and transitions on a held subset of the sectors, with the steps
+of a temperature stack as a leading axis.  When one operator of a
 sum leaves its sectors, the whole sum goes on the one sector of side 4^n
 instead, by the same code.
 """
@@ -278,8 +280,10 @@ def support_overlap_degree(supports: Sequence[tuple[int, ...]]) -> int:
     return deg
 
 
-def interaction_degree(ham: LocalHamiltonian) -> int:
+def interaction_degree(ham: LocalHamiltonian | SectorHamiltonian) -> int:
     """Max over terms of the number of other terms sharing a qubit."""
+    if isinstance(ham, SectorHamiltonian):
+        return support_overlap_degree(ham.supports)
     return support_overlap_degree([t.support for t in ham.terms])
 
 
@@ -422,6 +426,14 @@ def sector_blocks(mat: np.ndarray) -> np.ndarray | None:
     return blocks if np.count_nonzero(blocks) == np.count_nonzero(mat) else None
 
 
+def sector_unsplit(blocks: np.ndarray) -> np.ndarray:
+    """The matrix whose sector blocks (sector_blocks) are blocks, zero outside them."""
+    rows = sector_rows(blocks.shape[0].bit_length() - 1)
+    out = np.zeros((rows.size, rows.size), dtype=blocks.dtype)
+    out[rows[:, :, None], rows[:, None, :]] = blocks
+    return out
+
+
 def sector_columns(v: np.ndarray) -> np.ndarray | None:
     """Orthonormal columns v on doubled legs S + (S + n), by sector: (2^k, 2^k, r), or None.
 
@@ -489,10 +501,19 @@ class Sectors:
     are S.  Unlabelled, the register is its own one sector, the 2n qubits
     of the doubled register (a stack (1, 4^n, 4^n)), and a term's qubits
     are its legs: every term has that case, so one code path serves both.
+
+    Labelled, held may name a subset of the sector labels, ascending: a
+    stack then holds those sectors only, (..., len(held), 2^n, C), and every
+    other sector is left to the caller (the dl_qsvt anneal's DL operator is
+    exactly zero there, projector._dl_by_sector).  On a held subset, and on
+    the one sector, apply takes leading stack axes (temperatures) on the
+    stack and the blocks alike; held None is all 2^n sectors, held by the
+    view of apply's docstring, with no leading axes.
     """
 
     n: int
     labelled: bool
+    held: tuple[int, ...] | None = None
 
     @property
     def width(self) -> int:
@@ -501,6 +522,8 @@ class Sectors:
 
     @property
     def count(self) -> int:
+        if self.held is not None:
+            return len(self.held)
         return 2**self.n if self.labelled else 1
 
     def qubits(self, legs: tuple[int, ...]) -> tuple[int, ...]:
@@ -528,11 +551,13 @@ class Sectors:
         """(count, 2^width) positions in vec order of each sector's basis vectors."""
         if not self.labelled:
             return np.arange(4**self.n)[None]
-        return sector_rows(self.n)
+        rows = sector_rows(self.n)
+        return rows if self.held is None else rows[list(self.held)]
 
-    def identity(self, dtype) -> np.ndarray:
+    def identity(self, dtype, lead: tuple[int, ...] = ()) -> np.ndarray:
+        """The identity of each sector, (*lead, count, side, side)."""
         side = 2**self.width
-        return np.broadcast_to(np.eye(side, dtype=dtype), (self.count, side, side)).copy()
+        return np.broadcast_to(np.eye(side, dtype=dtype), lead + (self.count, side, side)).copy()
 
     def add(self, total: np.ndarray, blocks: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
         """total + (blocks at each sector's local block, tensor I), total a stack.
@@ -555,25 +580,46 @@ class Sectors:
         return total
 
     def apply(self, stack: np.ndarray, qubits: tuple[int, ...], blocks: np.ndarray) -> np.ndarray:
-        """Each sector of a stack (count, 2^width, C) times an operator on qubits, tensor I.
+        """Each sector of a stack (..., count, 2^width, C) times an operator on qubits, tensor I.
 
         blocks holds the operator's block per local sector (split), and a
         sector takes the block its labels on qubits select.  Labelled, on a
         run of consecutive qubits (every chain term), the stack is viewed as
         (pre, labels, middle, rows, rest), the qubits' label and row axes one
         axis each, and the blocks broadcast over that view, with no
-        transposed copy; otherwise those axes are moved to the front.
+        transposed copy; otherwise those axes are moved to the front.  On a
+        held subset each held sector's block is gathered first, and on a
+        run of consecutive qubits each sector is viewed as (pre, rows,
+        rest), so every block multiplies the matrix it multiplies on all
+        sectors.  Leading axes of stack and blocks (a held subset or the one
+        sector) are a stack of operators applied entry by entry.
         """
         k, w = len(qubits), self.width
-        if self.labelled and tuple(qubits) == tuple(range(qubits[0], qubits[0] + k)):
+        run = tuple(qubits) == tuple(range(qubits[0], qubits[0] + k))
+        if self.labelled and self.held is None and run:
             t = stack.reshape(2 ** qubits[0], 2**k, 2 ** (w - k), 2**k, -1)
             return (blocks[:, None] @ t).reshape(stack.shape)
-        shape = (2,) * (self._label_axes + w) + (stack.shape[-1],)
-        front = self._labels(qubits) + tuple(self._label_axes + q for q in qubits)
-        order, back = _leg_plan(front, len(shape))
-        t = stack.reshape(shape).transpose(order).reshape(blocks.shape[0], blocks.shape[-1], -1)
+        if self.held is not None:
+            blocks = blocks[..., self._held_labels(tuple(qubits)), :, :]
+            if run:
+                t = stack.reshape(stack.shape[:-2] + (2 ** qubits[0], 2**k, -1))
+                return (blocks[..., None, :, :] @ t).reshape(stack.shape)
+            # Each sector's rows alone, behind the count axis.
+            lead, labels, axes, count = stack.shape[:-2], (), 0, ()
+        else:
+            lead, labels, axes = stack.shape[:-3], self._labels(qubits), self._label_axes
+            count = (blocks.shape[-3],)
+        nl = len(lead)
+        shape = lead + (2,) * (axes + w) + (stack.shape[-1],)
+        front = tuple(nl + a for a in labels + tuple(axes + q for q in qubits))
+        order, back = _leg_plan(tuple(range(nl)) + front, len(shape))
+        t = stack.reshape(shape).transpose(order).reshape(lead + count + (blocks.shape[-1], -1))
         t = blocks @ t
         return t.reshape([shape[a] for a in order]).transpose(back).reshape(stack.shape)
+
+    def _held_labels(self, qubits: tuple[int, ...]) -> np.ndarray:
+        """The local sector a term on qubits takes in each held sector."""
+        return _restricted_labels(qubits, self.n)[list(self.held)]
 
     def lift(self, v: np.ndarray, pos: Sequence[int], width: int) -> np.ndarray:
         """v's blocks on the qubits at positions pos of a width-qubit register, tensor I.
@@ -605,12 +651,12 @@ class Sectors:
         return tuple(qubits) if self.labelled else ()
 
     def gather(self, z: np.ndarray) -> np.ndarray:
-        """A vector in vec order as its sectors, (count, 2^width)."""
-        return z[self.index]
+        """A vector in vec order as its sectors, (count, 2^width); a stack of them entry by entry."""
+        return z[..., self.index]
 
     def scatter(self, z: np.ndarray) -> np.ndarray:
-        """The vector in vec order whose sectors are z, gather's inverse."""
-        out = np.empty(4**self.n, dtype=z.dtype)
+        """The vector in vec order whose sectors are z, gather's inverse; zero off held sectors."""
+        out = (np.empty if self.held is None else np.zeros)(4**self.n, dtype=z.dtype)
         out[self.index] = z
         return out
 
@@ -705,38 +751,118 @@ def commutation_degree(ham: LocalHamiltonian) -> int:
 
 
 @dataclass(frozen=True)
-class SectorHamiltonian(LocalHamiltonian):
-    """A LocalHamiltonian on the doubled register of n // 2 qubits, held by sector.
+class SectorHamiltonian:
+    """Local terms on the doubled register of n // 2 qubits, held by local sector, at B entries.
 
-    Every term acts on doubled legs S + (S + n // 2), and eigs holds each
-    term's sector_eigh.  The sum is labelled (sectors) when every term's
-    eigendecomposition is by local sector, a stack of more than one;
-    otherwise it is on the one sector of side 2^n.  cluster is read off the
-    sum by sector (sector_sum) and one stacked eigvalsh, with no 2^n x 2^n
-    array when the sum is labelled.
+    Term a acts on the doubled legs supports[a] = S + (S + n // 2) as
+    blocks[a], (B, 2^|S|, 2^|S|, 2^|S|): its blocks by local sector
+    (sector_blocks), read straight off a parent term stack; or (B, 1, 4^|S|,
+    4^|S|), the whole term as one block.  eigs[a] is its eigendecomposition
+    block by block.  The B entries are steps of a temperature stack: a
+    projector input of one step has B = 1, and stack joins the steps' inputs
+    for the dl_qsvt anneal's second pass.  The sum is labelled (sectors) when
+    every term is held by local sector; otherwise it is on the one sector of
+    side 2^n, where a term held by sector is made whole.  Each entry's
+    ground cluster is read off its sum by sector (Sectors.add, one stacked
+    eigvalsh), with no 2^n x 2^n array when the sum is labelled, and entry
+    by entry, so at most one entry's sum is alive.
     """
 
+    n: int
+    supports: tuple[tuple[int, ...], ...]
+    blocks: tuple[np.ndarray, ...]
     eigs: tuple[HermitianEig, ...]
 
     def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "eigs", tuple(self.eigs))
-        if len(self.eigs) != len(self.terms) or self.n % 2:
+        for name in ("supports", "blocks", "eigs"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not len(self.eigs) == len(self.blocks) == len(self.supports) or self.n % 2:
             raise DimensionMismatch(
-                f"{len(self.eigs)} eigendecompositions for {len(self.terms)} terms "
+                f"{len(self.eigs)} eigendecompositions for {len(self.blocks)} terms "
                 f"on a doubled register of {self.n} qubits"
             )
+
+    @property
+    def m(self) -> int:
+        return len(self.blocks)
+
+    @property
+    def entries(self) -> int:
+        """B, the entries of the stack."""
+        return self.blocks[0].shape[0]
 
     @cached_property
     def sectors(self) -> Sectors:
         """The sectors the sum, its DL operator and its projector are held by."""
-        return Sectors(self.n // 2, all(e.eigenvalues.shape[0] > 1 for e in self.eigs))
+        return Sectors(self.n // 2, all(b.shape[1] > 1 for b in self.blocks))
+
+    def term_blocks(self, a: int) -> np.ndarray:
+        """Term a as the sectors hold it, (B, count, p, p): made whole on the one sector."""
+        blocks = self.blocks[a]
+        if self.sectors.labelled or blocks.shape[1] == 1:
+            return blocks
+        return np.stack([sector_unsplit(b) for b in blocks])[:, None]
 
     @cached_property
+    def clusters(self) -> tuple[GroundCluster, ...]:
+        """Each entry's ground cluster (ground_cluster's rule), over all the sectors of its sum."""
+        sectors, out = self.sectors, []
+        for j in range(self.entries):
+            total = None
+            for a, legs in enumerate(self.supports):
+                blocks = self.term_blocks(a)[j]
+                if total is None:
+                    side = 2**sectors.width
+                    total = np.zeros((sectors.count, side, side), dtype=blocks.dtype)
+                total = sectors.add(total, blocks, sectors.qubits(legs))
+            out.append(_cluster_of(np.sort(hermitian_eigenvalues(total), axis=None)))
+            del total
+        return tuple(out)
+
+    @property
     def cluster(self) -> GroundCluster:
-        """The ground cluster (ground_cluster's rule) of the sum's eigenvalues over all its sectors."""
-        _, total = sector_sum(((t.op, t.support) for t in self.terms), self.n // 2)
-        return _cluster_of(np.sort(hermitian_eigenvalues(total), axis=None))
+        """The ground cluster of a stack of one."""
+        (cluster,) = self.clusters
+        return cluster
+
+    @cached_property
+    def terms(self) -> tuple[LocalOperator, ...]:
+        """The terms of a stack of one as whole local matrices, for dense references."""
+        return tuple(
+            LocalOperator(b[0, 0] if b.shape[1] == 1 else sector_unsplit(b[0]), legs)
+            for b, legs in zip(self.blocks, self.supports)
+        )
+
+    def __getitem__(self, j: int) -> SectorHamiltonian:
+        """Entry j, a stack of one that keeps its ground cluster."""
+        one = SectorHamiltonian(
+            self.n,
+            self.supports,
+            tuple(b[j : j + 1] for b in self.blocks),
+            tuple(HermitianEig(e.eigenvalues[j : j + 1], e.eigenvectors[j : j + 1]) for e in self.eigs),
+        )
+        if "clusters" in self.__dict__:
+            one.__dict__["clusters"] = (self.clusters[j],)
+        return one
+
+    @staticmethod
+    def stack(steps: Sequence[SectorHamiltonian]) -> SectorHamiltonian:
+        """The steps' entries as one stack, in order, keeping the ground clusters read so far."""
+        joined = SectorHamiltonian(
+            steps[0].n,
+            steps[0].supports,
+            tuple(np.concatenate(b) for b in zip(*(s.blocks for s in steps))),
+            tuple(
+                HermitianEig(
+                    np.concatenate([e.eigenvalues for e in eigs]),
+                    np.concatenate([e.eigenvectors for e in eigs]),
+                )
+                for eigs in zip(*(s.eigs for s in steps))
+            ),
+        )
+        if all("clusters" in s.__dict__ for s in steps):
+            joined.__dict__["clusters"] = sum((s.clusters for s in steps), ())
+        return joined
 
 
 @dataclass(frozen=True)

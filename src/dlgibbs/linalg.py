@@ -306,15 +306,20 @@ def singular_value_decompose(a: np.ndarray) -> Svd:
     return Svd(u=u, s=s, vh=vh)
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value of a, or over a stack's matrices, from one SVD of each whole matrix."""
+def spectral_norm(a: np.ndarray, entries: bool = False) -> float | np.ndarray:
+    """Largest singular value of a, or over a stack's matrices, from one SVD of each whole matrix.
+
+    With entries, the largest of each entry a[j] of a stack (B, ..., p, q),
+    (B,), from the same one stacked SVD.
+    """
     a = np.asarray(a)
     if a.size == 0:
-        return 0.0
+        return np.zeros(a.shape[0]) if entries else 0.0
     try:
-        return float(np.linalg.svd(a, compute_uv=False).max())
+        s = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"svd failed to converge: {exc}") from exc
+    return s.reshape(a.shape[0], -1).max(axis=-1) if entries else float(s.max())
 
 
 def norm_exceeds(a: np.ndarray, bound: float) -> bool:

@@ -37,9 +37,9 @@ stacked eigvalsh, with no 4^n x 4^n array; otherwise the one sector of
 side 4^n.  Each local term's eigenvalues are one stacked eigvalsh of its
 own sectors (ParentTerm.eigenvalues): they bound the sum's and scale the
 dl_qsvt anneal's parent_projector_input, a hamiltonians.SectorHamiltonian
-whose ground cluster is summed by sector too and whose DL operator reads
-each term's eigenvectors by sector (ParentTerm.eig), which only that
-anneal takes.
+that holds each term by its sector blocks (TermStack.held), whose ground
+cluster is summed by sector too and whose DL operator reads each term's
+eigenvectors by sector (TermStack.eig), which only that anneal takes.
 
 - Detailed balance of the sum: ||sum_a anti_a|| <= sum_a ||anti_a||_F, the
   terms' db_residuals; the assembled sum is checked only when they reach
@@ -88,8 +88,8 @@ from .hamiltonians import (
     embed,
     sector_blocks,
     sector_eigh,
-    sector_rows,
     sector_sum,
+    sector_unsplit,
     support_overlap_degree,
 )
 from .kms import (
@@ -150,8 +150,7 @@ class ParentTerm:
     def eig(self) -> HermitianEig:
         """mat's eigendecomposition by local sector (hamiltonians.sector_eigh), on first read.
 
-        Only the dl_qsvt anneal's parent_projector_input reads it, for its
-        ground bases.
+        parent_projector_input reads it, for its ground bases.
         """
         if self.entry_of is not None:
             stack, j = self.entry_of
@@ -198,7 +197,7 @@ class TermStack:
 
     def __getitem__(self, j: int) -> ParentTerm:
         held, local = self.held[j], self.locality_residual
-        mat = held[0] if held.shape[0] == 1 else _unsplit(held)
+        mat = held[0] if held.shape[0] == 1 else sector_unsplit(held)
         return ParentTerm(
             mat,
             self.support,
@@ -225,14 +224,6 @@ def _block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the matrix, or each entry of a stack, with these sector blocks."""
     w = symmetric_eigenvalues(blocks)
     return np.sort(w.reshape(w.shape[:-2] + (-1,)), axis=-1)
-
-
-def _unsplit(blocks: np.ndarray) -> np.ndarray:
-    """The matrix whose sector blocks (sector_blocks) are blocks, zero outside them."""
-    rows = sector_rows(blocks.shape[0].bit_length() - 1)
-    out = np.zeros((rows.size, rows.size), dtype=blocks.dtype)
-    out[rows[:, :, None], rows[:, None, :]] = blocks
-    return out
 
 
 @dataclass(frozen=True)
@@ -441,7 +432,7 @@ def parent_terms(
         total = None if whole is None else _entries(whole)[j]
         for anti, split, legs in local_anti:
             if split:
-                anti = _unsplit(anti.reshape((-1,) + anti.shape[-3:])[j])
+                anti = sector_unsplit(anti.reshape((-1,) + anti.shape[-3:])[j])
             else:
                 anti = _entries(anti)[j]
             total = add_embedded(total, LocalOperator(anti, legs), nq)
@@ -568,31 +559,53 @@ def verify_parent(ph: ParentHamiltonian) -> ParentReport:
     )
 
 
-def parent_projector_input(ph: ParentHamiltonian) -> SectorHamiltonian:
-    """The negated, normalized local parent terms -H^a / max(1, ||H^a||).
+def parent_projector_input(ph: ParentHamiltonian, j: int | None = None) -> SectorHamiltonian:
+    """The negated, normalized local parent terms -H^a / max(1, ||H^a||), a stack of one.
 
-    Each H^a is held on its doubled dressed support; -H^a must be positive
-    semidefinite (PositivityFailure otherwise), and ||H^a|| is read off the
-    term's eigenvalues.  Each term's eigendecomposition is H^a's by sector
-    (ParentTerm.eig), its eigenvalues scaled by -1 / max(1, ||H^a||).  The
-    result is frustration-free with kernel
-    ker sum_a H^a, so its ground cluster's dimension is ph.kernel_dim.  A
-    parent of non-commuting H has no local terms (BadParams).
+    ph is one parent, or, with j, a parent built on a temperature stack,
+    whose entry j is taken.  Each H^a is held on its doubled dressed
+    support, by local sector where it splits: the term stack's blocks
+    (TermStack.held), so no term is made whole and split again, or those of
+    a single parent term's matrix.  -H^a must be positive semidefinite
+    (PositivityFailure otherwise, the first term in order), and ||H^a|| is
+    read off the term's eigenvalues.  Each term's eigendecomposition is
+    H^a's by local sector (TermStack.eig, ParentTerm.eig), its eigenvalues
+    scaled by -1 / max(1, ||H^a||).  The result is frustration-free with
+    kernel ker sum_a H^a, so its ground cluster's dimension is
+    ph.kernel_dim.  A parent of non-commuting H has no local terms
+    (BadParams).
     """
-    locals_: list[LocalOperator] = []
+    supports: list[tuple[int, ...]] = []
+    blocks: list[np.ndarray] = []
     eigs: list[HermitianEig] = []
     for idx, t in enumerate(ph.terms):
         if t.locality_residual is None:
             msg = f"parent term {idx} is not local: the Hamiltonian terms do not commute"
             raise BadParams(msg)
-        scale = max(1.0, t.norm)
-        # -H^a / scale has eigenvalues -w / scale, w = t.eigenvalues, and
-        # norm at most 1.
-        min_eig = -float(t.eigenvalues[-1]) / scale
+        held, w, eig = _term_entry(t, j)
+        scale = max(1.0, float(np.abs(w).max()))
+        # -H^a / scale has eigenvalues -w / scale and norm at most 1.
+        min_eig = -float(w[-1]) / scale
         if min_eig < -PARENT_TERM_PSD_TOL:
             raise PositivityFailure(
                 f"negated parent term {idx} has eigenvalue {min_eig:.3e} < 0"
             )
-        locals_.append(LocalOperator(-t.mat / scale, t.support))
-        eigs.append(HermitianEig(-t.eig.eigenvalues / scale, t.eig.eigenvectors))
-    return SectorHamiltonian(n=2 * ph.n, terms=tuple(locals_), eigs=tuple(eigs))
+        supports.append(t.support)
+        blocks.append((-held / scale)[None])
+        eigs.append(HermitianEig((-eig.eigenvalues / scale)[None], eig.eigenvectors[None]))
+    return SectorHamiltonian(2 * ph.n, supports, blocks, eigs)
+
+
+def _term_entry(
+    t: ParentTerm | TermStack, j: int | None
+) -> tuple[np.ndarray, np.ndarray, HermitianEig]:
+    """(blocks, ascending eigenvalues, eigendecomposition) of a term, or of a stack's entry j.
+
+    A term read off a stack (ParentTerm.entry_of) is read there too.
+    """
+    if isinstance(t, ParentTerm) and t.entry_of is not None:
+        t, j = t.entry_of
+    if isinstance(t, TermStack):
+        return t.held[j], t.eigenvalues[j], HermitianEig(t.eig.eigenvalues[j], t.eig.eigenvectors[j])
+    blocks = sector_blocks(t.mat)
+    return t.mat[None] if blocks is None else blocks, t.eigenvalues, t.eig

@@ -319,21 +319,31 @@ def swept_distances(ch, rho0: np.ndarray, kms: KmsForm, k_max: int) -> np.ndarra
     return np.array(dists)
 
 
-def dense_stack(blocks: np.ndarray, sectors: Sectors | None) -> np.ndarray:
-    """The 4^n x 4^n matrix whose sectors are a stack's blocks; a matrix (no sectors) as it is."""
+def dense_stack(blocks: np.ndarray, sectors: Sectors | None, fill: float = 0.0) -> np.ndarray:
+    """The 4^n x 4^n matrix whose sectors are a stack's blocks; a matrix (no sectors) as it is.
+
+    A stack of one entry (1, count, p, p) is its entry.  On a held subset
+    of sectors every other sector holds fill times the identity.
+    """
     if sectors is None:
         return blocks
-    idx = sectors.index
+    if blocks.ndim == 4:
+        (blocks,) = blocks
     out = np.zeros((4**sectors.n,) * 2, dtype=blocks.dtype)
+    if sectors.held is not None:
+        np.fill_diagonal(out, fill)
+    idx = sectors.index
     out[idx[:, :, None], idx[:, None, :]] = blocks
     return out
 
 
-def _dense_values(values: np.ndarray, sectors: Sectors | None) -> np.ndarray:
-    """Per-sector values (count, side) at their sectors' indices, in vec order."""
+def _dense_values(values: np.ndarray, sectors: Sectors | None, fill: float = 0.0) -> np.ndarray:
+    """Per-sector values (count, side) at their sectors' indices, in vec order; fill off held ones."""
     if sectors is None:
         return values
-    out = np.empty(4**sectors.n)
+    if values.ndim == 3:
+        (values,) = values
+    out = np.full(4**sectors.n, float(fill))
     out[sectors.index] = values
     return out
 
@@ -342,16 +352,21 @@ def dense_svd(svd: Svd, sectors: Sectors | None) -> tuple[np.ndarray, np.ndarray
     """(U, s, Vh) of a matrix whose sectors' SVDs are svd, with D = U diag(s) Vh.
 
     Singular vector j of sector s sits at the index of that sector's basis
-    vector j, so s is not sorted.
+    vector j, so s is not sorted.  A sector a held subset leaves out is
+    the zero matrix, whose SVD is U = Vh = I and s = 0.
     """
-    u, vh = dense_stack(svd.u, sectors), dense_stack(svd.vh, sectors)
+    u, vh = dense_stack(svd.u, sectors, 1.0), dense_stack(svd.vh, sectors, 1.0)
     return u, _dense_values(svd.s, sectors), vh
 
 
 def dense_projector(res: ProjectorResult) -> np.ndarray:
-    """The d x d projector U diag(p_s) V^dag of a ProjectorResult, its sectors made whole."""
+    """The d x d projector U diag(p_s) V^dag of a ProjectorResult, its sectors made whole.
+
+    A sector the held subset leaves out holds p(0) I (ProjectorResult.p_zero).
+    """
     u, _, vh = dense_svd(res.svd, res.sectors)
-    return (u * _dense_values(res.p_s, res.sectors)) @ vh
+    p_zero = 0.0 if getattr(res, "p_zero", None) is None else float(np.ravel(res.p_zero)[0])
+    return (u * _dense_values(res.p_s, res.sectors, p_zero)) @ vh
 
 
 def dense_dl(ham: LocalHamiltonian) -> np.ndarray:
@@ -366,6 +381,26 @@ def dense_dl(ham: LocalHamiltonian) -> np.ndarray:
         dim = int(np.sum(w - w[0] <= TERM_GROUND_WIDTH * max(1.0, float(np.abs(w).max()))))
         e = v[:, :dim]
         out = out @ embed(LocalOperator(e @ e.conj().T, t.support), ham.n)
+    return out
+
+
+def dense_input_dl(pin) -> np.ndarray:
+    """The product of a projector input's embedded ground projectors, formed densely.
+
+    Each P = V V^dag is read off the term's eigendecomposition by local
+    sector (pin.eigs, a stack of one), by the TERM_GROUND_WIDTH rule, its
+    vectors placed in the whole term (sector_eigenvectors): so P, and the
+    product, are exactly zero off the sectors the blocks keep.
+    """
+    from dlgibbs.hamiltonians import sector_eigenvectors
+    from dlgibbs.linalg import HermitianEig
+
+    out = np.eye(2**pin.n)
+    for legs, eig in zip(pin.supports, pin.eigs):
+        w, v = eig.eigenvalues[0], eig.eigenvectors[0]
+        ground = w - w.min() <= TERM_GROUND_WIDTH * max(1.0, float(np.abs(w).max()))
+        e = sector_eigenvectors(HermitianEig(w, v), ground)
+        out = out @ embed(LocalOperator(e @ e.conj().T, legs), pin.n)
     return out
 
 
@@ -484,3 +519,273 @@ def scipy_boost_coefficients(b: float, epsilon: float, degree: int) -> np.ndarra
     if sup > 1.0:
         coeffs = coeffs / sup
     return coeffs
+
+
+# The dl_qsvt anneal one step at a time, on every sector of the doubled
+# register: each step's projector input rebuilt dense from its parent's
+# terms and split again, its DL operator, singular gap and projector, then
+# the transition to the previous step's projector.  anneal.run_annealing
+# runs the same arithmetic on a temperature stack and on D's support sectors
+# only; the equivalence tests compare the two bit for bit.
+
+
+@dataclass(frozen=True)
+class StepInput(LocalHamiltonian):
+    """One step's projector input: the dense terms -H^a / max(1, ||H^a||) and their eigensystems."""
+
+    eigs: tuple = ()
+
+    @cached_property
+    def sectors(self) -> Sectors:
+        return Sectors(self.n // 2, all(e.eigenvalues.shape[0] > 1 for e in self.eigs))
+
+    @cached_property
+    def cluster(self):
+        from dlgibbs.hamiltonians import _cluster_of, sector_sum
+        from dlgibbs.linalg import hermitian_eigenvalues
+
+        _, total = sector_sum(((t.op, t.support) for t in self.terms), self.n // 2)
+        return _cluster_of(np.sort(hermitian_eigenvalues(total), axis=None))
+
+
+def step_input(ph: ParentHamiltonian) -> StepInput:
+    """The projector input of one step's parent, its terms made dense."""
+    from dlgibbs.errors import PositivityFailure
+    from dlgibbs.linalg import HermitianEig
+    from dlgibbs.tolerances import PARENT_TERM_PSD_TOL
+
+    terms, eigs = [], []
+    for idx, t in enumerate(ph.terms):
+        if t.locality_residual is None:
+            raise BadParams(f"parent term {idx} is not local: the Hamiltonian terms do not commute")
+        scale = max(1.0, t.norm)
+        min_eig = -float(t.eigenvalues[-1]) / scale
+        if min_eig < -PARENT_TERM_PSD_TOL:
+            raise PositivityFailure(f"negated parent term {idx} has eigenvalue {min_eig:.3e} < 0")
+        terms.append(LocalOperator(-t.mat / scale, t.support))
+        eigs.append(HermitianEig(-t.eig.eigenvalues / scale, t.eig.eigenvectors))
+    return StepInput(n=2 * ph.n, terms=tuple(terms), eigs=tuple(eigs))
+
+
+def _step_columns(u: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    sector, col = np.nonzero(keep)
+    slot = (np.cumsum(keep, axis=-1) - 1)[sector, col]
+    out = np.zeros(u.shape[:-1] + (int(keep.sum(axis=-1).max()),), dtype=u.dtype)
+    out[sector, :, slot] = u[sector, :, col]
+    return out
+
+
+@dataclass(frozen=True)
+class StepDl:
+    """One step's DL operator by sector: its stacked SVD and the mask of its top r values."""
+
+    svd: Svd
+    top: np.ndarray
+    m: int
+
+
+def step_dl(ham: StepInput) -> StepDl:
+    """The DL operator of one step's input on every sector, with its checks."""
+    from dlgibbs.errors import DegenerateGap, FrustrationDetected
+    from dlgibbs.hamiltonians import sector_eigenvectors
+    from dlgibbs.tolerances import IDEMPOTENCE_TOL, UNIT_SINGULAR_SLACK
+
+    sectors, cluster = ham.sectors, ham.cluster
+    parts = []
+    for t, eig in zip(ham.terms, ham.eigs):
+        w = eig.eigenvalues
+        ground = w - w.min() <= TERM_GROUND_WIDTH * max(1.0, float(np.abs(w).max()))
+        if sectors.labelled or w.shape[0] == 1:
+            v = _step_columns(eig.eigenvectors, ground)
+        else:
+            v = sector_eigenvectors(eig, ground)[None]
+        p = v @ np.swapaxes(v.conj(), -1, -2)
+        tol = IDEMPOTENCE_TOL
+        if norm_exceeds(p @ p - p, tol) or norm_exceeds(p - np.swapaxes(p.conj(), -1, -2), tol):
+            raise BadParams("term ground projector failed the idempotence check")
+        parts.append((sectors.qubits(t.support), p))
+    d = sectors.identity(np.result_type(float, *(p for _, p in parts)))
+    for qubits, p in reversed(parts):
+        d = sectors.apply(d, qubits, p)
+    svd = singular_value_decompose(d)
+    s = svd.s
+    top = np.zeros(s.size, dtype=bool)
+    top[np.argsort(-s, axis=None, kind="stable")[: cluster.dimension]] = True
+    top = top.reshape(s.shape)
+    u_r = _step_columns(svd.u, top)
+    actions = [
+        sectors.apply(u_r, sectors.qubits(t.support), sectors.split(t.op, t.support))
+        for t in ham.terms
+    ]
+    bound = FRUSTRATION_CUT * max(1.0, cluster.norm)
+    if abs(cluster.energy) > bound or any(norm_exceeds(y, bound) for y in actions):
+        raise FrustrationDetected(
+            "ground space is not annihilated by every term (residual "
+            f"{max(map(spectral_norm, actions)):.3e}, ground energy {cluster.energy:.3e})"
+        )
+    s_r = float(s[top].min())
+    if s_r < 1.0 - UNIT_SINGULAR_SLACK:
+        raise DegenerateGap(
+            f"singular value s_r={s_r:.6e} of the DL operator is below "
+            f"1 - {UNIT_SINGULAR_SLACK:.1e}; its top block does not span the "
+            f"{cluster.dimension}-dimensional ground space"
+        )
+    return StepDl(svd=svd, top=top, m=ham.m)
+
+
+def step_certified_bound(ham: StepInput) -> tuple[float, float]:
+    """certified_bound of one step's input: (gamma*, bound) from its cluster gap and degree."""
+    from dlgibbs.errors import DegenerateGap
+    from dlgibbs.hamiltonians import interaction_degree
+    from dlgibbs.tolerances import GAMMA_STAR_MARGIN, MIN_CERTIFIED_GAP
+
+    gap = ham.cluster.gap
+    if not np.isfinite(gap) or gap <= MIN_CERTIFIED_GAP:
+        raise DegenerateGap(f"Hamiltonian gap {gap:.3e} too small to certify")
+    g = interaction_degree(ham)
+    if g == 0:
+        return 1.0 - GAMMA_STAR_MARGIN, 0.0
+    bound = 1.0 / math.sqrt(gap / g**2 + 1.0)
+    return 1.0 - bound, bound
+
+
+def step_singular_gap(dl: StepDl, ham: StepInput) -> float:
+    """The certified gamma* of one step, checked against its observed s_{r+1}."""
+    from dlgibbs.errors import DegenerateGap
+    from dlgibbs.tolerances import SINGULAR_BOUND_SLACK
+
+    gamma_star, bound = step_certified_bound(ham)
+    s = dl.svd.s
+    s_next = float(s[~dl.top].max()) if ham.cluster.dimension < s.size else 0.0
+    if s_next > bound + SINGULAR_BOUND_SLACK:
+        raise DegenerateGap(
+            f"singular value s_{{r+1}}={s_next:.6e} exceeds the certified "
+            f"bound {bound:.6e}"
+        )
+    return gamma_star
+
+
+@dataclass(frozen=True)
+class StepProjector:
+    """One step's projector U p(S) V^dag by sector, its error, and its sectors."""
+
+    svd: Svd
+    p_s: np.ndarray
+    error: float
+    sectors: Sectors
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        return (self.svd.u * self.p_s[..., None, :]) @ self.svd.vh
+
+
+def step_projector(dl: StepDl, poly, sectors: Sectors) -> StepProjector:
+    p_s = poly(dl.svd.s)
+    return StepProjector(
+        svd=dl.svd, p_s=p_s, error=float(np.abs(p_s - dl.top).max()), sectors=sectors
+    )
+
+
+def step_transition(pa, pb, a, b, state, coefficients, floor):
+    """One transition on every sector: the SVD of P_b P_a, boosted, and its error."""
+    sectors = pa.sectors
+    core = singular_value_decompose(pb.blocks @ pa.blocks)
+    s = np.sort(core.s, axis=None)[::-1]
+    _check_overlap(s[0], floor)
+    if len(s) > 1 and s[1] > s[0] / 10:
+        raise RankAmbiguous(
+            f"second singular value {s[1]:.3e} is within a factor 10 of the "
+            f"first {s[0]:.3e}"
+        )
+    f = chebyshev.chebval(np.clip(core.s, 0.0, 1.0), coefficients)
+    o = (core.u * f[..., None, :]) @ core.vh
+    a_s, b_s, y = (sectors.gather(z) for z in (a, b, state))
+    err = spectral_norm(o - b_s[..., :, None] * a_s[..., None, :].conj())
+    return sectors.scatter((o @ y[..., None])[..., 0]), err
+
+
+def stepwise_dl_qsvt_anneal(ham, couplings, w, sched, delta, step=step_transition):
+    """run_annealing in dl_qsvt mode, one step at a time on every sector.
+
+    Pass 1 is the package's (anneal._step_parents); each step's projector
+    input is step_input of its parent.  Pass 2 builds step j's DL operator,
+    gamma* check and projector, then runs step(previous, current, ...),
+    step_transition or a dense stand-in, in the order DL_0, DL_1, T_1, ...
+    """
+    from dlgibbs.anneal import (
+        AnnealingRun, QueryTally, StepRecord, _step_parents, boost_coefficients, error_budget,
+    )
+    from dlgibbs.errors import IrreducibilityWarning
+    from dlgibbs.projector import chebyshev_poly, degree_for_error
+
+    if not ham.commuting:
+        raise BadParams(
+            "dl_qsvt projector synthesis needs mutually commuting Hamiltonian "
+            "terms; the parent terms are not local otherwise"
+        )
+    k_steps, betas = sched.steps, sched.betas
+    targets, pins = [], []
+    parents = _step_parents(ham, couplings, w, betas)
+    for beta_j in betas.tolist():
+        stack, entry = next(parents)
+        ph = stack[entry]
+        del stack
+        pins.append(step_input(ph))
+        kernel_dim = pins[-1].cluster.dimension
+        if kernel_dim > 1:
+            warnings.warn(
+                f"generator at beta = {beta_j:.6g} has fixed-point dimension "
+                f"{kernel_dim}; the purified path is not unique",
+                IrreducibilityWarning,
+            )
+        targets.append(ph.ground)
+        del ph
+    del parents
+    m_terms = len(couplings)
+    if len({pin.sectors for pin in pins}) > 1:
+        raise BadParams("the steps' projector inputs are not held on the same sectors")
+    overlaps = [float(np.abs(np.vdot(targets[j - 1], targets[j]))) for j in range(1, k_steps + 1)]
+    b_floor = min(overlaps)
+    budgets = error_budget(k_steps, b_floor, delta)
+    step_bound = delta / (2.0 * k_steps)
+    ell = max(
+        degree_for_error(step_certified_bound(pin)[0], budgets.projector_error) for pin in pins
+    )
+    coefficients = boost_coefficients(b_floor, budgets.epsilon, budgets.degree)
+    dim = targets[0].shape[0]
+    state = targets[0].copy()
+    records = []
+    prev = None
+    for j in range(k_steps + 1):
+        dl = step_dl(pins[j])
+        gamma_star = step_singular_gap(dl, pins[j])
+        res = step_projector(dl, chebyshev_poly(gamma_star, ell), pins[j].sectors)
+        if j > 0:
+            a, b = targets[j - 1], targets[j]
+            state, err = step(prev, res, a, b, state, coefficients, b_floor)
+            records.append(
+                StepRecord(
+                    index=j, beta=float(betas[j]), overlap=overlaps[j - 1],
+                    transition_error=err, error_bound=step_bound, projector_error=res.error,
+                    queries=ell * m_terms + budgets.degree,
+                )
+            )
+        prev = res
+    success = float(np.real(np.vdot(state, state)))
+    state_error = float(np.linalg.norm(state - targets[-1]))
+    norm = math.sqrt(success) if success > 0 else 1.0
+    final_state = state / norm
+    return AnnealingRun(
+        budgets=budgets,
+        records=tuple(records),
+        final_state=final_state.reshape(dim),
+        final_fidelity=float(np.abs(np.vdot(final_state, targets[-1]))),
+        success_probability=success,
+        state_error=state_error,
+        min_overlap=b_floor,
+        projector_degree=ell,
+        m_terms=m_terms,
+        tally=QueryTally(
+            projector=k_steps * ell * m_terms, transition=k_steps * budgets.degree
+        ),
+    )

@@ -31,6 +31,7 @@ from dlgibbs.errors import (
     BadInputs,
     BadParams,
     DegenerateGap,
+    DlGibbsError,
     FrustrationDetected,
     IrreducibilityWarning,
     NotDetailedBalanced,
@@ -53,8 +54,15 @@ from dlgibbs.jumps import WeightProfile
 from dlgibbs.kms import LindbladTerm
 from dlgibbs.linalg import Svd, spectral_norm
 from dlgibbs.parent import purified_gibbs
-from dlgibbs.projector import ProjectorResult
-from reference import dense_dl, dense_projector, dense_transition, scipy_boost_coefficients
+from dlgibbs.projector import ProjectorResult, dl_operator
+import reference
+from reference import (
+    dense_dl,
+    dense_projector,
+    dense_transition,
+    scipy_boost_coefficients,
+    stepwise_dl_qsvt_anneal,
+)
 
 
 def test_schedule_formula():
@@ -460,65 +468,113 @@ def test_run_annealing_dl_qsvt_three_sites():
 
 def _frustrated(pin):
     """pin with its first term shifted by 1e-3 I: ground energy 1e-3, not 0."""
-    t, eig = pin.terms[0], pin.eigs[0]
-    shifted = LocalOperator(t.op + 1e-3 * np.eye(t.op.shape[0]), t.support)
+    blocks, eig = pin.blocks[0], pin.eigs[0]
+    shifted = blocks + 1e-3 * np.eye(blocks.shape[-1])
     eig = replace(eig, eigenvalues=eig.eigenvalues + 1e-3)
-    return replace(pin, terms=(shifted,) + pin.terms[1:], eigs=(eig,) + pin.eigs[1:])
+    return replace(pin, blocks=(shifted,) + pin.blocks[1:], eigs=(eig,) + pin.eigs[1:])
 
 
 @pytest.mark.parametrize("check", ["frustration", "top block"])
 def test_dl_qsvt_anneal_raises_a_last_step_dl_failure_after_the_earlier_transitions(
     monkeypatch, check
 ):
-    # The projectors are built step by step between the transitions, so a
-    # failing DL check of the last step fires after transition K - 1, with
-    # the error dl_operator raises on that step's input.
+    # Every step's projector is one entry of one stack and the transitions
+    # one stack of pairs, but a failing DL check of the last step fires
+    # after transitions 1 .. K - 1 have been built and checked, with the
+    # error dl_operator finds on that step's input built alone.
     ham = make_instance("zz_chain", 3)
     sched = make_schedule(0.5, spectral_norm(assemble(ham)))
     k = sched.steps
     real_pin = dlgibbs.anneal.parent_projector_input
-    real_dl = dlgibbs.anneal.dl_operator
     real_svd = dlgibbs.projector.singular_value_decompose
     real_transition = dlgibbs.anneal.transition
     pins, transitions = [], []
 
     def lowered(a):
-        # s_r = 1 - 2e-8, below the 1 - 1e-8 the top block must reach.
+        # s_r = 1 - 2e-8 in the last entry, below the 1 - 1e-8 the top block
+        # must reach.
         svd = real_svd(a)
         s = svd.s.copy()
-        s[np.unravel_index(s.argmax(), s.shape)] = 1.0 - 2e-8
+        last = s[-1]
+        last[np.unravel_index(last.argmax(), last.shape)] = 1.0 - 2e-8
         return Svd(u=svd.u, s=s, vh=svd.vh)
 
-    def failing_dl(parent_ham):
-        if parent_ham is not pins[-1] or check != "top block":
-            return real_dl(parent_ham)
-        with monkeypatch.context() as m:
-            m.setattr(dlgibbs.projector, "singular_value_decompose", lowered)
-            return real_dl(parent_ham)
-
-    def tracked_pin(ph):
-        pin = real_pin(ph)
+    def tracked_pin(ph, entry=None):
+        pin = real_pin(ph, entry)
         if len(pins) == k and check == "frustration":
             pin = _frustrated(pin)
         pins.append(pin)
         return pin
 
-    def tracked_transition(*args):
-        transitions.append(len(pins))
-        return real_transition(*args)
+    def tracked_transition(pa, *args):
+        transitions.append((len(pins), pa.svd.s.shape[0]))
+        return real_transition(pa, *args)
 
     monkeypatch.setattr(dlgibbs.anneal, "parent_projector_input", tracked_pin)
-    monkeypatch.setattr(dlgibbs.anneal, "dl_operator", failing_dl)
+    if check == "top block":
+        monkeypatch.setattr(dlgibbs.projector, "singular_value_decompose", lowered)
     monkeypatch.setattr(dlgibbs.anneal, "transition", tracked_transition)
     error = FrustrationDetected if check == "frustration" else DegenerateGap
     with pytest.raises(error) as raised:
         run_annealing(
             ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt"
         )
-    assert k >= 2 and transitions == [k + 1] * (k - 1)
+    assert k >= 2 and transitions == [(k + 1, k - 1)]
     with pytest.raises(error) as direct:
-        failing_dl(pins[-1])
+        dl_operator(pins[-1]).check()
     assert str(raised.value) == str(direct.value)
+
+
+def _error(fn, *args):
+    try:
+        fn(*args)
+    except DlGibbsError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_dl_qsvt_anneal_raises_a_failing_transition_before_the_next_dl_failure(monkeypatch):
+    # Transition 1 fails (its top two singular values are made equal), and
+    # so does the DL check of step 2: the walk DL_0, DL_1, T_1, DL_2 meets
+    # the transition's RankAmbiguous first, as the reference one step at a
+    # time does with the same two failures.
+    ham = make_instance("zz_chain", 3)
+    sched = make_schedule(0.5, spectral_norm(assemble(ham)))
+    args = (ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=0.5), sched, 0.1)
+    assert sched.steps >= 2
+    real_pin = dlgibbs.anneal.parent_projector_input
+    real_svd = dlgibbs.anneal.singular_value_decompose
+    pins = []
+
+    def tracked_pin(ph, entry=None):
+        pin = real_pin(ph, entry)
+        pins.append(_frustrated(pin) if len(pins) == 2 else pin)
+        return pins[-1]
+
+    def ambiguous(a):
+        # The first pair's second singular value raised to its first.
+        svd = real_svd(a)
+        s = svd.s.copy()
+        order = np.argsort(-s[0], axis=None)
+        s[0].flat[order[1]] = s[0].flat[order[0]]
+        return Svd(u=svd.u, s=s, vh=svd.vh)
+
+    def one_ambiguous(a):
+        svd = ambiguous(a[None])
+        return Svd(u=svd.u[0], s=svd.s[0], vh=svd.vh[0])
+
+    def reference_step(pa, pb, *rest):
+        with monkeypatch.context() as m:
+            m.setattr(reference, "singular_value_decompose", one_ambiguous)
+            return reference.step_transition(pa, pb, *rest)
+
+    monkeypatch.setattr(dlgibbs.anneal, "parent_projector_input", tracked_pin)
+    monkeypatch.setattr(dlgibbs.anneal, "singular_value_decompose", ambiguous)
+    got = _error(run_annealing, *args, "dl_qsvt")
+    assert got is not None and got[0] is RankAmbiguous
+    assert _error(dl_operator(pins[2]).check) is not None
+    want = _error(stepwise_dl_qsvt_anneal, *args, reference_step)
+    assert got == want
 
 
 def _dense_step(pa, pb, a, b, state, coefficients, floor):
@@ -528,28 +584,32 @@ def _dense_step(pa, pb, a, b, state, coefficients, floor):
 
 
 def _dense_anneal(monkeypatch, *args):
-    with monkeypatch.context() as m:
-        m.setattr(dlgibbs.anneal, "transition", _dense_step)
-        return run_annealing(*args)
+    """The anneal one step at a time (reference), each transition from dense projectors."""
+    return stepwise_dl_qsvt_anneal(*args[:5], step=_dense_step)
 
 
 def test_dl_qsvt_sector_stacks_hold_the_rank_of_the_dense_dl(monkeypatch):
-    # Each DL operator of zz_chain n = 4 (xz) is the stack of its 16 sectors
-    # of side 16, decomposed in one stacked SVD; the singular values above
-    # 1e-12 over all sectors number those of the dense product: 8, and 1
-    # at beta = 0.  Each transition decomposes one such stack.
+    # The DL operators of zz_chain n = 4 (xz) at all K + 1 steps are one
+    # stack on D's support: sector 0 alone of the 16, of side 16, decomposed
+    # in one stacked SVD.  Each step's singular values above 1e-12 number
+    # those of its dense product: 8, and 1 at beta = 0.  The K transitions
+    # decompose one stack of the same sector.
     ham = make_instance("zz_chain", 4)
     sched = make_schedule(0.9, spectral_norm(assemble(ham)))
-    ranks, dense_ranks, cores = [], [], []
+    k = sched.steps
+    ranks, dense_ranks, cores, held = [], [], [], []
     real_dl = dlgibbs.anneal.dl_operator
     real_svd = dlgibbs.anneal.singular_value_decompose
 
-    def tracked_dl(pin):
-        dl = real_dl(pin)
-        ranks.append(int(np.count_nonzero(dl.svd.s > 1e-12)))
-        plain = LocalHamiltonian(n=pin.n, terms=pin.terms)
-        dense_ranks.append(int(np.count_nonzero(np.linalg.svd(dense_dl(plain), compute_uv=False) > 1e-12)))
-        assert dl.svd.u.shape == dl.svd.vh.shape == (16, 16, 16)
+    def tracked_dl(pins):
+        dl = real_dl(pins)
+        for j in range(pins.entries):
+            ranks.append(int(np.count_nonzero(dl.svd.s[j] > 1e-12)))
+            plain = LocalHamiltonian(n=pins.n, terms=pins[j].terms)
+            dense_s = np.linalg.svd(dense_dl(plain), compute_uv=False)
+            dense_ranks.append(int(np.count_nonzero(dense_s > 1e-12)))
+        assert dl.svd.u.shape == dl.svd.vh.shape == (k + 1, 1, 16, 16)
+        held.append(dl.sectors.held)
         return dl
 
     def tracked_svd(a):
@@ -561,10 +621,10 @@ def test_dl_qsvt_sector_stacks_hold_the_rank_of_the_dense_dl(monkeypatch):
     run_annealing(
         ham, standard_couplings(4, "xz"), WeightProfile(beta=0.9), sched, 0.05, "dl_qsvt"
     )
-    k = sched.steps
     assert k == 6 and sched.betas[0] == 0.0
     assert ranks == dense_ranks == [1] + [8] * k
-    assert cores == [(16, 16, 16)] * k
+    assert held == [(0,)]
+    assert cores == [(k, 1, 16, 16)]
 
 
 # (kind, n, beta, delta, parity of the projector degree ell)
@@ -594,6 +654,18 @@ def test_sector_transitions_match_the_dense_product(monkeypatch, kind, n, beta, 
     assert np.linalg.norm(run.final_state - ref.final_state) <= 1e-10
     for key in ("state_error", "success_probability", "final_fidelity"):
         assert abs(getattr(run, key) - getattr(ref, key)) <= 1e-10 * getattr(ref, key), key
+
+
+def _one_pair(pa, pb, a, b, state, coefficients, floor):
+    """transition on the single pair (pa, pb): its state and error, or its failure raised."""
+    def entry(p):
+        svd = Svd(u=p.svd.u[None], s=p.svd.s[None], vh=p.svd.vh[None])
+        return ProjectorResult(svd, p.p_s[None], np.zeros(1), np.zeros(1), 0, p.sectors)
+
+    state, err, failures = transition(entry(pa), entry(pb), a[None], b[None], state, coefficients, floor)
+    if failures[0] is not None:
+        raise failures[0]
+    return state, float(err[0])
 
 
 def _unitary_with_first_column(rng, first):
@@ -679,12 +751,12 @@ def test_sector_transition_matches_the_dense_product_on_complex_factors(
 ):
     pa, pb, a, b, state = _synthetic_pair(seed, labelled, ra, rb, ca, cb)
     boost = (_boost(0.4, 1e-4), 0.4)
-    got_state, got_err = transition(pa, pb, a, b, state, *boost)
+    got_state, got_err = _one_pair(pa, pb, a, b, state, *boost)
     want_state, want_err = _dense_step(pa, pb, a, b, state, *boost)
     assert abs(got_err - want_err) <= 1e-10 * want_err
     assert np.linalg.norm(got_state - want_state) <= 1e-10 * np.linalg.norm(want_state)
     # The transition applied to a itself lands near b.
-    got_a, _ = transition(pa, pb, a, b, a, *boost)
+    got_a, _ = _one_pair(pa, pb, a, b, a, *boost)
     assert np.linalg.norm(got_a - _dense_step(pa, pb, a, b, a, *boost)[0]) <= 1e-10
 
 
@@ -711,7 +783,7 @@ def test_sector_transition_raises_where_the_dense_product_does(seed, labelled):
     pb = _synthetic_projector(rng, sectors, b, 2, 0.02)
     want = _raised(_dense_step, pa, pb, a, b, a, *boost)
     assert want is not None and want[0] is OverlapTooSmall
-    assert _raised(transition, pa, pb, a, b, a, *boost) == want
+    assert _raised(_one_pair, pa, pb, a, b, a, *boost) == want
     # A second singular value of P_a as large as the first: rank ambiguous.
     pa, pb, a, b, _ = _synthetic_pair(seed, labelled, 3, 2, 0.0, 0.0)
     p_s = pa.p_s.copy()
@@ -720,14 +792,14 @@ def test_sector_transition_raises_where_the_dense_product_does(seed, labelled):
     pb = replace(pb, p_s=np.where(pb.p_s != 0, 1.0, 0.0))
     want = _raised(_dense_step, pa, pb, a, b, a, *boost)
     assert want is not None and want[0] is RankAmbiguous
-    assert _raised(transition, pa, pb, a, b, a, *boost) == want
+    assert _raised(_one_pair, pa, pb, a, b, a, *boost) == want
     # Paddings with |c_a c_b| well above a tenth of the top value: the
     # second singular value of P_b P_a is too, and both routes are rank
     # ambiguous.
     pa, pb, a, b, _ = _synthetic_pair(seed, labelled, 3, 2, 0.5, -0.5)
     want = _raised(_dense_step, pa, pb, a, b, a, *boost)
     assert want is not None and want[0] is RankAmbiguous
-    assert _raised(transition, pa, pb, a, b, a, *boost) == want
+    assert _raised(_one_pair, pa, pb, a, b, a, *boost) == want
 
 
 def test_reducible_anneal_is_rank_ambiguous_on_both_routes(monkeypatch):

@@ -566,9 +566,9 @@ def test_dl_qsvt_anneal_reads_parent_terms_through_local_blocks(
     def record(module, name, calls):
         real = getattr(module, name)
 
-        def recorded(a):
+        def recorded(a, **kwargs):
             start = len(decomps["svd"])
-            out = real(a)
+            out = real(a, **kwargs)
             calls.append((a.shape, decomps["svd"][start:]))
             return out
 
@@ -580,17 +580,18 @@ def test_dl_qsvt_anneal_reads_parent_terms_through_local_blocks(
     record(dlgibbs.anneal, "singular_value_decompose", cores)
     record(dlgibbs.anneal, "spectral_norm", norms)
     run_annealing(ham, couplings, WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt")
-    # Per parent, the DL operator is the stack of its 2^n sectors of side
-    # 2^n, decomposed in one stacked SVD, from which the projector error is
-    # read in closed form; each transition's product P_b P_a and its error
-    # are stacks of the same shape.  Parent terms are read through their
-    # local blocks, and no SVD or 2-norm of a side above 2^n runs at all.
+    # The K + 1 DL operators are one stack on D's support, sector 0 alone
+    # of the 2^n, of side 2^n, decomposed in one stacked SVD, from which
+    # each projector error is read in closed form; the K transitions'
+    # products P_b P_a and their errors are one stack of the same sector.
+    # Parent terms are read through their local blocks, and no SVD or 2-norm
+    # of a side above 2^n runs at all.
     k = sched.steps
     d = 2**n
-    stack = (d, d, d)
+    stack, pairs = (k + 1, 1, d, d), (k, 1, d, d)
     assert k + 1 == parents
-    assert dl_svds == [(stack, [stack])] * (k + 1)
-    assert cores == norms == [(stack, [stack])] * k
+    assert dl_svds == [(stack, [stack])]
+    assert cores == norms == [(pairs, [pairs])]
     assert max(max(sh[-2:]) for sh in decomps["svd"]) <= d
 
 
@@ -645,14 +646,17 @@ def test_dl_qsvt_anneal_takes_one_4n_spectrum_per_step(monkeypatch, decomps, n):
 
 def test_pass_one_decompositions_do_not_grow_with_the_step_count(decomps):
     # The ratchet on the temperature stack: twice the steps take the same
-    # number of eigh and eigvalsh calls, apart from the per-step ground
-    # cluster, one eigvalsh of a (2^n, 2^n, 2^n) stack per step.
-    ham = make_instance("zz_chain", 3)
-    couplings = standard_couplings(ham.n, "xz")
-    d = 2**ham.n
+    # number of eigh, eigvalsh and SVD calls, apart from the per-step ground
+    # cluster, one eigvalsh of a (2^n, 2^n, 2^n) stack per step.  Pass 2 takes
+    # three SVDs of (steps or pairs, sectors, 2^n, 2^n) stacks on D's
+    # support: the DL operators, the transitions and their errors.
+    couplings = standard_couplings(3, "xz")
+    d = 2**3
     counts = []
     for k in (3, 6):
-        for kind in ("eigh", "eigvalsh"):
+        # A fresh H each time, so each run decides once that its terms commute.
+        ham = make_instance("zz_chain", 3)
+        for kind in ("eigh", "eigvalsh", "svd"):
             decomps[kind].clear()
         sched = dlgibbs.anneal.Schedule(0.5, k, np.linspace(0.0, 0.5, k + 1))
         with warnings.catch_warnings():
@@ -660,8 +664,13 @@ def test_pass_one_decompositions_do_not_grow_with_the_step_count(decomps):
             run_annealing(ham, couplings, WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt")
         clusters = decomps["eigvalsh"].count((d, d, d))
         assert clusters == k + 1
-        counts.append((len(decomps["eigh"]), len(decomps["eigvalsh"]) - clusters))
-    assert counts[0] == counts[1] == (len(couplings), len(couplings))
+        stacks = [sh for sh in decomps["svd"] if len(sh) == 4]
+        assert stacks == [(k + 1, 1, d, d), (k, 1, d, d), (k, 1, d, d)]
+        counts.append(
+            (len(decomps["eigh"]), len(decomps["eigvalsh"]) - clusters, len(decomps["svd"]))
+        )
+    assert counts[0] == counts[1]
+    assert counts[0][:2] == (len(couplings), len(couplings))
 
 
 def test_exact_anneal_takes_one_4n_spectrum_per_step(monkeypatch, decomps):
@@ -728,9 +737,13 @@ def test_real_model_runs_no_complex_superoperator_decomposition(decomps):
     # Every jump, sigma, coherent form, Choi matrix, parent term, DL
     # operator and transition of zz_chain is exactly real, so each 4^n
     # decomposition runs the real LAPACK routine, as a stack of its sectors.
+    # The DL operators and transitions are decomposed on D's support
+    # sectors, stacks (entries, sectors, 2^n, 2^n).
     superop = [(kind, dtype) for kind, sh, dtype in decomps["dtypes"] if _rows(sh) == d2[0]]
-    assert {kind for kind, _ in superop} == {"eigh", "eigvalsh", "svd"}
+    sectors = [dtype for kind, sh, dtype in decomps["dtypes"] if kind == "svd" and len(sh) == 4]
+    assert {kind for kind, _ in superop} == {"eigh", "eigvalsh"}
     assert {dtype for _, dtype in superop} == {"float64"}
+    assert sectors and set(sectors) == {"float64"}
 
 
 def test_complex_model_keeps_complex_superoperator_decompositions(decomps):
@@ -801,15 +814,16 @@ def test_each_experiment_diagonalizes_h_once(monkeypatch, decomps, tmp_path, nam
     if name.startswith("anneal"):
         # ||H|| costs no SVD, and the one commutation test scales by the
         # norms of the m terms on their own supports: no d x d SVD runs.
-        # Outside the transitions, in dl_qsvt mode, only each step's DL
-        # operator is decomposed as a stack of sectors of side 2^n = d.
-        # Each 4 x 4 term's scale is one whole SVD.
+        # Outside the transitions, in dl_qsvt mode, only the steps' DL
+        # operators are decomposed, as one stack of D's support, sector 0 of
+        # side 2^n = d.  Each 4 x 4 term's scale is one whole SVD.
         assert len(degrees) == 1
         outside = Counter(decomps["svd"]) - Counter(in_transitions)
         assert d not in decomps["svd"]
         assert all(_rows(s) < 8 for s in outside if len(s) == 2)
-        stacks = [s for s in outside if len(s) == 3]
-        assert stacks == ([(8, 8, 8)] if name == "anneal-dl_qsvt" else [])
+        steps = make_schedule(0.5, 2.0).steps + 1
+        stacks = [s for s in outside if len(s) > 2]
+        assert stacks == ([(steps, 1, 8, 8)] if name == "anneal-dl_qsvt" else [])
         assert decomps["svd"].count((4, 4)) == make_instance("zz_chain", 3).m
 
 

@@ -385,7 +385,7 @@ def test_projector_input_negates_and_normalizes():
     pin = parent_projector_input(ph)
     assert pin.n == 6
     assert pin.m == ph.m
-    for t, eig, pt in zip(pin.terms, pin.eigs, ph.terms, strict=True):
+    for a, (t, eig, pt) in enumerate(zip(pin.terms, pin.eigs, ph.terms, strict=True)):
         # Each parent term is held on its doubled dressed support and divided
         # by max(1, ||H^a||), read from the eigenvalues of that local matrix's
         # sector blocks, and keeps their eigenvectors.  The blocks are taken
@@ -403,8 +403,11 @@ def test_projector_input_negates_and_normalizes():
         assert np.abs(pt.eigenvalues - whole).max() <= 1e-13 * scale
         assert abs(scale - max(1.0, spectral_norm(pt.mat))) <= 1e-9 * scale
         np.testing.assert_array_equal(t.op, -pt.mat / scale)
-        np.testing.assert_array_equal(eig.eigenvalues, -pt.eig.eigenvalues / scale)
-        assert eig.eigenvectors is pt.eig.eigenvectors
+        # The input holds the term by sector, a stack of one step: the
+        # blocks -H^a / scale and H^a's eigenvectors, not copies of them.
+        np.testing.assert_array_equal(pin.blocks[a][0], -blocks / scale)
+        np.testing.assert_array_equal(eig.eigenvalues[0], -pt.eig.eigenvalues / scale)
+        assert eig.eigenvectors.base is pt.eig.eigenvectors
         w = np.linalg.eigvalsh(t.op)
         assert w.min() >= -1e-10
         assert w.max() <= 1.0 + 1e-9

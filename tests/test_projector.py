@@ -381,7 +381,10 @@ def _with_warnings(fn, *args):
 
 @pytest.mark.parametrize("ham", [h for _, h in GROUND_PARITY], ids=[c for c, _ in GROUND_PARITY])
 def test_dl_operator_ground_cluster_matches_the_dense_ground_space(ham):
-    (ff, gs), dense_warned = _with_warnings(frustration_check, ham)
+    # A projector input holds its terms by sector; the dense reference reads
+    # them whole.
+    plain = LocalHamiltonian(n=ham.n, terms=ham.terms)
+    (ff, gs), dense_warned = _with_warnings(frustration_check, plain)
     dl, warned = _with_warnings(dl_operator, ham)
     assert ff
     assert dl.ground_dimension == gs.dimension
@@ -466,17 +469,18 @@ def test_even_degree_projector_ignores_the_null_space_pairing(monkeypatch):
     rng = np.random.default_rng(0)
     rotated = []
 
-    def rotated_dl(parent_ham):
-        dl = real_dl(parent_ham)
-        # Each sector's numerically zero singular values.
+    def rotated_dl(pins):
+        dl = real_dl(pins)
+        # Each step's and sector's numerically zero singular values.
         u = dl.svd.u.copy()
-        sizes = []
-        for k, s in enumerate(dl.svd.s):
-            null = np.flatnonzero(s <= 1e-12)
-            q, _ = np.linalg.qr(rng.normal(size=(null.size, null.size)))
-            u[k][:, null] = u[k][:, null] @ q
-            sizes.append(null.size)
-        rotated.append(max(sizes))
+        for j, step in enumerate(dl.svd.s):
+            sizes = []
+            for k, s in enumerate(step):
+                null = np.flatnonzero(s <= 1e-12)
+                q, _ = np.linalg.qr(rng.normal(size=(null.size, null.size)))
+                u[j, k][:, null] = u[j, k][:, null] @ q
+                sizes.append(null.size)
+            rotated.append(max(sizes))
         return replace(dl, svd=Svd(u=u, s=dl.svd.s, vh=dl.svd.vh))
 
     monkeypatch.setattr(dlgibbs.anneal, "dl_operator", rotated_dl)

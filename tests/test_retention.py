@@ -5,9 +5,10 @@ only the kernel bases; dl_operator embeds no ground projector at all, but
 applies each to the columns of the first factor's range on its tensor
 legs.  Weak references show what is still held: no earlier channel factor
 while the next one is made.  A dl_qsvt anneal's DL operator is a stack of
-its sectors, of which dl_operator keeps only the SVD, so no step holds the
-stack once its DL operator is built, and nothing with a side of 4^n but the
-local parent terms is held while the transitions run.  run_annealing
+its support sectors at every step, of which dl_operator keeps only the SVD,
+so the run does not hold the stack once the DL operators are built, and
+nothing with a side of 4^n but the targets is held while the transitions
+run.  On the one sector (a commuting H that is not diagonal) run_annealing
 builds each step's factors after the previous transition and releases them
 once their outgoing transition has run, so transition j holds exactly the
 factors of steps j - 1 and j.
@@ -27,7 +28,13 @@ import dlgibbs.hamiltonians
 import dlgibbs.projector
 import dlgibbs.sampler
 from dlgibbs.anneal import make_schedule, run_annealing
-from dlgibbs.hamiltonians import assemble, make_instance, standard_couplings
+from dlgibbs.hamiltonians import (
+    LocalHamiltonian,
+    LocalOperator,
+    assemble,
+    make_instance,
+    standard_couplings,
+)
 from dlgibbs.jumps import WeightProfile, build_model
 from dlgibbs.kms import KmsForm
 from dlgibbs.linalg import spectral_norm
@@ -101,25 +108,25 @@ def _held_arrays(frame, keep):
 def test_dl_qsvt_anneal_step_keeps_no_composite(monkeypatch):
     ham = make_instance("zz_chain", 2)
     d = 4**ham.n
-    stack = (2**ham.n,) * 3
     sched = make_schedule(1.0, spectral_norm(assemble(ham)))
+    # Every step's DL operator is one entry of one stack of D's support
+    # sectors, here sector 0 alone, of side 2^n.
+    stack = (len(sched.betas), 1, 2**ham.n, 2**ham.n)
     real_svd = dlgibbs.projector.singular_value_decompose
     real_dl = dlgibbs.anneal.dl_operator
     real_transition = dlgibbs.anneal.transition
-    real_pin = dlgibbs.anneal.parent_projector_input
     refs: list[weakref.ref] = []
     factors: list[int] = []
-    local_terms: set[int] = set()
     after_dl: list[tuple[int, int]] = []
     alive_at_transition: list[int] = []
-    held_at_transition: list[set[int]] = []
+    held_at_transition: list[list[tuple[int, ...]]] = []
     stacks_at_transition: list[set[int]] = []
 
     def alive():
         return sum(r() is not None for r in refs)
 
     def tracked_svd(a):
-        # The stack of the DL operator's sectors, never a 4^n x 4^n composite.
+        # The stack of the DL operators' sectors, never a 4^n x 4^n composite.
         assert a.shape == stack
         refs.append(weakref.ref(a))
         return real_svd(a)
@@ -131,41 +138,45 @@ def test_dl_qsvt_anneal_step_keeps_no_composite(monkeypatch):
         factors.extend((id(dl.svd.u), id(dl.svd.vh)))
         return dl
 
-    def tracked_pin(*args, **kwargs):
-        pin = real_pin(*args, **kwargs)
-        local_terms.update(id(t.op) for t in pin.terms)
-        return pin
-
     def tracked_transition(*args, **kwargs):
         alive_at_transition.append(alive())
         frame = sys._getframe(1)
-        held_at_transition.append({id(x) for x in _held_arrays(frame, lambda sh: len(sh) > 1 and d in sh[-2:])})
+        held = _held_arrays(frame, lambda sh: len(sh) > 1 and d in sh[-2:])
+        held_at_transition.append([x.shape for x in held])
         stacks_at_transition.append({id(x) for x in _held_arrays(frame, lambda sh: sh == stack)})
         return real_transition(*args, **kwargs)
 
     monkeypatch.setattr(dlgibbs.projector, "singular_value_decompose", tracked_svd)
     monkeypatch.setattr(dlgibbs.anneal, "dl_operator", tracked_dl)
     monkeypatch.setattr(dlgibbs.anneal, "transition", tracked_transition)
-    monkeypatch.setattr(dlgibbs.anneal, "parent_projector_input", tracked_pin)
     run_annealing(
         ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=1.0), sched, 0.1, "dl_qsvt"
     )
-    # Each step's stack is decomposed inside dl_operator and released when
-    # it returns; none is alive when the transitions run.
-    assert after_dl == [(1, 0)] * len(sched.betas)
-    assert alive_at_transition == [0] * sched.steps
-    # At every transition the only arrays with a side of 4^n that
-    # run_annealing holds are the local parent terms the later steps' DL
-    # operators are built from (at n = 2 a term's doubled support is the
-    # whole register): no dense projector or product of two.  It holds DL
-    # SVD factors as sector stacks.
-    assert len(held_at_transition) == sched.steps
-    assert all(held <= local_terms for held in held_at_transition)
+    # The steps' stack is decomposed inside dl_operator and released when
+    # it returns; it is not alive when the transitions run.
+    assert after_dl == [(1, 0)]
+    assert alive_at_transition == [0]
+    # When the transitions run, the only arrays with a side of 4^n that the
+    # run holds are the stacks of the pairs' target vectors (pairs, 4^n): no
+    # dense parent term, projector or product of two.  It holds the DL SVD
+    # factors as sector stacks.
+    k = sched.steps
+    assert held_at_transition == [[(k, d), (k, d)]]
     assert all(held & set(factors) for held in stacks_at_transition)
 
 
+def _rotated_zz_chain(n: int) -> "LocalHamiltonian":
+    """zz_chain with every site rotated by one real u: commuting, not diagonal."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    uu = np.kron(*[np.array([[c, -s], [s, c]])] * 2)
+    terms = make_instance("zz_chain", n).terms
+    return LocalHamiltonian(n, tuple(LocalOperator(uu @ t.op @ uu.T, t.support) for t in terms))
+
+
 def test_dl_qsvt_anneal_releases_each_step_svd_after_its_outgoing_transition(monkeypatch):
-    ham = make_instance("zz_chain", 2)
+    # A commuting H that is not diagonal keeps no sectors: its steps run one
+    # at a time on the one sector of side 4^n.
+    ham = _rotated_zz_chain(2)
     sched = make_schedule(1.0, spectral_norm(assemble(ham)))
     real_dl = dlgibbs.anneal.dl_operator
     real_transition = dlgibbs.anneal.transition
@@ -174,6 +185,7 @@ def test_dl_qsvt_anneal_releases_each_step_svd_after_its_outgoing_transition(mon
 
     def tracked_dl(*args, **kwargs):
         dl = real_dl(*args, **kwargs)
+        assert not dl.sectors.labelled
         refs.append(weakref.ref(dl.svd.u))
         return dl
 

@@ -222,11 +222,12 @@ def test_steps_held_on_different_sectors_are_refused():
     real_pin = dlgibbs.anneal.parent_projector_input
     pins = []
 
-    def one_on_the_one_sector(ph):
-        pins.append(real_pin(ph))
+    def one_on_the_one_sector(ph, entry=None):
+        pins.append(real_pin(ph, entry))
         if len(pins) == 2:
-            eigs = tuple(hermitian_eigendecompose(t.op[None]) for t in pins[-1].terms)
-            pins[-1] = replace(pins[-1], eigs=eigs)
+            whole = tuple(t.op[None, None] for t in pins[-1].terms)
+            eigs = tuple(hermitian_eigendecompose(b) for b in whole)
+            pins[-1] = replace(pins[-1], blocks=whole, eigs=eigs)
         return pins[-1]
 
     with patch.object(dlgibbs.anneal, "parent_projector_input", one_on_the_one_sector), \

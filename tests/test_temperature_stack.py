@@ -88,15 +88,18 @@ def test_stacked_pass_one_is_the_single_temperature_build(kind, n, couplings, be
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateGapWarning)
         stacked = list(_step_parents(ham, cp, w, sched.betas))
-        for b, got in zip(sched.betas.tolist(), stacked, strict=True):
+        for b, (stack, j) in zip(sched.betas.tolist(), stacked, strict=True):
             # The steps are read off one stack of every temperature.
+            got = stack[j]
             assert all(t.entry_of[0].held.shape[0] == steps + 1 for t in got.terms)
             want = _single(ham, cp, w, b)
             _assert_same_parent(got, want)
-            got_pin, want_pin = parent_projector_input(got), parent_projector_input(want)
+            got_pin, want_pin = parent_projector_input(stack, j), parent_projector_input(want)
             for g, t in zip(got_pin.eigs, want_pin.eigs, strict=True):
                 _assert_same(g.eigenvalues, t.eigenvalues)
                 _assert_same(g.eigenvectors, t.eigenvectors)
+            for g, t in zip(got_pin.blocks, want_pin.blocks, strict=True):
+                _assert_same(g, t)
             assert got_pin.cluster == want_pin.cluster
 
 
@@ -108,7 +111,10 @@ def test_noncommuting_anneal_builds_one_temperature_at_a_time():
     w = WeightProfile(beta=1.5)
     sched = make_schedule(1.5, float(np.abs(ham.eig.eigenvalues).max()))
     assert not ham.commuting and sched.steps > 2
-    for b, got in zip(sched.betas.tolist(), _step_parents(ham, cp, w, sched.betas), strict=True):
+    for b, (stack, j) in zip(
+        sched.betas.tolist(), _step_parents(ham, cp, w, sched.betas), strict=True
+    ):
+        got = stack[j]
         assert all(t.entry_of[0].held.shape[0] == 1 for t in got.terms)
         want = _single(ham, cp, w, b)
         _assert_same_parent(got, want)
