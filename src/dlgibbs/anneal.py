@@ -625,7 +625,8 @@ def run_annealing(
     dimension above 1.  In dl_qsvt mode that is the dimension of the pin's
     ground cluster, which certified_bound reads anyway: the rank its DL
     operator projects onto, so no 4^n spectrum is taken.  Exact mode reads
-    ph.kernel_dim, one spectrum per step, which non-commuting H needs.
+    ph.kernel_dim, one spectrum per step of the sum of its terms' held
+    blocks, which non-commuting H needs.
 
     The second pass (_dl_qsvt_steps) holds, when the pins are labelled, the
     K + 1 steps' DL factors and projectors at once as stacks on D's support

@@ -427,10 +427,17 @@ def sector_blocks(mat: np.ndarray) -> np.ndarray | None:
 
 
 def sector_unsplit(blocks: np.ndarray) -> np.ndarray:
-    """The matrix whose sector blocks (sector_blocks) are blocks, zero outside them."""
-    rows = sector_rows(blocks.shape[0].bit_length() - 1)
-    out = np.zeros((rows.size, rows.size), dtype=blocks.dtype)
-    out[rows[:, :, None], rows[:, None, :]] = blocks
+    """The matrix whose sector blocks (sector_blocks) are blocks, zero outside them.
+
+    A stack of block sets (..., 2^k, 2^k, 2^k) gives the stack of matrices,
+    and a single block (..., 1, D, D), a term held whole, is the matrix
+    itself.
+    """
+    if blocks.shape[-3] == 1:
+        return blocks[..., 0, :, :]
+    rows = sector_rows(blocks.shape[-3].bit_length() - 1)
+    out = np.zeros(blocks.shape[:-3] + (rows.size, rows.size), dtype=blocks.dtype)
+    out[..., rows[:, :, None], rows[:, None, :]] = blocks
     return out
 
 
@@ -457,23 +464,8 @@ def sector_columns(v: np.ndarray) -> np.ndarray | None:
     return out
 
 
-def sector_eigh(mat: np.ndarray) -> HermitianEig:
-    """mat's eigendecomposition by local sector, as a stack.
-
-    mat is Hermitian on doubled legs S + (S + n).  When it is exactly zero
-    outside its local sectors (sector_blocks) its 2^|S| blocks are
-    decomposed in one stacked call; otherwise mat is one block, a stack of
-    one.  sector_eigenvectors places the blocks' eigenvectors back in mat.
-    A stack of such matrices (..., 4^k, 4^k) is decomposed in one stacked
-    call too, with the stack axes first: by sector when every matrix of it
-    splits, else each matrix as one block.
-    """
-    blocks = sector_blocks(mat)
-    return hermitian_eigendecompose(mat[..., None, :, :] if blocks is None else blocks)
-
-
 def sector_eigenvectors(eig: HermitianEig, sel: np.ndarray) -> np.ndarray:
-    """The eigenvectors of a sector_eigh stack where sel holds, as columns of the whole matrix.
+    """The eigenvectors where sel holds of a decomposition by sector, as columns of the whole matrix.
 
     Block t of 2^k sits at the indices sector_rows(k)[t], and a stack of one
     at every index; columns follow sel's (block, eigenvalue) order, so each
@@ -530,12 +522,6 @@ class Sectors:
         """The qubits of a term on the doubled legs S + (S + n): S labelled, else the legs."""
         return legs[: len(legs) // 2] if self.labelled else legs
 
-    def split(self, mat: np.ndarray, legs: tuple[int, ...]) -> np.ndarray | None:
-        """The blocks of an operator on legs (sector_blocks), or None; unlabelled, mat itself."""
-        if not self.labelled:
-            return mat[None]
-        return sector_blocks(mat) if self._paired(legs) else None
-
     def split_basis(self, v: np.ndarray, legs: tuple[int, ...]) -> np.ndarray | None:
         """The blocks of orthonormal columns on legs (sector_columns), or None; unlabelled, v itself."""
         if not self.labelled:
@@ -582,7 +568,7 @@ class Sectors:
     def apply(self, stack: np.ndarray, qubits: tuple[int, ...], blocks: np.ndarray) -> np.ndarray:
         """Each sector of a stack (..., count, 2^width, C) times an operator on qubits, tensor I.
 
-        blocks holds the operator's block per local sector (split), and a
+        blocks holds the operator's block per local sector (sector_blocks), and a
         sector takes the block its labels on qubits select.  Labelled, on a
         run of consecutive qubits (every chain term), the stack is viewed as
         (pre, labels, middle, rows, rest), the qubits' label and row axes one
@@ -664,27 +650,27 @@ class Sectors:
 def sector_sum(
     terms: Iterable[tuple[np.ndarray, tuple[int, ...]]], n: int
 ) -> tuple[Sectors, np.ndarray]:
-    """The sum of the operators mat on doubled legs, by sector, from one pass over terms.
+    """The sum of terms held by sector on doubled legs, from one pass over terms.
 
-    Labelled when every term splits (Sectors.split); at the first that does
-    not, the sum so far is written into the one sector and the rest are
-    added there, so only one stack is ever held.
+    Each term is (blocks, legs): its blocks by local sector (sector_blocks),
+    (2^k, 2^k, 2^k), or the whole term as one block (1, 4^k, 4^k).  The sum
+    is labelled when every term is held by sector; at the first held whole,
+    the sum so far is made whole on the one sector, and so is every term
+    held by sector after it (sector_unsplit), so only one stack is ever
+    held.
     """
     sectors, total = Sectors(n, True), None
-    for mat, legs in terms:
-        blocks = sectors.split(mat, legs)
-        if blocks is None:
+    for blocks, legs in terms:
+        if sectors.labelled and blocks.shape[0] == 1:
             sectors = Sectors(n, False)
             if total is not None:
-                rows = sector_rows(n)
-                whole = np.zeros((1, 4**n, 4**n), dtype=total.dtype)
-                whole[0][rows[:, :, None], rows[:, None, :]] = total
-                total = whole
-            blocks = sectors.split(mat, legs)
+                total = sector_unsplit(total)[None]
+        elif not sectors.labelled and blocks.shape[0] > 1:
+            blocks = sector_unsplit(blocks)[None]
         if total is None:
             total = np.zeros((sectors.count,) + (2**sectors.width,) * 2, dtype=blocks.dtype)
         total = sectors.add(total, blocks, sectors.qubits(legs))
-        del mat, blocks  # so a streamed term is freed before the next is built
+        del blocks  # so a streamed term is freed before the next is built
     return sectors, total
 
 
@@ -762,10 +748,11 @@ class SectorHamiltonian:
     projector input of one step has B = 1, and stack joins the steps' inputs
     for the dl_qsvt anneal's second pass.  The sum is labelled (sectors) when
     every term is held by local sector; otherwise it is on the one sector of
-    side 2^n, where a term held by sector is made whole.  Each entry's
-    ground cluster is read off its sum by sector (Sectors.add, one stacked
-    eigvalsh), with no 2^n x 2^n array when the sum is labelled, and entry
-    by entry, so at most one entry's sum is alive.
+    side 2^n, where a term held by sector is made whole (sector_unsplit).
+    Each entry's ground cluster is read off its sum, taken by sector_sum's
+    rule from the held blocks and decomposed in one stacked eigvalsh, with
+    no 2^n x 2^n array when the sum is labelled, and entry by entry, so at
+    most one entry's sum is alive.
     """
 
     n: int
@@ -799,22 +786,15 @@ class SectorHamiltonian:
     def term_blocks(self, a: int) -> np.ndarray:
         """Term a as the sectors hold it, (B, count, p, p): made whole on the one sector."""
         blocks = self.blocks[a]
-        if self.sectors.labelled or blocks.shape[1] == 1:
-            return blocks
-        return np.stack([sector_unsplit(b) for b in blocks])[:, None]
+        return blocks if self.sectors.labelled else sector_unsplit(blocks)[:, None]
 
     @cached_property
     def clusters(self) -> tuple[GroundCluster, ...]:
         """Each entry's ground cluster (ground_cluster's rule), over all the sectors of its sum."""
-        sectors, out = self.sectors, []
+        out = []
         for j in range(self.entries):
-            total = None
-            for a, legs in enumerate(self.supports):
-                blocks = self.term_blocks(a)[j]
-                if total is None:
-                    side = 2**sectors.width
-                    total = np.zeros((sectors.count, side, side), dtype=blocks.dtype)
-                total = sectors.add(total, blocks, sectors.qubits(legs))
+            terms = ((b[j], legs) for b, legs in zip(self.blocks, self.supports))
+            _, total = sector_sum(terms, self.n // 2)
             out.append(_cluster_of(np.sort(hermitian_eigenvalues(total), axis=None)))
             del total
         return tuple(out)
@@ -829,7 +809,7 @@ class SectorHamiltonian:
     def terms(self) -> tuple[LocalOperator, ...]:
         """The terms of a stack of one as whole local matrices, for dense references."""
         return tuple(
-            LocalOperator(b[0, 0] if b.shape[1] == 1 else sector_unsplit(b[0]), legs)
+            LocalOperator(sector_unsplit(b[0]), legs)
             for b, legs in zip(self.blocks, self.supports)
         )
 

@@ -323,10 +323,10 @@ def _run_parent(cfg: ExperimentConfig):
         rows.append(
             (
                 int(a),
-                float(term.norm),
+                float(term.norms[0]),
                 len(term.support),
                 float(rep.frustration_residuals[a]),
-                float(term.db_residual),
+                float(term.db_residual[0]),
                 loc,
             )
         )

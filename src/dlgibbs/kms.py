@@ -19,8 +19,10 @@ and gaps of h are the mixing quantities.
 
 The terms' coherent forms are derived once, in parent.coherent_terms,
 and checked detailed balanced there by parent_terms, which yields each as
-the exactly Hermitian (h + h dagger)/2.  stationary_channel and
-coherent_spectrum take those matrices and their sums as they are.
+the exactly Hermitian (h + h dagger)/2, held by sector with its
+eigendecomposition.  stationary_channel takes that eigendecomposition, and
+coherent_spectrum the sum of the held terms (hamiltonians.sector_sum), as
+they are.
 
 Vectorization is row-major, vec(|i><j|) = |i> tensor |j>, so the map
 X -> A X B has matrix kron(A, B^T) and the Heisenberg Lindbladian
@@ -63,9 +65,7 @@ from .errors import (
     PositiveEigenvalue,
     SingularSigma,
 )
-from .hamiltonians import (
-    LocalHamiltonian, LocalOperator, embed, sector_eigenvectors, sector_eigh,
-)
+from .hamiltonians import LocalHamiltonian, LocalOperator, embed, sector_eigenvectors
 from .linalg import (
     HermitianEig,
     _adjoint,
@@ -396,22 +396,21 @@ class TermKernel:
     gap: float
 
 
-def stationary_channel(h: np.ndarray, kms: KmsForm) -> TermKernel:
+def stationary_channel(eig: HermitianEig, kms: KmsForm) -> TermKernel:
     """Kernel basis of one term, its projector pulled back to the Heisenberg picture.
 
     P = Gamma^{-1/2} Pi_0 Gamma^{1/2}, with Pi_0 the orthogonal projector
     onto the kernel of h, the term's Hermitian coherent form on its doubled
-    legs S + (S + n) against kms (parent.ParentTerm.mat and .state, whose
-    detailed balance parent_terms checked); a matrix that is not Hermitian
-    raises NotHermitian.  h is decomposed by sector (hamiltonians.sector_eigh):
-    when it is exactly zero outside its sectors its blocks are decomposed in
-    one stacked call and each basis vector lies in one sector; otherwise h
-    is decomposed whole.  ||h|| is read off its eigenvalues.  Requires every
+    legs S + (S + n) against kms.  eig is h's eigendecomposition by local
+    sector, as a stack (count, p) of eigenvalues and (count, p, p) of
+    eigenvectors: one entry of a parent term's (parent.TermStack.eig, the
+    term's .state being kms), whose blocks are its 2^|S| sectors when h is
+    held by sector, and h itself, one block, otherwise.  Each basis vector
+    lies in one block.  ||h|| is read off the eigenvalues.  Requires every
     eigenvalue at most POSITIVE_EIGENVALUE_CUT * max(1, ||h||)
     (PositiveEigenvalue otherwise); kernel membership uses the relative
     cutoff KERNEL_CUT * max(1, ||h||).
     """
-    eig = sector_eigh(h)
     w = eig.eigenvalues
     h_norm = float(np.abs(w).max())
     scale = max(1.0, h_norm)

@@ -29,17 +29,26 @@ build_parent keeps them, and the mix's round channel
 (sampler.compose_dl_channel) takes the kernel of each H^a as it comes and
 its gap and kernel_dim from the spectrum of their sum.
 
+A parent term has one type, TermStack, at any number of temperatures: one
+beta is a stack of one.  Each term is split by sector once, when it is
+built (_held): a local term that is exactly zero outside its local
+sectors, as every term of a diagonal H with Pauli couplings is, is held
+as its 2^k blocks of side 2^k (hamiltonians.sector_blocks), and any other
+term whole, as one block.  Its spectrum has two derivations, both on those
+blocks: eigenvalues, one stacked eigvalsh, and eig, one stacked eigh.
+Every reader takes the blocks and these, and no reader rebuilds a term
+whole but verify_parent's frustration residual.
+
 The checks are decided by bounds where a bound can decide, with the
 rounding slack of linalg.norm_exceeds, and by the spectrum of the sum only
-otherwise.  That spectrum is taken by sector (hamiltonians.sector_sum): for
-a diagonal H with Pauli couplings the 2^n sectors of side 2^n in one
+otherwise.  That spectrum is of the held terms' sum (hamiltonians.sector_sum):
+for a diagonal H with Pauli couplings the 2^n sectors of side 2^n in one
 stacked eigvalsh, with no 4^n x 4^n array; otherwise the one sector of
-side 4^n.  Each local term's eigenvalues are one stacked eigvalsh of its
-own sectors (ParentTerm.eigenvalues): they bound the sum's and scale the
+side 4^n.  Each local term's eigenvalues bound the sum's and scale the
 dl_qsvt anneal's parent_projector_input, a hamiltonians.SectorHamiltonian
-that holds each term by its sector blocks (TermStack.held), whose ground
-cluster is summed by sector too and whose DL operator reads each term's
-eigenvectors by sector (TermStack.eig), which only that anneal takes.
+that holds each term by its blocks, whose ground cluster is summed by
+sector too and whose DL operator reads each term's eigenvectors (eig),
+which the mix's stationary channels read as well.
 
 - Detailed balance of the sum: ||sum_a anti_a|| <= sum_a ||anti_a||_F, the
   terms' db_residuals; the assembled sum is checked only when they reach
@@ -55,16 +64,18 @@ eigenvectors by sector (TermStack.eig), which only that anneal takes.
 
 Every function here also takes a temperature stack: terms whose operators
 are (B, d, d) (jumps.model_terms at B weight profiles) and a KmsForm of B
-states.  parent_terms then yields one TermStack per term, each check is
-made at every temperature, and build_parent's result holds the stacks;
-ph[j] is temperature j's parent.
+states.  parent_terms then yields stacks of B, each check is made at every
+temperature, and build_parent's result holds the stacks; ph[j] is
+temperature j's parent, whose terms are stacks of one, views of the
+stacks.  The readers of a whole parent (gap, kernel_dim, verify_parent and
+parent_projector_input without an entry) read a parent of one temperature.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -87,7 +98,6 @@ from .hamiltonians import (
     apply_local,
     embed,
     sector_blocks,
-    sector_eigh,
     sector_sum,
     sector_unsplit,
     support_overlap_degree,
@@ -115,7 +125,6 @@ from .tolerances import (
 __all__ = [
     "ParentHamiltonian",
     "ParentReport",
-    "ParentTerm",
     "build_parent",
     "parent_projector_input",
     "purified_gibbs",
@@ -124,69 +133,22 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ParentTerm:
-    """One per-coupling block H^a = mat tensor I, mat on the legs in support.
-
-    state is the KMS form mat was built against (the marginal of sigma on
-    the term's sites); db_residual is ||h_a - h_a dagger||_F of the
-    coherent form mat symmetrizes; locality_residual is coherent_terms'
-    locality.  A term read off a TermStack records it in entry_of, and its
-    eigenvalues and eig are the stack's entry.
-    """
-
-    mat: np.ndarray
-    support: tuple[int, ...]
-    state: KmsForm
-    db_residual: float
-    locality_residual: float | None
-    entry_of: tuple[TermStack, int] | None = field(default=None, repr=False)
-
-    @cached_property
-    def norm(self) -> float:
-        """||H^a||_2 = max |eigenvalue| of the Hermitian mat."""
-        return float(np.abs(self.eigenvalues).max())
-
-    @cached_property
-    def eig(self) -> HermitianEig:
-        """mat's eigendecomposition by local sector (hamiltonians.sector_eigh), on first read.
-
-        parent_projector_input reads it, for its ground bases.
-        """
-        if self.entry_of is not None:
-            stack, j = self.entry_of
-            return HermitianEig(stack.eig.eigenvalues[j], stack.eig.eigenvectors[j])
-        return sector_eigh(self.mat)
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of mat, computed on first read.
-
-        A local term takes one stacked eigvalsh of its local sectors' blocks
-        (sector_blocks), or of mat when it has none; a term on the whole
-        register of non-commuting H one eigvalsh of mat.
-        """
-        if self.entry_of is not None:
-            stack, j = self.entry_of
-            return stack.eigenvalues[j]
-        blocks = None if self.locality_residual is None else sector_blocks(self.mat)
-        if blocks is None:
-            return symmetric_eigenvalues(self.mat)
-        return _block_eigenvalues(blocks)
-
-
-@dataclass(frozen=True)
 class TermStack:
-    """One parent term at every temperature of a stack, as parent_terms yields it.
+    """One parent term H^a at every temperature of a stack, as parent_terms yields it.
 
     held is the term by sector, (B, 2^k, 2^k, 2^k) with one set of blocks
-    per temperature (sector_blocks), when every temperature's matrix is
-    exactly zero outside its local sectors: 8^k entries each instead of
-    mat's 16^k.  Otherwise, and for a term of non-commuting H, it is the
-    matrices themselves, each one block, (B, 1, D, D).  state is the
-    stacked KMS form and the residuals hold one value per temperature.
-    eigenvalues and eig are one stacked call on held for every
-    temperature, and term[j] is temperature j's ParentTerm, with its mat
-    rebuilt from held.
+    per temperature (sector_blocks), when it is local and every
+    temperature's matrix is exactly zero outside its local sectors: 8^k
+    entries each instead of the matrix's 16^k.  Otherwise, and for a term
+    of non-commuting H, it is the matrices themselves, each one block,
+    (B, 1, D, D).  One beta is a stack of one, B = 1.  H^a acts as its
+    matrix tensor I on the legs in support.  state is the KMS form the term
+    was built against (the marginal of sigma on its sites): stacked on a
+    temperature stack, the form itself at one beta.  db_residual holds
+    ||h_a - h_a dagger||_F of the coherent form H^a symmetrizes and
+    locality_residual coherent_terms' locality, one value per temperature.
+    eigenvalues and eig are one stacked call on held for every temperature,
+    and term[j] is temperature j's stack of one, of views.
     """
 
     held: np.ndarray
@@ -195,16 +157,16 @@ class TermStack:
     db_residual: np.ndarray
     locality_residual: np.ndarray | None
 
-    def __getitem__(self, j: int) -> ParentTerm:
-        held, local = self.held[j], self.locality_residual
-        mat = held[0] if held.shape[0] == 1 else sector_unsplit(held)
-        return ParentTerm(
-            mat,
+    def __getitem__(self, j: int) -> TermStack:
+        """Entry j as a stack of one, of views."""
+        entry = slice(j, j + 1)
+        local = self.locality_residual
+        return TermStack(
+            self.held[entry],
             self.support,
-            self.state[j],
-            float(self.db_residual[j]),
-            None if local is None else float(local[j]),
-            (self, j),
+            self.state[j] if self.state.eigenvalues.ndim > 1 else self.state,
+            self.db_residual[entry],
+            None if local is None else local[entry],
         )
 
     @cached_property
@@ -218,6 +180,11 @@ class TermStack:
         if self.held.shape[1] == 1:
             return symmetric_eigenvalues(self.held[:, 0])
         return _block_eigenvalues(self.held)
+
+    @property
+    def norms(self) -> np.ndarray:
+        """Each temperature's ||H^a||_2 = max |eigenvalue|, (B,)."""
+        return np.abs(self.eigenvalues).max(axis=-1)
 
 
 def _block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
@@ -236,10 +203,12 @@ class ParentHamiltonian:
     of either, unless build_parent already took its spectrum; a dl_qsvt
     anneal reads the kernel off parent_projector_input instead.  A parent
     built on a temperature stack holds stacked terms and grounds (..., 4^n);
-    ph[j] is the parent at entry j, whose terms are views of the stacks.
+    ph[j] is the parent at entry j, whose terms are stacks of one, views of
+    the stacks, and gap and kernel_dim are read there (BadParams on the
+    stack).
     """
 
-    terms: tuple[ParentTerm, ...]
+    terms: tuple[TermStack, ...]
     ground: np.ndarray
     n: int
 
@@ -259,8 +228,9 @@ class ParentHamiltonian:
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, float, int]:
-        """coherent_spectrum of sum_a H^a, summed by sector (sector_sum)."""
-        _, total = sector_sum(((t.mat, t.support) for t in self.terms), self.n)
+        """coherent_spectrum of sum_a H^a, summed from the held blocks (sector_sum)."""
+        _one_temperature(self, "gap and kernel_dim")
+        _, total = sector_sum(((t.held[0], t.support) for t in self.terms), self.n)
         return coherent_spectrum(total)
 
     @property
@@ -270,6 +240,15 @@ class ParentHamiltonian:
     @property
     def kernel_dim(self) -> int:
         return self._spectrum[2]
+
+
+def _one_temperature(ph: ParentHamiltonian, what: str) -> None:
+    """BadParams unless ph is a parent of one temperature, naming ph[j] otherwise."""
+    if ph.ground.ndim > 1:
+        raise BadParams(
+            f"{what}: this parent holds a temperature stack of {ph.ground.shape[0]} "
+            "entries; read entry j as ph[j]"
+        )
 
 
 @dataclass(frozen=True)
@@ -387,7 +366,7 @@ def parent_terms(
     kms: KmsForm,
     ham: LocalHamiltonian,
     beta: float | np.ndarray | None = None,
-) -> Iterator[ParentTerm]:
+) -> Iterator[TermStack]:
     """Each H^a, the symmetrization of coherent_terms' h_a, in term order.
 
     An h_a, or their sum (checked after the last term, by the bound of the
@@ -395,11 +374,12 @@ def parent_terms(
     DETAILED_BALANCE_TOL raises NotDetailedBalanced, whose message names
     beta when one is given.  Only the h_a - h_a dagger are kept, so a
     caller that drops each H^a holds one whole-register term at a time.
-    On a temperature stack beta holds one value per entry, each entry is
-    checked, and the first failing entry is named; the sum of each entry
-    whose bound does not decide is assembled one entry at a time.  A
-    stack of local terms whose entries disagree on splitting by sector
-    raises StackDisagreement.
+    Each H^a is a TermStack, a stack of one at one beta, whose
+    h_a - h_a dagger is kept whole.  On a temperature stack beta holds one
+    value per entry, each entry is checked, and the first failing entry is
+    named; the sum of each entry whose bound does not decide is assembled
+    one entry at a time.  A stack of local terms whose entries disagree on
+    splitting by sector raises StackDisagreement.
     """
     nq = 2 * ham.n
     whole = None
@@ -420,11 +400,10 @@ def parent_terms(
         del anti
         herm = 0.5 * (h.mat + _adjoint(h.mat))
         del h
-        if herm.ndim == 2:
-            local = None if locality is None else float(locality)
-            yield ParentTerm(herm, legs, state, float(db_residual), local)
-        else:
-            yield TermStack(_held(herm, locality is not None), legs, state, db_residual, locality)
+        if herm.ndim == 2:  # one beta, a stack of one
+            herm, db_residual = herm[None], np.reshape(db_residual, 1)
+            locality = None if locality is None else np.reshape(locality, 1)
+        yield TermStack(_held(herm, locality is not None), legs, state, db_residual, locality)
         del herm  # so only the caller holds H^a when the next one is built
         idx += 1
     # ||sum_a anti_a|| <= sum_a ||anti_a||_F, each term's db_residual.
@@ -459,14 +438,15 @@ def build_parent(
     ground = kms.sqrt.reshape(kms.sqrt.shape[:-2] + (-1,))
     ground = ground / frobenius_norms(ground[..., None, :])[..., None]
     ph = ParentHamiltonian(tuple(parent_terms(terms, kms, ham, beta)), ground, ham.n)
-    over = np.broadcast_to(_top_bound(ph.terms) > POSITIVE_EIGENVALUE_CUT, ground.shape[:-1])
+    entries = ground.size // ground.shape[-1]
+    over = np.broadcast_to(_top_bound(ph.terms) > POSITIVE_EIGENVALUE_CUT, (entries,))
     for j in np.flatnonzero(over):
         step = ph if ground.ndim == 1 else ph._checked.setdefault(j, ph[j])
         step._spectrum  # refuses a positive eigenvalue
     return ph
 
 
-def _top_bound(terms: tuple[ParentTerm, ...]) -> float | np.ndarray:
+def _top_bound(terms: tuple[TermStack, ...]) -> float | np.ndarray:
     """An upper bound on the top eigenvalue of sum_a H^a as eigvalsh computes it.
 
     lambda_max(sum_a H^a) <= sum_a max(0, lambda_max(H^a)), plus the
@@ -478,7 +458,7 @@ def _top_bound(terms: tuple[ParentTerm, ...]) -> float | np.ndarray:
     if any(t.locality_residual is None for t in terms):
         return math.inf
     tau = sum(np.maximum(0.0, t.eigenvalues[..., -1]) for t in terms)
-    norms = sum(np.abs(t.eigenvalues).max(axis=-1) for t in terms)
+    norms = sum(t.norms for t in terms)
     return tau + NORM_SLACK * np.maximum(1.0, norms)
 
 
@@ -503,15 +483,16 @@ def _check_detailed_balance(
 
 
 def _held(herm: np.ndarray, local: bool) -> np.ndarray:
-    """TermStack.held of a stack of matrices (B, D, D).
+    """TermStack.held of a stack of matrices (B, D, D), the term's one split by sector.
 
     StackDisagreement when some of a local term's temperatures split by
-    sector and others do not, which one stacked call cannot hold.
+    sector and others do not, which one stacked call cannot hold; a stack
+    of one is split once.
     """
     blocks = sector_blocks(herm) if local else None
     if blocks is not None:
         return blocks
-    if local and any(sector_blocks(m) is not None for m in herm):
+    if local and len(herm) > 1 and any(sector_blocks(m) is not None for m in herm):
         raise StackDisagreement("the temperatures disagree on the sectors of a term")
     return herm[:, None]
 
@@ -535,18 +516,21 @@ def purified_gibbs(ham: LocalHamiltonian, beta: float) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def _frustration(term: ParentTerm, ground: np.ndarray) -> float:
-    """||H^a ground||, with mat applied to ground's legs in support."""
-    return float(np.linalg.norm(apply_local(term.mat, term.support, ground)))
+def _frustration(term: TermStack, ground: np.ndarray) -> float:
+    """||H^a ground||, with the term made whole (sector_unsplit) on ground's legs in support."""
+    return float(np.linalg.norm(apply_local(sector_unsplit(term.held[0]), term.support, ground)))
 
 
 def verify_parent(ph: ParentHamiltonian) -> ParentReport:
-    """Report-only diagnostics: frustration, locality, degree.
+    """Report-only diagnostics of a parent of one temperature: frustration, locality, degree.
 
     Locality residuals are the ones build_parent measured.
     """
+    _one_temperature(ph, "verify_parent")
     frus = tuple(_frustration(t, ph.ground) for t in ph.terms)
-    locality = tuple(t.locality_residual for t in ph.terms)
+    locality = tuple(
+        None if t.locality_residual is None else float(t.locality_residual[0]) for t in ph.terms
+    )
     if None in locality:
         warnings.warn("Hamiltonian terms do not commute; locality checks skipped")
         locality = None
@@ -562,19 +546,21 @@ def verify_parent(ph: ParentHamiltonian) -> ParentReport:
 def parent_projector_input(ph: ParentHamiltonian, j: int | None = None) -> SectorHamiltonian:
     """The negated, normalized local parent terms -H^a / max(1, ||H^a||), a stack of one.
 
-    ph is one parent, or, with j, a parent built on a temperature stack,
-    whose entry j is taken.  Each H^a is held on its doubled dressed
-    support, by local sector where it splits: the term stack's blocks
-    (TermStack.held), so no term is made whole and split again, or those of
-    a single parent term's matrix.  -H^a must be positive semidefinite
+    ph is a parent of one temperature, or, with j, a parent built on a
+    temperature stack, whose entry j is taken (BadParams without j).  Each
+    H^a is held on its doubled dressed support as the term holds it
+    (TermStack.held), by local sector where it splits, so no term is made
+    whole and split again.  -H^a must be positive semidefinite
     (PositivityFailure otherwise, the first term in order), and ||H^a|| is
     read off the term's eigenvalues.  Each term's eigendecomposition is
-    H^a's by local sector (TermStack.eig, ParentTerm.eig), its eigenvalues
-    scaled by -1 / max(1, ||H^a||).  The result is frustration-free with
-    kernel ker sum_a H^a, so its ground cluster's dimension is
-    ph.kernel_dim.  A parent of non-commuting H has no local terms
-    (BadParams).
+    H^a's by local sector (TermStack.eig), its eigenvalues scaled by
+    -1 / max(1, ||H^a||).  The result is frustration-free with kernel
+    ker sum_a H^a, so its ground cluster's dimension is ph.kernel_dim.  A
+    parent of non-commuting H has no local terms (BadParams).
     """
+    if j is None:
+        _one_temperature(ph, "parent_projector_input without j")
+        j = 0
     supports: list[tuple[int, ...]] = []
     blocks: list[np.ndarray] = []
     eigs: list[HermitianEig] = []
@@ -582,8 +568,8 @@ def parent_projector_input(ph: ParentHamiltonian, j: int | None = None) -> Secto
         if t.locality_residual is None:
             msg = f"parent term {idx} is not local: the Hamiltonian terms do not commute"
             raise BadParams(msg)
-        held, w, eig = _term_entry(t, j)
-        scale = max(1.0, float(np.abs(w).max()))
+        w = t.eigenvalues[j]
+        scale = max(1.0, float(t.norms[j]))
         # -H^a / scale has eigenvalues -w / scale and norm at most 1.
         min_eig = -float(w[-1]) / scale
         if min_eig < -PARENT_TERM_PSD_TOL:
@@ -591,21 +577,7 @@ def parent_projector_input(ph: ParentHamiltonian, j: int | None = None) -> Secto
                 f"negated parent term {idx} has eigenvalue {min_eig:.3e} < 0"
             )
         supports.append(t.support)
-        blocks.append((-held / scale)[None])
-        eigs.append(HermitianEig((-eig.eigenvalues / scale)[None], eig.eigenvectors[None]))
+        blocks.append((-t.held[j] / scale)[None])
+        eig = t.eig
+        eigs.append(HermitianEig((-eig.eigenvalues[j] / scale)[None], eig.eigenvectors[j][None]))
     return SectorHamiltonian(2 * ph.n, supports, blocks, eigs)
-
-
-def _term_entry(
-    t: ParentTerm | TermStack, j: int | None
-) -> tuple[np.ndarray, np.ndarray, HermitianEig]:
-    """(blocks, ascending eigenvalues, eigendecomposition) of a term, or of a stack's entry j.
-
-    A term read off a stack (ParentTerm.entry_of) is read there too.
-    """
-    if isinstance(t, ParentTerm) and t.entry_of is not None:
-        t, j = t.entry_of
-    if isinstance(t, TermStack):
-        return t.held[j], t.eigenvalues[j], HermitianEig(t.eig.eigenvalues[j], t.eig.eigenvectors[j])
-    blocks = sector_blocks(t.mat)
-    return t.mat[None] if blocks is None else blocks, t.eigenvalues, t.eig

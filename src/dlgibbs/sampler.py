@@ -67,6 +67,7 @@ from .kms import (
     stationary_channel,
 )
 from .linalg import (
+    HermitianEig,
     hermitian_eigendecompose,
     hermitian_eigenvalues,
     norm_exceeds,
@@ -165,17 +166,18 @@ def compose_dl_channel(
 
     The Heisenberg round is the product P_1 ... P_m in term order, so in
     the Schrodinger picture the first term's factor acts on the state
-    first.  Each parent term H^a (parent_terms) gives its stationary
-    channel P_m, which is checked CPTP and dropped, and is added into the
-    parent's sum by sector (sector_sum) before the next is built; only V_m,
-    ||H^a|| and db_residual are kept.  gap and kernel_dim are the sum's,
-    the parent's.
+    first.  Each parent term H^a (parent_terms, a stack of one held by
+    sector) gives its stationary channel P_m from its eigendecomposition
+    (TermStack.eig), which is checked CPTP and dropped, and its held blocks
+    are added into the parent's sum (sector_sum) before the next is built;
+    only V_m, ||H^a|| and db_residual are kept.  gap and kernel_dim are the
+    sum's, the parent's.
     """
     kept = []
 
     def summands():
         for t in parent_terms(terms, kms, ham):  # not enumerate, which would keep t
-            k = stationary_channel(t.mat, t.state)
+            k = stationary_channel(HermitianEig(t.eig.eigenvalues[0], t.eig.eigenvectors[0]), t.state)
             rep = cptp_check(k.channel)
             if not (rep.cp and rep.tp):
                 raise DlGibbsError(
@@ -184,9 +186,9 @@ def compose_dl_channel(
                     f"kernel gap gap_m={k.gap:.3e}, so rounding tilts its kernel by "
                     f"about eps*||h_m||/gap_m={np.finfo(float).eps * k.h_norm / k.gap:.3e}"
                 )
-            kept.append((k.basis, t.support, k.h_norm, t.db_residual))
+            kept.append((k.basis, t.support, k.h_norm, float(t.db_residual[0])))
             del k  # free P_m before the sum reads H^a
-            yield t.mat, t.support
+            yield t.held[0], t.support
             del t  # free H^a before the next term's is built
 
     _, total = sector_sum(summands(), ham.n)

@@ -3,7 +3,8 @@
 These are the whole-register computations the package no longer runs: the
 ground space of an assembled Hamiltonian from a full eigendecomposition,
 the frustration check on its ground vectors, the dense parent
-Hamiltonian summed from its local terms, the dense projector of a
+Hamiltonian summed from its local terms, the dense route of the parent
+terms (each rebuilt whole and split again), the dense projector of a
 ProjectorResult, the transition from the SVD of a dense product of two
 projectors, and the boost coefficients from scipy.special's erfcinv and
 ive.  Beside them are the dense Gibbs state of an assembled H, the summed
@@ -272,11 +273,115 @@ def frustration_check(ham: LocalHamiltonian) -> tuple[bool, GroundSpace]:
 
 
 def parent_matrix(ph: ParentHamiltonian) -> np.ndarray:
-    """The 4^n x 4^n parent sum_a H^a, each term added onto its doubled support."""
+    """The 4^n x 4^n parent sum_a H^a, each term rebuilt whole and added on its doubled support."""
     total = None
     for t in ph.terms:
-        total = add_embedded(total, LocalOperator(t.mat, t.support), 2 * ph.n)
+        total = add_embedded(total, LocalOperator(term_matrix(t), t.support), 2 * ph.n)
     return total
+
+
+# The dense route of the parent terms, the reference for the blocks a
+# parent.TermStack holds: each term is rebuilt whole, and each reader splits
+# it again, its eigenvalues and kernel by the term's sectors, the parent's
+# sum and a projector input's ground cluster by the sectors of the sum.
+# tests/test_dense_route.py compares the two routes bit for bit.
+
+
+def term_matrix(t, j: int = 0) -> np.ndarray:
+    """Entry j of a parent term stack (parent.TermStack) rebuilt whole from its held blocks."""
+    held = t.held[j]
+    if held.shape[0] == 1:
+        return held[0]
+    k = held.shape[0].bit_length() - 1
+    idx = Sectors(k, True).index
+    out = np.zeros((4**k, 4**k), dtype=held.dtype)
+    out[idx[:, :, None], idx[:, None, :]] = held
+    return out
+
+
+def split_term(mat: np.ndarray, legs: tuple[int, ...], sectors: Sectors) -> np.ndarray | None:
+    """A whole matrix on doubled legs as sectors hold it: its blocks by local sector, or None.
+
+    Labelled, the blocks of sector_blocks (None when mat leaves its
+    sectors); unlabelled, mat itself as one block.
+    """
+    from dlgibbs.hamiltonians import sector_blocks
+
+    if not sectors.labelled:
+        return mat[None]
+    sites = legs[: len(legs) // 2]
+    return sector_blocks(mat) if legs == sites + tuple(q + sectors.n for q in sites) else None
+
+
+def dense_sector_sum(terms, n: int) -> tuple[Sectors, np.ndarray]:
+    """The sum of whole matrices on doubled legs, each split again (split_term).
+
+    Labelled when every matrix splits; at the first that does not, the sum
+    so far is written into the one sector and the rest are added there.
+    """
+    sectors, total = Sectors(n, True), None
+    for mat, legs in terms:
+        blocks = split_term(mat, legs, sectors)
+        if blocks is None:
+            sectors = Sectors(n, False)
+            if total is not None:
+                rows = Sectors(n, True).index
+                whole = np.zeros((1, 4**n, 4**n), dtype=total.dtype)
+                whole[0][rows[:, :, None], rows[:, None, :]] = total
+                total = whole
+            blocks = split_term(mat, legs, sectors)
+        if total is None:
+            total = np.zeros((sectors.count,) + (2**sectors.width,) * 2, dtype=blocks.dtype)
+        total = sectors.add(total, blocks, sectors.qubits(legs))
+    return sectors, total
+
+
+def sector_eigh(mat: np.ndarray):
+    """A whole matrix's eigendecomposition by local sector: of its blocks when it splits, or whole."""
+    from dlgibbs.hamiltonians import sector_blocks
+
+    blocks = sector_blocks(mat)
+    return hermitian_eigendecompose(mat[None] if blocks is None else blocks)
+
+
+def term_eigenvalues(mat: np.ndarray, local: bool) -> np.ndarray:
+    """Ascending eigenvalues of a whole parent term: of its sector blocks when local and split."""
+    from dlgibbs.hamiltonians import sector_blocks
+    from dlgibbs.linalg import symmetric_eigenvalues
+
+    blocks = sector_blocks(mat) if local else None
+    if blocks is None:
+        return symmetric_eigenvalues(mat)
+    return np.sort(symmetric_eigenvalues(blocks).reshape(-1))
+
+
+def dense_parent_spectrum(ph: ParentHamiltonian) -> tuple[np.ndarray, float, int]:
+    """coherent_spectrum of a parent of one temperature, its terms rebuilt whole, split and summed."""
+    from dlgibbs.kms import coherent_spectrum
+
+    _, total = dense_sector_sum(((term_matrix(t), t.support) for t in ph.terms), ph.n)
+    return coherent_spectrum(total)
+
+
+def dense_route_channel(terms, kms: KmsForm, ham: LocalHamiltonian):
+    """The mix's kernel bases, channels, gap and kernel_dim with each parent term made whole.
+
+    Each H^a is rebuilt whole, its kernel taken by sector_eigh of that
+    matrix and its sum by dense_sector_sum: (bases, channels, gap,
+    kernel_dim).
+    """
+    from dlgibbs.kms import coherent_spectrum, stationary_channel
+    from dlgibbs.parent import parent_terms
+
+    bases, channels, mats = [], [], []
+    for t in parent_terms(terms, kms, ham):
+        mat = term_matrix(t)
+        k = stationary_channel(sector_eigh(mat), t.state)
+        bases.append(k.basis)
+        channels.append(k.channel.mat)
+        mats.append((mat, t.support))
+    _, gap, kernel_dim = coherent_spectrum(dense_sector_sum(mats, ham.n)[1])
+    return bases, channels, gap, kernel_dim
 
 
 def projector_noncommutation_degree(
@@ -541,15 +646,15 @@ class StepInput(LocalHamiltonian):
 
     @cached_property
     def cluster(self):
-        from dlgibbs.hamiltonians import _cluster_of, sector_sum
+        from dlgibbs.hamiltonians import _cluster_of
         from dlgibbs.linalg import hermitian_eigenvalues
 
-        _, total = sector_sum(((t.op, t.support) for t in self.terms), self.n // 2)
+        _, total = dense_sector_sum(((t.op, t.support) for t in self.terms), self.n // 2)
         return _cluster_of(np.sort(hermitian_eigenvalues(total), axis=None))
 
 
 def step_input(ph: ParentHamiltonian) -> StepInput:
-    """The projector input of one step's parent, its terms made dense."""
+    """The projector input of one step's parent, its terms rebuilt whole and decomposed again."""
     from dlgibbs.errors import PositivityFailure
     from dlgibbs.linalg import HermitianEig
     from dlgibbs.tolerances import PARENT_TERM_PSD_TOL
@@ -558,12 +663,15 @@ def step_input(ph: ParentHamiltonian) -> StepInput:
     for idx, t in enumerate(ph.terms):
         if t.locality_residual is None:
             raise BadParams(f"parent term {idx} is not local: the Hamiltonian terms do not commute")
-        scale = max(1.0, t.norm)
-        min_eig = -float(t.eigenvalues[-1]) / scale
+        mat = term_matrix(t)
+        w = term_eigenvalues(mat, True)
+        scale = max(1.0, float(np.abs(w).max()))
+        min_eig = -float(w[-1]) / scale
         if min_eig < -PARENT_TERM_PSD_TOL:
             raise PositivityFailure(f"negated parent term {idx} has eigenvalue {min_eig:.3e} < 0")
-        terms.append(LocalOperator(-t.mat / scale, t.support))
-        eigs.append(HermitianEig(-t.eig.eigenvalues / scale, t.eig.eigenvectors))
+        terms.append(LocalOperator(-mat / scale, t.support))
+        eig = sector_eigh(mat)
+        eigs.append(HermitianEig(-eig.eigenvalues / scale, eig.eigenvectors))
     return StepInput(n=2 * ph.n, terms=tuple(terms), eigs=tuple(eigs))
 
 
@@ -614,7 +722,7 @@ def step_dl(ham: StepInput) -> StepDl:
     top = top.reshape(s.shape)
     u_r = _step_columns(svd.u, top)
     actions = [
-        sectors.apply(u_r, sectors.qubits(t.support), sectors.split(t.op, t.support))
+        sectors.apply(u_r, sectors.qubits(t.support), split_term(t.op, t.support, sectors))
         for t in ham.terms
     ]
     bound = FRUSTRATION_CUT * max(1.0, cluster.norm)

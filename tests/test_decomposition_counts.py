@@ -37,7 +37,7 @@ from dlgibbs.hamiltonians import (
 from dlgibbs.harness import run_experiment
 from dlgibbs.jumps import WeightProfile, build_model
 from dlgibbs.kms import KmsForm
-from dlgibbs.linalg import spectral_norm
+from dlgibbs.linalg import HermitianEig, spectral_norm
 from dlgibbs.parent import build_parent, parent_projector_input, verify_parent
 from dlgibbs.projector import dl_operator, singular_gap
 from dlgibbs.sampler import compose_dl_channel, superop_hamiltonian
@@ -88,8 +88,12 @@ def _complex_calls(calls, shape):
 
 
 def _rows(shape):
-    """Rows of the matrix a recorded call decomposes: a stack (B, p, q) is B blocks of p."""
-    return shape[0] * shape[1] if len(shape) == 3 else shape[0]
+    """Rows of the matrix a recorded call decomposes, per entry of a stack.
+
+    A stack (B, p, q) is B blocks of p, and a stack of them (E, B, p, q),
+    such as a parent term at E temperatures, E entries of B blocks of p.
+    """
+    return shape[-3] * shape[-2] if len(shape) >= 3 else shape[0]
 
 
 def test_dl_operator_and_singular_gap_share_one_ground_space(monkeypatch, decomps):
@@ -223,10 +227,10 @@ def test_commuting_compose_decomposes_each_term_on_its_support(decomps):
     # side 2^|S_m|.  The marginals of sigma are diagonal, so they are their
     # own eigendecompositions and take no eigh.  The parent's positivity
     # check of the sum reads the generator spectrum, so no term is
-    # decomposed twice.
+    # decomposed twice.  Each term is a stack of one temperature.
     assert all(_rows(s) < d2[0] for s in decomps["eigh"] + decomps["svd"])
     assert Counter(decomps["eigvalsh"]) == per_term + Counter([(d, d, d)])
-    assert Counter(decomps["eigh"]) == Counter((2 ** len(t.support),) * 3 for t in terms)
+    assert Counter(decomps["eigh"]) == Counter((1,) + (2 ** len(t.support),) * 3 for t in terms)
 
 
 def test_commuting_model_runs_no_svd_for_its_zero_coherent_parts(decomps):
@@ -326,8 +330,9 @@ def test_commuting_parent_builds_each_term_on_its_support(monkeypatch, decomps):
     # No spectrum of the sum runs: the parent's positivity is bounded by its
     # terms' eigenvalues, one stacked eigvalsh of each local matrix's sector
     # blocks, which the projector input reads for its scales; it takes one
-    # stacked eigh of the same blocks for its ground bases.
-    local = Counter((2 ** (len(t.support) // 2),) * 3 for t in pin.terms)
+    # stacked eigh of the same blocks for its ground bases.  Each term is a
+    # stack of one temperature.
+    local = Counter((1,) + (2 ** (len(t.support) // 2),) * 3 for t in pin.terms)
     assert Counter(decomps["eigh"]) == local
     assert Counter(decomps["eigvalsh"]) == local
 
@@ -691,6 +696,54 @@ def test_exact_anneal_takes_one_4n_spectrum_per_step(monkeypatch, decomps):
     assert (d2, d2) not in decomps["eigvalsh"]
 
 
+def _sector_splits(monkeypatch):
+    """The calls of sector_blocks and of sector_unsplit, under every name bound to them."""
+    return (
+        _count_calls(monkeypatch, "sector_blocks", dlgibbs.hamiltonians),
+        _count_calls(monkeypatch, "sector_unsplit", dlgibbs.hamiltonians),
+    )
+
+
+def test_exact_anneal_splits_each_term_once_and_rebuilds_none():
+    # A parent term is split by sector once, when it is built, and the
+    # exact anneal's kernel_dim sums the held blocks of each step: it makes
+    # no more splits than the dl_qsvt anneal, and rebuilds no term whole.
+    # On the temperature stack that is two splits per term, H^a and
+    # h_a - h_a dagger.
+    ham = make_instance("zz_chain", 4)
+    couplings = standard_couplings(ham.n, "xz")
+    sched = make_schedule(0.9, spectral_norm(assemble(ham)))
+    assert sched.steps == 6
+    counts = {}
+    for mode in ("exact", "dl_qsvt"):
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("ignore", IrreducibilityWarning)
+            blocks, unsplit = _sector_splits(patch)
+            run_annealing(ham, couplings, WeightProfile(beta=0.9), sched, 0.1, mode)
+        counts[mode] = (len(blocks), len(unsplit))
+    assert counts["exact"] == counts["dl_qsvt"] == (2 * len(couplings), 0)
+
+
+def test_mix_splits_each_term_once_and_builds_no_dense_h(monkeypatch):
+    # At one beta each parent term is a stack of one, split once when it is
+    # built; its stationary channel reads the term's eigendecomposition by
+    # sector and the generator sum its held blocks, so neither splits it
+    # again, and no term is made whole.
+    ham = make_instance("zz_chain", 4)
+    beta = 0.5
+    terms = build_model(ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=beta))
+    kms = KmsForm.gibbs(ham, beta)
+    blocks, unsplit = _sector_splits(monkeypatch)
+    channels = _count_calls(monkeypatch, "stationary_channel")
+    compose_dl_channel(terms, kms, ham)
+    assert len(blocks) == len(terms) == len(channels)
+    assert unsplit == []
+    # Each is read by sector: 2^|S| blocks of side 2^|S|.
+    assert [(type(eig), eig.eigenvalues.shape) for eig, _ in channels] == [
+        (HermitianEig, (2 ** len(t.support),) * 2) for t in terms
+    ]
+
+
 def _first_range_rank(ham):
     """R_1, the rank of the first term's ground projector tensor I."""
     t = ham.terms[0]
@@ -837,13 +890,14 @@ def test_parent_run_takes_no_svd_of_a_parent_term(decomps, tmp_path, model):
     # the parent's checks read anyway: no term is also taken by an SVD.  A
     # local term's eigenvalues are its sector blocks', from one stacked
     # eigvalsh, and no eigenvector is taken; a term on the whole register of
-    # non-commuting H takes one eigvalsh.
+    # non-commuting H takes one eigvalsh.  Each term is a stack of one
+    # temperature.
     rows = [line.split(",") for line in res.csv_path.read_text().splitlines()[2:]]
     shapes = {(2 ** int(row[2]),) * 2 for row in rows}
     assert rows and not shapes & set(decomps["svd"])
     if model == "zz3":
-        stacks = {(2 ** (int(row[2]) // 2),) * 3 for row in rows}
+        stacks = {(1,) + (2 ** (int(row[2]) // 2),) * 3 for row in rows}
         assert stacks <= set(decomps["eigvalsh"])
         assert not stacks & set(decomps["eigh"])
     else:
-        assert shapes <= set(decomps["eigvalsh"])
+        assert {(1,) + sh for sh in shapes} <= set(decomps["eigvalsh"])

@@ -36,7 +36,9 @@ from dlgibbs.kms import (
 )
 from dlgibbs.linalg import hermitian_eigendecompose
 from dlgibbs.parent import purified_gibbs
-from reference import db_residual, gibbs_state, lindblad_superoperator, spectral_report
+from reference import (
+    db_residual, gibbs_state, lindblad_superoperator, sector_eigh, spectral_report,
+)
 
 
 def _davies_qubit(beta: float = 1.0):
@@ -227,7 +229,7 @@ def test_tensor_leg_conjugation_matches_dense_kron(d):
 def test_stationary_channel_structure():
     term, kms = _davies_qubit()
     h = coherent_form(term_superoperator(term, 1), kms)
-    kernel = stationary_channel(0.5 * (h.mat + h.mat.conj().T), kms)
+    kernel = stationary_channel(sector_eigh(0.5 * (h.mat + h.mat.conj().T)), kms)
     p = kernel.channel
     assert np.abs(p.mat @ p.mat - p.mat).max() < 1e-10
     assert np.abs(p.apply(np.eye(2)) - np.eye(2)).max() < 1e-10
@@ -246,13 +248,13 @@ def test_stationary_channel_structure():
 
 def test_stationary_channel_rejects_wrong_state():
     # Detailed balance is build_parent's check (test_parent.py); a form
-    # built against the wrong state is far from Hermitian, which
-    # stationary_channel's eigendecomposition refuses.
+    # built against the wrong state is far from Hermitian, which the
+    # eigendecomposition stationary_channel takes refuses.
     term, _ = _davies_qubit(beta=1.0)
     sup = term_superoperator(term, 1)
     wrong = KmsForm(gibbs_state(PAULI_Z, 0.3))
     with pytest.raises(NotHermitian):
-        stationary_channel(coherent_form(sup, wrong).mat, wrong)
+        stationary_channel(sector_eigh(coherent_form(sup, wrong).mat), wrong)
 
 
 def test_stationary_channel_rejects_positive_spectrum():
@@ -261,18 +263,18 @@ def test_stationary_channel_rejects_positive_spectrum():
     flipped = Superoperator(mat=-sup.mat, picture="heisenberg", dim=2)
     h = coherent_form(flipped, kms).mat
     with pytest.raises(PositiveEigenvalue):
-        stationary_channel(0.5 * (h + h.conj().T), kms)
+        stationary_channel(sector_eigh(0.5 * (h + h.conj().T)), kms)
 
 
 def test_channel_routines_take_one_picture():
-    # stationary_channel takes a Hermitian coherent form as a matrix, so a
-    # Heisenberg generator, which is not Hermitian, is refused.
+    # stationary_channel takes a Hermitian coherent form's eigendecomposition,
+    # so a Heisenberg generator, which is not Hermitian, is refused.
     term, kms = _davies_qubit()
     sup = term_superoperator(term, 1)
     with pytest.raises(NotHermitian, match="hermiticity residual"):
-        stationary_channel(sup.mat, kms)
+        stationary_channel(sector_eigh(sup.mat), kms)
     h = coherent_form(sup, kms).mat
-    channel = stationary_channel(0.5 * (h + h.conj().T), kms).channel
+    channel = stationary_channel(sector_eigh(0.5 * (h + h.conj().T)), kms).channel
     for other in (channel.adjoint(), coherent_form(sup, kms)):
         with pytest.raises(BadParams, match="expects a Heisenberg channel"):
             cptp_check(other)

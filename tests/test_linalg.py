@@ -32,7 +32,7 @@ from dlgibbs.linalg import (
     symmetric_eigenvalues,
     vectorize,
 )
-from dlgibbs.parent import ParentTerm
+from dlgibbs.parent import TermStack
 from reference import gauge_reference
 
 
@@ -126,7 +126,7 @@ def test_every_eigenvalue_call_raises_no_convergence(monkeypatch):
     rho = np.eye(2) / 2
     calls = [
         lambda: cptp_check(Superoperator(np.eye(4), "heisenberg", 2)),
-        lambda: ParentTerm(-np.eye(4), (0, 1), KmsForm(rho), 0.0, None).eigenvalues,
+        lambda: TermStack(-np.eye(4)[None, None], (0, 1), KmsForm(rho), np.zeros(1), None).eigenvalues,
         lambda: schatten1_distance(rho, rho),
         lambda: coherent_spectrum(-np.eye(4)),
     ]

@@ -26,7 +26,7 @@ from dlgibbs.hamiltonians import (
     make_instance,
     standard_couplings,
 )
-from dlgibbs.jumps import WeightProfile, build_model
+from dlgibbs.jumps import WeightProfile, build_model, model_terms
 from dlgibbs.kms import (
     KmsForm,
     LindbladTerm,
@@ -35,7 +35,7 @@ from dlgibbs.kms import (
 from dlgibbs.linalg import partial_trace, spectral_norm, vectorize
 from dlgibbs.parent import (
     ParentHamiltonian,
-    ParentTerm,
+    TermStack,
     build_parent,
     parent_projector_input,
     purified_gibbs,
@@ -43,7 +43,9 @@ from dlgibbs.parent import (
 )
 from dlgibbs.sampler import compose_dl_channel
 from dlgibbs.tolerances import DETAILED_BALANCE_TOL
-from reference import gibbs_state, lindblad_superoperator, parent_matrix, spectral_report
+from reference import (
+    gibbs_state, lindblad_superoperator, parent_matrix, spectral_report, term_matrix,
+)
 
 
 def _model(ham, beta, kinds="x"):
@@ -152,9 +154,9 @@ def test_parent_terms_match_operator_level_conjugation(kind, seed, kinds):
             x /= np.linalg.norm(x)
             y = _heisenberg_action(term, 3, inv_quarter @ x @ inv_quarter)
             expect = vectorize(quarter @ y @ quarter)
-            h_a = embed(LocalOperator(pt.mat, pt.support), 6)
+            h_a = embed(LocalOperator(term_matrix(pt), pt.support), 6)
             err = np.linalg.norm(h_a @ vectorize(x) - expect)
-            assert err <= 1e-12 * max(1.0, pt.norm)
+            assert err <= 1e-12 * max(1.0, pt.norms[0])
 
 
 def test_parent_spectrum_matches_coherent_form():
@@ -232,7 +234,7 @@ def test_build_parent_detailed_balance_boundary(monkeypatch, factor):
     monkeypatch.setattr(dlgibbs.parent, "coherent_terms", tilted)
     if factor < 1:
         ph = build_parent(terms, kms, ham)
-        assert ph.terms[0].db_residual >= factor * bound
+        assert ph.terms[0].db_residual[0] >= factor * bound
     else:
         with pytest.raises(NotDetailedBalanced, match="term 0"):
             build_parent(terms, kms, ham)
@@ -281,7 +283,7 @@ def test_build_parent_lets_the_spectrum_decide_what_the_bound_cannot(monkeypatch
     c = 1e-3
     _shifted_forms(monkeypatch, [c, -c] + [0.0] * (len(terms) - 2))
     ph = build_parent(terms, kms, ham, beta=0.5)
-    assert max(t.eigenvalues[-1] for t in ph.terms) >= c - 1e-12
+    assert max(t.eigenvalues[0, -1] for t in ph.terms) >= c - 1e-12
     # One spectrum of the sum, by its 2^n sectors of side 2^n.
     assert spectra == [(4, 4, 4)]
     assert ph.kernel_dim == plain_dim == 1
@@ -303,7 +305,7 @@ def test_parent_frustration_free_on_zoo_models():
             ph = build_parent(terms, kms, ham, beta=beta)
             rep = verify_parent(ph)
             assert rep.max_frustration <= 1e-9
-            assert max(t.db_residual for t in ph.terms) <= 1e-9
+            assert max(t.db_residual[0] for t in ph.terms) <= 1e-9
             if rep.locality_checked:
                 assert max(rep.locality_residuals) <= 1e-9
 
@@ -359,7 +361,7 @@ def test_parent_sum_is_exactly_hermitian(monkeypatch, kind, n, seed, kinds, beta
     monkeypatch.setattr(dlgibbs.parent, "coherent_spectrum", kept)
     ph = build_parent(terms, kms, ham, beta=beta)
     ph.gap
-    assert all(np.array_equal(t.mat, t.mat.conj().T) for t in ph.terms)
+    assert all(np.array_equal(term_matrix(t), term_matrix(t).conj().T) for t in ph.terms)
     # The sum is held by sector: 2^n of side 2^n for the diagonal H of the
     # commuting kinds, one of side 4^n otherwise; each is exactly Hermitian.
     sectors = (1, 4**n, 4**n) if kind == "random_ff_projectors" else (2**n,) * 3
@@ -391,22 +393,23 @@ def test_projector_input_negates_and_normalizes():
         # sector blocks, and keeps their eigenvectors.  The blocks are taken
         # here from the matrix by its sectors' indices.
         k = len(pt.support) // 2
-        assert pt.mat.shape == (4**k,) * 2
+        mat = term_matrix(pt)
+        assert mat.shape == (4**k,) * 2
         assert t.support == pt.support
         idx = Sectors(k, True).index
-        blocks = pt.mat[idx[:, :, None], idx[:, None, :]]
-        assert np.count_nonzero(blocks) == np.count_nonzero(pt.mat)
+        blocks = mat[idx[:, :, None], idx[:, None, :]]
+        assert np.count_nonzero(blocks) == np.count_nonzero(mat)
         w_blocks = np.linalg.eigvalsh(blocks)
-        np.testing.assert_array_equal(pt.eigenvalues, np.sort(w_blocks, axis=None))
+        np.testing.assert_array_equal(pt.eigenvalues[0], np.sort(w_blocks, axis=None))
         scale = max(1.0, float(np.abs(w_blocks).max()))
-        whole = np.linalg.eigvalsh(pt.mat)
-        assert np.abs(pt.eigenvalues - whole).max() <= 1e-13 * scale
-        assert abs(scale - max(1.0, spectral_norm(pt.mat))) <= 1e-9 * scale
-        np.testing.assert_array_equal(t.op, -pt.mat / scale)
+        whole = np.linalg.eigvalsh(mat)
+        assert np.abs(pt.eigenvalues[0] - whole).max() <= 1e-13 * scale
+        assert abs(scale - max(1.0, spectral_norm(mat))) <= 1e-9 * scale
+        np.testing.assert_array_equal(t.op, -mat / scale)
         # The input holds the term by sector, a stack of one step: the
         # blocks -H^a / scale and H^a's eigenvectors, not copies of them.
         np.testing.assert_array_equal(pin.blocks[a][0], -blocks / scale)
-        np.testing.assert_array_equal(eig.eigenvalues[0], -pt.eig.eigenvalues / scale)
+        np.testing.assert_array_equal(eig.eigenvalues[0], -pt.eig.eigenvalues[0] / scale)
         assert eig.eigenvectors.base is pt.eig.eigenvectors
         w = np.linalg.eigvalsh(t.op)
         assert w.min() >= -1e-10
@@ -423,12 +426,12 @@ def test_projector_input_refuses_positive_term():
     ph = build_parent(terms, kms, ham, beta=0.5)
     bad = ParentHamiltonian(
         terms=(
-            ParentTerm(
-                mat=np.eye(16, dtype=complex),
+            TermStack(
+                held=np.eye(16, dtype=complex)[None, None],
                 support=(0, 1, 2, 3),
                 state=kms,
-                db_residual=0.0,
-                locality_residual=0.0,
+                db_residual=np.zeros(1),
+                locality_residual=np.zeros(1),
             ),
         ),
         ground=ph.ground,
@@ -457,3 +460,45 @@ def test_projector_input_refuses_noncommuting_parent():
     assert all(pt.locality_residual is None for pt in ph.terms)
     with pytest.raises(BadParams, match="parent term 0 is not local"):
         parent_projector_input(ph)
+
+
+def _zz3_parent(beta):
+    """build_parent of zz_chain n = 3, couplings xz, at beta or on the temperature stack beta."""
+    ham = make_instance("zz_chain", 3)
+    couplings = standard_couplings(ham.n, "xz")
+    if np.ndim(beta):
+        terms = model_terms(ham, couplings, [WeightProfile(beta=b) for b in beta])
+    else:
+        terms = build_model(ham, couplings, WeightProfile(beta=beta))
+    return build_parent(terms, KmsForm.gibbs(ham, beta), ham, beta=beta)
+
+
+_WHOLE_STACK_READERS = {
+    "gap": lambda ph: ph.gap,
+    "kernel_dim": lambda ph: ph.kernel_dim,
+    "verify_parent": verify_parent,
+    "parent_projector_input": parent_projector_input,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_WHOLE_STACK_READERS))
+def test_whole_stack_readers_name_the_entry_to_read(reader):
+    # A parent built on a temperature stack holds every temperature's terms;
+    # a reader of one parent refuses it and names ph[j], and ph[j] answers
+    # as the parent built at that temperature alone.
+    betas = np.array([0.25, 0.5])
+    ph = _zz3_parent(betas)
+    read = _WHOLE_STACK_READERS[reader]
+    with pytest.raises(BadParams, match=re.escape("ph[j]")):
+        read(ph)
+    for j, beta in enumerate(betas.tolist()):
+        got, want = read(ph[j]), read(_zz3_parent(beta))
+        if reader == "verify_parent":
+            assert got.frustration_residuals == want.frustration_residuals
+            assert got.locality_residuals == want.locality_residuals
+        elif reader == "parent_projector_input":
+            assert got.cluster == want.cluster
+            for g, w in zip(got.blocks, want.blocks, strict=True):
+                np.testing.assert_array_equal(g, w)
+        else:
+            assert got == want

@@ -20,7 +20,7 @@ from dlgibbs.kms import KmsForm
 from dlgibbs.parent import build_parent, parent_projector_input
 from dlgibbs.projector import dl_operator
 from dlgibbs.sampler import compose_dl_channel, iterate
-from reference import gibbs_state
+from reference import gibbs_state, term_matrix
 
 _TOL = 1e-12
 
@@ -57,7 +57,7 @@ def _pipeline(couplings: str, beta: float) -> dict:
         "g": ch.g,
         "trace_distances": trace.trace_distances,
         "bounds": trace.bounds,
-        "parent_terms": [t.mat for t in ph.terms],
+        "parent_terms": [term_matrix(t) for t in ph.terms],
         "parent_gap": ph.gap,
         "dl_singular_values": dl.svd.s,
     }

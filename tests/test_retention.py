@@ -4,7 +4,8 @@ compose_dl_channel checks each channel factor CPTP and drops it, keeping
 only the kernel bases; dl_operator embeds no ground projector at all, but
 applies each to the columns of the first factor's range on its tensor
 legs.  Weak references show what is still held: no earlier channel factor
-while the next one is made.  A dl_qsvt anneal's DL operator is a stack of
+while the next one is made, and no earlier parent term's eigendecomposition
+while the next term is built.  A dl_qsvt anneal's DL operator is a stack of
 its support sectors at every step, of which dl_operator keeps only the SVD,
 so the run does not hold the stack once the DL operators are built, and
 nothing with a side of 4^n but the targets is held while the transitions
@@ -25,6 +26,7 @@ import pytest
 
 import dlgibbs.anneal
 import dlgibbs.hamiltonians
+import dlgibbs.parent
 import dlgibbs.projector
 import dlgibbs.sampler
 from dlgibbs.anneal import make_schedule, run_annealing
@@ -49,19 +51,32 @@ def test_compose_dl_channel_holds_no_earlier_factor(monkeypatch):
     terms = build_model(ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=beta))
     kms = KmsForm(gibbs_state(assemble(ham), beta))
     real = dlgibbs.sampler.stationary_channel
+    real_terms = dlgibbs.parent.coherent_terms
     refs: list[weakref.ref] = []
+    eigs: list[weakref.ref] = []
     alive_at_each_call: list[int] = []
+    eigs_alive_at_each_build: list[int] = []
 
-    def tracked(*args, **kwargs):
-        kernel = real(*args, **kwargs)
+    def tracked(eig, state):
+        kernel = real(eig, state)
         alive_at_each_call.append(sum(r() is not None for r in refs))
         refs.append(weakref.ref(kernel.channel.mat))
+        eigs.append(weakref.ref(eig.eigenvectors.base))
         return kernel
 
+    def built(*args):
+        # Each coherent form is yielded once it is built: no earlier term's
+        # eigendecomposition may still be held then.
+        for item in real_terms(*args):
+            eigs_alive_at_each_build.append(sum(r() is not None for r in eigs))
+            yield item
+
     monkeypatch.setattr(dlgibbs.sampler, "stationary_channel", tracked)
+    monkeypatch.setattr(dlgibbs.parent, "coherent_terms", built)
     ch = compose_dl_channel(terms, kms, ham)
-    assert ch.m == len(terms) == len(refs) == 6
+    assert ch.m == len(terms) == len(refs) == len(eigs) == 6
     assert alive_at_each_call == [0] * len(terms)
+    assert eigs_alive_at_each_build == [0] * len(terms)
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,9 @@ from dlgibbs.sampler import (
     iterate,
     superop_hamiltonian,
 )
-from reference import gibbs_state, lindblad_superoperator, parent_matrix, spectral_report
+from reference import (
+    gibbs_state, lindblad_superoperator, parent_matrix, sector_eigh, spectral_report, term_matrix,
+)
 
 
 def _zz3_setup(beta: float = 0.5, kinds: str = "x"):
@@ -202,7 +204,7 @@ def dense_channel(terms, kms, n):
     for t in terms:
         h = coherent_form(term_superoperator(t, n), kms).mat
         hermitian.append(0.5 * (h + h.conj().T))
-        k = stationary_channel(hermitian[-1], kms)
+        k = stationary_channel(sector_eigh(hermitian[-1]), kms)
         bases.append(k.basis)
         forms.append(h)
         norms.append(k.h_norm)
@@ -270,8 +272,9 @@ def assert_local_matches_dense(ham, terms, kms, k_max=50):
 def assert_parent_matches_dense(ham, terms, kms, beta):
     """build_parent's local terms against the whole-register coherent forms.
 
-    Each ParentTerm.mat tensor I matches the symmetrized dense h_m within
-    1e-12 max(1, ||H^a||) (Frobenius, which bounds the spectral norm);
+    Each parent term rebuilt whole (term_matrix), tensor I, matches the
+    symmetrized dense h_m within 1e-12 max(1, ||H^a||) (Frobenius, which
+    bounds the spectral norm);
     the spectrum of their sum (parent_matrix) matches that of the summed dense
     terms within 1e-12, and gap and kernel_dim agree.
     """
@@ -281,8 +284,8 @@ def assert_parent_matches_dense(ham, terms, kms, beta):
     for t, pt in zip(terms, ph.terms, strict=True):
         h = coherent_form(term_superoperator(t, n), kms).mat
         h_a = 0.5 * (h + h.conj().T)
-        lifted = embed(LocalOperator(pt.mat, pt.support), 2 * n)
-        assert np.linalg.norm(lifted - h_a) <= 1e-12 * max(1.0, pt.norm)
+        lifted = embed(LocalOperator(term_matrix(pt), pt.support), 2 * n)
+        assert np.linalg.norm(lifted - h_a) <= 1e-12 * max(1.0, pt.norms[0])
         dense.append(h_a)
     w, gap, kernel_dim = coherent_spectrum(sum(dense))
     assert np.abs(np.linalg.eigvalsh(parent_matrix(ph))[::-1] - w).max() <= 1e-12

@@ -28,7 +28,8 @@ import dlgibbs.anneal
 from dlgibbs.anneal import make_schedule, run_annealing
 from dlgibbs.errors import BadParams, DlGibbsError, IrreducibilityWarning
 from dlgibbs.hamiltonians import (
-    LocalHamiltonian, LocalOperator, Sectors, make_instance, sector_sum, standard_couplings,
+    LocalHamiltonian, LocalOperator, Sectors, make_instance, sector_blocks, sector_sum,
+    standard_couplings,
 )
 from dlgibbs.jumps import WeightProfile, build_model
 from dlgibbs.kms import KmsForm, coherent_spectrum
@@ -115,10 +116,17 @@ def test_mixed_terms_are_summed_in_the_one_sector():
     tilted = rng.normal(size=(16, 16))
     tilted = tilted + tilted.T
     legs = (0, 1, 2, 3)
-    sectors, total = sector_sum([(diagonal, legs), (tilted, legs)], n)
+    # The terms as a parent term holds them: by sector where it splits,
+    # whole as one block otherwise.
+    split, whole = sector_blocks(diagonal), tilted[None]
+    sectors, total = sector_sum([(split, legs), (whole, legs)], n)
     assert not sectors.labelled and total.shape == (1, 16, 16)
     assert np.array_equal(total[0], diagonal + tilted)
-    sectors, total = sector_sum([(diagonal, legs)], n)
+    # A term held by sector after the sum left its sectors is made whole.
+    sectors, total = sector_sum([(whole, legs), (split, legs)], n)
+    assert not sectors.labelled and total.shape == (1, 16, 16)
+    assert np.array_equal(total[0], tilted + diagonal)
+    sectors, total = sector_sum([(split, legs)], n)
     assert sectors.labelled and total.shape == (4, 4, 4)
 
 
