@@ -695,7 +695,7 @@ def run_annealing(
         float(np.abs(np.vdot(targets[j - 1], targets[j])))
         for j in range(1, k_steps + 1)
     ]
-    b_floor = min(overlaps)
+    b_floor = min(1.0, min(overlaps))  # <= 1 (Cauchy-Schwarz) but may round above it
     budgets = error_budget(k_steps, b_floor, delta)
     step_bound = delta / (2.0 * k_steps)
 

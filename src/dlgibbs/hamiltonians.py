@@ -27,7 +27,9 @@ transitions) are summed, multiplied and decomposed as stacks; the DL
 operators and transitions on a held subset of the sectors, with the steps
 of a temperature stack as a leading axis.  When one operator of a
 sum leaves its sectors, the whole sum goes on the one sector of side 4^n
-instead, by the same code.
+instead, by the same code.  A term's blocks, eigenvectors and bases stay
+by local sector throughout; they are only ever made whole
+(sector_unsplit, sector_eigenvectors), never split again.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .linalg import (
     norm_exceeds,
     real_if_exact,
     spectral_norm,
+    symmetric_eigenvalues,
 )
 from .tolerances import BOHR_SPLIT, COMMUTATOR_CUT, GROUND_CLUSTER_WIDTH
 
@@ -441,42 +444,29 @@ def sector_unsplit(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def sector_columns(v: np.ndarray) -> np.ndarray | None:
-    """Orthonormal columns v on doubled legs S + (S + n), by sector: (2^k, 2^k, r), or None.
+def sector_eigenvectors(vectors: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """The columns where sel holds of a basis by sector, as columns of the whole matrix.
 
-    Every column of v must be exactly zero outside one sector t (None
-    otherwise); block t holds those columns, in order, on that sector's
-    indices (sector_rows), followed by zero columns up to the most any
-    sector has.  A zero column changes no V V dagger, no V dagger z and no
-    commutator norm.
-    """
-    rows = sector_rows(int(v.shape[0]).bit_length() // 2)
-    blocks = v[rows]
-    nonzero = blocks.any(axis=1)
-    if not np.all(nonzero.sum(axis=0) == 1):
-        return None
-    sector = nonzero.argmax(axis=0)
-    order = np.argsort(sector, kind="stable")
-    counts = np.bincount(sector, minlength=rows.shape[0])
-    slot = np.arange(sector.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    out = np.zeros(rows.shape + (int(counts.max(initial=0)),), dtype=v.dtype)
-    out[sector[order], :, slot] = blocks[sector[order], :, order]
-    return out
-
-
-def sector_eigenvectors(eig: HermitianEig, sel: np.ndarray) -> np.ndarray:
-    """The eigenvectors where sel holds of a decomposition by sector, as columns of the whole matrix.
-
-    Block t of 2^k sits at the indices sector_rows(k)[t], and a stack of one
-    at every index; columns follow sel's (block, eigenvalue) order, so each
+    vectors is a stack (count, p, c), one block per sector, and sel (count,
+    c).  Block t of 2^k sits at the indices sector_rows(k)[t], and a stack of
+    one at every index; columns follow sel's (block, column) order, so each
     is exactly zero outside one sector.
     """
-    count, side = eig.eigenvalues.shape
+    count, side = vectors.shape[:2]
     rows = np.arange(side)[None] if count == 1 else sector_rows(count.bit_length() - 1)
     sector, col = np.nonzero(sel)
-    v = np.zeros((count * side, sector.size), dtype=eig.eigenvectors.dtype)
-    v[rows[sector], np.arange(sector.size)[:, None]] = eig.eigenvectors[sector, :, col]
+    v = np.zeros((count * side, sector.size), dtype=vectors.dtype)
+    v[rows[sector], np.arange(sector.size)[:, None]] = vectors[sector, :, col]
     return v
+
+
+def _padded_columns(u: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The columns of each matrix of a stack u where keep holds, zero-padded to the most any has."""
+    at = np.nonzero(keep)
+    slot = (np.cumsum(keep, axis=-1) - 1)[at]
+    out = np.zeros(u.shape[:-1] + (int(keep.sum(axis=-1).max()),), dtype=u.dtype)
+    out[at[:-1] + (slice(None), slot)] = u[at[:-1] + (slice(None), at[-1])]
+    return out
 
 
 @dataclass(frozen=True)
@@ -493,6 +483,7 @@ class Sectors:
     are S.  Unlabelled, the register is its own one sector, the 2n qubits
     of the doubled register (a stack (1, 4^n, 4^n)), and a term's qubits
     are its legs: every term has that case, so one code path serves both.
+    A term's basis is held the same way, by local sector (sector_bases).
 
     Labelled, held may name a subset of the sector labels, ascending: a
     stack then holds those sectors only, (..., len(held), 2^n, C), and every
@@ -521,16 +512,6 @@ class Sectors:
     def qubits(self, legs: tuple[int, ...]) -> tuple[int, ...]:
         """The qubits of a term on the doubled legs S + (S + n): S labelled, else the legs."""
         return legs[: len(legs) // 2] if self.labelled else legs
-
-    def split_basis(self, v: np.ndarray, legs: tuple[int, ...]) -> np.ndarray | None:
-        """The blocks of orthonormal columns on legs (sector_columns), or None; unlabelled, v itself."""
-        if not self.labelled:
-            return v[None]
-        return sector_columns(v) if self._paired(legs) else None
-
-    def _paired(self, legs: tuple[int, ...]) -> bool:
-        sites = legs[: len(legs) // 2]
-        return legs == sites + tuple(q + self.n for q in sites)
 
     @cached_property
     def index(self) -> np.ndarray:
@@ -677,13 +658,15 @@ def sector_sum(
 def sector_bases(
     bases: Sequence[np.ndarray], legs: Sequence[tuple[int, ...]], n: int
 ) -> tuple[Sectors, tuple[tuple[np.ndarray, tuple[int, ...]], ...]]:
-    """Orthonormal bases on doubled legs as (blocks, qubits), labelled when every one splits."""
-    sectors = Sectors(n, True)
-    parts = [sectors.split_basis(v, lg) for v, lg in zip(bases, legs)]
-    if any(p is None for p in parts):
-        sectors = Sectors(n, False)
-        parts = [v[None] for v in bases]
-    return sectors, tuple((p, sectors.qubits(lg)) for p, lg in zip(parts, legs))
+    """Bases by local sector (kms.TermKernel.basis) on doubled legs as (blocks, qubits).
+
+    Labelled when every one is held by sector; otherwise each is made whole
+    on the one sector, its zero padding dropped (no basis vector is zero).
+    """
+    sectors = Sectors(n, all(v.shape[0] > 1 for v in bases))
+    if not sectors.labelled:
+        bases = [sector_eigenvectors(v, v.any(axis=-2))[None] for v in bases]
+    return sectors, tuple((v, sectors.qubits(lg)) for v, lg in zip(bases, legs))
 
 
 def sector_noncommutation_degree(
@@ -790,12 +773,18 @@ class SectorHamiltonian:
 
     @cached_property
     def clusters(self) -> tuple[GroundCluster, ...]:
-        """Each entry's ground cluster (ground_cluster's rule), over all the sectors of its sum."""
+        """Each entry's ground cluster (ground_cluster's rule), over all the sectors of its sum.
+
+        Read unchecked (symmetric_eigenvalues), as coherent_spectrum reads a
+        parent's sum: every block is -(h + h dagger)/2 / scale and
+        Sectors.add adds conjugate entries in the same order, so the sum is
+        exactly Hermitian, and the check would return the same array.
+        """
         out = []
         for j in range(self.entries):
             terms = ((b[j], legs) for b, legs in zip(self.blocks, self.supports))
             _, total = sector_sum(terms, self.n // 2)
-            out.append(_cluster_of(np.sort(hermitian_eigenvalues(total), axis=None)))
+            out.append(_cluster_of(np.sort(symmetric_eigenvalues(total), axis=None)))
             del total
         return tuple(out)
 
@@ -804,14 +793,6 @@ class SectorHamiltonian:
         """The ground cluster of a stack of one."""
         (cluster,) = self.clusters
         return cluster
-
-    @cached_property
-    def terms(self) -> tuple[LocalOperator, ...]:
-        """The terms of a stack of one as whole local matrices, for dense references."""
-        return tuple(
-            LocalOperator(sector_unsplit(b[0]), legs)
-            for b, legs in zip(self.blocks, self.supports)
-        )
 
     def __getitem__(self, j: int) -> SectorHamiltonian:
         """Entry j, a stack of one that keeps its ground cluster."""

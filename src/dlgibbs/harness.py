@@ -232,8 +232,8 @@ def _run_mix(cfg: ExperimentConfig):
     beta = float(cfg.run["beta"])
     k_max = int(cfg.run["k_max"])
     ham, couplings, w = _build_common(cfg, beta)
+    kms = KmsForm.gibbs(ham, beta)  # its beta guard first: the jump weights can overflow
     terms = build_model(ham, couplings, w)
-    kms = KmsForm.gibbs(ham, beta)
     channel = compose_dl_channel(terms, kms, ham)
     dim = 2**ham.n
     rho0 = np.zeros((dim, dim))
@@ -301,8 +301,8 @@ def _run_project(cfg: ExperimentConfig):
 def _run_parent(cfg: ExperimentConfig):
     beta = float(cfg.run["beta"])
     ham, couplings, w = _build_common(cfg, beta)
+    kms = KmsForm.gibbs(ham, beta)  # its beta guard first: the jump weights can overflow
     terms = build_model(ham, couplings, w)
-    kms = KmsForm.gibbs(ham, beta)
     ph = build_parent(terms, kms, ham, beta=beta)
     rep = verify_parent(ph)
     columns = [

@@ -65,7 +65,9 @@ from .errors import (
     PositiveEigenvalue,
     SingularSigma,
 )
-from .hamiltonians import LocalHamiltonian, LocalOperator, embed, sector_eigenvectors
+from .hamiltonians import (
+    LocalHamiltonian, LocalOperator, _padded_columns, embed, sector_eigenvectors,
+)
 from .linalg import (
     HermitianEig,
     _adjoint,
@@ -318,9 +320,10 @@ def coherent_form(lind: Superoperator, kms: KmsForm) -> Superoperator:
     if lind.dim != kms.dim:
         raise DimensionMismatch(f"generator dim {lind.dim} vs state dim {kms.dim}")
     # Gamma^{-1/2} is Hermitian, so M Gamma^{-1/2} = (Gamma^{-1/2} M dagger) dagger.
-    left = _kron_conj_apply(kms.quarter, lind.mat)
+    left, dim = _kron_conj_apply(kms.quarter, lind.mat), lind.dim
+    del lind  # so an L passed unnamed is freed before the second product
     mat = _adjoint(_kron_conj_apply(kms.inv_quarter, _adjoint(left)))
-    return Superoperator(mat=mat, picture="kms", dim=lind.dim)
+    return Superoperator(mat=mat, picture="kms", dim=dim)
 
 
 @dataclass(frozen=True)
@@ -384,10 +387,12 @@ class TermKernel:
     """Kernel of one term's coherent form h and its Heisenberg pullback.
 
     basis holds orthonormal columns V spanning the kernel, so Pi_0 = V V
-    dagger; channel is P = Gamma^{-1/2} Pi_0 Gamma^{1/2}; h_norm is ||h||.
-    gap is the smallest |eigenvalue| of h above the kernel cut (inf when
-    the kernel is everything); rounding of order eps * h_norm / gap tilts
-    the kernel basis (Davis-Kahan).
+    dagger, by the blocks of h's eigendecomposition, (count, p, r), each
+    block's zero-padded (a zero column changes no V V dagger, no V dagger z
+    and no commutator norm); channel is P = Gamma^{-1/2} Pi_0 Gamma^{1/2}.
+    h_norm is ||h|| and gap the smallest |eigenvalue| of h above the kernel
+    cut (inf when the kernel is everything); rounding of order
+    eps * h_norm / gap tilts the kernel basis (Davis-Kahan).
     """
 
     basis: np.ndarray
@@ -405,9 +410,9 @@ def stationary_channel(eig: HermitianEig, kms: KmsForm) -> TermKernel:
     sector, as a stack (count, p) of eigenvalues and (count, p, p) of
     eigenvectors: one entry of a parent term's (parent.TermStack.eig, the
     term's .state being kms), whose blocks are its 2^|S| sectors when h is
-    held by sector, and h itself, one block, otherwise.  Each basis vector
-    lies in one block.  ||h|| is read off the eigenvalues.  Requires every
-    eigenvalue at most POSITIVE_EIGENVALUE_CUT * max(1, ||h||)
+    held by sector, and h itself, one block, otherwise.  The basis stays by
+    block; only P places it whole.  ||h|| is read off the eigenvalues.
+    Requires every eigenvalue at most POSITIVE_EIGENVALUE_CUT * max(1, ||h||)
     (PositiveEigenvalue otherwise); kernel membership uses the relative
     cutoff KERNEL_CUT * max(1, ||h||).
     """
@@ -424,12 +429,12 @@ def stationary_channel(eig: HermitianEig, kms: KmsForm) -> TermKernel:
         raise DegenerateGap(
             f"no kernel eigenvalue within {kernel_cut:.1e} (largest is {w.max():.3e})"
         )
-    vk = sector_eigenvectors(eig, sel)
+    vk = sector_eigenvectors(eig.eigenvectors, sel)
     # Gamma^{1/2} is Hermitian, so Pi_0 Gamma^{1/2} = V (Gamma^{1/2} V) dagger.
     left = _kron_conj_apply(kms.inv_quarter, vk)
     mat = left @ _kron_conj_apply(kms.quarter, vk).conj().T
     return TermKernel(
-        vk,
+        _padded_columns(eig.eigenvectors, sel),
         Superoperator(mat, "heisenberg", kms.dim),
         h_norm,
         float(np.abs(w[~sel]).min()) if not sel.all() else float("inf"),

@@ -435,9 +435,11 @@ def build_parent(
     entry) the result holds the stacks, and each entry's sum is checked
     in order; ph[j] is entry j's parent.
     """
+    stacks = tuple(parent_terms(terms, kms, ham, beta))
+    # The ground after the terms, so neither is held while the terms are built.
     ground = kms.sqrt.reshape(kms.sqrt.shape[:-2] + (-1,))
     ground = ground / frobenius_norms(ground[..., None, :])[..., None]
-    ph = ParentHamiltonian(tuple(parent_terms(terms, kms, ham, beta)), ground, ham.n)
+    ph = ParentHamiltonian(stacks, ground, ham.n)
     entries = ground.size // ground.shape[-1]
     over = np.broadcast_to(_top_bound(ph.terms) > POSITIVE_EIGENVALUE_CUT, (entries,))
     for j in np.flatnonzero(over):

@@ -61,6 +61,7 @@ from .hamiltonians import (
     LocalHamiltonian,
     SectorHamiltonian,
     Sectors,
+    _padded_columns,
     _restricted_labels,
     apply_local,
     interaction_degree,
@@ -69,7 +70,6 @@ from .hamiltonians import (
     sweep_projectors,
 )
 from .linalg import (
-    HermitianEig,
     Svd,
     gauge_singular_vectors,
     hermitian_eigendecompose,
@@ -378,10 +378,10 @@ def _dl_by_sector(ham: SectorHamiltonian, everywhere: bool = False) -> DlOperato
         width = TERM_GROUND_WIDTH * np.maximum(1.0, np.abs(flat).max(axis=-1))
         ground = w - flat.min(axis=-1)[:, None, None] <= width[:, None, None]
         if full.labelled or w.shape[1] == 1:
-            v = _columns(eig.eigenvectors, ground)
+            v = _padded_columns(eig.eigenvectors, ground)
         else:
             v = _padded([
-                sector_eigenvectors(HermitianEig(w[j], eig.eigenvectors[j]), ground[j])
+                sector_eigenvectors(eig.eigenvectors[j], ground[j])
                 for j in range(entries)
             ])[:, None]
         p = v @ np.swapaxes(v.conj(), -1, -2)
@@ -415,7 +415,7 @@ def _dl_by_sector(ham: SectorHamiltonian, everywhere: bool = False) -> DlOperato
     top, s = dl.top, dl.svd.s
     s_r = np.where(top, s, np.inf).reshape(entries, -1).min(axis=-1)
     held = [ham.term_blocks(a) for a in range(ham.m)]
-    u_r = _columns(dl.svd.u, top)
+    u_r = _padded_columns(dl.svd.u, top)
     fro = np.zeros(entries)
     for (qubits, _), blocks in zip(parts, held):
         action = sectors.apply(u_r, qubits, blocks)
@@ -440,7 +440,7 @@ def _dl_by_sector(ham: SectorHamiltonian, everywhere: bool = False) -> DlOperato
             or fro[j] > 0.5 * bound
             or s_r[j] < 1.0 - UNIT_SINGULAR_SLACK
         ):
-            u = _columns(dl.svd.u[j], top[j])[None]
+            u = _padded_columns(dl.svd.u[j], top[j])[None]
             actions = [
                 sectors.apply(u, qubits, blocks[j : j + 1])[0]
                 for (qubits, _), blocks in zip(parts, held)
@@ -451,15 +451,6 @@ def _dl_by_sector(ham: SectorHamiltonian, everywhere: bool = False) -> DlOperato
                 failure = exc
         failures.append(failure)
     return replace(dl, failures=tuple(failures))
-
-
-def _columns(u: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The columns of each matrix of a stack u where keep holds, zero-padded to the most any has."""
-    at = np.nonzero(keep)
-    slot = (np.cumsum(keep, axis=-1) - 1)[at]
-    out = np.zeros(u.shape[:-1] + (int(keep.sum(axis=-1).max()),), dtype=u.dtype)
-    out[at[:-1] + (slice(None), slot)] = u[at[:-1] + (slice(None), at[-1])]
-    return out
 
 
 def _padded(mats: list[np.ndarray]) -> np.ndarray:

@@ -28,10 +28,11 @@ coherent part and the marginal Tr_{S^c} sigma live on S, and h_m, V_m and
 P_m on the doubled support S u (S + n) of the vectorized register, with
 4^|S| rows, so h_m acts as h_m^loc tensor I.  For non-commuting H the
 support is the whole register.  The channel is kept as the V_m with their
-doubled supports, and the round is composed from them sector by sector
-(hamiltonians.Sectors).  Every commuting model shipped has a diagonal H
-and Pauli couplings, so each h_m keeps s = i xor j of |i>|j>, and each V_m
-splits into its sectors: the round is the 2^n per-sector composites
+doubled supports, each by local sector as its term holds h_m
+(kms.TermKernel.basis), and the round is composed from them sector by
+sector (hamiltonians.Sectors).  Every commuting model shipped has a
+diagonal H and Pauli couplings, so each h_m keeps s = i xor j of |i>|j>,
+and each V_m is held by its sectors: the round is the 2^n per-sector composites
 R_s = Pi_{m,s} ... Pi_{1,s} of side 2^n, 8^n entries, g is decided sector
 by sector on the support graph, and the generator's spectrum, the
 parent's, is that of the 2^n sectors of sum_m h_m^loc tensor I.  Other
@@ -54,6 +55,7 @@ from .hamiltonians import (  # noqa: F401
     Sectors,
     noncommutation_degree,
     sector_bases,
+    sector_eigenvectors,
     sector_noncommutation_degree,
     sector_sum,
 )
@@ -86,21 +88,22 @@ from .tolerances import (
 class DlChannel:
     """Ordered product of the m per-term stationary channels on n qubits.
 
-    The channel is its kernel bases: kernel_bases holds each term's
-    orthonormal kernel basis V_m on the tensor legs listed in legs[m] (the
-    doubled support S u (S + n) of the 2n-leg vectorized register), so the
-    KMS projector is Pi_m = V_m V_m dagger tensor I and one Schrodinger
-    round is Gamma^{1/2} Pi_m ... Pi_1 Gamma^{-1/2}.  gap and kernel_dim
-    describe the coherent form of the full generator; max_factor_norm is
-    the largest ||h_m|| and db_residual the largest Frobenius bound
-    ||h_m - h_m dagger||_F over the terms' coherent forms.  The round by
-    sector, g, the non-commutation degree of the Pi_m, and q, the one-round
-    contraction factor they certify, are computed on first read.
+    The channel is its kernel bases: bases holds each term's orthonormal
+    kernel basis V_m by local sector (kms.TermKernel.basis) on the tensor
+    legs listed in legs[m] (the doubled support S u (S + n) of the 2n-leg
+    vectorized register), so the KMS projector is Pi_m = V_m V_m dagger
+    tensor I and one Schrodinger round is Gamma^{1/2} Pi_m ... Pi_1
+    Gamma^{-1/2}.  gap and kernel_dim describe the coherent form of the full
+    generator; max_factor_norm is the largest ||h_m|| and db_residual the
+    largest Frobenius bound ||h_m - h_m dagger||_F over the terms' coherent
+    forms.  The round by sector, g, the non-commutation degree of the Pi_m,
+    q, the one-round contraction factor they certify, and kernel_bases,
+    each V_m whole (for tests), are computed on first read.
     """
 
     m: int
     n: int
-    kernel_bases: tuple[np.ndarray, ...]
+    bases: tuple[np.ndarray, ...]
     legs: tuple[tuple[int, ...], ...]
     gap: float
     kernel_dim: int
@@ -109,14 +112,19 @@ class DlChannel:
 
     @cached_property
     def sectors(self) -> tuple[Sectors, tuple[tuple[np.ndarray, tuple[int, ...]], ...]]:
-        """The kernel bases by sector (hamiltonians.sector_bases)."""
-        return sector_bases(self.kernel_bases, self.legs, self.n)
+        """The kernel bases as the round's sectors hold them (hamiltonians.sector_bases)."""
+        return sector_bases(self.bases, self.legs, self.n)
+
+    @cached_property
+    def kernel_bases(self) -> tuple[np.ndarray, ...]:
+        """Each V_m whole on its legs, every column in its sector's rows (sector_eigenvectors)."""
+        return tuple(sector_eigenvectors(v, v.any(axis=-2)) for v in self.bases)
 
     @cached_property
     def round(self) -> np.ndarray:
         """R_s = Pi_{m,s} ... Pi_{1,s} in each sector s, a stack: the Schrodinger KMS-picture round."""
         sectors, parts = self.sectors
-        r = sectors.identity(np.result_type(float, *self.kernel_bases))
+        r = sectors.identity(np.result_type(float, *self.bases))
         for v, qubits in parts:
             r = sectors.apply(r, qubits, v @ np.swapaxes(v.conj(), -1, -2))
         return r
@@ -197,7 +205,7 @@ def compose_dl_channel(
     return DlChannel(
         m=len(terms),
         n=ham.n,
-        kernel_bases=bases,
+        bases=bases,
         legs=legs,
         gap=gap,
         kernel_dim=kernel_dim,
@@ -361,7 +369,7 @@ def superop_hamiltonian(
     """
     ch = compose_dl_channel(terms, kms, ham)
     sectors, parts = ch.sectors
-    h_l = ch.m * sectors.identity(np.result_type(float, *ch.kernel_bases))
+    h_l = ch.m * sectors.identity(np.result_type(float, *ch.bases))
     for v, qubits in parts:
         h_l = sectors.add(h_l, -(v @ np.swapaxes(v.conj(), -1, -2)), qubits)
     eig = hermitian_eigendecompose(h_l)

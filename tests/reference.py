@@ -299,6 +299,63 @@ def term_matrix(t, j: int = 0) -> np.ndarray:
     return out
 
 
+def whole_terms(ham) -> tuple[LocalOperator, ...]:
+    """A Hamiltonian's terms as whole local matrices, for dense references.
+
+    A projector input of one step (a SectorHamiltonian) has each term made
+    whole from its held blocks (sector_unsplit); a LocalHamiltonian's terms
+    are returned as they are.
+    """
+    from dlgibbs.hamiltonians import SectorHamiltonian, sector_unsplit
+
+    if not isinstance(ham, SectorHamiltonian):
+        return ham.terms
+    return tuple(
+        LocalOperator(sector_unsplit(b[0]), legs) for b, legs in zip(ham.blocks, ham.supports)
+    )
+
+
+def whole_columns(blocks: np.ndarray) -> np.ndarray:
+    """Orthonormal columns held by sector, (count, p, r) zero-padded, placed whole.
+
+    Block t of 2^k goes to the rows of sector t (Sectors(k, True).index),
+    its nonzero columns in order, block after block; a stack of one is its
+    block's nonzero columns.
+    """
+    count, side, _ = blocks.shape
+    rows = np.arange(side)[None] if count == 1 else Sectors(count.bit_length() - 1, True).index
+    cols = []
+    for t in range(count):
+        for c in np.flatnonzero(blocks[t].any(axis=0)):
+            col = np.zeros(count * side, dtype=blocks.dtype)
+            col[rows[t]] = blocks[t, :, c]
+            cols.append(col)
+    return np.stack(cols, axis=1) if cols else np.zeros((count * side, 0), blocks.dtype)
+
+
+def split_columns(v: np.ndarray) -> np.ndarray | None:
+    """Orthonormal columns v on doubled legs S + (S + n), by sector: (2^k, 2^k, r), or None.
+
+    Every column of v must be exactly zero outside one sector t (None
+    otherwise); block t holds those columns, in order, on that sector's
+    indices, followed by zero columns up to the most any sector has.  The
+    split kms.stationary_channel's basis is checked against.
+    """
+    k = int(v.shape[0]).bit_length() // 2
+    rows = Sectors(k, True).index
+    blocks = v[rows]
+    nonzero = blocks.any(axis=1)
+    if not np.all(nonzero.sum(axis=0) == 1):
+        return None
+    sector = nonzero.argmax(axis=0)
+    counts = np.bincount(sector, minlength=rows.shape[0])
+    out = np.zeros(rows.shape + (int(counts.max(initial=0)),), dtype=v.dtype)
+    for t in range(rows.shape[0]):
+        cols = np.flatnonzero(sector == t)
+        out[t, :, : cols.size] = blocks[t][:, cols]
+    return out
+
+
 def split_term(mat: np.ndarray, legs: tuple[int, ...], sectors: Sectors) -> np.ndarray | None:
     """A whole matrix on doubled legs as sectors hold it: its blocks by local sector, or None.
 
@@ -368,7 +425,8 @@ def dense_route_channel(terms, kms: KmsForm, ham: LocalHamiltonian):
 
     Each H^a is rebuilt whole, its kernel taken by sector_eigh of that
     matrix and its sum by dense_sector_sum: (bases, channels, gap,
-    kernel_dim).
+    kernel_dim).  Each basis is whole on its legs (whole_columns), as
+    DlChannel.kernel_bases reads.
     """
     from dlgibbs.kms import coherent_spectrum, stationary_channel
     from dlgibbs.parent import parent_terms
@@ -377,7 +435,7 @@ def dense_route_channel(terms, kms: KmsForm, ham: LocalHamiltonian):
     for t in parent_terms(terms, kms, ham):
         mat = term_matrix(t)
         k = stationary_channel(sector_eigh(mat), t.state)
-        bases.append(k.basis)
+        bases.append(whole_columns(k.basis))
         channels.append(k.channel.mat)
         mats.append((mat, t.support))
     _, gap, kernel_dim = coherent_spectrum(dense_sector_sum(mats, ham.n)[1])
@@ -481,7 +539,7 @@ def dense_dl(ham: LocalHamiltonian) -> np.ndarray:
     rule, with no sectors.
     """
     out = np.eye(2**ham.n)
-    for t in ham.terms:
+    for t in whole_terms(ham):
         w, v = np.linalg.eigh(t.op)
         dim = int(np.sum(w - w[0] <= TERM_GROUND_WIDTH * max(1.0, float(np.abs(w).max()))))
         e = v[:, :dim]
@@ -498,13 +556,12 @@ def dense_input_dl(pin) -> np.ndarray:
     product, are exactly zero off the sectors the blocks keep.
     """
     from dlgibbs.hamiltonians import sector_eigenvectors
-    from dlgibbs.linalg import HermitianEig
 
     out = np.eye(2**pin.n)
     for legs, eig in zip(pin.supports, pin.eigs):
         w, v = eig.eigenvalues[0], eig.eigenvectors[0]
         ground = w - w.min() <= TERM_GROUND_WIDTH * max(1.0, float(np.abs(w).max()))
-        e = sector_eigenvectors(HermitianEig(w, v), ground)
+        e = sector_eigenvectors(v, ground)
         out = out @ embed(LocalOperator(e @ e.conj().T, legs), pin.n)
     return out
 
@@ -546,7 +603,7 @@ def dense_dl_qsvt_anneal(
         terms = build_model(ham, couplings, replace(w, beta=beta))
         ph = build_parent(terms, KmsForm.gibbs(ham, beta), ham, beta=beta)
         pin = parent_projector_input(ph)
-        pins.append(LocalHamiltonian(n=pin.n, terms=pin.terms))
+        pins.append(LocalHamiltonian(n=pin.n, terms=whole_terms(pin)))
         targets.append(ph.ground)
     k = sched.steps
     floor = min(abs(np.vdot(targets[j - 1], targets[j])) for j in range(1, k + 1))
@@ -706,7 +763,7 @@ def step_dl(ham: StepInput) -> StepDl:
         if sectors.labelled or w.shape[0] == 1:
             v = _step_columns(eig.eigenvectors, ground)
         else:
-            v = sector_eigenvectors(eig, ground)[None]
+            v = sector_eigenvectors(eig.eigenvectors, ground)[None]
         p = v @ np.swapaxes(v.conj(), -1, -2)
         tol = IDEMPOTENCE_TOL
         if norm_exceeds(p @ p - p, tol) or norm_exceeds(p - np.swapaxes(p.conj(), -1, -2), tol):

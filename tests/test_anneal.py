@@ -60,6 +60,7 @@ from reference import (
     dense_dl,
     dense_projector,
     dense_transition,
+    whole_terms,
     scipy_boost_coefficients,
     stepwise_dl_qsvt_anneal,
 )
@@ -605,7 +606,7 @@ def test_dl_qsvt_sector_stacks_hold_the_rank_of_the_dense_dl(monkeypatch):
         dl = real_dl(pins)
         for j in range(pins.entries):
             ranks.append(int(np.count_nonzero(dl.svd.s[j] > 1e-12)))
-            plain = LocalHamiltonian(n=pins.n, terms=pins[j].terms)
+            plain = LocalHamiltonian(n=pins.n, terms=whole_terms(pins[j]))
             dense_s = np.linalg.svd(dense_dl(plain), compute_uv=False)
             dense_ranks.append(int(np.count_nonzero(dense_s > 1e-12)))
         assert dl.svd.u.shape == dl.svd.vh.shape == (k + 1, 1, 16, 16)

@@ -21,10 +21,12 @@ import pytest
 import dlgibbs
 import dlgibbs.anneal
 import dlgibbs.hamiltonians
+import dlgibbs.harness
 import dlgibbs.jumps
 import dlgibbs.kms
 import dlgibbs.linalg
 import dlgibbs.projector
+import dlgibbs.sampler
 from dlgibbs.anneal import make_schedule, run_annealing
 from dlgibbs.config import parse_config
 from dlgibbs.errors import DlGibbsError, IrreducibilityWarning
@@ -332,7 +334,7 @@ def test_commuting_parent_builds_each_term_on_its_support(monkeypatch, decomps):
     # blocks, which the projector input reads for its scales; it takes one
     # stacked eigh of the same blocks for its ground bases.  Each term is a
     # stack of one temperature.
-    local = Counter((1,) + (2 ** (len(t.support) // 2),) * 3 for t in pin.terms)
+    local = Counter((1,) + (2 ** (len(legs) // 2),) * 3 for legs in pin.supports)
     assert Counter(decomps["eigh"]) == local
     assert Counter(decomps["eigvalsh"]) == local
 
@@ -605,15 +607,22 @@ def test_dl_qsvt_anneal_takes_one_ground_cluster_eigvalsh_per_step(monkeypatch, 
     ham = make_instance("zz_chain", n)
     sched = make_schedule(0.5, spectral_norm(assemble(ham)))
     d = 2**ham.n
-    clusters = _count_calls(monkeypatch, "hermitian_eigenvalues", dlgibbs.linalg)
+    checked = _count_calls(monkeypatch, "hermitian_eigenvalues", dlgibbs.linalg)
+    inputs = _count_calls(monkeypatch, "_hermitian_input", dlgibbs.linalg)
+    clusters = _count_calls(monkeypatch, "symmetric_eigenvalues", dlgibbs.linalg)
     run_annealing(
         ham, standard_couplings(ham.n, "xz"), WeightProfile(beta=0.5), sched, 0.1, "dl_qsvt"
     )
     # Each parent's ground cluster is read twice, for its certified gamma*
     # before the projectors and by its dl_operator, and computed once, from
-    # the stack of its sum's 2^n sectors.
+    # the stack of its sum's 2^n sectors.  The sum is exactly Hermitian, so
+    # it is read unchecked: no pin sum passes through _hermitian_input, and
+    # no checked eigenvalue call runs at all.
     k = sched.steps
-    assert [np.shape(a[0]) for a in clusters] == [(d, d, d)] * (k + 1)
+    sums = [np.shape(a[0]) for a in clusters if np.shape(a[0]) == (d, d, d)]
+    assert sums == [(d, d, d)] * (k + 1)
+    assert checked == []
+    assert not [a for a in inputs if np.shape(a[0]) == (d, d, d)]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -878,6 +887,29 @@ def test_each_experiment_diagonalizes_h_once(monkeypatch, decomps, tmp_path, nam
         stacks = [s for s in outside if len(s) > 2]
         assert stacks == ([(steps, 1, 8, 8)] if name == "anneal-dl_qsvt" else [])
         assert decomps["svd"].count((4, 4)) == make_instance("zz_chain", 3).m
+
+
+def test_mix_run_splits_no_whole_kernel_basis(monkeypatch, tmp_path):
+    # Each term's kernel basis stays by sector from its stationary channel
+    # to the round and g: the whole 4^|S| basis is placed once per term,
+    # inside stationary_channel for the channel matrix, and never split
+    # again; DlChannel.kernel_bases, built when read, is not read.
+    placed = _count_calls(monkeypatch, "sector_eigenvectors", dlgibbs.hamiltonians)
+    kernels = _count_calls(monkeypatch, "stationary_channel")
+    channels = []
+    real = dlgibbs.sampler.compose_dl_channel
+
+    def kept(*args):
+        channels.append(real(*args))
+        return channels[-1]
+
+    monkeypatch.setattr(dlgibbs.harness, "compose_dl_channel", kept)
+    res = run_experiment(_n3_config("mix", _ZZ3, "beta = 0.5\nk_max = 5\n"), tmp_path)
+    assert res.exit_code == 0
+    (ch,) = channels
+    assert ch.sectors[0].labelled
+    assert len(placed) == len(kernels) == ch.m
+    assert "kernel_bases" not in vars(ch)
 
 
 @pytest.mark.parametrize("model", ["zz3", "ff3"])

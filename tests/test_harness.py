@@ -321,6 +321,42 @@ def test_cli_reports_parse_errors(tmp_path, capsys):
     assert main(["mix", "--config", str(tmp_path / "absent.cfg")]) == 2
 
 
+@pytest.mark.parametrize(
+    "experiment,couplings,run",
+    [("mix", "xz", "beta = 1e10\nk_max = 5\n"), ("parent", "x", "beta = 1e10\n")],
+)
+def test_cli_refuses_a_very_large_beta_by_the_gibbs_guard(
+    tmp_path, capsys, experiment, couplings, run
+):
+    # beta * spread above 80 is refused before the model is built, whose
+    # jump weights exp(-beta nu / 4) would overflow to inf and fail an SVD.
+    cfg_path = tmp_path / "cold.cfg"
+    cfg_path.write_text(
+        f"experiment = {experiment}\n[model]\nkind = zz_chain\nn = 3\n"
+        f"couplings = {couplings}\n[run]\n{run}"
+    )
+    assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "OverflowDetected" in err and "exceeds 80" in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "dl_qsvt"])
+@pytest.mark.parametrize("beta", ["0.0", "1e-9"])
+def test_anneal_at_beta_near_zero_runs(tmp_path, mode, beta):
+    # The overlap of two unit targets rounds to just above 1 here; the
+    # budgets take min(1, overlap) as the floor, the cells keep the overlap.
+    text = (
+        "experiment = anneal\n[model]\nkind = zz_chain\nn = 3\ncouplings = xz\n"
+        f"[run]\nbeta = {beta}\ndelta = 0.1\nmode = {mode}\n"
+    )
+    res = run_experiment(parse_config(text), tmp_path)
+    assert res.exit_code == 0 and res.violations == ()
+    summary = json.loads(res.summary_path.read_text())
+    assert summary["results"]["min_overlap"] <= 1.0
+    _, _, rows = _read_csv(res.csv_path)
+    assert rows and all(float(r[2]) >= 1.0 - 1e-12 for r in rows)
+
+
 def test_cli_violation_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "overlap.cfg"
     cfg_path.write_text(

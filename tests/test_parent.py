@@ -44,7 +44,7 @@ from dlgibbs.parent import (
 from dlgibbs.sampler import compose_dl_channel
 from dlgibbs.tolerances import DETAILED_BALANCE_TOL
 from reference import (
-    gibbs_state, lindblad_superoperator, parent_matrix, spectral_report, term_matrix,
+    gibbs_state, lindblad_superoperator, parent_matrix, spectral_report, term_matrix, whole_terms,
 )
 
 
@@ -387,7 +387,7 @@ def test_projector_input_negates_and_normalizes():
     pin = parent_projector_input(ph)
     assert pin.n == 6
     assert pin.m == ph.m
-    for a, (t, eig, pt) in enumerate(zip(pin.terms, pin.eigs, ph.terms, strict=True)):
+    for a, (t, eig, pt) in enumerate(zip(whole_terms(pin), pin.eigs, ph.terms, strict=True)):
         # Each parent term is held on its doubled dressed support and divided
         # by max(1, ||H^a||), read from the eigenvalues of that local matrix's
         # sector blocks, and keeps their eigenvectors.  The blocks are taken
@@ -416,7 +416,7 @@ def test_projector_input_negates_and_normalizes():
         assert w.max() <= 1.0 + 1e-9
     # the negated normalized parent is frustration-free with the purified
     # Gibbs state in its ground space
-    full = assemble(pin)
+    full = assemble(LocalHamiltonian(n=pin.n, terms=whole_terms(pin)))
     assert np.linalg.norm(full @ ph.ground) <= 1e-9
 
 

@@ -46,6 +46,7 @@ from dlgibbs.projector import (
 )
 from reference import (
     dense_dl, dense_projector, dense_svd, frustration_check, gibbs_state, ground_space,
+    whole_terms,
 )
 
 FF_INSTANCES = [("commuting_projectors", 5, 0)] + [
@@ -383,12 +384,12 @@ def _with_warnings(fn, *args):
 def test_dl_operator_ground_cluster_matches_the_dense_ground_space(ham):
     # A projector input holds its terms by sector; the dense reference reads
     # them whole.
-    plain = LocalHamiltonian(n=ham.n, terms=ham.terms)
+    plain = LocalHamiltonian(n=ham.n, terms=whole_terms(ham))
     (ff, gs), dense_warned = _with_warnings(frustration_check, plain)
     dl, warned = _with_warnings(dl_operator, ham)
     assert ff
     assert dl.ground_dimension == gs.dimension
-    norm_h = spectral_norm(assemble(ham))
+    norm_h = spectral_norm(assemble(plain))
     if math.isinf(gs.gap):
         assert ham.cluster.gap == gs.gap
     else:

@@ -213,7 +213,7 @@ def dense_channel(terms, kms, n):
     channel = DlChannel(
         m=len(terms),
         n=n,
-        kernel_bases=tuple(bases),
+        bases=tuple(bases),
         legs=(tuple(range(2 * n)),) * len(terms),
         gap=gap,
         kernel_dim=kernel_dim,

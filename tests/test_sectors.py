@@ -27,17 +27,20 @@ from hypothesis import strategies as st
 import dlgibbs.anneal
 from dlgibbs.anneal import make_schedule, run_annealing
 from dlgibbs.errors import BadParams, DlGibbsError, IrreducibilityWarning
+import dlgibbs.hamiltonians
 from dlgibbs.hamiltonians import (
-    LocalHamiltonian, LocalOperator, Sectors, make_instance, sector_blocks, sector_sum,
-    standard_couplings,
+    LocalHamiltonian, LocalOperator, Sectors, make_instance, sector_bases, sector_blocks,
+    sector_eigenvectors, sector_sum, standard_couplings,
 )
 from dlgibbs.jumps import WeightProfile, build_model
-from dlgibbs.kms import KmsForm, coherent_spectrum
-from dlgibbs.linalg import hermitian_eigendecompose
-from dlgibbs.parent import build_parent
+from dlgibbs.kms import KmsForm, coherent_spectrum, stationary_channel
+from dlgibbs.linalg import HermitianEig, hermitian_eigendecompose
+from dlgibbs.parent import build_parent, parent_terms
+from dlgibbs.tolerances import KERNEL_CUT
 from dlgibbs.sampler import compose_dl_channel, iterate
 from reference import (
-    dense_dl_qsvt_anneal, parent_matrix, projector_noncommutation_degree, swept_distances,
+    dense_dl_qsvt_anneal, parent_matrix, projector_noncommutation_degree, split_columns,
+    swept_distances, whole_columns, whole_terms,
 )
 from test_properties import PROPERTY
 
@@ -128,6 +131,78 @@ def test_mixed_terms_are_summed_in_the_one_sector():
     assert np.array_equal(total[0], tilted + diagonal)
     sectors, total = sector_sum([(split, legs)], n)
     assert sectors.labelled and total.shape == (4, 4, 4)
+
+
+ZOO = [
+    (kind, n, couplings)
+    for kind in COMMUTING for n in (2, 3, 4) for couplings in ("x", "xz", "xyz")
+]
+
+
+@pytest.mark.parametrize("kind,n,couplings", ZOO)
+def test_stationary_kernel_basis_is_the_whole_basis_split_by_sector(kind, n, couplings):
+    # Each term's kernel basis is kept by sector as the term's eigenvectors
+    # are (kms.TermKernel.basis): bit for bit the whole basis, each kernel
+    # vector placed in its sector's rows, split again by sector.
+    ham = make_instance(kind, n)
+    cp = standard_couplings(n, couplings)
+    for beta in (0.0, 0.5, 2.0):
+        terms = build_model(ham, cp, WeightProfile(beta=beta))
+        for t in parent_terms(terms, KmsForm.gibbs(ham, beta), ham):
+            eig = HermitianEig(t.eig.eigenvalues[0], t.eig.eigenvectors[0])
+            basis = stationary_channel(eig, t.state).basis
+            w = eig.eigenvalues
+            sel = np.abs(w) <= KERNEL_CUT * max(1.0, float(np.abs(w).max()))
+            want = split_columns(sector_eigenvectors(eig.eigenvectors, sel))
+            assert len(w) > 1 and want is not None
+            assert basis.dtype == want.dtype and basis.shape == want.shape
+            assert np.array_equal(basis, want)
+
+
+@pytest.mark.parametrize("kind,n,couplings", ZOO)
+def test_every_pin_sum_equals_its_adjoint(monkeypatch, kind, n, couplings):
+    # The dl_qsvt anneal reads each step's ground cluster off the sum of its
+    # pin blocks unchecked (SectorHamiltonian.clusters): every such sum is
+    # exactly Hermitian, bit for bit.
+    sums = []
+    real = dlgibbs.hamiltonians.symmetric_eigenvalues
+
+    def kept(a):
+        sums.append(a.copy())
+        return real(a)
+
+    monkeypatch.setattr(dlgibbs.hamiltonians, "symmetric_eigenvalues", kept)
+    ham = make_instance(kind, n)
+    cp = standard_couplings(n, couplings)
+    for beta in (0.5, 2.0):
+        sched = make_schedule(beta, float(np.abs(ham.eig.eigenvalues).max()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                run_annealing(ham, cp, WeightProfile(beta=beta), sched, 0.1, "dl_qsvt")
+            except DlGibbsError:
+                pass  # the sums read before a refusal are checked all the same
+    assert sums
+    assert all(np.array_equal(a, np.swapaxes(a.conj(), -1, -2)) for a in sums)
+
+
+def test_kernel_bases_held_by_sector_are_made_whole_beside_a_whole_one():
+    # One basis held whole puts every basis on the one sector: a basis held
+    # by sector is placed whole there, its padding dropped.
+    rng = np.random.default_rng(1)
+    n, legs = 1, (0, 1)
+    by_sector = np.zeros((2, 2, 2))
+    by_sector[0, :, 0] = [0.6, 0.8]
+    by_sector[1, :, :] = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+    whole = np.linalg.qr(rng.normal(size=(4, 3)))[0][None]
+    sectors, parts = sector_bases([by_sector, whole], [legs, legs], n)
+    assert not sectors.labelled
+    assert [q for _, q in parts] == [legs, legs]
+    assert np.array_equal(parts[0][0][0], whole_columns(by_sector))
+    assert parts[0][0].shape == (1, 4, 3)
+    assert np.array_equal(parts[1][0], whole)
+    sectors, parts = sector_bases([by_sector], [legs], n)
+    assert sectors.labelled and parts[0][0] is by_sector and parts[0][1] == (0,)
 
 
 def test_zz_chain_n5_holds_no_superoperator_sized_array():
@@ -233,7 +308,7 @@ def test_steps_held_on_different_sectors_are_refused():
     def one_on_the_one_sector(ph, entry=None):
         pins.append(real_pin(ph, entry))
         if len(pins) == 2:
-            whole = tuple(t.op[None, None] for t in pins[-1].terms)
+            whole = tuple(t.op[None, None] for t in whole_terms(pins[-1]))
             eigs = tuple(hermitian_eigendecompose(b) for b in whole)
             pins[-1] = replace(pins[-1], blocks=whole, eigs=eigs)
         return pins[-1]
